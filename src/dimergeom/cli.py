@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import scalars
-from .config import check_F, check_V, config_from_dict, load_config, save_config
+from .config import check_F, check_V, config_from_dict, labels_projectively_equal, load_config, save_config
 from .errors import GeometryError
 from .laurent import newton_polygon, poly_to_json
 from .moves import apply_script, load_script
@@ -169,93 +169,66 @@ def _cmd_run(args) -> int:
 
 
 def _run_builtin(c, args, trace):
+    step, formula = _builtin_family(c, args)
     cur = c
-    if args.builtin == "pentagram":
-        from .pentagram import (
-            build_pentagram_config,
-            dual_pentagram_map,
-            lines_from_config,
-            pentagram_map,
-            pentagram_step_on_config,
-            polygon_from_config,
-        )
-
-        for step in range(args.steps):
-            prev = cur
-            cur = pentagram_step_on_config(cur, args.k)
-            trace.append(f"pentagram step {step + 1} done")
-            if args.verify:
-                _verify_step(cur, step, trace)
-                exp = build_pentagram_config(
-                    pentagram_map(polygon_from_config(prev), args.k),
-                    dual_pentagram_map(lines_from_config(prev), args.k),
-                    args.k,
-                )
-                _verify_formula_match(cur, exp, step, trace)
-    elif args.builtin == "spiral":
-        from .fixtures import SPIRAL_BASE, SPIRAL_K, SPIRAL_N
-        from .spiral import (
-            LineSeed,
-            SpiralSeed,
-            build_spiral_config,
-            line_seed_extend,
-            spiral_extend,
-            spiral_step_on_config,
-        )
-
-        base = args.base if args.base is not None else SPIRAL_BASE
-        k, n = SPIRAL_K, SPIRAL_N
-        N = n + 1
-        for step in range(args.steps):
-            i = base + step
-            prev = cur
-            cur = spiral_step_on_config(cur, k, n, i)
-            trace.append(f"spiral step {step + 1} done")
-            if args.verify:
-                _verify_step(cur, step, trace)
-                sP = SpiralSeed(k, n, i, tuple(prev.white_labels[f"P{(i + m) % N}"] for m in range(N)))
-                sq = LineSeed(k, n, i - 1, tuple(prev.black_labels[f"q{(i - 1 + m) % N}"] for m in range(N)))
-                exp = build_spiral_config(spiral_extend(sP, 1), line_seed_extend(sq, 1))
-                _verify_formula_match(cur, exp, step, trace)
-    else:
-        from .fixtures import QNET_A, QNET_B
-        from .qnet import (
-            _config_white_parity,
-            config_plane_window,
-            config_point_window,
-            dual_laplace,
-            laplace,
-            periodic_extension,
-            qnet_step_on_config,
-        )
-        from .geometry import proj_equal
-
-        for step in range(args.steps):
-            prev = cur
-            parity = 1 - _config_white_parity(cur)
-            cur = qnet_step_on_config(cur, QNET_A, QNET_B, parity)
-            trace.append(f"qnet step {step + 1} done")
-            if args.verify:
-                _verify_step(cur, step, trace)
-                fl = laplace(periodic_extension(config_point_window(prev), QNET_A, QNET_B, 1))
-                Gl = dual_laplace(periodic_extension(config_plane_window(prev), QNET_A, QNET_B, 1))
-                w1, p1 = config_point_window(cur), config_plane_window(cur)
-                ok = all(proj_equal(w1[s], fl[s]) for s in w1.sites()) and all(
-                    proj_equal(p1[s], Gl[s]) for s in p1.sites()
-                )
-                trace.append(f"verify step {step + 1}: formulas={'match' if ok else 'MISMATCH'}")
-                if not ok:
-                    raise GeometryError(f"step {step + 1} disagrees with the Laplace formulas")
+    for i in range(args.steps):
+        prev = cur
+        cur = step(prev, i)
+        trace.append(f"{args.builtin} step {i + 1} done")
+        if args.verify:
+            _verify_step(cur, i, trace)
+            ok = labels_projectively_equal(cur, formula(prev, i))
+            trace.append(f"verify step {i + 1}: formulas={'match' if ok else 'MISMATCH'}")
+            if not ok:
+                raise GeometryError(f"step {i + 1} disagrees with the direct-formula dynamics")
     return cur
 
 
-def _verify_formula_match(cur, exp, step, trace):
-    from .config import labels_projectively_equal
+def _builtin_family(c, args):
+    """(move step, direct-formula step) of the builtin family; both map
+    (config, step number) to the next config.  Shapes come from c."""
+    if args.builtin == "pentagram":
+        from . import pentagram as pg
 
-    ok = labels_projectively_equal(cur, exp)
-    trace.append(f"verify step {step + 1}: formulas={'match' if ok else 'MISMATCH'}")
-    if not ok:
-        raise GeometryError(f"step {step + 1} disagrees with the direct-formula dynamics")
+        k = args.k
+
+        def formula(prev, _i):
+            P, q = pg.polygon_from_config(prev), pg.lines_from_config(prev)
+            return pg.build_pentagram_config(pg.pentagram_map(P, k), pg.dual_pentagram_map(q, k), k)
+
+        return (lambda prev, _i: pg.pentagram_step_on_config(prev, k)), formula
+
+    if args.builtin == "spiral":
+        from . import spiral as sp
+        from .fixtures import SPIRAL_BASE
+
+        base = args.base if args.base is not None else SPIRAL_BASE
+        k, N = args.k, len(c.graph.white_ids)
+        n = N - 1
+
+        def formula(prev, step):
+            i = base + step
+            sP = sp.SpiralSeed(k, n, i, tuple(prev.white_labels[f"P{(i + m) % N}"] for m in range(N)))
+            sq = sp.LineSeed(k, n, i - 1, tuple(prev.black_labels[f"q{(i - 1 + m) % N}"] for m in range(N)))
+            return sp.build_spiral_config(sp.spiral_extend(sP, 1), sp.line_seed_extend(sq, 1))
+
+        return (lambda prev, step: sp.spiral_step_on_config(prev, k, n, base + step)), formula
+
+    from . import qnet as qn
+
+    sites = qn.config_point_window(c).sites() + qn.config_plane_window(c).sites()
+    a, b = max(i for i, _ in sites) + 1, max(j for _, j in sites) + 1
+
+    def one_period_and_ring(w):
+        ext = qn.periodic_extension(w, a, b, 1)
+        return qn.QNetWindow({(i, j): v for (i, j), v in ext.values.items() if -1 <= i <= a and -1 <= j <= b})
+
+    def formula(prev, _i):
+        f = qn.laplace(one_period_and_ring(qn.config_point_window(prev)))
+        G = qn.dual_laplace(one_period_and_ring(qn.config_plane_window(prev)))
+        return qn.build_qnet_config(f, G, a, b)
+
+    return (lambda prev, _i: qn.qnet_step_on_config(prev, a, b, 1 - qn._config_white_parity(prev))), formula
 
 
 def _verify_step(cur, step, trace):

@@ -33,6 +33,7 @@ from .geometry import (
     is_circuit,
     pairing,
 )
+from .laurent import _ipow
 from .scalars import is_zero, one, parse_scalar, scalar_str
 from .torusgraph import (
     Edge,
@@ -199,10 +200,6 @@ def cohomology_class(c: DoubleCircuitConfig, z1=None, z2=None) -> CohomologyClas
     lam = _ipow(p1, n00) * _ipow(p2, n01)
     mu = _ipow(p1, n10) * _ipow(p2, n11)
     return CohomologyClass(lam, mu)
-
-
-def _ipow(x, n: int):
-    return x**n if n >= 0 else 1 / (x ** (-n))
 
 
 def class_equal(c1: CohomologyClass, c2: CohomologyClass) -> bool:

@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateParameter,
     EmptyMeet,
+    KernelNotOneDimensional,
     KindMismatch,
     TooFew,
     TooManyElements,
@@ -149,24 +150,32 @@ def _same_kind_dim(elems):
         raise DimensionMismatch("mixed ambient dimensions")
 
 
-def circuit_relation(elems):
-    """The dependency coefficients of a circuit, or None.
+def circuit_coefficients(rows):
+    """c with sum(c_i * rows[i]) = 0 and every c_i nonzero.
 
-    Returns c with sum(c_i * v_i) = 0, all c_i nonzero, when the elements
-    form a circuit (rank = m-1 with a nowhere-zero one-dimensional left
-    kernel); otherwise None.
+    Raises KernelNotOneDimensional, naming the relation-space dimension or
+    the vanishing coefficient, unless the rows form a circuit (rank m-1
+    with a nowhere-zero one-dimensional left kernel).
     """
-    m = len(elems)
-    rows = [list(e.coords) for e in elems]
+    m = len(rows)
     cols = [[rows[i][j] for i in range(m)] for j in range(len(rows[0]))]
     ker = linalg.nullspace(cols)  # coefficient vectors c with sum c_i v_i = 0
     if len(ker) != 1:
-        return None
+        raise KernelNotOneDimensional(f"relation space has dimension {len(ker)}, need 1")
     c = ker[0]
     scale = max(abs(x) for x in c)
-    if any(is_zero(x, scale=scale) for x in c):
-        return None
+    for i, x in enumerate(c):
+        if is_zero(x, scale=scale):
+            raise KernelNotOneDimensional(f"relation coefficient {i} vanishes (not a circuit)")
     return c
+
+
+def circuit_relation(elems):
+    """The dependency coefficients of a circuit, or None."""
+    try:
+        return circuit_coefficients([list(e.coords) for e in elems])
+    except KernelNotOneDimensional:
+        return None
 
 
 def is_circuit(elems) -> bool:

@@ -22,6 +22,12 @@ Homology bookkeeping keeps every face h-sum at (0, 0):
   gets (0, 0), the spoke at d the remainder; inner square edges get
   (0, 0).  This is the simplest gauge satisfying all five new faces;
   any other valid choice differs by a coboundary.
+
+A dynamics step is one ``step_on_config`` call: urban renewal at the
+given faces, then removal of the forced vertices -- every pre-step vertex
+the renewals left at degree two -- and a renaming back to template ids.
+The pentagram, spiral and Q-net families supply only their renewal
+faces, spoke rename rules and template.
 """
 from __future__ import annotations
 
@@ -530,6 +536,22 @@ def spoke_rename_map(before: DoubleCircuitConfig, mid: DoubleCircuitConfig, whit
         if len(olds) == 1:
             vmap[v] = black_rule(next(iter(olds)))
     return vmap
+
+
+def step_on_config(c: DoubleCircuitConfig, renew, white_rule, black_rule, template: TorusGraph) -> DoubleCircuitConfig:
+    """One dynamics step: urban renewal at the faces ``renew``, removal of
+    the forced vertices, then renaming to the template's vertex and face ids.
+
+    The forced vertices are the pre-step vertices the renewals left at
+    degree two, removed in ``c.graph.white_ids + c.graph.black_ids`` order.
+    New vertices are renamed by ``spoke_rename_map`` with the two rules.
+    """
+    mid = apply_script(c, MoveScript(tuple(MoveStep("urban", f) for f in renew)))
+    vmap = spoke_rename_map(c, mid, white_rule, black_rule)
+    inc = vertex_edges(mid.graph)
+    forced = [v for v in c.graph.white_ids + c.graph.black_ids if len(inc[v]) == 2]
+    stepped = apply_script(mid, MoveScript(tuple(MoveStep("remove2", v) for v in forced)))
+    return rename_faces_like(relabel(stepped, vmap), template)
 
 
 def rename_faces_like(c: DoubleCircuitConfig, template: TorusGraph) -> DoubleCircuitConfig:

@@ -3,8 +3,8 @@
 The template graph has white vertices P0..P{n-1} and black q0..q{n-1},
 with P_i adjacent to q_i, q_{i-1}, q_{i-k}, q_{i-k-1} (mod n).  Faces:
 
-* ``d{i}``: P_i, q_i, P_{i+k}, q_{i-1}  (diagonal tiles; the step script
-  renews these), and
+* ``d{i}``: P_i, q_i, P_{i+k}, q_{i-1}  (diagonal tiles; a step renews
+  these), and
 * ``s{i}``: P_{i+1}, q_i, P_i, q_{i-k}  (side tiles).
 
 The h data comes from the square-lattice cover: whites at even lattice
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, DegenerateIntersection, SizeMismatch
 from .geometry import join_points, line_through, meet_hyperplanes, pairing
-from .moves import MoveScript, MoveStep, apply_script, relabel
+from .moves import step_on_config
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
 
@@ -180,44 +180,24 @@ def build_pentagram_config(P: Polygon, q: LineList, k: int) -> DoubleCircuitConf
     return DoubleCircuitConfig(g, 2, white, black)
 
 
-def pentagram_step_script(n: int, k: int) -> MoveScript:
-    """Urban renewal at every diagonal tile, then removal of the old
-    degree-two vertices.  Applying it to the template advances the labels
-    by one T_k step (up to the renaming done by pentagram_step_on_config).
-    """
-    steps = [MoveStep("urban", f"d{i}") for i in range(n)]
-    steps += [MoveStep("remove2", f"P{i}") for i in range(n)]
-    steps += [MoveStep("remove2", f"q{i}") for i in range(n)]
-    return MoveScript(tuple(steps))
-
-
 def pentagram_step_on_config(c: DoubleCircuitConfig, k: int) -> DoubleCircuitConfig:
-    """Apply the step script and rename vertices and faces back to the
-    template ids, so labels can be compared slot-by-slot with the
-    direct-formula dynamics and the step can be iterated.
+    """One T_k step by moves: urban renewal at every diagonal tile, the
+    forced removals of the old vertices, and renaming back to template ids,
+    so labels compare slot-by-slot with the direct-formula dynamics and the
+    step can be iterated.
 
     A new white spoke-adjacent to the old black q_j carries the advanced
     point P'_j; a new black spoke-adjacent to the old white P_i carries
     the advanced line q'_{i-k-1}.
     """
-    from .moves import rename_faces_like, spoke_rename_map
-
     n = len(c.graph.white_ids)
-    renew = MoveScript(tuple(MoveStep("urban", f"d{i}") for i in range(n)))
-    mid = apply_script(c, renew)
-    vmap = spoke_rename_map(
+    return step_on_config(
         c,
-        mid,
+        [f"d{i}" for i in range(n)],
         lambda qid: f"P{int(qid[1:])}",
         lambda pid: f"q{(int(pid[1:]) - k - 1) % n}",
+        build_pentagram_graph(n, k),
     )
-    removals = MoveScript(
-        tuple(MoveStep("remove2", f"P{i}") for i in range(n))
-        + tuple(MoveStep("remove2", f"q{i}") for i in range(n))
-    )
-    stepped = apply_script(mid, removals)
-    renamed = relabel(stepped, vmap)
-    return rename_faces_like(renamed, build_pentagram_graph(n, k))
 
 
 def polygon_from_config(c: DoubleCircuitConfig) -> Polygon:

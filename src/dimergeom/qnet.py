@@ -10,7 +10,7 @@ The Laplace transform
 
 produces a window on the other parity (domains shrink by one ring).  The
 transposed transform pairs the other diagonal, <f(i-1,j), f(i,j+1)> ^
-<f(i+1,j), f(i,j-1)>; the step script realizes one or the other
+<f(i+1,j), f(i,j-1)>; a move step realizes one or the other
 depending on which half of the tiles is renewed.
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .geometry import (
     span,
     subspace_element,
 )
-from .moves import MoveScript, MoveStep, apply_script, relabel, rename_faces_like
+from .moves import step_on_config
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
 
@@ -90,9 +90,6 @@ def is_qnet(w: QNetWindow):
         if linalg.rank([list(p.coords) for p in quad]) > 3:
             bad.append((ci, cj))
     return bad
-
-
-is_qstar_net = is_qnet  # same rank condition, covectors instead of vectors
 
 
 def _laplace_sites(w: QNetWindow, pairing: str):
@@ -277,44 +274,20 @@ def build_qnet_config(f: QNetWindow, G: QNetWindow, a: int, b: int) -> DoubleCir
     return DoubleCircuitConfig(g, 3, white, black)
 
 
-def qnet_step_script(a: int, b: int, base_parity: int, white_parity: int = 0) -> MoveScript:
-    """Urban renewal at all faces whose base has the given parity, then
-    removal of every old vertex.  base_parity == 1 - white_parity renews
-    the tiles whose script output realizes the plain Laplace transforms;
-    the other parity realizes the transposed ones."""
-    steps = [
-        MoveStep("urban", f"F{i}x{j}")
-        for i in range(a)
-        for j in range(b)
-        if (i + j) % 2 == base_parity
-    ]
-    for i in range(a):
-        for j in range(b):
-            prefix = "W" if (i + j) % 2 == white_parity else "B"
-            steps.append(MoveStep("remove2", _site_id(prefix, i, j)))
-    return MoveScript(tuple(steps))
-
-
 def qnet_step_on_config(c: DoubleCircuitConfig, a: int, b: int, base_parity: int) -> DoubleCircuitConfig:
-    """Apply the step script and rename sites; the output's whites sit on
-    the old black parity.  Every new vertex takes the site of its spoke's
-    old endpoint with the color prefix flipped."""
-    from .moves import MoveStep, spoke_rename_map
-
-    white_parity = _config_white_parity(c)
-    full = qnet_step_script(a, b, base_parity, white_parity)
-    renew = MoveScript(tuple(s for s in full.steps if s.op == "urban"))
-    removals = MoveScript(tuple(s for s in full.steps if s.op == "remove2"))
-    mid = apply_script(c, renew)
-    vmap = spoke_rename_map(
+    """Urban renewal at all faces whose base has the given parity, the
+    forced removal of every old vertex, and renaming of the sites; the
+    output's whites sit on the old black parity.  Every new vertex takes
+    the site of its spoke's old endpoint with the color prefix flipped.
+    base_parity == 1 - white parity realizes the plain Laplace transforms,
+    the other parity the transposed ones."""
+    return step_on_config(
         c,
-        mid,
+        [f"F{i}x{j}" for i in range(a) for j in range(b) if (i + j) % 2 == base_parity],
         lambda bid: "W" + bid[1:],
         lambda wid: "B" + wid[1:],
+        build_qnet_graph(a, b, 1 - _config_white_parity(c)),
     )
-    stepped = apply_script(mid, removals)
-    renamed = relabel(stepped, vmap)
-    return rename_faces_like(renamed, build_qnet_graph(a, b, 1 - white_parity))
 
 
 def _config_white_parity(c: DoubleCircuitConfig) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .config import DoubleCircuitConfig, check_F, check_V
@@ -22,10 +23,10 @@ from .errors import (
     KernelNotOneDimensional,
     UnequalColorCounts,
 )
-from .geometry import HYPERPLANE, HomogeneousElement, normalize_coords
+from .geometry import HYPERPLANE, HomogeneousElement, circuit_coefficients, normalize_coords
 from .laurent import LaurentPoly2, _ipow
 from .scalars import is_zero, one
-from .torusgraph import TorusGraph, vertex_edges
+from .torusgraph import Edge, TorusGraph, vertex_edges
 
 
 def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
@@ -39,18 +40,10 @@ def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
         if len(edge_ids) < 2:
             raise KernelNotOneDimensional(f"black vertex {b} has degree {len(edge_ids)}")
         rows = [list(white_labels[g.edges[ei].w].coords) for ei in edge_ids]
-        cols = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-        ker = linalg.nullspace(cols)
-        if len(ker) != 1:
-            raise KernelNotOneDimensional(
-                f"black vertex {b}: relation space has dimension {len(ker)}, need 1"
-            )
-        c = ker[0]
-        scale = max(abs(x) for x in c)
-        if any(is_zero(x, scale=scale) for x in c):
-            raise KernelNotOneDimensional(
-                f"black vertex {b}: a relation coefficient vanishes (not a circuit)"
-            )
+        try:
+            c = circuit_coefficients(rows)
+        except KernelNotOneDimensional as exc:
+            raise KernelNotOneDimensional(f"black vertex {b}: {exc}") from exc
         c0 = c[0]
         for ei, x in zip(edge_ids, c):
             weights[ei] = x / c0
@@ -124,34 +117,9 @@ def spectral_polynomial_dual(c: DoubleCircuitConfig) -> LaurentPoly2:
     for the dual-curve experiment; no relation to the white curve is
     asserted."""
     g = c.graph
-    k = len(g.white_ids)
-    if k != len(g.black_ids):
-        raise UnequalColorCounts(f"{len(g.white_ids)} white vs {len(g.black_ids)} black")
-    inc = vertex_edges(g)
-    weights: dict = {}
-    for w in g.white_ids:
-        edge_ids = inc.get(w, [])
-        if len(edge_ids) < 2:
-            raise KernelNotOneDimensional(f"white vertex {w} has degree {len(edge_ids)}")
-        rows = [list(c.black_labels[g.edges[ei].b].coords) for ei in edge_ids]
-        cols = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-        ker = linalg.nullspace(cols)
-        if len(ker) != 1:
-            raise KernelNotOneDimensional(f"white vertex {w}: relation dimension {len(ker)}")
-        rel = ker[0]
-        scale = max(abs(x) for x in rel)
-        if any(is_zero(x, scale=scale) for x in rel):
-            raise KernelNotOneDimensional(f"white vertex {w}: vanishing relation coefficient")
-        c0 = rel[0]
-        for ei, x in zip(edge_ids, rel):
-            weights[ei] = x / c0
-    widx = {w: i for i, w in enumerate(g.white_ids)}
-    bidx = {b: j for j, b in enumerate(g.black_ids)}
-    rows = [[LaurentPoly2.zero() for _ in range(k)] for _ in range(k)]
-    for ei, e in enumerate(g.edges):
-        i, j = widx[e.w], bidx[e.b]
-        rows[i][j] = rows[i][j] + LaurentPoly2.monomial(weights[ei], -e.h[0], -e.h[1])
-    return _poly_det(rows)
+    edges = tuple(Edge(e.b, e.w, (-e.h[0], -e.h[1])) for e in g.edges)
+    swapped = TorusGraph(g.black_ids, g.white_ids, edges, ())
+    return spectral_polynomial(swapped, kasteleyn_weights(swapped, c.black_labels))
 
 
 def on_curve(p: LaurentPoly2, lam, mu) -> bool:
@@ -310,7 +278,7 @@ def rational_roots(coeffs: dict):
         return []
     denlcm = 1
     for v in poly.values():
-        denlcm = denlcm * v.denominator // _gcd(denlcm, v.denominator)
+        denlcm = denlcm * v.denominator // gcd(denlcm, v.denominator)
     ipoly = {k: int(v * denlcm) for k, v in poly.items() if v != 0}
     low = min(ipoly)
     ipoly = {k - low: v for k, v in ipoly.items()}
@@ -322,7 +290,7 @@ def rational_roots(coeffs: dict):
         return []
     g = 0
     for v in ipoly.values():
-        g = _gcd(g, abs(v))
+        g = gcd(g, abs(v))
     ipoly = {k: v // g for k, v in ipoly.items()}
     a0, an = ipoly[0], ipoly[deg]
     p1 = sum(ipoly.values())
@@ -330,7 +298,7 @@ def rational_roots(coeffs: dict):
     roots = set()
     for p in _divisors(abs(a0)):
         for q in _divisors(abs(an)):
-            if _gcd(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             for s in (1, -1):
                 sp = s * p
@@ -351,12 +319,6 @@ def _horner_zero(ipoly: dict, deg: int, x: Fraction) -> bool:
     for k in range(deg, -1, -1):
         acc = acc * x + ipoly.get(k, 0)
     return acc == 0
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):

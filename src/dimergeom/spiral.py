@@ -18,7 +18,7 @@ from . import linalg
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, SeedInvalid, SizeMismatch
 from .geometry import HomogeneousElement, join_points, line_through, meet_hyperplanes
-from .moves import MoveScript, MoveStep, apply_script, relabel, rename_faces_like
+from .moves import step_on_config
 from .pentagram import _edge_h
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
@@ -241,40 +241,18 @@ def build_spiral_config(sP: SpiralSeed, sq: LineSeed) -> DoubleCircuitConfig:
     return DoubleCircuitConfig(g, 2, white, black)
 
 
-def spiral_step_script(k: int, n: int, i: int) -> MoveScript:
-    """One urban renewal at the tile P_i q_i P_{i+k} q_{i-1} followed by the
-    two forced degree-two removals; shifts the seed window by one."""
-    N = n + 1
-    s = i % N
-    return MoveScript(
-        (
-            MoveStep("urban", f"d{s}"),
-            MoveStep("remove2", f"P{s}"),
-            MoveStep("remove2", f"q{(s - 1) % N}"),
-        )
-    )
-
-
 def spiral_step_on_config(c: DoubleCircuitConfig, k: int, n: int, i: int) -> DoubleCircuitConfig:
-    """Apply the step script and rename so the result is slot-comparable to
-    build_spiral_config of the shifted seeds."""
-    from .moves import spoke_rename_map
-
+    """One urban renewal at the tile P_i q_i P_{i+k} q_{i-1}, the two forced
+    removals, and renaming so the result is slot-comparable to
+    build_spiral_config of the seeds shifted by one."""
     N = n + 1
-    s = i % N
-    mid = apply_script(c, MoveScript((MoveStep("urban", f"d{s}"),)))
-    vmap = spoke_rename_map(
+    return step_on_config(
         c,
-        mid,
+        [f"d{i % N}"],
         lambda qid: f"P{int(qid[1:])}",
         lambda pid: f"q{(int(pid[1:]) - k - 1) % N}",
+        build_spiral_graph(k, n, i + 1),
     )
-    removals = MoveScript(
-        (MoveStep("remove2", f"P{s}"), MoveStep("remove2", f"q{(s - 1) % N}"))
-    )
-    stepped = apply_script(mid, removals)
-    renamed = relabel(stepped, vmap)
-    return rename_faces_like(renamed, build_spiral_graph(k, n, i + 1))
 
 
 def inscribed_points(sq: LineSeed):

@@ -82,17 +82,6 @@ def face_key(g: TorusGraph, face: Face) -> tuple:
     return min(variants)
 
 
-def face_h_sum(g: TorusGraph, face: Face) -> tuple:
-    a = b = 0
-    for slot, ei in enumerate(face.edges):
-        h = g.edges[ei].h
-        if slot % 2 == 0:
-            a, b = a + h[0], b + h[1]
-        else:
-            a, b = a - h[0], b - h[1]
-    return a, b
-
-
 def _face_traversal_ok(g: TorusGraph, face: Face) -> str | None:
     """Check alternation and endpoint chaining; return a message on failure."""
     es = face.edges
@@ -222,7 +211,7 @@ def validate_graph(g: TorusGraph) -> GraphReport:
                 violations.append(f"edge {ei} lies on {use[ei]} face slots, expected 2")
 
     for f in g.faces:
-        hs = face_h_sum(g, f)
+        hs = walk_h_sum(g, f.edges)
         if hs != (0, 0):
             violations.append(f"face {f.id}: h-sum {hs} != (0, 0)")
 
@@ -279,9 +268,7 @@ def dimension_report(g: TorusGraph, d: int) -> dict:
     k = len(g.white_ids)
     if k != len(g.black_ids):
         raise UnequalColorCounts(f"{k} white vs {len(g.black_ids)} black")
-    e, f = len(g.edges), len(g.faces)
-    euler = 2 * k - e + f
-    return dimension_report_from_counts(k, e, f, d)
+    return dimension_report_from_counts(k, len(g.edges), len(g.faces), d)
 
 
 def dimension_report_from_counts(k: int, e: int, f: int, d: int) -> dict:

@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from dimergeom.cli import main
 from dimergeom.config import load_config, save_config
 from dimergeom.fixtures import make_pentagram_fixture
+from dimergeom.geometry import POINT, HomogeneousElement, point
+from dimergeom.qnet import QNetWindow, build_qnet_config, plane_of_quad
 
 
 @pytest.fixture()
@@ -160,3 +163,41 @@ def test_render_polygon_file(tmp_path):
     out = tmp_path / "poly.svg"
     assert main(["render", str(poly), "--out", str(out), "--box", "-1", "6", "-1", "6"]) == 0
     assert out.read_text().count("<circle") == 4
+
+
+def _qnet_6x6():
+    """Coherent 6x6 Q-net: period-6 sequences on the quadric z = xy paired
+    with a central-collineation image, planes from the image's squares."""
+    a = 6
+    xs = (F(1), F(2), F(4), F(-1), F(3), F(-3))
+    ys = (F(1), F(3), F(6), F(-2), F(5), F(-4))
+    axis = (F(1, 7), F(2, 7), F(3, 7), F(5, 7))
+
+    def collineate(p):
+        x, y, z, w = p.coords
+        return HomogeneousElement((x, y, z, w + sum(c * v for c, v in zip(axis, p.coords))), POINT)
+
+    def on_quadric(i, j):
+        x, y = xs[i % a], ys[j % a]
+        return point(x, y, x * y, 1)
+
+    ring = range(-1, a + 1)
+    f = QNetWindow({(i, j): on_quadric(i, j) for i in ring for j in ring if (i + j) % 2 == 0})
+    mate = QNetWindow({s: collineate(v) for s, v in f.values.items()})
+    period = [(i, j) for i in range(a) for j in range(a)]
+    f_one = QNetWindow({s: f[s] for s in period if sum(s) % 2 == 0})
+    G = QNetWindow({s: plane_of_quad(mate, s) for s in period if sum(s) % 2 == 1})
+    return build_qnet_config(f_one, G, a, a)
+
+
+def test_run_builtin_qnet_reads_shape_from_config(tmp_path, capsys):
+    path = tmp_path / "qnet6.json"
+    save_config(_qnet_6x6(), path)
+    assert main(["run", str(path), "--builtin", "qnet", "--verify", "--steps", "2"]) == 0
+    assert "formulas=match" in capsys.readouterr().out
+
+
+def test_run_builtin_spiral_honours_k(tmp_path):
+    path = tmp_path / "spiral.json"
+    assert main(["make-spiral", "--out", str(path)]) == 0
+    assert main(["run", str(path), "--builtin", "spiral", "--k", "3", "--verify"]) == 1

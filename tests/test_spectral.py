@@ -113,7 +113,10 @@ def test_weights_non_circuit_rejected():
         (),
     )
     labels = {"w1": point(1, 0, 0), "w2": point(1, 0, 0), "w3": point(0, 1, 0)}
-    with pytest.raises(KernelNotOneDimensional):
+    with pytest.raises(KernelNotOneDimensional, match="black vertex b: relation coefficient 2 vanishes"):
+        kasteleyn_weights(g, labels)
+    labels["w3"] = point(1, 0, 0)
+    with pytest.raises(KernelNotOneDimensional, match="black vertex b: relation space has dimension 2"):
         kasteleyn_weights(g, labels)
 
 

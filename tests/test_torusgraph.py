@@ -12,7 +12,6 @@ from dimergeom.torusgraph import (
     delete_edge,
     dimension_report,
     dimension_report_from_counts,
-    face_h_sum,
     face_vertex_sequence,
     find_walk,
     validate_graph,
@@ -140,4 +139,4 @@ def test_spiral_graph_structure():
 def test_every_face_sum_zero_on_templates():
     for g in (build_pentagram_graph(9, 4), build_spiral_graph(2, 6, 2), build_qnet_graph(6, 4)):
         for f in g.faces:
-            assert face_h_sum(g, f) == (0, 0)
+            assert walk_h_sum(g, f.edges) == (0, 0)
