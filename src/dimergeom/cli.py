@@ -13,9 +13,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import scalars
-from .config import check_F, check_V, config_from_dict, labels_projectively_equal, load_config, save_config
+from .config import check_F, check_V, config_from_dict, labels_projectively_equal, load_config, save_config, scalar_kind
 from .errors import GeometryError
+from .geometry import POINT, HomogeneousElement
 from .laurent import newton_polygon, poly_to_json
 from .moves import apply_script, load_script
 from .render import RenderSpec, render_config
@@ -32,18 +32,12 @@ from .spectral import (
 from .torusgraph import dimension_report, validate_graph
 
 
-def _add_common(p):
-    p.add_argument("--backend", choices=["rational", "float"], default="rational")
-    p.add_argument("--tol", type=float, default=None, help="float backend tolerance")
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="dimergeom", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("validate", help="validate a configuration file")
     p.add_argument("config")
-    _add_common(p)
 
     p = sub.add_parser("run", help="apply a move script or builtin dynamics")
     p.add_argument("config")
@@ -54,26 +48,22 @@ def main(argv=None) -> int:
     p.add_argument("--base", type=int, default=None, help="spiral seed base index")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out")
-    _add_common(p)
 
     p = sub.add_parser("spectral", help="spectral polynomial and Newton polygon")
     p.add_argument("config")
     p.add_argument("--out")
-    _add_common(p)
 
     p = sub.add_parser("reconstruct", help="recover black data from a curve point")
     p.add_argument("white_config")
     p.add_argument("--lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--out")
-    _add_common(p)
 
     p = sub.add_parser("experiment", help="observational reports (never asserts)")
     p.add_argument("name", choices=["dual-curve", "birationality-probe"])
     p.add_argument("config")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
 
     p = sub.add_parser("render", help="deterministic SVG of a planar configuration")
     p.add_argument("config")
@@ -82,7 +72,6 @@ def main(argv=None) -> int:
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--project", action="store_true", help="allow d=3 via the drop-z projection")
     p.add_argument("--no-labels", action="store_true")
-    _add_common(p)
 
     p = sub.add_parser("make-pentagram", help="write the conic pentagram fixture")
     p.add_argument("--n", type=int, default=5)
@@ -101,8 +90,6 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
 
     args = ap.parse_args(argv)
-    if getattr(args, "backend", None):
-        scalars.set_backend(args.backend, getattr(args, "tol", None))
     try:
         return _dispatch(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -152,7 +139,7 @@ def _cmd_run(args) -> int:
         raise ValueError("pass exactly one of --script or --builtin")
     trace: list = []
     if args.script:
-        script = load_script(args.script)
+        script = load_script(args.script, scalar_kind(c))
         cur = c
         for step in range(args.steps):
             cur = apply_script(cur, script, trace)
@@ -239,8 +226,19 @@ def _verify_step(cur, step, trace):
         raise GeometryError(f"verification failed after step {step + 1}")
 
 
+def _load_valid(path):
+    """load_config, then validate_graph; an invalid graph prints its
+    violations and raises GeometryError (exit 1)."""
+    c = load_config(path)
+    rep = validate_graph(c.graph)
+    if not rep.ok:
+        print(rep)
+        raise GeometryError(f"invalid torus graph ({len(rep.violations)} violations)")
+    return c
+
+
 def _cmd_spectral(args) -> int:
-    c = load_config(args.config)
+    c = _load_valid(args.config)
     poly = spectral_polynomial_white(c)
     data = poly_to_json(poly)
     print(json.dumps(data))
@@ -253,8 +251,9 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    c = load_config(args.white_config)
-    lam, mu = parse_scalar(args.lam), parse_scalar(args.mu)
+    c = _load_valid(args.white_config)
+    kind = scalar_kind(c)
+    lam, mu = parse_scalar(args.lam, kind), parse_scalar(args.mu, kind)
     try:
         res = reconstruct_black(c.graph, c.d, c.white_labels, lam, mu)
     except EmptyKernel:
@@ -273,7 +272,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    c = load_config(args.config)
+    c = _load_valid(args.config)
     if args.name == "dual-curve":
         pw = spectral_polynomial_white(c).normalized()
         pb = spectral_polynomial_dual(c).normalized()
@@ -296,42 +295,31 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
     rng = random.Random(seed)
     outcomes: dict = {}
     tried = 0
-    with scalars.backend(scalars.FLOAT):
-        fc = _float_labels(c)
-        while sum(outcomes.values()) < samples and tried < samples * 40:
-            tried += 1
-            lam = rng.uniform(0.2, 3.0) * rng.choice([1, -1])
-            coeffs: dict = {}
-            for (i, j), cf in poly.terms:
-                coeffs[j] = coeffs.get(j, 0.0) + float(cf) * lam**i
-            if not coeffs:
-                break
-            lo = min(coeffs)
-            arr = [coeffs.get(k, 0.0) for k in range(max(coeffs), lo - 1, -1)]
-            roots = np.roots(arr)
-            real = [r.real for r in roots if abs(r.imag) < 1e-9 and abs(r.real) > 1e-9]
-            if not real:
-                continue
-            mu = float(rng.choice(real))
-            if not on_curve(poly, lam, mu):
-                continue
-            try:
-                res = reconstruct_black(fc.graph, fc.d, fc.white_labels, lam, mu)
-                outcomes[res.status] = outcomes.get(res.status, 0) + 1
-            except GeometryError as exc:
-                outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
+    float_white = {k: HomogeneousElement(tuple(map(float, v.coords)), v.kind) for k, v in c.white_labels.items()}
+    while sum(outcomes.values()) < samples and tried < samples * 40:
+        tried += 1
+        lam = rng.uniform(0.2, 3.0) * rng.choice([1, -1])
+        coeffs: dict = {}
+        for (i, j), cf in poly.terms:
+            coeffs[j] = coeffs.get(j, 0.0) + float(cf) * lam**i
+        if not coeffs:
+            break
+        lo = min(coeffs)
+        arr = [coeffs.get(k, 0.0) for k in range(max(coeffs), lo - 1, -1)]
+        roots = np.roots(arr)
+        real = [r.real for r in roots if abs(r.imag) < 1e-9 and abs(r.real) > 1e-9]
+        if not real:
+            continue
+        mu = float(rng.choice(real))
+        if not on_curve(poly, lam, mu):
+            continue
+        try:
+            res = reconstruct_black(c.graph, c.d, float_white, lam, mu)
+            outcomes[res.status] = outcomes.get(res.status, 0) + 1
+        except GeometryError as exc:
+            outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
     print(f"report: sampled outcomes over {sum(outcomes.values())} curve points: {outcomes}")
     return 0
-
-
-def _float_labels(c):
-    """Config with labels coerced to floats (for the probe)."""
-    from .config import DoubleCircuitConfig
-    from .geometry import HomogeneousElement
-
-    wl = {k: HomogeneousElement(tuple(float(x) for x in v.coords), v.kind) for k, v in c.white_labels.items()}
-    bl = {k: HomogeneousElement(tuple(float(x) for x in v.coords), v.kind) for k, v in c.black_labels.items()}
-    return DoubleCircuitConfig(c.graph, c.d, wl, bl)
 
 
 def _cmd_render(args) -> int:
@@ -347,7 +335,6 @@ def _cmd_render(args) -> int:
         data = json.load(fh)
     if "points" in data:
         # bare polygon file: {"points": [[x, y] or [x, y, z], ...]}
-        from .geometry import HomogeneousElement, POINT
         from .render import render_points
 
         pts = []

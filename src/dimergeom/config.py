@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import scalars
 from .errors import (
     BadBasis,
     DegreeExceedsBound,
@@ -34,7 +33,7 @@ from .geometry import (
     pairing,
 )
 from .laurent import _ipow
-from .scalars import is_zero, one, parse_scalar, scalar_str
+from .scalars import FLOAT, RATIONAL, is_float, is_zero, parse_scalar, scalar_str
 from .torusgraph import (
     Edge,
     Face,
@@ -160,8 +159,8 @@ def edge_pairing(c: DoubleCircuitConfig, ei: int):
 
 
 def walk_period(c: DoubleCircuitConfig, walk):
-    num = one()
-    den = one()
+    num = 1
+    den = 1
     for slot, ei in enumerate(walk):
         v = edge_pairing(c, ei)
         if slot % 2 == 0:
@@ -211,11 +210,17 @@ def class_equal(c1: CohomologyClass, c2: CohomologyClass) -> bool:
 # ------------------------------------------------------------------ JSON I/O
 
 
+def scalar_kind(c: DoubleCircuitConfig) -> str:
+    """FLOAT when any label has a float coordinate, else RATIONAL."""
+    labels = (*c.white_labels.values(), *c.black_labels.values())
+    return FLOAT if any(is_float(e.coords) for e in labels) else RATIONAL
+
+
 def config_to_dict(c: DoubleCircuitConfig) -> dict:
     g = c.graph
     out = {
         "dimension": c.d,
-        "scalar": scalars.get_backend(),
+        "scalar": scalar_kind(c),
         "white": [
             {"id": v, "coords": [scalar_str(x) for x in c.white_labels[v].coords]}
             for v in g.white_ids
@@ -247,10 +252,23 @@ def _face_to_json(g: TorusGraph, f: Face):
 
 
 def config_from_dict(data: dict) -> DoubleCircuitConfig:
+    """Parse the JSON form.  Coordinates are read as the file's "scalar"
+    kind.  Raises ValueError for an unknown kind and for any structural
+    defect (wrong JSON types, missing keys, short h vectors, edge refs out
+    of range, malformed scalars)."""
+    if not isinstance(data, dict):
+        raise ValueError("configuration must be a JSON object")
+    scalar = data.get("scalar", RATIONAL)
+    if scalar not in (RATIONAL, FLOAT):
+        raise ValueError(f"unknown scalar kind {scalar!r}")
+    try:
+        return _config_from_dict(data, scalar)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed configuration: {type(exc).__name__}: {exc}") from exc
+
+
+def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     d = int(data["dimension"])
-    backend = data.get("scalar", scalars.RATIONAL)
-    if backend != scalars.get_backend():
-        scalars.set_backend(backend)
     white_ids = tuple(w["id"] for w in data["white"])
     black_ids = tuple(b["id"] for b in data["black"])
     edges = tuple(
@@ -266,22 +284,22 @@ def config_from_dict(data: dict) -> DoubleCircuitConfig:
         )
     graph = TorusGraph(white_ids, black_ids, edges, faces, basis)
     white_labels = {
-        w["id"]: _parse_label(w["coords"], POINT, d)
+        w["id"]: _parse_label(w["coords"], POINT, d, scalar)
         for w in data["white"]
         if "coords" in w and w["coords"] is not None
     }
     black_labels = {
-        b["id"]: _parse_label(b["coords"], HYPERPLANE, d)
+        b["id"]: _parse_label(b["coords"], HYPERPLANE, d, scalar)
         for b in data["black"]
         if "coords" in b and b["coords"] is not None
     }
     return DoubleCircuitConfig(graph, d, white_labels, black_labels)
 
 
-def _parse_label(coords, kind, d):
-    vals = [parse_scalar(x) for x in coords]
+def _parse_label(coords, kind, d, scalar):
+    vals = [parse_scalar(x, scalar) for x in coords]
     if kind == POINT and len(vals) == d:
-        vals.append(parse_scalar("1"))  # affine input: lift with trailing 1
+        vals.append(parse_scalar("1", scalar))  # affine input: lift with trailing 1
     return HomogeneousElement(tuple(vals), kind)
 
 
@@ -294,7 +312,10 @@ def _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids):
     faces = []
     for fid, entry in zip(face_ids, faces_json):
         if entry and isinstance(entry[0], dict):
-            faces.append(Face(fid, tuple(int(x["e"]) for x in entry)))
+            refs = tuple(int(x["e"]) for x in entry)
+            if not all(0 <= ei < len(edges) for ei in refs):
+                raise ValueError(f"face {fid}: edge ref out of range 0..{len(edges) - 1} in {list(refs)}")
+            faces.append(Face(fid, refs))
             continue
         seq = list(entry)
         if seq and seq[0] not in whites:
@@ -339,11 +360,10 @@ def rescaled_config(c: DoubleCircuitConfig, factors: dict) -> DoubleCircuitConfi
     wl = dict(c.white_labels)
     bl = dict(c.black_labels)
     for v, s in factors.items():
-        s = Fraction(s) if scalars.get_backend() == scalars.RATIONAL else float(s)
-        if v in wl:
-            wl[v] = HomogeneousElement(tuple(x * s for x in wl[v].coords), POINT)
-        elif v in bl:
-            bl[v] = HomogeneousElement(tuple(x * s for x in bl[v].coords), HYPERPLANE)
+        labels = wl if v in wl else bl if v in bl else None
+        if labels is not None:
+            s = float(s) if is_float(labels[v].coords) else Fraction(s)
+            labels[v] = HomogeneousElement(tuple(x * s for x in labels[v].coords), labels[v].kind)
     return DoubleCircuitConfig(c.graph, c.d, wl, bl)
 
 

@@ -25,7 +25,7 @@ from .errors import (
     VanishingPairing,
     ZeroVector,
 )
-from .scalars import is_zero, one, to_scalar
+from .scalars import is_float, is_zero, to_scalar
 
 POINT = "point"
 HYPERPLANE = "hyperplane"
@@ -53,7 +53,10 @@ class HomogeneousElement:
         return self.kind == other.kind and proj_equal_coords(self.coords, other.coords)
 
     def __hash__(self):
-        # hash of the canonical representative; float coords are not hashed
+        # exact: the canonical representative; float equality is
+        # tolerance-based, so float coordinates are not hashed
+        if is_float(self.coords):
+            return hash((self.kind, self.dim))
         return hash((self.kind, normalize(self).coords))
 
     def __repr__(self):
@@ -76,13 +79,13 @@ def affine_point(*coords) -> HomogeneousElement:
 
 def normalize(e: HomogeneousElement) -> HomogeneousElement:
     """Canonical representative: integer-primitive coordinates with positive
-    leading nonzero entry (rational backend) or unit Euclidean norm with
-    positive leading entry (float backend).  Idempotent."""
+    leading nonzero entry (exact coordinates) or unit Euclidean norm with
+    positive leading entry (float coordinates).  Idempotent."""
     return HomogeneousElement(normalize_coords(e.coords), e.kind)
 
 
 def normalize_coords(coords: tuple) -> tuple:
-    if isinstance(coords[0], Fraction):
+    if not is_float(coords):
         denom_lcm = 1
         for c in coords:
             denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
@@ -111,11 +114,11 @@ def normalize_coords(coords: tuple) -> tuple:
 def proj_equal_coords(a: tuple, b: tuple) -> bool:
     if len(a) != len(b):
         return False
-    return normalize_coords(a) == normalize_coords(b) if isinstance(a[0], Fraction) else _float_proportional(a, b)
-
-
-def _float_proportional(a, b) -> bool:
+    if is_float(a) != is_float(b):
+        return False  # an exact element never equals a float one
     na, nb = normalize_coords(a), normalize_coords(b)
+    if not is_float(a):
+        return na == nb
     scale = max(max(abs(x) for x in na), max(abs(x) for x in nb))
     return all(is_zero(x - y, scale=scale) for x, y in zip(na, nb))
 
@@ -280,8 +283,8 @@ def multi_ratio(cycle):
     if any(p.kind != POINT for p in pts) or any(h.kind != HYPERPLANE for h in hyps):
         raise KindMismatch("cycle must alternate point, hyperplane, ...")
     n = len(pts)
-    num = one()
-    den = one()
+    num = 1
+    den = 1
     for i in range(n):
         a = pairing(hyps[i], pts[i])
         b = pairing(hyps[i], pts[(i + 1) % n])
@@ -299,7 +302,7 @@ def multi_ratio(cycle):
 def face_coherent(cycle) -> bool:
     """True iff the multi-ratio of the cycle equals one."""
     r = multi_ratio(cycle)
-    return is_zero(r - one(), scale=abs(r))
+    return is_zero(r - 1, scale=abs(r))
 
 
 @dataclass(frozen=True)
@@ -333,9 +336,7 @@ class Conic:
 
 def standard_conic() -> Conic:
     """The conic yz = x^2 (all tangency data rational in the parameter)."""
-    h = to_scalar(Fraction(-1, 2))
-    o = to_scalar(0)
-    i = to_scalar(1)
+    h, o, i = Fraction(-1, 2), Fraction(0), Fraction(1)
     return Conic(((i, o, o), (o, o, h), (o, h, o)))
 
 

@@ -1,12 +1,13 @@
-"""Laurent polynomials in two variables with exact coefficients, plus the
-Newton polygon.  Terms live in a dict (i, j) -> coefficient; no zero
-coefficients are stored."""
+"""Laurent polynomials in two variables with exact (or float) coefficients,
+plus the Newton polygon.  Terms live in a dict (i, j) -> coefficient; no
+zero coefficients are stored."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ZeroPolynomial
-from .scalars import is_zero, one, parse_scalar, scalar_str
+from .scalars import is_float, is_zero, parse_scalar, scalar_str
 
 
 @dataclass(frozen=True)
@@ -15,7 +16,8 @@ class LaurentPoly2:
 
     @staticmethod
     def from_dict(d: dict) -> "LaurentPoly2":
-        items = [(k, v) for k, v in d.items() if not is_zero(v, scale=_scale(d))]
+        scale = _scale(d) if is_float(d.values()) else 1
+        items = [(k, v) for k, v in d.items() if not is_zero(v, scale=scale)]
         return LaurentPoly2(tuple(sorted(items)))
 
     @staticmethod
@@ -69,7 +71,7 @@ class LaurentPoly2:
         for (i, j), c in self.terms:
             t = c * _ipow(lam, i) * _ipow(mu, j)
             acc = t if acc is None else acc + t
-        return acc if acc is not None else 0 * one()
+        return acc if acc is not None else Fraction(0)
 
     def max_term_magnitude(self, lam, mu) -> float:
         m = 0.0

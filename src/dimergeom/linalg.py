@@ -1,16 +1,30 @@
-"""Dense linear algebra over the active scalar backend.
+"""Dense linear algebra; the scalar kind follows the matrix.
 
-Matrices are lists of row lists.  The rational backend is exact Gaussian
-elimination over Fractions; the float backend uses partial pivoting with
-all zero decisions routed through :func:`scalars.is_zero` at the scale of
-the input matrix.
+Matrices are lists of row lists.  With no float entry, exact Gaussian
+elimination over Fractions; with one, partial pivoting with every zero
+decision made by :func:`scalars.is_zero` at the scale of the input matrix.
+Results take their unit from the matrix: ``1.0`` if a float is present.
 """
 from __future__ import annotations
 
-from .scalars import is_zero, one, zero
+from fractions import Fraction
+
+from .scalars import is_float, is_zero
 
 
-def _matrix_scale(rows) -> float:
+def _has_float(rows) -> bool:
+    return any(is_float(row) for row in rows)
+
+
+def _unit(rows):
+    return 1.0 if _has_float(rows) else Fraction(1)
+
+
+def _matrix_scale(rows):
+    """Largest entry magnitude, the zero-test scale of a float matrix;
+    exact matrices need none and get 1."""
+    if not _has_float(rows):
+        return 1
     s = 0.0
     for row in rows:
         for x in row:
@@ -63,11 +77,12 @@ def nullspace(rows):
         return []
     ncols = len(rows[0])
     reduced, pivots = rref(rows)
+    one = _unit(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero()] * ncols
-        v[fc] = one()
+        v = [0 * one] * ncols
+        v[fc] = one
         for r, pc in enumerate(pivots):
             v[pc] = -reduced[r][fc]
         basis.append(v)
@@ -88,7 +103,7 @@ def solve(rows, rhs):
     reduced, pivots = rref(aug)
     if ncols in pivots:
         return "inconsistent", None, []
-    x = [zero()] * ncols
+    x = [0 * _unit(aug)] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
     ker = nullspace(rows)
@@ -100,12 +115,13 @@ def solve(rows, rhs):
 def det(rows):
     """Determinant by fraction-friendly Gaussian elimination."""
     n = len(rows)
+    one = _unit(rows)
     if n == 0:
-        return one()
+        return one
     m = [list(r) for r in rows]
     scale = _matrix_scale(m)
-    sign = one()
-    acc = one()
+    sign = one
+    acc = one
     for c in range(n):
         best, best_val = None, None
         for i in range(c, n):
@@ -113,7 +129,7 @@ def det(rows):
             if not is_zero(m[i][c], scale=scale) and (best is None or v > best_val):
                 best, best_val = i, v
         if best is None:
-            return zero()
+            return 0 * one
         if best != c:
             m[c], m[best] = m[best], m[c]
             sign = -sign
@@ -124,7 +140,3 @@ def det(rows):
                 f = m[i][c] / pv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return sign * acc
-
-
-def mat_vec(rows, v):
-    return [sum(a * b for a, b in zip(r, v)) for r in rows]

@@ -57,7 +57,7 @@ from .geometry import (
     span,
     subspace_element,
 )
-from .scalars import parse_scalar, scalar_str
+from .scalars import RATIONAL, parse_scalar, scalar_str
 from .torusgraph import Edge, Face, TorusGraph, vertex_edges
 
 
@@ -89,12 +89,12 @@ def script_to_json(s: MoveScript) -> list:
     return out
 
 
-def script_from_json(data, label_kind=HYPERPLANE) -> MoveScript:
+def script_from_json(data, label_kind=HYPERPLANE, scalar=RATIONAL) -> MoveScript:
     steps = []
     for entry in data:
         label = None
         if "label" in entry and entry["label"] is not None:
-            label = HomogeneousElement(tuple(parse_scalar(x) for x in entry["label"]), label_kind)
+            label = HomogeneousElement(tuple(parse_scalar(x, scalar) for x in entry["label"]), label_kind)
         part = tuple(entry["partition"]) if entry.get("partition") else None
         steps.append(MoveStep(entry["op"], entry["target"], label, part))
     return MoveScript(tuple(steps))
@@ -106,9 +106,9 @@ def save_script(s: MoveScript, path) -> None:
         fh.write("\n")
 
 
-def load_script(path) -> MoveScript:
+def load_script(path, scalar=RATIONAL) -> MoveScript:
     with open(path, encoding="utf-8") as fh:
-        return script_from_json(json.load(fh))
+        return script_from_json(json.load(fh), scalar=scalar)
 
 
 # ----------------------------------------------------------------- helpers
@@ -219,8 +219,9 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
         drop_white={v} if v_white else ({u2} if u1 != u2 else set()),
         drop_black=({u2} if u1 != u2 else set()) if v_white else {v},
     )
-    wl = {k: x for k, x in c.white_labels.items() if k in set(graph.white_ids)}
-    bl = {k: x for k, x in c.black_labels.items() if k in set(graph.black_ids)}
+    whites, blacks = set(graph.white_ids), set(graph.black_ids)
+    wl = {k: x for k, x in c.white_labels.items() if k in whites}
+    bl = {k: x for k, x in c.black_labels.items() if k in blacks}
     return DoubleCircuitConfig(graph, c.d, wl, bl)
 
 

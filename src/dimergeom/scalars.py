@@ -1,84 +1,62 @@
-"""Scalar backends: exact rationals (default) or tolerance-gated floats.
+"""Scalars: the kind of a value is its Python type.
 
-All arithmetic in the package runs over one of two scalar backends,
-selected globally for the run:
+* Exact -- ``int`` and ``fractions.Fraction``; equality and zero tests are
+  exact.  A value, tuple or matrix is exact when none of its entries is a
+  ``float``.
+* Float -- IEEE doubles; a value counts as zero when
+  ``|x| <= TOLERANCE * scale`` where ``scale`` is the magnitude of the
+  operands that produced it.
 
-* ``rational`` -- ``fractions.Fraction``; equality and zero tests are exact.
-* ``float`` -- IEEE doubles; a value counts as zero when ``|x| <= tol * scale``
-  where ``scale`` is the magnitude of the operands that produced it.
-
-Every float comparison in the package routes through :func:`is_zero` /
-:func:`eq` so there is a single point of numerical policy.
+Arithmetic mixing the two yields floats, so float data stays float.  Every
+float zero test in the package routes through :func:`is_zero`, the single
+point of numerical policy.  Configuration files name their kind in the
+``"scalar"`` field (``RATIONAL`` or ``FLOAT``).
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 RATIONAL = "rational"
 FLOAT = "float"
 
+TOLERANCE = 1e-9
+
 _backend = RATIONAL
-_tolerance = 1e-9
 
 
-def set_backend(name: str, tolerance: float | None = None) -> None:
-    global _backend, _tolerance
+def set_backend(name: str) -> None:
+    """Record a scalar kind name.  Nothing in dimergeom calls or reads it;
+    it stays only because the benchmark (perfbench ``run_op`` and its
+    self-test) checks that no operation leaves it off ``RATIONAL``."""
+    global _backend
     if name not in (RATIONAL, FLOAT):
         raise ValueError(f"unknown scalar backend {name!r}")
     _backend = name
-    if tolerance is not None:
-        if tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        _tolerance = tolerance
 
 
 def get_backend() -> str:
+    """The name last recorded by :func:`set_backend`; kept for the
+    benchmark only, see there."""
     return _backend
 
 
-def get_tolerance() -> float:
-    return _tolerance
-
-
-@contextmanager
-def backend(name: str, tolerance: float | None = None):
-    """Temporarily switch the scalar backend (used heavily in tests)."""
-    old_b, old_t = _backend, _tolerance
-    set_backend(name, tolerance)
-    try:
-        yield
-    finally:
-        set_backend(old_b, old_t)
+def is_float(values) -> bool:
+    """True when any of the values is a float, making them all float data."""
+    return any(isinstance(x, float) for x in values)
 
 
 def to_scalar(value):
-    """Coerce a number or a decimal/fraction string to the active backend."""
-    if _backend == RATIONAL:
-        if isinstance(value, float):
-            return Fraction(value).limit_denominator(10**12)
-        return Fraction(value)
-    return float(Fraction(value)) if isinstance(value, str) else float(value)
-
-
-def zero():
-    return Fraction(0) if _backend == RATIONAL else 0.0
-
-
-def one():
-    return Fraction(1) if _backend == RATIONAL else 1.0
+    """Floats stay floats; anything else (int, Fraction, a decimal or
+    ``p/q`` string) becomes an exact Fraction."""
+    return value if isinstance(value, float) else Fraction(value)
 
 
 def is_zero(x, scale=1) -> bool:
-    """The package-wide zero test.  ``scale`` is the magnitude of the
-    operands that produced ``x``; it is ignored by the rational backend."""
-    if isinstance(x, Fraction):
-        return x == 0
-    return abs(x) <= _tolerance * max(abs(scale), 1.0)
-
-
-def eq(x, y, scale=1) -> bool:
-    return is_zero(x - y, scale=max(abs(x), abs(y), abs(scale)))
+    """The package-wide zero test, exact for int and Fraction.  For a
+    float, ``scale`` is the magnitude of the operands that produced ``x``."""
+    if isinstance(x, float):
+        return abs(x) <= TOLERANCE * max(abs(scale), 1.0)
+    return x == 0
 
 
 def scalar_str(x) -> str:
@@ -91,6 +69,15 @@ def scalar_str(x) -> str:
     return repr(float(x))
 
 
-def parse_scalar(s: str):
-    """Inverse of :func:`scalar_str` under the active backend."""
-    return to_scalar(s)
+def parse_scalar(s, kind: str = RATIONAL):
+    """Inverse of :func:`scalar_str` for data of kind ``RATIONAL`` or
+    ``FLOAT`` (a JSON number is read as rational to 12 denominator
+    digits).  Raises ValueError for anything that is not a finite number."""
+    try:
+        x = Fraction(s)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad scalar {s!r}") from exc
+    if kind == FLOAT:
+        v = float(x)
+        return -v if v == 0 and str(s).lstrip().startswith("-") else v  # keep "-0.0"
+    return x.limit_denominator(10**12) if isinstance(s, float) else x

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import HYPERPLANE, HomogeneousElement, circuit_coefficients, normalize_coords
 from .laurent import LaurentPoly2, _ipow
-from .scalars import is_zero, one
+from .scalars import is_zero
 from .torusgraph import Edge, TorusGraph, vertex_edges
 
 
@@ -74,13 +74,13 @@ def spectral_polynomial(g: TorusGraph, weights: dict) -> LaurentPoly2:
 def _poly_det(m) -> LaurentPoly2:
     k = len(m)
     if k == 0:
-        return LaurentPoly2.constant(one())
+        return LaurentPoly2.constant(Fraction(1))
     memo: dict = {}
     full = (1 << k) - 1
 
     def minor(row: int, cols: int) -> LaurentPoly2:
         if row == k:
-            return LaurentPoly2.constant(one())
+            return LaurentPoly2.constant(Fraction(1))
         key = cols
         if key in memo:
             return memo[key]
@@ -123,19 +123,17 @@ def spectral_polynomial_dual(c: DoubleCircuitConfig) -> LaurentPoly2:
 
 
 def on_curve(p: LaurentPoly2, lam, mu) -> bool:
-    """Exact zero test of p at (lam, mu); float backend compares against
-    the largest monomial magnitude."""
+    """Zero test of p at (lam, mu): exact for exact data; a float value is
+    tested at the scale of the largest monomial."""
     val = p.evaluate(lam, mu)
-    if isinstance(val, Fraction):
-        return val == 0
-    return abs(val) <= 1e-6 * p.max_term_magnitude(lam, mu)
+    return is_zero(val, scale=p.max_term_magnitude(lam, mu) if isinstance(val, float) else 1)
 
 
 def evaluate_matrix(g: TorusGraph, weights: dict, lam, mu):
     k = len(g.black_ids)
     widx = {w: j for j, w in enumerate(g.white_ids)}
     bidx = {b: i for i, b in enumerate(g.black_ids)}
-    rows = [[0 * one() for _ in range(k)] for _ in range(k)]
+    rows = [[Fraction(0) for _ in range(k)] for _ in range(k)]
     for ei, e in enumerate(g.edges):
         rows[bidx[e.b]][widx[e.w]] += weights[ei] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1])
     return rows
@@ -192,7 +190,7 @@ def reconstruct_black(
     if any(is_zero(x, scale=scale) for x in fvec):
         raise KernelDegenerate("kernel vector has a zero entry")
     f_w = {w: fvec[j] for j, w in enumerate(g.white_ids)}
-    f_b = {b: one() for b in g.black_ids}
+    f_b = {b: Fraction(1) for b in g.black_ids}
     if f_black:
         f_b.update(f_black)
 
@@ -220,7 +218,7 @@ def reconstruct_black(
                         lspan = [list(known[ob]) for ob in other_blacks]
                         for x in linalg.nullspace(lspan):
                             rows.append(list(x))
-                            rhs.append(0 * one())
+                            rhs.append(Fraction(0))
                             used_span = True
             status, sol, kerb = linalg.solve(rows, rhs)
             if status == "inconsistent":

@@ -41,16 +41,6 @@ class TorusGraph:
     basis_cycles: tuple | None = None  # (walk, walk), walks = edge-index tuples
 
 
-def degrees(g: TorusGraph) -> dict:
-    deg: dict = defaultdict(int)
-    for e in g.edges:
-        deg[e.w] += 1
-        deg[e.b] += 1
-    for v in list(g.white_ids) + list(g.black_ids):
-        deg.setdefault(v, 0)
-    return dict(deg)
-
-
 def vertex_edges(g: TorusGraph) -> dict:
     """vertex id -> list of incident edge indices, in stored edge order."""
     inc: dict = defaultdict(list)

@@ -40,6 +40,51 @@ def test_validate_exit_two_on_malformed_json(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("edges", 0, "h"), [0]),
+        (("edges", 0, "h"), [0, None]),
+        (("white", 0, "coords", 0), "1/0"),
+        (("white", 0, "coords", 0), None),
+        (("faces", 0), [{"e": 999}, {"e": 0}]),
+        (("white",), 5),
+        ((), ["a", "top-level", "list"]),
+    ],
+)
+def test_malformed_config_exits_two_with_one_line(pentagon_file, tmp_path, capsys, keys, value):
+    data = json.loads(pentagon_file.read_text())
+    if keys:
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    else:
+        data = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectral", "FILE"], ["reconstruct", "FILE", "--lam=-1", "--mu=-1"], ["experiment", "dual-curve", "FILE"]],
+)
+def test_invalid_graph_never_exits_zero(pentagon_file, tmp_path, capsys, argv):
+    data = json.loads(pentagon_file.read_text())
+    del data["faces"][-1], data["face_ids"][-1]
+    bad = tmp_path / "missing_face.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([str(bad) if a == "FILE" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert "INVALID" in captured.out and "lies on 1 face slots" in captured.out
+    assert "invalid torus graph" in captured.err
+
+
 def test_run_builtin_pentagram_with_verify(pentagon_file, tmp_path, capsys):
     out = tmp_path / "stepped.json"
     code = main(

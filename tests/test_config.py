@@ -3,7 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dimergeom import scalars
 from dimergeom.config import (
     class_equal,
     coboundary_shifted,
@@ -15,10 +18,12 @@ from dimergeom.config import (
     rescaled_config,
     walk_period,
     DoubleCircuitConfig,
+    load_config,
+    save_config,
 )
 from dimergeom.errors import BadBasis, DegreeExceedsBound, VanishingPairing
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture, make_spiral_fixture
-from dimergeom.geometry import affine_point, hyperplane, point
+from dimergeom.geometry import HYPERPLANE, POINT, HomogeneousElement, affine_point, hyperplane, point
 from dimergeom.torusgraph import Edge, TorusGraph, find_walk, validate_graph
 
 
@@ -204,3 +209,57 @@ def test_verdicts_invariant_under_rescaling_qnet():
     factors = {v: F(rng.randint(1, 5)) for v in list(c.white_labels)[:3]}
     scaled = rescaled_config(c, factors)
     assert check_V(scaled).ok and check_F(scaled).ok
+
+
+def _relabelled(g, coords):
+    """Graph g with the drawn coordinate triples as labels."""
+    ids = list(g.white_ids) + list(g.black_ids)
+    labels = {v: HomogeneousElement(tuple(x), POINT if v in g.white_ids else HYPERPLANE) for v, x in zip(ids, coords)}
+    return DoubleCircuitConfig(g, 2, {v: labels[v] for v in g.white_ids}, {v: labels[v] for v in g.black_ids})
+
+
+def _triples(scalar):
+    return st.lists(st.lists(scalar, min_size=3, max_size=3), min_size=10, max_size=10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_triples(st.fractions()).filter(lambda ts: all(any(t) for t in ts)))
+def test_json_round_trip_rational_property(pentagon, coords):
+    c = _relabelled(pentagon[3].graph, coords)
+    d = json.loads(json.dumps(config_to_dict(c)))
+    assert d["scalar"] == "rational"
+    back = config_from_dict(d)
+    for labels, back_labels in ((c.white_labels, back.white_labels), (c.black_labels, back.black_labels)):
+        for v, e in labels.items():
+            assert back_labels[v].coords == e.coords
+            assert all(type(x) is F for x in back_labels[v].coords)
+    assert scalars.get_backend() == scalars.RATIONAL
+
+
+# a float vector whose entries are all at most 1e-9 in magnitude counts as
+# zero (scalars.is_zero floors its scale at 1), so each drawn label has a
+# larger entry
+@settings(max_examples=50, deadline=None)
+@given(_triples(st.floats(allow_nan=False, allow_infinity=False)).filter(
+    lambda ts: all(max(abs(x) for x in t) > 1e-9 for t in ts)))
+def test_json_round_trip_float_property(pentagon, coords):
+    c = _relabelled(pentagon[3].graph, coords)
+    d = json.loads(json.dumps(config_to_dict(c)))
+    assert d["scalar"] == "float"
+    back = config_from_dict(d)
+    for labels, back_labels in ((c.white_labels, back.white_labels), (c.black_labels, back.black_labels)):
+        for v, e in labels.items():
+            assert [repr(x) for x in back_labels[v].coords] == [repr(x) for x in e.coords]
+    assert scalars.get_backend() == scalars.RATIONAL
+
+
+def test_loading_a_float_file_leaves_constants_exact(pentagon, tmp_path):
+    _, _, _, c = pentagon
+    path = tmp_path / "float.json"
+    save_config(c, path)
+    data = json.loads(path.read_text())
+    data["scalar"] = "float"
+    path.write_text(json.dumps(data))
+    loaded = load_config(path)
+    assert all(isinstance(x, float) for x in loaded.white_labels["P0"].coords)
+    assert all(type(x) is F for x in point(1, 2, 3).coords)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from dimergeom import geometry as g
-from dimergeom import scalars
 from dimergeom.errors import (
     DuplicateParameter,
     EmptyMeet,
@@ -45,10 +44,17 @@ def test_normalize_idempotent():
 
 
 def test_normalize_float_backend():
-    with scalars.backend(scalars.FLOAT):
-        e = g.normalize(pt(0.0, -3.0, 4.0))
-        assert abs(sum(c * c for c in e.coords) - 1.0) < 1e-12
-        assert e.coords[1] > 0
+    e = g.normalize(pt(0.0, -3.0, 4.0))
+    assert abs(sum(c * c for c in e.coords) - 1.0) < 1e-12
+    assert e.coords[1] > 0
+
+
+def test_float_hash_agrees_with_equality():
+    a, b = pt(1.0, 2.0, 3.0), pt(1.0, 2.0, 3.0 + 1e-12)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # an exact element never equals a float one, so their hashes may differ
+    assert pt(1, 2, 3) != a and len({pt(1, 2, 3), pt(2, 4, 6), a}) == 2
 
 
 # ---------------------------------------------------------------- pairing

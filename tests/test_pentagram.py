@@ -4,7 +4,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from dimergeom import scalars
 from dimergeom.config import check_F, check_V, labels_projectively_equal
 from dimergeom.errors import BadParameters, DegenerateIntersection, SizeMismatch
 from dimergeom.fixtures import make_pentagram_fixture
@@ -24,25 +23,24 @@ from dimergeom.torusgraph import validate_graph
 
 
 def test_regular_pentagon_maps_to_regular_pentagon():
-    with scalars.backend(scalars.FLOAT):
-        n = 5
-        verts = [affine_point(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n)) for i in range(n)]
-        P = Polygon(tuple(verts))
-        P1 = pentagram_map(P, 2)
-        # image vertices lie on a common circle, shrunk by the exact factor
-        radii = [math.hypot(float(v.coords[0] / v.coords[2]), float(v.coords[1] / v.coords[2])) for v in P1.vertices]
-        assert max(radii) - min(radii) < 1e-9
-        # regular pentagon: T contracts by 1/golden^2-ish factor; just check
-        # the image is again regular (equal side lengths)
-        def aff(v):
-            return (float(v.coords[0] / v.coords[2]), float(v.coords[1] / v.coords[2]))
+    n = 5
+    verts = [affine_point(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n)) for i in range(n)]
+    P = Polygon(tuple(verts))
+    P1 = pentagram_map(P, 2)
+    # image vertices lie on a common circle, shrunk by the exact factor
+    radii = [math.hypot(float(v.coords[0] / v.coords[2]), float(v.coords[1] / v.coords[2])) for v in P1.vertices]
+    assert max(radii) - min(radii) < 1e-9
+    # regular pentagon: T contracts by 1/golden^2-ish factor; just check
+    # the image is again regular (equal side lengths)
+    def aff(v):
+        return (float(v.coords[0] / v.coords[2]), float(v.coords[1] / v.coords[2]))
 
-        sides = []
-        for i in range(n):
-            a, b = aff(P1[i]), aff(P1[i + 1])
-            sides.append(math.hypot(a[0] - b[0], a[1] - b[1]))
-        assert max(sides) - min(sides) < 1e-9
-        assert radii[0] < 1.0
+    sides = []
+    for i in range(n):
+        a, b = aff(P1[i]), aff(P1[i + 1])
+        sides.append(math.hypot(a[0] - b[0], a[1] - b[1]))
+    assert max(sides) - min(sides) < 1e-9
+    assert radii[0] < 1.0
 
 
 def test_k_out_of_range():

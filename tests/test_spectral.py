@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from dimergeom import linalg, scalars
+from dimergeom import linalg
 from dimergeom.config import (
     class_equal,
     cohomology_class,
@@ -347,11 +347,10 @@ def test_float_backend_membership_and_kernel():
     _, _, _, c = make_pentagram_fixture(5, 2)
     kw = kasteleyn_weights(c.graph, c.white_labels)
     poly = spectral_polynomial(c.graph, kw)
-    with scalars.backend(scalars.FLOAT):
-        fl_weights = {k: float(v) for k, v in kw.items()}
-        assert on_curve(poly, -1.0, -1.0)
-        basis = kernel_at(c.graph, fl_weights, -1.0, -1.0)
-        assert len(basis) == 1
+    fl_weights = {k: float(v) for k, v in kw.items()}
+    assert on_curve(poly, -1.0, -1.0)
+    basis = kernel_at(c.graph, fl_weights, -1.0, -1.0)
+    assert len(basis) == 1
 
 
 def test_injectivity_probe_float_pentagram():
@@ -363,31 +362,29 @@ def test_injectivity_probe_float_pentagram():
     _, _, _, c = make_pentagram_fixture(5, 2)
     kw = kasteleyn_weights(c.graph, c.white_labels)
     poly = spectral_polynomial(c.graph, kw)
-    with scalars.backend(scalars.FLOAT):
-        wl = {k: point(*[float(x) for x in v.coords]) for k, v in c.white_labels.items()}
-        configs = []
-        for lam in (0.7, 1.6):
-            coeffs = {}
-            for (i, j), cf in poly.terms:
-                coeffs[j] = coeffs.get(j, 0.0) + float(cf) * lam**i
-            lo = min(coeffs)
-            arr = [coeffs.get(k, 0.0) for k in range(max(coeffs), lo - 1, -1)]
-            real = [r.real for r in np.roots(arr) if abs(r.imag) < 1e-9 and abs(r.real) > 1e-9]
-            assert real, lam
-            res = reconstruct_black(c.graph, 2, wl, lam, min(real))
-            assert res.status == "unique"
-            configs.append(res.config)
-        assert not labels_projectively_equal(configs[0], configs[1])
+    wl = {k: point(*[float(x) for x in v.coords]) for k, v in c.white_labels.items()}
+    configs = []
+    for lam in (0.7, 1.6):
+        coeffs = {}
+        for (i, j), cf in poly.terms:
+            coeffs[j] = coeffs.get(j, 0.0) + float(cf) * lam**i
+        lo = min(coeffs)
+        arr = [coeffs.get(k, 0.0) for k in range(max(coeffs), lo - 1, -1)]
+        real = [r.real for r in np.roots(arr) if abs(r.imag) < 1e-9 and abs(r.real) > 1e-9]
+        assert real, lam
+        res = reconstruct_black(c.graph, 2, wl, lam, min(real))
+        assert res.status == "unique"
+        configs.append(res.config)
+    assert not labels_projectively_equal(configs[0], configs[1])
 
 
 def test_float_reconstruction_matches_exact():
     _, _, _, c = make_pentagram_fixture(5, 2)
     cls = cohomology_class(c)
-    with scalars.backend(scalars.FLOAT):
-        wl = {k: point(*[float(x) for x in v.coords]) for k, v in c.white_labels.items()}
-        res = reconstruct_black(c.graph, 2, wl, float(cls.lam), float(cls.mu))
-        assert res.status == "unique"
-        for b in c.graph.black_ids:
-            got = res.config.black_labels[b]
-            want = hyperplane(*[float(x) for x in c.black_labels[b].coords])
-            assert proj_equal(got, want)
+    wl = {k: point(*[float(x) for x in v.coords]) for k, v in c.white_labels.items()}
+    res = reconstruct_black(c.graph, 2, wl, float(cls.lam), float(cls.mu))
+    assert res.status == "unique"
+    for b in c.graph.black_ids:
+        got = res.config.black_labels[b]
+        want = hyperplane(*[float(x) for x in c.black_labels[b].coords])
+        assert proj_equal(got, want)
