@@ -30,7 +30,7 @@ from .geometry import (
     HomogeneousElement,
     face_coherent,
     is_circuit,
-    pairing,
+    tested_pairing,
 )
 from .laurent import _ipow
 from .scalars import FLOAT, RATIONAL, is_float, is_zero, parse_scalar, scalar_str
@@ -76,28 +76,18 @@ class ConditionReport:
         return "\n".join(out)
 
 
-def neighbor_labels(c: DoubleCircuitConfig, v: str) -> list:
-    """Labels of v's neighbors, one entry per incident edge."""
-    labels = []
-    for ei in vertex_edges(c.graph).get(v, []):
-        e = c.graph.edges[ei]
-        if v == e.w:
-            labels.append(c.black_labels[e.b])
-        else:
-            labels.append(c.white_labels[e.w])
-    return labels
-
-
 def check_V(c: DoubleCircuitConfig) -> ConditionReport:
     """Circuit condition at every vertex."""
     _check_label_dims(c)
-    inc = vertex_edges(c.graph)
+    g = c.graph
+    inc = vertex_edges(g)
     failures, messages = [], []
-    for v in list(c.graph.white_ids) + list(c.graph.black_ids):
-        deg = len(inc.get(v, []))
+    for v in list(g.white_ids) + list(g.black_ids):
+        deg = len(inc[v])
         if deg > c.d + 2:
             raise DegreeExceedsBound(f"vertex {v} has degree {deg} > d+2 = {c.d + 2}")
-        labels = neighbor_labels(c, v)
+        edges = [g.edges[ei] for ei in inc[v]]
+        labels = [c.black_labels[e.b] if v == e.w else c.white_labels[e.w] for e in edges]
         if len(labels) < 2 or not is_circuit(labels):
             failures.append(v)
             messages.append(f"vertex {v}: neighbor labels do not form a circuit")
@@ -151,9 +141,8 @@ def _check_label_dims(c: DoubleCircuitConfig) -> None:
 
 def edge_pairing(c: DoubleCircuitConfig, ei: int):
     e = c.graph.edges[ei]
-    val = pairing(c.black_labels[e.b], c.white_labels[e.w])
-    scale = max(abs(a * b) for a, b in zip(c.black_labels[e.b].coords, c.white_labels[e.w].coords))
-    if is_zero(val, scale=scale):
+    val, vanishes = tested_pairing(c.black_labels[e.b], c.white_labels[e.w])
+    if vanishes:
         raise VanishingPairing(f"edge {ei} ({e.w}, {e.b}): point lies on hyperplane")
     return val
 
@@ -255,7 +244,8 @@ def config_from_dict(data: dict) -> DoubleCircuitConfig:
     """Parse the JSON form.  Coordinates are read as the file's "scalar"
     kind.  Raises ValueError for an unknown kind and for any structural
     defect (wrong JSON types, missing keys, short h vectors, edge refs out
-    of range, malformed scalars)."""
+    of range in faces or basis cycles, face_ids not matching faces, label
+    lengths not matching the dimension, malformed scalars)."""
     if not isinstance(data, dict):
         raise ValueError("configuration must be a JSON object")
     scalar = data.get("scalar", RATIONAL)
@@ -274,32 +264,38 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     edges = tuple(
         Edge(e["w"], e["b"], (int(e["h"][0]), int(e["h"][1]))) for e in data["edges"]
     )
-    face_ids = data.get("face_ids") or [f"f{i}" for i in range(len(data.get("faces", [])))]
-    faces = _faces_from_json(white_ids, black_ids, edges, data.get("faces", []), face_ids)
+    faces_json = data.get("faces", [])
+    face_ids = data.get("face_ids") or [f"f{i}" for i in range(len(faces_json))]
+    if len(face_ids) != len(faces_json):
+        raise ValueError(f"{len(face_ids)} face_ids for {len(faces_json)} faces")
+    faces = _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids)
     basis = None
     if "basis_cycles" in data and data["basis_cycles"]:
-        basis = (
-            tuple(int(i) for i in data["basis_cycles"]["z1"]),
-            tuple(int(i) for i in data["basis_cycles"]["z2"]),
-        )
+        basis = tuple(tuple(int(i) for i in data["basis_cycles"][z]) for z in ("z1", "z2"))
+        if not all(0 <= ei < len(edges) for walk in basis for ei in walk):
+            raise ValueError(f"basis_cycles: edge index out of range 0..{len(edges) - 1}")
     graph = TorusGraph(white_ids, black_ids, edges, faces, basis)
     white_labels = {
-        w["id"]: _parse_label(w["coords"], POINT, d, scalar)
+        w["id"]: _parse_label(w, POINT, d, scalar)
         for w in data["white"]
         if "coords" in w and w["coords"] is not None
     }
     black_labels = {
-        b["id"]: _parse_label(b["coords"], HYPERPLANE, d, scalar)
+        b["id"]: _parse_label(b, HYPERPLANE, d, scalar)
         for b in data["black"]
         if "coords" in b and b["coords"] is not None
     }
     return DoubleCircuitConfig(graph, d, white_labels, black_labels)
 
 
-def _parse_label(coords, kind, d, scalar):
-    vals = [parse_scalar(x, scalar) for x in coords]
+def _parse_label(entry, kind, d, scalar):
+    """d + 1 homogeneous coordinates, or d affine ones for a point (lifted
+    with a trailing 1)."""
+    vals = [parse_scalar(x, scalar) for x in entry["coords"]]
     if kind == POINT and len(vals) == d:
-        vals.append(parse_scalar("1", scalar))  # affine input: lift with trailing 1
+        vals.append(parse_scalar("1", scalar))
+    if len(vals) != d + 1:
+        raise ValueError(f"{kind} {entry['id']}: {len(entry['coords'])} coordinates in dimension {d}")
     return HomogeneousElement(tuple(vals), kind)
 
 

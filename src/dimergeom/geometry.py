@@ -39,8 +39,7 @@ class HomogeneousElement:
     kind: str
 
     def __post_init__(self):
-        scale = max((abs(c) for c in self.coords), default=0)
-        if not self.coords or all(is_zero(c, scale=scale) for c in self.coords):
+        if not self.coords or all(c == 0 for c in self.coords):
             raise ZeroVector(f"all coordinates vanish: {self.coords}")
 
     @property
@@ -101,8 +100,10 @@ def normalize_coords(coords: tuple) -> tuple:
             ints = [-v for v in ints]
         return tuple(Fraction(v) for v in ints)
     scale = max(abs(c) for c in coords)
-    if is_zero(scale):
+    if scale == 0:
         raise ZeroVector("all coordinates vanish")
+    if not 1e-150 < scale < 1e150:  # the squares below would under- or overflow
+        coords = tuple(c / scale for c in coords)
     norm = sum(c * c for c in coords) ** 0.5
     out = [c / norm for c in coords]
     lead = next(c for c in out if not is_zero(c, scale=1))
@@ -138,10 +139,16 @@ def pairing(h: HomogeneousElement, p: HomogeneousElement):
     return sum(a * b for a, b in zip(h.coords, p.coords))
 
 
-def incident(h: HomogeneousElement, p: HomogeneousElement) -> bool:
+def tested_pairing(h: HomogeneousElement, p: HomogeneousElement):
+    """(pairing(h, p), whether it vanishes).  A float pairing is tested at
+    the scale of the products of the operands' coordinates."""
     v = pairing(h, p)
-    scale = max(abs(a * b) for a, b in zip(h.coords, p.coords))
-    return is_zero(v, scale=scale)
+    scale = max(abs(a * b) for a, b in zip(h.coords, p.coords)) if isinstance(v, float) else 1
+    return v, is_zero(v, scale=scale)
+
+
+def incident(h: HomogeneousElement, p: HomogeneousElement) -> bool:
+    return tested_pairing(h, p)[1]
 
 
 def _same_kind_dim(elems):
@@ -207,10 +214,6 @@ class Subspace:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    @property
-    def proj_dim(self) -> int:
-        return self.rank - 1
 
     def contains(self, e: HomogeneousElement) -> bool:
         return linalg.rank([list(b) for b in self.basis] + [list(e.coords)]) == self.rank
@@ -286,13 +289,11 @@ def multi_ratio(cycle):
     num = 1
     den = 1
     for i in range(n):
-        a = pairing(hyps[i], pts[i])
-        b = pairing(hyps[i], pts[(i + 1) % n])
-        scl = max(abs(x * y) for x, y in zip(hyps[i].coords, pts[i].coords))
-        if is_zero(a, scale=scl):
+        a, a_zero = tested_pairing(hyps[i], pts[i])
+        if a_zero:
             raise VanishingPairing(f"point {i} lies on hyperplane {i}")
-        scl = max(abs(x * y) for x, y in zip(hyps[i].coords, pts[(i + 1) % n].coords))
-        if is_zero(b, scale=scl):
+        b, b_zero = tested_pairing(hyps[i], pts[(i + 1) % n])
+        if b_zero:
             raise VanishingPairing(f"point {(i + 1) % n} lies on hyperplane {i}")
         num *= a
         den *= b
@@ -319,9 +320,6 @@ class Conic:
         scale = max(abs(x) for row in self.matrix for x in row) * max(abs(c) for c in p.coords) ** 2
         return is_zero(self.value(p), scale=scale)
 
-    def is_nondegenerate(self) -> bool:
-        return not is_zero(linalg.det([list(r) for r in self.matrix]))
-
     def bilinear(self, p, q):
         return sum(self.matrix[i][j] * p.coords[i] * q.coords[j] for i in range(3) for j in range(3))
 
@@ -344,12 +342,6 @@ def conic_point(t) -> HomogeneousElement:
     """Point (t : t^2 : 1) on yz = x^2."""
     t = to_scalar(t)
     return point(t, t * t, 1)
-
-
-def conic_tangent(t) -> HomogeneousElement:
-    """Tangent line (-2t, 1, t^2) of yz = x^2 at parameter t."""
-    t = to_scalar(t)
-    return hyperplane(-2 * t, 1, t * t)
 
 
 def circumscribed_pair(params):

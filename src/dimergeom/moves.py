@@ -32,7 +32,7 @@ faces, spoke rename rules and template.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import DoubleCircuitConfig
 from .errors import (
@@ -58,7 +58,7 @@ from .geometry import (
     subspace_element,
 )
 from .scalars import RATIONAL, parse_scalar, scalar_str
-from .torusgraph import Edge, Face, TorusGraph, vertex_edges
+from .torusgraph import Edge, Face, TorusGraph, vertex_edges, walk_error
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,6 @@ def script_from_json(data, label_kind=HYPERPLANE, scalar=RATIONAL) -> MoveScript
     return MoveScript(tuple(steps))
 
 
-def save_script(s: MoveScript, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(script_to_json(s), fh, indent=1)
-        fh.write("\n")
-
-
 def load_script(path, scalar=RATIONAL) -> MoveScript:
     with open(path, encoding="utf-8") as fh:
         return script_from_json(json.load(fh), scalar=scalar)
@@ -129,19 +123,19 @@ def _rebuild(g: TorusGraph, keep_edge, new_edges, face_builder, drop_white=(), d
     faces = face_builder(index_map, first_new)
     white = tuple(v for v in g.white_ids if v not in drop_white) + tuple(add_white)
     black = tuple(v for v in g.black_ids if v not in drop_black) + tuple(add_black)
-    basis = _remap_walks(g.basis_cycles, index_map)
-    return TorusGraph(white, black, tuple(edges), tuple(faces), basis)
+    graph = TorusGraph(white, black, tuple(edges), tuple(faces))
+    basis = _remap_walks(graph, g.basis_cycles, index_map)
+    return graph if basis is None else replace(graph, basis_cycles=basis)
 
 
-def _remap_walks(basis, index_map):
-    if basis is None:
+def _remap_walks(graph, basis, index_map):
+    """The walks with remapped edge indices, or None when an edge is gone
+    or a walk no longer closes (a split can move half of it to the twin);
+    cohomology_class then falls back to the canonical cycles."""
+    if basis is None or any(ei not in index_map for walk in basis for ei in walk):
         return None
-    out = []
-    for walk in basis:
-        if any(ei not in index_map for ei in walk):
-            return None
-        out.append(tuple(index_map[ei] for ei in walk))
-    return tuple(out)
+    out = tuple(tuple(index_map[ei] for ei in walk) for walk in basis)
+    return None if any(walk_error(graph, walk, "basis cycle") for walk in out) else out
 
 
 def _h_add(a, b):
@@ -157,12 +151,12 @@ def _h_sub(a, b):
 
 def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
     g = c.graph
-    inc = vertex_edges(g).get(v)
-    if inc is None:
+    inc = vertex_edges(g)
+    if v not in inc:
         raise MoveError(f"unknown vertex {v!r}")
-    if len(inc) != 2:
-        raise WrongDegree(f"vertex {v} has degree {len(inc)}, need 2")
-    i1, i2 = inc
+    if len(inc[v]) != 2:
+        raise WrongDegree(f"vertex {v} has degree {len(inc[v])}, need 2")
+    i1, i2 = inc[v]
     e1, e2 = g.edges[i1], g.edges[i2]
     v_white = v in set(g.white_ids)
     u1, u2 = (e1.b, e2.b) if v_white else (e1.w, e2.w)
@@ -170,8 +164,7 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
     if not proj_equal(labels[u1], labels[u2]):
         raise LabelMismatch(f"neighbors {u1}, {u2} of {v} carry different labels")
 
-    deg = {x: len(ix) for x, ix in vertex_edges(g).items()}
-    if u1 != u2 and deg[u1] + deg[u2] - 2 > c.d + 2:
+    if u1 != u2 and len(inc[u1]) + len(inc[u2]) - 2 > c.d + 2:
         raise DegreeOverflow(f"merging {u1} and {u2} exceeds degree d+2 = {c.d + 2}")
     if u1 == u2 and e1.h != e2.h:
         raise MoveError(f"parallel edges at {v} have different h; removal would change homology")

@@ -7,6 +7,9 @@ with P_i adjacent to q_i, q_{i-1}, q_{i-k}, q_{i-k-1} (mod n).  Faces:
   these), and
 * ``s{i}``: P_{i+1}, q_i, P_i, q_{i-k}  (side tiles).
 
+``build_tile_graph`` builds it with some edges q_j P_{j+k} removed; the
+spiral templates are built that way.
+
 The h data comes from the square-lattice cover: whites at even lattice
 positions parametrized by (s, t) with index ks + t, deck basis
 gamma_1 = (0, n), gamma_2 = (1, -k).
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, DegenerateIntersection, SizeMismatch
-from .geometry import join_points, line_through, meet_hyperplanes, pairing
+from .geometry import incident, join_points, line_through, meet_hyperplanes
 from .moves import step_on_config
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
@@ -95,15 +98,7 @@ def is_inscribed(Q: Polygon, P: Polygon) -> bool:
     """Consecutive vertices of Q lie on consecutive sides of P (exactly)."""
     if len(Q) != len(P):
         raise SizeMismatch(f"polygon sizes differ: {len(Q)} vs {len(P)}")
-    from .scalars import is_zero
-
-    for i in range(len(P)):
-        side = line_through(P[i], P[i + 1])
-        val = pairing(side, Q[i])
-        scale = max(abs(a * b) for a, b in zip(side.coords, Q[i].coords))
-        if not is_zero(val, scale=scale):
-            return False
-    return True
+    return all(incident(line_through(P[i], P[i + 1]), Q[i]) for i in range(len(P)))
 
 
 # ------------------------------------------------------------ the template
@@ -136,31 +131,38 @@ def build_pentagram_graph(n: int, k: int) -> TorusGraph:
     if n < 5:
         raise BadParameters("template needs n >= 5")
     _check_k(n, k)
+    return build_tile_graph(n, k, ())
+
+
+def build_tile_graph(n: int, k: int, removed) -> TorusGraph:
+    """The template on n index slots with the edges q_j P_{j+k} removed for
+    the slots j in ``removed``.  Each removal merges the tiles d{j} and
+    s{j+k} into the hexagon h{j}: P_j, q_j, P_{j+k+1}, q_{j+k}, P_{j+k},
+    q_{j-1}."""
+    removed = set(removed)
     deltas = (0, -1, -k, -k - 1)
     edges = []
     eidx = {}
     for i in range(n):
         for delta in deltas:
             j = (i + delta) % n
+            if delta == -k and j in removed:
+                continue
             eidx[(i, delta)] = len(edges)
             edges.append(Edge(f"P{i}", f"q{j}", _edge_h(i, delta, k, n)))
     faces = []
     for i in range(n):
-        ik = (i + k) % n
-        faces.append(
-            Face(
-                f"d{i}",
-                (eidx[(i, 0)], eidx[(ik, -k)], eidx[(ik, -k - 1)], eidx[(i, -1)]),
-            )
-        )
+        if i not in removed:
+            ik = (i + k) % n
+            faces.append(Face(f"d{i}", (eidx[(i, 0)], eidx[(ik, -k)], eidx[(ik, -k - 1)], eidx[(i, -1)])))
     for i in range(n):
-        i1 = (i + 1) % n
-        faces.append(
-            Face(
-                f"s{i}",
-                (eidx[(i1, -1)], eidx[(i, 0)], eidx[(i, -k)], eidx[(i1, -k - 1)]),
-            )
-        )
+        if (i - k) % n not in removed:
+            i1 = (i + 1) % n
+            faces.append(Face(f"s{i}", (eidx[(i1, -1)], eidx[(i, 0)], eidx[(i, -k)], eidx[(i1, -k - 1)])))
+    for j in sorted(removed):
+        jk, jk1 = (j + k) % n, (j + k + 1) % n
+        hexagon = (eidx[(j, 0)], eidx[(jk1, -k - 1)], eidx[(jk1, -1)], eidx[(jk, 0)], eidx[(jk, -k - 1)], eidx[(j, -1)])
+        faces.append(Face(f"h{j}", hexagon))
     g = TorusGraph(
         tuple(f"P{i}" for i in range(n)),
         tuple(f"q{i}" for i in range(n)),

@@ -102,12 +102,8 @@ def _poly_det(m) -> LaurentPoly2:
     return minor(0, full)
 
 
-def spectral_polynomial_white(c_or_graph, white_labels=None) -> LaurentPoly2:
-    if isinstance(c_or_graph, DoubleCircuitConfig):
-        g, wl = c_or_graph.graph, c_or_graph.white_labels
-    else:
-        g, wl = c_or_graph, white_labels
-    return spectral_polynomial(g, kasteleyn_weights(g, wl))
+def spectral_polynomial_white(c: DoubleCircuitConfig) -> LaurentPoly2:
+    return spectral_polynomial(c.graph, kasteleyn_weights(c.graph, c.white_labels))
 
 
 def spectral_polynomial_dual(c: DoubleCircuitConfig) -> LaurentPoly2:
@@ -130,13 +126,8 @@ def on_curve(p: LaurentPoly2, lam, mu) -> bool:
 
 
 def evaluate_matrix(g: TorusGraph, weights: dict, lam, mu):
-    k = len(g.black_ids)
-    widx = {w: j for j, w in enumerate(g.white_ids)}
-    bidx = {b: i for i, b in enumerate(g.black_ids)}
-    rows = [[Fraction(0) for _ in range(k)] for _ in range(k)]
-    for ei, e in enumerate(g.edges):
-        rows[bidx[e.b]][widx[e.w]] += weights[ei] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1])
-    return rows
+    """The Kasteleyn matrix evaluated at (lam, mu)."""
+    return [[entry.evaluate(lam, mu) for entry in row] for row in kasteleyn_matrix_poly(g, weights)]
 
 
 def kernel_at(g: TorusGraph, weights: dict, lam, mu):
@@ -178,11 +169,7 @@ def reconstruct_black(
     circuits whose other hyperplanes are known; no progress means
     "nonunique", an inconsistent system "nosolution".
     """
-    weights = kasteleyn_weights(g, white_labels)
-    m = evaluate_matrix(g, weights, lam, mu)
-    basis = linalg.nullspace(m)
-    if not basis:
-        raise EmptyKernel("point is not on the spectral curve")
+    basis = kernel_at(g, kasteleyn_weights(g, white_labels), lam, mu)
     if len(basis) != 1:
         raise KernelDegenerate(f"kernel dimension {len(basis)} != 1")
     fvec = basis[0]

@@ -19,8 +19,8 @@ from .config import DoubleCircuitConfig
 from .errors import BadParameters, SeedInvalid, SizeMismatch
 from .geometry import HomogeneousElement, join_points, line_through, meet_hyperplanes
 from .moves import step_on_config
-from .pentagram import _edge_h
-from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
+from .pentagram import build_tile_graph
+from .torusgraph import TorusGraph
 
 
 @dataclass(frozen=True)
@@ -174,56 +174,7 @@ def removed_js(k: int, n: int, i: int):
 
 
 def build_spiral_graph(k: int, n: int, i: int) -> TorusGraph:
-    N = n + 1
-    removed = set(removed_js(k, n, i))
-    deltas = (0, -1, -k, -k - 1)
-    edges = []
-    eidx = {}
-    for s in range(N):
-        for delta in deltas:
-            j = (s + delta) % N
-            if delta == -k and j in removed:
-                continue  # removed edge (q_j, P_{j+k}) seen from white slot s = j+k
-            eidx[(s, delta)] = len(edges)
-            edges.append(Edge(f"P{s}", f"q{j}", _edge_h(s, delta, k, N)))
-    faces = []
-    for s in range(N):
-        if s in removed:
-            continue
-        sk = (s + k) % N
-        faces.append(
-            Face(f"d{s}", (eidx[(s, 0)], eidx[(sk, -k)], eidx[(sk, -k - 1)], eidx[(s, -1)]))
-        )
-    for s in range(N):
-        if (s - k) % N in removed:
-            continue
-        s1 = (s + 1) % N
-        faces.append(
-            Face(f"s{s}", (eidx[(s1, -1)], eidx[(s, 0)], eidx[(s, -k)], eidx[(s1, -k - 1)]))
-        )
-    for j in sorted(removed):
-        jk = (j + k) % N
-        jk1 = (j + k + 1) % N
-        faces.append(
-            Face(
-                f"h{j}",
-                (
-                    eidx[(j, 0)],
-                    eidx[(jk1, -k - 1)],
-                    eidx[(jk1, -1)],
-                    eidx[(jk, 0)],
-                    eidx[(jk, -k - 1)],
-                    eidx[(j, -1)],
-                ),
-            )
-        )
-    g = TorusGraph(
-        tuple(f"P{s}" for s in range(N)),
-        tuple(f"q{s}" for s in range(N)),
-        tuple(edges),
-        tuple(faces),
-    )
-    return with_basis_cycles(g)
+    return build_tile_graph(n + 1, k, removed_js(k, n, i))
 
 
 def build_spiral_config(sP: SpiralSeed, sq: LineSeed) -> DoubleCircuitConfig:

@@ -72,21 +72,22 @@ def face_key(g: TorusGraph, face: Face) -> tuple:
     return min(variants)
 
 
-def _face_traversal_ok(g: TorusGraph, face: Face) -> str | None:
-    """Check alternation and endpoint chaining; return a message on failure."""
-    es = face.edges
-    if len(es) < 2 or len(es) % 2 != 0:
-        return f"face {face.id}: boundary length {len(es)} is not even >= 2"
-    n = len(es)
+def walk_error(g: TorusGraph, walk, name: str) -> str | None:
+    """Check that the edge-index sequence is a closed alternating walk
+    (alternation and endpoint chaining); return a message naming it on
+    failure."""
+    n = len(walk)
+    if n < 2 or n % 2 != 0:
+        return f"{name}: boundary length {n} is not even >= 2"
     for slot in range(n):
-        e, nxt = g.edges[es[slot]], g.edges[es[(slot + 1) % n]]
+        e, nxt = g.edges[walk[slot]], g.edges[walk[(slot + 1) % n]]
         if slot % 2 == 0:
             # w->b; next edge shares the black vertex
             if e.b != nxt.b:
-                return f"face {face.id}: slots {slot},{slot + 1} do not share a black vertex"
+                return f"{name}: slots {slot},{slot + 1} do not share a black vertex"
         else:
             if e.w != nxt.w:
-                return f"face {face.id}: slots {slot},{slot + 1} do not share a white vertex"
+                return f"{name}: slots {slot},{slot + 1} do not share a white vertex"
     return None
 
 
@@ -102,9 +103,9 @@ def walk_h_sum(g: TorusGraph, walk) -> tuple:
 
 
 def check_walk(g: TorusGraph, walk) -> None:
-    msg = _face_traversal_ok(g, Face("walk", tuple(walk)))
+    msg = walk_error(g, walk, "walk")
     if msg is not None:
-        raise BadWalk(msg.replace("face walk:", "walk:"))
+        raise BadWalk(msg)
 
 
 def cycle_space_h_lattice(g: TorusGraph):
@@ -190,7 +191,7 @@ def validate_graph(g: TorusGraph) -> GraphReport:
     # every edge on exactly two faces (or twice on one face)
     use = defaultdict(int)
     for f in g.faces:
-        msg = _face_traversal_ok(g, f)
+        msg = walk_error(g, f.edges, f"face {f.id}")
         if msg:
             violations.append(msg)
         for ei in f.edges:
@@ -209,6 +210,15 @@ def validate_graph(g: TorusGraph) -> GraphReport:
         lat_rank = _z_lattice_rank(cycle_space_h_lattice(g))
         if lat_rank != 2:
             violations.append(f"period lattice rank {lat_rank} != 2")
+
+    if g.basis_cycles is not None:
+        errors = [walk_error(g, walk, f"basis cycle {z}") for z, walk in zip(("z1", "z2"), g.basis_cycles)]
+        violations += [m for m in errors if m]
+        if not any(errors):
+            (a1, b1), (a2, b2) = (walk_h_sum(g, walk) for walk in g.basis_cycles)
+            det = a1 * b2 - b1 * a2
+            if det not in (1, -1):
+                violations.append(f"basis cycles: period matrix {[(a1, b1), (a2, b2)]} has determinant {det}")
 
     euler = len(g.white_ids) + len(g.black_ids) - len(g.edges) + len(g.faces)
     return GraphReport(
@@ -245,7 +255,7 @@ def delete_edge(g: TorusGraph, ei: int, merged_face_id: str | None = None) -> To
     for cand in candidates:
         nf = Face(fid, tuple(index_map[x] for x in cand))
         trial = TorusGraph(g.white_ids, g.black_ids, tuple(edges), tuple(faces + [nf]), None)
-        if _face_traversal_ok(trial, nf) is None:
+        if walk_error(trial, nf.edges, fid) is None:
             new_graph = trial
             break
     if new_graph is None:

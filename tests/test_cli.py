@@ -50,6 +50,9 @@ def test_validate_exit_two_on_malformed_json(tmp_path, capsys):
         (("faces", 0), [{"e": 999}, {"e": 0}]),
         (("white",), 5),
         ((), ["a", "top-level", "list"]),
+        (("basis_cycles", "z1", 0), 999),
+        (("face_ids",), ["d0"]),
+        (("dimension",), 3),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(pentagon_file, tmp_path, capsys, keys, value):
@@ -67,6 +70,16 @@ def test_malformed_config_exits_two_with_one_line(pentagon_file, tmp_path, capsy
     assert main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_validate_rejects_basis_of_determinant_zero(pentagon_file, tmp_path, capsys):
+    data = json.loads(pentagon_file.read_text())
+    data["basis_cycles"]["z2"] = data["basis_cycles"]["z1"]
+    bad = tmp_path / "bad_basis.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 1
+    assert "has determinant 0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

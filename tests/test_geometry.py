@@ -49,6 +49,13 @@ def test_normalize_float_backend():
     assert e.coords[1] > 0
 
 
+def test_tiny_float_vectors_are_points():
+    assert pt(1e-12, 0.0, 0.0) == pt(1.0, 0.0, 0.0)
+    assert g.normalize_coords((5e-324, 0.0, 0.0)) == (1.0, 0.0, 0.0)
+    with pytest.raises(ZeroVector):
+        pt(0.0, -0.0, 0.0)
+
+
 def test_float_hash_agrees_with_equality():
     a, b = pt(1.0, 2.0, 3.0), pt(1.0, 2.0, 3.0 + 1e-12)
     assert a == b and hash(a) == hash(b)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -31,7 +32,7 @@ from dimergeom.moves import (
     script_to_json,
     urban_renewal,
 )
-from dimergeom.torusgraph import validate_graph
+from dimergeom.torusgraph import check_walk, validate_graph
 
 
 @pytest.fixture()
@@ -189,6 +190,21 @@ def test_class_invariant_under_each_move(pentagon):
     assert class_equal(cohomology_class(c2), cls)
     c3 = remove_degree2(c2, "md")
     assert class_equal(cohomology_class(c3), cls)
+
+
+def test_every_split_keeps_graph_valid_and_class():
+    # a split whose arcs separate a stored basis walk's two edges at v
+    # must not keep that walk: it would jump from v to the twin
+    c = make_pentagram_fixture(7, 2)[3]
+    cls = cohomology_class(c)
+    splits = [p for p in combinations(range(5), 2) if p[1] - p[0] < 4]  # every vertex has degree 4
+    for v in c.graph.white_ids + c.graph.black_ids:
+        for part in splits:
+            c2 = add_degree2(c, v, part, forced_split_label(c, v, part))
+            assert validate_graph(c2.graph).ok, (v, part)
+            for walk in c2.graph.basis_cycles or ():
+                check_walk(c2.graph, walk)
+            assert class_equal(cohomology_class(c2), cls), (v, part)
 
 
 def test_move_preservation_on_qnet_fixture():

@@ -1,8 +1,11 @@
+import functools
 import random
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimergeom import linalg
 from dimergeom.config import (
@@ -256,6 +259,24 @@ def test_trivial_point_always_on_curve():
     assert len(linalg.nullspace(m)) == c.d + 1
 
 
+@functools.cache
+def _weighted_graph(name):
+    c = make_spiral_fixture()[2] if name == "spiral" else make_pentagram_fixture(*name)[3]
+    kw = kasteleyn_weights(c.graph, c.white_labels)
+    return c.graph, kw, spectral_polynomial(c.graph, kw)
+
+
+_NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(lambda x: x != 0)
+
+
+@pytest.mark.parametrize("name", [(5, 2), (7, 3), "spiral"])
+@settings(max_examples=25, deadline=None)
+@given(lam=_NONZERO, mu=_NONZERO)
+def test_elimination_det_matches_cofactor_polynomial(name, lam, mu):
+    g, kw, poly = _weighted_graph(name)
+    assert linalg.det(evaluate_matrix(g, kw, lam, mu)) == poly.evaluate(lam, mu)
+
+
 # ------------------------------------------------------------ reconstruction
 
 
@@ -320,7 +341,7 @@ def test_extra_spiral_points_on_curve():
     g = build_spiral_graph(SPIRAL_K, SPIRAL_N, SPIRAL_BASE)
     N = SPIRAL_N + 1
     white = {f"P{(SPIRAL_BASE + m) % N}": seed.points[m] for m in range(N)}
-    poly = spectral_polynomial_white(g, white)
+    poly = spectral_polynomial(g, kasteleyn_weights(g, white))
     for lam, mu in (SPIRAL_CLASS_POINT,) + SPIRAL_EXTRA_POINTS:
         assert on_curve(poly, lam, mu)
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from dimergeom.spiral import (
     build_spiral_config,
     build_spiral_graph,
     inscribed_points,
+    removed_js,
     line_seed_extend,
     sample_spiral_seed,
     spiral_extend,
@@ -30,7 +32,8 @@ from dimergeom.spiral import (
     validate_line_seed,
     validate_spiral_seed,
 )
-from dimergeom.torusgraph import validate_graph, vertex_edges
+from dimergeom.pentagram import build_pentagram_graph
+from dimergeom.torusgraph import delete_edge, face_key, validate_graph, vertex_edges
 
 
 def paper_example_seed():
@@ -101,6 +104,18 @@ def test_degree_three_vertices_at_removed_edges():
     g = build_spiral_graph(2, 5, 1)
     deg = {v: len(ix) for v, ix in vertex_edges(g).items()}
     assert sorted(v for v, d in deg.items() if d == 3) == ["P0", "P1", "P2", "q0", "q4", "q5"]
+
+
+@pytest.mark.parametrize("k, n, i", [(2, 5, 1), (2, 5, 4), (2, 7, 0), (2, 8, -3), (3, 6, 2), (3, 8, 5), (3, 9, 11)])
+def test_spiral_graph_is_pentagram_graph_minus_removed_edges(k, n, i):
+    N = n + 1
+    g = build_pentagram_graph(N, k)
+    for j in removed_js(k, n, i):
+        ei = next(x for x, e in enumerate(g.edges) if (e.w, e.b) == (f"P{(j + k) % N}", f"q{j}"))
+        g = delete_edge(g, ei, f"h{j}")
+    s = build_spiral_graph(k, n, i)
+    assert Counter(s.edges) == Counter(g.edges)
+    assert {f.id: face_key(s, f) for f in s.faces} == {f.id: face_key(g, f) for f in g.faces}
 
 
 def test_check_V_fails_iff_seed_collinearity_broken():
