@@ -22,6 +22,7 @@ from .render import RenderSpec, render_config
 from .scalars import parse_scalar
 from .spectral import (
     EmptyKernel,
+    fiber_polynomial,
     kasteleyn_weights,
     on_curve,
     reconstruct_black,
@@ -37,9 +38,11 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("validate", help="validate a configuration file")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("config")
 
     p = sub.add_parser("run", help="apply a move script or builtin dynamics")
+    p.set_defaults(handler=_cmd_run)
     p.add_argument("config")
     p.add_argument("--script", help="move script JSON file")
     p.add_argument("--builtin", choices=["pentagram", "spiral", "qnet"])
@@ -50,22 +53,26 @@ def main(argv=None) -> int:
     p.add_argument("--out")
 
     p = sub.add_parser("spectral", help="spectral polynomial and Newton polygon")
+    p.set_defaults(handler=_cmd_spectral)
     p.add_argument("config")
     p.add_argument("--out")
 
     p = sub.add_parser("reconstruct", help="recover black data from a curve point")
+    p.set_defaults(handler=_cmd_reconstruct)
     p.add_argument("white_config")
     p.add_argument("--lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("experiment", help="observational reports (never asserts)")
+    p.set_defaults(handler=_cmd_experiment)
     p.add_argument("name", choices=["dual-curve", "birationality-probe"])
     p.add_argument("config")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("render", help="deterministic SVG of a planar configuration")
+    p.set_defaults(handler=_cmd_render)
     p.add_argument("config")
     p.add_argument("--out", required=True)
     p.add_argument("--box", type=float, nargs=4, metavar=("XMIN", "XMAX", "YMIN", "YMAX"), default=[-10, 10, -10, 10])
@@ -74,48 +81,31 @@ def main(argv=None) -> int:
     p.add_argument("--no-labels", action="store_true")
 
     p = sub.add_parser("make-pentagram", help="write the conic pentagram fixture")
+    p.set_defaults(handler=_cmd_make)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--params", help="comma-separated rational conic parameters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("make-spiral", help="write the frozen coherent spiral fixture")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("make-qnet", help="write the periodic coherent qnet fixture")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("make-grid-minus-edge", help="write the NonUnique example white data")
-    p.add_argument("--out", required=True)
+    for name, text in (
+        ("make-spiral", "write the frozen coherent spiral fixture"),
+        ("make-qnet", "write the periodic coherent qnet fixture"),
+        ("make-grid-minus-edge", "write the NonUnique example white data"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=_cmd_make)
+        p.add_argument("--out", required=True)
 
     args = ap.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    if args.cmd == "validate":
-        return _cmd_validate(args)
-    if args.cmd == "run":
-        return _cmd_run(args)
-    if args.cmd == "spectral":
-        return _cmd_spectral(args)
-    if args.cmd == "reconstruct":
-        return _cmd_reconstruct(args)
-    if args.cmd == "experiment":
-        return _cmd_experiment(args)
-    if args.cmd == "render":
-        return _cmd_render(args)
-    if args.cmd.startswith("make-"):
-        return _cmd_make(args)
-    raise ValueError(f"unknown command {args.cmd}")
 
 
 def _cmd_validate(args) -> int:
@@ -134,6 +124,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     c = load_config(args.config)
     if bool(args.script) == bool(args.builtin):
         raise ValueError("pass exactly one of --script or --builtin")
@@ -254,6 +246,8 @@ def _cmd_reconstruct(args) -> int:
     c = _load_valid(args.white_config)
     kind = scalar_kind(c)
     lam, mu = parse_scalar(args.lam, kind), parse_scalar(args.mu, kind)
+    if lam == 0 or mu == 0:
+        raise ValueError(f"--lam and --mu must be nonzero, got {args.lam}, {args.mu}")
     try:
         res = reconstruct_black(c.graph, c.d, c.white_labels, lam, mu)
     except EmptyKernel:
@@ -299,9 +293,7 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
     while sum(outcomes.values()) < samples and tried < samples * 40:
         tried += 1
         lam = rng.uniform(0.2, 3.0) * rng.choice([1, -1])
-        coeffs: dict = {}
-        for (i, j), cf in poly.terms:
-            coeffs[j] = coeffs.get(j, 0.0) + float(cf) * lam**i
+        coeffs = fiber_polynomial(poly, "lam", lam)
         if not coeffs:
             break
         lo = min(coeffs)

@@ -30,7 +30,7 @@ from .geometry import (
     HomogeneousElement,
     face_coherent,
     is_circuit,
-    tested_pairing,
+    multi_ratio,
 )
 from .laurent import _ipow
 from .scalars import FLOAT, RATIONAL, is_float, is_zero, parse_scalar, scalar_str
@@ -94,12 +94,11 @@ def check_V(c: DoubleCircuitConfig) -> ConditionReport:
     return ConditionReport(ok=not failures, failures=failures, messages=messages)
 
 
-def face_label_cycle(c: DoubleCircuitConfig, face: Face) -> list:
-    seq = face_vertex_sequence(c.graph, face)
-    out = []
-    for slot, v in enumerate(seq):
-        out.append(c.white_labels[v] if slot % 2 == 0 else c.black_labels[v])
-    return out
+def walk_label_cycle(c: DoubleCircuitConfig, walk) -> list:
+    """Labels along a closed alternating walk of edge indices (a face
+    boundary or a basis cycle): [A(w0), l(b0), A(w1), l(b1), ...]."""
+    edges = [c.graph.edges[ei] for ei in walk]
+    return [c.white_labels[e.w] if slot % 2 == 0 else c.black_labels[e.b] for slot, e in enumerate(edges)]
 
 
 def check_F(c: DoubleCircuitConfig) -> ConditionReport:
@@ -112,7 +111,7 @@ def check_F(c: DoubleCircuitConfig) -> ConditionReport:
     _check_label_dims(c)
     failures, messages = [], []
     for face in c.graph.faces:
-        cyc = face_label_cycle(c, face)
+        cyc = walk_label_cycle(c, face.edges)
         try:
             ok = face_coherent(cyc)
         except VanishingPairing as exc:
@@ -139,24 +138,9 @@ def _check_label_dims(c: DoubleCircuitConfig) -> None:
             raise DimensionMismatch(f"black vertex {v}: missing or invalid hyperplane label")
 
 
-def edge_pairing(c: DoubleCircuitConfig, ei: int):
-    e = c.graph.edges[ei]
-    val, vanishes = tested_pairing(c.black_labels[e.b], c.white_labels[e.w])
-    if vanishes:
-        raise VanishingPairing(f"edge {ei} ({e.w}, {e.b}): point lies on hyperplane")
-    return val
-
-
 def walk_period(c: DoubleCircuitConfig, walk):
-    num = 1
-    den = 1
-    for slot, ei in enumerate(walk):
-        v = edge_pairing(c, ei)
-        if slot % 2 == 0:
-            num *= v
-        else:
-            den *= v
-    return num / den
+    """Period of a closed alternating walk: the multi-ratio of its labels."""
+    return multi_ratio(walk_label_cycle(c, walk))
 
 
 def cohomology_class(c: DoubleCircuitConfig, z1=None, z2=None) -> CohomologyClass:
@@ -244,8 +228,8 @@ def config_from_dict(data: dict) -> DoubleCircuitConfig:
     """Parse the JSON form.  Coordinates are read as the file's "scalar"
     kind.  Raises ValueError for an unknown kind and for any structural
     defect (wrong JSON types, missing keys, short h vectors, edge refs out
-    of range in faces or basis cycles, face_ids not matching faces, label
-    lengths not matching the dimension, malformed scalars)."""
+    of range in faces or basis cycles, face_ids not strings or not matching
+    faces, label lengths not matching the dimension, malformed scalars)."""
     if not isinstance(data, dict):
         raise ValueError("configuration must be a JSON object")
     scalar = data.get("scalar", RATIONAL)
@@ -268,6 +252,8 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     face_ids = data.get("face_ids") or [f"f{i}" for i in range(len(faces_json))]
     if len(face_ids) != len(faces_json):
         raise ValueError(f"{len(face_ids)} face_ids for {len(faces_json)} faces")
+    if not all(isinstance(fid, str) for fid in face_ids):
+        raise ValueError("face_ids must be strings")
     faces = _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids)
     basis = None
     if "basis_cycles" in data and data["basis_cycles"]:

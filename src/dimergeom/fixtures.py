@@ -107,19 +107,12 @@ def _collineate(p: HomogeneousElement) -> HomogeneousElement:
     return HomogeneousElement(tuple(coords), POINT)
 
 
-def make_qnet_windows(span_i=range(-3, 8), span_j=range(-3, 8), periodic: bool = True):
-    """(f, g) point windows forming an exact F-transform pair: a net on the
-    quadric z = xy and its central-collineation image."""
-
-    def x_of(i):
-        return QNET_XS[i % QNET_A] if periodic else F(i)
-
-    def y_of(j):
-        return QNET_YS[j % QNET_B] if periodic else F(j)
-
+def make_qnet_windows(span_i=range(-3, 8), span_j=range(-3, 8)):
+    """(f, g) point windows forming an exact F-transform pair: a periodic
+    net on the quadric z = xy and its central-collineation image."""
     f = QNetWindow(
         {
-            (i, j): _separable_point(x_of(i), y_of(j))
+            (i, j): _separable_point(QNET_XS[i % QNET_A], QNET_YS[j % QNET_B])
             for i in span_i
             for j in span_j
             if (i + j) % 2 == 0

@@ -180,14 +180,6 @@ def circuit_coefficients(rows):
     return c
 
 
-def circuit_relation(elems):
-    """The dependency coefficients of a circuit, or None."""
-    try:
-        return circuit_coefficients([list(e.coords) for e in elems])
-    except KernelNotOneDimensional:
-        return None
-
-
 def is_circuit(elems) -> bool:
     """True iff the elements are dependent but every proper subset is
     independent.  Repeats are allowed: two coincident points form a circuit."""
@@ -200,7 +192,11 @@ def is_circuit(elems) -> bool:
         raise TooManyElements(f"{m} elements cannot form a circuit in P^{d}")
     # for m = d+2 the dependency is automatic; the nowhere-zero kernel test
     # is exactly "every (m-1)-subset independent"
-    return circuit_relation(elems) is not None
+    try:
+        circuit_coefficients([list(e.coords) for e in elems])
+    except KernelNotOneDimensional:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

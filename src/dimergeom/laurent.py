@@ -16,9 +16,11 @@ class LaurentPoly2:
 
     @staticmethod
     def from_dict(d: dict) -> "LaurentPoly2":
-        scale = _scale(d) if is_float(d.values()) else 1
-        items = [(k, v) for k, v in d.items() if not is_zero(v, scale=scale)]
-        return LaurentPoly2(tuple(sorted(items)))
+        if is_float(d.values()):
+            # a float coefficient is zero relative to the largest one
+            scale = _scale(d)
+            d = {k: v for k, v in d.items() if not is_zero(v / scale)}
+        return LaurentPoly2(tuple(sorted((k, v) for k, v in d.items() if v != 0)))
 
     @staticmethod
     def zero() -> "LaurentPoly2":
@@ -111,7 +113,10 @@ class LaurentPoly2:
 
 
 def _ipow(x, n: int):
-    return x**n if n >= 0 else 1 / (x ** (-n))
+    """x**n for any integer n; an int or Fraction x gives an exact result."""
+    if n >= 0:
+        return x**n
+    return (1 if isinstance(x, float) else Fraction(1)) / x ** (-n)
 
 
 def _scale(d: dict) -> float:

@@ -34,6 +34,17 @@ def _matrix_scale(rows):
     return s if s > 0 else 1.0
 
 
+def _pivot_row(m, c, start, scale):
+    """Row at or below ``start`` holding the largest-magnitude nonzero
+    entry of column c (partial pivoting), or None."""
+    best, best_val = None, None
+    for i in range(start, len(m)):
+        v = abs(m[i][c])
+        if not is_zero(m[i][c], scale=scale) and (best is None or v > best_val):
+            best, best_val = i, v
+    return best
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
     m = [list(r) for r in rows]
@@ -46,12 +57,7 @@ def rref(rows):
     for c in range(ncols):
         if r >= len(m):
             break
-        # partial pivot: largest magnitude in column c at/below row r
-        best, best_val = None, None
-        for i in range(r, len(m)):
-            v = abs(m[i][c])
-            if not is_zero(m[i][c], scale=scale) and (best is None or v > best_val):
-                best, best_val = i, v
+        best = _pivot_row(m, c, r, scale)
         if best is None:
             continue
         m[r], m[best] = m[best], m[r]
@@ -71,16 +77,10 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def nullspace(rows):
-    """Basis of the right kernel {x : rows @ x = 0}, as a list of vectors."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    one = _unit(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def _kernel(reduced, pivots, ncols, one):
+    """Kernel basis read off an RREF: one vector per free column < ncols."""
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [0 * one] * ncols
         v[fc] = one
         for r, pc in enumerate(pivots):
@@ -89,12 +89,20 @@ def nullspace(rows):
     return basis
 
 
+def nullspace(rows):
+    """Basis of the right kernel {x : rows @ x = 0}, as a list of vectors."""
+    if not rows:
+        return []
+    return _kernel(*rref(rows), len(rows[0]), _unit(rows))
+
+
 def solve(rows, rhs):
     """Solve rows @ x = rhs.
 
     Returns (status, x, kernel) where status is "unique", "underdetermined"
     or "inconsistent"; x is a particular solution when one exists and kernel
-    is a basis of the homogeneous solutions.
+    is a basis of the homogeneous solutions.  One elimination of the
+    augmented matrix gives both.
     """
     if not rows:
         return "underdetermined", None, []
@@ -106,7 +114,7 @@ def solve(rows, rhs):
     x = [0 * _unit(aug)] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
-    ker = nullspace(rows)
+    ker = _kernel(reduced, pivots, ncols, _unit(rows))
     if ker:
         return "underdetermined", x, ker
     return "unique", x, []
@@ -123,11 +131,7 @@ def det(rows):
     sign = one
     acc = one
     for c in range(n):
-        best, best_val = None, None
-        for i in range(c, n):
-            v = abs(m[i][c])
-            if not is_zero(m[i][c], scale=scale) and (best is None or v > best_val):
-                best, best_val = i, v
+        best = _pivot_row(m, c, c, scale)
         if best is None:
             return 0 * one
         if best != c:

@@ -32,7 +32,7 @@ faces, spoke rename rules and template.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import DoubleCircuitConfig
 from .errors import (
@@ -58,14 +58,14 @@ from .geometry import (
     subspace_element,
 )
 from .scalars import RATIONAL, parse_scalar, scalar_str
-from .torusgraph import Edge, Face, TorusGraph, vertex_edges, walk_error
+from .torusgraph import Edge, Face, TorusGraph, rebuild_graph, vertex_edges
 
 
 @dataclass(frozen=True)
 class MoveStep:
     op: str  # "urban" | "remove2" | "add2"
     target: str  # face id (urban) or vertex id
-    label: HomogeneousElement | None = None
+    label: HomogeneousElement | None = None  # add2 retypes it by the target's colour
     partition: tuple | None = None
 
 
@@ -89,12 +89,14 @@ def script_to_json(s: MoveScript) -> list:
     return out
 
 
-def script_from_json(data, label_kind=HYPERPLANE, scalar=RATIONAL) -> MoveScript:
+def script_from_json(data, scalar=RATIONAL) -> MoveScript:
+    """Labels are read as hyperplanes; ``apply_script`` gives an add2 label
+    the kind opposite to its target's colour."""
     steps = []
     for entry in data:
         label = None
         if "label" in entry and entry["label"] is not None:
-            label = HomogeneousElement(tuple(parse_scalar(x, scalar) for x in entry["label"]), label_kind)
+            label = HomogeneousElement(tuple(parse_scalar(x, scalar) for x in entry["label"]), HYPERPLANE)
         part = tuple(entry["partition"]) if entry.get("partition") else None
         steps.append(MoveStep(entry["op"], entry["target"], label, part))
     return MoveScript(tuple(steps))
@@ -106,36 +108,6 @@ def load_script(path, scalar=RATIONAL) -> MoveScript:
 
 
 # ----------------------------------------------------------------- helpers
-
-
-def _rebuild(g: TorusGraph, keep_edge, new_edges, face_builder, drop_white=(), drop_black=(), add_white=(), add_black=()):
-    """Shared reindexing: filter/remap edges, rebuild faces via a callback."""
-    index_map = {}
-    edges = []
-    for i, e in enumerate(g.edges):
-        ne = keep_edge(i, e)
-        if ne is None:
-            continue
-        index_map[i] = len(edges)
-        edges.append(ne)
-    first_new = len(edges)
-    edges.extend(new_edges)
-    faces = face_builder(index_map, first_new)
-    white = tuple(v for v in g.white_ids if v not in drop_white) + tuple(add_white)
-    black = tuple(v for v in g.black_ids if v not in drop_black) + tuple(add_black)
-    graph = TorusGraph(white, black, tuple(edges), tuple(faces))
-    basis = _remap_walks(graph, g.basis_cycles, index_map)
-    return graph if basis is None else replace(graph, basis_cycles=basis)
-
-
-def _remap_walks(graph, basis, index_map):
-    """The walks with remapped edge indices, or None when an edge is gone
-    or a walk no longer closes (a split can move half of it to the twin);
-    cohomology_class then falls back to the canonical cycles."""
-    if basis is None or any(ei not in index_map for walk in basis for ei in walk):
-        return None
-    out = tuple(tuple(index_map[ei] for ei in walk) for walk in basis)
-    return None if any(walk_error(graph, walk, "basis cycle") for walk in out) else out
 
 
 def _h_add(a, b):
@@ -204,7 +176,7 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
             out.append(Face(f.id, tuple(index_map[ei] for ei in es)))
         return [f for f in out if len(f.edges) > 0]
 
-    graph = _rebuild(
+    graph = rebuild_graph(
         g,
         keep,
         [],
@@ -246,6 +218,16 @@ def _rotation_at(g: TorusGraph, v: str):
     return rot
 
 
+def _split_arcs(g: TorusGraph, v: str, partition: tuple):
+    """The arc rot[i:j] of v's rotation for partition = (i, j), and its
+    complement; both must be nonempty."""
+    rot = _rotation_at(g, v)
+    i, j = partition
+    if not (0 <= i < j <= len(rot)) or j - i == len(rot):
+        raise BadPartition(f"partition {partition} does not split degree {len(rot)} into two arcs")
+    return rot[i:j], rot[j:] + rot[:i]
+
+
 def add_degree2(
     c: DoubleCircuitConfig,
     v: str,
@@ -270,13 +252,7 @@ def add_degree2(
     if incident(new_label, own_label) if v_white else incident(own_label, new_label):
         raise IncidentLabel("new label is incident to the split vertex's label")
 
-    rot = _rotation_at(g, v)
-    deg = len(rot)
-    i, j = partition
-    if not (0 <= i < j <= deg) or j - i == deg or j - i == 0:
-        raise BadPartition(f"partition {partition} does not split degree {deg} into two arcs")
-    arc_a = rot[i:j]
-    arc_b = rot[j:] + rot[:i]
+    arc_a, arc_b = _split_arcs(g, v, partition)
 
     twin = ids[0] if ids else f"{v}'"
     mid = ids[1] if ids else f"{v}~"
@@ -321,7 +297,7 @@ def add_degree2(
             out.append(Face(f.id, tuple(mapped)))
         return out
 
-    graph = _rebuild(
+    graph = rebuild_graph(
         g,
         keep,
         new_edges,
@@ -350,11 +326,7 @@ def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> Homo
     g = c.graph
     v_white = v in set(g.white_ids)
     labels = c.black_labels if v_white else c.white_labels
-    rot = _rotation_at(g, v)
-    i, j = partition
-    if not (0 <= i < j <= len(rot)) or j - i in (0, len(rot)):
-        raise BadPartition(f"partition {partition} does not split degree {len(rot)}")
-    arc_a, arc_b = rot[i:j], rot[j:] + rot[:i]
+    arc_a, arc_b = _split_arcs(g, v, partition)
 
     def far(ei):
         e = g.edges[ei]
@@ -372,7 +344,7 @@ def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> Homo
 # ------------------------------------------------------------ urban renewal
 
 
-def urban_renewal(c: DoubleCircuitConfig, face_id: str, tag: str | None = None) -> DoubleCircuitConfig:
+def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
     g = c.graph
     face = next((f for f in g.faces if f.id == face_id), None)
     if face is None:
@@ -415,11 +387,10 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str, tag: str | None = None) 
     lab_g = _meet_or_die(cd, span([bl[g.edges[ei].b] for ei in others["A"]]), "g")
     lab_h = _meet_or_die(cd, span([bl[g.edges[ei].b] for ei in others["B"]]), "h")
 
-    tag = tag if tag is not None else face_id
-    vE, vF, vg, vh = f"{tag}:E", f"{tag}:F", f"{tag}:g", f"{tag}:h"
+    vE, vF, vg, vh = f"{face_id}:E", f"{face_id}:F", f"{face_id}:g", f"{face_id}:h"
     taken = set(g.white_ids) | set(g.black_ids)
     if {vE, vF, vg, vh} & taken:
-        raise MoveError(f"derived ids for {face_id} collide; pass an explicit tag")
+        raise MoveError(f"derived ids for {face_id} collide with existing vertex ids")
 
     h1, h2, h3, h4 = eA_c.h, eB_c.h, eB_d.h, eA_d.h
     hA, hc = h1, (0, 0)
@@ -459,10 +430,10 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str, tag: str | None = None) 
                     new_es.append(index_map[ei])
             out.append(Face(f.id, tuple(new_es)))
         # inner quadrilateral E -> h -> F -> g
-        out.append(Face(f"{tag}:inner", (first_new + 5, first_new + 6, first_new + 7, first_new + 4)))
+        out.append(Face(f"{face_id}:inner", (first_new + 5, first_new + 6, first_new + 7, first_new + 4)))
         return out
 
-    graph = _rebuild(g, keep, new_edges, faces, add_white=(vE, vF), add_black=(vg, vh))
+    graph = rebuild_graph(g, keep, new_edges, faces, add_white=(vE, vF), add_black=(vg, vh))
     wl2, bl2 = dict(wl), dict(bl)
     wl2[vE], wl2[vF] = lab_E, lab_F
     bl2[vg], bl2[vh] = lab_g, lab_h
@@ -492,7 +463,8 @@ def apply_script(c: DoubleCircuitConfig, script: MoveScript, trace: list | None 
             elif step.op == "add2":
                 if step.partition is None or step.label is None:
                     raise MoveError("add2 needs a partition and a label")
-                cur = add_degree2(cur, step.target, step.partition, step.label)
+                kind = HYPERPLANE if step.target in cur.graph.white_ids else POINT
+                cur = add_degree2(cur, step.target, step.partition, HomogeneousElement(step.label.coords, kind))
             else:
                 raise MoveError(f"unknown op {step.op!r}")
         except MoveError as exc:

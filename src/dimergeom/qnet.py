@@ -22,6 +22,7 @@ from .config import DoubleCircuitConfig
 from .errors import (
     BadParameters,
     CoincidentLines,
+    DegenerateIntersection,
     NotQNet,
     NotQStarNet,
     SizeMismatch,
@@ -30,8 +31,9 @@ from .geometry import (
     HYPERPLANE,
     POINT,
     HomogeneousElement,
+    join_points,
     meet,
-    normalize_coords,
+    meet_hyperplanes,
     proj_equal,
     span,
     subspace_element,
@@ -149,10 +151,10 @@ def qstar_points(G: QNetWindow) -> QNetWindow:
     out = {}
     for ci, cj in _interior_sites(G):
         quad = [G[ci - 1, cj], G[ci, cj - 1], G[ci + 1, cj], G[ci, cj + 1]]
-        ker = linalg.nullspace([list(p.coords) for p in quad])
-        if len(ker) != 1:
-            raise NotQStarNet(f"site ({ci},{cj}): planes do not meet in one point")
-        out[(ci, cj)] = HomogeneousElement(normalize_coords(tuple(ker[0])), POINT)
+        try:
+            out[(ci, cj)] = meet_hyperplanes(quad)
+        except DegenerateIntersection as exc:
+            raise NotQStarNet(f"site ({ci},{cj}): planes do not meet in one point") from exc
     if not out:
         raise BadParameters("window too small: no interior sites")
     return QNetWindow(out)
@@ -162,10 +164,10 @@ def plane_of_quad(g: QNetWindow, base) -> HomogeneousElement:
     """Plane spanned by g at the four neighbors of an opposite-parity site."""
     ci, cj = base
     quad = [g[ci - 1, cj], g[ci, cj - 1], g[ci + 1, cj], g[ci, cj + 1]]
-    ker = linalg.nullspace([list(p.coords) for p in quad])
-    if len(ker) != 1:
-        raise NotQNet(f"site {base}: neighbor points do not span a plane")
-    return HomogeneousElement(normalize_coords(tuple(ker[0])), HYPERPLANE)
+    try:
+        return join_points(quad)
+    except DegenerateIntersection as exc:
+        raise NotQNet(f"site {base}: neighbor points do not span a plane") from exc
 
 
 def is_f_transform(f: QNetWindow, g: QNetWindow) -> bool:

@@ -18,8 +18,6 @@ class RenderSpec:
     ymin: float = -10.0
     ymax: float = 10.0
     width: int = 640
-    point_radius: float = 3.0
-    stroke: float = 1.0
     labels: bool = True
 
     def __post_init__(self):
@@ -114,7 +112,7 @@ def _render(whites: dict, blacks: dict, spec: RenderSpec) -> str:
             x2=_fmt(x2),
             y2=_fmt(y2),
             stroke="black",
-            attrib={"stroke-width": _fmt(spec.stroke)},
+            attrib={"stroke-width": "1"},
         )
         if spec.labels:
             lx, ly = to_px(((seg[0][0] + seg[1][0]) / 2, (seg[0][1] + seg[1][1]) / 2))
@@ -132,7 +130,7 @@ def _render(whites: dict, blacks: dict, spec: RenderSpec) -> str:
             "circle",
             cx=_fmt(x),
             cy=_fmt(y),
-            r=_fmt(spec.point_radius),
+            r="3",
             fill="crimson",
             stroke="black",
             attrib={"stroke-width": "0.5"},

@@ -158,7 +158,6 @@ def reconstruct_black(
     lam,
     mu,
     f_black: dict | None = None,
-    validate: bool = True,
 ) -> ReconstructionResult:
     """Recover hyperplane labels from white data and a spectral-curve point.
 
@@ -167,7 +166,8 @@ def reconstruct_black(
     blacks identically one on the fundamental domain (or as supplied).
     Underdetermined vertices wait for span constraints from white-vertex
     circuits whose other hyperplanes are known; no progress means
-    "nonunique", an inconsistent system "nosolution".
+    "nonunique", an inconsistent system "nosolution", and so does a
+    result that fails (V) or (F).
     """
     basis = kernel_at(g, kasteleyn_weights(g, white_labels), lam, mu)
     if len(basis) != 1:
@@ -227,11 +227,10 @@ def reconstruct_black(
         b: HomogeneousElement(normalize_coords(tuple(v)), HYPERPLANE) for b, v in known.items()
     }
     cfg = DoubleCircuitConfig(g, d, dict(white_labels), black_labels)
-    if validate:
-        if not check_V(cfg).ok:
-            return ReconstructionResult("nosolution", None, trace, "result fails the circuit condition")
-        if not check_F(cfg).ok:
-            return ReconstructionResult("nosolution", None, trace, "result fails coherence")
+    if not check_V(cfg).ok:
+        return ReconstructionResult("nosolution", None, trace, "result fails the circuit condition")
+    if not check_F(cfg).ok:
+        return ReconstructionResult("nosolution", None, trace, "result fails coherence")
     return ReconstructionResult("unique", cfg, trace)
 
 
@@ -254,29 +253,15 @@ def rational_roots(coeffs: dict):
     """Exact nonzero rational roots of sum_k coeffs[k] x^k (k may be
     negative).  Rational root theorem with the classical (p - q) | P(1)
     and (p + q) | P(-1) filters."""
-    if not coeffs:
+    nonzero = [k for k, v in coeffs.items() if v != 0]
+    if not nonzero:
         return []
-    shift = min(coeffs)
-    poly = {k - shift: Fraction(v) for k, v in coeffs.items()}
-    deg = max(poly)
+    low, deg = min(nonzero), max(nonzero) - min(nonzero)
     if deg == 0:
         return []
-    denlcm = 1
-    for v in poly.values():
-        denlcm = denlcm * v.denominator // gcd(denlcm, v.denominator)
-    ipoly = {k: int(v * denlcm) for k, v in poly.items() if v != 0}
-    low = min(ipoly)
-    ipoly = {k - low: v for k, v in ipoly.items()}
-    deg = max(ipoly)
-    if deg == 0:
-        return []
-    a0, an = ipoly.get(0, 0), ipoly[deg]
-    if a0 == 0:
-        return []
-    g = 0
-    for v in ipoly.values():
-        g = gcd(g, abs(v))
-    ipoly = {k: v // g for k, v in ipoly.items()}
+    # primitive integer coefficients, constant term first
+    prim = normalize_coords(tuple(Fraction(coeffs.get(low + k, 0)) for k in range(deg + 1)))
+    ipoly = {k: int(v) for k, v in enumerate(prim) if v != 0}
     a0, an = ipoly[0], ipoly[deg]
     p1 = sum(ipoly.values())
     pm1 = sum(v if k % 2 == 0 else -v for k, v in ipoly.items())

@@ -14,7 +14,7 @@ sequences cannot).
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import BadWalk, UnequalColorCounts
 
@@ -182,6 +182,8 @@ def validate_graph(g: TorusGraph) -> GraphReport:
         violations.append(f"ids in both colors: {sorted(whites & blacks)}")
     if len(whites) != len(g.white_ids) or len(blacks) != len(g.black_ids):
         violations.append("duplicate vertex ids")
+    if len({f.id for f in g.faces}) != len(g.faces):
+        violations.append("duplicate face ids")
     for i, e in enumerate(g.edges):
         if e.w not in whites:
             violations.append(f"edge {i}: unknown white vertex {e.w!r}")
@@ -232,7 +234,42 @@ def validate_graph(g: TorusGraph) -> GraphReport:
     )
 
 
-def delete_edge(g: TorusGraph, ei: int, merged_face_id: str | None = None) -> TorusGraph:
+def rebuild_graph(
+    g: TorusGraph, keep_edge, new_edges, face_builder, drop_white=(), drop_black=(), add_white=(), add_black=()
+) -> TorusGraph:
+    """The one edge renumbering behind every graph edit.
+
+    ``keep_edge(i, e)`` returns the surviving (possibly rewritten) edge or
+    None; survivors keep their order and ``new_edges`` follow them.
+    ``face_builder(index_map, first_new)`` returns the new faces from the
+    old-to-new index map and the index of the first new edge.  The basis
+    cycles are remapped, or dropped when an edge is gone or a walk no
+    longer closes (a split can move half of one to the twin);
+    ``cohomology_class`` then falls back to the canonical cycles.
+    """
+    index_map = {}
+    edges = []
+    for i, e in enumerate(g.edges):
+        ne = keep_edge(i, e)
+        if ne is None:
+            continue
+        index_map[i] = len(edges)
+        edges.append(ne)
+    first_new = len(edges)
+    edges.extend(new_edges)
+    faces = face_builder(index_map, first_new)
+    white = tuple(v for v in g.white_ids if v not in drop_white) + tuple(add_white)
+    black = tuple(v for v in g.black_ids if v not in drop_black) + tuple(add_black)
+    graph = TorusGraph(white, black, tuple(edges), tuple(faces))
+    basis = g.basis_cycles
+    if basis is not None and all(ei in index_map for walk in basis for ei in walk):
+        basis = tuple(tuple(index_map[ei] for ei in walk) for walk in basis)
+        if not any(walk_error(graph, walk, "basis cycle") for walk in basis):
+            return replace(graph, basis_cycles=basis)
+    return graph
+
+
+def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
     """Remove one edge and merge its two (distinct) faces."""
     hosts = [f for f in g.faces if ei in f.edges]
     if len(hosts) != 2:
@@ -241,26 +278,16 @@ def delete_edge(g: TorusGraph, ei: int, merged_face_id: str | None = None) -> To
     a, b = list(f1.edges), list(f2.edges)
     p1, p2 = a.index(ei), b.index(ei)
     merged = a[p1 + 1 :] + a[:p1] + b[p2 + 1 :] + b[:p2]
-    candidates = [merged, merged[-1:] + merged[:-1]]
-    index_map = {}
-    edges = []
-    for i, e in enumerate(g.edges):
-        if i == ei:
-            continue
-        index_map[i] = len(edges)
-        edges.append(e)
-    fid = merged_face_id or f"{f1.id}+{f2.id}"
-    faces = [Face(f.id, tuple(index_map[x] for x in f.edges)) for f in g.faces if f not in hosts]
-    new_graph = None
-    for cand in candidates:
-        nf = Face(fid, tuple(index_map[x] for x in cand))
-        trial = TorusGraph(g.white_ids, g.black_ids, tuple(edges), tuple(faces + [nf]), None)
-        if walk_error(trial, nf.edges, fid) is None:
-            new_graph = trial
-            break
-    if new_graph is None:
-        raise BadWalk(f"could not merge faces {f1.id}, {f2.id} after deleting edge {ei}")
-    return new_graph
+    for cand in (merged, merged[-1:] + merged[:-1]):
+
+        def faces(index_map, _first_new, cand=cand):
+            kept = [Face(f.id, tuple(index_map[x] for x in f.edges)) for f in g.faces if f not in hosts]
+            return kept + [Face(merged_face_id, tuple(index_map[x] for x in cand))]
+
+        trial = rebuild_graph(g, lambda i, e: None if i == ei else e, [], faces)
+        if walk_error(trial, trial.faces[-1].edges, merged_face_id) is None:
+            return trial
+    raise BadWalk(f"could not merge faces {f1.id}, {f2.id} after deleting edge {ei}")
 
 
 def dimension_report(g: TorusGraph, d: int) -> dict:

@@ -1,10 +1,17 @@
+import copy
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimergeom.cli import main
-from dimergeom.config import load_config, save_config
+from dimergeom.config import config_to_dict, load_config, save_config
 from dimergeom.fixtures import make_pentagram_fixture
 from dimergeom.geometry import POINT, HomogeneousElement, point
 from dimergeom.qnet import QNetWindow, build_qnet_config, plane_of_quad
@@ -53,6 +60,7 @@ def test_validate_exit_two_on_malformed_json(tmp_path, capsys):
         (("basis_cycles", "z1", 0), 999),
         (("face_ids",), ["d0"]),
         (("dimension",), 3),
+        (("face_ids", 0), {}),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(pentagon_file, tmp_path, capsys, keys, value):
@@ -259,3 +267,93 @@ def test_run_builtin_spiral_honours_k(tmp_path):
     path = tmp_path / "spiral.json"
     assert main(["make-spiral", "--out", str(path)]) == 0
     assert main(["run", str(path), "--builtin", "spiral", "--k", "3", "--verify"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "FILE", "--lam=0", "--mu=-1"],
+        ["reconstruct", "FILE", "--lam=-1", "--mu=0"],
+        ["run", "FILE", "--builtin", "pentagram", "--steps", "-1"],
+    ],
+)
+def test_bad_arguments_exit_two_with_one_line(pentagon_file, capsys, argv):
+    capsys.readouterr()
+    assert main([str(pentagon_file) if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["validate", "spectral"])
+def test_duplicate_face_ids_are_invalid(pentagon_file, tmp_path, capsys, cmd):
+    data = json.loads(pentagon_file.read_text())
+    data["face_ids"][1] = data["face_ids"][0]
+    bad = tmp_path / "duplicate_face.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([cmd, str(bad)]) == 1
+    assert "duplicate face ids" in capsys.readouterr().out
+
+
+def test_readme_move_script_runs(pentagon_file, tmp_path):
+    # add2 at a black vertex takes a point label; remove2 undoes the split
+    script = tmp_path / "script.json"
+    script.write_text(
+        json.dumps(
+            [
+                {"op": "urban", "target": "d0"},
+                {"op": "add2", "target": "q1", "label": ["1", "2", "3"], "partition": [0, 2]},
+                {"op": "remove2", "target": "q1~"},
+            ]
+        )
+    )
+    out = tmp_path / "after.json"
+    assert main(["run", str(pentagon_file), "--script", str(script), "--out", str(out)]) == 0
+    assert main(["validate", str(out)]) == 0
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+    return [path]
+
+
+HEPTAGRAM = config_to_dict(make_pentagram_fixture(7, 2)[3])
+
+
+def _run_quietly(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    path=st.sampled_from(_leaf_paths(HEPTAGRAM)),
+    value=st.sampled_from([None, 0, -1, 1e300, "x", [], {}, "1/0"]),
+    cmd=st.sampled_from(["validate", "spectral"]),
+)
+def test_mutated_leaf_exits_cleanly(path, value, cmd):
+    data = copy.deepcopy(HEPTAGRAM)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "mutated.json")
+        with open(bad, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        assert _run_quietly([cmd, bad]) in (0, 1, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lam=st.one_of(st.just(F(0)), st.fractions(-6, 6, max_denominator=9)),
+    mu=st.one_of(st.just(F(0)), st.fractions(-6, 6, max_denominator=9)),
+)
+def test_reconstruct_any_rational_point_exits_cleanly(lam, mu):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "heptagram.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(HEPTAGRAM, fh)
+        assert _run_quietly(["reconstruct", path, f"--lam={lam}", f"--mu={mu}"]) in (0, 1, 2)

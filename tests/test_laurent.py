@@ -25,6 +25,18 @@ def test_negative_exponent_evaluation():
     assert p.evaluate(F(1, 2), F(5)) == 3 * 4 * 5 - 1
 
 
+def test_negative_powers_stay_exact():
+    v = LaurentPoly2.monomial(F(1), -1, 0).evaluate(2, 1)
+    assert v == F(1, 2) and isinstance(v, F)
+
+
+def test_small_float_coefficients_kept():
+    # float zero tests are relative to the largest coefficient, with no floor
+    assert not LaurentPoly2.monomial(1e-12, 0, 0).is_zero()
+    assert len(LaurentPoly2.from_dict({(0, 0): 1e-12, (1, 0): 2e-12}).terms) == 2
+    assert LaurentPoly2.from_dict({(0, 0): 1.0, (1, 0): 1e-12}).as_dict() == {(0, 0): 1.0}
+
+
 def test_zero_coefficients_dropped():
     p = P({(0, 0): 1}) + P({(0, 0): -1})
     assert p.is_zero()

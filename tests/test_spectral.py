@@ -241,6 +241,12 @@ def test_kernel_at_pentagon_class():
     assert all(x != 0 for x in basis[0])
 
 
+def test_kernel_at_int_point_is_exact():
+    _, _, _, c = make_pentagram_fixture(7, 2)
+    basis = kernel_at(c.graph, kasteleyn_weights(c.graph, c.white_labels), -1, -1)
+    assert basis and all(isinstance(x, F) for v in basis for x in v)
+
+
 def test_kernel_at_off_curve_raises():
     _, _, _, c = make_pentagram_fixture(5, 2)
     kw = kasteleyn_weights(c.graph, c.white_labels)
