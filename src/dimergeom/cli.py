@@ -126,12 +126,16 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     if args.steps < 0:
         raise ValueError(f"--steps must be nonnegative, got {args.steps}")
-    c = load_config(args.config)
+    c = _load_valid(args.config)
     if bool(args.script) == bool(args.builtin):
         raise ValueError("pass exactly one of --script or --builtin")
     trace: list = []
     if args.script:
         script = load_script(args.script, scalar_kind(c))
+        for idx, s in enumerate(script.steps):
+            if s.label is not None and len(s.label.coords) != c.d + 1:
+                n = len(s.label.coords)
+                raise ValueError(f"script step {idx}: add2 label has {n} coordinates, need d + 1 = {c.d + 1}")
         cur = c
         for step in range(args.steps):
             cur = apply_script(cur, script, trace)

@@ -91,14 +91,30 @@ def script_to_json(s: MoveScript) -> list:
 
 def script_from_json(data, scalar=RATIONAL) -> MoveScript:
     """Labels are read as hyperplanes; ``apply_script`` gives an add2 label
-    the kind opposite to its target's colour."""
+    the kind opposite to its target's colour.  A malformed script raises
+    ValueError naming the step; the label length is the caller's check,
+    since it depends on the configuration."""
+    if not isinstance(data, list):
+        raise ValueError(f"a move script is a list of steps, not {type(data).__name__}")
     steps = []
-    for entry in data:
-        label = None
-        if "label" in entry and entry["label"] is not None:
-            label = HomogeneousElement(tuple(parse_scalar(x, scalar) for x in entry["label"]), HYPERPLANE)
-        part = tuple(entry["partition"]) if entry.get("partition") else None
-        steps.append(MoveStep(entry["op"], entry["target"], label, part))
+    for idx, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ValueError(f"script step {idx}: a step is an object, not {type(entry).__name__}")
+        op, target = entry.get("op"), entry.get("target")
+        if op not in ("urban", "add2", "remove2"):
+            raise ValueError(f"script step {idx}: unknown op {op!r}")
+        if not isinstance(target, str):
+            raise ValueError(f"script step {idx}: target must be a string, got {target!r}")
+        label = part = None
+        if op == "add2":
+            label, part = entry.get("label"), entry.get("partition")
+            if not isinstance(label, list) or not label:
+                raise ValueError(f"script step {idx}: add2 label must be a list of coordinates, got {label!r}")
+            if not (isinstance(part, list) and len(part) == 2 and all(type(x) is int for x in part)):
+                raise ValueError(f"script step {idx}: add2 partition must be two integers, got {part!r}")
+            label = HomogeneousElement(tuple(parse_scalar(x, scalar) for x in label), HYPERPLANE)
+            part = tuple(part)
+        steps.append(MoveStep(op, target, label, part))
     return MoveScript(tuple(steps))
 
 

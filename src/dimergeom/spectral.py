@@ -8,12 +8,17 @@ kappa(e) * lambda^h1(e) * mu^h2(e); the spectral polynomial is its exact
 determinant.  The cohomology class of a coherent configuration (see
 config.cohomology_class) satisfies det K(lambda, mu) = 0 under this
 convention.
+
+The determinant is interpolated from its values at small integer points
+(see _integer_det).  Every step is exact, so the result needs no
+certificate; float weights take the same path through their exact
+Fraction values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .config import DoubleCircuitConfig, check_F, check_V
@@ -25,7 +30,7 @@ from .errors import (
 )
 from .geometry import HYPERPLANE, HomogeneousElement, circuit_coefficients, normalize_coords
 from .laurent import LaurentPoly2, _ipow
-from .scalars import is_zero
+from .scalars import is_float, is_zero
 from .torusgraph import Edge, TorusGraph, vertex_edges
 
 
@@ -65,41 +70,131 @@ def kasteleyn_matrix_poly(g: TorusGraph, weights: dict):
 
 
 def spectral_polynomial(g: TorusGraph, weights: dict) -> LaurentPoly2:
-    """Exact determinant of the magnetically altered Kasteleyn matrix,
-    by cofactor expansion memoized over column subsets."""
-    m = kasteleyn_matrix_poly(g, weights)
-    return _poly_det(m)
+    """Exact determinant of the magnetically altered Kasteleyn matrix.
+
+    Float weights are converted exactly with Fraction; the result then
+    has float coefficients, so the scalar kind follows the data."""
+    det, scale = _integer_det(kasteleyn_matrix_poly(g, weights))
+    det = det * Fraction(1, scale)
+    if is_float(weights.values()):
+        det = LaurentPoly2.from_dict({e: float(c) for e, c in det.terms})
+    return det
 
 
-def _poly_det(m) -> LaurentPoly2:
+def _integer_det(m):
+    """(D, s): s times the determinant of a square LaurentPoly2 matrix is
+    D, a LaurentPoly2 with int coefficients.
+
+    Scaling each row by the lcm of its denominators makes the entries
+    integer polynomials.  The determinant's exponents in each variable lie
+    between max(sum of row minima, sum of column minima) and min(sum of
+    row maxima, sum of column maxima), so after dividing out the lowest
+    monomial it is fixed by its values on a grid of that size, and every
+    Newton divided difference of an integer polynomial at integer nodes
+    is an integer."""
     k = len(m)
-    if k == 0:
-        return LaurentPoly2.constant(Fraction(1))
-    memo: dict = {}
-    full = (1 << k) - 1
+    rows = []  # per row: [(column, i, j, int coeff)] with i, j >= 0
+    shift_l = shift_m = 0
+    scale = 1
+    for row in m:
+        terms = [(col, i, j, Fraction(c)) for col, p in enumerate(row) for (i, j), c in p.terms]
+        if not terms:
+            return LaurentPoly2.zero(), 1
+        lo_i = min(t[1] for t in terms)
+        lo_j = min(t[2] for t in terms)
+        den = lcm(*(t[3].denominator for t in terms))
+        shift_l, shift_m, scale = shift_l + lo_i, shift_m + lo_j, scale * den
+        rows.append([(col, i - lo_i, j - lo_j, int(c * den)) for col, i, j, c in terms])
+    by_col = [[] for _ in range(k)]
+    for row in rows:
+        for t in row:
+            by_col[t[0]].append(t)
+    if not all(by_col):
+        return LaurentPoly2.zero(), 1
+    box = []
+    for axis in (1, 2):
+        lo = sum(min(t[axis] for t in col) for col in by_col)  # every row minimum is 0
+        hi = min(sum(max(t[axis] for t in row) for row in rows), sum(max(t[axis] for t in col) for col in by_col))
+        if lo > hi:
+            return LaurentPoly2.zero(), 1
+        box.append((lo, hi))
+    (lo_l, hi_l), (lo_m, hi_m) = box
+    nodes_l, nodes_m = _nodes(hi_l - lo_l + 1), _nodes(hi_m - lo_m + 1)
+    values = []
+    for x in nodes_l:
+        xp = [x**e for e in range(hi_l + 1)]
+        # the terms with lambda = x, as (column, mu exponent, int coeff)
+        at_x = [[(col, j, c * xp[i]) for col, i, j, c in row] for row in rows]
+        line = []
+        for y in nodes_m:
+            yp = [y**e for e in range(hi_m + 1)]
+            mat = [[0] * k for _ in range(k)]
+            for r, row in zip(mat, at_x):
+                for col, j, c in row:
+                    r[col] += c * yp[j]
+            line.append(_bareiss_det(mat) // (xp[lo_l] * yp[lo_m]))
+        values.append(_interpolate(nodes_m, line))
+    out: dict = {}
+    for j in range(len(nodes_m)):
+        for i, c in enumerate(_interpolate(nodes_l, [v[j] for v in values])):
+            out[(i + lo_l + shift_l, j + lo_m + shift_m)] = c
+    return LaurentPoly2.from_dict(out), scale
 
-    def minor(row: int, cols: int) -> LaurentPoly2:
-        if row == k:
-            return LaurentPoly2.constant(Fraction(1))
-        key = cols
-        if key in memo:
-            return memo[key]
-        acc = LaurentPoly2.zero()
-        sign = 1
-        for j in range(k):
-            bit = 1 << j
-            if not cols & bit:
-                continue
-            entry = m[row][j]
-            if not entry.is_zero():
-                sub = minor(row + 1, cols & ~bit)
-                term = entry * sub
-                acc = acc + (term if sign > 0 else -term)
+
+def _nodes(n: int) -> list:
+    """The n distinct nonzero integers 1, -1, 2, -2, ..."""
+    return [(i // 2 + 1) * (-1) ** i for i in range(n)]
+
+
+def _bareiss_det(mat) -> int:
+    """Determinant of a square int matrix (rows are overwritten) by
+    fraction-free Gaussian elimination (Bareiss 1968).
+
+    A row whose entry in the pivot column is zero is left untouched and
+    keeps the divisor of the step that last updated it: its later update
+    (row * pivot - entry * pivot row) / divisor, and the rescaling
+    row * last pivot / divisor when it becomes the pivot row, are exact by
+    Sylvester's identity.  The sparse Kasteleyn rows skip most steps."""
+    k = len(mat)
+    div = [1] * k
+    sign, last = 1, 1
+    for p in range(k):
+        r = next((r for r in range(p, k) if mat[r][p]), None)
+        if r is None:
+            return 0
+        if r != p:
+            mat[p], mat[r] = mat[r], mat[p]
+            div[p], div[r] = div[r], div[p]
             sign = -sign
-        memo[key] = acc
-        return acc
+        top = mat[p]
+        if div[p] != last:
+            top[p:] = [x * last // div[p] for x in top[p:]]
+        piv = top[p]
+        for i in range(p + 1, k):
+            row = mat[i]
+            a = row[p]
+            if a:
+                d = div[i]
+                row[p + 1 :] = [(x * piv - a * y) // d for x, y in zip(row[p + 1 :], top[p + 1 :])]
+                div[i] = piv
+        last = piv
+    return sign * last
 
-    return minor(0, full)
+
+def _interpolate(nodes: list, values: list) -> list:
+    """Coefficients, constant first, of the integer polynomial of degree
+    < len(nodes) that takes the given values at the integer nodes, by
+    Newton divided differences (each division exact)."""
+    n = len(nodes)
+    c = list(values)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // (nodes[i] - nodes[i - j])
+    poly = [c[-1]]
+    for i in range(n - 2, -1, -1):
+        x = nodes[i]
+        poly = [c[i] - x * poly[0]] + [poly[t - 1] - x * poly[t] for t in range(1, len(poly))] + [poly[-1]]
+    return poly
 
 
 def spectral_polynomial_white(c: DoubleCircuitConfig) -> LaurentPoly2:

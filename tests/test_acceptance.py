@@ -192,7 +192,7 @@ def test_acceptance_4_spectral_membership():
 
 
 def test_acceptance_5_determinant_oracle():
-    """Cofactor-expansion determinant equals the brute-force dimer-cover
+    """The spectral determinant equals the brute-force dimer-cover
     expansion, term for term, on every fixture graph with k <= 6."""
     t0 = time.time()
     graphs = []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dimergeom.cli import main
 from dimergeom.config import config_to_dict, load_config, save_config
-from dimergeom.fixtures import make_pentagram_fixture
+from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
 from dimergeom.geometry import POINT, HomogeneousElement, point
 from dimergeom.qnet import QNetWindow, build_qnet_config, plane_of_quad
 
@@ -293,6 +293,70 @@ def test_duplicate_face_ids_are_invalid(pentagon_file, tmp_path, capsys, cmd):
     capsys.readouterr()
     assert main([cmd, str(bad)]) == 1
     assert "duplicate face ids" in capsys.readouterr().out
+
+
+def test_run_validates_the_graph(pentagon_file, tmp_path, capsys):
+    data = json.loads(pentagon_file.read_text())
+    data["face_ids"][1] = data["face_ids"][0]
+    bad = tmp_path / "duplicate_face.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    assert main(["run", str(bad), "--builtin", "pentagram", "--steps", "0", "--out", str(out)]) == 1
+    assert "duplicate face ids" in capsys.readouterr().out
+    assert not out.exists()
+
+
+_ADD2 = {"op": "add2", "target": "q1", "partition": [0, 2]}
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        5,
+        [5],
+        ["x"],
+        [{"target": "d0"}],
+        [{"op": "flip", "target": "d0"}],
+        [{"op": "urban", "target": 0}],
+        [{"op": "urban"}],
+        [{**_ADD2, "label": "123"}],
+        [{**_ADD2, "label": ["1", "2"]}],
+        [{**_ADD2, "label": ["1", "2", "3", "4"]}],
+        [{**_ADD2, "label": ["1", "2", "3"], "partition": ["a", "b"]}],
+    ],
+)
+def test_malformed_script_exits_two_with_one_line(pentagon_file, tmp_path, capsys, script):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    assert main(["run", str(pentagon_file), "--script", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_spectral_on_float_data(tmp_path, capsys):
+    """A float copy of the Q-net fixture gives float coefficients with the
+    exact support and Newton polygon, each within 1e-12 relative."""
+    _, _, c = make_qnet_fixture()
+    exact_file, float_file = tmp_path / "exact.json", tmp_path / "float.json"
+    save_config(c, exact_file)
+    data = config_to_dict(c)
+    data["scalar"] = "float"
+    float_file.write_text(json.dumps(data))
+    outputs = []
+    for path in (exact_file, float_file):
+        capsys.readouterr()
+        assert main(["spectral", str(path)]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    (exact_json, exact_polygon), (float_json, float_polygon) = outputs
+    exact = {(t["dl"], t["dm"]): F(t["coeff"]) for t in json.loads(exact_json)["terms"]}
+    approx = {(t["dl"], t["dm"]): t["coeff"] for t in json.loads(float_json)["terms"]}
+    assert float_polygon == exact_polygon and set(approx) == set(exact)
+    for key, want in exact.items():
+        assert "/" not in approx[key] and abs(float(approx[key]) - want) <= 1e-12 * abs(want)
 
 
 def test_readme_move_script_runs(pentagon_file, tmp_path):

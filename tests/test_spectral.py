@@ -12,11 +12,15 @@ from dimergeom.config import (
     class_equal,
     cohomology_class,
     coboundary_shifted,
+    config_from_dict,
+    config_to_dict,
     labels_projectively_equal,
     rescaled_config,
 )
 from dimergeom.errors import EmptyKernel, KernelNotOneDimensional, UnequalColorCounts
 from dimergeom.fixtures import (
+    QNET_A,
+    QNET_B,
     SPIRAL_BASE,
     SPIRAL_CLASS_POINT,
     SPIRAL_EXTRA_POINTS,
@@ -31,6 +35,9 @@ from dimergeom.fixtures import (
 )
 from dimergeom.geometry import hyperplane, point, proj_equal
 from dimergeom.laurent import LaurentPoly2, newton_polygon
+from dimergeom.moves import urban_renewal
+from dimergeom.pentagram import pentagram_step_on_config
+from dimergeom.qnet import _config_white_parity, build_qnet_graph, qnet_step_on_config
 from dimergeom.spectral import (
     evaluate_matrix,
     kasteleyn_weights,
@@ -42,7 +49,7 @@ from dimergeom.spectral import (
     spectral_polynomial_dual,
     spectral_polynomial_white,
 )
-from dimergeom.spiral import build_spiral_graph
+from dimergeom.spiral import build_spiral_graph, spiral_step_on_config
 from dimergeom.torusgraph import Edge, TorusGraph
 
 
@@ -205,6 +212,95 @@ def test_curve_gauge_invariances():
     shifted = coboundary_shifted(c, pots)
     kw3 = kasteleyn_weights(shifted.graph, shifted.white_labels)
     assert spectral_polynomial(shifted.graph, kw3).normalized().terms == base.terms
+
+
+_WEIGHT = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(lambda x: x != 0)
+
+
+@st.composite
+def weighted_torus_graphs(draw):
+    """A k x k weighted torus graph, k <= 6.  Repeated (white, black) pairs
+    are multi-edges, exponents may be negative, weights have denominators,
+    and a vertex with no edge is a zero row or column.  Half of the draws
+    contain a perfect matching, so that most of their determinants are
+    nonzero."""
+    k = draw(st.integers(1, 6))
+    ends = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    pairs = draw(st.lists(ends, max_size=2 * k))
+    if draw(st.booleans()):
+        pairs += list(enumerate(draw(st.permutations(range(k)))))
+    edges = tuple(Edge(f"w{w}", f"b{b}", (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))) for w, b in pairs)
+    g = TorusGraph(tuple(f"w{i}" for i in range(k)), tuple(f"b{i}" for i in range(k)), edges, ())
+    return g, {ei: draw(_WEIGHT) for ei in range(len(edges))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_torus_graphs())
+def test_determinant_matches_brute_force_random_graphs(graph_and_weights):
+    g, weights = graph_and_weights
+    assert spectral_polynomial(g, weights).terms == brute_force_determinant(g, weights).terms
+
+
+@pytest.mark.parametrize("name", ["qnet-6x6", "pentagram-24/3"])
+def test_large_determinant_at_random_points(name):
+    """Schwartz-Zippel: at seeded rational points the k = 18 and k = 24
+    polynomials equal the elimination determinant of the evaluated matrix."""
+    rng = random.Random(name)
+    if name == "qnet-6x6":
+        g = build_qnet_graph(6, 6)
+        weights = {ei: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for ei in range(len(g.edges))}
+    else:
+        c = make_pentagram_fixture(24, 3)[3]
+        g, weights = c.graph, kasteleyn_weights(c.graph, c.white_labels)
+    poly = spectral_polynomial(g, weights)
+    for _ in range(3):
+        lam, mu = (F(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 20)) for _ in range(2))
+        assert poly.evaluate(lam, mu) == linalg.det(evaluate_matrix(g, weights, lam, mu))
+
+
+def test_float_data_gives_float_curve_close_to_exact():
+    c = make_qnet_fixture()[2]
+    data = config_to_dict(c)
+    data["scalar"] = "float"
+    exact, approx = spectral_polynomial_white(c), spectral_polynomial_white(config_from_dict(data))
+    assert all(type(v) is float for _, v in approx.terms)
+    assert approx.support() == exact.support()
+    assert newton_polygon(approx) == newton_polygon(exact)
+    for (_, want), (_, got) in zip(exact.terms, approx.terms):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# ------------------------------------------------- conservation by dynamics
+
+
+@pytest.mark.parametrize(
+    "start, step, count",
+    [
+        (lambda: make_pentagram_fixture(9, 2)[3], lambda c, _: urban_renewal(c, "d0"), 1),
+        (lambda: make_pentagram_fixture(7, 2)[3], lambda c, _: pentagram_step_on_config(c, 2), 2),
+        (lambda: make_pentagram_fixture(8, 3)[3], lambda c, _: pentagram_step_on_config(c, 3), 2),
+        (lambda: make_pentagram_fixture(9, 2)[3], lambda c, _: pentagram_step_on_config(c, 2), 2),
+        (
+            lambda: make_spiral_fixture()[2],
+            lambda c, i: spiral_step_on_config(c, SPIRAL_K, SPIRAL_N, SPIRAL_BASE + i),
+            4,
+        ),
+        (
+            lambda: make_qnet_fixture()[2],
+            lambda c, _: qnet_step_on_config(c, QNET_A, QNET_B, 1 - _config_white_parity(c)),
+            1,
+        ),
+    ],
+    ids=["urban-d0-9/2", "pentagram-7/2", "pentagram-8/3", "pentagram-9/2", "spiral", "qnet-4x4"],
+)
+def test_dynamics_conserve_the_spectral_curve(start, step, count):
+    """The normalized white-data curve is a conserved quantity of the
+    moves and of the three step families."""
+    cur = start()
+    curve = spectral_polynomial_white(cur).normalized().terms
+    for i in range(count):
+        cur = step(cur, i)
+        assert spectral_polynomial_white(cur).normalized().terms == curve, f"after step {i + 1}"
 
 
 # ----------------------------------------------------------- membership
