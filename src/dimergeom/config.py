@@ -22,12 +22,14 @@ from .errors import (
     BadBasis,
     DegreeExceedsBound,
     DimensionMismatch,
+    KernelNotOneDimensional,
     VanishingPairing,
 )
 from .geometry import (
     HYPERPLANE,
     POINT,
     HomogeneousElement,
+    circuit_coefficients,
     face_coherent,
     is_circuit,
     multi_ratio,
@@ -90,8 +92,20 @@ def check_V(c: DoubleCircuitConfig) -> ConditionReport:
         labels = [c.black_labels[e.b] if v == e.w else c.white_labels[e.w] for e in edges]
         if len(labels) < 2 or not is_circuit(labels):
             failures.append(v)
-            messages.append(f"vertex {v}: neighbor labels do not form a circuit")
+            messages.append(f"vertex {v}: neighbor labels do not form a circuit ({_not_circuit_reason(labels)})")
     return ConditionReport(ok=not failures, failures=failures, messages=messages)
+
+
+def _not_circuit_reason(labels) -> str:
+    """Why labels that fail is_circuit are no circuit: too few of them, or
+    the relation space that circuit_coefficients rejects."""
+    if len(labels) < 2:
+        return f"degree {len(labels)}"
+    try:
+        circuit_coefficients([list(e.coords) for e in labels])
+    except KernelNotOneDimensional as exc:
+        return str(exc)
+    raise AssertionError("is_circuit and circuit_coefficients disagree")
 
 
 def walk_label_cycle(c: DoubleCircuitConfig, walk) -> list:
@@ -118,7 +132,7 @@ def check_F(c: DoubleCircuitConfig) -> ConditionReport:
             raise VanishingPairing(f"face {face.id}: {exc}") from exc
         if not ok:
             failures.append(face.id)
-            messages.append(f"face {face.id}: multi-ratio != 1")
+            messages.append(f"face {face.id}: multi-ratio != 1 (is {scalar_str(multi_ratio(cyc))})")
     return ConditionReport(
         ok=not failures,
         failures=failures,

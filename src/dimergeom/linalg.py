@@ -1,15 +1,27 @@
 """Dense linear algebra; the scalar kind follows the matrix.
 
-Matrices are lists of row lists.  With no float entry, exact Gaussian
-elimination over Fractions; with one, partial pivoting with every zero
-decision made by :func:`scalars.is_zero` at the scale of the input matrix.
-Results take their unit from the matrix: ``1.0`` if a float is present.
+Matrices are lists of row lists.  An exact matrix (no float entry; int or
+Fraction) is eliminated on Python ints: each row is multiplied by the lcm
+of its denominators, which keeps the row space, the kernel, the pivot
+columns and the reduced row echelon form, and the rows are then reduced
+fraction-free, each updated row divided by its content.  Fractions are
+built only at the readout, when a pivot row is divided by its pivot, so an
+exact matrix, int data included, gets Fraction results equal to those of
+Gauss-Jordan elimination over Fractions.  The determinant is Bareiss
+elimination on the same integer rows.
+
+A matrix with a float entry takes partial pivoting with every zero
+decision made by :func:`scalars.is_zero` at the scale of the input matrix;
+its results are floats.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .scalars import is_float, is_zero
+
+_ZERO = Fraction(0)
 
 
 def _has_float(rows) -> bool:
@@ -20,11 +32,88 @@ def _unit(rows):
     return 1.0 if _has_float(rows) else Fraction(1)
 
 
+def _int_rows(rows):
+    """(int rows, multipliers): each exact row times the lcm of its
+    denominators."""
+    out, mults = [], []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+        mults.append(den)
+    return out, mults
+
+
+def _int_echelon(m):
+    """Fraction-free Gauss-Jordan elimination of an int matrix (rows are
+    overwritten; each updated row is divided by its content).  Returns
+    (rows, pivot columns): one row per pivot, zero left of its pivot and in
+    every other pivot column; the rows dropped are zero."""
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        top = m[r]
+        piv = top[c]
+        for i, row in enumerate(m):
+            a = row[c]
+            if a and i != r:
+                g = gcd(piv, a)
+                f, h = piv // g, a // g
+                row = [f * x - h * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def bareiss_det(mat) -> int:
+    """Determinant of a square int matrix (rows are overwritten) by
+    fraction-free Gaussian elimination (Bareiss 1968).
+
+    A row whose entry in the pivot column is zero is left untouched and
+    keeps the divisor of the step that last updated it: its later update
+    (row * pivot - entry * pivot row) / divisor, and the rescaling
+    row * last pivot / divisor when it becomes the pivot row, are exact by
+    Sylvester's identity.  Sparse rows, such as Kasteleyn rows, skip most
+    steps."""
+    k = len(mat)
+    div = [1] * k
+    sign, last = 1, 1
+    for p in range(k):
+        r = next((r for r in range(p, k) if mat[r][p]), None)
+        if r is None:
+            return 0
+        if r != p:
+            mat[p], mat[r] = mat[r], mat[p]
+            div[p], div[r] = div[r], div[p]
+            sign = -sign
+        top = mat[p]
+        if div[p] != last:
+            top[p:] = [x * last // div[p] for x in top[p:]]
+        piv = top[p]
+        for i in range(p + 1, k):
+            row = mat[i]
+            a = row[p]
+            if a:
+                d = div[i]
+                row[p + 1 :] = [(x * piv - a * y) // d for x, y in zip(row[p + 1 :], top[p + 1 :])]
+                div[i] = piv
+        last = piv
+    return sign * last
+
+
+# ------------------------------------------------------------ float matrices
+
+
 def _matrix_scale(rows):
-    """Largest entry magnitude, the zero-test scale of a float matrix;
-    exact matrices need none and get 1."""
-    if not _has_float(rows):
-        return 1
+    """Largest entry magnitude of a float matrix, its zero-test scale."""
     s = 0.0
     for row in rows:
         for x in row:
@@ -45,11 +134,8 @@ def _pivot_row(m, c, start, scale):
     return best
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
+def _float_rref(rows):
     m = [list(r) for r in rows]
-    if not m:
-        return [], []
     ncols = len(m[0])
     scale = _matrix_scale(m)
     pivots = []
@@ -72,9 +158,44 @@ def rref(rows):
     return m[:r], pivots
 
 
+def _float_det(rows):
+    n = len(rows)
+    m = [list(r) for r in rows]
+    scale = _matrix_scale(m)
+    sign = acc = 1.0
+    for c in range(n):
+        best = _pivot_row(m, c, c, scale)
+        if best is None:
+            return 0.0
+        if best != c:
+            m[c], m[best] = m[best], m[c]
+            sign = -sign
+        pv = m[c][c]
+        acc = acc * pv
+        for i in range(c + 1, n):
+            if not is_zero(m[i][c], scale=scale):
+                f = m[i][c] / pv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return sign * acc
+
+
+# ------------------------------------------------------------ the interface
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
+    if not rows:
+        return [], []
+    if _has_float(rows):
+        return _float_rref(rows)
+    m, pivots = _int_echelon(_int_rows(rows)[0])
+    return [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(m, pivots)], pivots
+
+
 def rank(rows) -> int:
-    reduced, pivots = rref(rows)
-    return len(pivots)
+    if _has_float(rows):
+        return len(rref(rows)[1])
+    return len(_int_echelon(_int_rows(rows)[0])[1])
 
 
 def _kernel(reduced, pivots, ncols, one):
@@ -121,26 +242,9 @@ def solve(rows, rhs):
 
 
 def det(rows):
-    """Determinant by fraction-friendly Gaussian elimination."""
-    n = len(rows)
-    one = _unit(rows)
-    if n == 0:
-        return one
-    m = [list(r) for r in rows]
-    scale = _matrix_scale(m)
-    sign = one
-    acc = one
-    for c in range(n):
-        best = _pivot_row(m, c, c, scale)
-        if best is None:
-            return 0 * one
-        if best != c:
-            m[c], m[best] = m[best], m[c]
-            sign = -sign
-        pv = m[c][c]
-        acc = acc * pv
-        for i in range(c + 1, n):
-            if not is_zero(m[i][c], scale=scale):
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * acc
+    """Determinant: for an exact matrix, the Bareiss determinant of the
+    integer rows divided by the product of the row multipliers."""
+    if _has_float(rows):
+        return _float_det(rows)
+    m, mults = _int_rows(rows)
+    return Fraction(bareiss_det(m), prod(mults))

@@ -127,18 +127,22 @@ def _edge_h(i: int, delta: int, k: int, n: int):
     return (a, b)
 
 
-def build_pentagram_graph(n: int, k: int) -> TorusGraph:
+def _check_template(n: int, k: int) -> None:
     if n < 5:
         raise BadParameters("template needs n >= 5")
     _check_k(n, k)
-    return build_tile_graph(n, k, ())
+
+
+def build_pentagram_graph(n: int, k: int) -> TorusGraph:
+    _check_template(n, k)
+    return with_basis_cycles(build_tile_graph(n, k, ()))
 
 
 def build_tile_graph(n: int, k: int, removed) -> TorusGraph:
     """The template on n index slots with the edges q_j P_{j+k} removed for
-    the slots j in ``removed``.  Each removal merges the tiles d{j} and
-    s{j+k} into the hexagon h{j}: P_j, q_j, P_{j+k+1}, q_{j+k}, P_{j+k},
-    q_{j-1}."""
+    the slots j in ``removed``, without basis cycles.  Each removal merges
+    the tiles d{j} and s{j+k} into the hexagon h{j}: P_j, q_j, P_{j+k+1},
+    q_{j+k}, P_{j+k}, q_{j-1}."""
     removed = set(removed)
     deltas = (0, -1, -k, -k - 1)
     edges = []
@@ -163,13 +167,12 @@ def build_tile_graph(n: int, k: int, removed) -> TorusGraph:
         jk, jk1 = (j + k) % n, (j + k + 1) % n
         hexagon = (eidx[(j, 0)], eidx[(jk1, -k - 1)], eidx[(jk1, -1)], eidx[(jk, 0)], eidx[(jk, -k - 1)], eidx[(j, -1)])
         faces.append(Face(f"h{j}", hexagon))
-    g = TorusGraph(
+    return TorusGraph(
         tuple(f"P{i}" for i in range(n)),
         tuple(f"q{i}" for i in range(n)),
         tuple(edges),
         tuple(faces),
     )
-    return with_basis_cycles(g)
 
 
 def build_pentagram_config(P: Polygon, q: LineList, k: int) -> DoubleCircuitConfig:
@@ -190,15 +193,17 @@ def pentagram_step_on_config(c: DoubleCircuitConfig, k: int) -> DoubleCircuitCon
 
     A new white spoke-adjacent to the old black q_j carries the advanced
     point P'_j; a new black spoke-adjacent to the old white P_i carries
-    the advanced line q'_{i-k-1}.
+    the advanced line q'_{i-k-1}.  The renaming reads only the template's
+    faces, so it gets the tile graph without basis cycles.
     """
     n = len(c.graph.white_ids)
+    _check_template(n, k)
     return step_on_config(
         c,
         [f"d{i}" for i in range(n)],
         lambda qid: f"P{int(qid[1:])}",
         lambda pid: f"q{(int(pid[1:]) - k - 1) % n}",
-        build_pentagram_graph(n, k),
+        build_tile_graph(n, k, ()),
     )
 
 

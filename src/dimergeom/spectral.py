@@ -132,7 +132,7 @@ def _integer_det(m):
             for r, row in zip(mat, at_x):
                 for col, j, c in row:
                     r[col] += c * yp[j]
-            line.append(_bareiss_det(mat) // (xp[lo_l] * yp[lo_m]))
+            line.append(linalg.bareiss_det(mat) // (xp[lo_l] * yp[lo_m]))
         values.append(_interpolate(nodes_m, line))
     out: dict = {}
     for j in range(len(nodes_m)):
@@ -144,41 +144,6 @@ def _integer_det(m):
 def _nodes(n: int) -> list:
     """The n distinct nonzero integers 1, -1, 2, -2, ..."""
     return [(i // 2 + 1) * (-1) ** i for i in range(n)]
-
-
-def _bareiss_det(mat) -> int:
-    """Determinant of a square int matrix (rows are overwritten) by
-    fraction-free Gaussian elimination (Bareiss 1968).
-
-    A row whose entry in the pivot column is zero is left untouched and
-    keeps the divisor of the step that last updated it: its later update
-    (row * pivot - entry * pivot row) / divisor, and the rescaling
-    row * last pivot / divisor when it becomes the pivot row, are exact by
-    Sylvester's identity.  The sparse Kasteleyn rows skip most steps."""
-    k = len(mat)
-    div = [1] * k
-    sign, last = 1, 1
-    for p in range(k):
-        r = next((r for r in range(p, k) if mat[r][p]), None)
-        if r is None:
-            return 0
-        if r != p:
-            mat[p], mat[r] = mat[r], mat[p]
-            div[p], div[r] = div[r], div[p]
-            sign = -sign
-        top = mat[p]
-        if div[p] != last:
-            top[p:] = [x * last // div[p] for x in top[p:]]
-        piv = top[p]
-        for i in range(p + 1, k):
-            row = mat[i]
-            a = row[p]
-            if a:
-                d = div[i]
-                row[p + 1 :] = [(x * piv - a * y) // d for x, y in zip(row[p + 1 :], top[p + 1 :])]
-                div[i] = piv
-        last = piv
-    return sign * last
 
 
 def _interpolate(nodes: list, values: list) -> list:

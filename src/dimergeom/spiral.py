@@ -20,7 +20,7 @@ from .errors import BadParameters, SeedInvalid, SizeMismatch
 from .geometry import HomogeneousElement, join_points, line_through, meet_hyperplanes
 from .moves import step_on_config
 from .pentagram import build_tile_graph
-from .torusgraph import TorusGraph
+from .torusgraph import TorusGraph, with_basis_cycles
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def removed_js(k: int, n: int, i: int):
 
 
 def build_spiral_graph(k: int, n: int, i: int) -> TorusGraph:
-    return build_tile_graph(n + 1, k, removed_js(k, n, i))
+    return with_basis_cycles(build_tile_graph(n + 1, k, removed_js(k, n, i)))
 
 
 def build_spiral_config(sP: SpiralSeed, sq: LineSeed) -> DoubleCircuitConfig:
@@ -195,14 +195,16 @@ def build_spiral_config(sP: SpiralSeed, sq: LineSeed) -> DoubleCircuitConfig:
 def spiral_step_on_config(c: DoubleCircuitConfig, k: int, n: int, i: int) -> DoubleCircuitConfig:
     """One urban renewal at the tile P_i q_i P_{i+k} q_{i-1}, the two forced
     removals, and renaming so the result is slot-comparable to
-    build_spiral_config of the seeds shifted by one."""
+    build_spiral_config of the seeds shifted by one.  The renaming reads
+    only the template's faces, so it gets the tile graph without basis
+    cycles."""
     N = n + 1
     return step_on_config(
         c,
         [f"d{i % N}"],
         lambda qid: f"P{int(qid[1:])}",
         lambda pid: f"q{(int(pid[1:]) - k - 1) % N}",
-        build_spiral_graph(k, n, i + 1),
+        build_tile_graph(N, k, removed_js(k, n, i + 1)),
     )
 
 

@@ -259,3 +259,25 @@ def test_loading_a_float_file_leaves_constants_exact(pentagon, tmp_path):
     loaded = load_config(path)
     assert all(isinstance(x, float) for x in loaded.white_labels["P0"].coords)
     assert all(type(x) is F for x in point(1, 2, 3).coords)
+
+
+def test_check_V_failure_names_the_relation_space():
+    # four collinear points at a 4-valent black vertex in P^2
+    g = TorusGraph(
+        tuple(f"w{i}" for i in range(4)),
+        ("b",),
+        tuple(Edge(f"w{i}", "b", (0, 0)) for i in range(4)),
+        (),
+    )
+    labels = {f"w{i}": affine_point(i, 2 * i) for i in range(4)}
+    rep = check_V(DoubleCircuitConfig(g, 2, labels, {"b": hyperplane(1, 1, 1)}))
+    assert "vertex b: neighbor labels do not form a circuit (relation space has dimension 2, need 1)" in rep.messages
+
+
+def test_check_F_failure_names_the_multi_ratio(pentagon):
+    _, _, _, c = pentagon
+    wl = dict(c.white_labels)
+    wl["P2"] = affine_point(F(17, 3), F(5, 7))
+    rep = check_F(DoubleCircuitConfig(c.graph, c.d, wl, c.black_labels))
+    assert "face d0: multi-ratio != 1 (is -89/884)" in rep.messages
+    assert check_F(c).messages == []

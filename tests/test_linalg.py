@@ -1,0 +1,196 @@
+"""linalg: exact matrices against Gauss-Jordan elimination over Fractions,
+float matrices against fixed values."""
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dimergeom import linalg
+
+# ------------------------------------------------- the Fraction reference
+
+
+def ref_rref(rows):
+    """Gauss-Jordan elimination over Fractions, one division per entry."""
+    m = [[F(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def ref_kernel(reduced, pivots, ncols):
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_solve(rows, rhs):
+    if not rows:
+        return "underdetermined", None, []
+    ncols = len(rows[0])
+    reduced, pivots = ref_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return "inconsistent", None, []
+    x = [F(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced[r][ncols]
+    ker = ref_kernel(reduced, pivots, ncols)
+    return ("underdetermined" if ker else "unique"), x, ker
+
+
+def ref_det(rows):
+    m = [[F(x) for x in row] for row in rows]
+    n, acc = len(m), F(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            acc = -acc
+        pv = m[c][c]
+        acc *= pv
+        for i in range(c + 1, n):
+            f = m[i][c] / pv
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return acc
+
+
+# ------------------------------------------------------------ the property
+
+ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+)
+
+
+@st.composite
+def matrices(draw):
+    """0-6 rows by 1-7 columns of ints and Fractions, with a zero column, a
+    zero row or a repeated row now and then."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    m = [[draw(ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    if m and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in m:
+            row[j] = 0
+    if m and draw(st.booleans()):
+        m[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if len(m) > 1 and draw(st.booleans()):
+        m[draw(st.integers(1, nrows - 1))] = list(m[0])
+    return m
+
+
+def all_fractions(values) -> bool:
+    return all(type(x) is F for x in values)
+
+
+def check_matrix(m, xs, consistent):
+    reduced, pivots = linalg.rref(m)
+    assert (reduced, pivots) == ref_rref(m)
+    assert all(all_fractions(row) for row in reduced)
+    rank = linalg.rank(m)
+    assert rank == len(pivots) and type(rank) is int
+    ncols = len(m[0]) if m else 0
+    kernel = linalg.nullspace(m)
+    assert kernel == (ref_kernel(*ref_rref(m), ncols) if m else [])
+    assert all(all_fractions(v) for v in kernel)
+
+    # rhs = m @ xs is consistent; otherwise xs itself is the rhs
+    rhs = [sum(a * x for a, x in zip(row, xs)) for row in m] if consistent else xs[: len(m)]
+    status, x, ker = linalg.solve(m, rhs)
+    assert (status, x, ker) == ref_solve(m, rhs)
+    assert all_fractions(x or []) and all(all_fractions(v) for v in ker)
+
+    k = min(len(m), ncols)
+    square = [row[:k] for row in m[:k]]
+    d = linalg.det(square)
+    assert d == ref_det(square) and type(d) is F
+    return status
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices(), st.lists(ENTRY, min_size=7, max_size=7), st.booleans())
+@example([[1, 2], [3, 4]], [1, 1, 0, 0, 0, 0, 0], True)  # unique
+@example([[1, 2, 3], [2, 4, 6]], [1, 1, 1, 0, 0, 0, 0], True)  # underdetermined
+@example([[1, 2], [2, 4]], [1, 3, 0, 0, 0, 0, 0], False)  # inconsistent
+def test_exact_results_equal_fraction_gauss_jordan(m, xs, consistent):
+    check_matrix(m, xs, consistent)
+
+
+def test_examples_cover_every_solve_status():
+    statuses = {
+        check_matrix([[1, 2], [3, 4]], [1, 1], True),
+        check_matrix([[1, 2, 3], [2, 4, 6]], [1, 1, 1], True),
+        check_matrix([[1, 2], [2, 4]], [1, 3], False),
+    }
+    assert statuses == {"unique", "underdetermined", "inconsistent"}
+
+
+# ------------------------------------------------------------ int input
+
+
+def test_int_matrix_gives_fraction_rref():
+    reduced, pivots = linalg.rref([[2, 1], [1, 3]])
+    assert reduced == [[1, 0], [0, 1]] and pivots == [0, 1]
+    assert all(type(x) is F for row in reduced for x in row)
+
+
+def test_int_matrix_gives_fraction_kernel():
+    kernel = linalg.nullspace([[2, 4, 1]])
+    assert kernel == [[F(-2), F(1), F(0)], [F(-1, 2), F(0), F(1)]]
+    assert all(type(x) is F for v in kernel for x in v)
+
+
+def test_int_system_gives_fraction_solution():
+    status, x, ker = linalg.solve([[2, 1], [1, 3]], [1, 0])
+    assert status == "unique" and x == [F(3, 5), F(-1, 5)] and ker == []
+    assert all(type(v) is F for v in x)
+
+
+def test_int_matrix_gives_fraction_determinant():
+    d = linalg.det([[2, 1], [1, 3]])
+    assert d == 5 and type(d) is F
+
+
+# ------------------------------------------------------------ float input
+
+SINGULAR = [[2.0, 1.0, -1.0], [0.5, 3.0, 2.0], [1.5, -2.0, -3.0]]  # row 3 = row 1 - row 2
+
+
+def test_float_matrix_keeps_its_values():
+    assert all(type(x) is float for row in linalg.rref(SINGULAR)[0] for x in row)
+    assert linalg.rref(SINGULAR) == ([[1.0, 0.0, -0.9090909090909092], [0.0, 1.0, 0.8181818181818182]], [0, 1])
+    assert linalg.rank(SINGULAR) == 2
+    assert linalg.nullspace(SINGULAR) == [[0.9090909090909092, -0.8181818181818182, 1.0]]
+    assert linalg.solve(SINGULAR, [1.0, 2.0, -1.0]) == (
+        "underdetermined",
+        [0.18181818181818182, 0.6363636363636364, 0.0],
+        [[0.9090909090909092, -0.8181818181818182, 1.0]],
+    )
+    assert linalg.solve(SINGULAR, [1.0, 2.0, 0.0]) == ("inconsistent", None, [])
+    assert linalg.det(SINGULAR) == 0.0
+    assert linalg.det([[0.1, 0.2], [0.3, 0.4]]) == -0.019999999999999993
+    assert linalg.solve([[0.1, 0.2], [0.3, 0.4]], [1.0, 1.0]) == ("unique", [-10.000000000000004, 10.000000000000002], [])

@@ -204,3 +204,18 @@ def test_dynamics_commute_with_projective_maps():
 def test_conic_construction_rejects_half_n():
     with pytest.raises(BadParameters):
         make_pentagram_fixture(6, 3)
+
+
+def test_step_builds_no_basis_cycles(monkeypatch):
+    # the face renaming reads only the template's faces; a walk search in
+    # the step would be wasted work
+    from dimergeom import torusgraph
+
+    P, Q, q, c = make_pentagram_fixture(7, 2)
+    expected = build_pentagram_config(pentagram_map(P, 2), dual_pentagram_map(q, 2), 2)
+
+    def no_walks(*args, **kwargs):
+        raise AssertionError("find_walk called during a step")
+
+    monkeypatch.setattr(torusgraph, "find_walk", no_walks)
+    assert labels_projectively_equal(pentagram_step_on_config(c, 2), expected)

@@ -214,3 +214,18 @@ def test_extension_commutes_with_projective_maps():
     lhs = spiral_extend(mapped, 2)
     rhs = spiral_extend(sP, 2)
     assert all(proj_equal(a, act(b)) for a, b in zip(lhs.points, rhs.points))
+
+
+def test_step_builds_no_basis_cycles(monkeypatch):
+    # the face renaming reads only the template's faces; a walk search in
+    # the step would be wasted work
+    from dimergeom import torusgraph
+
+    sP, sq, c = make_spiral_fixture()
+    expected = build_spiral_config(spiral_extend(sP, 1), line_seed_extend(sq, 1))
+
+    def no_walks(*args, **kwargs):
+        raise AssertionError("find_walk called during a step")
+
+    monkeypatch.setattr(torusgraph, "find_walk", no_walks)
+    assert labels_projectively_equal(spiral_step_on_config(c, SPIRAL_K, SPIRAL_N, SPIRAL_BASE), expected)
