@@ -15,6 +15,7 @@ curve.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from .torusgraph import (
     Edge,
     Face,
     TorusGraph,
+    canonical_basis_cycles,
     face_vertex_sequence,
     vertex_edges,
     walk_h_sum,
@@ -168,8 +170,6 @@ def cohomology_class(c: DoubleCircuitConfig, z1=None, z2=None) -> CohomologyClas
     """
     if z1 is None or z2 is None:
         if c.graph.basis_cycles is None:
-            from .torusgraph import canonical_basis_cycles
-
             z1, z2 = canonical_basis_cycles(c.graph)
         else:
             z1, z2 = c.graph.basis_cycles
@@ -205,6 +205,7 @@ def scalar_kind(c: DoubleCircuitConfig) -> str:
 
 def config_to_dict(c: DoubleCircuitConfig) -> dict:
     g = c.graph
+    pair_count = Counter((e.w, e.b) for e in g.edges)
     out = {
         "dimension": c.d,
         "scalar": scalar_kind(c),
@@ -219,7 +220,7 @@ def config_to_dict(c: DoubleCircuitConfig) -> dict:
             for v in g.black_ids
         ],
         "edges": [{"w": e.w, "b": e.b, "h": [e.h[0], e.h[1]]} for e in g.edges],
-        "faces": [_face_to_json(g, f) for f in g.faces],
+        "faces": [_face_to_json(g, f, pair_count) for f in g.faces],
         "face_ids": [f.id for f in g.faces],
     }
     if g.basis_cycles is not None:
@@ -227,12 +228,9 @@ def config_to_dict(c: DoubleCircuitConfig) -> dict:
     return out
 
 
-def _face_to_json(g: TorusGraph, f: Face):
+def _face_to_json(g: TorusGraph, f: Face, pair_count: Counter):
     # vertex-id form when consecutive endpoints determine edges uniquely,
     # explicit edge refs otherwise (parallel edges)
-    pair_count = {}
-    for e in g.edges:
-        pair_count[(e.w, e.b)] = pair_count.get((e.w, e.b), 0) + 1
     if all(pair_count[(g.edges[ei].w, g.edges[ei].b)] == 1 for ei in f.edges):
         return face_vertex_sequence(g, f)
     return [{"e": ei} for ei in f.edges]

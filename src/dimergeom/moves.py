@@ -23,6 +23,21 @@ Homology bookkeeping keeps every face h-sum at (0, 0):
   (0, 0).  This is the simplest gauge satisfying all five new faces;
   any other valid choice differs by a coboundary.
 
+Every move is one ``torusgraph.substitute_edges`` call that names, for
+each edge it replaces, the walk standing in for it:
+
+* urban renewal: each boundary edge of the renewed face becomes its
+  three-edge path spoke, inner edge, spoke; the renewed face itself is
+  replaced by the inner quadrilateral;
+* removal: the two edges at v become empty paths, and the second
+  neighbor's edges are rewritten onto the first;
+* addition: each edge of the twin's arc moves to the twin and is reached
+  from v through the new vertex.
+
+Faces and the stored basis cycles are rewritten by the same
+substitution, which keeps every walk closed and its h-sum unchanged, so
+basis cycles survive every move.
+
 A dynamics step is one ``step_on_config`` call: urban renewal at the
 given faces, then removal of the forced vertices -- every pre-step vertex
 the renewals left at degree two -- and a renaming back to template ids.
@@ -32,7 +47,7 @@ faces, spoke rename rules and template.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import DoubleCircuitConfig
 from .errors import (
@@ -58,7 +73,7 @@ from .geometry import (
     subspace_element,
 )
 from .scalars import RATIONAL, parse_scalar, scalar_str
-from .torusgraph import Edge, Face, TorusGraph, rebuild_graph, vertex_edges
+from .torusgraph import Edge, Face, TorusGraph, face_key, substitute_edges, vertex_edges
 
 
 @dataclass(frozen=True)
@@ -160,46 +175,15 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
     # shift for u2's surviving edges: merged vertex keeps u1's frame, so
     # u2's old fundamental-domain lift sits at h(e1) - h(e2) from it
     shift = _h_sub(e1.h, e2.h)
-
-    def keep(i, e):
-        if i in (i1, i2):
-            return None
-        if u1 != u2:
-            if v_white and e.b == u2:
-                return Edge(e.w, u1, _h_add(e.h, shift))
-            if not v_white and e.w == u2:
-                return Edge(u1, e.b, _h_add(e.h, shift))
-        return e
-
-    def faces(index_map, first_new):
-        out = []
-        for f in g.faces:
-            es = list(f.edges)
-            # drop the consecutive corner pairs at v (cyclically)
-            while True:
-                n = len(es)
-                pos = next(
-                    (i for i in range(n) if {es[i], es[(i + 1) % n]} == {i1, i2}),
-                    None,
-                )
-                if pos is None:
-                    break
-                if pos == n - 1:
-                    # wrap-around corner: also rotate to keep slot parity
-                    es = [es[n - 2]] + es[1 : n - 2]
-                else:
-                    es = es[:pos] + es[pos + 2 :]
-            out.append(Face(f.id, tuple(index_map[ei] for ei in es)))
-        return [f for f in out if len(f.edges) > 0]
-
-    graph = rebuild_graph(
-        g,
-        keep,
-        [],
-        faces,
-        drop_white={v} if v_white else ({u2} if u1 != u2 else set()),
-        drop_black=({u2} if u1 != u2 else set()) if v_white else {v},
-    )
+    edits = {}
+    if u1 != u2:
+        for ei in inc[u2]:
+            e = g.edges[ei]
+            edits[ei] = Edge(e.w, u1, _h_add(e.h, shift)) if v_white else Edge(u1, e.b, _h_add(e.h, shift))
+    edits[i1] = edits[i2] = None
+    merged = {u2} - {u1}
+    drop_white, drop_black = ({v}, merged) if v_white else (merged, {v})
+    graph = substitute_edges(g, edits, (), {i1: (), i2: ()}, drop_white=drop_white, drop_black=drop_black)
     whites, blacks = set(graph.white_ids), set(graph.black_ids)
     wl = {k: x for k, x in c.white_labels.items() if k in whites}
     bl = {k: x for k, x in c.black_labels.items() if k in blacks}
@@ -214,21 +198,12 @@ def _rotation_at(g: TorusGraph, v: str):
     succ = {}
     for f in g.faces:
         es = f.edges
-        n = len(es)
-        for slot in range(n):
-            e, nxt = g.edges[es[slot]], g.edges[es[(slot + 1) % n]]
-            shared = e.b if slot % 2 == 0 else e.w
-            if shared == v:
-                succ[es[slot]] = es[(slot + 1) % n]
-    start = min(succ)
-    rot = [start]
-    while True:
-        nxt = succ[rot[-1]]
-        if nxt == start:
-            break
-        rot.append(nxt)
-        if len(rot) > len(succ):
-            raise MoveError(f"rotation at {v} is not a single cycle")
+        for slot, ei in enumerate(es):
+            if (g.edges[ei].b if slot % 2 == 0 else g.edges[ei].w) == v:
+                succ[ei] = es[(slot + 1) % len(es)]
+    rot = [min(succ)]
+    while len(rot) <= len(succ) and succ[rot[-1]] != rot[0]:
+        rot.append(succ[rot[-1]])
     if len(rot) != len(succ):
         raise MoveError(f"rotation at {v} is not a single cycle")
     return rot
@@ -268,7 +243,7 @@ def add_degree2(
     if incident(new_label, own_label) if v_white else incident(own_label, new_label):
         raise IncidentLabel("new label is incident to the split vertex's label")
 
-    arc_a, arc_b = _split_arcs(g, v, partition)
+    _, arc_b = _split_arcs(g, v, partition)
 
     twin = ids[0] if ids else f"{v}'"
     mid = ids[1] if ids else f"{v}~"
@@ -276,58 +251,23 @@ def add_degree2(
         if x in set(g.white_ids) | set(g.black_ids):
             raise MoveError(f"id {x!r} already in use")
 
-    def keep(idx, e):
-        if idx in arc_b:
-            return Edge(twin, e.b, e.h) if v_white else Edge(e.w, twin, e.h)
-        return e
-
+    # each edge of the twin's arc moves to the twin and is reached from v
+    # through the new vertex; corners inside one arc cancel
+    n = len(g.edges)
+    vm, tm = n, n + 1
     if v_white:
-        new_edges = [Edge(v, mid, (0, 0)), Edge(twin, mid, (0, 0))]
+        new_edges = (Edge(v, mid, (0, 0)), Edge(twin, mid, (0, 0)))
+        edits = {ei: Edge(twin, g.edges[ei].b, g.edges[ei].h) for ei in arc_b}
+        paths = {ei: (vm, tm, ei) for ei in arc_b}
     else:
-        new_edges = [Edge(mid, v, (0, 0)), Edge(mid, twin, (0, 0))]
-
-    cut1 = (arc_a[-1], arc_b[0])  # corner leaving v into the twin's arc
-    cut2 = (arc_b[-1], arc_a[0])
-
-    def faces(index_map, first_new):
-        e_vm, e_tm = first_new, first_new + 1
-        out = []
-        for f in g.faces:
-            es = list(f.edges)
-            n = len(es)
-            new_es = []
-            for slot in range(n):
-                new_es.append(es[slot])
-                corner = (es[slot], es[(slot + 1) % n])
-                e, nxt = g.edges[es[slot]], g.edges[es[(slot + 1) % n]]
-                shared = e.b if slot % 2 == 0 else e.w
-                if shared != v:
-                    continue
-                if corner == cut1:
-                    new_es.extend(["vm", "tm"])
-                elif corner == cut2:
-                    new_es.extend(["tm", "vm"])
-            mapped = [
-                e_vm if x == "vm" else e_tm if x == "tm" else index_map[x] for x in new_es
-            ]
-            out.append(Face(f.id, tuple(mapped)))
-        return out
-
-    graph = rebuild_graph(
-        g,
-        keep,
-        new_edges,
-        faces,
-        add_white=(twin,) if v_white else (mid,),
-        add_black=(mid,) if v_white else (twin,),
-    )
+        new_edges = (Edge(mid, v, (0, 0)), Edge(mid, twin, (0, 0)))
+        edits = {ei: Edge(g.edges[ei].w, twin, g.edges[ei].h) for ei in arc_b}
+        paths = {ei: (ei, tm, vm) for ei in arc_b}
+    add_white, add_black = ((twin,), (mid,)) if v_white else ((mid,), (twin,))
+    graph = substitute_edges(g, edits, new_edges, paths, add_white=add_white, add_black=add_black)
     wl, bl = dict(c.white_labels), dict(c.black_labels)
-    if v_white:
-        wl[twin] = own_label
-        bl[mid] = new_label
-    else:
-        bl[twin] = own_label
-        wl[mid] = new_label
+    (wl if v_white else bl)[twin] = own_label
+    (bl if v_white else wl)[mid] = new_label
     return DoubleCircuitConfig(graph, c.d, wl, bl)
 
 
@@ -413,7 +353,7 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
     hB, hd = h2, _h_sub(h3, h2)
     assert _h_add(hd, hA) == h4, "face h-sum was nonzero"
 
-    new_edges = [
+    new_edges = (
         Edge(A, vg, hA),      # +0 spoke at A
         Edge(vE, cb, hc),     # +1 spoke at c
         Edge(B, vh, hB),      # +2 spoke at B
@@ -422,34 +362,16 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
         Edge(vE, vh, (0, 0)),  # +5
         Edge(vF, vh, (0, 0)),  # +6
         Edge(vF, vg, (0, 0)),  # +7
-    ]
+    )
 
     # replacement path for each old boundary edge, in its w->b direction
-    paths = {i0: [0, 4, 1], i1: [2, 5, 1], i2: [2, 6, 3], i3: [0, 7, 3]}
-
-    def keep(i, e):
-        return None if i in (i0, i1, i2, i3) else e
-
-    def faces(index_map, first_new):
-        out = []
-        for f in g.faces:
-            if f.id == face_id:
-                continue
-            es = list(f.edges)
-            new_es = []
-            for slot, ei in enumerate(es):
-                if ei in paths:
-                    rel = paths[ei]
-                    rel = rel if slot % 2 == 0 else list(reversed(rel))
-                    new_es.extend(first_new + r for r in rel)
-                else:
-                    new_es.append(index_map[ei])
-            out.append(Face(f.id, tuple(new_es)))
-        # inner quadrilateral E -> h -> F -> g
-        out.append(Face(f"{face_id}:inner", (first_new + 5, first_new + 6, first_new + 7, first_new + 4)))
-        return out
-
-    graph = rebuild_graph(g, keep, new_edges, faces, add_white=(vE, vF), add_black=(vg, vh))
+    n = len(g.edges)
+    paths = {i0: (n, n + 4, n + 1), i1: (n + 2, n + 5, n + 1), i2: (n + 2, n + 6, n + 3), i3: (n, n + 7, n + 3)}
+    graph = substitute_edges(g, dict.fromkeys(paths), new_edges, paths, add_white=(vE, vF), add_black=(vg, vh))
+    # the renewed face becomes the inner quadrilateral E -> h -> F -> g
+    first = len(graph.edges) - 8
+    inner = Face(f"{face_id}:inner", (first + 5, first + 6, first + 7, first + 4))
+    graph = replace(graph, faces=tuple(f for f in graph.faces if f.id != face_id) + (inner,))
     wl2, bl2 = dict(wl), dict(bl)
     wl2[vE], wl2[vF] = lab_E, lab_F
     bl2[vg], bl2[vh] = lab_g, lab_h
@@ -539,8 +461,6 @@ def step_on_config(c: DoubleCircuitConfig, renew, white_rule, black_rule, templa
 def rename_faces_like(c: DoubleCircuitConfig, template: TorusGraph) -> DoubleCircuitConfig:
     """Give c's faces the ids of the template faces with the same vertex
     cycles (up to rotation/reflection).  Requires a bijection."""
-    from .torusgraph import face_key
-
     key_to_id = {}
     for f in template.faces:
         key_to_id[face_key(template, f)] = f.id

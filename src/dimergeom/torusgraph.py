@@ -234,60 +234,76 @@ def validate_graph(g: TorusGraph) -> GraphReport:
     )
 
 
-def rebuild_graph(
-    g: TorusGraph, keep_edge, new_edges, face_builder, drop_white=(), drop_black=(), add_white=(), add_black=()
+def substitute_edges(
+    g: TorusGraph, edits: dict, new_edges, paths: dict, drop_white=(), drop_black=(), add_white=(), add_black=()
 ) -> TorusGraph:
-    """The one edge renumbering behind every graph edit.
+    """The one graph edit behind every move: a local edge substitution.
 
-    ``keep_edge(i, e)`` returns the surviving (possibly rewritten) edge or
-    None; survivors keep their order and ``new_edges`` follow them.
-    ``face_builder(index_map, first_new)`` returns the new faces from the
-    old-to-new index map and the index of the first new edge.  The basis
-    cycles are remapped, or dropped when an edge is gone or a walk no
-    longer closes (a split can move half of one to the twin);
-    ``cohomology_class`` then falls back to the canonical cycles.
+    ``edits`` maps an old edge index to its rewritten ``Edge``, or to None
+    to delete it; survivors keep their order and ``new_edges`` follow them.
+    A move names new edge j as ``len(g.edges) + j``.  ``paths`` maps an
+    edge to the walk that replaces it, traversed from its white end to its
+    black end; every deleted edge needs one.  Every face and both basis
+    cycles are rewritten by ``_rewrite_walk``; a face left empty is
+    dropped.  A path keeps the edge's endpoints and signed h-sum, so the
+    basis cycles survive.
     """
     index_map = {}
     edges = []
     for i, e in enumerate(g.edges):
-        ne = keep_edge(i, e)
-        if ne is None:
-            continue
-        index_map[i] = len(edges)
-        edges.append(ne)
-    first_new = len(edges)
+        e = edits.get(i, e)
+        if e is not None:
+            index_map[i] = len(edges)
+            edges.append(e)
+    n = len(g.edges)
+    index_map.update((n + j, len(edges) + j) for j in range(len(new_edges)))
     edges.extend(new_edges)
-    faces = face_builder(index_map, first_new)
+    faces = tuple(Face(f.id, walk) for f in g.faces if (walk := _rewrite_walk(f.edges, paths, index_map)))
+    basis = g.basis_cycles and tuple(_rewrite_walk(walk, paths, index_map) for walk in g.basis_cycles)
     white = tuple(v for v in g.white_ids if v not in drop_white) + tuple(add_white)
     black = tuple(v for v in g.black_ids if v not in drop_black) + tuple(add_black)
-    graph = TorusGraph(white, black, tuple(edges), tuple(faces))
-    basis = g.basis_cycles
-    if basis is not None and all(ei in index_map for walk in basis for ei in walk):
-        basis = tuple(tuple(index_map[ei] for ei in walk) for walk in basis)
-        if not any(walk_error(graph, walk, "basis cycle") for walk in basis):
-            return replace(graph, basis_cycles=basis)
-    return graph
+    return TorusGraph(white, black, tuple(edges), faces, basis)
+
+
+def _rewrite_walk(walk, paths: dict, index_map: dict) -> tuple:
+    """Replace each slot's edge by its path (reversed on odd slots, which
+    run black to white), cancel immediate backtracks, also cyclically
+    across the end, and start the result white to black again."""
+    if paths.keys().isdisjoint(walk):
+        return tuple(index_map[ei] for ei in walk)
+    out = []  # (edge, 0 for white-to-black or 1 for black-to-white)
+    for slot, ei in enumerate(walk):
+        path = paths.get(ei, (ei,))
+        if slot % 2:
+            path = path[::-1]
+        for k, x in enumerate(path):
+            d = (slot + k) % 2
+            if out and out[-1] == (x, 1 - d):
+                out.pop()
+            else:
+                out.append((x, d))
+    lo, hi = 0, len(out)
+    while hi - lo >= 2 and out[lo][0] == out[hi - 1][0] and out[lo][1] != out[hi - 1][1]:
+        lo, hi = lo + 1, hi - 1
+    out = out[lo:hi]
+    if out and out[0][1]:
+        out = out[-1:] + out[:-1]
+    return tuple(index_map[x] for x, _ in out)
 
 
 def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
-    """Remove one edge and merge its two (distinct) faces."""
+    """Remove one edge and merge its two (distinct) faces: the edge is
+    replaced by the rest of its first face, which rewrites to nothing."""
     hosts = [f for f in g.faces if ei in f.edges]
     if len(hosts) != 2:
         raise BadWalk(f"edge {ei} lies on {len(hosts)} distinct faces, need 2")
-    f1, f2 = hosts
-    a, b = list(f1.edges), list(f2.edges)
-    p1, p2 = a.index(ei), b.index(ei)
-    merged = a[p1 + 1 :] + a[:p1] + b[p2 + 1 :] + b[:p2]
-    for cand in (merged, merged[-1:] + merged[:-1]):
-
-        def faces(index_map, _first_new, cand=cand):
-            kept = [Face(f.id, tuple(index_map[x] for x in f.edges)) for f in g.faces if f not in hosts]
-            return kept + [Face(merged_face_id, tuple(index_map[x] for x in cand))]
-
-        trial = rebuild_graph(g, lambda i, e: None if i == ei else e, [], faces)
-        if walk_error(trial, trial.faces[-1].edges, merged_face_id) is None:
-            return trial
-    raise BadWalk(f"could not merge faces {f1.id}, {f2.id} after deleting edge {ei}")
+    a = hosts[0].edges
+    p = a.index(ei)
+    rest = a[p + 1 :] + a[:p]  # from the far end of slot p back to its near end
+    graph = substitute_edges(g, {ei: None}, (), {ei: rest if p % 2 else rest[::-1]})
+    merged = next(f for f in graph.faces if f.id == hosts[1].id)
+    faces = tuple(f for f in graph.faces if f is not merged) + (Face(merged_face_id, merged.edges),)
+    return replace(graph, faces=faces)
 
 
 def dimension_report(g: TorusGraph, d: int) -> dict:

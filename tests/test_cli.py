@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimergeom import torusgraph
 from dimergeom.cli import main
-from dimergeom.config import config_to_dict, load_config, save_config
+from dimergeom.config import cohomology_class, config_to_dict, load_config, save_config
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
 from dimergeom.geometry import POINT, HomogeneousElement, point
 from dimergeom.qnet import QNetWindow, build_qnet_config, plane_of_quad
+from dimergeom.torusgraph import canonical_basis_cycles
 
 
 @pytest.fixture()
@@ -113,6 +115,32 @@ def test_run_builtin_pentagram_with_verify(pentagon_file, tmp_path, capsys):
     )
     assert code == 0
     assert main(["validate", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "make, builtin, steps",
+    [
+        (["make-pentagram", "--n", "7", "--k", "2"], "pentagram", 3),
+        (["make-spiral"], "spiral", 4),
+        (["make-qnet"], "qnet", 2),
+    ],
+)
+def test_run_builtin_keeps_basis_cycles(tmp_path, monkeypatch, make, builtin, steps):
+    # the moves rewrite the stored basis cycles, so the class of a stepped
+    # file needs no walk search
+    start, out = tmp_path / "start.json", tmp_path / "stepped.json"
+    assert main([*make, "--out", str(start)]) == 0
+    assert main(["run", str(start), "--builtin", builtin, "--steps", str(steps), "--out", str(out)]) == 0
+    assert "basis_cycles" in json.loads(out.read_text())
+    c = load_config(out)
+    expected = cohomology_class(c, *canonical_basis_cycles(c.graph))
+    assert expected == cohomology_class(load_config(start))
+
+    def no_walks(*args, **kwargs):
+        raise AssertionError("find_walk called for a stepped configuration")
+
+    monkeypatch.setattr(torusgraph, "find_walk", no_walks)
+    assert cohomology_class(c) == expected
 
 
 def test_run_script_file(pentagon_file, tmp_path):

@@ -1,7 +1,10 @@
+import functools
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dimergeom.config import (
     DoubleCircuitConfig,
@@ -16,10 +19,11 @@ from dimergeom.errors import (
     DegenerateMeet,
     IncidentLabel,
     LabelMismatch,
+    MoveError,
     ScriptError,
     WrongDegree,
 )
-from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
+from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture, make_spiral_fixture
 from dimergeom.geometry import hyperplane, line_through, meet_hyperplanes, point, proj_equal
 from dimergeom.moves import (
     forced_split_label,
@@ -32,7 +36,8 @@ from dimergeom.moves import (
     script_to_json,
     urban_renewal,
 )
-from dimergeom.torusgraph import check_walk, validate_graph
+from dimergeom.spectral import spectral_polynomial_white
+from dimergeom.torusgraph import canonical_basis_cycles, check_walk, validate_graph, vertex_edges
 
 
 @pytest.fixture()
@@ -194,7 +199,7 @@ def test_class_invariant_under_each_move(pentagon):
 
 def test_every_split_keeps_graph_valid_and_class():
     # a split whose arcs separate a stored basis walk's two edges at v
-    # must not keep that walk: it would jump from v to the twin
+    # routes that walk from v through the new vertex to the twin
     c = make_pentagram_fixture(7, 2)[3]
     cls = cohomology_class(c)
     splits = [p for p in combinations(range(5), 2) if p[1] - p[0] < 4]  # every vertex has degree 4
@@ -202,7 +207,8 @@ def test_every_split_keeps_graph_valid_and_class():
         for part in splits:
             c2 = add_degree2(c, v, part, forced_split_label(c, v, part))
             assert validate_graph(c2.graph).ok, (v, part)
-            for walk in c2.graph.basis_cycles or ():
+            assert c2.graph.basis_cycles is not None, (v, part)
+            for walk in c2.graph.basis_cycles:
                 check_walk(c2.graph, walk)
             assert class_equal(cohomology_class(c2), cls), (v, part)
 
@@ -239,3 +245,62 @@ def test_script_json_round_trip():
     assert back.steps[0] == script.steps[0]
     assert back.steps[2].partition == (0, 2)
     assert proj_equal(back.steps[2].label, script.steps[2].label)
+
+
+# ------------------------------------------------- random move sequences
+
+
+@functools.lru_cache(maxsize=None)
+def _start(name):
+    """(configuration, its class, its normalized white-data curve)."""
+    c = {
+        "pentagram-7/2": lambda: make_pentagram_fixture(7, 2)[3],
+        "spiral": lambda: make_spiral_fixture()[2],
+        "qnet-4x4": lambda: make_qnet_fixture()[2],
+    }[name]()
+    return c, cohomology_class(c), spectral_polynomial_white(c).normalized().terms
+
+
+def _candidates(c):
+    """op -> the targets a move could take: quadrilateral faces, and for
+    add2/remove2 every (vertex, partition) split and degree-two vertex."""
+    g = c.graph
+    inc = vertex_edges(g)
+    out = {"urban": [(f.id, None) for f in g.faces if len(f.edges) == 4], "add2": [], "remove2": []}
+    for v in g.white_ids + g.black_ids:
+        deg = len(inc[v])
+        if deg == 2:
+            out["remove2"].append((v, None))
+        out["add2"] += [(v, (i, j)) for i in range(deg) for j in range(i + 1, deg + 1) if j - i < deg]
+    return {op: targets for op, targets in out.items() if targets}
+
+
+def _apply(c, op, target, partition):
+    if op == "urban":
+        return urban_renewal(c, target)
+    if op == "remove2":
+        return remove_degree2(c, target)
+    return add_degree2(c, target, partition, forced_split_label(c, target, partition))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["pentagram-7/2", "spiral", "qnet-4x4"]), data=st.data())
+def test_random_move_sequences_keep_conditions_class_and_curve(name, data):
+    c, cls, curve = _start(name)
+    applied = 0
+    for _ in range(data.draw(st.integers(1, 4), label="length")):
+        cands = _candidates(c)
+        op = data.draw(st.sampled_from(sorted(cands)), label="op")
+        target, partition = data.draw(st.sampled_from(cands[op]), label="target")
+        try:
+            c = _apply(c, op, target, partition)
+        except MoveError:
+            continue  # not a legal move here (degenerate meet, label mismatch, ...)
+        applied += 1
+        g = c.graph
+        assert g.basis_cycles is not None
+        assert validate_graph(g).ok, (op, target, validate_graph(g))
+        assert check_V(c).ok and check_F(c).ok, (op, target)
+        assert cohomology_class(c) == cohomology_class(c, *canonical_basis_cycles(g)) == cls, (op, target)
+        assert spectral_polynomial_white(c).normalized().terms == curve, (op, target)
+    assume(applied)

@@ -121,6 +121,9 @@ def test_delete_edge_merges_faces():
     assert rep.n_faces == len(g.faces) - 1
     merged = next(f for f in g2.faces if f.id == "merged")
     assert len(merged.edges) == 6
+    # a basis cycle through the deleted edge detours around its first face
+    assert any(0 in walk for walk in g.basis_cycles)
+    assert [walk_h_sum(g2, walk) for walk in g2.basis_cycles] == [walk_h_sum(g, walk) for walk in g.basis_cycles]
 
 
 def test_spiral_graph_structure():
