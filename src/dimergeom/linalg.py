@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 
 from .scalars import is_float, is_zero
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _has_float(rows) -> bool:
@@ -210,11 +210,28 @@ def _kernel(reduced, pivots, ncols, one):
     return basis
 
 
+def _int_kernel(m, pivots, ncols):
+    """Kernel basis read off the integer echelon rows of an exact matrix:
+    the RREF entry in row r and free column c is m[r][c] / m[r][pivot], so
+    only the nonzero entries of the free columns become Fractions."""
+    basis = []
+    for fc in sorted(set(range(ncols)).difference(pivots)):
+        v = [_ZERO] * ncols
+        v[fc] = _ONE
+        for row, pc in zip(m, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(v)
+    return basis
+
+
 def nullspace(rows):
     """Basis of the right kernel {x : rows @ x = 0}, as a list of vectors."""
     if not rows:
         return []
-    return _kernel(*rref(rows), len(rows[0]), _unit(rows))
+    if _has_float(rows):
+        return _kernel(*_float_rref(rows), len(rows[0]), 1.0)
+    return _int_kernel(*_int_echelon(_int_rows(rows)[0]), len(rows[0]))
 
 
 def solve(rows, rhs):

@@ -38,6 +38,12 @@ Faces and the stored basis cycles are rewritten by the same
 substitution, which keeps every walk closed and its h-sum unchanged, so
 basis cycles survive every move.
 
+A move reads and names edges by their stable slots (``TorusGraph.edge``,
+``incidence``, ``face``, ``faces_on``, ``next_slot``) and never the
+positional views, so it costs the size of the move: the graph's carried
+incidence and face indices answer every lookup, and the substitution
+edits only their touched entries.
+
 A dynamics step is one ``step_on_config`` call: urban renewal at the
 given faces, then removal of the forced vertices -- every pre-step vertex
 the renewals left at degree two -- and a renaming back to template ids.
@@ -47,7 +53,7 @@ faces, spoke rename rules and template.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import DoubleCircuitConfig
 from .errors import (
@@ -73,7 +79,7 @@ from .geometry import (
     subspace_element,
 )
 from .scalars import RATIONAL, parse_scalar, scalar_str
-from .torusgraph import Edge, Face, TorusGraph, face_key, substitute_edges, vertex_edges
+from .torusgraph import Edge, Face, TorusGraph, face_key, substitute_edges
 
 
 @dataclass(frozen=True)
@@ -154,14 +160,14 @@ def _h_sub(a, b):
 
 def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
     g = c.graph
-    inc = vertex_edges(g)
+    inc = g.incidence()
     if v not in inc:
         raise MoveError(f"unknown vertex {v!r}")
     if len(inc[v]) != 2:
         raise WrongDegree(f"vertex {v} has degree {len(inc[v])}, need 2")
     i1, i2 = inc[v]
-    e1, e2 = g.edges[i1], g.edges[i2]
-    v_white = v in set(g.white_ids)
+    e1, e2 = g.edge(i1), g.edge(i2)
+    v_white = g.is_white(v)
     u1, u2 = (e1.b, e2.b) if v_white else (e1.w, e2.w)
     labels = c.black_labels if v_white else c.white_labels
     if not proj_equal(labels[u1], labels[u2]):
@@ -178,15 +184,16 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
     edits = {}
     if u1 != u2:
         for ei in inc[u2]:
-            e = g.edges[ei]
+            e = g.edge(ei)
             edits[ei] = Edge(e.w, u1, _h_add(e.h, shift)) if v_white else Edge(u1, e.b, _h_add(e.h, shift))
     edits[i1] = edits[i2] = None
     merged = {u2} - {u1}
     drop_white, drop_black = ({v}, merged) if v_white else (merged, {v})
     graph = substitute_edges(g, edits, (), {i1: (), i2: ()}, drop_white=drop_white, drop_black=drop_black)
-    whites, blacks = set(graph.white_ids), set(graph.black_ids)
-    wl = {k: x for k, x in c.white_labels.items() if k in whites}
-    bl = {k: x for k, x in c.black_labels.items() if k in blacks}
+    wl, bl = dict(c.white_labels), dict(c.black_labels)
+    for labels, dropped in ((wl, drop_white), (bl, drop_black)):
+        for x in dropped:
+            labels.pop(x, None)
     return DoubleCircuitConfig(graph, c.d, wl, bl)
 
 
@@ -194,12 +201,13 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
 
 
 def _rotation_at(g: TorusGraph, v: str):
-    """Cyclic order of v's incident edge indices, from face corners."""
+    """Cyclic order of v's incident edge slots, from the corners at v of
+    the faces through them."""
     succ = {}
-    for f in g.faces:
+    for f in g.faces_on(g.incidence().get(v, ())):
         es = f.edges
         for slot, ei in enumerate(es):
-            if (g.edges[ei].b if slot % 2 == 0 else g.edges[ei].w) == v:
+            if (g.edge(ei).b if slot % 2 == 0 else g.edge(ei).w) == v:
                 succ[ei] = es[(slot + 1) % len(es)]
     rot = [min(succ)]
     while len(rot) <= len(succ) and succ[rot[-1]] != rot[0]:
@@ -231,11 +239,12 @@ def add_degree2(
 
     partition = (i, j) splits the rotation list rot (anchored at the
     lowest incident edge index) into arcs rot[i:j] (kept by v) and the
-    complement (moved to the twin).
+    complement (moved to the twin).  Without ``ids`` the twin and the new
+    vertex are named by the first free id in v', v'', ... and v~, v~~, ...
     """
     g = c.graph
-    v_white = v in set(g.white_ids)
-    if not v_white and v not in set(g.black_ids):
+    v_white = g.is_white(v)
+    if not v_white and not g.has_vertex(v):
         raise MoveError(f"unknown vertex {v!r}")
     own_label = (c.white_labels if v_white else c.black_labels)[v]
     if new_label.kind != (HYPERPLANE if v_white else POINT):
@@ -245,23 +254,24 @@ def add_degree2(
 
     _, arc_b = _split_arcs(g, v, partition)
 
-    twin = ids[0] if ids else f"{v}'"
-    mid = ids[1] if ids else f"{v}~"
-    for x in (twin, mid):
-        if x in set(g.white_ids) | set(g.black_ids):
-            raise MoveError(f"id {x!r} already in use")
+    if ids:
+        twin, mid = ids
+        for x in ids:
+            if g.has_vertex(x):
+                raise MoveError(f"id {x!r} already in use")
+    else:
+        twin, mid = _free_id(g, v + "'"), _free_id(g, v + "~")
 
     # each edge of the twin's arc moves to the twin and is reached from v
     # through the new vertex; corners inside one arc cancel
-    n = len(g.edges)
-    vm, tm = n, n + 1
+    vm, tm = g.next_slot, g.next_slot + 1
     if v_white:
         new_edges = (Edge(v, mid, (0, 0)), Edge(twin, mid, (0, 0)))
-        edits = {ei: Edge(twin, g.edges[ei].b, g.edges[ei].h) for ei in arc_b}
+        edits = {ei: Edge(twin, g.edge(ei).b, g.edge(ei).h) for ei in arc_b}
         paths = {ei: (vm, tm, ei) for ei in arc_b}
     else:
         new_edges = (Edge(mid, v, (0, 0)), Edge(mid, twin, (0, 0)))
-        edits = {ei: Edge(g.edges[ei].w, twin, g.edges[ei].h) for ei in arc_b}
+        edits = {ei: Edge(g.edge(ei).w, twin, g.edge(ei).h) for ei in arc_b}
         paths = {ei: (ei, tm, vm) for ei in arc_b}
     add_white, add_black = ((twin,), (mid,)) if v_white else ((mid,), (twin,))
     graph = substitute_edges(g, edits, new_edges, paths, add_white=add_white, add_black=add_black)
@@ -269,6 +279,13 @@ def add_degree2(
     (wl if v_white else bl)[twin] = own_label
     (bl if v_white else wl)[mid] = new_label
     return DoubleCircuitConfig(graph, c.d, wl, bl)
+
+
+def _free_id(g: TorusGraph, x: str) -> str:
+    """x, or x with its last character repeated until the id is free."""
+    while g.has_vertex(x):
+        x += x[-1]
+    return x
 
 
 def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> HomogeneousElement:
@@ -280,12 +297,12 @@ def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> Homo
     meet is a single projective element.
     """
     g = c.graph
-    v_white = v in set(g.white_ids)
+    v_white = g.is_white(v)
     labels = c.black_labels if v_white else c.white_labels
     arc_a, arc_b = _split_arcs(g, v, partition)
 
     def far(ei):
-        e = g.edges[ei]
+        e = g.edge(ei)
         return labels[e.b if v_white else e.w]
 
     try:
@@ -302,19 +319,19 @@ def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> Homo
 
 def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
     g = c.graph
-    face = next((f for f in g.faces if f.id == face_id), None)
+    face = g.face(face_id)
     if face is None:
         raise MoveError(f"no face {face_id!r}")
     if len(face.edges) != 4:
         raise NotQuadrilateral(f"face {face_id} has {len(face.edges)} boundary edges")
     i0, i1, i2, i3 = face.edges
-    eA_c, eB_c, eB_d, eA_d = g.edges[i0], g.edges[i1], g.edges[i2], g.edges[i3]
+    eA_c, eB_c, eB_d, eA_d = g.edge(i0), g.edge(i1), g.edge(i2), g.edge(i3)
     A, cb = eA_c.w, eA_c.b
     B, db = eB_c.w, eB_d.b
     if len({A, B}) < 2 or len({cb, db}) < 2:
         raise NotQuadrilateral(f"face {face_id} has repeated corners")
 
-    inc = vertex_edges(g)
+    inc = g.incidence()
     others = {
         "A": [ei for ei in inc[A] if ei not in (i0, i3)],
         "B": [ei for ei in inc[B] if ei not in (i1, i2)],
@@ -338,14 +355,13 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
             raise DegenerateMeet(f"{what} of {face_id}: meet has rank {m.rank}")
         return subspace_element(m)
 
-    lab_E = _meet_or_die(ab, span([wl[g.edges[ei].w] for ei in others["c"]]), "E")
-    lab_F = _meet_or_die(ab, span([wl[g.edges[ei].w] for ei in others["d"]]), "F")
-    lab_g = _meet_or_die(cd, span([bl[g.edges[ei].b] for ei in others["A"]]), "g")
-    lab_h = _meet_or_die(cd, span([bl[g.edges[ei].b] for ei in others["B"]]), "h")
+    lab_E = _meet_or_die(ab, span([wl[g.edge(ei).w] for ei in others["c"]]), "E")
+    lab_F = _meet_or_die(ab, span([wl[g.edge(ei).w] for ei in others["d"]]), "F")
+    lab_g = _meet_or_die(cd, span([bl[g.edge(ei).b] for ei in others["A"]]), "g")
+    lab_h = _meet_or_die(cd, span([bl[g.edge(ei).b] for ei in others["B"]]), "h")
 
     vE, vF, vg, vh = f"{face_id}:E", f"{face_id}:F", f"{face_id}:g", f"{face_id}:h"
-    taken = set(g.white_ids) | set(g.black_ids)
-    if {vE, vF, vg, vh} & taken:
+    if any(map(g.has_vertex, (vE, vF, vg, vh))):
         raise MoveError(f"derived ids for {face_id} collide with existing vertex ids")
 
     h1, h2, h3, h4 = eA_c.h, eB_c.h, eB_d.h, eA_d.h
@@ -364,14 +380,15 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
         Edge(vF, vg, (0, 0)),  # +7
     )
 
-    # replacement path for each old boundary edge, in its w->b direction
-    n = len(g.edges)
-    paths = {i0: (n, n + 4, n + 1), i1: (n + 2, n + 5, n + 1), i2: (n + 2, n + 6, n + 3), i3: (n, n + 7, n + 3)}
-    graph = substitute_edges(g, dict.fromkeys(paths), new_edges, paths, add_white=(vE, vF), add_black=(vg, vh))
+    # replacement path for each old boundary edge, in its w->b direction;
     # the renewed face becomes the inner quadrilateral E -> h -> F -> g
-    first = len(graph.edges) - 8
-    inner = Face(f"{face_id}:inner", (first + 5, first + 6, first + 7, first + 4))
-    graph = replace(graph, faces=tuple(f for f in graph.faces if f.id != face_id) + (inner,))
+    n = g.next_slot
+    paths = {i0: (n, n + 4, n + 1), i1: (n + 2, n + 5, n + 1), i2: (n + 2, n + 6, n + 3), i3: (n, n + 7, n + 3)}
+    inner = Face(f"{face_id}:inner", (n + 5, n + 6, n + 7, n + 4))
+    graph = substitute_edges(
+        g, dict.fromkeys(paths), new_edges, paths, add_white=(vE, vF), add_black=(vg, vh),
+        drop_faces=(face_id,), add_faces=(inner,),
+    )
     wl2, bl2 = dict(wl), dict(bl)
     wl2[vE], wl2[vF] = lab_E, lab_F
     bl2[vg], bl2[vh] = lab_g, lab_h
@@ -381,9 +398,12 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
 
 
 def _check_degrees(c: DoubleCircuitConfig) -> None:
-    for v, ix in vertex_edges(c.graph).items():
-        if len(ix) > c.d + 2:
-            raise DegreeOverflow(f"vertex {v} has degree {len(ix)} > d+2 = {c.d + 2}")
+    """No vertex of the graph above degree d+2; the message names the
+    first such vertex in edge order."""
+    inc = c.graph.incidence()
+    if max(map(len, inc.values()), default=0) > c.d + 2:
+        v = next(v for e in c.graph.edges for v in (e.w, e.b) if len(inc[v]) > c.d + 2)
+        raise DegreeOverflow(f"vertex {v} has degree {len(inc[v])} > d+2 = {c.d + 2}")
 
 
 # ------------------------------------------------------------------ scripts
@@ -401,17 +421,17 @@ def apply_script(c: DoubleCircuitConfig, script: MoveScript, trace: list | None 
             elif step.op == "add2":
                 if step.partition is None or step.label is None:
                     raise MoveError("add2 needs a partition and a label")
-                kind = HYPERPLANE if step.target in cur.graph.white_ids else POINT
+                kind = HYPERPLANE if cur.graph.is_white(step.target) else POINT
                 cur = add_degree2(cur, step.target, step.partition, HomogeneousElement(step.label.coords, kind))
             else:
                 raise MoveError(f"unknown op {step.op!r}")
         except MoveError as exc:
             raise ScriptError(idx, exc) from exc
         if trace is not None:
+            g = cur.graph
             trace.append(
                 f"step {idx}: {step.op} {step.target} -> "
-                f"v={len(cur.graph.white_ids)}+{len(cur.graph.black_ids)} "
-                f"e={len(cur.graph.edges)} f={len(cur.graph.faces)}"
+                f"v={len(g.white_ids)}+{len(g.black_ids)} e={g.n_edges} f={g.n_faces}"
             )
     return cur
 
@@ -425,18 +445,19 @@ def spoke_rename_map(before: DoubleCircuitConfig, mid: DoubleCircuitConfig, whit
     independent of face rotation conventions.
     """
     old = set(before.graph.white_ids) | set(before.graph.black_ids)
-    inc = vertex_edges(mid.graph)
+    g = mid.graph
+    inc = g.incidence()
     vmap = {}
-    for v in mid.graph.white_ids:
+    for v in g.white_ids:
         if v in old:
             continue
-        olds = {mid.graph.edges[ei].b for ei in inc[v]} & old
+        olds = {g.edge(ei).b for ei in inc[v]} & old
         if len(olds) == 1:
             vmap[v] = white_rule(next(iter(olds)))
-    for v in mid.graph.black_ids:
+    for v in g.black_ids:
         if v in old:
             continue
-        olds = {mid.graph.edges[ei].w for ei in inc[v]} & old
+        olds = {g.edge(ei).w for ei in inc[v]} & old
         if len(olds) == 1:
             vmap[v] = black_rule(next(iter(olds)))
     return vmap
@@ -452,7 +473,7 @@ def step_on_config(c: DoubleCircuitConfig, renew, white_rule, black_rule, templa
     """
     mid = apply_script(c, MoveScript(tuple(MoveStep("urban", f) for f in renew)))
     vmap = spoke_rename_map(c, mid, white_rule, black_rule)
-    inc = vertex_edges(mid.graph)
+    inc = mid.graph.incidence()
     forced = [v for v in c.graph.white_ids + c.graph.black_ids if len(inc[v]) == 2]
     stepped = apply_script(mid, MoveScript(tuple(MoveStep("remove2", v) for v in forced)))
     return rename_faces_like(relabel(stepped, vmap), template)

@@ -17,6 +17,7 @@ gamma_1 = (0, n), gamma_2 = (1, -k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, DegenerateIntersection, SizeMismatch
@@ -133,7 +134,11 @@ def _check_template(n: int, k: int) -> None:
     _check_k(n, k)
 
 
+@cache
 def build_pentagram_graph(n: int, k: int) -> TorusGraph:
+    """The template with its canonical basis cycles.  A graph is immutable
+    and depends only on (n, k), so each shape is built, and its cover
+    walks searched, once per process."""
     _check_template(n, k)
     return with_basis_cycles(build_tile_graph(n, k, ()))
 

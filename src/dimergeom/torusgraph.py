@@ -6,15 +6,30 @@ the lift of the black vertex translated by h.  "Torus-embedded" means,
 for this artifact: the signed h-sum around every face is (0,0) and the
 lattice of signed h-sums over all closed walks has rank 2.
 
-Faces are stored as cyclic edge-index lists; the traversal alternates
+Faces are stored as cyclic edge lists; the traversal alternates
 white-to-black on even slots and black-to-white on odd slots, starting
 white-to-black.  That resolves parallel edges unambiguously (vertex-id
 sequences cannot).
+
+A graph stores its edges under stable integer slots.  A move
+(``substitute_edges``) rewrites or deletes edges in their slots and gives
+new edges the slots after the last one, so survivors keep their order and
+nothing is renumbered.  The graph carries, from move to move, an
+incidence index (vertex -> incident slots, in slot order), an edge ->
+faces index and a face-id lookup; a move copies these containers and
+edits only the entries it touches, so it costs the size of the move plus
+C-level copies.  The positional views ``edges``, ``faces`` and
+``basis_cycles`` number the edges by their position in slot order; they
+are what the validators, the JSON writer and the spectral code read, and
+a graph derives them once, on first read.  A graph built from positional
+data has slot = position and derives nothing.
 """
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
+from operator import eq, rshift
 
 from .errors import BadWalk, UnequalColorCounts
 
@@ -29,27 +44,137 @@ class Edge:
 @dataclass(frozen=True)
 class Face:
     id: str
-    edges: tuple  # edge indices, alternating traversal starting white->black
+    edges: tuple  # edge positions (slots in the slot API), alternating traversal starting white->black
 
 
-@dataclass(frozen=True)
 class TorusGraph:
-    white_ids: tuple
-    black_ids: tuple
-    edges: tuple  # of Edge
-    faces: tuple  # of Face
-    basis_cycles: tuple | None = None  # (walk, walk), walks = edge-index tuples
+    """Immutable torus graph.  ``TorusGraph(white_ids, black_ids, edges,
+    faces, basis_cycles=None)`` takes positional data (basis cycles are
+    pairs of edge-index walks).  The slot API (``edge``, ``incidence``,
+    ``face``, ``faces_on``, ``next_slot``) is what moves read."""
+
+    __slots__ = (
+        "white_ids", "black_ids", "edges", "faces", "basis_cycles", "_pos",  # the positional views
+        "_white", "_black", "_edges", "_faces", "_basis", "_next", "_inc", "_on", "_face_of",
+    )
+
+    def __init__(self, white_ids, black_ids, edges, faces, basis_cycles=None):
+        self.white_ids, self.black_ids = tuple(white_ids), tuple(black_ids)
+        self.edges, self.faces, self.basis_cycles = tuple(edges), tuple(faces), basis_cycles
+        self._pos = None  # every slot is its position
+        self._white, self._black = dict.fromkeys(self.white_ids), dict.fromkeys(self.black_ids)
+        self._edges, self._faces, self._basis = dict(enumerate(self.edges)), dict(enumerate(self.faces)), basis_cycles
+        self._next = (len(self.edges), len(self.faces))
+        self._inc = self._on = self._face_of = None
+
+    @classmethod
+    def _carried(cls, white, black, edges, faces, basis, nxt, inc, on, face_of) -> TorusGraph:
+        """A graph made by ``substitute_edges``; its views are derived on first read."""
+        g = cls.__new__(cls)
+        g._white, g._black, g._edges, g._faces, g._basis, g._next = white, black, edges, faces, basis, nxt
+        g._inc, g._on, g._face_of = inc, on, face_of
+        return g
+
+    def __getattr__(self, name):
+        # called only for a view not yet derived
+        if name in ("white_ids", "black_ids"):
+            self.white_ids, self.black_ids = tuple(self._white), tuple(self._black)
+        elif name in ("edges", "faces", "basis_cycles", "_pos"):
+            self.edges, self.faces, self.basis_cycles, self._pos = _positional_view(self)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self._edges)
+
+    @property
+    def n_faces(self) -> int:
+        return len(self._faces)
+
+    def _key(self) -> tuple:
+        return self.white_ids, self.black_ids, self.edges, self.faces, self.basis_cycles
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, TorusGraph) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = zip(("white_ids", "black_ids", "edges", "faces", "basis_cycles"), self._key())
+        return f"TorusGraph({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    # --------------------------------------------------------- the slot API
+
+    @property
+    def next_slot(self) -> int:
+        """The slot ``substitute_edges`` gives the first new edge."""
+        return self._next[0]
+
+    def edge(self, slot: int) -> Edge:
+        return self._edges[slot]
+
+    def is_white(self, v: str) -> bool:
+        return v in self._white
+
+    def has_vertex(self, v: str) -> bool:
+        return v in self._white or v in self._black
+
+    def incidence(self) -> dict:
+        """vertex id -> tuple of incident edge slots, in slot order (read
+        only).  Carried through moves; built on first use otherwise."""
+        if self._inc is None:
+            inc = defaultdict(list)
+            for s, e in self._edges.items():
+                inc[e.w].append(s)
+                inc[e.b].append(s)
+            for v in (*self._white, *self._black):
+                inc.setdefault(v, [])
+            self._inc = {v: tuple(ix) for v, ix in inc.items()}
+        return self._inc
+
+    def _face_index(self) -> tuple:
+        """(edge slot -> face slots through it, face id -> first face slot)."""
+        if self._on is None:
+            on, face_of = {}, {}
+            for fs, f in self._faces.items():
+                face_of.setdefault(f.id, fs)
+                for s in dict.fromkeys(f.edges):
+                    on[s] = on.get(s, ()) + (fs,)
+            self._on, self._face_of = on, face_of
+        return self._on, self._face_of
+
+    def face(self, face_id: str) -> Face | None:
+        """The first face with this id, its walk in edge slots."""
+        fs = self._face_index()[1].get(face_id)
+        return None if fs is None else self._faces[fs]
+
+    def faces_on(self, slots) -> list:
+        """The distinct faces through any of the given edge slots, in face
+        order, their walks in edge slots."""
+        on = self._face_index()[0]
+        return [self._faces[fs] for fs in sorted({fs for s in slots for fs in on.get(s, ())})]
+
+
+def _positional_view(g: TorusGraph) -> tuple:
+    """(edges, faces, basis cycles, slot -> position) of a graph made by
+    ``substitute_edges``: each edge numbered by its position in slot order."""
+    pos = {s: i for i, s in enumerate(g._edges)}
+    renumber = pos.__getitem__
+    faces = tuple(Face(f.id, tuple(map(renumber, f.edges))) for f in g._faces.values())
+    basis = g._basis and tuple(tuple(map(renumber, walk)) for walk in g._basis)
+    return tuple(g._edges.values()), faces, basis, pos
 
 
 def vertex_edges(g: TorusGraph) -> dict:
-    """vertex id -> list of incident edge indices, in stored edge order."""
-    inc: dict = defaultdict(list)
-    for i, e in enumerate(g.edges):
-        inc[e.w].append(i)
-        inc[e.b].append(i)
-    for v in list(g.white_ids) + list(g.black_ids):
-        inc.setdefault(v, [])
-    return dict(inc)
+    """vertex id -> list of incident edge indices, in stored edge order,
+    read from the carried incidence index."""
+    pos = g._pos
+    if pos is None:
+        return {v: list(ix) for v, ix in g.incidence().items()}
+    return {v: [pos[s] for s in ix] for v, ix in g.incidence().items()}
 
 
 def face_vertex_sequence(g: TorusGraph, face: Face) -> list:
@@ -235,75 +360,150 @@ def validate_graph(g: TorusGraph) -> GraphReport:
 
 
 def substitute_edges(
-    g: TorusGraph, edits: dict, new_edges, paths: dict, drop_white=(), drop_black=(), add_white=(), add_black=()
+    g: TorusGraph,
+    edits: dict,
+    new_edges,
+    paths: dict,
+    drop_white=(),
+    drop_black=(),
+    add_white=(),
+    add_black=(),
+    drop_faces=(),
+    add_faces=(),
 ) -> TorusGraph:
     """The one graph edit behind every move: a local edge substitution.
 
-    ``edits`` maps an old edge index to its rewritten ``Edge``, or to None
-    to delete it; survivors keep their order and ``new_edges`` follow them.
-    A move names new edge j as ``len(g.edges) + j``.  ``paths`` maps an
-    edge to the walk that replaces it, traversed from its white end to its
-    black end; every deleted edge needs one.  Every face and both basis
-    cycles are rewritten by ``_rewrite_walk``; a face left empty is
-    dropped.  A path keeps the edge's endpoints and signed h-sum, so the
-    basis cycles survive.
+    ``edits`` maps an edge slot to its rewritten ``Edge``, or to None to
+    delete it; new edge j gets slot ``g.next_slot + j``.  ``paths`` maps
+    an edge slot to the walk of slots that replaces it, traversed from its
+    white end to its black end; every deleted edge needs one.  The faces
+    with ids ``drop_faces`` are removed; every other face through a
+    replaced edge, and both basis cycles, are rewritten by
+    ``_rewrite_walk``, and a face left empty is dropped.  A path keeps the
+    edge's endpoints and signed h-sum, so the basis cycles survive.
+    ``add_faces`` (walks in slots) are appended last.  The carried indices
+    are copied and only their touched entries edited.
     """
-    index_map = {}
-    edges = []
-    for i, e in enumerate(g.edges):
-        e = edits.get(i, e)
-        if e is not None:
-            index_map[i] = len(edges)
-            edges.append(e)
-    n = len(g.edges)
-    index_map.update((n + j, len(edges) + j) for j in range(len(new_edges)))
-    edges.extend(new_edges)
-    faces = tuple(Face(f.id, walk) for f in g.faces if (walk := _rewrite_walk(f.edges, paths, index_map)))
-    basis = g.basis_cycles and tuple(_rewrite_walk(walk, paths, index_map) for walk in g.basis_cycles)
-    white = tuple(v for v in g.white_ids if v not in drop_white) + tuple(add_white)
-    black = tuple(v for v in g.black_ids if v not in drop_black) + tuple(add_black)
-    return TorusGraph(white, black, tuple(edges), faces, basis)
+    on, face_of = (dict(x) for x in g._face_index())
+    faces = dict(g._faces)
+
+    def unlink(fs, walk):
+        for s in set(walk):
+            on[s] = _without(on[s], fs)
+
+    def link(fs, walk):
+        for s in dict.fromkeys(walk):
+            on[s] = on.get(s, ()) + (fs,)
+
+    for fid in drop_faces:
+        fs = face_of.pop(fid)
+        unlink(fs, faces.pop(fs).edges)
+    for fs in {fs for s in paths for fs in on.get(s, ())}:
+        f = faces[fs]
+        walk = _rewrite_walk(f.edges, paths)
+        unlink(fs, f.edges)
+        if walk:
+            faces[fs] = Face(f.id, walk)
+            link(fs, walk)
+        else:
+            del faces[fs]
+            if face_of.get(f.id) == fs:
+                del face_of[f.id]
+    next_face = g._next[1]
+    for f in add_faces:
+        faces[next_face] = f
+        face_of.setdefault(f.id, next_face)
+        link(next_face, f.edges)
+        next_face += 1
+
+    inc, edges = dict(g.incidence()), dict(g._edges)
+    first = g.next_slot
+    for s, e in (*edits.items(), *((first + j, e) for j, e in enumerate(new_edges))):
+        old = edges.get(s)
+        if old is not None:
+            for v in (old.w, old.b):
+                inc[v] = _without(inc[v], s)
+        if e is None:
+            del edges[s]
+            on.pop(s, None)
+        else:
+            edges[s] = e
+            for v in (e.w, e.b):
+                inc[v] = tuple(sorted((*inc.get(v, ()), s)))
+    white, black = dict(g._white), dict(g._black)
+    for ids, drop, add in ((white, drop_white, add_white), (black, drop_black, add_black)):
+        for v in drop:
+            ids.pop(v, None)
+            inc.pop(v, None)
+        for v in add:
+            ids[v] = None
+            inc.setdefault(v, ())
+    basis = g._basis and tuple(_rewrite_walk(walk, paths) for walk in g._basis)
+    nxt = (first + len(new_edges), next_face)
+    return TorusGraph._carried(white, black, edges, faces, basis, nxt, inc, on, face_of)
 
 
-def _rewrite_walk(walk, paths: dict, index_map: dict) -> tuple:
+def _without(items: tuple, x) -> tuple:
+    i = items.index(x)
+    return items[:i] + items[i + 1 :]
+
+
+def _rewrite_walk(walk, paths: dict) -> tuple:
     """Replace each slot's edge by its path (reversed on odd slots, which
     run black to white), cancel immediate backtracks, also cyclically
-    across the end, and start the result white to black again."""
-    if paths.keys().isdisjoint(walk):
-        return tuple(index_map[ei] for ei in walk)
-    out = []  # (edge, 0 for white-to-black or 1 for black-to-white)
-    for slot, ei in enumerate(walk):
-        path = paths.get(ei, (ei,))
-        if slot % 2:
-            path = path[::-1]
-        for k, x in enumerate(path):
-            d = (slot + k) % 2
-            if out and out[-1] == (x, 1 - d):
+    across the end, and start the result white to black again.
+
+    The untouched runs between replaced slots are copied whole once their
+    first item no longer cancels, unless the walk backtracks somewhere
+    itself; so a long basis cycle costs little more than its length in
+    C-level copies."""
+    hits = [i for i, ei in enumerate(walk) if ei in paths]
+    if not hits:
+        return tuple(walk)
+    codes = [2 * ei + (i & 1) for i, ei in enumerate(walk)]  # 2 * edge + (1 if black-to-white)
+    clean = not any(map(eq, walk, walk[1:]))
+    out = []
+
+    def push(run, copy_rest):
+        for j, code in enumerate(run):
+            if out and out[-1] == code ^ 1:
                 out.pop()
+            elif copy_rest:
+                out.extend(run[j:])
+                return
             else:
-                out.append((x, d))
+                out.append(code)
+
+    prev = 0
+    for i in hits:
+        push(codes[prev:i], clean)
+        path = paths[walk[i]]
+        push([2 * x + (k & 1) for k, x in enumerate(path[::-1] if i % 2 else path, i)], False)
+        prev = i + 1
+    push(codes[prev:], clean)
     lo, hi = 0, len(out)
-    while hi - lo >= 2 and out[lo][0] == out[hi - 1][0] and out[lo][1] != out[hi - 1][1]:
+    while hi - lo >= 2 and out[lo] == out[hi - 1] ^ 1:
         lo, hi = lo + 1, hi - 1
     out = out[lo:hi]
-    if out and out[0][1]:
+    if out and out[0] & 1:
         out = out[-1:] + out[:-1]
-    return tuple(index_map[x] for x, _ in out)
+    return tuple(map(rshift, out, repeat(1, len(out))))
 
 
 def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
     """Remove one edge and merge its two (distinct) faces: the edge is
     replaced by the rest of its first face, which rewrites to nothing."""
-    hosts = [f for f in g.faces if ei in f.edges]
+    slots = tuple(g._edges)
+    s = slots[ei] if 0 <= ei < len(slots) else None
+    hosts = g.faces_on((s,))
     if len(hosts) != 2:
         raise BadWalk(f"edge {ei} lies on {len(hosts)} distinct faces, need 2")
     a = hosts[0].edges
-    p = a.index(ei)
+    p = a.index(s)
     rest = a[p + 1 :] + a[:p]  # from the far end of slot p back to its near end
-    graph = substitute_edges(g, {ei: None}, (), {ei: rest if p % 2 else rest[::-1]})
-    merged = next(f for f in graph.faces if f.id == hosts[1].id)
-    faces = tuple(f for f in graph.faces if f is not merged) + (Face(merged_face_id, merged.edges),)
-    return replace(graph, faces=faces)
+    paths = {s: rest if p % 2 else rest[::-1]}
+    merged = Face(merged_face_id, _rewrite_walk(hosts[1].edges, paths))
+    return substitute_edges(g, {s: None}, (), paths, drop_faces=(hosts[1].id,), add_faces=(merged,))
 
 
 def dimension_report(g: TorusGraph, d: int) -> dict:

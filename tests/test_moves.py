@@ -1,4 +1,8 @@
+import copy
 import functools
+import hashlib
+import json
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -12,18 +16,27 @@ from dimergeom.config import (
     check_V,
     class_equal,
     cohomology_class,
+    config_to_dict,
     rescaled_config,
 )
 from dimergeom.errors import (
     BadPartition,
     DegenerateMeet,
+    DegreeOverflow,
     IncidentLabel,
     LabelMismatch,
     MoveError,
     ScriptError,
     WrongDegree,
 )
-from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture, make_spiral_fixture
+from dimergeom.fixtures import (
+    SPIRAL_BASE,
+    SPIRAL_K,
+    SPIRAL_N,
+    make_pentagram_fixture,
+    make_qnet_fixture,
+    make_spiral_fixture,
+)
 from dimergeom.geometry import hyperplane, line_through, meet_hyperplanes, point, proj_equal
 from dimergeom.moves import (
     forced_split_label,
@@ -36,8 +49,11 @@ from dimergeom.moves import (
     script_to_json,
     urban_renewal,
 )
+from dimergeom.pentagram import build_pentagram_graph, pentagram_step_on_config
+from dimergeom.qnet import qnet_step_on_config
 from dimergeom.spectral import spectral_polynomial_white
-from dimergeom.torusgraph import canonical_basis_cycles, check_walk, validate_graph, vertex_edges
+from dimergeom.spiral import spiral_step_on_config
+from dimergeom.torusgraph import TorusGraph, canonical_basis_cycles, check_walk, validate_graph, vertex_edges
 
 
 @pytest.fixture()
@@ -213,6 +229,28 @@ def test_every_split_keeps_graph_valid_and_class():
             assert class_equal(cohomology_class(c2), cls), (v, part)
 
 
+def test_script_splits_one_vertex_twice(pentagon):
+    # the second split of P0 names its vertices P0'' and P0~~
+    c, steps = pentagon, []
+    for _ in range(2):
+        label = forced_split_label(c, "P0", (0, 2))
+        c = add_degree2(c, "P0", (0, 2), label)
+        steps.append(MoveStep("add2", "P0", label, (0, 2)))
+    out = apply_script(pentagon, MoveScript(tuple(steps)))
+    assert {"P0'", "P0''"} <= set(out.graph.white_ids) and {"P0~", "P0~~"} <= set(out.graph.black_ids)
+    assert validate_graph(out.graph).ok and check_V(out).ok and check_F(out).ok
+
+
+def test_renewal_reports_a_vertex_already_above_degree_bound(pentagon):
+    # read with d = 1, every degree-4 vertex is above d+2; the renewal
+    # names the first in edge order, even one away from the renewed face
+    c = DoubleCircuitConfig(pentagon.graph, 1, pentagon.white_labels, pentagon.black_labels)
+    with pytest.raises(ScriptError) as err:
+        apply_script(c, MoveScript((MoveStep("urban", "s3"),)))
+    assert isinstance(err.value.__cause__, DegreeOverflow)
+    assert str(err.value.__cause__) == "vertex P0 has degree 4 > d+2 = 3"
+
+
 def test_move_preservation_on_qnet_fixture():
     _, _, c = make_qnet_fixture()
     c1 = urban_renewal(c, "F0x1")
@@ -276,31 +314,151 @@ def _candidates(c):
 
 
 def _apply(c, op, target, partition):
+    """(the public move applied to c, the script step that makes it); an
+    add2 takes the forced label."""
+    label = forced_split_label(c, target, partition) if op == "add2" else None
+    step = MoveStep(op, target, label, partition)
     if op == "urban":
-        return urban_renewal(c, target)
+        return urban_renewal(c, target), step
     if op == "remove2":
-        return remove_degree2(c, target)
-    return add_degree2(c, target, partition, forced_split_label(c, target, partition))
+        return remove_degree2(c, target), step
+    return add_degree2(c, target, partition, label), step
+
+
+def _graph_state(g):
+    """A deep copy of the graph's slot storage, carried indices and
+    positional views."""
+    g.incidence(), g.faces_on(())  # build the lazy indices first
+    return copy.deepcopy([getattr(g, name) for name in TorusGraph.__slots__])
+
+
+def _state(c):
+    return _graph_state(c.graph), copy.deepcopy((c.white_labels, c.black_labels))
 
 
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(["pentagram-7/2", "spiral", "qnet-4x4"]), data=st.data())
 def test_random_move_sequences_keep_conditions_class_and_curve(name, data):
-    c, cls, curve = _start(name)
-    applied = 0
+    # also: a move leaves its input as it was, the cached template (the
+    # 7/2 fixture's graph) included, and a script equals its moves folded
+    start, cls, curve = _start(name)
+    template = _graph_state(build_pentagram_graph(7, 2))
+    c, steps = start, []
     for _ in range(data.draw(st.integers(1, 4), label="length")):
         cands = _candidates(c)
         op = data.draw(st.sampled_from(sorted(cands)), label="op")
         target, partition = data.draw(st.sampled_from(cands[op]), label="target")
+        before = _state(c)
         try:
-            c = _apply(c, op, target, partition)
+            nxt, step = _apply(c, op, target, partition)
         except MoveError:
+            assert _state(c) == before, (op, target)
             continue  # not a legal move here (degenerate meet, label mismatch, ...)
-        applied += 1
+        assert _state(c) == before, (op, target)
+        c = nxt
+        steps.append(step)
         g = c.graph
         assert g.basis_cycles is not None
         assert validate_graph(g).ok, (op, target, validate_graph(g))
         assert check_V(c).ok and check_F(c).ok, (op, target)
         assert cohomology_class(c) == cohomology_class(c, *canonical_basis_cycles(g)) == cls, (op, target)
         assert spectral_polynomial_white(c).normalized().terms == curve, (op, target)
-    assume(applied)
+    assume(steps)
+    assert config_to_dict(apply_script(start, MoveScript(tuple(steps)))) == config_to_dict(c)
+    assert _graph_state(build_pentagram_graph(7, 2)) == template
+
+
+# ------------------------------------------- pinned outputs of the moves
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _chain(name):
+    """config_to_dict of every state of a fixed step chain."""
+    if name.startswith("pentagram"):
+        n, k, steps = {"pentagram-7/2": (7, 2, 3), "pentagram-9/4": (9, 4, 2), "pentagram-64/3": (64, 3, 2)}[name]
+        c = make_pentagram_fixture(n, k)[3]
+
+        def step(c, _i):
+            return pentagram_step_on_config(c, k)
+
+    elif name == "spiral":
+        c, steps = make_spiral_fixture()[2], 4
+
+        def step(c, i):
+            return spiral_step_on_config(c, SPIRAL_K, SPIRAL_N, SPIRAL_BASE + i)
+
+    else:
+        c, steps = make_qnet_fixture()[2], 2
+
+        def step(c, _i):
+            i, j = c.graph.white_ids[0][1:].split("x")
+            return qnet_step_on_config(c, 4, 4, 1 - (int(i) + int(j)) % 2)
+
+    states = [config_to_dict(c)]
+    for i in range(steps):
+        c = step(c, i)
+        states.append(config_to_dict(c))
+    return states
+
+
+def _drawn_sequence(seed, length=5):
+    """(start name, legal moves, result) of a seeded random move sequence
+    drawn like the property below; an add2 whose default ids are taken is
+    not drawn."""
+    rng = random.Random(seed)
+    name = ("pentagram-7/2", "spiral", "qnet-4x4")[seed % 3]
+    c = _start(name)[0]
+    moves = []
+    for _ in range(4 * length):
+        if len(moves) == length:
+            break
+        cands = _candidates(c)
+        op = rng.choice(sorted(cands))
+        target, partition = rng.choice(cands[op])
+        if op == "add2" and {f"{target}'", f"{target}~"} & set(c.graph.white_ids + c.graph.black_ids):
+            continue
+        try:
+            c = _apply(c, op, target, partition)[0]
+        except MoveError:
+            continue
+        moves.append((op, target, partition))
+    return name, moves, c
+
+
+# sha256 of the outputs of the edge-renumbering move implementation that
+# the stable-slot graph core replaced; outputs must stay byte-identical
+PINNED_CHAINS = {
+    "pentagram-7/2": "359fdcf3fe2d23de1eeb3529772250e2a73c1a50d29842868d4ffb2df122bcc7",
+    "pentagram-9/4": "d9cde680dde10f388ece287e8d5cd977d21794f2290e6bc1fac7aff272aca41f",
+    "pentagram-64/3": "40d460a69bc619e5079d3ca560a70d06911254911f0850a401faba7123cb3cfe",
+    "spiral": "9a6d1a76e600147069be544b2dee925a6747a8e14169231b3e6229ec18ba8a3a",
+    "qnet-4x4": "63c8644439d51e57d4fa7c7e7f4bcf73d5df80913989a0fed294401526d5f09d",
+}
+PINNED_SEQUENCES = [
+    "e73458205bc22c58bd117db32e70ca750729ccd341f555982e3beb0e1ba02b1b",
+    "078cf519d7baef247da62d0ea9d73237ca29d93980cad85452f2d38a4c434655",
+    "758991fd0946308f6aa60f5cb2121dc781ed1751dd11bb1fedce5721a171c80e",
+    "3b5465ac91e18aa43941d2e80b05616fb6133a2733298171a4c9ed33151f0a20",
+    "ab860fe659cae202bdfe6798744aebce938dd231707816a9754b11f7c4c687b3",
+    "8e3e5d62254017285cdb3b0465b7050c5ae796c89ce50cbf4a4fc33d92702414",
+    "fa56791d3ded198e6c7429b283a308ab0fd36e818dcce7377cab87a1015f6c05",
+    "0f0ffe95f3a53a21f9a1ccbf9572d74b9929075761735f4835afad4944d03937",
+    "81dd40e5daff88a2720083170b68f9f278333b875f34dd2b38a9969d0cab57d4",
+    "b3ace81acae3fc69b75fde1a8b1b4336491317d9e6fa58452b770b77df3bf90b",
+]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHAINS))
+def test_step_chains_match_pinned_outputs(name):
+    assert _digest(_chain(name)) == PINNED_CHAINS[name]
+
+
+def test_random_move_sequences_match_pinned_outputs():
+    digests = []
+    for seed in range(10):
+        name, moves, c = _drawn_sequence(seed)
+        digests.append(_digest([name, moves, config_to_dict(c)]))
+    assert digests == PINNED_SEQUENCES

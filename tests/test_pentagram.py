@@ -219,3 +219,34 @@ def test_step_builds_no_basis_cycles(monkeypatch):
 
     monkeypatch.setattr(torusgraph, "find_walk", no_walks)
     assert labels_projectively_equal(pentagram_step_on_config(c, 2), expected)
+
+
+def test_step_moves_edit_the_graph_locally(monkeypatch):
+    # each move edits the carried incidence and face indices: no move
+    # rescans the graph with vertex_edges, and a step derives the
+    # positional view of an intermediate graph a fixed number of times
+    import sys
+
+    from dimergeom import torusgraph
+
+    calls = {"vertex_edges": 0, "view": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("dimergeom")]:
+        if getattr(mod, "vertex_edges", None) is torusgraph.vertex_edges:
+            monkeypatch.setattr(mod, "vertex_edges", counted("vertex_edges", torusgraph.vertex_edges))
+    monkeypatch.setattr(torusgraph, "_positional_view", counted("view", torusgraph._positional_view))
+    views = {}
+    for n in (16, 64):
+        c = make_pentagram_fixture(n, 3)[3]
+        calls.update(vertex_edges=0, view=0)
+        pentagram_step_on_config(c, 3)
+        assert calls["vertex_edges"] == 0, n
+        views[n] = calls["view"]
+    assert views[16] == views[64] <= 1
