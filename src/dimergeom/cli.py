@@ -11,10 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .config import check_F, check_V, config_from_dict, labels_projectively_equal, load_config, save_config, scalar_kind
-from .errors import GeometryError
+from .config import (
+    check_F,
+    check_V,
+    config_from_dict,
+    labels_projectively_equal,
+    load_config,
+    read_json,
+    save_config,
+    scalar_kind,
+)
+from .errors import GeometryError, InputError
 from .geometry import POINT, HomogeneousElement
 from .laurent import newton_polygon, poly_to_json
 from .moves import apply_script, load_script
@@ -100,7 +108,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
@@ -125,17 +133,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     if args.steps < 0:
-        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
+        raise InputError(f"--steps must be nonnegative, got {args.steps}")
     c = _load_valid(args.config)
     if bool(args.script) == bool(args.builtin):
-        raise ValueError("pass exactly one of --script or --builtin")
+        raise InputError("pass exactly one of --script or --builtin")
+    if args.builtin in ("pentagram", "spiral") and args.k < 1:
+        raise InputError(f"--k must be positive, got {args.k}")
     trace: list = []
     if args.script:
         script = load_script(args.script, scalar_kind(c))
         for idx, s in enumerate(script.steps):
             if s.label is not None and len(s.label.coords) != c.d + 1:
                 n = len(s.label.coords)
-                raise ValueError(f"script step {idx}: add2 label has {n} coordinates, need d + 1 = {c.d + 1}")
+                raise InputError(f"script step {idx}: add2 label has {n} coordinates, need d + 1 = {c.d + 1}")
         cur = c
         for step in range(args.steps):
             cur = apply_script(cur, script, trace)
@@ -170,6 +180,8 @@ def _run_builtin(c, args, trace):
 def _builtin_family(c, args):
     """(move step, direct-formula step) of the builtin family; both map
     (config, step number) to the next config.  Shapes come from c."""
+    if not c.graph.white_ids:
+        raise GeometryError(f"no white vertices: nothing for the {args.builtin} dynamics to step")
     if args.builtin == "pentagram":
         from . import pentagram as pg
 
@@ -251,7 +263,7 @@ def _cmd_reconstruct(args) -> int:
     kind = scalar_kind(c)
     lam, mu = parse_scalar(args.lam, kind), parse_scalar(args.mu, kind)
     if lam == 0 or mu == 0:
-        raise ValueError(f"--lam and --mu must be nonzero, got {args.lam}, {args.mu}")
+        raise InputError(f"--lam and --mu must be nonzero, got {args.lam}, {args.mu}")
     try:
         res = reconstruct_black(c.graph, c.d, c.white_labels, lam, mu)
     except EmptyKernel:
@@ -327,14 +339,16 @@ def _cmd_render(args) -> int:
         width=args.width,
         labels=not args.no_labels,
     )
-    with open(args.config, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "points" in data:
+    data = read_json(args.config)
+    if isinstance(data, dict) and "points" in data:
         # bare polygon file: {"points": [[x, y] or [x, y, z], ...]}
         from .render import render_points
 
+        entries = data["points"]
+        if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) in (2, 3) for e in entries):
+            raise InputError("points must be a list of [x, y] or [x, y, z] entries")
         pts = []
-        for entry in data["points"]:
+        for entry in entries:
             vals = [parse_scalar(x) for x in entry]
             if len(vals) == 2:
                 vals.append(parse_scalar("1"))
@@ -354,7 +368,7 @@ def _cmd_make(args) -> int:
     if args.cmd == "make-pentagram":
         params = None
         if args.params:
-            params = [Fraction(x) for x in args.params.split(",")]
+            params = [parse_scalar(x) for x in args.params.split(",")]
         _, _, _, c = fixtures.make_pentagram_fixture(args.n, args.k, params, args.seed)
     elif args.cmd == "make-spiral":
         _, _, c = fixtures.make_spiral_fixture()

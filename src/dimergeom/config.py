@@ -23,6 +23,7 @@ from .errors import (
     BadBasis,
     DegreeExceedsBound,
     DimensionMismatch,
+    InputError,
     KernelNotOneDimensional,
     VanishingPairing,
 )
@@ -238,19 +239,21 @@ def _face_to_json(g: TorusGraph, f: Face, pair_count: Counter):
 
 def config_from_dict(data: dict) -> DoubleCircuitConfig:
     """Parse the JSON form.  Coordinates are read as the file's "scalar"
-    kind.  Raises ValueError for an unknown kind and for any structural
+    kind.  Raises InputError for an unknown kind and for any structural
     defect (wrong JSON types, missing keys, short h vectors, edge refs out
     of range in faces or basis cycles, face_ids not strings or not matching
     faces, label lengths not matching the dimension, malformed scalars)."""
     if not isinstance(data, dict):
-        raise ValueError("configuration must be a JSON object")
+        raise InputError("configuration must be a JSON object")
     scalar = data.get("scalar", RATIONAL)
     if scalar not in (RATIONAL, FLOAT):
-        raise ValueError(f"unknown scalar kind {scalar!r}")
+        raise InputError(f"unknown scalar kind {scalar!r}")
     try:
         return _config_from_dict(data, scalar)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed configuration: {type(exc).__name__}: {exc}") from exc
+    except InputError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed configuration: {type(exc).__name__}: {exc}") from exc
 
 
 def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
@@ -263,15 +266,15 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     faces_json = data.get("faces", [])
     face_ids = data.get("face_ids") or [f"f{i}" for i in range(len(faces_json))]
     if len(face_ids) != len(faces_json):
-        raise ValueError(f"{len(face_ids)} face_ids for {len(faces_json)} faces")
+        raise InputError(f"{len(face_ids)} face_ids for {len(faces_json)} faces")
     if not all(isinstance(fid, str) for fid in face_ids):
-        raise ValueError("face_ids must be strings")
+        raise InputError("face_ids must be strings")
     faces = _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids)
     basis = None
     if "basis_cycles" in data and data["basis_cycles"]:
         basis = tuple(tuple(int(i) for i in data["basis_cycles"][z]) for z in ("z1", "z2"))
         if not all(0 <= ei < len(edges) for walk in basis for ei in walk):
-            raise ValueError(f"basis_cycles: edge index out of range 0..{len(edges) - 1}")
+            raise InputError(f"basis_cycles: edge index out of range 0..{len(edges) - 1}")
     graph = TorusGraph(white_ids, black_ids, edges, faces, basis)
     white_labels = {
         w["id"]: _parse_label(w, POINT, d, scalar)
@@ -293,7 +296,7 @@ def _parse_label(entry, kind, d, scalar):
     if kind == POINT and len(vals) == d:
         vals.append(parse_scalar("1", scalar))
     if len(vals) != d + 1:
-        raise ValueError(f"{kind} {entry['id']}: {len(entry['coords'])} coordinates in dimension {d}")
+        raise InputError(f"{kind} {entry['id']}: {len(entry['coords'])} coordinates in dimension {d}")
     return HomogeneousElement(tuple(vals), kind)
 
 
@@ -308,7 +311,7 @@ def _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids):
         if entry and isinstance(entry[0], dict):
             refs = tuple(int(x["e"]) for x in entry)
             if not all(0 <= ei < len(edges) for ei in refs):
-                raise ValueError(f"face {fid}: edge ref out of range 0..{len(edges) - 1} in {list(refs)}")
+                raise InputError(f"face {fid}: edge ref out of range 0..{len(edges) - 1} in {list(refs)}")
             faces.append(Face(fid, refs))
             continue
         seq = list(entry)
@@ -321,7 +324,7 @@ def _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids):
             pair = (v, vn) if slot % 2 == 0 else (vn, v)
             cands = by_pair.get(pair, [])
             if not cands:
-                raise ValueError(f"face {fid}: no edge between {pair}")
+                raise InputError(f"face {fid}: no edge between {pair}")
             # round-robin over parallel edges: each edge used twice in total
             k = used.get(pair, 0)
             idxs.append(cands[(k // 2) % len(cands)] if len(cands) > 1 else cands[0])
@@ -336,9 +339,17 @@ def save_config(c: DoubleCircuitConfig, path) -> None:
         fh.write("\n")
 
 
+def read_json(path):
+    """The JSON value of a file; text that is not UTF-8 is an InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_config(path) -> DoubleCircuitConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_json(path))
 
 
 def labels_projectively_equal(c1: DoubleCircuitConfig, c2: DoubleCircuitConfig) -> bool:

@@ -2,6 +2,11 @@
 from __future__ import annotations
 
 
+class InputError(ValueError):
+    """Malformed input: a configuration or script file, a scalar, or a
+    command-line value.  The CLI reports it with exit code 2."""
+
+
 class GeometryError(Exception):
     """Base class for all domain errors raised by this package."""
 

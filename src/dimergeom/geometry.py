@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -85,20 +85,13 @@ def normalize(e: HomogeneousElement) -> HomogeneousElement:
 
 def normalize_coords(coords: tuple) -> tuple:
     if not is_float(coords):
-        denom_lcm = 1
-        for c in coords:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in coords]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+        ints = linalg.int_row(coords)
+        g = gcd(*ints)
         if g == 0:
             raise ZeroVector("all coordinates vanish")
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return tuple(Fraction(v) for v in ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        return tuple(Fraction(v // g) for v in ints)
     scale = max(abs(c) for c in coords)
     if scale == 0:
         raise ZeroVector("all coordinates vanish")
@@ -117,9 +110,15 @@ def proj_equal_coords(a: tuple, b: tuple) -> bool:
         return False
     if is_float(a) != is_float(b):
         return False  # an exact element never equals a float one
-    na, nb = normalize_coords(a), normalize_coords(b)
     if not is_float(a):
-        return na == nb
+        # a ~ b iff a_i b_k == b_i a_k for every i, at a k with a_k != 0
+        ia, ib = linalg.int_row(a), linalg.int_row(b)
+        k = next((i for i, v in enumerate(ia) if v), None)
+        if k is None or not any(ib):
+            raise ZeroVector("all coordinates vanish")
+        ak, bk = ia[k], ib[k]
+        return all(x * bk == y * ak for x, y in zip(ia, ib))
+    na, nb = normalize_coords(a), normalize_coords(b)
     scale = max(max(abs(x) for x in na), max(abs(x) for x in nb))
     return all(is_zero(x - y, scale=scale) for x, y in zip(na, nb))
 
@@ -136,7 +135,15 @@ def pairing(h: HomogeneousElement, p: HomogeneousElement):
         h, p = p, h
     if h.dim != p.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {h.dim} vs {p.dim}")
-    return sum(a * b for a, b in zip(h.coords, p.coords))
+    if is_float(h.coords) or is_float(p.coords):
+        return sum(a * b for a, b in zip(h.coords, p.coords))
+    # exact: the dot product of the integer-scaled coordinates, divided once
+    den = lcm(*(c.denominator for c in h.coords)) * lcm(*(c.denominator for c in p.coords))
+    return Fraction(_dot(linalg.int_row(h.coords), linalg.int_row(p.coords)), den)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def tested_pairing(h: HomogeneousElement, p: HomogeneousElement):
@@ -160,16 +167,15 @@ def _same_kind_dim(elems):
         raise DimensionMismatch("mixed ambient dimensions")
 
 
-def circuit_coefficients(rows):
-    """c with sum(c_i * rows[i]) = 0 and every c_i nonzero.
+def _relation(rows):
+    """The relation c (sum c_i * rows[i] = 0) of a circuit: a primitive int
+    vector for exact rows, the float kernel vector otherwise.
 
     Raises KernelNotOneDimensional, naming the relation-space dimension or
     the vanishing coefficient, unless the rows form a circuit (rank m-1
-    with a nowhere-zero one-dimensional left kernel).
-    """
-    m = len(rows)
-    cols = [[rows[i][j] for i in range(m)] for j in range(len(rows[0]))]
-    ker = linalg.nullspace(cols)  # coefficient vectors c with sum c_i v_i = 0
+    with a nowhere-zero one-dimensional left kernel)."""
+    cols = [list(col) for col in zip(*rows)]
+    ker = linalg.nullspace(cols) if any(map(is_float, rows)) else linalg.int_nullspace(cols)
     if len(ker) != 1:
         raise KernelNotOneDimensional(f"relation space has dimension {len(ker)}, need 1")
     c = ker[0]
@@ -178,6 +184,19 @@ def circuit_coefficients(rows):
         if is_zero(x, scale=scale):
             raise KernelNotOneDimensional(f"relation coefficient {i} vanishes (not a circuit)")
     return c
+
+
+def circuit_coefficients(rows):
+    """c with sum(c_i * rows[i]) = 0, every c_i nonzero and the last one 1
+    (exact Fractions, or floats for float rows).
+
+    Raises KernelNotOneDimensional, naming the relation-space dimension or
+    the vanishing coefficient, unless the rows form a circuit.
+    """
+    c = _relation(rows)
+    if isinstance(c[-1], float):
+        return c
+    return [Fraction(x, c[-1]) for x in c]
 
 
 def is_circuit(elems) -> bool:
@@ -193,7 +212,7 @@ def is_circuit(elems) -> bool:
     # for m = d+2 the dependency is automatic; the nowhere-zero kernel test
     # is exactly "every (m-1)-subset independent"
     try:
-        circuit_coefficients([list(e.coords) for e in elems])
+        _relation([e.coords for e in elems])
     except KernelNotOneDimensional:
         return False
     return True
@@ -201,9 +220,11 @@ def is_circuit(elems) -> bool:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Row space of a generator matrix, stored as an RREF basis."""
+    """Row space of a generator matrix, stored as its reduced row echelon
+    basis; exact rows are scaled to primitive ints, positive at the pivot
+    (the RREF rows up to a positive factor), float rows are the RREF."""
 
-    basis: tuple  # tuple of coordinate tuples, reduced row echelon form
+    basis: tuple  # tuple of coordinate tuples
     kind: str
     ambient: int  # d, so coordinate length is d+1
 
@@ -211,30 +232,65 @@ class Subspace:
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, e: HomogeneousElement) -> bool:
-        return linalg.rank([list(b) for b in self.basis] + [list(e.coords)]) == self.rank
+
+def _echelon(rows):
+    """The basis a Subspace stores for the row space of rows."""
+    reduced, _ = linalg.rref(rows) if any(map(is_float, rows)) else linalg.int_rref(rows)
+    return tuple(tuple(r) for r in reduced)
+
+
+def _generators(gens):
+    """(coordinate rows, kind, d) of a Subspace or a nonempty element list."""
+    if isinstance(gens, Subspace):
+        return list(gens.basis), gens.kind, gens.ambient
+    if not gens:
+        raise TooFew("span of nothing")
+    _same_kind_dim(gens)
+    return [e.coords for e in gens], gens[0].kind, gens[0].dim
 
 
 def span(elems) -> Subspace:
-    if not elems:
-        raise TooFew("span of nothing")
-    _same_kind_dim(elems)
-    reduced, _ = linalg.rref([list(e.coords) for e in elems])
-    return Subspace(tuple(tuple(r) for r in reduced), elems[0].kind, elems[0].dim)
+    rows, kind, d = _generators(list(elems))
+    return Subspace(_echelon(rows), kind, d)
 
 
-def meet(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection of two subspaces, computed from their kernels."""
-    if s1.kind != s2.kind:
+def meet(gens1, gens2) -> Subspace:
+    """Intersection of the spans of two generator lists (elements, or
+    Subspaces whose basis rows are the generators).
+
+    Exact generators take one integer elimination of the matrix whose
+    columns are both lists, scaled to ints: each kernel vector (a, b) gives
+    the element sum a_i g1_i = -sum b_j g2_j of the intersection, and the
+    nonzero ones span it.  Float generators take the kernels of the two
+    spans."""
+    rows1, kind, d = _generators(gens1)
+    rows2, kind2, d2 = _generators(gens2)
+    if kind != kind2:
         raise KindMismatch("meet of different kinds")
-    if s1.ambient != s2.ambient:
+    if d != d2:
         raise DimensionMismatch("meet in different ambient spaces")
-    ann = linalg.nullspace([list(b) for b in s1.basis]) + linalg.nullspace([list(b) for b in s2.basis])
+    if any(map(is_float, rows1)) or any(map(is_float, rows2)):
+        return _float_meet(rows1, rows2, kind, d)
+    ints1 = [linalg.int_row(r) for r in rows1]
+    cols = [list(col) for col in zip(*ints1, *map(linalg.int_row, rows2))]
+    inter = []
+    for v in linalg.int_nullspace(cols):
+        x = [_dot(v, col) for col in zip(*ints1)]
+        if any(x):
+            inter.append(x)
+    if not inter:
+        raise EmptyMeet("subspaces intersect trivially")
+    return Subspace(_echelon(inter), kind, d)
+
+
+def _float_meet(rows1, rows2, kind, d) -> Subspace:
+    """meet of float generators, from the kernels of the two spans."""
+    ann = linalg.nullspace([list(b) for b in linalg.rref(rows1)[0]])
+    ann += linalg.nullspace([list(b) for b in linalg.rref(rows2)[0]])
     inter = linalg.nullspace([list(a) for a in ann])
     if not inter:
         raise EmptyMeet("subspaces intersect trivially")
-    reduced, _ = linalg.rref(inter)
-    return Subspace(tuple(tuple(r) for r in reduced), s1.kind, s1.ambient)
+    return Subspace(_echelon(inter), kind, d)
 
 
 def subspace_element(s: Subspace) -> HomogeneousElement:
@@ -243,15 +299,20 @@ def subspace_element(s: Subspace) -> HomogeneousElement:
     return HomogeneousElement(normalize_coords(s.basis[0]), s.kind)
 
 
+def _kernel_element(rows, kind, what) -> HomogeneousElement:
+    """The element spanning the one-dimensional kernel of rows."""
+    ker = linalg.nullspace(rows) if any(map(is_float, rows)) else linalg.int_nullspace(rows)
+    if len(ker) != 1:
+        raise DegenerateIntersection(what)
+    return HomogeneousElement(normalize_coords(tuple(ker[0])), kind)
+
+
 def join_points(points_) -> HomogeneousElement:
     """Hyperplane spanned by d points of P^d (unique when independent)."""
     _same_kind_dim(points_)
     if points_[0].kind != POINT:
         raise KindMismatch("join_points takes points")
-    ker = linalg.nullspace([list(p.coords) for p in points_])
-    if len(ker) != 1:
-        raise DegenerateIntersection("points do not span a unique hyperplane")
-    return HomogeneousElement(normalize_coords(tuple(ker[0])), HYPERPLANE)
+    return _kernel_element([p.coords for p in points_], HYPERPLANE, "points do not span a unique hyperplane")
 
 
 def meet_hyperplanes(hyps) -> HomogeneousElement:
@@ -259,15 +320,51 @@ def meet_hyperplanes(hyps) -> HomogeneousElement:
     _same_kind_dim(hyps)
     if hyps[0].kind != HYPERPLANE:
         raise KindMismatch("meet_hyperplanes takes hyperplanes")
-    ker = linalg.nullspace([list(h.coords) for h in hyps])
-    if len(ker) != 1:
-        raise DegenerateIntersection("hyperplanes do not meet in a unique point")
-    return HomogeneousElement(normalize_coords(tuple(ker[0])), POINT)
+    return _kernel_element([h.coords for h in hyps], POINT, "hyperplanes do not meet in a unique point")
 
 
 def line_through(p: HomogeneousElement, q: HomogeneousElement) -> HomogeneousElement:
     """Line through two distinct points of P^2."""
     return join_points([p, q])
+
+
+def _ratio_terms(cycle):
+    """(prod l_i(A_i), prod l_i(A_{i+1})) of a checked alternating cycle.
+    Exact labels are paired on their integer-scaled coordinates: each
+    label's scale appears once in each product, so the two ints have the
+    multi-ratio as their quotient."""
+    if len(cycle) < 2 or len(cycle) % 2 != 0:
+        raise TooFew("multi-ratio needs an even cycle of length >= 2")
+    pts, hyps = cycle[0::2], cycle[1::2]
+    if any(p.kind != POINT for p in pts) or any(h.kind != HYPERPLANE for h in hyps):
+        raise KindMismatch("cycle must alternate point, hyperplane, ...")
+    n = len(pts)
+    if any(is_float(e.coords) for e in cycle):
+
+        def paired(i, j):
+            return tested_pairing(hyps[i], pts[j])
+
+    else:
+        ipts = [linalg.int_row(p.coords) for p in pts]
+        ihyps = [linalg.int_row(h.coords) for h in hyps]
+
+        def paired(i, j):
+            if hyps[i].dim != pts[j].dim:
+                raise DimensionMismatch(f"ambient dimensions differ: {hyps[i].dim} vs {pts[j].dim}")
+            v = _dot(ihyps[i], ipts[j])
+            return v, not v
+
+    num = den = 1
+    for i in range(n):
+        a, a_zero = paired(i, i)
+        if a_zero:
+            raise VanishingPairing(f"point {i} lies on hyperplane {i}")
+        b, b_zero = paired(i, (i + 1) % n)
+        if b_zero:
+            raise VanishingPairing(f"point {(i + 1) % n} lies on hyperplane {i}")
+        num *= a
+        den *= b
+    return num, den
 
 
 def multi_ratio(cycle):
@@ -276,29 +373,16 @@ def multi_ratio(cycle):
 
     Independent of representative scaling; reversal inverts it.
     """
-    if len(cycle) < 2 or len(cycle) % 2 != 0:
-        raise TooFew("multi-ratio needs an even cycle of length >= 2")
-    pts, hyps = cycle[0::2], cycle[1::2]
-    if any(p.kind != POINT for p in pts) or any(h.kind != HYPERPLANE for h in hyps):
-        raise KindMismatch("cycle must alternate point, hyperplane, ...")
-    n = len(pts)
-    num = 1
-    den = 1
-    for i in range(n):
-        a, a_zero = tested_pairing(hyps[i], pts[i])
-        if a_zero:
-            raise VanishingPairing(f"point {i} lies on hyperplane {i}")
-        b, b_zero = tested_pairing(hyps[i], pts[(i + 1) % n])
-        if b_zero:
-            raise VanishingPairing(f"point {(i + 1) % n} lies on hyperplane {i}")
-        num *= a
-        den *= b
-    return num / den
+    num, den = _ratio_terms(cycle)
+    return num / den if isinstance(num, float) else Fraction(num, den)
 
 
 def face_coherent(cycle) -> bool:
     """True iff the multi-ratio of the cycle equals one."""
-    r = multi_ratio(cycle)
+    num, den = _ratio_terms(cycle)
+    if not isinstance(num, float):
+        return num == den
+    r = num / den
     return is_zero(r - 1, scale=abs(r))
 
 

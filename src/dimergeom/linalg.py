@@ -7,8 +7,10 @@ columns and the reduced row echelon form, and the rows are then reduced
 fraction-free, each updated row divided by its content.  Fractions are
 built only at the readout, when a pivot row is divided by its pivot, so an
 exact matrix, int data included, gets Fraction results equal to those of
-Gauss-Jordan elimination over Fractions.  The determinant is Bareiss
-elimination on the same integer rows.
+Gauss-Jordan elimination over Fractions.  :func:`int_nullspace` and
+:func:`int_rref` read the same elimination as primitive int vectors and
+build no Fraction.  The determinant is Bareiss elimination on the same
+integer rows.
 
 A matrix with a float entry takes partial pivoting with every zero
 decision made by :func:`scalars.is_zero` at the scale of the input matrix;
@@ -21,7 +23,7 @@ from math import gcd, lcm, prod
 
 from .scalars import is_float, is_zero
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def _has_float(rows) -> bool:
@@ -32,15 +34,13 @@ def _unit(rows):
     return 1.0 if _has_float(rows) else Fraction(1)
 
 
-def _int_rows(rows):
-    """(int rows, multipliers): each exact row times the lcm of its
-    denominators."""
-    out, mults = [], []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-        mults.append(den)
-    return out, mults
+def int_row(row) -> list:
+    """An exact row times the lcm of its denominators, as ints: the same
+    projective point, the same kernel and echelon form."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _int_echelon(m):
@@ -71,6 +71,11 @@ def _int_echelon(m):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def _exact_echelon(rows):
+    """_int_echelon of the integer-scaled rows of an exact matrix."""
+    return _int_echelon([int_row(r) for r in rows])
 
 
 def bareiss_det(mat) -> int:
@@ -188,14 +193,14 @@ def rref(rows):
         return [], []
     if _has_float(rows):
         return _float_rref(rows)
-    m, pivots = _int_echelon(_int_rows(rows)[0])
+    m, pivots = _exact_echelon(rows)
     return [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows) -> int:
     if _has_float(rows):
         return len(rref(rows)[1])
-    return len(_int_echelon(_int_rows(rows)[0])[1])
+    return len(_exact_echelon(rows)[1])
 
 
 def _kernel(reduced, pivots, ncols, one):
@@ -211,17 +216,21 @@ def _kernel(reduced, pivots, ncols, one):
 
 
 def _int_kernel(m, pivots, ncols):
-    """Kernel basis read off the integer echelon rows of an exact matrix:
-    the RREF entry in row r and free column c is m[r][c] / m[r][pivot], so
-    only the nonzero entries of the free columns become Fractions."""
+    """Kernel basis read off the integer echelon rows of an exact matrix,
+    as (free column, int vector) pairs: the RREF entry in row r and free
+    column c is m[r][c] / m[r][pivot], so the vector of c is the RREF one
+    times the lcm of the pivots it divides by, divided by its content.
+    Every vector is primitive and positive at its free column."""
     basis = []
     for fc in sorted(set(range(ncols)).difference(pivots)):
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
-        for row, pc in zip(m, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
+        used = [(row, pc) for row, pc in zip(m, pivots) if row[fc]]
+        den = lcm(*(row[pc] for row, pc in used))
+        v = [0] * ncols
+        v[fc] = den
+        for row, pc in used:
+            v[pc] = -row[fc] * den // row[pc]
+        g = gcd(*v)
+        basis.append((fc, [x // g for x in v] if g > 1 else v))
     return basis
 
 
@@ -231,7 +240,32 @@ def nullspace(rows):
         return []
     if _has_float(rows):
         return _kernel(*_float_rref(rows), len(rows[0]), 1.0)
-    return _int_kernel(*_int_echelon(_int_rows(rows)[0]), len(rows[0]))
+    return [
+        [Fraction(x, v[fc]) if x else _ZERO for x in v]
+        for fc, v in _int_kernel(*_exact_echelon(rows), len(rows[0]))
+    ]
+
+
+def int_nullspace(rows):
+    """Kernel basis of an exact matrix on ints: one primitive vector per
+    free column, positive there, each a positive multiple of the
+    :func:`nullspace` vector of that column.  No Fraction is built."""
+    if not rows:
+        return []
+    return [v for _, v in _int_kernel(*_exact_echelon(rows), len(rows[0]))]
+
+
+def int_rref(rows):
+    """(rows, pivot columns) of an exact matrix: its reduced row echelon
+    form with each row scaled to primitive ints, positive at its pivot."""
+    if not rows:
+        return [], []
+    m, pivots = _exact_echelon(rows)
+    out = []
+    for row, c in zip(m, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append([x // g for x in row])
+    return out, pivots
 
 
 def solve(rows, rhs):
@@ -263,5 +297,5 @@ def det(rows):
     integer rows divided by the product of the row multipliers."""
     if _has_float(rows):
         return _float_det(rows)
-    m, mults = _int_rows(rows)
-    return Fraction(bareiss_det(m), prod(mults))
+    mults = prod(lcm(*(x.denominator for x in row)) for row in rows)
+    return Fraction(bareiss_det([int_row(r) for r in rows]), mults)

@@ -52,16 +52,16 @@ faces, spoke rename rules and template.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .config import DoubleCircuitConfig
+from .config import DoubleCircuitConfig, read_json
 from .errors import (
     BadPartition,
     DegenerateMeet,
     DegreeOverflow,
     EmptyMeet,
     IncidentLabel,
+    InputError,
     LabelMismatch,
     MoveError,
     NotQuadrilateral,
@@ -75,7 +75,6 @@ from .geometry import (
     incident,
     meet,
     proj_equal,
-    span,
     subspace_element,
 )
 from .scalars import RATIONAL, parse_scalar, scalar_str
@@ -113,26 +112,26 @@ def script_to_json(s: MoveScript) -> list:
 def script_from_json(data, scalar=RATIONAL) -> MoveScript:
     """Labels are read as hyperplanes; ``apply_script`` gives an add2 label
     the kind opposite to its target's colour.  A malformed script raises
-    ValueError naming the step; the label length is the caller's check,
+    InputError naming the step; the label length is the caller's check,
     since it depends on the configuration."""
     if not isinstance(data, list):
-        raise ValueError(f"a move script is a list of steps, not {type(data).__name__}")
+        raise InputError(f"a move script is a list of steps, not {type(data).__name__}")
     steps = []
     for idx, entry in enumerate(data):
         if not isinstance(entry, dict):
-            raise ValueError(f"script step {idx}: a step is an object, not {type(entry).__name__}")
+            raise InputError(f"script step {idx}: a step is an object, not {type(entry).__name__}")
         op, target = entry.get("op"), entry.get("target")
         if op not in ("urban", "add2", "remove2"):
-            raise ValueError(f"script step {idx}: unknown op {op!r}")
+            raise InputError(f"script step {idx}: unknown op {op!r}")
         if not isinstance(target, str):
-            raise ValueError(f"script step {idx}: target must be a string, got {target!r}")
+            raise InputError(f"script step {idx}: target must be a string, got {target!r}")
         label = part = None
         if op == "add2":
             label, part = entry.get("label"), entry.get("partition")
             if not isinstance(label, list) or not label:
-                raise ValueError(f"script step {idx}: add2 label must be a list of coordinates, got {label!r}")
+                raise InputError(f"script step {idx}: add2 label must be a list of coordinates, got {label!r}")
             if not (isinstance(part, list) and len(part) == 2 and all(type(x) is int for x in part)):
-                raise ValueError(f"script step {idx}: add2 partition must be two integers, got {part!r}")
+                raise InputError(f"script step {idx}: add2 partition must be two integers, got {part!r}")
             label = HomogeneousElement(tuple(parse_scalar(x, scalar) for x in label), HYPERPLANE)
             part = tuple(part)
         steps.append(MoveStep(op, target, label, part))
@@ -140,8 +139,7 @@ def script_from_json(data, scalar=RATIONAL) -> MoveScript:
 
 
 def load_script(path, scalar=RATIONAL) -> MoveScript:
-    with open(path, encoding="utf-8") as fh:
-        return script_from_json(json.load(fh), scalar=scalar)
+    return script_from_json(read_json(path), scalar=scalar)
 
 
 # ----------------------------------------------------------------- helpers
@@ -306,7 +304,7 @@ def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> Homo
         return labels[e.b if v_white else e.w]
 
     try:
-        m = meet(span([far(ei) for ei in arc_a]), span([far(ei) for ei in arc_b]))
+        m = meet([far(ei) for ei in arc_a], [far(ei) for ei in arc_b])
     except EmptyMeet as exc:
         raise DegenerateMeet(f"arc spans of {v} do not meet") from exc
     if m.rank != 1:
@@ -343,22 +341,22 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
             raise DegenerateMeet(f"corner {corner} of {face_id} has degree 2; meet undefined")
 
     wl, bl = c.white_labels, c.black_labels
-    ab = span([wl[A], wl[B]])
-    cd = span([bl[cb], bl[db]])
+    ab = [wl[A], wl[B]]
+    cd = [bl[cb], bl[db]]
 
-    def _meet_or_die(s1, s2, what):
+    def _meet_or_die(gens1, gens2, what):
         try:
-            m = meet(s1, s2)
+            m = meet(gens1, gens2)
         except EmptyMeet as exc:
             raise DegenerateMeet(f"{what} of {face_id}: empty meet") from exc
         if m.rank != 1:
             raise DegenerateMeet(f"{what} of {face_id}: meet has rank {m.rank}")
         return subspace_element(m)
 
-    lab_E = _meet_or_die(ab, span([wl[g.edge(ei).w] for ei in others["c"]]), "E")
-    lab_F = _meet_or_die(ab, span([wl[g.edge(ei).w] for ei in others["d"]]), "F")
-    lab_g = _meet_or_die(cd, span([bl[g.edge(ei).b] for ei in others["A"]]), "g")
-    lab_h = _meet_or_die(cd, span([bl[g.edge(ei).b] for ei in others["B"]]), "h")
+    lab_E = _meet_or_die(ab, [wl[g.edge(ei).w] for ei in others["c"]], "E")
+    lab_F = _meet_or_die(ab, [wl[g.edge(ei).w] for ei in others["d"]], "F")
+    lab_g = _meet_or_die(cd, [bl[g.edge(ei).b] for ei in others["A"]], "g")
+    lab_h = _meet_or_die(cd, [bl[g.edge(ei).b] for ei in others["B"]], "h")
 
     vE, vF, vg, vh = f"{face_id}:E", f"{face_id}:F", f"{face_id}:g", f"{face_id}:h"
     if any(map(g.has_vertex, (vE, vF, vg, vh))):

@@ -35,7 +35,6 @@ from .geometry import (
     meet,
     meet_hyperplanes,
     proj_equal,
-    span,
     subspace_element,
 )
 from .moves import step_on_config
@@ -102,15 +101,13 @@ def _laplace_sites(w: QNetWindow, pairing: str):
     for ci, cj in _interior_sites(w):
         W, S = w[ci - 1, cj], w[ci, cj - 1]
         E, N = w[ci + 1, cj], w[ci, cj + 1]
-        if pairing == "ws-en":
-            s1, s2 = span([W, S]), span([E, N])
-        else:
-            s1, s2 = span([W, N]), span([E, S])
-        if s1.rank != 2 or s2.rank != 2:
-            raise CoincidentLines(f"site ({ci},{cj}): degenerate side points")
-        m = meet(s1, s2)
+        side1, side2 = ([W, S], [E, N]) if pairing == "ws-en" else ([W, N], [E, S])
+        r1, r2 = (linalg.rank([p.coords for p in side]) for side in (side1, side2))
+        if r1 != 2 or r2 != 2:
+            raise CoincidentLines(f"site ({ci},{cj}): degenerate side points (side spans of rank {r1} and {r2})")
+        m = meet(side1, side2)
         if m.rank != 1:
-            raise CoincidentLines(f"site ({ci},{cj}): the two lines coincide")
+            raise CoincidentLines(f"site ({ci},{cj}): the two lines coincide (meet has rank {m.rank})")
         out[(ci, cj)] = subspace_element(m)
     if not out:
         raise BadParameters("window too small: no interior sites")
@@ -292,22 +289,32 @@ def qnet_step_on_config(c: DoubleCircuitConfig, a: int, b: int, base_parity: int
     )
 
 
+def _site(v: str) -> tuple:
+    """(i, j) of a Q-net vertex id such as W2x3."""
+    try:
+        i, j = v[1:].split("x")
+        return int(i), int(j)
+    except ValueError:
+        raise NotQNet(f"vertex id {v!r} names no Q-net site") from None
+
+
+def _config_window(ids, labels) -> QNetWindow:
+    missing = [v for v in ids if v not in labels]
+    if missing:
+        raise NotQNet(f"vertex {missing[0]} has no label")
+    return QNetWindow({_site(v): labels[v] for v in ids})
+
+
 def _config_white_parity(c: DoubleCircuitConfig) -> int:
-    w = c.graph.white_ids[0]
-    i, j = w[1:].split("x")
-    return (int(i) + int(j)) % 2
+    return sum(_site(c.graph.white_ids[0])) % 2
 
 
 def config_point_window(c: DoubleCircuitConfig) -> QNetWindow:
-    return QNetWindow(
-        {tuple(map(int, v[1:].split("x"))): c.white_labels[v] for v in c.graph.white_ids}
-    )
+    return _config_window(c.graph.white_ids, c.white_labels)
 
 
 def config_plane_window(c: DoubleCircuitConfig) -> QNetWindow:
-    return QNetWindow(
-        {tuple(map(int, v[1:].split("x"))): c.black_labels[v] for v in c.graph.black_ids}
-    )
+    return _config_window(c.graph.black_ids, c.black_labels)
 
 
 def periodic_extension(w: QNetWindow, a: int, b: int, pad: int = 2) -> QNetWindow:

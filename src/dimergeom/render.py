@@ -3,11 +3,12 @@ hyperplanes as lines clipped to the view box, incidences visible.
 Identical input gives byte-identical output."""
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .config import DoubleCircuitConfig
-from .errors import UnsupportedDimension
+from .errors import InputError, UnsupportedDimension
 from .scalars import is_zero
 
 
@@ -21,8 +22,9 @@ class RenderSpec:
     labels: bool = True
 
     def __post_init__(self):
-        if self.xmax <= self.xmin or self.ymax <= self.ymin or self.width <= 0:
-            raise ValueError("render box must be finite with positive size")
+        box = (self.xmin, self.xmax, self.ymin, self.ymax)
+        if not (all(map(math.isfinite, box)) and self.xmin < self.xmax and self.ymin < self.ymax and self.width > 0):
+            raise InputError("render box must be finite with positive size")
 
 
 def _fmt(x: float) -> str:
@@ -60,16 +62,18 @@ def _clip_line(a, b, c, spec: RenderSpec):
 
 def render_config(c: DoubleCircuitConfig, spec: RenderSpec = RenderSpec(), project: bool = False) -> str:
     """SVG text for a d=2 configuration (or d=3 with the documented drop-z
-    projection of the white points when project=True)."""
+    projection of the white points when project=True).  Vertices without
+    a label are not drawn."""
     if c.d == 2:
-        whites = {v: c.white_labels[v].coords for v in c.graph.white_ids}
-        blacks = {v: c.black_labels[v].coords for v in c.graph.black_ids}
+        whites = {v: c.white_labels[v].coords for v in c.graph.white_ids if v in c.white_labels}
+        blacks = {v: c.black_labels[v].coords for v in c.graph.black_ids if v in c.black_labels}
     elif c.d == 3 and project:
         # linear projection (x : y : z : w) -> (x : y : w); planes are not
         # projected (no push-forward), only the points are drawn
         whites = {
             v: (c.white_labels[v].coords[0], c.white_labels[v].coords[1], c.white_labels[v].coords[3])
             for v in c.graph.white_ids
+            if v in c.white_labels
         }
         blacks = {}
     else:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
+
 RATIONAL = "rational"
 FLOAT = "float"
 
@@ -72,11 +74,11 @@ def scalar_str(x) -> str:
 def parse_scalar(s, kind: str = RATIONAL):
     """Inverse of :func:`scalar_str` for data of kind ``RATIONAL`` or
     ``FLOAT`` (a JSON number is read as rational to 12 denominator
-    digits).  Raises ValueError for anything that is not a finite number."""
+    digits).  Raises InputError for anything that is not a finite number."""
     try:
         x = Fraction(s)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"bad scalar {s!r}") from exc
+        raise InputError(f"bad scalar {s!r}") from exc
     if kind == FLOAT:
         v = float(x)
         return -v if v == 0 and str(s).lstrip().startswith("-") else v  # keep "-0.0"

@@ -23,6 +23,7 @@ from math import gcd, lcm
 from . import linalg
 from .config import DoubleCircuitConfig, check_F, check_V
 from .errors import (
+    DimensionMismatch,
     EmptyKernel,
     KernelDegenerate,
     KernelNotOneDimensional,
@@ -44,7 +45,10 @@ def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
         edge_ids = inc.get(b, [])
         if len(edge_ids) < 2:
             raise KernelNotOneDimensional(f"black vertex {b} has degree {len(edge_ids)}")
-        rows = [list(white_labels[g.edges[ei].w].coords) for ei in edge_ids]
+        try:
+            rows = [list(white_labels[g.edges[ei].w].coords) for ei in edge_ids]
+        except KeyError as exc:
+            raise DimensionMismatch(f"black vertex {b}: neighbor {exc.args[0]} has no label") from None
         try:
             c = circuit_coefficients(rows)
         except KernelNotOneDimensional as exc:

@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimergeom import torusgraph
+from dimergeom import cli, torusgraph
 from dimergeom.cli import main
-from dimergeom.config import cohomology_class, config_to_dict, load_config, save_config
+from dimergeom.config import cohomology_class, config_from_dict, config_to_dict, load_config, save_config
+from dimergeom.errors import GeometryError, InputError
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
 from dimergeom.geometry import POINT, HomogeneousElement, point
+from dimergeom.moves import script_from_json
 from dimergeom.qnet import QNetWindow, build_qnet_config, plane_of_quad
+from dimergeom.scalars import parse_scalar
 from dimergeom.torusgraph import canonical_basis_cycles
 
 
@@ -229,6 +232,13 @@ def test_render_d3_needs_projection(tmp_path, capsys):
     assert main(["render", str(qf), "--out", str(tmp_path / "q.svg"), "--project"]) == 0
 
 
+def test_render_draws_the_labelled_vertices_only(tmp_path):
+    grid, svg = tmp_path / "grid.json", tmp_path / "grid.svg"
+    assert main(["make-grid-minus-edge", "--out", str(grid)]) == 0
+    assert main(["render", str(grid), "--out", str(svg), "--box", "-50", "50", "-50", "50"]) == 0
+    assert svg.read_text().count("<circle") == len(load_config(grid).white_labels) > 0
+
+
 def test_render_empty_config(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"dimension": 2, "scalar": "rational", "white": [], "black": [], "edges": [], "faces": [], "face_ids": []}))
@@ -387,18 +397,17 @@ def test_spectral_on_float_data(tmp_path, capsys):
         assert "/" not in approx[key] and abs(float(approx[key]) - want) <= 1e-12 * abs(want)
 
 
+README_SCRIPT = [
+    {"op": "urban", "target": "d0"},
+    {"op": "add2", "target": "q1", "label": ["1", "2", "3"], "partition": [0, 2]},
+    {"op": "remove2", "target": "q1~"},
+]
+
+
 def test_readme_move_script_runs(pentagon_file, tmp_path):
     # add2 at a black vertex takes a point label; remove2 undoes the split
     script = tmp_path / "script.json"
-    script.write_text(
-        json.dumps(
-            [
-                {"op": "urban", "target": "d0"},
-                {"op": "add2", "target": "q1", "label": ["1", "2", "3"], "partition": [0, 2]},
-                {"op": "remove2", "target": "q1~"},
-            ]
-        )
-    )
+    script.write_text(json.dumps(README_SCRIPT))
     out = tmp_path / "after.json"
     assert main(["run", str(pentagon_file), "--script", str(script), "--out", str(out)]) == 0
     assert main(["validate", str(out)]) == 0
@@ -419,23 +428,98 @@ def _run_quietly(argv) -> int:
         return main(argv)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    path=st.sampled_from(_leaf_paths(HEPTAGRAM)),
-    value=st.sampled_from([None, 0, -1, 1e300, "x", [], {}, "1/0"]),
-    cmd=st.sampled_from(["validate", "spectral"]),
-)
-def test_mutated_leaf_exits_cleanly(path, value, cmd):
-    data = copy.deepcopy(HEPTAGRAM)
+LEAF_VALUES = [None, 0, -1, 1e300, "x", [], {}, "1/0"]
+
+
+def _mutated(data, path, value):
+    data = copy.deepcopy(data)
     target = data
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    path=st.sampled_from(_leaf_paths(HEPTAGRAM)),
+    value=st.sampled_from(LEAF_VALUES),
+    cmd=st.sampled_from([["validate"], ["spectral"], ["run", "--builtin", "pentagram", "--steps", "1"]]),
+)
+def test_mutated_leaf_exits_cleanly(path, value, cmd):
     with tempfile.TemporaryDirectory() as tmp:
         bad = os.path.join(tmp, "mutated.json")
         with open(bad, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        assert _run_quietly([cmd, bad]) in (0, 1, 2)
+            json.dump(_mutated(HEPTAGRAM, path, value), fh)
+        assert _run_quietly([cmd[0], bad, *cmd[1:]]) in (0, 1, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(path=st.sampled_from(_leaf_paths(README_SCRIPT)), value=st.sampled_from(LEAF_VALUES + ["d1", "P0", "q1"]))
+def test_mutated_script_leaf_exits_cleanly(path, value):
+    pentagon = config_to_dict(make_pentagram_fixture(5, 2)[3])
+    with tempfile.TemporaryDirectory() as tmp:
+        config, script = os.path.join(tmp, "pent.json"), os.path.join(tmp, "script.json")
+        for name, data in ((config, pentagon), (script, _mutated(README_SCRIPT, path, value))):
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+        assert _run_quietly(["run", config, "--script", script]) in (0, 1, 2)
+
+
+def test_domain_key_error_is_not_an_input_error(pentagon_file, monkeypatch):
+    # exit 2 is for malformed input only; a KeyError inside the engine is a
+    # bug and must surface as one
+    def broken(c):
+        raise KeyError("inside check_V")
+
+    monkeypatch.setattr(cli, "check_V", broken)
+    with pytest.raises(KeyError, match="inside check_V"):
+        main(["validate", str(pentagon_file)])
+
+
+def test_input_errors_are_value_errors():
+    assert issubclass(InputError, ValueError) and not issubclass(InputError, GeometryError)
+    with pytest.raises(InputError):
+        config_from_dict({"dimension": "x", "white": [], "black": [], "edges": []})
+    with pytest.raises(InputError):
+        script_from_json([{"op": "flip", "target": "d0"}])
+    with pytest.raises(InputError):
+        parse_scalar("1/0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "FILE", "--builtin", "spiral", "--k", "0"],
+        ["render", "FILE", "--out", "SVG", "--box", "nan", "1", "0", "1"],
+        ["make-pentagram", "--params", "1/0", "--out", "SVG"],
+    ],
+)
+def test_bad_values_exit_two(pentagon_file, tmp_path, capsys, argv):
+    svg = str(tmp_path / "out.svg")
+    capsys.readouterr()
+    assert main([str(pentagon_file) if a == "FILE" else svg if a == "SVG" else a for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "GRID", "--builtin", "qnet"],
+        ["run", "FILE", "--builtin", "qnet"],
+        ["run", "EMPTY", "--builtin", "spiral"],
+        ["experiment", "dual-curve", "GRID"],
+    ],
+)
+def test_wrong_shapes_are_domain_errors(pentagon_file, tmp_path, capsys, argv):
+    grid, empty, svg = (str(tmp_path / n) for n in ("grid.json", "empty.json", "out.svg"))
+    assert main(["make-grid-minus-edge", "--out", grid]) == 0
+    with open(empty, "w", encoding="utf-8") as fh:
+        json.dump({"dimension": 2, "white": [], "black": [], "edges": []}, fh)
+    paths = {"FILE": str(pentagon_file), "GRID": grid, "EMPTY": empty, "SVG": svg}
+    capsys.readouterr()
+    assert main([paths.get(a, a) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("domain error: ")
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimergeom import geometry as g
+from dimergeom import linalg
 from dimergeom.errors import (
+    DegenerateIntersection,
+    DimensionMismatch,
     DuplicateParameter,
     EmptyMeet,
+    GeometryError,
+    KernelNotOneDimensional,
+    KindMismatch,
     TooFew,
     TooManyElements,
     VanishingPairing,
@@ -318,3 +327,267 @@ def test_circumscribed_pair_sides_tangent_discriminant_zero():
 def test_circumscribed_pair_duplicate_parameter():
     with pytest.raises(DuplicateParameter):
         g.circumscribed_pair([1, 2, 1])
+
+
+# ------------------------------------------------- the Fraction references
+#
+# The exact operations work on integer-scaled coordinate vectors.  These are
+# their Fraction implementations: spans in RREF, meets from the kernels of
+# the two spans, kernels and products over Fractions, and equality by two
+# normalizations.  linalg.rref and linalg.nullspace give Fraction results
+# (tested against Gauss-Jordan over Fractions in test_linalg).
+
+
+def ref_normalize_coords(coords):
+    denom_lcm = 1
+    for c in coords:
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    ints = [int(c * denom_lcm) for c in coords]
+    h = 0
+    for v in ints:
+        h = gcd(h, abs(v))
+    if h == 0:
+        raise ZeroVector("all coordinates vanish")
+    ints = [v // h for v in ints]
+    if next(v for v in ints if v != 0) < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints)
+
+
+def ref_span(elems):
+    if not elems:
+        raise TooFew("span of nothing")
+    if len({e.kind for e in elems}) > 1:
+        raise KindMismatch("mixed points and hyperplanes")
+    if len({e.dim for e in elems}) > 1:
+        raise DimensionMismatch("mixed ambient dimensions")
+    return linalg.rref([list(e.coords) for e in elems])[0]
+
+
+def ref_meet(basis1, basis2):
+    """RREF basis of the meet of two spans given by RREF bases."""
+    ann = linalg.nullspace([list(b) for b in basis1]) + linalg.nullspace([list(b) for b in basis2])
+    inter = linalg.nullspace([list(a) for a in ann])
+    if not inter:
+        raise EmptyMeet("subspaces intersect trivially")
+    return linalg.rref(inter)[0]
+
+
+def ref_kernel_element(rows):
+    ker = linalg.nullspace(rows)
+    if len(ker) != 1:
+        raise DegenerateIntersection("kernel is not one-dimensional")
+    return ref_normalize_coords(tuple(ker[0]))
+
+
+def ref_multi_ratio(cycle):
+    pts, hyps = cycle[0::2], cycle[1::2]
+    n = len(pts)
+    num = den = Fraction(1)
+    for i in range(n):
+        a = sum(x * y for x, y in zip(hyps[i].coords, pts[i].coords))
+        if a == 0:
+            raise VanishingPairing(f"point {i} lies on hyperplane {i}")
+        b = sum(x * y for x, y in zip(hyps[i].coords, pts[(i + 1) % n].coords))
+        if b == 0:
+            raise VanishingPairing(f"point {(i + 1) % n} lies on hyperplane {i}")
+        num *= a
+        den *= b
+    return num / den
+
+
+def ref_proj_equal_coords(a, b):
+    if len(a) != len(b):
+        return False
+    return ref_normalize_coords(a) == ref_normalize_coords(b)
+
+
+def ref_circuit_coefficients(rows):
+    m = len(rows)
+    ker = linalg.nullspace([[rows[i][j] for i in range(m)] for j in range(len(rows[0]))])
+    if len(ker) != 1:
+        raise KernelNotOneDimensional(f"relation space has dimension {len(ker)}, need 1")
+    for i, x in enumerate(ker[0]):
+        if x == 0:
+            raise KernelNotOneDimensional(f"relation coefficient {i} vanishes (not a circuit)")
+    return ker[0]
+
+
+def outcome(fn, *args):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return fn(*args), None
+    except GeometryError as exc:
+        return None, (type(exc), str(exc))
+
+
+def rref_rows(basis):
+    """A Subspace basis divided through by its pivots: the RREF."""
+    return [[Fraction(x) / next(v for v in row if v) for x in row] for row in basis]
+
+
+# ------------------------------------------------- inputs for the properties
+
+COORD = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def elements(draw, d, kind, n_min=1, n_max=4):
+    """1-4 nonzero elements of P^d, with a repeated (rescaled) element or a
+    sum of two now and then."""
+    out = []
+    for _ in range(draw(st.integers(n_min, n_max))):
+        choice = draw(st.integers(0, 3)) if out else 0
+        if choice == 1:
+            s = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+            coords = tuple(s * c for c in draw(st.sampled_from(out)).coords)
+        elif choice == 2 and len(out) > 1:
+            u, v = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            coords = tuple(a + b for a, b in zip(u.coords, v.coords))
+        else:
+            coords = tuple(Fraction(draw(COORD)) for _ in range(d + 1))
+        if not any(coords):
+            coords = (Fraction(1),) + coords[1:]
+        out.append(g.HomogeneousElement(coords, kind))
+    return out
+
+
+@st.composite
+def generator_pairs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from([g.POINT, g.HYPERPLANE]))
+    return draw(elements(d, kind)), draw(elements(d, kind))
+
+
+def check_meet(gens1, gens2):
+    """meet of the generator lists equals the reference meet of their spans
+    in RREF basis, rank, kind and raised error; returns the meet rank."""
+    new, new_err = outcome(g.meet, gens1, gens2)
+    ref, ref_err = outcome(lambda: ref_meet(ref_span(gens1), ref_span(gens2)))
+    d = gens1[0].dim
+    if ref_err is None or ref_err[0] is EmptyMeet:
+        spans = ref_span(gens1), ref_span(gens2)
+        if all(len(s) == d + 1 for s in spans):
+            # the reference meets two whole spaces in nothing: neither span
+            # has an annihilator, and the kernel of no rows is empty
+            assert ref_err[0] is EmptyMeet and new.rank == d + 1
+            return new.rank
+    assert (new_err is None) == (ref_err is None)
+    if ref_err is not None:
+        assert new_err[0] is ref_err[0] and new_err[1] == ref_err[1]
+        return 0
+    assert rref_rows(new.basis) == ref and new.rank == len(ref)
+    assert new.kind == gens1[0].kind and new.ambient == gens1[0].dim
+    assert g.meet(g.span(gens1), g.span(gens2)) == new
+    if new.rank == 1:
+        element = g.subspace_element(new)
+        assert element.coords == ref_normalize_coords(tuple(ref[0])) and element.kind == new.kind
+    return new.rank
+
+
+# skew lines in P^3; lines of P^2 meeting in a point, one given by three
+# generators; the planes w = 0 and z = 0 of P^3, given by dependent
+# generators, meeting in a line (rank 2)
+P3 = [[(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0), (0, 0, 0, 1)]]
+P2 = [[(0, 0, 1), (1, 0, 1)], [(1, 1, 1), (1, -1, 1), (2, 0, 2)]]
+PLANE = [[(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 1, 0, 1), (1, 1, 0, 1), (0, 0, 0, 2)]]
+
+
+def _pts(lists):
+    return [[g.point(*c) for c in coords] for coords in lists]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_pairs())
+@example(_pts(P3))
+@example(_pts(P2))
+@example(_pts(PLANE))
+def test_meet_equals_the_fraction_reference(pair):
+    check_meet(*pair)
+
+
+def test_meet_examples_cover_empty_point_and_line():
+    assert [check_meet(*_pts(x)) for x in (P3, P2, PLANE)] == [0, 1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: elements(d, g.POINT, d, d)))
+@example([pt(1, 0, 1), pt(2, 0, 2)])  # repeated point: no unique line
+def test_join_and_meet_hyperplanes_equal_the_fraction_reference(points_):
+    rows = [list(p.coords) for p in points_]
+    ref, ref_err = outcome(ref_kernel_element, rows)
+    hyps = [g.HomogeneousElement(p.coords, g.HYPERPLANE) for p in points_]
+    for fn, kind in ((g.join_points, g.HYPERPLANE), (g.meet_hyperplanes, g.POINT)):
+        new, new_err = outcome(fn, points_ if kind == g.HYPERPLANE else hyps)
+        assert (new_err is None) == (ref_err is None)
+        if new_err is None:
+            assert new.coords == ref and new.kind == kind
+        else:
+            assert new_err[0] is DegenerateIntersection
+
+
+@st.composite
+def cycles(draw):
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    pts = draw(elements(d, g.POINT, n, n))
+    hyps = draw(elements(d, g.HYPERPLANE, n, n))
+    return [e for pair in zip(pts, hyps) for e in pair]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycles())
+@example([pt(1, 0, 1), hp(1, 0, -1), pt(0, 1, 1), hp(1, 1, 1)])  # vanishing pairing
+@example([pt(0, 0, 1), hp(2, 2, -1), pt(1, 0, 1), hp(2, -2, -1)])  # multi-ratio one
+def test_multi_ratio_equals_the_fraction_reference(cycle):
+    ref, ref_err = outcome(ref_multi_ratio, cycle)
+    new, new_err = outcome(g.multi_ratio, cycle)
+    assert new_err == ref_err
+    if ref_err is None:
+        assert new == ref and type(new) is Fraction
+        assert g.face_coherent(cycle) == (ref == 1)
+    else:
+        assert outcome(g.face_coherent, cycle)[1] == ref_err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(lambda d: elements(d, g.POINT, 2, 2)),
+    st.sampled_from([1, -1, 3, Fraction(-2, 7), None]),
+)
+def test_projective_equality_equals_the_fraction_reference(pair, scale):
+    a, b = pair
+    coords_b = b.coords if scale is None else tuple(scale * c for c in a.coords)
+    assert g.proj_equal_coords(a.coords, coords_b) == ref_proj_equal_coords(a.coords, coords_b)
+    assert g.proj_equal_coords(a.coords, coords_b[:-1]) is False
+    assert (a == g.HomogeneousElement(coords_b, g.POINT)) == ref_proj_equal_coords(a.coords, coords_b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: elements(d, g.POINT, 2, d + 2)))
+@example([pt(1, 0, 0), pt(2, 0, 0)])  # coincident points
+@example([pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0), pt(0, 0, 1)])  # a vanishing coefficient
+@example([pt(1, 0, 0), pt(0, 1, 0)])  # independent: no relation
+def test_circuit_coefficients_equal_the_fraction_reference(elems):
+    rows = [list(e.coords) for e in elems]
+    ref, ref_err = outcome(ref_circuit_coefficients, rows)
+    new, new_err = outcome(g.circuit_coefficients, rows)
+    assert new_err == ref_err
+    if ref_err is None:
+        assert new == ref and all(type(x) is Fraction for x in new)
+    assert g.is_circuit(elems) == (ref_err is None)
+
+
+def test_normalize_coords_equals_the_fraction_reference():
+    rng = random.Random(4)
+    for _ in range(200):
+        coords = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(rng.randint(1, 5)))
+        new, new_err = outcome(g.normalize_coords, coords)
+        ref, ref_err = outcome(ref_normalize_coords, coords)
+        assert (new, new_err) == (ref, ref_err)
+        assert new is None or all(type(x) is Fraction for x in new)
+
+
+def test_exact_pairing_is_a_fraction():
+    v = g.pairing(hp(Fraction(1, 2), Fraction(2, 3), 1), pt(Fraction(3, 4), -3, Fraction(5, 6)))
+    assert v == Fraction(3, 8) - 2 + Fraction(5, 6) and type(v) is Fraction

@@ -1,6 +1,7 @@
 """linalg: exact matrices against Gauss-Jordan elimination over Fractions,
 float matrices against fixed values."""
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,15 @@ def check_matrix(m, xs, consistent):
     kernel = linalg.nullspace(m)
     assert kernel == (ref_kernel(*ref_rref(m), ncols) if m else [])
     assert all(all_fractions(v) for v in kernel)
+    # the integer readouts: primitive ints, the same vectors and rows up to
+    # a positive factor (the kernel vector's last nonzero entry is its free one)
+    int_kernel = linalg.int_nullspace(m)
+    assert [[F(x, [y for y in v if y][-1]) for x in v] for v in int_kernel] == kernel
+    int_reduced, int_pivots = linalg.int_rref(m)
+    assert int_pivots == pivots
+    assert [[F(x, row[c]) for x in row] for row, c in zip(int_reduced, pivots)] == reduced
+    for v, c in [(v, [i for i, y in enumerate(v) if y][-1]) for v in int_kernel] + list(zip(int_reduced, pivots)):
+        assert all(type(x) is int for x in v) and v[c] > 0 and gcd(*v) == 1
 
     # rhs = m @ xs is consistent; otherwise xs itself is the rhs
     rhs = [sum(a * x for a, x in zip(row, xs)) for row in m] if consistent else xs[: len(m)]

@@ -37,7 +37,7 @@ from dimergeom.fixtures import (
     make_qnet_fixture,
     make_spiral_fixture,
 )
-from dimergeom.geometry import hyperplane, line_through, meet_hyperplanes, point, proj_equal
+from dimergeom.geometry import hyperplane, incident, line_through, meet_hyperplanes, point, proj_equal
 from dimergeom.moves import (
     forced_split_label,
     MoveScript,
@@ -189,6 +189,32 @@ def test_urban_renewal_degenerate_corner():
     if target is not None:
         with pytest.raises(DegenerateMeet):
             urban_renewal(c1, target)
+
+
+def _with_c_neighbours(c, face_id, coords):
+    """c with the white neighbours of the face's corner c, other than A and
+    B, relabelled by coords in turn; (config, A, B)."""
+    g = c.graph
+    i0, i1 = g.face(face_id).edges[:2]
+    A, cb, B = g.edge(i0).w, g.edge(i0).b, g.edge(i1).w
+    others = [g.edge(ei).w for ei in g.incidence()[cb] if ei not in (i0, i1)]
+    wl = dict(c.white_labels)
+    for v, xs in zip(others, coords):
+        wl[v] = point(*xs)
+    return DoubleCircuitConfig(g, c.d, wl, c.black_labels), wl[A], wl[B]
+
+
+def test_urban_renewal_names_the_meet_rank(pentagon):
+    # both other neighbours of c at one point off the line AB: the meet E is
+    # empty; both on the line AB: E is the whole line, of rank 2
+    c, A, B = _with_c_neighbours(pentagon, "d0", [(1, 0, 0), (2, 0, 0)])
+    assert not incident(line_through(A, B), point(1, 0, 0))
+    with pytest.raises(DegenerateMeet, match=r"^E of d0: empty meet$"):
+        urban_renewal(c, "d0")
+    on_ab = [tuple(a + s * b for a, b in zip(A.coords, B.coords)) for s in (1, 2)]
+    c, _, _ = _with_c_neighbours(pentagon, "d0", on_ab)
+    with pytest.raises(DegenerateMeet, match=r"^E of d0: meet has rank 2$"):
+        urban_renewal(c, "d0")
 
 
 def test_moves_commute_with_rescaling(pentagon):

@@ -76,6 +76,16 @@ def test_planar_net_degenerates_at_second_transform():
         laplace(out)
 
 
+def test_coincident_lines_name_the_measured_rank():
+    constant = QNetWindow({(i, j): point(1, -1, 0, 0) for i in range(-2, 3) for j in range(-2, 3) if (i + j) % 2})
+    with pytest.raises(CoincidentLines, match=r"degenerate side points \(side spans of rank 1 and 1\)"):
+        laplace(constant)
+    # distinct points on one line: the side lines are that line
+    collinear = QNetWindow({(i, j): point(i + 2 * j, 0, 0, 1) for i in range(-2, 3) for j in range(-2, 3) if (i + j) % 2 == 0})
+    with pytest.raises(CoincidentLines, match=r"the two lines coincide \(meet has rank 2\)"):
+        laplace(collinear)
+
+
 def test_not_qnet_rejected():
     vals = {(i, j): point(i, j, i * j, 1) for i in range(-2, 4) for j in range(-2, 4) if (i + j) % 2 == 0}
     vals[(0, 0)] = point(5, 7, 11, 1)  # off the quadric: breaks coplanarity
