@@ -240,9 +240,10 @@ def _face_to_json(g: TorusGraph, f: Face, pair_count: Counter):
 def config_from_dict(data: dict) -> DoubleCircuitConfig:
     """Parse the JSON form.  Coordinates are read as the file's "scalar"
     kind.  Raises InputError for an unknown kind and for any structural
-    defect (wrong JSON types, missing keys, short h vectors, edge refs out
-    of range in faces or basis cycles, face_ids not strings or not matching
-    faces, label lengths not matching the dimension, malformed scalars)."""
+    defect (wrong JSON types, a float or string where an integer belongs,
+    missing keys, h vectors not of two entries, edge refs out of range in
+    faces or basis cycles, face_ids not strings or not matching faces,
+    label lengths not matching the dimension, malformed scalars)."""
     if not isinstance(data, dict):
         raise InputError("configuration must be a JSON object")
     scalar = data.get("scalar", RATIONAL)
@@ -257,12 +258,12 @@ def config_from_dict(data: dict) -> DoubleCircuitConfig:
 
 
 def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
-    d = int(data["dimension"])
+    d = data["dimension"]
+    if type(d) is not int:
+        raise InputError(f"dimension: expected an integer, got {d!r}")
     white_ids = tuple(w["id"] for w in data["white"])
     black_ids = tuple(b["id"] for b in data["black"])
-    edges = tuple(
-        Edge(e["w"], e["b"], (int(e["h"][0]), int(e["h"][1]))) for e in data["edges"]
-    )
+    edges = tuple(_edge(i, e) for i, e in enumerate(data["edges"]))
     faces_json = data.get("faces", [])
     face_ids = data.get("face_ids") or [f"f{i}" for i in range(len(faces_json))]
     if len(face_ids) != len(faces_json):
@@ -272,7 +273,7 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     faces = _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids)
     basis = None
     if "basis_cycles" in data and data["basis_cycles"]:
-        basis = tuple(tuple(int(i) for i in data["basis_cycles"][z]) for z in ("z1", "z2"))
+        basis = tuple(_ints(data["basis_cycles"][z], f"basis_cycles {z}") for z in ("z1", "z2"))
         if not all(0 <= ei < len(edges) for walk in basis for ei in walk):
             raise InputError(f"basis_cycles: edge index out of range 0..{len(edges) - 1}")
     graph = TorusGraph(white_ids, black_ids, edges, faces, basis)
@@ -287,6 +288,22 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
         if "coords" in b and b["coords"] is not None
     }
     return DoubleCircuitConfig(graph, d, white_labels, black_labels)
+
+
+def _ints(values, what: str) -> tuple:
+    """The values, when each is a JSON integer (not a bool, a float or a
+    string); otherwise an InputError naming the field."""
+    values = tuple(values)
+    if not all(type(x) is int for x in values):
+        raise InputError(f"{what}: expected integers, got {list(values)!r}")
+    return values
+
+
+def _edge(i: int, e: dict) -> Edge:
+    h = _ints(e["h"], f"edge {i} h")
+    if len(h) != 2:
+        raise InputError(f"edge {i} h: expected two integers, got {list(h)!r}")
+    return Edge(e["w"], e["b"], h)
 
 
 def _parse_label(entry, kind, d, scalar):
@@ -309,7 +326,7 @@ def _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids):
     faces = []
     for fid, entry in zip(face_ids, faces_json):
         if entry and isinstance(entry[0], dict):
-            refs = tuple(int(x["e"]) for x in entry)
+            refs = _ints([x["e"] for x in entry], f"face {fid} edge refs")
             if not all(0 <= ei < len(edges) for ei in refs):
                 raise InputError(f"face {fid}: edge ref out of range 0..{len(edges) - 1} in {list(refs)}")
             faces.append(Face(fid, refs))

@@ -147,11 +147,17 @@ def _dot(u, v):
 
 
 def tested_pairing(h: HomogeneousElement, p: HomogeneousElement):
-    """(pairing(h, p), whether it vanishes).  A float pairing is tested at
-    the scale of the products of the operands' coordinates."""
+    """(pairing(h, p), whether it vanishes)."""
     v = pairing(h, p)
-    scale = max(abs(a * b) for a, b in zip(h.coords, p.coords)) if isinstance(v, float) else 1
-    return v, is_zero(v, scale=scale)
+    return v, _vanishes(v, h.coords, p.coords)
+
+
+def _vanishes(v, u, w) -> bool:
+    """Whether the contraction v of the coordinate rows u and w is zero:
+    exactly, or for a float at the scale of the products u_i w_i."""
+    if isinstance(v, float):
+        return is_zero(v, scale=max(abs(a * b) for a, b in zip(u, w)))
+    return not v
 
 
 def incident(h: HomogeneousElement, p: HomogeneousElement) -> bool:
@@ -167,6 +173,12 @@ def _same_kind_dim(elems):
         raise DimensionMismatch("mixed ambient dimensions")
 
 
+def _kernel(rows):
+    """Right kernel basis: primitive int vectors for an exact matrix, the
+    float kernel otherwise."""
+    return linalg.nullspace(rows) if any(map(is_float, rows)) else linalg.int_nullspace(rows)
+
+
 def _relation(rows):
     """The relation c (sum c_i * rows[i] = 0) of a circuit: a primitive int
     vector for exact rows, the float kernel vector otherwise.
@@ -174,8 +186,7 @@ def _relation(rows):
     Raises KernelNotOneDimensional, naming the relation-space dimension or
     the vanishing coefficient, unless the rows form a circuit (rank m-1
     with a nowhere-zero one-dimensional left kernel)."""
-    cols = [list(col) for col in zip(*rows)]
-    ker = linalg.nullspace(cols) if any(map(is_float, rows)) else linalg.int_nullspace(cols)
+    ker = _kernel([list(col) for col in zip(*rows)])
     if len(ker) != 1:
         raise KernelNotOneDimensional(f"relation space has dimension {len(ker)}, need 1")
     c = ker[0]
@@ -258,39 +269,23 @@ def meet(gens1, gens2) -> Subspace:
     """Intersection of the spans of two generator lists (elements, or
     Subspaces whose basis rows are the generators).
 
-    Exact generators take one integer elimination of the matrix whose
-    columns are both lists, scaled to ints: each kernel vector (a, b) gives
-    the element sum a_i g1_i = -sum b_j g2_j of the intersection, and the
-    nonzero ones span it.  Float generators take the kernels of the two
-    spans."""
+    One elimination of the matrix whose columns are both lists (exact rows
+    scaled to ints): each kernel vector (a, b) gives the element
+    sum a_i g1_i = -sum b_j g2_j of the intersection, and their echelon
+    basis spans it."""
     rows1, kind, d = _generators(gens1)
     rows2, kind2, d2 = _generators(gens2)
     if kind != kind2:
         raise KindMismatch("meet of different kinds")
     if d != d2:
         raise DimensionMismatch("meet in different ambient spaces")
-    if any(map(is_float, rows1)) or any(map(is_float, rows2)):
-        return _float_meet(rows1, rows2, kind, d)
-    ints1 = [linalg.int_row(r) for r in rows1]
-    cols = [list(col) for col in zip(*ints1, *map(linalg.int_row, rows2))]
-    inter = []
-    for v in linalg.int_nullspace(cols):
-        x = [_dot(v, col) for col in zip(*ints1)]
-        if any(x):
-            inter.append(x)
-    if not inter:
+    if not (any(map(is_float, rows1)) or any(map(is_float, rows2))):
+        rows1, rows2 = [linalg.int_row(r) for r in rows1], [linalg.int_row(r) for r in rows2]
+    ker = _kernel([list(col) for col in zip(*rows1, *rows2)])
+    basis = _echelon([[_dot(v, col) for col in zip(*rows1)] for v in ker])
+    if not basis:
         raise EmptyMeet("subspaces intersect trivially")
-    return Subspace(_echelon(inter), kind, d)
-
-
-def _float_meet(rows1, rows2, kind, d) -> Subspace:
-    """meet of float generators, from the kernels of the two spans."""
-    ann = linalg.nullspace([list(b) for b in linalg.rref(rows1)[0]])
-    ann += linalg.nullspace([list(b) for b in linalg.rref(rows2)[0]])
-    inter = linalg.nullspace([list(a) for a in ann])
-    if not inter:
-        raise EmptyMeet("subspaces intersect trivially")
-    return Subspace(_echelon(inter), kind, d)
+    return Subspace(basis, kind, d)
 
 
 def subspace_element(s: Subspace) -> HomogeneousElement:
@@ -299,9 +294,16 @@ def subspace_element(s: Subspace) -> HomogeneousElement:
     return HomogeneousElement(normalize_coords(s.basis[0]), s.kind)
 
 
-def _kernel_element(rows, kind, what) -> HomogeneousElement:
-    """The element spanning the one-dimensional kernel of rows."""
-    ker = linalg.nullspace(rows) if any(map(is_float, rows)) else linalg.int_nullspace(rows)
+def incident_element(elems) -> HomogeneousElement:
+    """The element of the other kind incident to every given element: the
+    hyperplane through d points of P^d, or the common point of d
+    hyperplanes (unique when they are independent)."""
+    _same_kind_dim(elems)
+    ker = _kernel([e.coords for e in elems])
+    if elems[0].kind == POINT:
+        kind, what = HYPERPLANE, "points do not span a unique hyperplane"
+    else:
+        kind, what = POINT, "hyperplanes do not meet in a unique point"
     if len(ker) != 1:
         raise DegenerateIntersection(what)
     return HomogeneousElement(normalize_coords(tuple(ker[0])), kind)
@@ -312,7 +314,7 @@ def join_points(points_) -> HomogeneousElement:
     _same_kind_dim(points_)
     if points_[0].kind != POINT:
         raise KindMismatch("join_points takes points")
-    return _kernel_element([p.coords for p in points_], HYPERPLANE, "points do not span a unique hyperplane")
+    return incident_element(points_)
 
 
 def meet_hyperplanes(hyps) -> HomogeneousElement:
@@ -320,7 +322,7 @@ def meet_hyperplanes(hyps) -> HomogeneousElement:
     _same_kind_dim(hyps)
     if hyps[0].kind != HYPERPLANE:
         raise KindMismatch("meet_hyperplanes takes hyperplanes")
-    return _kernel_element([h.coords for h in hyps], POINT, "hyperplanes do not meet in a unique point")
+    return incident_element(hyps)
 
 
 def line_through(p: HomogeneousElement, q: HomogeneousElement) -> HomogeneousElement:
@@ -338,33 +340,20 @@ def _ratio_terms(cycle):
     pts, hyps = cycle[0::2], cycle[1::2]
     if any(p.kind != POINT for p in pts) or any(h.kind != HYPERPLANE for h in hyps):
         raise KindMismatch("cycle must alternate point, hyperplane, ...")
+    exact = not any(is_float(e.coords) for e in cycle)
+    rows = [linalg.int_row(e.coords) if exact else e.coords for e in cycle]
     n = len(pts)
-    if any(is_float(e.coords) for e in cycle):
-
-        def paired(i, j):
-            return tested_pairing(hyps[i], pts[j])
-
-    else:
-        ipts = [linalg.int_row(p.coords) for p in pts]
-        ihyps = [linalg.int_row(h.coords) for h in hyps]
-
-        def paired(i, j):
+    terms = [1, 1]
+    for i in range(n):
+        for side, j in enumerate((i, (i + 1) % n)):
             if hyps[i].dim != pts[j].dim:
                 raise DimensionMismatch(f"ambient dimensions differ: {hyps[i].dim} vs {pts[j].dim}")
-            v = _dot(ihyps[i], ipts[j])
-            return v, not v
-
-    num = den = 1
-    for i in range(n):
-        a, a_zero = paired(i, i)
-        if a_zero:
-            raise VanishingPairing(f"point {i} lies on hyperplane {i}")
-        b, b_zero = paired(i, (i + 1) % n)
-        if b_zero:
-            raise VanishingPairing(f"point {(i + 1) % n} lies on hyperplane {i}")
-        num *= a
-        den *= b
-    return num, den
+            h, p = rows[2 * i + 1], rows[2 * j]
+            v = _dot(h, p)
+            if _vanishes(v, h, p):
+                raise VanishingPairing(f"point {j} lies on hyperplane {i}")
+            terms[side] *= v
+    return terms[0], terms[1]
 
 
 def multi_ratio(cycle):

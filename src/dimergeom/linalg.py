@@ -9,8 +9,8 @@ built only at the readout, when a pivot row is divided by its pivot, so an
 exact matrix, int data included, gets Fraction results equal to those of
 Gauss-Jordan elimination over Fractions.  :func:`int_nullspace` and
 :func:`int_rref` read the same elimination as primitive int vectors and
-build no Fraction.  The determinant is Bareiss elimination on the same
-integer rows.
+build no Fraction.  The determinant takes exact matrices only: Bareiss
+elimination on the same integer rows.
 
 A matrix with a float entry takes partial pivoting with every zero
 decision made by :func:`scalars.is_zero` at the scale of the input matrix;
@@ -117,40 +117,20 @@ def bareiss_det(mat) -> int:
 # ------------------------------------------------------------ float matrices
 
 
-def _matrix_scale(rows):
-    """Largest entry magnitude of a float matrix, its zero-test scale."""
-    s = 0.0
-    for row in rows:
-        for x in row:
-            ax = abs(x)
-            if ax > s:
-                s = float(ax)
-    return s if s > 0 else 1.0
-
-
-def _pivot_row(m, c, start, scale):
-    """Row at or below ``start`` holding the largest-magnitude nonzero
-    entry of column c (partial pivoting), or None."""
-    best, best_val = None, None
-    for i in range(start, len(m)):
-        v = abs(m[i][c])
-        if not is_zero(m[i][c], scale=scale) and (best is None or v > best_val):
-            best, best_val = i, v
-    return best
-
-
 def _float_rref(rows):
     m = [list(r) for r in rows]
     ncols = len(m[0])
-    scale = _matrix_scale(m)
+    scale = max((abs(x) for row in m for x in row), default=0.0) or 1.0  # the zero-test scale
     pivots = []
     r = 0
     for c in range(ncols):
         if r >= len(m):
             break
-        best = _pivot_row(m, c, r, scale)
-        if best is None:
+        # partial pivoting: the largest nonzero entry at or below row r
+        live = [i for i in range(r, len(m)) if not is_zero(m[i][c], scale=scale)]
+        if not live:
             continue
+        best = max(live, key=lambda i: abs(m[i][c]))
         m[r], m[best] = m[best], m[r]
         pv = m[r][c]
         m[r] = [x / pv for x in m[r]]
@@ -161,27 +141,6 @@ def _float_rref(rows):
         pivots.append(c)
         r += 1
     return m[:r], pivots
-
-
-def _float_det(rows):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    scale = _matrix_scale(m)
-    sign = acc = 1.0
-    for c in range(n):
-        best = _pivot_row(m, c, c, scale)
-        if best is None:
-            return 0.0
-        if best != c:
-            m[c], m[best] = m[best], m[c]
-            sign = -sign
-        pv = m[c][c]
-        acc = acc * pv
-        for i in range(c + 1, n):
-            if not is_zero(m[i][c], scale=scale):
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * acc
 
 
 # ------------------------------------------------------------ the interface
@@ -293,9 +252,9 @@ def solve(rows, rhs):
 
 
 def det(rows):
-    """Determinant: for an exact matrix, the Bareiss determinant of the
+    """Determinant of an exact matrix: the Bareiss determinant of the
     integer rows divided by the product of the row multipliers."""
     if _has_float(rows):
-        return _float_det(rows)
+        raise TypeError("det takes exact matrices only")
     mults = prod(lcm(*(x.denominator for x in row)) for row in rows)
     return Fraction(bareiss_det([int_row(r) for r in rows]), mults)

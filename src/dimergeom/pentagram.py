@@ -21,7 +21,7 @@ from functools import cache
 
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, DegenerateIntersection, SizeMismatch
-from .geometry import incident, join_points, line_through, meet_hyperplanes
+from .geometry import incident, incident_element, line_through, meet_hyperplanes
 from .moves import step_on_config
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
@@ -53,34 +53,30 @@ def _check_k(n: int, k: int) -> None:
         raise BadParameters(f"need 2 <= k <= n-2, got k={k}, n={n}")
 
 
+def _pentagram_step(x, k: int, s: int, t: int, what: str) -> tuple:
+    """x'_i = (x_i . x_{i+s}) . (x_{i+t} . x_{i+t+s}), where . is the
+    incident element of two elements: the map on points for (s, t) = (k, 1),
+    and the same statement read in the dual plane, the map on lines, for
+    (s, t) = (1, k)."""
+    _check_k(len(x), k)
+    out = []
+    for i in range(len(x)):
+        try:
+            u, v = incident_element([x[i], x[i + s]]), incident_element([x[i + t], x[i + t + s]])
+            out.append(incident_element([u, v]))
+        except DegenerateIntersection as exc:
+            raise DegenerateIntersection(f"{what} {i}: {exc}") from exc
+    return tuple(out)
+
+
 def pentagram_map(P: Polygon, k: int) -> Polygon:
     """P'_i = P_i P_{i+k} ^ P_{i+1} P_{i+k+1}."""
-    n = len(P)
-    _check_k(n, k)
-    out = []
-    for i in range(n):
-        try:
-            l1 = line_through(P[i], P[i + k])
-            l2 = line_through(P[i + 1], P[i + k + 1])
-            out.append(meet_hyperplanes([l1, l2]))
-        except DegenerateIntersection as exc:
-            raise DegenerateIntersection(f"vertex {i}: {exc}") from exc
-    return Polygon(tuple(out))
+    return Polygon(_pentagram_step(P, k, k, 1, "vertex"))
 
 
 def dual_pentagram_map(q: LineList, k: int) -> LineList:
     """q'_i = <q_i ^ q_{i+1}, q_{i+k} ^ q_{i+k+1}>."""
-    n = len(q)
-    _check_k(n, k)
-    out = []
-    for i in range(n):
-        try:
-            x = meet_hyperplanes([q[i], q[i + 1]])
-            y = meet_hyperplanes([q[i + k], q[i + k + 1]])
-            out.append(join_points([x, y]))
-        except DegenerateIntersection as exc:
-            raise DegenerateIntersection(f"line {i}: {exc}") from exc
-    return LineList(tuple(out))
+    return LineList(_pentagram_step(q, k, 1, k, "line"))
 
 
 def vertices_from_lines(q: LineList, k: int) -> Polygon:

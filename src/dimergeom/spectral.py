@@ -221,13 +221,12 @@ def reconstruct_black(
     white_labels: dict,
     lam,
     mu,
-    f_black: dict | None = None,
 ) -> ReconstructionResult:
     """Recover hyperplane labels from white data and a spectral-curve point.
 
     Per black vertex v the edge equations <l(v), A(w)> = f(v)^{-1} f(w)
     lambda^h1 mu^h2 are solved, with f on whites the kernel vector and f on
-    blacks identically one on the fundamental domain (or as supplied).
+    blacks identically one on the fundamental domain.
     Underdetermined vertices wait for span constraints from white-vertex
     circuits whose other hyperplanes are known; no progress means
     "nonunique", an inconsistent system "nosolution", and so does a
@@ -241,14 +240,11 @@ def reconstruct_black(
     if any(is_zero(x, scale=scale) for x in fvec):
         raise KernelDegenerate("kernel vector has a zero entry")
     f_w = {w: fvec[j] for j, w in enumerate(g.white_ids)}
-    f_b = {b: Fraction(1) for b in g.black_ids}
-    if f_black:
-        f_b.update(f_black)
 
     inc = vertex_edges(g)
     rhs_of_edge = {}
     for ei, e in enumerate(g.edges):
-        rhs_of_edge[ei] = f_w[e.w] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1]) / f_b[e.b]
+        rhs_of_edge[ei] = f_w[e.w] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1])
 
     known: dict = {}
     trace: list = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import linalg
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, SeedInvalid, SizeMismatch
-from .geometry import HomogeneousElement, join_points, line_through, meet_hyperplanes
+from .geometry import HomogeneousElement, incident_element, line_through, meet_hyperplanes
 from .moves import step_on_config
 from .pentagram import build_tile_graph
 from .torusgraph import TorusGraph, with_basis_cycles
@@ -66,29 +66,34 @@ def _collinear(a, b, c) -> bool:
     return linalg.rank([list(a.coords), list(b.coords), list(c.coords)]) <= 2
 
 
+def _seed_conditions(window, k: int):
+    """The point-seed conditions on a window of n+1 elements, in order: the
+    three window slots of each and whether the elements there are
+    dependent (collinear points, or concurrent lines)."""
+    n = len(window) - 1
+    slots = [(l, n - k + 1 + l, n - k + l) for l in range(k)] + [(0, k, n)]
+    return [(t, _collinear(*(window[m] for m in t))) for t in slots]
+
+
 def validate_spiral_seed(s: SpiralSeed):
     """List of failing seed conditions (empty means valid)."""
-    p = s.points
-    n, k = s.n, s.k
-    bad = []
-    for l in range(k):
-        if not _collinear(p[l], p[n - k + 1 + l], p[n - k + l]):
-            bad.append(f"P_{s.base + l}, P_{s.base + n - k + 1 + l}, P_{s.base + n - k + l} not collinear")
-    if not _collinear(p[0], p[k], p[n]):
-        bad.append(f"P_{s.base}, P_{s.base + k}, P_{s.base + n} not collinear")
-    return bad
+    return [
+        f"P_{s.base + a}, P_{s.base + b}, P_{s.base + c} not collinear"
+        for (a, b, c), ok in _seed_conditions(s.points, s.k)
+        if not ok
+    ]
 
 
 def validate_line_seed(s: LineSeed):
-    q = s.lines
-    n, k = s.n, s.k
-    bad = []
-    for l in range(k):
-        if not _collinear(q[l], q[l + 1], q[n - k + l + 1]):
-            bad.append(f"q_{s.base + l}, q_{s.base + l + 1}, q_{s.base + n - k + l + 1} not concurrent")
-    if not _collinear(q[0], q[n - k], q[n]):
-        bad.append(f"q_{s.base}, q_{s.base + n - k}, q_{s.base + n} not concurrent")
-    return bad
+    """The point-seed conditions on the reversed window, which is the line
+    window read in the dual plane.  Reversal takes slot m to n - m and
+    point condition l < k to line condition k - 1 - l."""
+    conds = _seed_conditions(s.lines[::-1], s.k)
+    return [
+        ", ".join(f"q_{s.base + s.n - m}" for m in sorted(t, reverse=True)) + " not concurrent"
+        for t, ok in conds[s.k - 1 :: -1] + conds[s.k :]
+        if not ok
+    ]
 
 
 def _require_valid(seed):
@@ -97,46 +102,31 @@ def _require_valid(seed):
         raise SeedInvalid("; ".join(bad))
 
 
+def _extend(window, k: int, steps: int) -> tuple:
+    """The window shifted by the signed number of steps, with the point
+    recursions written kind-generically (see spiral_extend)."""
+    w, n = tuple(window), len(window) - 1
+    for _ in range(abs(steps)):
+        a, b, c, d = (w[1], w[k + 1], w[n], w[k]) if steps > 0 else (w[n - k - 1], w[n - k], w[n - 1], w[k - 1])
+        new = incident_element([incident_element([a, b]), incident_element([c, d])])
+        w = w[1:] + (new,) if steps > 0 else (new,) + w[:-1]
+    return w
+
+
 def spiral_extend(s: SpiralSeed, steps: int) -> SpiralSeed:
     """Shift the window by the signed number of steps using
     P_{i+n+1} = P_{i+1} P_{i+k+1} ^ P_{i+n} P_{i+k}  (forward) and
     P_{i-1} = P_{i+n-k-1} P_{i+n-k} ^ P_{i+n-1} P_{i+k-1}  (backward)."""
     _require_valid(s)
-    cur = s
-    for _ in range(abs(steps)):
-        p, n, k = cur.points, cur.n, cur.k
-        if steps > 0:
-            new = meet_hyperplanes(
-                [line_through(p[1], p[k + 1]), line_through(p[n], p[k])]
-            )
-            cur = SpiralSeed(k, n, cur.base + 1, tuple(p[1:]) + (new,))
-        else:
-            new = meet_hyperplanes(
-                [line_through(p[n - k - 1], p[n - k]), line_through(p[n - 1], p[k - 1])]
-            )
-            cur = SpiralSeed(k, n, cur.base - 1, (new,) + tuple(p[:-1]))
-    return cur
+    return SpiralSeed(s.k, s.n, s.base + steps, _extend(s.points, s.k, steps))
 
 
 def line_seed_extend(s: LineSeed, steps: int) -> LineSeed:
-    """Dual recursions:
+    """The point recursions on the reversed window, run the other way:
     q_{j+n+1} = <q_{j+1} ^ q_{j+n-k+1}, q_{j+k+1} ^ q_{j+k}>  (forward),
     q_{j-1} = <q_j ^ q_{j+n-k}, q_{j+n-1} ^ q_{j+n-k-1}>  (backward)."""
     _require_valid(s)
-    cur = s
-    for _ in range(abs(steps)):
-        q, n, k = cur.lines, cur.n, cur.k
-        if steps > 0:
-            new = join_points(
-                [meet_hyperplanes([q[1], q[n - k + 1]]), meet_hyperplanes([q[k + 1], q[k]])]
-            )
-            cur = LineSeed(k, n, cur.base + 1, tuple(q[1:]) + (new,))
-        else:
-            new = join_points(
-                [meet_hyperplanes([q[0], q[n - k]]), meet_hyperplanes([q[n - 1], q[n - k - 1]])]
-            )
-            cur = LineSeed(k, n, cur.base - 1, (new,) + tuple(q[:-1]))
-    return cur
+    return LineSeed(s.k, s.n, s.base + steps, _extend(s.lines[::-1], s.k, -steps)[::-1])
 
 
 def sample_spiral_seed(k: int, n: int, base: int, free_points, params) -> SpiralSeed:

@@ -524,7 +524,7 @@ def dimension_report_from_counts(k: int, e: int, f: int, d: int) -> dict:
     }
 
 
-def find_walk(g: TorusGraph, target: tuple, start_white: str | None = None, radius: int | None = None):
+def find_walk(g: TorusGraph, target: tuple, start_white: str | None = None):
     """Closed walk (edge-index list) whose signed h-sum equals ``target``.
 
     BFS in the universal cover from a white vertex to its ``target``
@@ -533,8 +533,7 @@ def find_walk(g: TorusGraph, target: tuple, start_white: str | None = None, radi
     inc = vertex_edges(g)
     if start_white is None:
         start_white = g.white_ids[0]
-    if radius is None:
-        radius = len(g.white_ids) + len(g.black_ids) + abs(target[0]) + abs(target[1]) + 4
+    radius = len(g.white_ids) + len(g.black_ids) + abs(target[0]) + abs(target[1]) + 4
     start = (start_white, 0, 0)
     goal = (start_white, target[0], target[1])
     prev: dict = {start: None}

@@ -466,6 +466,28 @@ def test_mutated_script_leaf_exits_cleanly(path, value):
         assert _run_quietly(["run", config, "--script", script]) in (0, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("edges", 0, "h"), [0.5, 0], "edge 0 h"),
+        (("edges", 0, "h"), [0, 0, 7], "edge 0 h"),
+        (("edges", 0, "h"), [True, 0], "edge 0 h"),
+        (("edges", 0, "h"), ["1", 0], "edge 0 h"),
+        (("dimension",), 2.9, "dimension"),
+        (("dimension",), "2", "dimension"),
+        (("basis_cycles", "z1", 0), HEPTAGRAM["basis_cycles"]["z1"][0] + 0.5, "basis_cycles z1"),
+        (("faces", 0), [{"e": 0.5}, {"e": 0}], "face d0 edge refs"),
+    ],
+)
+def test_non_integer_numbers_exit_two_naming_the_field(tmp_path, capsys, path, value, field):
+    bad = tmp_path / "heptagram.json"
+    bad.write_text(json.dumps(_mutated(HEPTAGRAM, path, value)))
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: expected ") and err.count("\n") == 1
+
+
 def test_domain_key_error_is_not_an_input_error(pentagon_file, monkeypatch):
     # exit 2 is for malformed input only; a KeyError inside the engine is a
     # bug and must surface as one

@@ -21,6 +21,7 @@ from dimergeom.errors import (
     VanishingPairing,
     ZeroVector,
 )
+from dimergeom.scalars import is_zero
 
 
 def pt(*c):
@@ -591,3 +592,48 @@ def test_normalize_coords_equals_the_fraction_reference():
 def test_exact_pairing_is_a_fraction():
     v = g.pairing(hp(Fraction(1, 2), Fraction(2, 3), 1), pt(Fraction(3, 4), -3, Fraction(5, 6)))
     assert v == Fraction(3, 8) - 2 + Fraction(5, 6) and type(v) is Fraction
+
+
+# ------------------------------------------------- the float meet reference
+#
+# Float generators take the same single elimination as exact ones.  This is
+# the former float algorithm: the kernel of the two spans' annihilators.
+
+
+def ref_float_meet(gens1, gens2):
+    rows1, rows2 = [e.coords for e in gens1], [e.coords for e in gens2]
+    ann = linalg.nullspace([list(b) for b in linalg.rref(rows1)[0]])
+    ann += linalg.nullspace([list(b) for b in linalg.rref(rows2)[0]])
+    inter = linalg.nullspace([list(a) for a in ann])
+    if not inter:
+        raise EmptyMeet("subspaces intersect trivially")
+    return linalg.rref(inter)[0]
+
+
+def floated(elems, scale):
+    return [g.HomogeneousElement(tuple(scale * float(c) for c in e.coords), e.kind) for e in elems]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_pairs(), st.sampled_from([1.0, 0.125, 3.0]))
+@example(_pts(P3), 1.0)
+@example(_pts(P2), 3.0)
+@example(_pts(PLANE), 0.125)
+def test_float_meet_equals_the_reference(pair, scale):
+    gens1, gens2 = floated(pair[0], scale), floated(pair[1], 1.0)
+    new, new_err = outcome(g.meet, gens1, gens2)
+    ref, ref_err = outcome(ref_float_meet, gens1, gens2)
+    d = gens1[0].dim
+    if ref_err is not None and ref_err[0] is EmptyMeet and new_err is None:
+        # two whole spaces: the reference has no annihilator to intersect
+        assert all(linalg.rank([list(e.coords) for e in gens]) == d + 1 for gens in (gens1, gens2))
+        assert new.rank == d + 1
+        return
+    assert (new_err is None) == (ref_err is None)
+    if ref_err is not None:
+        assert new_err == ref_err
+        return
+    assert new.rank == len(ref) and new.kind == gens1[0].kind and new.ambient == d
+    for row, ref_row in zip(new.basis, ref):
+        assert all(type(x) is float for x in row)
+        assert all(is_zero(x - y, scale=max(abs(x), abs(y))) for x, y in zip(row, ref_row))

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimergeom.config import check_F, check_V, labels_projectively_equal
-from dimergeom.errors import BadParameters, DegenerateIntersection, SizeMismatch
+from dimergeom.errors import BadParameters, DegenerateIntersection, GeometryError, SizeMismatch
 from dimergeom.fixtures import make_pentagram_fixture
-from dimergeom.geometry import affine_point, point, proj_equal
+from dimergeom.geometry import HYPERPLANE, affine_point, hyperplane, join_points, meet_hyperplanes, point, proj_equal
 from dimergeom.pentagram import (
     LineList,
     Polygon,
@@ -250,3 +252,59 @@ def test_step_moves_edit_the_graph_locally(monkeypatch):
         assert calls["vertex_edges"] == 0, n
         views[n] = calls["view"]
     assert views[16] == views[64] <= 1
+
+
+# ------------------------------------------------- the line-formula reference
+#
+# dual_pentagram_map is the point loop read in the dual plane.  This is its
+# former implementation, meets of consecutive lines then their join.
+
+
+def ref_dual_pentagram_map(q, k):
+    n = len(q)
+    if not 2 <= k <= n - 2:
+        raise BadParameters(f"need 2 <= k <= n-2, got k={k}, n={n}")
+    out = []
+    for i in range(n):
+        try:
+            x = meet_hyperplanes([q[i], q[i + 1]])
+            y = meet_hyperplanes([q[i + k], q[i + k + 1]])
+            out.append(join_points([x, y]))
+        except DegenerateIntersection as exc:
+            raise DegenerateIntersection(f"line {i}: {exc}") from exc
+    return LineList(tuple(out))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except GeometryError as exc:
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def line_lists(draw):
+    """5-9 lines of P^2 with small integer coordinates, now and then a
+    repeated line, and a diagonal parameter k."""
+    n = draw(st.integers(5, 9))
+    lines = []
+    for _ in range(n):
+        if lines and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(lines)))
+            continue
+        coords = [draw(st.integers(-4, 4)) for _ in range(3)]
+        lines.append(hyperplane(*(coords if any(coords) else [0, 0, 1])))
+    return LineList(tuple(lines)), draw(st.integers(2, n - 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_lists())
+@example((LineList((hyperplane(1, 0, 1),) * 5), 2))  # every meet degenerate
+def test_dual_map_equals_the_reference(case):
+    q, k = case
+    new, new_err = _outcome(dual_pentagram_map, q, k)
+    ref, ref_err = _outcome(ref_dual_pentagram_map, q, k)
+    assert new_err == ref_err
+    if ref_err is None:
+        assert [line.coords for line in new.lines] == [line.coords for line in ref.lines]
+        assert all(line.kind == HYPERPLANE for line in new.lines)

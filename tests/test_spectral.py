@@ -413,15 +413,6 @@ def test_reconstruct_grid_minus_edge_nonunique():
     assert "B1x0" in res.detail
 
 
-def test_reconstruct_fb_choice_irrelevant():
-    _, _, _, c = make_pentagram_fixture(5, 2)
-    cls = cohomology_class(c)
-    alt = {b: F(3, 7) * (i + 1) for i, b in enumerate(c.graph.black_ids)}
-    res = reconstruct_black(c.graph, 2, c.white_labels, cls.lam, cls.mu, f_black=alt)
-    assert res.status == "unique"
-    assert labels_projectively_equal(res.config, c)
-
-
 def test_injectivity_probe_exact_spiral():
     # distinct rational points of the same curve give different black data
     seed = make_spiral_white_seed()

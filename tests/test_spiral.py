@@ -2,7 +2,10 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dimergeom import linalg
 from dimergeom.config import (
     check_F,
     check_V,
@@ -10,7 +13,7 @@ from dimergeom.config import (
     cohomology_class,
     labels_projectively_equal,
 )
-from dimergeom.errors import BadParameters, SeedInvalid
+from dimergeom.errors import BadParameters, GeometryError, SeedInvalid
 from dimergeom.fixtures import (
     SPIRAL_BASE,
     SPIRAL_CLASS_POINT,
@@ -18,8 +21,19 @@ from dimergeom.fixtures import (
     SPIRAL_N,
     make_spiral_fixture,
 )
-from dimergeom.geometry import affine_point, line_through, meet_hyperplanes, pairing, proj_equal
+from dimergeom.geometry import (
+    HYPERPLANE,
+    HomogeneousElement,
+    affine_point,
+    hyperplane,
+    join_points,
+    line_through,
+    meet_hyperplanes,
+    pairing,
+    proj_equal,
+)
 from dimergeom.spiral import (
+    LineSeed,
     SpiralSeed,
     build_spiral_config,
     build_spiral_graph,
@@ -229,3 +243,94 @@ def test_step_builds_no_basis_cycles(monkeypatch):
 
     monkeypatch.setattr(torusgraph, "find_walk", no_walks)
     assert labels_projectively_equal(spiral_step_on_config(c, SPIRAL_K, SPIRAL_N, SPIRAL_BASE), expected)
+
+
+# ------------------------------------------------- the line-window references
+#
+# A line window read backwards meets the point-window conditions in the dual
+# plane, so the line validator and recursions are the point ones on the
+# reversed window.  These are their former direct implementations.
+
+
+def _ref_collinear(a, b, c):
+    return linalg.rank([list(a.coords), list(b.coords), list(c.coords)]) <= 2
+
+
+def ref_validate_line_seed(s):
+    q = s.lines
+    n, k = s.n, s.k
+    bad = []
+    for l in range(k):
+        if not _ref_collinear(q[l], q[l + 1], q[n - k + l + 1]):
+            bad.append(f"q_{s.base + l}, q_{s.base + l + 1}, q_{s.base + n - k + l + 1} not concurrent")
+    if not _ref_collinear(q[0], q[n - k], q[n]):
+        bad.append(f"q_{s.base}, q_{s.base + n - k}, q_{s.base + n} not concurrent")
+    return bad
+
+
+def ref_line_seed_extend(s, steps):
+    bad = ref_validate_line_seed(s)
+    if bad:
+        raise SeedInvalid("; ".join(bad))
+    cur = s
+    for _ in range(abs(steps)):
+        q, n, k = cur.lines, cur.n, cur.k
+        if steps > 0:
+            new = join_points([meet_hyperplanes([q[1], q[n - k + 1]]), meet_hyperplanes([q[k + 1], q[k]])])
+            cur = LineSeed(k, n, cur.base + 1, tuple(q[1:]) + (new,))
+        else:
+            new = join_points([meet_hyperplanes([q[0], q[n - k]]), meet_hyperplanes([q[n - 1], q[n - k - 1]])])
+            cur = LineSeed(k, n, cur.base - 1, (new,) + tuple(q[:-1]))
+    return cur
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except GeometryError as exc:
+        return None, (type(exc), str(exc))
+
+
+SMALL = st.fractions(-5, 5, max_denominator=3)
+
+
+@st.composite
+def line_windows(draw):
+    """A valid line window (the dual of a sampled point seed, reversed),
+    with up to two of its lines replaced by other lines."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(k + 3, k + 5))
+    free = [affine_point(draw(SMALL), draw(SMALL)) for _ in range(n - k + 1)]
+    try:
+        seed = sample_spiral_seed(k, n, 0, free, [draw(SMALL) for _ in range(k - 1)])
+    except GeometryError:
+        assume(False)
+    lines = [HomogeneousElement(p.coords, HYPERPLANE) for p in reversed(seed.points)]
+    for m in draw(st.lists(st.integers(0, n), max_size=2)):
+        lines[m] = hyperplane(draw(SMALL), draw(SMALL), 1)
+    return LineSeed(k, n, draw(st.integers(-6, 6)), tuple(lines))
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_windows(), st.sampled_from([-3, -1, 1, 2]))
+def test_line_window_equals_the_reference(sq, steps):
+    assert validate_line_seed(sq) == ref_validate_line_seed(sq)
+    new, new_err = _outcome(line_seed_extend, sq, steps)
+    ref, ref_err = _outcome(ref_line_seed_extend, sq, steps)
+    assert new_err == ref_err
+    if ref_err is None:
+        assert new.base == ref.base and [q.coords for q in new.lines] == [q.coords for q in ref.lines]
+
+
+def test_line_window_messages_keep_their_order():
+    # no three of these lines are concurrent, so every condition fails; the
+    # reversed point conditions must still be reported in line order
+    sq = LineSeed(2, 5, 0, tuple(hyperplane(1, m, m * m) for m in range(6)))
+    expected = [
+        "q_0, q_1, q_4 not concurrent",
+        "q_1, q_2, q_5 not concurrent",
+        "q_0, q_3, q_5 not concurrent",
+    ]
+    assert validate_line_seed(sq) == ref_validate_line_seed(sq) == expected
+    with pytest.raises(SeedInvalid, match="^" + "; ".join(expected) + "$"):
+        line_seed_extend(sq, 1)

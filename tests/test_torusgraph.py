@@ -106,10 +106,13 @@ def test_find_walk_arbitrary_class():
     assert walk_h_sum(g, w) == (2, -1)
 
 
-def test_find_walk_impossible_radius():
-    g = build_pentagram_graph(5, 2)
+def test_find_walk_unreachable_class():
+    # every edge has h_1 = 0, so no closed walk has class (1, 0): the search
+    # exhausts its bounded region of the cover
+    g = TorusGraph(("W",), ("B",), (Edge("W", "B", (0, 0)), Edge("W", "B", (0, 1))), ())
+    assert walk_h_sum(g, find_walk(g, (0, 1))) == (0, 1)
     with pytest.raises(BadWalk):
-        find_walk(g, (9, 9), radius=1)
+        find_walk(g, (1, 0))
 
 
 def test_delete_edge_merges_faces():
