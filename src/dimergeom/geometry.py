@@ -279,10 +279,18 @@ def meet(gens1, gens2) -> Subspace:
         raise KindMismatch("meet of different kinds")
     if d != d2:
         raise DimensionMismatch("meet in different ambient spaces")
-    if not (any(map(is_float, rows1)) or any(map(is_float, rows2))):
+    floats = any(map(is_float, rows1)) or any(map(is_float, rows2))
+    if not floats:
         rows1, rows2 = [linalg.int_row(r) for r in rows1], [linalg.int_row(r) for r in rows2]
     ker = _kernel([list(col) for col in zip(*rows1, *rows2)])
-    basis = _echelon([[_dot(v, col) for col in zip(*rows1)] for v in ker])
+    elems = [[_dot(v, col) for col in zip(*rows1)] for v in ker]
+    if floats:
+        # an element that vanishes at the scale of the terms of its relation
+        # is rounding left by cancelling generators: drop it
+        gens = rows1 + rows2
+        scales = [max(abs(c * x) for c, row in zip(v, gens) for x in row) for v in ker]
+        elems = [e for e, t in zip(elems, scales) if not all(is_zero(x / t) for x in e)]
+    basis = _echelon(elems)
     if not basis:
         raise EmptyMeet("subspaces intersect trivially")
     return Subspace(basis, kind, d)

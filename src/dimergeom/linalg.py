@@ -13,8 +13,8 @@ build no Fraction.  The determinant takes exact matrices only: Bareiss
 elimination on the same integer rows.
 
 A matrix with a float entry takes partial pivoting with every zero
-decision made by :func:`scalars.is_zero` at the scale of the input matrix;
-its results are floats.
+decision made by :func:`scalars.is_zero` relative to the largest entry of
+the input matrix; its results are floats.
 """
 from __future__ import annotations
 
@@ -120,14 +120,16 @@ def bareiss_det(mat) -> int:
 def _float_rref(rows):
     m = [list(r) for r in rows]
     ncols = len(m[0])
-    scale = max((abs(x) for row in m for x in row), default=0.0) or 1.0  # the zero-test scale
+    # zero tests are relative to the largest entry, so a matrix of small
+    # entries is not all zero
+    scale = max((abs(x) for row in m for x in row), default=0.0) or 1.0
     pivots = []
     r = 0
     for c in range(ncols):
         if r >= len(m):
             break
         # partial pivoting: the largest nonzero entry at or below row r
-        live = [i for i in range(r, len(m)) if not is_zero(m[i][c], scale=scale)]
+        live = [i for i in range(r, len(m)) if not is_zero(m[i][c] / scale)]
         if not live:
             continue
         best = max(live, key=lambda i: abs(m[i][c]))
@@ -135,7 +137,7 @@ def _float_rref(rows):
         pv = m[r][c]
         m[r] = [x / pv for x in m[r]]
         for i in range(len(m)):
-            if i != r and not is_zero(m[i][c], scale=scale):
+            if i != r and not is_zero(m[i][c] / scale):
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)

@@ -13,12 +13,23 @@ The determinant is interpolated from its values at small integer points
 (see _integer_det).  Every step is exact, so the result needs no
 certificate; float weights take the same path through their exact
 Fraction values.
+
+The interpolation box must hold the support of the determinant.  Every
+term of det K is the h-sum of a perfect matching, so the support lies in
+the matching polygon (Kenyon-Okounkov-Sheffield).  On a minimal graph the
+sides of that polygon are the homology classes of the zig-zag paths
+(Goncharov-Kenyon), read off the faces in O(E) (zigzag_polygon); they
+pick the elementary shear of the exponents whose box is smallest.  The
+prediction only picks the shear: the box itself is the least and greatest
+sheared exponent sum over the perfect matchings, four assignment problems
+whose optima hold for every choice of weights, so the result does not
+depend on the prediction being right.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import atan2, gcd, lcm
 
 from . import linalg
 from .config import DoubleCircuitConfig, check_F, check_V
@@ -32,7 +43,7 @@ from .errors import (
 from .geometry import HYPERPLANE, HomogeneousElement, circuit_coefficients, normalize_coords
 from .laurent import LaurentPoly2, _ipow
 from .scalars import is_float, is_zero
-from .torusgraph import Edge, TorusGraph, vertex_edges
+from .torusgraph import Edge, Face, TorusGraph, vertex_edges
 
 
 def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
@@ -73,35 +84,130 @@ def kasteleyn_matrix_poly(g: TorusGraph, weights: dict):
     return rows
 
 
+def zigzag_polygon(g: TorusGraph):
+    """The polygon whose sides are the homology classes of g's zig-zag
+    paths, sorted by angle and chained: vertices counterclockwise from the
+    lexicographically smallest, up to translation.  None when some edge
+    is on no even face slot (no faces, say).
+
+    A zig-zag path turns maximally right at one color and maximally left at
+    the other.  With faces traversed white-to-black on even slots, the state
+    (edge, white-to-black) goes to the next edge of the face that has the
+    edge on an even slot, and (edge, black-to-white) to the previous edge
+    of that face; a path's class is its signed h-sum.  On a minimal graph
+    this is the matching polygon, the Newton polygon of the spectral curve
+    for generic weights (Goncharov-Kenyon)."""
+    even = {}  # edge -> (face walk, even slot)
+    for f in g.faces:
+        for slot in range(0, len(f.edges), 2):
+            even[f.edges[slot]] = (f.edges, slot)
+    if len(even) < len(g.edges):
+        return None
+    classes: dict = {}  # primitive direction -> multiplicity
+    seen = set()
+    for start in [(e, sign) for e in range(len(g.edges)) for sign in (1, -1)]:
+        x = y = 0
+        state = start
+        while state not in seen:
+            seen.add(state)
+            e, sign = state
+            h = g.edges[e].h
+            x, y = x + sign * h[0], y + sign * h[1]
+            walk, slot = even[e]
+            state = (walk[(slot + 1) % len(walk)], -1) if sign == 1 else (walk[slot - 1], 1)
+        if x or y:
+            d = gcd(x, y)
+            classes[(x // d, y // d)] = classes.get((x // d, y // d), 0) + d
+    pts = [(0, 0)]
+    for x, y in sorted(classes, key=lambda v: atan2(v[1], v[0])):
+        d = classes[(x, y)]
+        pts.append((pts[-1][0] + d * x, pts[-1][1] + d * y))
+    pts = pts[:-1] or pts  # the classes sum to zero, so the chain closes
+    start = pts.index(min(pts))
+    return pts[start:] + pts[:start]
+
+
+def _zigzag_shear(g: TorusGraph):
+    """The elementary shear whose box around the zig-zag polygon has the
+    fewest nodes, when that is fewer than the row/column box of g's edges
+    has; otherwise None.  It only chooses the box: _integer_det proves the
+    box it interpolates on."""
+    polygon = zigzag_polygon(g)
+    if polygon is None:
+        return None
+    terms = {v: [] for v in (*g.white_ids, *g.black_ids)}  # vertex -> its edges as (_, h1, h2) terms
+    for e in g.edges:
+        t = (None, *e.h)
+        terms[e.w].append(t)
+        terms[e.b].append(t)
+    if not all(terms.values()):
+        return None
+    box = _row_col_box([terms[b] for b in g.black_ids], [terms[w] for w in g.white_ids])
+    if box is None:
+        return None
+    nodes, shear = _fitted_shear(polygon)
+    return shear if nodes < (box[0][1] - box[0][0] + 1) * (box[1][1] - box[1][0] + 1) else None
+
+
+def _fitted_shear(polygon):
+    """(nodes, (a, b)): the shear (i, j) -> (i + a*j, j + b*i) with a or b
+    zero whose bounding box of the polygon has the fewest lattice points."""
+
+    def width(p, q):  # lattice points spanned by p*i + q*j over the polygon
+        values = [p * i + q * j for i, j in polygon]
+        return max(values) - min(values) + 1
+
+    def narrowest(coeffs):  # the width is convex in s, so a walk from 0 finds its least
+        s = 0
+        for step in (1, -1):
+            while width(*coeffs(s + step)) < width(*coeffs(s)):
+                s += step
+        return s
+
+    a, b = narrowest(lambda s: (1, s)), narrowest(lambda s: (s, 1))
+    return min((width(1, a) * width(0, 1), (a, 0)), (width(1, 0) * width(b, 1), (0, b)))
+
+
 def spectral_polynomial(g: TorusGraph, weights: dict) -> LaurentPoly2:
     """Exact determinant of the magnetically altered Kasteleyn matrix.
 
     Float weights are converted exactly with Fraction; the result then
     has float coefficients, so the scalar kind follows the data."""
-    det, scale = _integer_det(kasteleyn_matrix_poly(g, weights))
+    det, scale = _integer_det(kasteleyn_matrix_poly(g, weights), _zigzag_shear(g))
     det = det * Fraction(1, scale)
     if is_float(weights.values()):
         det = LaurentPoly2.from_dict({e: float(c) for e, c in det.terms})
     return det
 
 
-def _integer_det(m):
+def _integer_det(m, shear=None):
     """(D, s): s times the determinant of a square LaurentPoly2 matrix is
     D, a LaurentPoly2 with int coefficients.
 
     Scaling each row by the lcm of its denominators makes the entries
-    integer polynomials.  The determinant's exponents in each variable lie
-    between max(sum of row minima, sum of column minima) and min(sum of
-    row maxima, sum of column maxima), so after dividing out the lowest
-    monomial it is fixed by its values on a grid of that size, and every
-    Newton divided difference of an integer polynomial at integer nodes
-    is an integer."""
+    integer polynomials.  After dividing out its lowest monomial, the
+    determinant is fixed by its values on a grid of integer nodes as large
+    as a box that holds its support, and every Newton divided difference of
+    an integer polynomial at integer nodes is an integer.
+
+    Every term of the determinant is a product of one term per row and
+    per column, so its exponent is the sum over a perfect matching of the
+    bipartite row/column graph: the support lies in the matching polygon.
+    With ``shear=None`` the box is, per variable, max(sum of row minima,
+    sum of column minima) to min(sum of row maxima, sum of column maxima).
+    A shear (a, b), a * b == 0, first maps every exponent (i, j) to
+    (i + a*j, j + b*i), a unimodular change of variables; the box is then
+    the least and greatest sum of each sheared coordinate over the perfect
+    matchings, four assignment problems (_min_assignment), and the
+    exponents are mapped back at the end.  Both boxes hold the support for
+    every choice of coefficients; the shear only makes the box smaller."""
+    a, b = shear or (0, 0)
     k = len(m)
     rows = []  # per row: [(column, i, j, int coeff)] with i, j >= 0
     shift_l = shift_m = 0
     scale = 1
     for row in m:
-        terms = [(col, i, j, Fraction(c)) for col, p in enumerate(row) for (i, j), c in p.terms]
+        terms = [(col, i + a * j, j + b * i, Fraction(c)) for col, p in enumerate(row) for (i, j), c in p.terms]
         if not terms:
             return LaurentPoly2.zero(), 1
         lo_i = min(t[1] for t in terms)
@@ -115,23 +221,23 @@ def _integer_det(m):
             by_col[t[0]].append(t)
     if not all(by_col):
         return LaurentPoly2.zero(), 1
-    box = []
-    for axis in (1, 2):
-        lo = sum(min(t[axis] for t in col) for col in by_col)  # every row minimum is 0
-        hi = min(sum(max(t[axis] for t in row) for row in rows), sum(max(t[axis] for t in col) for col in by_col))
-        if lo > hi:
-            return LaurentPoly2.zero(), 1
-        box.append((lo, hi))
+    box = _row_col_box(rows, by_col) if shear is None else _matching_box(rows)
+    if box is None:
+        return LaurentPoly2.zero(), 1
     (lo_l, hi_l), (lo_m, hi_m) = box
     nodes_l, nodes_m = _nodes(hi_l - lo_l + 1), _nodes(hi_m - lo_m + 1)
+    # powers up to the box top and the highest term, which lies above the
+    # box when it is on no perfect matching
+    top_l = max(hi_l, max(t[1] for row in rows for t in row))
+    top_m = max(hi_m, max(t[2] for row in rows for t in row))
+    mu_powers = [[y**e for e in range(top_m + 1)] for y in nodes_m]
     values = []
     for x in nodes_l:
-        xp = [x**e for e in range(hi_l + 1)]
+        xp = [x**e for e in range(top_l + 1)]
         # the terms with lambda = x, as (column, mu exponent, int coeff)
         at_x = [[(col, j, c * xp[i]) for col, i, j, c in row] for row in rows]
         line = []
-        for y in nodes_m:
-            yp = [y**e for e in range(hi_m + 1)]
+        for yp in mu_powers:
             mat = [[0] * k for _ in range(k)]
             for r, row in zip(mat, at_x):
                 for col, j, c in row:
@@ -141,8 +247,85 @@ def _integer_det(m):
     out: dict = {}
     for j in range(len(nodes_m)):
         for i, c in enumerate(_interpolate(nodes_l, [v[j] for v in values])):
-            out[(i + lo_l + shift_l, j + lo_m + shift_m)] = c
+            p, q = i + lo_l + shift_l, j + lo_m + shift_m
+            out[(p - a * q, q - b * p)] = c  # unsheared
     return LaurentPoly2.from_dict(out), scale
+
+
+def _row_col_box(rows, cols):
+    """Per exponent axis of (column, i, j, ...) terms, the (lo, hi) bound of
+    its sum over one term per row and column: lo = max(sum of row minima,
+    sum of column minima), hi = min(sum of row maxima, sum of column
+    maxima).  None when lo > hi for an axis."""
+    box = []
+    for axis in (1, 2):
+        lo = max(sum(min(t[axis] for t in r) for r in rows), sum(min(t[axis] for t in c) for c in cols))
+        hi = min(sum(max(t[axis] for t in r) for r in rows), sum(max(t[axis] for t in c) for c in cols))
+        if lo > hi:
+            return None
+        box.append((lo, hi))
+    return box
+
+
+def _matching_box(rows):
+    """Per exponent axis of (column, i, j, ...) terms, the least and the
+    greatest sum over the perfect matchings of one term per row and
+    column; None when there is no perfect matching."""
+    box = []
+    for axis in (1, 2):
+        least, negated_most = [{} for _ in rows], [{} for _ in rows]  # per row: column -> cost
+        for low, high, row in zip(least, negated_most, rows):
+            for t in row:
+                col, x = t[0], t[axis]
+                low[col] = min(low.get(col, x), x)
+                high[col] = min(high.get(col, -x), -x)
+        lo = _min_assignment(least)
+        if lo is None:
+            return None
+        box.append((lo, -_min_assignment(negated_most)))
+    return box
+
+
+def _min_assignment(costs):
+    """The least sum of costs[r][c] over the bijections r -> c of rows to
+    columns that use only given entries (costs: one dict column -> int per
+    row), or None when there is none.  The Hungarian method: each row joins
+    the matching along a shortest augmenting path under dual potentials,
+    O(k^3); when no free column is reachable the rows so far have no
+    matching, so neither have all rows."""
+    k = len(costs)
+    inf = float("inf")
+    u, v = [0] * (k + 1), [0] * (k + 1)
+    owner = [0] * (k + 1)  # column c + 1 -> its row r + 1; index 0 is the root of the search
+    for r in range(1, k + 1):
+        owner[0], col = r, 0
+        slack, way, used = [inf] * (k + 1), [0] * (k + 1), [False] * (k + 1)
+        while owner[col]:
+            used[col] = True
+            row = owner[col]
+            base = u[row]
+            for c, x in costs[row - 1].items():
+                c += 1
+                if not used[c] and x - base - v[c] < slack[c]:
+                    slack[c], way[c] = x - base - v[c], col
+            delta, nxt = inf, 0
+            for c in range(1, k + 1):
+                if not used[c] and slack[c] < delta:
+                    delta, nxt = slack[c], c
+            if delta == inf:
+                return None
+            for c in range(k + 1):
+                if used[c]:
+                    u[owner[c]] += delta
+                    v[c] -= delta
+                else:
+                    slack[c] -= delta
+            col = nxt
+        while col:
+            prev = way[col]
+            owner[col] = owner[prev]
+            col = prev
+    return -v[0]
 
 
 def _nodes(n: int) -> list:
@@ -176,10 +359,17 @@ def spectral_polynomial_dual(c: DoubleCircuitConfig) -> LaurentPoly2:
     exponents taken with the black-to-white orientation (-h).  Used only
     for the dual-curve experiment; no relation to the white curve is
     asserted."""
-    g = c.graph
-    edges = tuple(Edge(e.b, e.w, (-e.h[0], -e.h[1])) for e in g.edges)
-    swapped = TorusGraph(g.black_ids, g.white_ids, edges, ())
+    swapped = _color_swapped(c.graph)
     return spectral_polynomial(swapped, kasteleyn_weights(swapped, c.black_labels))
+
+
+def _color_swapped(g: TorusGraph) -> TorusGraph:
+    """g with the colors swapped and every h negated.  The faces are g's,
+    each walk rotated by one slot so that it starts white-to-black in the
+    swapped colors, so the dual curve gets the same zig-zag shear."""
+    edges = tuple(Edge(e.b, e.w, (-e.h[0], -e.h[1])) for e in g.edges)
+    faces = tuple(Face(f.id, f.edges[1:] + f.edges[:1]) for f in g.faces)
+    return TorusGraph(g.black_ids, g.white_ids, edges, faces)
 
 
 def on_curve(p: LaurentPoly2, lam, mu) -> bool:

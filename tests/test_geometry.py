@@ -66,6 +66,17 @@ def test_tiny_float_vectors_are_points():
         pt(0.0, -0.0, 0.0)
 
 
+def test_tiny_float_points_join_and_meet():
+    """Float eliminations test zero relative to the matrix, so points with
+    coordinates of size 1e-10 still span lines and meet."""
+    s = 1e-10
+    a, b, c, d = pt(s, 0.0, 0.0), pt(0.0, s, 0.0), pt(s, s, 0.0), pt(0.0, 0.0, s)
+    assert g.join_points([a, b]) == hp(0.0, 0.0, 1.0)
+    assert g.subspace_element(g.meet([a, b], [c, d])) == pt(1.0, 1.0, 0.0)
+    assert g.meet_hyperplanes([g.line_through(a, b), g.line_through(c, d)]) == pt(1.0, 1.0, 0.0)
+    assert linalg.rank([[s, 0.0], [0.0, s]]) == 2
+
+
 def test_float_hash_agrees_with_equality():
     a, b = pt(1.0, 2.0, 3.0), pt(1.0, 2.0, 3.0 + 1e-12)
     assert a == b and hash(a) == hash(b)

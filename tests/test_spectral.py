@@ -4,10 +4,10 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimergeom import linalg
+from dimergeom import linalg, spectral
 from dimergeom.config import (
     class_equal,
     cohomology_class,
@@ -39,7 +39,11 @@ from dimergeom.moves import urban_renewal
 from dimergeom.pentagram import pentagram_step_on_config
 from dimergeom.qnet import _config_white_parity, build_qnet_graph, qnet_step_on_config
 from dimergeom.spectral import (
+    _color_swapped,
+    _integer_det,
+    _zigzag_shear,
     evaluate_matrix,
+    kasteleyn_matrix_poly,
     kasteleyn_weights,
     kernel_at,
     on_curve,
@@ -48,9 +52,10 @@ from dimergeom.spectral import (
     spectral_polynomial,
     spectral_polynomial_dual,
     spectral_polynomial_white,
+    zigzag_polygon,
 )
 from dimergeom.spiral import build_spiral_graph, spiral_step_on_config
-from dimergeom.torusgraph import Edge, TorusGraph
+from dimergeom.torusgraph import Edge, TorusGraph, validate_graph
 
 
 def brute_force_determinant(g, weights):
@@ -239,6 +244,82 @@ def weighted_torus_graphs(draw):
 def test_determinant_matches_brute_force_random_graphs(graph_and_weights):
     g, weights = graph_and_weights
     assert spectral_polynomial(g, weights).terms == brute_force_determinant(g, weights).terms
+
+
+# every row and column has an edge, yet b0 and b1 share their only white
+NO_PERFECT_MATCHING = (
+    TorusGraph(
+        ("w0", "w1", "w2"),
+        ("b0", "b1", "b2"),
+        (Edge("w0", "b0", (0, 0)), Edge("w0", "b1", (1, 0)), Edge("w1", "b2", (0, 1)), Edge("w2", "b2", (1, 1))),
+        (),
+    ),
+    {0: F(1), 1: F(2), 2: F(3), 3: F(4)},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_torus_graphs(), st.integers(-3, 3), st.booleans())
+@example(NO_PERFECT_MATCHING, 1, True)
+def test_sheared_matching_box_matches_brute_force(graph_and_weights, s, on_lambda):
+    """The assignment-proven box at a forced shear (i + s*j, j) or
+    (i, j + s*i), on graphs without faces, which the zig-zag step never
+    shears."""
+    g, weights = graph_and_weights
+    det, scale = _integer_det(kasteleyn_matrix_poly(g, weights), (s, 0) if on_lambda else (0, s))
+    assert (det * F(1, scale)).terms == brute_force_determinant(g, weights).terms
+
+
+def _curve_fixture(name):
+    """(graph, white labels) of a named fixture."""
+    if name == "grid-minus-edge":
+        return make_grid_minus_edge()
+    if name == "spiral":
+        c = make_spiral_fixture()[2]
+    elif name == "qnet-4x4":
+        c = make_qnet_fixture()[2]
+    else:
+        c = make_pentagram_fixture(*map(int, name.split("-")[1].split("/")))[3]
+    return c.graph, c.white_labels
+
+
+def _from_first(polygon):
+    x0, y0 = polygon[0]
+    return [(x - x0, y - y0) for x, y in polygon]
+
+
+@pytest.mark.parametrize(
+    "name", ["pentagram-7/2", "pentagram-9/2", "pentagram-12/3", "pentagram-24/3", "spiral", "qnet-4x4", "grid-minus-edge"]
+)
+def test_zigzag_polygon_is_the_newton_polygon(name):
+    """Both lists run counterclockwise from the lexicographically smallest
+    vertex, so equal offsets from it mean equal up to translation."""
+    g, white = _curve_fixture(name)
+    poly = spectral_polynomial(g, kasteleyn_weights(g, white))
+    assert _from_first(zigzag_polygon(g)) == _from_first(newton_polygon(poly))
+
+
+def test_pentagram_curve_interpolates_on_the_sheared_box(monkeypatch):
+    """Pentagram 24/3: 45 nodes on the sheared box against 125 on the
+    row/column box."""
+    g, white = _curve_fixture("pentagram-24/3")
+    weights = kasteleyn_weights(g, white)
+    sizes = []
+    nodes = spectral._nodes
+    monkeypatch.setattr(spectral, "_nodes", lambda n: sizes.append(n) or nodes(n))
+    curve = spectral_polynomial(g, weights)
+    assert _zigzag_shear(g) == (0, -8) and sizes == [5, 9]
+    sizes.clear()
+    det, scale = _integer_det(kasteleyn_matrix_poly(g, weights))
+    assert sizes == [5, 25] and (det * F(1, scale)).terms == curve.terms
+
+
+@pytest.mark.parametrize("name", ["pentagram-7/2", "pentagram-9/4", "spiral", "qnet-4x4"])
+def test_color_swapped_graph_keeps_the_faces(name):
+    g = _curve_fixture(name)[0]
+    swapped = _color_swapped(g)
+    assert validate_graph(swapped).ok
+    assert _zigzag_shear(swapped) == _zigzag_shear(g)
 
 
 @pytest.mark.parametrize("name", ["qnet-6x6", "pentagram-24/3"])
