@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BadBasis,
@@ -37,7 +36,7 @@ from .geometry import (
     multi_ratio,
 )
 from .laurent import _ipow
-from .scalars import FLOAT, RATIONAL, is_float, is_zero, parse_scalar, scalar_str
+from .scalars import FLOAT, RATIONAL, is_float, parse_scalar, scalar_str
 from .torusgraph import (
     Edge,
     Face,
@@ -187,12 +186,6 @@ def cohomology_class(c: DoubleCircuitConfig, z1=None, z2=None) -> CohomologyClas
     lam = _ipow(p1, n00) * _ipow(p2, n01)
     mu = _ipow(p1, n10) * _ipow(p2, n11)
     return CohomologyClass(lam, mu)
-
-
-def class_equal(c1: CohomologyClass, c2: CohomologyClass) -> bool:
-    s1 = max(abs(c1.lam), abs(c2.lam))
-    s2 = max(abs(c1.mu), abs(c2.mu))
-    return is_zero(c1.lam - c2.lam, scale=s1) and is_zero(c1.mu - c2.mu, scale=s2)
 
 
 # ------------------------------------------------------------------ JSON I/O
@@ -375,28 +368,3 @@ def labels_projectively_equal(c1: DoubleCircuitConfig, c2: DoubleCircuitConfig) 
     return all(c1.white_labels[v] == c2.white_labels[v] for v in c1.white_labels) and all(
         c1.black_labels[v] == c2.black_labels[v] for v in c1.black_labels
     )
-
-
-def rescaled_config(c: DoubleCircuitConfig, factors: dict) -> DoubleCircuitConfig:
-    """New config with some labels multiplied by nonzero scalars (gauge test)."""
-    wl = dict(c.white_labels)
-    bl = dict(c.black_labels)
-    for v, s in factors.items():
-        labels = wl if v in wl else bl if v in bl else None
-        if labels is not None:
-            s = float(s) if is_float(labels[v].coords) else Fraction(s)
-            labels[v] = HomogeneousElement(tuple(x * s for x in labels[v].coords), labels[v].kind)
-    return DoubleCircuitConfig(c.graph, c.d, wl, bl)
-
-
-def coboundary_shifted(c: DoubleCircuitConfig, potentials: dict) -> DoubleCircuitConfig:
-    """New config whose h data differs by the coboundary of integer-pair
-    vertex potentials: h'(e) = h(e) + phi(w) - phi(b)."""
-    g = c.graph
-    edges = []
-    for e in g.edges:
-        pw = potentials.get(e.w, (0, 0))
-        pb = potentials.get(e.b, (0, 0))
-        edges.append(Edge(e.w, e.b, (e.h[0] + pw[0] - pb[0], e.h[1] + pw[1] - pb[1])))
-    graph = TorusGraph(g.white_ids, g.black_ids, tuple(edges), g.faces, g.basis_cycles)
-    return DoubleCircuitConfig(graph, c.d, c.white_labels, c.black_labels)

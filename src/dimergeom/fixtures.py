@@ -140,37 +140,6 @@ def make_qnet_fixture():
     return f_one, G, build_qnet_config(f_one, G, a, b)
 
 
-def _window_x(i: int):
-    # arithmetic on 0..2 (parallel tangent lines there force one Laplace
-    # point at infinity), generic elsewhere
-    if 0 <= i <= 2:
-        return F(i + 1)
-    return F(i + 1) + F(1, i + 20)
-
-
-def _window_y(j: int):
-    if 1 <= j <= 3:
-        return F(2 * j - 1)
-    return F(2 * j - 1) + F(1, 2 * j + 31)
-
-
-def make_window_fixture(half: int = 7):
-    """Non-periodic two-layer 3D fixture for Laplace iteration.  The sequence
-    spots chosen arithmetic make the transform at site (1, 2) land at
-    infinity; everything else stays generic through four steps."""
-    span = range(-half, half + 1)
-    f = QNetWindow(
-        {
-            (i, j): _separable_point(_window_x(i), _window_y(j))
-            for i in span
-            for j in span
-            if (i + j) % 2 == 0
-        }
-    )
-    g = QNetWindow({k: _collineate(v) for k, v in f.values.items()})
-    return f, g
-
-
 # grid minus one edge: frozen white data (the degree-3 black vertex B1x0
 # sees the collinear triple W2x0, W1x1, W1x3)
 GRID_A = GRID_B = 4

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import frexp, gcd, lcm, ldexp
 
 from . import linalg
 from .errors import (
@@ -250,6 +250,12 @@ def _echelon(rows):
     return tuple(tuple(r) for r in reduced)
 
 
+def _binary_unit(rows):
+    """Each row over the power of two just above its largest entry: exact
+    for floats, since only the exponents change."""
+    return [[ldexp(x, -frexp(max(map(abs, r)))[1]) for x in r] for r in rows]
+
+
 def _generators(gens):
     """(coordinate rows, kind, d) of a Subspace or a nonempty element list."""
     if isinstance(gens, Subspace):
@@ -280,7 +286,11 @@ def meet(gens1, gens2) -> Subspace:
     if d != d2:
         raise DimensionMismatch("meet in different ambient spaces")
     floats = any(map(is_float, rows1)) or any(map(is_float, rows2))
-    if not floats:
+    if floats:
+        # each generator on the scale 1, so that the zero tests no longer
+        # depend on the generators' sizes
+        rows1, rows2 = _binary_unit(rows1), _binary_unit(rows2)
+    else:
         rows1, rows2 = [linalg.int_row(r) for r in rows1], [linalg.int_row(r) for r in rows2]
     ker = _kernel([list(col) for col in zip(*rows1, *rows2)])
     elems = [[_dot(v, col) for col in zip(*rows1)] for v in ker]
@@ -399,20 +409,6 @@ class Conic:
 
     def bilinear(self, p, q):
         return sum(self.matrix[i][j] * p.coords[i] * q.coords[j] for i in range(3) for j in range(3))
-
-    def line_discriminant(self, line: HomogeneousElement):
-        """B(p,q)^2 - Q(p)Q(q) for two points spanning the line; zero iff
-        the line is tangent (touches at exactly one projective point)."""
-        pts = linalg.nullspace([list(line.coords)])
-        p = HomogeneousElement(tuple(pts[0]), POINT)
-        q = HomogeneousElement(tuple(pts[1]), POINT)
-        return self.bilinear(p, q) ** 2 - self.value(p) * self.value(q)
-
-
-def standard_conic() -> Conic:
-    """The conic yz = x^2 (all tangency data rational in the parameter)."""
-    h, o, i = Fraction(-1, 2), Fraction(0), Fraction(1)
-    return Conic(((i, o, o), (o, o, h), (o, h, o)))
 
 
 def conic_point(t) -> HomogeneousElement:

@@ -121,8 +121,10 @@ def _float_rref(rows):
     m = [list(r) for r in rows]
     ncols = len(m[0])
     # zero tests are relative to the largest entry, so a matrix of small
-    # entries is not all zero
+    # entries is not all zero; a pivot row, divided by its pivot, is tested
+    # at that scale divided by the pivot
     scale = max((abs(x) for row in m for x in row), default=0.0) or 1.0
+    scales = [scale] * len(m)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -135,9 +137,9 @@ def _float_rref(rows):
         best = max(live, key=lambda i: abs(m[i][c]))
         m[r], m[best] = m[best], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        m[r], scales[r] = [x / pv for x in m[r]], scale / abs(pv)
         for i in range(len(m)):
-            if i != r and not is_zero(m[i][c] / scale):
+            if i != r and not is_zero(m[i][c] / scales[i]):
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)

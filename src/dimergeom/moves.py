@@ -23,36 +23,28 @@ Homology bookkeeping keeps every face h-sum at (0, 0):
   (0, 0).  This is the simplest gauge satisfying all five new faces;
   any other valid choice differs by a coboundary.
 
-Every move is one ``torusgraph.substitute_edges`` call that names, for
-each edge it replaces, the walk standing in for it:
+Every move is one ``GraphEdit.replace`` naming, for each edge it
+replaces, the walk standing in for it: urban renewal makes each boundary
+edge of the renewed face the path spoke, inner edge, spoke and replaces
+the face by the inner quadrilateral; removal makes the two edges at v
+empty paths and rewrites the second neighbor's edges onto the first;
+addition moves the twin's arc to the twin, reached from v through the new
+vertex.  Walks stay closed with their h-sums, so basis cycles survive.
 
-* urban renewal: each boundary edge of the renewed face becomes its
-  three-edge path spoke, inner edge, spoke; the renewed face itself is
-  replaced by the inner quadrilateral;
-* removal: the two edges at v become empty paths, and the second
-  neighbor's edges are rewritten onto the first;
-* addition: each edge of the twin's arc moves to the twin and is reached
-  from v through the new vertex.
-
-Faces and the stored basis cycles are rewritten by the same
-substitution, which keeps every walk closed and its h-sum unchanged, so
-basis cycles survive every move.
-
-A move reads and names edges by their stable slots (``TorusGraph.edge``,
-``incidence``, ``face``, ``faces_on``, ``next_slot``) and never the
-positional views, so it costs the size of the move: the graph's carried
-incidence and face indices answer every lookup, and the substitution
-edits only their touched entries.
-
-A dynamics step is one ``step_on_config`` call: urban renewal at the
-given faces, then removal of the forced vertices -- every pre-step vertex
-the renewals left at degree two -- and a renaming back to template ids.
-The pentagram, spiral and Q-net families supply only their renewal
-faces, spoke rename rules and template.
+Moves read edges by their stable slots, never the positional views, and
+change a batch in place: ``apply_script`` runs its moves on one copy of
+the graph, whose faces and basis cycles are rewritten once per run of
+moves, and a single move call is a batch of one.  A dynamics step
+(``step_on_config``) is a batch of urban renewals at the given faces, a
+batch removing the forced vertices -- every pre-step vertex the renewals
+left at degree two -- and a renaming back to template ids.  The
+pentagram, spiral and Q-net families supply only their renewal faces,
+spoke rename rules and template.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .config import DoubleCircuitConfig, read_json
 from .errors import (
@@ -78,7 +70,7 @@ from .geometry import (
     subspace_element,
 )
 from .scalars import RATIONAL, parse_scalar, scalar_str
-from .torusgraph import Edge, Face, TorusGraph, face_key, substitute_edges
+from .torusgraph import Edge, Face, GraphEdit, TorusGraph, face_key
 
 
 @dataclass(frozen=True)
@@ -153,9 +145,33 @@ def _h_sub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
 
+def _opened(c: DoubleCircuitConfig) -> DoubleCircuitConfig:
+    """A batch: c with its graph open as a ``GraphEdit`` and label dicts of
+    its own, which moves change in place."""
+    return DoubleCircuitConfig(GraphEdit(c.graph), c.d, dict(c.white_labels), dict(c.black_labels))
+
+
+def _closed(batch: DoubleCircuitConfig) -> DoubleCircuitConfig:
+    return DoubleCircuitConfig(batch.graph.close(), batch.d, batch.white_labels, batch.black_labels)
+
+
+def _move(edit):
+    """The public move: ``edit`` changes a batch in place and returns it;
+    any other configuration is moved as a batch of one."""
+
+    @wraps(edit)
+    def move(c, *args, **kwargs):
+        if isinstance(c.graph, GraphEdit):
+            return edit(c, *args, **kwargs)
+        return _closed(edit(_opened(c), *args, **kwargs))
+
+    return move
+
+
 # ------------------------------------------------------- degree-two removal
 
 
+@_move
 def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
     g = c.graph
     inc = g.incidence()
@@ -187,12 +203,11 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
     edits[i1] = edits[i2] = None
     merged = {u2} - {u1}
     drop_white, drop_black = ({v}, merged) if v_white else (merged, {v})
-    graph = substitute_edges(g, edits, (), {i1: (), i2: ()}, drop_white=drop_white, drop_black=drop_black)
-    wl, bl = dict(c.white_labels), dict(c.black_labels)
-    for labels, dropped in ((wl, drop_white), (bl, drop_black)):
+    g.replace(edits, (), {i1: (), i2: ()}, drop_white=drop_white, drop_black=drop_black)
+    for labels, dropped in ((c.white_labels, drop_white), (c.black_labels, drop_black)):
         for x in dropped:
             labels.pop(x, None)
-    return DoubleCircuitConfig(graph, c.d, wl, bl)
+    return c
 
 
 # ------------------------------------------------------ degree-two addition
@@ -225,12 +240,9 @@ def _split_arcs(g: TorusGraph, v: str, partition: tuple):
     return rot[i:j], rot[j:] + rot[:i]
 
 
+@_move
 def add_degree2(
-    c: DoubleCircuitConfig,
-    v: str,
-    partition: tuple,
-    new_label: HomogeneousElement,
-    ids: tuple | None = None,
+    c: DoubleCircuitConfig, v: str, partition: tuple, new_label: HomogeneousElement, ids: tuple | None = None
 ) -> DoubleCircuitConfig:
     """Split v in two along the given arc partition of its rotation and
     join the copies through a new degree-two vertex labeled new_label.
@@ -272,11 +284,10 @@ def add_degree2(
         edits = {ei: Edge(g.edge(ei).w, twin, g.edge(ei).h) for ei in arc_b}
         paths = {ei: (ei, tm, vm) for ei in arc_b}
     add_white, add_black = ((twin,), (mid,)) if v_white else ((mid,), (twin,))
-    graph = substitute_edges(g, edits, new_edges, paths, add_white=add_white, add_black=add_black)
-    wl, bl = dict(c.white_labels), dict(c.black_labels)
-    (wl if v_white else bl)[twin] = own_label
-    (bl if v_white else wl)[mid] = new_label
-    return DoubleCircuitConfig(graph, c.d, wl, bl)
+    g.replace(edits, new_edges, paths, add_white=add_white, add_black=add_black)
+    (c.white_labels if v_white else c.black_labels)[twin] = own_label
+    (c.black_labels if v_white else c.white_labels)[mid] = new_label
+    return c
 
 
 def _free_id(g: TorusGraph, x: str) -> str:
@@ -297,14 +308,9 @@ def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> Homo
     g = c.graph
     v_white = g.is_white(v)
     labels = c.black_labels if v_white else c.white_labels
-    arc_a, arc_b = _split_arcs(g, v, partition)
-
-    def far(ei):
-        e = g.edge(ei)
-        return labels[e.b if v_white else e.w]
-
+    arcs = [[labels[g.edge(ei).b if v_white else g.edge(ei).w] for ei in arc] for arc in _split_arcs(g, v, partition)]
     try:
-        m = meet([far(ei) for ei in arc_a], [far(ei) for ei in arc_b])
+        m = meet(*arcs)
     except EmptyMeet as exc:
         raise DegenerateMeet(f"arc spans of {v} do not meet") from exc
     if m.rank != 1:
@@ -315,6 +321,7 @@ def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> Homo
 # ------------------------------------------------------------ urban renewal
 
 
+@_move
 def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
     g = c.graph
     face = g.face(face_id)
@@ -362,10 +369,8 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
     if any(map(g.has_vertex, (vE, vF, vg, vh))):
         raise MoveError(f"derived ids for {face_id} collide with existing vertex ids")
 
-    h1, h2, h3, h4 = eA_c.h, eB_c.h, eB_d.h, eA_d.h
-    hA, hc = h1, (0, 0)
-    hB, hd = h2, _h_sub(h3, h2)
-    assert _h_add(hd, hA) == h4, "face h-sum was nonzero"
+    hA, hc, hB, hd = eA_c.h, (0, 0), eB_c.h, _h_sub(eB_d.h, eB_c.h)
+    assert _h_add(hd, hA) == eA_d.h, "face h-sum was nonzero"
 
     new_edges = (
         Edge(A, vg, hA),      # +0 spoke at A
@@ -383,55 +388,54 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
     n = g.next_slot
     paths = {i0: (n, n + 4, n + 1), i1: (n + 2, n + 5, n + 1), i2: (n + 2, n + 6, n + 3), i3: (n, n + 7, n + 3)}
     inner = Face(f"{face_id}:inner", (n + 5, n + 6, n + 7, n + 4))
-    graph = substitute_edges(
-        g, dict.fromkeys(paths), new_edges, paths, add_white=(vE, vF), add_black=(vg, vh),
+    g.replace(
+        dict.fromkeys(paths), new_edges, paths, add_white=(vE, vF), add_black=(vg, vh),
         drop_faces=(face_id,), add_faces=(inner,),
     )
-    wl2, bl2 = dict(wl), dict(bl)
-    wl2[vE], wl2[vF] = lab_E, lab_F
-    bl2[vg], bl2[vh] = lab_g, lab_h
-    new_c = DoubleCircuitConfig(graph, c.d, wl2, bl2)
-    _check_degrees(new_c)
-    return new_c
+    wl[vE], wl[vF] = lab_E, lab_F
+    bl[vg], bl[vh] = lab_g, lab_h
+    _check_degrees(c)
+    return c
 
 
 def _check_degrees(c: DoubleCircuitConfig) -> None:
     """No vertex of the graph above degree d+2; the message names the
-    first such vertex in edge order."""
-    inc = c.graph.incidence()
-    if max(map(len, inc.values()), default=0) > c.d + 2:
-        v = next(v for e in c.graph.edges for v in (e.w, e.b) if len(inc[v]) > c.d + 2)
-        raise DegreeOverflow(f"vertex {v} has degree {len(inc[v])} > d+2 = {c.d + 2}")
+    first such vertex in edge order (by its first slot, white first)."""
+    g, bound = c.graph, c.d + 2
+    inc = g.incidence()
+    if max(map(len, inc.values()), default=0) > bound:
+        v = min((v for v, ix in inc.items() if len(ix) > bound), key=lambda v: (inc[v][0], not g.is_white(v)))
+        raise DegreeOverflow(f"vertex {v} has degree {len(inc[v])} > d+2 = {bound}")
 
 
 # ------------------------------------------------------------------ scripts
 
 
 def apply_script(c: DoubleCircuitConfig, script: MoveScript, trace: list | None = None) -> DoubleCircuitConfig:
-    """Left-to-right application; the first failing step aborts with its index."""
-    cur = c
+    """Left-to-right application as one batch, equal to the moves folded
+    one call at a time; the first failing step aborts with its index."""
+    if not script.steps:
+        return c
+    batch = _opened(c)
     for idx, step in enumerate(script.steps):
         try:
             if step.op == "urban":
-                cur = urban_renewal(cur, step.target)
+                urban_renewal(batch, step.target)
             elif step.op == "remove2":
-                cur = remove_degree2(cur, step.target)
+                remove_degree2(batch, step.target)
             elif step.op == "add2":
                 if step.partition is None or step.label is None:
                     raise MoveError("add2 needs a partition and a label")
-                kind = HYPERPLANE if cur.graph.is_white(step.target) else POINT
-                cur = add_degree2(cur, step.target, step.partition, HomogeneousElement(step.label.coords, kind))
+                kind = HYPERPLANE if batch.graph.is_white(step.target) else POINT
+                add_degree2(batch, step.target, step.partition, HomogeneousElement(step.label.coords, kind))
             else:
                 raise MoveError(f"unknown op {step.op!r}")
         except MoveError as exc:
             raise ScriptError(idx, exc) from exc
         if trace is not None:
-            g = cur.graph
-            trace.append(
-                f"step {idx}: {step.op} {step.target} -> "
-                f"v={len(g.white_ids)}+{len(g.black_ids)} e={g.n_edges} f={g.n_faces}"
-            )
-    return cur
+            w, b, e, f = batch.graph.sizes()
+            trace.append(f"step {idx}: {step.op} {step.target} -> v={w}+{b} e={e} f={f}")
+    return _closed(batch)
 
 
 def spoke_rename_map(before: DoubleCircuitConfig, mid: DoubleCircuitConfig, white_rule, black_rule) -> dict:
@@ -446,18 +450,11 @@ def spoke_rename_map(before: DoubleCircuitConfig, mid: DoubleCircuitConfig, whit
     g = mid.graph
     inc = g.incidence()
     vmap = {}
-    for v in g.white_ids:
-        if v in old:
-            continue
-        olds = {g.edge(ei).b for ei in inc[v]} & old
-        if len(olds) == 1:
-            vmap[v] = white_rule(next(iter(olds)))
-    for v in g.black_ids:
-        if v in old:
-            continue
-        olds = {g.edge(ei).w for ei in inc[v]} & old
-        if len(olds) == 1:
-            vmap[v] = black_rule(next(iter(olds)))
+    for ids, end, rule in ((g.white_ids, "b", white_rule), (g.black_ids, "w", black_rule)):
+        for v in set(ids) - old:
+            olds = {getattr(g.edge(ei), end) for ei in inc[v]} & old
+            if len(olds) == 1:
+                vmap[v] = rule(*olds)
     return vmap
 
 
@@ -480,9 +477,7 @@ def step_on_config(c: DoubleCircuitConfig, renew, white_rule, black_rule, templa
 def rename_faces_like(c: DoubleCircuitConfig, template: TorusGraph) -> DoubleCircuitConfig:
     """Give c's faces the ids of the template faces with the same vertex
     cycles (up to rotation/reflection).  Requires a bijection."""
-    key_to_id = {}
-    for f in template.faces:
-        key_to_id[face_key(template, f)] = f.id
+    key_to_id = {face_key(template, f): f.id for f in template.faces}
     if len(key_to_id) != len(template.faces):
         raise MoveError("template faces are not distinguishable by vertex cycles")
     new_faces = []
@@ -500,18 +495,14 @@ def rename_faces_like(c: DoubleCircuitConfig, template: TorusGraph) -> DoubleCir
 
 def relabel(c: DoubleCircuitConfig, vmap: dict) -> DoubleCircuitConfig:
     """Rename vertices; ids not in vmap stay.  Pure bookkeeping."""
-    g = c.graph
-
-    def m(v):
-        return vmap.get(v, v)
-
+    g, m = c.graph, vmap.get
     graph = TorusGraph(
-        tuple(m(v) for v in g.white_ids),
-        tuple(m(v) for v in g.black_ids),
-        tuple(Edge(m(e.w), m(e.b), e.h) for e in g.edges),
+        tuple(m(v, v) for v in g.white_ids),
+        tuple(m(v, v) for v in g.black_ids),
+        tuple(Edge(m(e.w, e.w), m(e.b, e.b), e.h) for e in g.edges),
         g.faces,
         g.basis_cycles,
     )
-    wl = {m(k): v for k, v in c.white_labels.items()}
-    bl = {m(k): v for k, v in c.black_labels.items()}
+    wl = {m(k, k): v for k, v in c.white_labels.items()}
+    bl = {m(k, k): v for k, v in c.black_labels.items()}
     return DoubleCircuitConfig(graph, c.d, wl, bl)

@@ -21,7 +21,7 @@ from functools import cache
 
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, DegenerateIntersection, SizeMismatch
-from .geometry import incident, incident_element, line_through, meet_hyperplanes
+from .geometry import incident_element, line_through, meet_hyperplanes
 from .moves import step_on_config
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
@@ -89,13 +89,6 @@ def lines_from_vertices(Q: Polygon, k: int) -> LineList:
     """q_i = Q_i Q_{i+k} (inverse of vertices_from_lines for generic data)."""
     n = len(Q)
     return LineList(tuple(line_through(Q[i], Q[i + k]) for i in range(n)))
-
-
-def is_inscribed(Q: Polygon, P: Polygon) -> bool:
-    """Consecutive vertices of Q lie on consecutive sides of P (exactly)."""
-    if len(Q) != len(P):
-        raise SizeMismatch(f"polygon sizes differ: {len(Q)} vs {len(P)}")
-    return all(incident(line_through(P[i], P[i + 1]), Q[i]) for i in range(len(P)))
 
 
 # ------------------------------------------------------------ the template

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateIntersection,
     NotQNet,
     NotQStarNet,
-    SizeMismatch,
 )
 from .geometry import (
     HYPERPLANE,
@@ -167,27 +166,6 @@ def plane_of_quad(g: QNetWindow, base) -> HomogeneousElement:
         raise NotQNet(f"site {base}: neighbor points do not span a plane") from exc
 
 
-def is_f_transform(f: QNetWindow, g: QNetWindow) -> bool:
-    """For every site and both signs, f(i,j), g(i,j), f(i+1,j+-1),
-    g(i+1,j+-1) are coplanar."""
-    if f.parity != g.parity or f.kind != POINT or g.kind != POINT:
-        raise SizeMismatch("F-transform needs two point windows of equal parity")
-    checked = 0
-    for i, j in f.sites():
-        if (i, j) not in g:
-            continue
-        for dj in (1, -1):
-            o = (i + 1, j + dj)
-            if o in f and o in g:
-                quad = [f[i, j], g[i, j], f[o], g[o]]
-                if linalg.rank([list(p.coords) for p in quad]) > 3:
-                    return False
-                checked += 1
-    if checked == 0:
-        raise SizeMismatch("windows do not overlap enough to compare")
-    return True
-
-
 # ----------------------------------------------------------- torus quotient
 
 
@@ -196,7 +174,13 @@ def _site_id(prefix: str, i: int, j: int) -> str:
 
 
 def build_qnet_graph(a: int, b: int, white_parity: int = 0) -> TorusGraph:
-    """Square-grid torus: whites at sites with (i+j) % 2 == white_parity."""
+    """Square-grid torus: whites at sites with (i+j) % 2 == white_parity,
+    with its canonical basis cycles."""
+    return with_basis_cycles(build_qnet_tile_graph(a, b, white_parity))
+
+
+def build_qnet_tile_graph(a: int, b: int, white_parity: int) -> TorusGraph:
+    """The square-grid torus without basis cycles."""
     if a < 4 or b < 4 or a % 2 or b % 2:
         raise BadParameters("fundamental domain needs even a, b >= 4")
     edges = []
@@ -236,7 +220,7 @@ def build_qnet_graph(a: int, b: int, white_parity: int = 0) -> TorusGraph:
     blacks = tuple(
         _site_id("B", i, j) for i in range(a) for j in range(b) if (i + j) % 2 != white_parity
     )
-    return with_basis_cycles(TorusGraph(whites, blacks, tuple(edges), tuple(faces)))
+    return TorusGraph(whites, blacks, tuple(edges), tuple(faces))
 
 
 def _periodic_lookup(w: QNetWindow, a: int, b: int, i: int, j: int):
@@ -279,13 +263,14 @@ def qnet_step_on_config(c: DoubleCircuitConfig, a: int, b: int, base_parity: int
     output's whites sit on the old black parity.  Every new vertex takes
     the site of its spoke's old endpoint with the color prefix flipped.
     base_parity == 1 - white parity realizes the plain Laplace transforms,
-    the other parity the transposed ones."""
+    the other parity the transposed ones.  The renaming reads only the
+    template's faces, so it gets the tile graph without basis cycles."""
     return step_on_config(
         c,
         [f"F{i}x{j}" for i in range(a) for j in range(b) if (i + j) % 2 == base_parity],
         lambda bid: "W" + bid[1:],
         lambda wid: "B" + wid[1:],
-        build_qnet_graph(a, b, 1 - _config_white_parity(c)),
+        build_qnet_tile_graph(a, b, 1 - _config_white_parity(c)),
     )
 
 

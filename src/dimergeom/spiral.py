@@ -196,11 +196,3 @@ def spiral_step_on_config(c: DoubleCircuitConfig, k: int, n: int, i: int) -> Dou
         lambda pid: f"q{(int(pid[1:]) - k - 1) % N}",
         build_tile_graph(N, k, removed_js(k, n, i + 1)),
     )
-
-
-def inscribed_points(sq: LineSeed):
-    """Q_j = q_j ^ q_{j-k} for all j available in the window, as a dict."""
-    out = {}
-    for j in range(sq.base + sq.k, sq.base + sq.n + 1):
-        out[j] = meet_hyperplanes([sq.line(j), sq.line(j - sq.k)])
-    return out

@@ -11,25 +11,23 @@ white-to-black on even slots and black-to-white on odd slots, starting
 white-to-black.  That resolves parallel edges unambiguously (vertex-id
 sequences cannot).
 
-A graph stores its edges under stable integer slots.  A move
-(``substitute_edges``) rewrites or deletes edges in their slots and gives
-new edges the slots after the last one, so survivors keep their order and
-nothing is renumbered.  The graph carries, from move to move, an
+A graph stores its edges under stable integer slots and carries an
 incidence index (vertex -> incident slots, in slot order), an edge ->
-faces index and a face-id lookup; a move copies these containers and
-edits only the entries it touches, so it costs the size of the move plus
-C-level copies.  The positional views ``edges``, ``faces`` and
-``basis_cycles`` number the edges by their position in slot order; they
-are what the validators, the JSON writer and the spectral code read, and
-a graph derives them once, on first read.  A graph built from positional
-data has slot = position and derives nothing.
+faces index and a face-id lookup.  Moves edit a ``GraphEdit``, a copy of
+these containers made once per batch of moves: edges are rewritten or
+deleted in their slots and new edges take the slots after the last one,
+so survivors keep their order and nothing is renumbered, and the faces
+and basis cycles are rewritten once per batch.  The positional views
+``edges``, ``faces`` and ``basis_cycles`` number the edges by their
+position in slot order; the validators, the JSON writer and the spectral
+code read them, and a graph derives them once, on first read.  A graph
+built from positional data has slot = position and derives nothing.
 """
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import repeat
-from operator import eq, rshift
+from operator import eq
 
 from .errors import BadWalk, UnequalColorCounts
 
@@ -67,14 +65,6 @@ class TorusGraph:
         self._next = (len(self.edges), len(self.faces))
         self._inc = self._on = self._face_of = None
 
-    @classmethod
-    def _carried(cls, white, black, edges, faces, basis, nxt, inc, on, face_of) -> TorusGraph:
-        """A graph made by ``substitute_edges``; its views are derived on first read."""
-        g = cls.__new__(cls)
-        g._white, g._black, g._edges, g._faces, g._basis, g._next = white, black, edges, faces, basis, nxt
-        g._inc, g._on, g._face_of = inc, on, face_of
-        return g
-
     def __getattr__(self, name):
         # called only for a view not yet derived
         if name in ("white_ids", "black_ids"):
@@ -85,13 +75,9 @@ class TorusGraph:
             raise AttributeError(name)
         return getattr(self, name)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self._edges)
-
-    @property
-    def n_faces(self) -> int:
-        return len(self._faces)
+    def sizes(self) -> tuple:
+        """(white, black, edge, face) counts."""
+        return len(self._white), len(self._black), len(self._edges), len(self._faces)
 
     def _key(self) -> tuple:
         return self.white_ids, self.black_ids, self.edges, self.faces, self.basis_cycles
@@ -110,7 +96,7 @@ class TorusGraph:
 
     @property
     def next_slot(self) -> int:
-        """The slot ``substitute_edges`` gives the first new edge."""
+        """The slot a move gives its first new edge."""
         return self._next[0]
 
     def edge(self, slot: int) -> Edge:
@@ -159,8 +145,8 @@ class TorusGraph:
 
 
 def _positional_view(g: TorusGraph) -> tuple:
-    """(edges, faces, basis cycles, slot -> position) of a graph made by
-    ``substitute_edges``: each edge numbered by its position in slot order."""
+    """(edges, faces, basis cycles, slot -> position) of an edited graph:
+    each edge numbered by its position in slot order."""
     pos = {s: i for i, s in enumerate(g._edges)}
     renumber = pos.__getitem__
     faces = tuple(Face(f.id, tuple(map(renumber, f.edges))) for f in g._faces.values())
@@ -179,11 +165,7 @@ def vertex_edges(g: TorusGraph) -> dict:
 
 def face_vertex_sequence(g: TorusGraph, face: Face) -> list:
     """Vertex ids along the face boundary: [w0, b0, w1, b1, ...]."""
-    seq = []
-    for slot, ei in enumerate(face.edges):
-        e = g.edges[ei]
-        seq.append(e.w if slot % 2 == 0 else e.b)
-    return seq
+    return [g.edges[ei].b if slot % 2 else g.edges[ei].w for slot, ei in enumerate(face.edges)]
 
 
 def face_key(g: TorusGraph, face: Face) -> tuple:
@@ -241,7 +223,6 @@ def cycle_space_h_lattice(g: TorusGraph):
     """
     inc = vertex_edges(g)
     phi: dict = {}
-    gens = []
     for root in list(g.white_ids) + list(g.black_ids):
         if root in phi:
             continue
@@ -257,14 +238,9 @@ def cycle_space_h_lattice(g: TorusGraph):
                 if other not in phi:
                     phi[other] = (phi[v][0] + step[0], phi[v][1] + step[1])
                     queue.append(other)
-    seen = set()
-    for ei, e in enumerate(g.edges):
-        if e.w in phi and e.b in phi:
-            gen = (e.h[0] - phi[e.b][0] + phi[e.w][0], e.h[1] - phi[e.b][1] + phi[e.w][1])
-            if gen != (0, 0) and gen not in seen:
-                seen.add(gen)
-                gens.append(gen)
-    return gens
+    gens = ((e.h[0] - phi[e.b][0] + phi[e.w][0], e.h[1] - phi[e.b][1] + phi[e.w][1]) for e in g.edges
+            if e.w in phi and e.b in phi)
+    return [gen for gen in dict.fromkeys(gens) if gen != (0, 0)]
 
 
 def _z_lattice_rank(gens) -> int:
@@ -273,10 +249,7 @@ def _z_lattice_rank(gens) -> int:
     if not vecs:
         return 0
     a = vecs[0]
-    for v in vecs[1:]:
-        if a[0] * v[1] - a[1] * v[0] != 0:
-            return 2
-    return 1
+    return 2 if any(a[0] * v[1] - a[1] * v[0] for v in vecs) else 1
 
 
 @dataclass
@@ -291,12 +264,8 @@ class GraphReport:
 
     def __str__(self):
         head = "valid" if self.ok else "INVALID"
-        lines = [
-            f"{head}: white={self.n_white} black={self.n_black} "
-            f"edges={self.n_edges} faces={self.n_faces} euler={self.euler}"
-        ]
-        lines += [f"  - {v}" for v in self.violations]
-        return "\n".join(lines)
+        counts = f"white={self.n_white} black={self.n_black} edges={self.n_edges} faces={self.n_faces} euler={self.euler}"
+        return "\n".join([f"{head}: {counts}"] + [f"  - {v}" for v in self.violations])
 
 
 def validate_graph(g: TorusGraph) -> GraphReport:
@@ -359,88 +328,143 @@ def validate_graph(g: TorusGraph) -> GraphReport:
     )
 
 
-def substitute_edges(
-    g: TorusGraph,
-    edits: dict,
-    new_edges,
-    paths: dict,
-    drop_white=(),
-    drop_black=(),
-    add_white=(),
-    add_black=(),
-    drop_faces=(),
-    add_faces=(),
-) -> TorusGraph:
-    """The one graph edit behind every move: a local edge substitution.
+_STORAGE = ("_white", "_black", "_edges", "_faces", "_basis", "_next", "_inc", "_on", "_face_of")
 
-    ``edits`` maps an edge slot to its rewritten ``Edge``, or to None to
-    delete it; new edge j gets slot ``g.next_slot + j``.  ``paths`` maps
-    an edge slot to the walk of slots that replaces it, traversed from its
-    white end to its black end; every deleted edge needs one.  The faces
-    with ids ``drop_faces`` are removed; every other face through a
-    replaced edge, and both basis cycles, are rewritten by
-    ``_rewrite_walk``, and a face left empty is dropped.  A path keeps the
-    edge's endpoints and signed h-sum, so the basis cycles survive.
-    ``add_faces`` (walks in slots) are appended last.  The carried indices
-    are copied and only their touched entries edited.
+
+class GraphEdit(TorusGraph):
+    """A graph open for a batch of moves: its containers copied once.
+
+    ``replace`` applies one move to edges, incidence and vertex sets in
+    place, so the next move reads them as the one-by-one fold would, and
+    logs its paths.  ``substitute_edges`` rewrites each face through a
+    replaced edge, and the basis cycles, once along the logged paths.  It
+    runs at ``close``; before a move reads a face the batch changed (or
+    any faces around a vertex) or replaces an edge the batch made; where
+    the batch turns from insertions to deletions or back; after a deletion
+    of parallel edges; and after every move while the graph has a vertex
+    of degree below two or a basis cycle that backtracks.  One rewrite then
+    ends where the fold's rewrites end, start slot included: an insertion
+    cancels or re-starts a walk only on edges it made, which no later move
+    of its batch replaces, and deletions of adjacent slot pairs move a
+    walk's start as the fold does.  Parallel edges, degree-one vertices and
+    backtracking walks can make a rewrite cancel older edges instead.
     """
-    on, face_of = (dict(x) for x in g._face_index())
-    faces = dict(g._faces)
 
-    def unlink(fs, walk):
-        for s in set(walk):
-            on[s] = _without(on[s], fs)
+    __slots__ = ("_paths", "_deleting", "_first_new", "_single")
 
-    def link(fs, walk):
+    def __init__(self, g: TorusGraph):
+        on, face_of = g._face_index()
+        self._white, self._black, self._inc = dict(g._white), dict(g._black), dict(g.incidence())
+        self._edges, self._faces, self._on, self._face_of = dict(g._edges), dict(g._faces), dict(on), dict(face_of)
+        self._basis, self._next = list(g._basis or ()), g._next
+        self._paths, self._first_new = {}, None
+
+    def __getattr__(self, name):
+        raise AttributeError(f"an open GraphEdit has no {name}")
+
+    def face(self, face_id: str) -> Face | None:
+        f = TorusGraph.face(self, face_id)
+        if f is None or self._paths.keys().isdisjoint(f.edges):
+            return f
+        self.substitute_edges()
+        return TorusGraph.face(self, face_id)
+
+    def faces_on(self, slots) -> list:
+        self.substitute_edges()
+        return TorusGraph.faces_on(self, slots)
+
+    def _link(self, fs: int, walk, add: bool) -> None:
+        on = self._on
         for s in dict.fromkeys(walk):
-            on[s] = on.get(s, ()) + (fs,)
+            on[s] = on.get(s, ()) + (fs,) if add else _without(on[s], fs)
 
-    for fid in drop_faces:
-        fs = face_of.pop(fid)
-        unlink(fs, faces.pop(fs).edges)
-    for fs in {fs for s in paths for fs in on.get(s, ())}:
-        f = faces[fs]
-        walk = _rewrite_walk(f.edges, paths)
-        unlink(fs, f.edges)
-        if walk:
-            faces[fs] = Face(f.id, walk)
-            link(fs, walk)
-        else:
-            del faces[fs]
-            if face_of.get(f.id) == fs:
-                del face_of[f.id]
-    next_face = g._next[1]
-    for f in add_faces:
-        faces[next_face] = f
-        face_of.setdefault(f.id, next_face)
-        link(next_face, f.edges)
-        next_face += 1
+    def replace(self, edits: dict, new_edges, paths: dict, drop_white=(), drop_black=(), add_white=(),
+                add_black=(), drop_faces=(), add_faces=()) -> None:
+        """One move.  ``edits`` maps an edge slot to its rewritten ``Edge``,
+        or to None to delete it; new edge j gets slot ``next_slot + j``.
+        ``paths`` maps an edge slot to the walk of slots standing in for it,
+        from its white end to its black end, keeping its endpoints and
+        signed h-sum; every deleted edge needs one.  ``add_faces`` (walks
+        in slots) are appended after the faces ``drop_faces`` are removed."""
+        deleting = not any(paths.values())
+        if self._paths and (deleting != self._deleting or any(s >= self._first_new for s in paths)):
+            self.substitute_edges()
+        if self._first_new is None:
+            self._first_new = self._next[0]
+            self._single = min(map(len, self._inc.values()), default=2) < 2 or not all(map(_normal, self._basis))
+        self._deleting = deleting
+        inc, edges, first, gone = self._inc, self._edges, self._next[0], []
+        for s, e in (*edits.items(), *((first + j, e) for j, e in enumerate(new_edges))):
+            old = edges.get(s)
+            if old is not None:
+                for v in (old.w, old.b):
+                    inc[v] = _without(inc[v], s)
+            if e is None:
+                gone.append((old.w, old.b))
+                del edges[s]
+            else:
+                edges[s] = e
+                for v in (e.w, e.b):
+                    inc[v] = tuple(sorted((*inc.get(v, ()), s)))
+        for ids, drop, add in ((self._white, drop_white, add_white), (self._black, drop_black, add_black)):
+            for v in drop:
+                ids.pop(v, None)
+                inc.pop(v, None)
+            for v in add:
+                ids[v] = None
+                inc.setdefault(v, ())
+        faces, face_of, next_face = self._faces, self._face_of, self._next[1]
+        for fid in drop_faces:
+            fs = face_of.pop(fid)
+            self._link(fs, faces.pop(fs).edges, False)
+        for f in add_faces:
+            faces[next_face] = f
+            face_of.setdefault(f.id, next_face)
+            self._link(next_face, f.edges, True)
+            next_face += 1
+        self._next = (first + len(new_edges), next_face)
+        self._paths.update(paths)
+        if self._single or (deleting and len(set(gone)) < len(gone)):
+            self.substitute_edges()
 
-    inc, edges = dict(g.incidence()), dict(g._edges)
-    first = g.next_slot
-    for s, e in (*edits.items(), *((first + j, e) for j, e in enumerate(new_edges))):
-        old = edges.get(s)
-        if old is not None:
-            for v in (old.w, old.b):
-                inc[v] = _without(inc[v], s)
-        if e is None:
-            del edges[s]
-            on.pop(s, None)
-        else:
-            edges[s] = e
-            for v in (e.w, e.b):
-                inc[v] = tuple(sorted((*inc.get(v, ()), s)))
-    white, black = dict(g._white), dict(g._black)
-    for ids, drop, add in ((white, drop_white, add_white), (black, drop_black, add_black)):
-        for v in drop:
-            ids.pop(v, None)
-            inc.pop(v, None)
-        for v in add:
-            ids[v] = None
-            inc.setdefault(v, ())
-    basis = g._basis and tuple(_rewrite_walk(walk, paths) for walk in g._basis)
-    nxt = (first + len(new_edges), next_face)
-    return TorusGraph._carried(white, black, edges, faces, basis, nxt, inc, on, face_of)
+    def substitute_edges(self) -> None:
+        """Rewrite every face through an edge replaced since the last
+        rewrite, and the basis cycles, along the logged paths; a face left
+        empty is dropped."""
+        if not self._paths:
+            return
+        paths = self._paths
+        on, faces, face_of = self._on, self._faces, self._face_of
+        for fs in {fs for s in paths for fs in on.get(s, ())}:
+            f = faces[fs]
+            walk = _rewrite_walk(f.edges, paths)
+            self._link(fs, f.edges, False)
+            if walk:
+                faces[fs] = Face(f.id, walk)
+                self._link(fs, walk, True)
+            else:
+                del faces[fs]
+                if face_of.get(f.id) == fs:
+                    del face_of[f.id]
+        for s in paths:
+            if s not in self._edges:
+                on.pop(s, None)
+        self._basis = [_rewrite_walk(z, paths) for z in self._basis]
+        self._paths, self._first_new = {}, None
+
+    def close(self) -> TorusGraph:
+        """The edited graph; the edit is spent."""
+        self.substitute_edges()
+        self._basis = tuple(self._basis) or None
+        g = TorusGraph.__new__(TorusGraph)
+        for name in _STORAGE:
+            setattr(g, name, getattr(self, name))
+        return g
+
+
+def _normal(walk) -> bool:
+    """Whether a closed walk never backtracks, also across its end."""
+    return walk[0] != walk[-1] and not any(map(eq, walk, walk[1:]))
 
 
 def _without(items: tuple, x) -> tuple:
@@ -451,43 +475,25 @@ def _without(items: tuple, x) -> tuple:
 def _rewrite_walk(walk, paths: dict) -> tuple:
     """Replace each slot's edge by its path (reversed on odd slots, which
     run black to white), cancel immediate backtracks, also cyclically
-    across the end, and start the result white to black again.
-
-    The untouched runs between replaced slots are copied whole once their
-    first item no longer cancels, unless the walk backtracks somewhere
-    itself; so a long basis cycle costs little more than its length in
-    C-level copies."""
-    hits = [i for i, ei in enumerate(walk) if ei in paths]
-    if not hits:
+    across the end, and start the result white to black again."""
+    if paths.keys().isdisjoint(walk):
         return tuple(walk)
-    codes = [2 * ei + (i & 1) for i, ei in enumerate(walk)]  # 2 * edge + (1 if black-to-white)
-    clean = not any(map(eq, walk, walk[1:]))
-    out = []
-
-    def push(run, copy_rest):
-        for j, code in enumerate(run):
+    out = []  # 2 * edge + (1 if black-to-white)
+    for i, ei in enumerate(walk):
+        path = paths.get(ei, (ei,))
+        for k, x in enumerate(path[::-1] if i & 1 else path, i):
+            code = 2 * x + (k & 1)
             if out and out[-1] == code ^ 1:
                 out.pop()
-            elif copy_rest:
-                out.extend(run[j:])
-                return
             else:
                 out.append(code)
-
-    prev = 0
-    for i in hits:
-        push(codes[prev:i], clean)
-        path = paths[walk[i]]
-        push([2 * x + (k & 1) for k, x in enumerate(path[::-1] if i % 2 else path, i)], False)
-        prev = i + 1
-    push(codes[prev:], clean)
     lo, hi = 0, len(out)
     while hi - lo >= 2 and out[lo] == out[hi - 1] ^ 1:
         lo, hi = lo + 1, hi - 1
     out = out[lo:hi]
     if out and out[0] & 1:
         out = out[-1:] + out[:-1]
-    return tuple(map(rshift, out, repeat(1, len(out))))
+    return tuple(code >> 1 for code in out)
 
 
 def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
@@ -503,7 +509,9 @@ def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
     rest = a[p + 1 :] + a[:p]  # from the far end of slot p back to its near end
     paths = {s: rest if p % 2 else rest[::-1]}
     merged = Face(merged_face_id, _rewrite_walk(hosts[1].edges, paths))
-    return substitute_edges(g, {s: None}, (), paths, drop_faces=(hosts[1].id,), add_faces=(merged,))
+    edit = GraphEdit(g)
+    edit.replace({s: None}, (), paths, drop_faces=(hosts[1].id,), add_faces=(merged,))
+    return edit.close()
 
 
 def dimension_report(g: TorusGraph, d: int) -> dict:
@@ -574,5 +582,4 @@ def canonical_basis_cycles(g: TorusGraph):
 def with_basis_cycles(g: TorusGraph) -> TorusGraph:
     if g.basis_cycles is not None:
         return g
-    z1, z2 = canonical_basis_cycles(g)
-    return TorusGraph(g.white_ids, g.black_ids, g.edges, g.faces, (z1, z2))
+    return TorusGraph(g.white_ids, g.black_ids, g.edges, g.faces, canonical_basis_cycles(g))

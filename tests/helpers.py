@@ -1,0 +1,128 @@
+"""Helpers that only the tests use: gauge changes of a configuration,
+class comparison, conic tangency, incidence checks of the pentagram,
+Q-net and spiral dynamics, and the non-periodic Q-net window fixture."""
+from fractions import Fraction as F
+
+from dimergeom import linalg
+from dimergeom.config import CohomologyClass, DoubleCircuitConfig
+from dimergeom.errors import SizeMismatch
+from dimergeom.fixtures import _collineate, _separable_point
+from dimergeom.geometry import POINT, Conic, HomogeneousElement, incident, line_through, meet_hyperplanes
+from dimergeom.pentagram import Polygon
+from dimergeom.qnet import QNetWindow
+from dimergeom.scalars import is_float, is_zero
+from dimergeom.spiral import LineSeed
+from dimergeom.torusgraph import Edge, TorusGraph
+
+
+def class_equal(c1: CohomologyClass, c2: CohomologyClass) -> bool:
+    s1 = max(abs(c1.lam), abs(c2.lam))
+    s2 = max(abs(c1.mu), abs(c2.mu))
+    return is_zero(c1.lam - c2.lam, scale=s1) and is_zero(c1.mu - c2.mu, scale=s2)
+
+
+def rescaled_config(c: DoubleCircuitConfig, factors: dict) -> DoubleCircuitConfig:
+    """New config with some labels multiplied by nonzero scalars (gauge test)."""
+    wl = dict(c.white_labels)
+    bl = dict(c.black_labels)
+    for v, s in factors.items():
+        labels = wl if v in wl else bl if v in bl else None
+        if labels is not None:
+            s = float(s) if is_float(labels[v].coords) else F(s)
+            labels[v] = HomogeneousElement(tuple(x * s for x in labels[v].coords), labels[v].kind)
+    return DoubleCircuitConfig(c.graph, c.d, wl, bl)
+
+
+def coboundary_shifted(c: DoubleCircuitConfig, potentials: dict) -> DoubleCircuitConfig:
+    """New config whose h data differs by the coboundary of integer-pair
+    vertex potentials: h'(e) = h(e) + phi(w) - phi(b)."""
+    g = c.graph
+    edges = []
+    for e in g.edges:
+        pw = potentials.get(e.w, (0, 0))
+        pb = potentials.get(e.b, (0, 0))
+        edges.append(Edge(e.w, e.b, (e.h[0] + pw[0] - pb[0], e.h[1] + pw[1] - pb[1])))
+    graph = TorusGraph(g.white_ids, g.black_ids, tuple(edges), g.faces, g.basis_cycles)
+    return DoubleCircuitConfig(graph, c.d, c.white_labels, c.black_labels)
+
+
+def standard_conic() -> Conic:
+    """The conic yz = x^2 (all tangency data rational in the parameter)."""
+    h, o, i = F(-1, 2), F(0), F(1)
+    return Conic(((i, o, o), (o, o, h), (o, h, o)))
+
+
+def line_discriminant(conic: Conic, line: HomogeneousElement):
+    """B(p,q)^2 - Q(p)Q(q) for two points spanning the line; zero iff
+    the line is tangent (touches at exactly one projective point)."""
+    pts = linalg.nullspace([list(line.coords)])
+    p = HomogeneousElement(tuple(pts[0]), POINT)
+    q = HomogeneousElement(tuple(pts[1]), POINT)
+    return conic.bilinear(p, q) ** 2 - conic.value(p) * conic.value(q)
+
+
+def is_inscribed(Q: Polygon, P: Polygon) -> bool:
+    """Consecutive vertices of Q lie on consecutive sides of P (exactly)."""
+    if len(Q) != len(P):
+        raise SizeMismatch(f"polygon sizes differ: {len(Q)} vs {len(P)}")
+    return all(incident(line_through(P[i], P[i + 1]), Q[i]) for i in range(len(P)))
+
+
+def is_f_transform(f: QNetWindow, g: QNetWindow) -> bool:
+    """For every site and both signs, f(i,j), g(i,j), f(i+1,j+-1),
+    g(i+1,j+-1) are coplanar."""
+    if f.parity != g.parity or f.kind != POINT or g.kind != POINT:
+        raise SizeMismatch("F-transform needs two point windows of equal parity")
+    checked = 0
+    for i, j in f.sites():
+        if (i, j) not in g:
+            continue
+        for dj in (1, -1):
+            o = (i + 1, j + dj)
+            if o in f and o in g:
+                quad = [f[i, j], g[i, j], f[o], g[o]]
+                if linalg.rank([list(p.coords) for p in quad]) > 3:
+                    return False
+                checked += 1
+    if checked == 0:
+        raise SizeMismatch("windows do not overlap enough to compare")
+    return True
+
+
+def inscribed_points(sq: LineSeed):
+    """Q_j = q_j ^ q_{j-k} for all j available in the window, as a dict."""
+    out = {}
+    for j in range(sq.base + sq.k, sq.base + sq.n + 1):
+        out[j] = meet_hyperplanes([sq.line(j), sq.line(j - sq.k)])
+    return out
+
+
+def _window_x(i: int):
+    # arithmetic on 0..2 (parallel tangent lines there force one Laplace
+    # point at infinity), generic elsewhere
+    if 0 <= i <= 2:
+        return F(i + 1)
+    return F(i + 1) + F(1, i + 20)
+
+
+def _window_y(j: int):
+    if 1 <= j <= 3:
+        return F(2 * j - 1)
+    return F(2 * j - 1) + F(1, 2 * j + 31)
+
+
+def make_window_fixture(half: int = 7):
+    """Non-periodic two-layer 3D fixture for Laplace iteration.  The sequence
+    spots chosen arithmetic make the transform at site (1, 2) land at
+    infinity; everything else stays generic through four steps."""
+    span = range(-half, half + 1)
+    f = QNetWindow(
+        {
+            (i, j): _separable_point(_window_x(i), _window_y(j))
+            for i in span
+            for j in span
+            if (i + j) % 2 == 0
+        }
+    )
+    g = QNetWindow({k: _collineate(v) for k, v in f.values.items()})
+    return f, g

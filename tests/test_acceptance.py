@@ -10,11 +10,8 @@ from fractions import Fraction as F
 from dimergeom.config import (
     check_F,
     check_V,
-    class_equal,
-    coboundary_shifted,
     cohomology_class,
     labels_projectively_equal,
-    rescaled_config,
 )
 from dimergeom.fixtures import (
     SPIRAL_BASE,
@@ -26,13 +23,11 @@ from dimergeom.fixtures import (
     make_pentagram_fixture,
     make_qnet_fixture,
     make_spiral_fixture,
-    make_window_fixture,
 )
 from dimergeom.moves import forced_split_label, add_degree2, remove_degree2, urban_renewal
 from dimergeom.pentagram import (
     build_pentagram_config,
     dual_pentagram_map,
-    is_inscribed,
     pentagram_map,
     pentagram_step_on_config,
 )
@@ -41,7 +36,6 @@ from dimergeom.qnet import (
     config_plane_window,
     config_point_window,
     dual_laplace,
-    is_f_transform,
     is_qnet,
     laplace,
     periodic_extension,
@@ -63,6 +57,14 @@ from dimergeom.spiral import (
 from dimergeom.geometry import proj_equal
 from dimergeom.errors import DegenerateIntersection
 from dimergeom.torusgraph import validate_graph
+from helpers import (
+    class_equal,
+    coboundary_shifted,
+    is_f_transform,
+    is_inscribed,
+    make_window_fixture,
+    rescaled_config,
+)
 from test_spectral import brute_force_determinant
 
 

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from dimergeom import scalars
 from dimergeom.config import (
-    class_equal,
-    coboundary_shifted,
     cohomology_class,
     config_from_dict,
     config_to_dict,
     check_F,
     check_V,
-    rescaled_config,
     walk_period,
     DoubleCircuitConfig,
     load_config,
@@ -25,6 +22,7 @@ from dimergeom.errors import BadBasis, DegreeExceedsBound, VanishingPairing
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture, make_spiral_fixture
 from dimergeom.geometry import HYPERPLANE, POINT, HomogeneousElement, affine_point, hyperplane, point
 from dimergeom.torusgraph import Edge, TorusGraph, find_walk, validate_graph
+from helpers import class_equal, coboundary_shifted, rescaled_config
 
 
 @pytest.fixture(scope="module")

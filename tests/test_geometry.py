@@ -22,6 +22,7 @@ from dimergeom.errors import (
     ZeroVector,
 )
 from dimergeom.scalars import is_zero
+from helpers import line_discriminant, standard_conic
 
 
 def pt(*c):
@@ -75,6 +76,20 @@ def test_tiny_float_points_join_and_meet():
     assert g.subspace_element(g.meet([a, b], [c, d])) == pt(1.0, 1.0, 0.0)
     assert g.meet_hyperplanes([g.line_through(a, b), g.line_through(c, d)]) == pt(1.0, 1.0, 0.0)
     assert linalg.rank([[s, 0.0], [0.0, s]]) == 2
+
+
+def test_float_meet_is_scale_free():
+    """A float meet tests zero relative to each generator's size, and its
+    elimination tests a pivot row relative to the matrix over its pivot,
+    so the same points give the same meet at any scale."""
+    for s in (1.0, 1e8):
+        gens = [pt(0.0, 0.0, 6 * s), pt(0.0, 0.0, 3 * s), pt(3 * s, 0.0, 3 * s), pt(3 * s, 0.0, 0.0)]
+        m = g.meet(gens, [pt(s, 0.0, 0.0)])
+        assert m.rank == 1 and g.subspace_element(m) == pt(1.0, 0.0, 0.0)
+    with pytest.raises(EmptyMeet):
+        g.meet([pt(1e-10, 0.0, 0.0)], [pt(0.0, 0.0, 1.0)])
+    m = g.meet([pt(1e-10, 1e-10, 0.0)], [pt(1.0, 0.0, 0.0), pt(0.0, 1.0, 0.0)])
+    assert g.subspace_element(m) == pt(1.0, 1.0, 0.0)
 
 
 def test_float_hash_agrees_with_equality():
@@ -327,12 +342,12 @@ def test_circumscribed_pair_tangency_point_on_side():
 
 
 def test_circumscribed_pair_sides_tangent_discriminant_zero():
-    conic = g.standard_conic()
+    conic = standard_conic()
     P, Q = g.circumscribed_pair([-2, 0, 1, 3, 4])
     n = len(P)
     for i in range(n):
         side = g.line_through(P[i], P[(i + 1) % n])
-        assert conic.line_discriminant(side) == 0
+        assert line_discriminant(conic, side) == 0
         assert conic.contains(Q[i])
 
 
@@ -626,7 +641,7 @@ def floated(elems, scale):
 
 
 @settings(max_examples=100, deadline=None)
-@given(generator_pairs(), st.sampled_from([1.0, 0.125, 3.0]))
+@given(generator_pairs(), st.sampled_from([1.0, 0.125, 3.0, 1e-10, 1e8]))
 @example(_pts(P3), 1.0)
 @example(_pts(P2), 3.0)
 @example(_pts(PLANE), 0.125)

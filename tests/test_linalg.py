@@ -205,6 +205,15 @@ def test_float_matrix_keeps_its_values():
     assert linalg.solve([[0.1, 0.2], [0.3, 0.4]], [1.0, 1.0]) == ("unique", [-10.000000000000004, 10.000000000000002], [])
 
 
+def test_float_rref_clears_pivot_columns_at_any_scale():
+    # a pivot row, once divided by its pivot, is tested for zero at the
+    # matrix scale over that pivot: 0.5 in a pivot column is not rounding
+    for s in (1.0, 1e8):
+        rows = [[0.0, 0.0, 3 * s, 3 * s, s], [0.0] * 5, [6 * s, 3 * s, 3 * s, 0.0, 0.0]]
+        reduced, pivots = linalg.rref(rows)
+        assert pivots == [0, 2] and reduced[0][2] == 0.0
+
+
 def test_determinant_is_exact_only():
     with pytest.raises(TypeError, match="exact matrices only"):
         linalg.det(SINGULAR)

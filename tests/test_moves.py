@@ -14,10 +14,8 @@ from dimergeom.config import (
     DoubleCircuitConfig,
     check_F,
     check_V,
-    class_equal,
     cohomology_class,
     config_to_dict,
-    rescaled_config,
 )
 from dimergeom.errors import (
     BadPartition,
@@ -53,7 +51,16 @@ from dimergeom.pentagram import build_pentagram_graph, pentagram_step_on_config
 from dimergeom.qnet import qnet_step_on_config
 from dimergeom.spectral import spectral_polynomial_white
 from dimergeom.spiral import spiral_step_on_config
-from dimergeom.torusgraph import TorusGraph, canonical_basis_cycles, check_walk, validate_graph, vertex_edges
+from dimergeom.torusgraph import (
+    Edge,
+    Face,
+    TorusGraph,
+    canonical_basis_cycles,
+    check_walk,
+    validate_graph,
+    vertex_edges,
+)
+from helpers import class_equal, rescaled_config
 
 
 @pytest.fixture()
@@ -392,6 +399,196 @@ def test_random_move_sequences_keep_conditions_class_and_curve(name, data):
     assume(steps)
     assert config_to_dict(apply_script(start, MoveScript(tuple(steps)))) == config_to_dict(c)
     assert _graph_state(build_pentagram_graph(7, 2)) == template
+
+
+# ------------------------------------ a script equals its moves folded
+
+
+def _single_move(c, step):
+    """The single-move call that a script step stands for."""
+    if step.op == "urban":
+        return urban_renewal(c, step.target)
+    if step.op == "remove2":
+        return remove_degree2(c, step.target)
+    return add_degree2(c, step.target, step.partition, step.label)
+
+
+def _trace_line(idx, step, c):
+    w, b, e, f = c.graph.sizes()
+    return f"step {idx}: {step.op} {step.target} -> v={w}+{b} e={e} f={f}"
+
+
+def _folded(start, steps):
+    """(config_to_dict, or (index, cause type, message) of the first
+    failing step; the trace lines) of the steps folded one call at a time."""
+    c, trace = start, []
+    for idx, step in enumerate(steps):
+        try:
+            c = _single_move(c, step)
+        except MoveError as exc:
+            return (idx, type(exc), str(exc)), trace
+        trace.append(_trace_line(idx, step, c))
+    return config_to_dict(c), trace
+
+
+def _scripted(start, steps):
+    """The same pair from one apply_script call."""
+    trace = []
+    try:
+        return config_to_dict(apply_script(start, MoveScript(tuple(steps)), trace)), trace
+    except ScriptError as err:
+        return (err.step_index, type(err.__cause__), str(err.__cause__)), trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["pentagram-7/2", "spiral", "qnet-4x4"]), data=st.data())
+def test_apply_script_equals_the_moves_folded(name, data):
+    # steps drawn like the sequences above, add2 included, plus steps that
+    # fail: renewals of any face and removals of any vertex (or of ids
+    # that do not exist); a failing step ends the script
+    start = c = _start(name)[0]
+    steps = []
+    for _ in range(data.draw(st.integers(1, 8), label="length")):
+        g, cands = c.graph, _candidates(c)
+        op = data.draw(st.sampled_from(sorted(cands) + ["any"]), label="op")
+        if op == "any":
+            anything = [("urban", f.id) for f in g.faces] + [("remove2", v) for v in g.white_ids + g.black_ids]
+            op, target = data.draw(st.sampled_from(anything + [("urban", "nowhere"), ("remove2", "nobody")]))
+            partition = None
+        else:
+            target, partition = data.draw(st.sampled_from(cands[op]), label="target")
+        try:
+            label = forced_split_label(c, target, partition) if op == "add2" else None
+        except MoveError:
+            continue
+        steps.append(MoveStep(op, target, label, partition))
+        try:
+            c = _single_move(c, steps[-1])
+        except MoveError:
+            break
+    assume(steps)
+    assert _scripted(start, steps) == _folded(start, steps)
+
+
+def _steps(start, moves):
+    """Script steps for (op, target, partition) moves, add2 taking the
+    label forced at its place in the fold, up to the first failing one."""
+    c, steps = start, []
+    for op, target, partition in moves:
+        label = forced_split_label(c, target, partition) if op == "add2" else None
+        steps.append(MoveStep(op, target, label, partition))
+        try:
+            c = _single_move(c, steps[-1])
+        except MoveError:
+            break
+    return steps
+
+
+@pytest.mark.parametrize(
+    "moves",
+    [
+        # the second renewal reads a face the first one changed
+        [("urban", "s0", None), ("urban", "d1", None)],
+        # the second renewal replaces edges the first one made
+        [("urban", "d0", None), ("urban", "d0:inner", None)],
+        # a removal after insertions
+        [("add2", "q2", (1, 3)), ("add2", "q2", (0, 2)), ("remove2", "q2~", None)],
+    ],
+)
+def test_scripts_that_rewrite_within_a_batch_equal_the_fold(moves):
+    c = _start("pentagram-7/2")[0]
+    steps = _steps(c, moves)
+    assert _scripted(c, steps) == _folded(c, steps)
+
+
+def _extended(c, edges=(), faces=None, basis=None, white=(), black=(), labels=()):
+    """c with edges, faces, basis cycles, vertices and labels added or
+    replaced, and d one higher so the added degrees stay in bound."""
+    g = c.graph
+    wl, bl = dict(c.white_labels), dict(c.black_labels)
+    for v, label in labels:
+        (wl if v in white else bl)[v] = label
+    graph = TorusGraph(
+        g.white_ids + white, g.black_ids + black, g.edges + edges, faces or g.faces, basis or g.basis_cycles
+    )
+    assert validate_graph(graph).ok
+    return DoubleCircuitConfig(graph, c.d + 1, wl, bl)
+
+
+def test_a_basis_cycle_that_backtracks_is_rewritten_move_by_move():
+    # the stored cycle x p z p^-1 x^-1 cancels its detour on its first
+    # rewrite, and the fold's later rewrites start from that
+    c = _start("spiral")[0]
+    g, inc = c.graph, vertex_edges(c.graph)
+    z1, z2 = g.basis_cycles
+    w0 = g.edges[z1[0]].w
+    detour = next(
+        (x, e1, e2, e3)
+        for x in inc[w0]
+        for e1 in inc[g.edges[x].b] if e1 != x
+        for e2 in inc[g.edges[e1].w] if e2 != e1
+        for e3 in inc[g.edges[e2].b] if e3 != e2 and g.edges[e3].w == w0
+    )
+    c = _extended(c, basis=(detour + z1 + detour[::-1], z2))
+    steps = _steps(c, [("add2", "P1", (1, 3)), ("urban", "s5", None)])
+    assert _scripted(c, steps) == _folded(c, steps)
+
+
+def test_a_face_through_a_degree_one_vertex_is_rewritten_move_by_move():
+    # F0x0 starts and ends on the edge to a new degree-one vertex U, so
+    # its first rewrite cancels that edge across the end
+    c = _start("qnet-4x4")[0]
+    g = c.graph
+    f = g.face("F0x0")
+    new = len(g.edges)
+    faces = tuple(Face(f.id, (new,) + f.edges[1:] + f.edges[:1] + (new,)) if h is f else h for h in g.faces)
+    u_edge = Edge("U", g.edges[f.edges[0]].b, (0, 0))
+    c = _extended(c, (u_edge,), faces, white=("U",), labels=[("U", point(2, 3, 4, 5))])
+    steps = _steps(c, [("urban", "F0x1", None), ("urban", "F0x3", None)])
+    assert _scripted(c, steps) == _folded(c, steps)
+
+
+def test_removing_a_vertex_on_parallel_edges_empties_its_face_at_once():
+    # V is joined to a new black B by two parallel edges that bound the face
+    # G; B hangs off P0 by the edge y.  Removing V empties G, which the
+    # trace counts at once, as the fold does
+    c = _start("pentagram-7/2")[0]
+    g = c.graph
+    f = g.faces[0]
+    y, p1, p2 = range(len(g.edges), len(g.edges) + 3)
+    new_edges = (Edge(g.edges[f.edges[0]].w, "B", (0, 0)), Edge("V", "B", (0, 0)), Edge("V", "B", (0, 0)))
+    faces = (Face(f.id, (y, p1, p2, y) + f.edges),) + g.faces[1:] + (Face("G", (p1, p2)),)
+    labels = [("V", point(2, 3, 5)), ("B", hyperplane(7, 1, 3))]
+    c = _extended(c, new_edges, faces, white=("V",), black=("B",), labels=labels)
+    steps = _steps(c, [("remove2", "V", None), ("urban", "d5", None)])
+    assert _scripted(c, steps) == _folded(c, steps)
+
+
+def test_two_removals_rewrite_one_edge_at_both_ends():
+    # in the pentagram 12/2 step, the forced removals merge both ends of
+    # some inner edge of a renewed tile: the batch must compose the two
+    # merges and h shifts on that edge
+    c = make_pentagram_fixture(12, 2)[3]
+    mid = apply_script(c, MoveScript(tuple(MoveStep("urban", f"d{i}") for i in range(12))))
+    inc = mid.graph.incidence()
+    steps = [MoveStep("remove2", v) for v in c.graph.white_ids + c.graph.black_ids if len(inc[v]) == 2]
+    assert _scripted(mid, steps) == _folded(mid, steps)
+    out = apply_script(mid, MoveScript(tuple(steps)))
+    kept = {s for ix in out.graph.incidence().values() for s in ix}
+    both = [s for s in kept if mid.graph.edge(s).w != out.graph.edge(s).w and mid.graph.edge(s).b != out.graph.edge(s).b]
+    assert both
+
+
+def test_renewals_at_corner_sharing_faces_equal_the_fold():
+    # renewed faces of a step share corners but no edge
+    for name, faces in (("pentagram-7/2", ["d0", "d1", "d4"]), ("qnet-4x4", ["F0x1", "F1x0", "F1x2", "F2x1"])):
+        c = _start(name)[0]
+        walks = [set(c.graph.face(f).edges) for f in faces]
+        corners = [{v for s in w for v in (c.graph.edge(s).w, c.graph.edge(s).b)} for w in walks]
+        assert all(not walks[i] & walks[j] for i, j in combinations(range(len(faces)), 2))
+        assert any(corners[i] & corners[j] for i, j in combinations(range(len(faces)), 2))
+        steps = [MoveStep("urban", f) for f in faces]
+        assert _scripted(c, steps) == _folded(c, steps)
 
 
 # ------------------------------------------- pinned outputs of the moves

@@ -15,13 +15,13 @@ from dimergeom.pentagram import (
     Polygon,
     build_pentagram_config,
     dual_pentagram_map,
-    is_inscribed,
     lines_from_vertices,
     pentagram_map,
     pentagram_step_on_config,
     vertices_from_lines,
 )
 from dimergeom.torusgraph import validate_graph
+from helpers import is_inscribed
 
 
 def test_regular_pentagon_maps_to_regular_pentagon():

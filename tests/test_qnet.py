@@ -6,7 +6,6 @@ from dimergeom.config import (
     DoubleCircuitConfig,
     check_F,
     check_V,
-    class_equal,
     cohomology_class,
 )
 from dimergeom.errors import BadParameters, CoincidentLines, NotQNet, NotQStarNet
@@ -15,18 +14,17 @@ from dimergeom.fixtures import (
     QNET_B,
     make_qnet_fixture,
     make_qnet_windows,
-    make_window_fixture,
 )
 from dimergeom.geometry import HYPERPLANE, HomogeneousElement, point, proj_equal
 from dimergeom.qnet import (
     QNetWindow,
     build_qnet_config,
     build_qnet_graph,
+    build_qnet_tile_graph,
     config_plane_window,
     config_point_window,
     dual_laplace,
     dual_laplace_transposed,
-    is_f_transform,
     is_qnet,
     laplace,
     laplace_transposed,
@@ -36,7 +34,9 @@ from dimergeom.qnet import (
     qstar_points,
     _config_white_parity,
 )
+from dimergeom import torusgraph
 from dimergeom.torusgraph import validate_graph
+from helpers import class_equal, is_f_transform, make_window_fixture
 
 
 def linear_net(span=range(-3, 5)):
@@ -239,6 +239,19 @@ def test_graph_shape_bounds():
         build_qnet_graph(3, 4)
     with pytest.raises(BadParameters):
         build_qnet_graph(4, 2)
+
+
+def test_step_renames_against_the_tile_graph_without_cover_walks(monkeypatch):
+    tile, g = build_qnet_tile_graph(6, 4, 1), build_qnet_graph(6, 4, 1)
+    assert tile.basis_cycles is None
+    assert (tile.white_ids, tile.black_ids, tile.edges, tile.faces) == (g.white_ids, g.black_ids, g.edges, g.faces)
+
+    def no_search(*args):
+        raise AssertionError("a Q-net step searched the cover for a walk")
+
+    _, _, c = make_qnet_fixture()
+    monkeypatch.setattr(torusgraph, "find_walk", no_search)
+    assert qnet_step_on_config(c, QNET_A, QNET_B, 0).graph.basis_cycles is not None
 
 
 def test_laplace_commutes_with_projective_maps():

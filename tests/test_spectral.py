@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from dimergeom import linalg, spectral
 from dimergeom.config import (
-    class_equal,
     cohomology_class,
-    coboundary_shifted,
     config_from_dict,
     config_to_dict,
     labels_projectively_equal,
-    rescaled_config,
 )
 from dimergeom.errors import EmptyKernel, KernelNotOneDimensional, UnequalColorCounts
 from dimergeom.fixtures import (
@@ -56,6 +53,7 @@ from dimergeom.spectral import (
 )
 from dimergeom.spiral import build_spiral_graph, spiral_step_on_config
 from dimergeom.torusgraph import Edge, TorusGraph, validate_graph
+from helpers import class_equal, coboundary_shifted, rescaled_config
 
 
 def brute_force_determinant(g, weights):

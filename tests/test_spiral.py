@@ -9,7 +9,6 @@ from dimergeom import linalg
 from dimergeom.config import (
     check_F,
     check_V,
-    class_equal,
     cohomology_class,
     labels_projectively_equal,
 )
@@ -37,7 +36,6 @@ from dimergeom.spiral import (
     SpiralSeed,
     build_spiral_config,
     build_spiral_graph,
-    inscribed_points,
     removed_js,
     line_seed_extend,
     sample_spiral_seed,
@@ -48,6 +46,7 @@ from dimergeom.spiral import (
 )
 from dimergeom.pentagram import build_pentagram_graph
 from dimergeom.torusgraph import delete_edge, face_key, validate_graph, vertex_edges
+from helpers import class_equal, inscribed_points
 
 
 def paper_example_seed():
