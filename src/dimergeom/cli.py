@@ -282,6 +282,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.name == "birationality-probe" and args.samples < 1:
+        raise InputError(f"--samples must be positive, got {args.samples}")
     c = _load_valid(args.config)
     if args.name == "dual-curve":
         pw = spectral_polynomial_white(c).normalized()

@@ -19,7 +19,7 @@ from fractions import Fraction as F
 
 from .errors import BadParameters, GeometryError
 from .geometry import POINT, HomogeneousElement, affine_point, circumscribed_pair, point
-from .pentagram import Polygon, build_pentagram_config, lines_from_vertices
+from .pentagram import Polygon, build_pentagram_config, build_pentagram_graph, lines_from_vertices
 from .qnet import QNetWindow, build_qnet_config, build_qnet_graph, plane_of_quad
 from .spectral import fiber_polynomial, kasteleyn_weights, rational_roots, reconstruct_black, spectral_polynomial
 from .spiral import LineSeed, SpiralSeed, build_spiral_graph, sample_spiral_seed
@@ -41,6 +41,7 @@ def default_pentagram_params(n: int, seed: int = 0):
 
 def make_pentagram_fixture(n: int, k: int, params=None, seed: int = 0):
     """(P, Q, q, config): conic-inscribed pair plus the labeled template."""
+    build_pentagram_graph(n, k)  # checks (n, k) before any geometry
     if params is None:
         params = default_pentagram_params(n, seed)
     if len(params) != n:

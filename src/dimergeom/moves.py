@@ -31,15 +31,16 @@ empty paths and rewrites the second neighbor's edges onto the first;
 addition moves the twin's arc to the twin, reached from v through the new
 vertex.  Walks stay closed with their h-sums, so basis cycles survive.
 
-Moves read edges by their stable slots, never the positional views, and
-change a batch in place: ``apply_script`` runs its moves on one copy of
-the graph, whose faces and basis cycles are rewritten once per run of
-moves, and a single move call is a batch of one.  A dynamics step
-(``step_on_config``) is a batch of urban renewals at the given faces, a
-batch removing the forced vertices -- every pre-step vertex the renewals
-left at degree two -- and a renaming back to template ids.  The
-pentagram, spiral and Q-net families supply only their renewal faces,
-spoke rename rules and template.
+Moves read edges by their slots and change a batch in place:
+``apply_script`` runs its moves on one copy of the graph, whose faces and
+basis cycles are rewritten once per run of moves, and a single move call
+is a batch of one.  Slots that differ from edge positions live only
+inside a batch; closing it numbers the edges by position again.  A
+dynamics step (``step_on_config``) is a batch of urban renewals at the
+given faces, a batch removing the forced vertices -- every pre-step
+vertex the renewals left at degree two -- and a renaming back to
+template ids.  The pentagram, spiral and Q-net families supply only
+their renewal faces, spoke rename rules and template.
 """
 from __future__ import annotations
 

@@ -11,17 +11,14 @@ white-to-black on even slots and black-to-white on odd slots, starting
 white-to-black.  That resolves parallel edges unambiguously (vertex-id
 sequences cannot).
 
-A graph stores its edges under stable integer slots and carries an
-incidence index (vertex -> incident slots, in slot order), an edge ->
-faces index and a face-id lookup.  Moves edit a ``GraphEdit``, a copy of
-these containers made once per batch of moves: edges are rewritten or
-deleted in their slots and new edges take the slots after the last one,
-so survivors keep their order and nothing is renumbered, and the faces
-and basis cycles are rewritten once per batch.  The positional views
-``edges``, ``faces`` and ``basis_cycles`` number the edges by their
-position in slot order; the validators, the JSON writer and the spectral
-code read them, and a graph derives them once, on first read.  A graph
-built from positional data has slot = position and derives nothing.
+A graph numbers its edges by their position in ``edges`` and its faces
+by their index in ``faces``; walks are lists of these edge slots.  Moves
+edit a ``GraphEdit``, a copy of a graph's containers made once per batch
+of moves: edges are rewritten or deleted in their slots and new edges
+take the slots after the last one, and the faces and basis cycles are
+rewritten once per batch.  Slots that differ from positions exist only
+inside an open batch: ``close`` renumbers the surviving edges and faces
+in slot order.  The incidence and face indices are built on first use.
 """
 from __future__ import annotations
 
@@ -42,38 +39,26 @@ class Edge:
 @dataclass(frozen=True)
 class Face:
     id: str
-    edges: tuple  # edge positions (slots in the slot API), alternating traversal starting white->black
+    edges: tuple  # edge slots, alternating traversal starting white->black
 
 
 class TorusGraph:
-    """Immutable torus graph.  ``TorusGraph(white_ids, black_ids, edges,
-    faces, basis_cycles=None)`` takes positional data (basis cycles are
-    pairs of edge-index walks).  The slot API (``edge``, ``incidence``,
-    ``face``, ``faces_on``, ``next_slot``) is what moves read."""
+    """Immutable torus graph: ``TorusGraph(white_ids, black_ids, edges,
+    faces, basis_cycles=None)``, basis cycles a pair of walks.  The slot
+    API (``edge``, ``incidence``, ``face``, ``faces_on``, ``next_slot``) is
+    what moves read, here and on an open ``GraphEdit``."""
 
     __slots__ = (
-        "white_ids", "black_ids", "edges", "faces", "basis_cycles", "_pos",  # the positional views
-        "_white", "_black", "_edges", "_faces", "_basis", "_next", "_inc", "_on", "_face_of",
+        "white_ids", "black_ids", "edges", "faces", "basis_cycles",
+        "_white", "_black", "_edges", "_faces", "_inc", "_on", "_face_of",
     )
 
     def __init__(self, white_ids, black_ids, edges, faces, basis_cycles=None):
         self.white_ids, self.black_ids = tuple(white_ids), tuple(black_ids)
         self.edges, self.faces, self.basis_cycles = tuple(edges), tuple(faces), basis_cycles
-        self._pos = None  # every slot is its position
         self._white, self._black = dict.fromkeys(self.white_ids), dict.fromkeys(self.black_ids)
-        self._edges, self._faces, self._basis = dict(enumerate(self.edges)), dict(enumerate(self.faces)), basis_cycles
-        self._next = (len(self.edges), len(self.faces))
+        self._edges, self._faces = self.edges, self.faces  # what the slot API reads: slot = position
         self._inc = self._on = self._face_of = None
-
-    def __getattr__(self, name):
-        # called only for a view not yet derived
-        if name in ("white_ids", "black_ids"):
-            self.white_ids, self.black_ids = tuple(self._white), tuple(self._black)
-        elif name in ("edges", "faces", "basis_cycles", "_pos"):
-            self.edges, self.faces, self.basis_cycles, self._pos = _positional_view(self)
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
 
     def sizes(self) -> tuple:
         """(white, black, edge, face) counts."""
@@ -97,7 +82,7 @@ class TorusGraph:
     @property
     def next_slot(self) -> int:
         """The slot a move gives its first new edge."""
-        return self._next[0]
+        return len(self.edges)
 
     def edge(self, slot: int) -> Edge:
         return self._edges[slot]
@@ -110,22 +95,23 @@ class TorusGraph:
 
     def incidence(self) -> dict:
         """vertex id -> tuple of incident edge slots, in slot order (read
-        only).  Carried through moves; built on first use otherwise."""
+        only), built on first use."""
         if self._inc is None:
             inc = defaultdict(list)
-            for s, e in self._edges.items():
+            for s, e in enumerate(self.edges):
                 inc[e.w].append(s)
                 inc[e.b].append(s)
-            for v in (*self._white, *self._black):
+            for v in (*self.white_ids, *self.black_ids):
                 inc.setdefault(v, [])
             self._inc = {v: tuple(ix) for v, ix in inc.items()}
         return self._inc
 
     def _face_index(self) -> tuple:
-        """(edge slot -> face slots through it, face id -> first face slot)."""
+        """(edge slot -> face slots through it, face id -> first face slot),
+        built on first use."""
         if self._on is None:
             on, face_of = {}, {}
-            for fs, f in self._faces.items():
+            for fs, f in enumerate(self.faces):
                 face_of.setdefault(f.id, fs)
                 for s in dict.fromkeys(f.edges):
                     on[s] = on.get(s, ()) + (fs,)
@@ -133,34 +119,21 @@ class TorusGraph:
         return self._on, self._face_of
 
     def face(self, face_id: str) -> Face | None:
-        """The first face with this id, its walk in edge slots."""
+        """The first face with this id."""
         fs = self._face_index()[1].get(face_id)
         return None if fs is None else self._faces[fs]
 
     def faces_on(self, slots) -> list:
         """The distinct faces through any of the given edge slots, in face
-        order, their walks in edge slots."""
+        order."""
         on = self._face_index()[0]
         return [self._faces[fs] for fs in sorted({fs for s in slots for fs in on.get(s, ())})]
 
 
-def _positional_view(g: TorusGraph) -> tuple:
-    """(edges, faces, basis cycles, slot -> position) of an edited graph:
-    each edge numbered by its position in slot order."""
-    pos = {s: i for i, s in enumerate(g._edges)}
-    renumber = pos.__getitem__
-    faces = tuple(Face(f.id, tuple(map(renumber, f.edges))) for f in g._faces.values())
-    basis = g._basis and tuple(tuple(map(renumber, walk)) for walk in g._basis)
-    return tuple(g._edges.values()), faces, basis, pos
-
-
 def vertex_edges(g: TorusGraph) -> dict:
     """vertex id -> list of incident edge indices, in stored edge order,
-    read from the carried incidence index."""
-    pos = g._pos
-    if pos is None:
-        return {v: list(ix) for v, ix in g.incidence().items()}
-    return {v: [pos[s] for s in ix] for v, ix in g.incidence().items()}
+    read from the incidence index."""
+    return {v: list(ix) for v, ix in g.incidence().items()}
 
 
 def face_vertex_sequence(g: TorusGraph, face: Face) -> list:
@@ -328,11 +301,9 @@ def validate_graph(g: TorusGraph) -> GraphReport:
     )
 
 
-_STORAGE = ("_white", "_black", "_edges", "_faces", "_basis", "_next", "_inc", "_on", "_face_of")
-
-
 class GraphEdit(TorusGraph):
-    """A graph open for a batch of moves: its containers copied once.
+    """A graph open for a batch of moves: its containers copied once, edges
+    and faces held by slot in ``_edges`` and ``_faces``.
 
     ``replace`` applies one move to edges, incidence and vertex sets in
     place, so the next move reads them as the one-by-one fold would, and
@@ -350,17 +321,19 @@ class GraphEdit(TorusGraph):
     backtracking walks can make a rewrite cancel older edges instead.
     """
 
-    __slots__ = ("_paths", "_deleting", "_first_new", "_single")
+    __slots__ = ("_basis", "_next", "_paths", "_deleting", "_first_new", "_single")
 
     def __init__(self, g: TorusGraph):
         on, face_of = g._face_index()
         self._white, self._black, self._inc = dict(g._white), dict(g._black), dict(g.incidence())
-        self._edges, self._faces, self._on, self._face_of = dict(g._edges), dict(g._faces), dict(on), dict(face_of)
-        self._basis, self._next = list(g._basis or ()), g._next
+        self._edges, self._faces = dict(enumerate(g.edges)), dict(enumerate(g.faces))
+        self._on, self._face_of = dict(on), dict(face_of)
+        self._basis, self._next = list(g.basis_cycles or ()), (len(g.edges), len(g.faces))
         self._paths, self._first_new = {}, None
 
-    def __getattr__(self, name):
-        raise AttributeError(f"an open GraphEdit has no {name}")
+    @property
+    def next_slot(self) -> int:
+        return self._next[0]
 
     def face(self, face_id: str) -> Face | None:
         f = TorusGraph.face(self, face_id)
@@ -453,13 +426,13 @@ class GraphEdit(TorusGraph):
         self._paths, self._first_new = {}, None
 
     def close(self) -> TorusGraph:
-        """The edited graph; the edit is spent."""
+        """The edited graph, its surviving edges and faces numbered in slot
+        order; the edit is spent."""
         self.substitute_edges()
-        self._basis = tuple(self._basis) or None
-        g = TorusGraph.__new__(TorusGraph)
-        for name in _STORAGE:
-            setattr(g, name, getattr(self, name))
-        return g
+        position = {s: i for i, s in enumerate(self._edges)}.__getitem__
+        faces = (Face(f.id, tuple(map(position, f.edges))) for f in self._faces.values())
+        basis = tuple(tuple(map(position, z)) for z in self._basis) or None
+        return TorusGraph(self._white, self._black, self._edges.values(), faces, basis)
 
 
 def _normal(walk) -> bool:
@@ -499,18 +472,16 @@ def _rewrite_walk(walk, paths: dict) -> tuple:
 def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
     """Remove one edge and merge its two (distinct) faces: the edge is
     replaced by the rest of its first face, which rewrites to nothing."""
-    slots = tuple(g._edges)
-    s = slots[ei] if 0 <= ei < len(slots) else None
-    hosts = g.faces_on((s,))
+    hosts = g.faces_on((ei,))
     if len(hosts) != 2:
         raise BadWalk(f"edge {ei} lies on {len(hosts)} distinct faces, need 2")
     a = hosts[0].edges
-    p = a.index(s)
+    p = a.index(ei)
     rest = a[p + 1 :] + a[:p]  # from the far end of slot p back to its near end
-    paths = {s: rest if p % 2 else rest[::-1]}
+    paths = {ei: rest if p % 2 else rest[::-1]}
     merged = Face(merged_face_id, _rewrite_walk(hosts[1].edges, paths))
     edit = GraphEdit(g)
-    edit.replace({s: None}, (), paths, drop_faces=(hosts[1].id,), add_faces=(merged,))
+    edit.replace({ei: None}, (), paths, drop_faces=(hosts[1].id,), add_faces=(merged,))
     return edit.close()
 
 
@@ -532,18 +503,18 @@ def dimension_report_from_counts(k: int, e: int, f: int, d: int) -> dict:
     }
 
 
-def find_walk(g: TorusGraph, target: tuple, start_white: str | None = None):
+def find_walk(g: TorusGraph, target: tuple):
     """Closed walk (edge-index list) whose signed h-sum equals ``target``.
 
-    BFS in the universal cover from a white vertex to its ``target``
-    translate.  Used by template builders to ship canonical basis cycles.
+    BFS in the universal cover from the first white vertex to its
+    ``target`` translate.  Used by template builders to ship canonical
+    basis cycles.
     """
     inc = vertex_edges(g)
-    if start_white is None:
-        start_white = g.white_ids[0]
+    root = g.white_ids[0]
     radius = len(g.white_ids) + len(g.black_ids) + abs(target[0]) + abs(target[1]) + 4
-    start = (start_white, 0, 0)
-    goal = (start_white, target[0], target[1])
+    start = (root, 0, 0)
+    goal = (root, target[0], target[1])
     prev: dict = {start: None}
     queue = deque([start])
     while queue:

@@ -515,13 +515,24 @@ def test_input_errors_are_value_errors():
         ["run", "FILE", "--builtin", "spiral", "--k", "0"],
         ["render", "FILE", "--out", "SVG", "--box", "nan", "1", "0", "1"],
         ["make-pentagram", "--params", "1/0", "--out", "SVG"],
+        ["experiment", "birationality-probe", "FILE", "--samples", "0"],
+        ["experiment", "birationality-probe", "FILE", "--samples", "-1"],
     ],
 )
 def test_bad_values_exit_two(pentagon_file, tmp_path, capsys, argv):
     svg = str(tmp_path / "out.svg")
     capsys.readouterr()
     assert main([str(pentagon_file) if a == "FILE" else svg if a == "SVG" else a for a in argv]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, k", [(5, 5), (5, 0), (7, 14), (7, 1)])
+def test_make_pentagram_checks_k_before_the_geometry(tmp_path, capsys, n, k):
+    out = tmp_path / "pent.json"
+    assert main(["make-pentagram", "--n", str(n), "--k", str(k), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"domain error: need 2 <= k <= n-2, got k={k}, n={n}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -137,10 +137,13 @@ def test_class_invariant_under_label_rescaling(pentagon):
 def test_class_independent_of_walk_representatives(pentagon):
     _, _, _, c = pentagon
     cls = cohomology_class(c)
-    # other walks in the same classes, found independently from other roots
-    for start in list(c.graph.white_ids)[1:4]:
-        z1 = find_walk(c.graph, (1, 0), start_white=start)
-        z2 = find_walk(c.graph, (0, 1), start_white=start)
+    # other walks in the same classes, found independently from other roots:
+    # the same graph with its white vertices listed from another one
+    g = c.graph
+    for r in range(1, 4):
+        rooted = TorusGraph(g.white_ids[r:] + g.white_ids[:r], g.black_ids, g.edges, g.faces)
+        z1, z2 = find_walk(rooted, (1, 0)), find_walk(rooted, (0, 1))
+        assert g.edge(z1[0]).w == g.white_ids[r]
         assert class_equal(cohomology_class(c, z1, z2), cls)
 
 

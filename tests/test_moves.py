@@ -37,6 +37,7 @@ from dimergeom.fixtures import (
 )
 from dimergeom.geometry import hyperplane, incident, line_through, meet_hyperplanes, point, proj_equal
 from dimergeom.moves import (
+    _opened,
     forced_split_label,
     MoveScript,
     MoveStep,
@@ -57,6 +58,7 @@ from dimergeom.torusgraph import (
     TorusGraph,
     canonical_basis_cycles,
     check_walk,
+    delete_edge,
     validate_graph,
     vertex_edges,
 )
@@ -359,8 +361,7 @@ def _apply(c, op, target, partition):
 
 
 def _graph_state(g):
-    """A deep copy of the graph's slot storage, carried indices and
-    positional views."""
+    """A deep copy of the graph's fields and its indices."""
     g.incidence(), g.faces_on(())  # build the lazy indices first
     return copy.deepcopy([getattr(g, name) for name in TorusGraph.__slots__])
 
@@ -573,10 +574,45 @@ def test_two_removals_rewrite_one_edge_at_both_ends():
     inc = mid.graph.incidence()
     steps = [MoveStep("remove2", v) for v in c.graph.white_ids + c.graph.black_ids if len(inc[v]) == 2]
     assert _scripted(mid, steps) == _folded(mid, steps)
-    out = apply_script(mid, MoveScript(tuple(steps)))
-    kept = {s for ix in out.graph.incidence().values() for s in ix}
-    both = [s for s in kept if mid.graph.edge(s).w != out.graph.edge(s).w and mid.graph.edge(s).b != out.graph.edge(s).b]
+    # one open batch keeps mid's slots until it closes
+    batch = _opened(mid)
+    for step in steps:
+        remove_degree2(batch, step.target)
+    g = batch.graph
+    kept = {s for ix in g.incidence().values() for s in ix}
+    both = [s for s in kept if mid.graph.edge(s).w != g.edge(s).w and mid.graph.edge(s).b != g.edge(s).b]
     assert both
+
+
+def _numbered_by_position(g) -> bool:
+    """Whether a closed graph's edge and face slots are their positions."""
+    return (
+        [g.edge(i) for i in range(len(g.edges))] == list(g.edges)
+        and g.next_slot == len(g.edges)
+        and g.faces_on(range(len(g.edges))) == list(g.faces)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, renew",
+    [
+        ("pentagram-7/2", [f"d{i}" for i in range(7)]),
+        ("spiral", ["d1"]),
+        ("qnet-4x4", [f"F{i}x{j}" for i in range(4) for j in range(4) if (i + j) % 2 == 0]),
+    ],
+)
+def test_a_closed_batch_numbers_its_edges_by_position(name, renew):
+    # a step's renewals and forced removals as one script: the removals
+    # leave gaps among the batch's slots, which closing it renumbers
+    c = _start(name)[0]
+    renewals = tuple(MoveStep("urban", f) for f in renew)
+    inc = apply_script(c, MoveScript(renewals)).graph.incidence()
+    removals = tuple(MoveStep("remove2", v) for v in c.graph.white_ids + c.graph.black_ids if len(inc[v]) == 2)
+    assert removals
+    g = apply_script(c, MoveScript(renewals + removals)).graph
+    assert _numbered_by_position(g) and validate_graph(g).ok
+    cut = delete_edge(c.graph, 0, "merged")
+    assert _numbered_by_position(cut) and len(cut.edges) == len(c.graph.edges) - 1
 
 
 def test_renewals_at_corner_sharing_faces_equal_the_fold():

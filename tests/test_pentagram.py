@@ -224,34 +224,44 @@ def test_step_builds_no_basis_cycles(monkeypatch):
 
 
 def test_step_moves_edit_the_graph_locally(monkeypatch):
-    # each move edits the carried incidence and face indices: no move
-    # rescans the graph with vertex_edges, and a step derives the
-    # positional view of an intermediate graph a fixed number of times
+    # each move edits the batch's incidence and face indices: no move
+    # rescans the graph with vertex_edges, and a step builds a fixed number
+    # of graphs and incidence indices, whatever the size
     import sys
 
     from dimergeom import torusgraph
+    from dimergeom.torusgraph import TorusGraph
 
-    calls = {"vertex_edges": 0, "view": 0}
+    calls = {"vertex_edges": 0, "graph": 0, "index": 0}
+    vertex_edges, init, incidence = torusgraph.vertex_edges, TorusGraph.__init__, TorusGraph.incidence
 
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_vertex_edges(g):
+        calls["vertex_edges"] += 1
+        return vertex_edges(g)
 
-        return wrapped
+    def counted_init(self, *args, **kwargs):
+        calls["graph"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_incidence(self):
+        calls["index"] += self._inc is None
+        return incidence(self)
 
     for mod in [m for n, m in sys.modules.items() if n.startswith("dimergeom")]:
-        if getattr(mod, "vertex_edges", None) is torusgraph.vertex_edges:
-            monkeypatch.setattr(mod, "vertex_edges", counted("vertex_edges", torusgraph.vertex_edges))
-    monkeypatch.setattr(torusgraph, "_positional_view", counted("view", torusgraph._positional_view))
-    views = {}
+        if getattr(mod, "vertex_edges", None) is vertex_edges:
+            monkeypatch.setattr(mod, "vertex_edges", counted_vertex_edges)
+    monkeypatch.setattr(TorusGraph, "__init__", counted_init)
+    monkeypatch.setattr(TorusGraph, "incidence", counted_incidence)
+    builds = {}
     for n in (16, 64):
         c = make_pentagram_fixture(n, 3)[3]
-        calls.update(vertex_edges=0, view=0)
+        c.graph.incidence()  # the cached template's index, built or not by earlier tests
+        calls.update(vertex_edges=0, graph=0, index=0)
         pentagram_step_on_config(c, 3)
         assert calls["vertex_edges"] == 0, n
-        views[n] = calls["view"]
-    assert views[16] == views[64] <= 1
+        builds[n] = calls["graph"], calls["index"]
+    graphs, indices = builds[64]
+    assert builds[16] == builds[64] and graphs <= 5 and indices <= 1, builds
 
 
 # ------------------------------------------------- the line-formula reference
