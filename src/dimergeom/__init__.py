@@ -34,13 +34,14 @@ from .geometry import (
     point,
     span,
 )
-from .laurent import LaurentPoly2, newton_polygon
+from .laurent import LaurentPoly2, newton_polygon, poly_from_json, poly_to_json
 from .moves import (
     MoveScript,
     MoveStep,
     add_degree2,
     apply_script,
     remove_degree2,
+    script_to_json,
     urban_renewal,
 )
 from .spectral import (
@@ -84,9 +85,12 @@ __all__ = [
     "on_curve",
     "pairing",
     "point",
+    "poly_from_json",
+    "poly_to_json",
     "reconstruct_black",
     "remove_degree2",
     "save_config",
+    "script_to_json",
     "span",
     "spectral_polynomial",
     "spectral_polynomial_dual",

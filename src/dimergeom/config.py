@@ -36,7 +36,7 @@ from .geometry import (
     multi_ratio,
 )
 from .laurent import _ipow
-from .scalars import FLOAT, RATIONAL, is_float, parse_scalar, scalar_str
+from .scalars import FLOAT, RATIONAL, is_float, parse_ints, parse_scalar, scalar_str
 from .torusgraph import (
     Edge,
     Face,
@@ -266,7 +266,7 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     faces = _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids)
     basis = None
     if "basis_cycles" in data and data["basis_cycles"]:
-        basis = tuple(_ints(data["basis_cycles"][z], f"basis_cycles {z}") for z in ("z1", "z2"))
+        basis = tuple(parse_ints(data["basis_cycles"][z], f"basis_cycles {z}") for z in ("z1", "z2"))
         if not all(0 <= ei < len(edges) for walk in basis for ei in walk):
             raise InputError(f"basis_cycles: edge index out of range 0..{len(edges) - 1}")
     graph = TorusGraph(white_ids, black_ids, edges, faces, basis)
@@ -283,17 +283,8 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     return DoubleCircuitConfig(graph, d, white_labels, black_labels)
 
 
-def _ints(values, what: str) -> tuple:
-    """The values, when each is a JSON integer (not a bool, a float or a
-    string); otherwise an InputError naming the field."""
-    values = tuple(values)
-    if not all(type(x) is int for x in values):
-        raise InputError(f"{what}: expected integers, got {list(values)!r}")
-    return values
-
-
 def _edge(i: int, e: dict) -> Edge:
-    h = _ints(e["h"], f"edge {i} h")
+    h = parse_ints(e["h"], f"edge {i} h")
     if len(h) != 2:
         raise InputError(f"edge {i} h: expected two integers, got {list(h)!r}")
     return Edge(e["w"], e["b"], h)
@@ -319,7 +310,7 @@ def _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids):
     faces = []
     for fid, entry in zip(face_ids, faces_json):
         if entry and isinstance(entry[0], dict):
-            refs = _ints([x["e"] for x in entry], f"face {fid} edge refs")
+            refs = parse_ints([x["e"] for x in entry], f"face {fid} edge refs")
             if not all(0 <= ei < len(edges) for ei in refs):
                 raise InputError(f"face {fid}: edge ref out of range 0..{len(edges) - 1} in {list(refs)}")
             faces.append(Face(fid, refs))

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ZeroPolynomial
-from .scalars import is_float, is_zero, parse_scalar, scalar_str
+from .errors import InputError, ZeroPolynomial
+from .scalars import is_float, is_zero, parse_ints, parse_scalar, scalar_str
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,17 @@ def poly_to_json(p: LaurentPoly2) -> dict:
     return {"terms": [{"dl": i, "dm": j, "coeff": scalar_str(c)} for (i, j), c in p.terms]}
 
 
-def poly_from_json(data: dict) -> LaurentPoly2:
-    d = {(int(t["dl"]), int(t["dm"])): parse_scalar(t["coeff"]) for t in data["terms"]}
+def poly_from_json(data) -> LaurentPoly2:
+    """Inverse of poly_to_json.  Raises InputError, naming the term, for
+    anything but {"terms": [{"dl": int, "dm": int, "coeff": scalar}, ...]}."""
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list):
+        raise InputError(f"polynomial: expected an object with a terms list, got {data!r}")
+    d = {}
+    for n, t in enumerate(terms):
+        if not isinstance(t, dict) or not {"dl", "dm", "coeff"} <= t.keys():
+            raise InputError(f"term {n}: expected an object with dl, dm and coeff, got {t!r}")
+        d[parse_ints((t["dl"], t["dm"]), f"term {n} dl, dm")] = parse_scalar(t["coeff"])
     return LaurentPoly2.from_dict(d)
 
 

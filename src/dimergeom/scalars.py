@@ -83,3 +83,12 @@ def parse_scalar(s, kind: str = RATIONAL):
         v = float(x)
         return -v if v == 0 and str(s).lstrip().startswith("-") else v  # keep "-0.0"
     return x.limit_denominator(10**12) if isinstance(s, float) else x
+
+
+def parse_ints(values, what: str) -> tuple:
+    """The values, when each is a JSON integer (not a bool, a float or a
+    string); otherwise an InputError naming the field."""
+    values = tuple(values)
+    if not all(type(x) is int for x in values):
+        raise InputError(f"{what}: expected integers, got {list(values)!r}")
+    return values

@@ -7,7 +7,8 @@ for black row v and white column w is sum over edges (w, v) of
 kappa(e) * lambda^h1(e) * mu^h2(e); the spectral polynomial is its exact
 determinant.  The cohomology class of a coherent configuration (see
 config.cohomology_class) satisfies det K(lambda, mu) = 0 under this
-convention.
+convention.  The matrix is built once, as sparse term rows
+(kasteleyn_rows), which the determinant and evaluate_matrix both read.
 
 The determinant is interpolated from its values at small integer points
 (see _integer_det).  Every step is exact, so the result needs no
@@ -16,14 +17,14 @@ Fraction values.
 
 The interpolation box must hold the support of the determinant.  Every
 term of det K is the h-sum of a perfect matching, so the support lies in
-the matching polygon (Kenyon-Okounkov-Sheffield).  On a minimal graph the
-sides of that polygon are the homology classes of the zig-zag paths
-(Goncharov-Kenyon), read off the faces in O(E) (zigzag_polygon); they
-pick the elementary shear of the exponents whose box is smallest.  The
-prediction only picks the shear: the box itself is the least and greatest
-sheared exponent sum over the perfect matchings, four assignment problems
-whose optima hold for every choice of weights, so the result does not
-depend on the prediction being right.
+the matching polygon (Kenyon-Okounkov-Sheffield).  The one box is the
+least and greatest sheared exponent sum over the perfect matchings, four
+assignment problems whose optima hold for every choice of weights.  On a
+minimal graph the sides of the matching polygon are the homology classes
+of the zig-zag paths (Goncharov-Kenyon), read off the faces in O(E)
+(zigzag_polygon); they only pick the elementary shear of the exponents
+whose box is smallest, so the result does not depend on the prediction
+being right.
 """
 from __future__ import annotations
 
@@ -70,18 +71,23 @@ def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
     return weights
 
 
-def kasteleyn_matrix_poly(g: TorusGraph, weights: dict):
-    """k x k matrix over LaurentPoly2: rows = black, columns = white."""
+def kasteleyn_rows(g: TorusGraph, weights: dict) -> list:
+    """The Kasteleyn matrix as sparse term rows: per black vertex, in
+    g.black_ids order, its sorted (white column, h1, h2, weight) terms.
+    An entry is the LaurentPoly2 sum of its edges' monomials, so parallel
+    edges with equal h are summed and a zero sum is dropped by the one
+    Laurent zero test (for float data, relative to the entry's largest
+    term)."""
     k = len(g.black_ids)
     if k != len(g.white_ids):
         raise UnequalColorCounts(f"{len(g.white_ids)} white vs {k} black")
     widx = {w: j for j, w in enumerate(g.white_ids)}
     bidx = {b: i for i, b in enumerate(g.black_ids)}
-    rows = [[LaurentPoly2.zero() for _ in range(k)] for _ in range(k)]
+    entries = [{} for _ in range(k)]  # per row: column -> LaurentPoly2 entry
     for ei, e in enumerate(g.edges):
-        i, j = bidx[e.b], widx[e.w]
-        rows[i][j] = rows[i][j] + LaurentPoly2.monomial(weights[ei], e.h[0], e.h[1])
-    return rows
+        row, col = entries[bidx[e.b]], widx[e.w]
+        row[col] = row.get(col, LaurentPoly2.zero()) + LaurentPoly2.monomial(weights[ei], *e.h)
+    return [[(col, i, j, c) for col in sorted(row) for (i, j), c in row[col].terms] for row in entries]
 
 
 def zigzag_polygon(g: TorusGraph):
@@ -129,29 +135,15 @@ def zigzag_polygon(g: TorusGraph):
 
 def _zigzag_shear(g: TorusGraph):
     """The elementary shear whose box around the zig-zag polygon has the
-    fewest nodes, when that is fewer than the row/column box of g's edges
-    has; otherwise None.  It only chooses the box: _integer_det proves the
-    box it interpolates on."""
+    fewest nodes; (0, 0) when g has no polygon.  It only chooses the box:
+    _integer_det proves the box it interpolates on."""
     polygon = zigzag_polygon(g)
-    if polygon is None:
-        return None
-    terms = {v: [] for v in (*g.white_ids, *g.black_ids)}  # vertex -> its edges as (_, h1, h2) terms
-    for e in g.edges:
-        t = (None, *e.h)
-        terms[e.w].append(t)
-        terms[e.b].append(t)
-    if not all(terms.values()):
-        return None
-    box = _row_col_box([terms[b] for b in g.black_ids], [terms[w] for w in g.white_ids])
-    if box is None:
-        return None
-    nodes, shear = _fitted_shear(polygon)
-    return shear if nodes < (box[0][1] - box[0][0] + 1) * (box[1][1] - box[1][0] + 1) else None
+    return (0, 0) if polygon is None else _fitted_shear(polygon)
 
 
 def _fitted_shear(polygon):
-    """(nodes, (a, b)): the shear (i, j) -> (i + a*j, j + b*i) with a or b
-    zero whose bounding box of the polygon has the fewest lattice points."""
+    """(a, b): the shear (i, j) -> (i + a*j, j + b*i) with a or b zero
+    whose bounding box of the polygon has the fewest lattice points."""
 
     def width(p, q):  # lattice points spanned by p*i + q*j over the polygon
         values = [p * i + q * j for i, j in polygon]
@@ -165,7 +157,7 @@ def _fitted_shear(polygon):
         return s
 
     a, b = narrowest(lambda s: (1, s)), narrowest(lambda s: (s, 1))
-    return min((width(1, a) * width(0, 1), (a, 0)), (width(1, 0) * width(b, 1), (0, b)))
+    return min((width(1, a) * width(0, 1), (a, 0)), (width(1, 0) * width(b, 1), (0, b)))[1]
 
 
 def spectral_polynomial(g: TorusGraph, weights: dict) -> LaurentPoly2:
@@ -173,16 +165,16 @@ def spectral_polynomial(g: TorusGraph, weights: dict) -> LaurentPoly2:
 
     Float weights are converted exactly with Fraction; the result then
     has float coefficients, so the scalar kind follows the data."""
-    det, scale = _integer_det(kasteleyn_matrix_poly(g, weights), _zigzag_shear(g))
+    det, scale = _integer_det(kasteleyn_rows(g, weights), _zigzag_shear(g))
     det = det * Fraction(1, scale)
     if is_float(weights.values()):
         det = LaurentPoly2.from_dict({e: float(c) for e, c in det.terms})
     return det
 
 
-def _integer_det(m, shear=None):
-    """(D, s): s times the determinant of a square LaurentPoly2 matrix is
-    D, a LaurentPoly2 with int coefficients.
+def _integer_det(rows, shear):
+    """(D, s): s times the determinant of the matrix with the given term
+    rows (kasteleyn_rows) is D, a LaurentPoly2 with int coefficients.
 
     Scaling each row by the lcm of its denominators makes the entries
     integer polynomials.  After dividing out its lowest monomial, the
@@ -193,49 +185,42 @@ def _integer_det(m, shear=None):
     Every term of the determinant is a product of one term per row and
     per column, so its exponent is the sum over a perfect matching of the
     bipartite row/column graph: the support lies in the matching polygon.
-    With ``shear=None`` the box is, per variable, max(sum of row minima,
-    sum of column minima) to min(sum of row maxima, sum of column maxima).
-    A shear (a, b), a * b == 0, first maps every exponent (i, j) to
-    (i + a*j, j + b*i), a unimodular change of variables; the box is then
-    the least and greatest sum of each sheared coordinate over the perfect
-    matchings, four assignment problems (_min_assignment), and the
-    exponents are mapped back at the end.  Both boxes hold the support for
-    every choice of coefficients; the shear only makes the box smaller."""
-    a, b = shear or (0, 0)
-    k = len(m)
-    rows = []  # per row: [(column, i, j, int coeff)] with i, j >= 0
+    The shear (a, b), a * b == 0, first maps every exponent (i, j) to
+    (i + a*j, j + b*i), a unimodular change of variables; the box is the
+    least and greatest sum of each sheared coordinate over the perfect
+    matchings, four assignment problems (_matching_box), and the exponents
+    are mapped back at the end.  The box holds the support for every
+    choice of coefficients; the shear only makes it smaller.  Without a
+    perfect matching the determinant is zero; the 0 x 0 one is one."""
+    a, b = shear
+    k = len(rows)
+    ints = []  # per row: [(column, i, j, int coeff)] with i, j >= 0
     shift_l = shift_m = 0
     scale = 1
-    for row in m:
-        terms = [(col, i + a * j, j + b * i, Fraction(c)) for col, p in enumerate(row) for (i, j), c in p.terms]
+    for row in rows:
+        terms = [(col, i + a * j, j + b * i, Fraction(c)) for col, i, j, c in row]
         if not terms:
             return LaurentPoly2.zero(), 1
         lo_i = min(t[1] for t in terms)
         lo_j = min(t[2] for t in terms)
         den = lcm(*(t[3].denominator for t in terms))
         shift_l, shift_m, scale = shift_l + lo_i, shift_m + lo_j, scale * den
-        rows.append([(col, i - lo_i, j - lo_j, int(c * den)) for col, i, j, c in terms])
-    by_col = [[] for _ in range(k)]
-    for row in rows:
-        for t in row:
-            by_col[t[0]].append(t)
-    if not all(by_col):
-        return LaurentPoly2.zero(), 1
-    box = _row_col_box(rows, by_col) if shear is None else _matching_box(rows)
+        ints.append([(col, i - lo_i, j - lo_j, int(c * den)) for col, i, j, c in terms])
+    box = _matching_box(ints)
     if box is None:
         return LaurentPoly2.zero(), 1
     (lo_l, hi_l), (lo_m, hi_m) = box
     nodes_l, nodes_m = _nodes(hi_l - lo_l + 1), _nodes(hi_m - lo_m + 1)
     # powers up to the box top and the highest term, which lies above the
     # box when it is on no perfect matching
-    top_l = max(hi_l, max(t[1] for row in rows for t in row))
-    top_m = max(hi_m, max(t[2] for row in rows for t in row))
+    top_l = max([hi_l, *(t[1] for row in ints for t in row)])
+    top_m = max([hi_m, *(t[2] for row in ints for t in row)])
     mu_powers = [[y**e for e in range(top_m + 1)] for y in nodes_m]
     values = []
     for x in nodes_l:
         xp = [x**e for e in range(top_l + 1)]
         # the terms with lambda = x, as (column, mu exponent, int coeff)
-        at_x = [[(col, j, c * xp[i]) for col, i, j, c in row] for row in rows]
+        at_x = [[(col, j, c * xp[i]) for col, i, j, c in row] for row in ints]
         line = []
         for yp in mu_powers:
             mat = [[0] * k for _ in range(k)]
@@ -250,21 +235,6 @@ def _integer_det(m, shear=None):
             p, q = i + lo_l + shift_l, j + lo_m + shift_m
             out[(p - a * q, q - b * p)] = c  # unsheared
     return LaurentPoly2.from_dict(out), scale
-
-
-def _row_col_box(rows, cols):
-    """Per exponent axis of (column, i, j, ...) terms, the (lo, hi) bound of
-    its sum over one term per row and column: lo = max(sum of row minima,
-    sum of column minima), hi = min(sum of row maxima, sum of column
-    maxima).  None when lo > hi for an axis."""
-    box = []
-    for axis in (1, 2):
-        lo = max(sum(min(t[axis] for t in r) for r in rows), sum(min(t[axis] for t in c) for c in cols))
-        hi = min(sum(max(t[axis] for t in r) for r in rows), sum(max(t[axis] for t in c) for c in cols))
-        if lo > hi:
-            return None
-        box.append((lo, hi))
-    return box
 
 
 def _matching_box(rows):
@@ -381,7 +351,11 @@ def on_curve(p: LaurentPoly2, lam, mu) -> bool:
 
 def evaluate_matrix(g: TorusGraph, weights: dict, lam, mu):
     """The Kasteleyn matrix evaluated at (lam, mu)."""
-    return [[entry.evaluate(lam, mu) for entry in row] for row in kasteleyn_matrix_poly(g, weights)]
+    m = [[Fraction(0)] * len(g.white_ids) for _ in g.black_ids]
+    for r, row in zip(m, kasteleyn_rows(g, weights)):
+        for col, i, j, c in row:
+            r[col] = r[col] + c * _ipow(lam, i) * _ipow(mu, j)
+    return m
 
 
 def kernel_at(g: TorusGraph, weights: dict, lam, mu):

@@ -247,6 +247,19 @@ def test_render_empty_config(tmp_path):
     assert "<svg" in out.read_text()
 
 
+def test_spectral_commands_on_empty_config(tmp_path, capsys):
+    """The 0 x 0 Kasteleyn determinant is the constant 1."""
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"dimension": 2, "white": [], "black": [], "edges": [], "faces": []}))
+    assert main(["spectral", str(empty)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == '{"terms": [{"dl": 0, "dm": 0, "coeff": "1"}]}'
+    assert main(["experiment", "dual-curve", str(empty)]) == 0
+    assert main(["experiment", "birationality-probe", str(empty), "--samples", "2"]) == 0
+    printed = capsys.readouterr()
+    assert "Traceback" not in out + err + printed.out + printed.err
+
+
 def test_make_spiral_and_validate(tmp_path):
     path = tmp_path / "spiral.json"
     assert main(["make-spiral", "--out", str(path)]) == 0

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dimergeom.errors import ZeroPolynomial
+from dimergeom.errors import InputError, ZeroPolynomial
 from dimergeom.laurent import LaurentPoly2, newton_polygon, poly_from_json, poly_to_json
 
 
@@ -67,6 +67,23 @@ def test_json_round_trip():
     p = P({(-1, 2): F(3, 7), (4, 0): -2})
     q = poly_from_json(json.loads(json.dumps(poly_to_json(p))))
     assert q.terms == p.terms
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"terms": [{"dl": 1.7, "dm": 0, "coeff": "1"}]}, "term 0 dl, dm: expected integers"),
+        ({"terms": [{"dl": 0, "dm": True, "coeff": "1"}]}, "term 0 dl, dm: expected integers"),
+        ({"terms": [{"dl": 0, "dm": 0, "coeff": "1"}, {"dl": "3", "dm": 0, "coeff": "1"}]}, "term 1 dl, dm"),
+        ({"terms": [{"dl": 0, "coeff": "1"}]}, "term 0: expected an object with dl, dm and coeff"),
+        ({"terms": [[0, 0, "1"]]}, "term 0: expected an object"),
+        ({"terms": {"dl": 0}}, "polynomial: expected an object with a terms list"),
+        ([], "polynomial: expected an object with a terms list"),
+    ],
+)
+def test_json_rejects_malformed_terms(data, message):
+    with pytest.raises(InputError, match=message):
+        poly_from_json(data)
 
 
 def test_newton_triangle():

@@ -40,7 +40,7 @@ from dimergeom.spectral import (
     _integer_det,
     _zigzag_shear,
     evaluate_matrix,
-    kasteleyn_matrix_poly,
+    kasteleyn_rows,
     kasteleyn_weights,
     kernel_at,
     on_curve,
@@ -237,10 +237,44 @@ def weighted_torus_graphs(draw):
     return g, {ei: draw(_WEIGHT) for ei in range(len(edges))}
 
 
+# the two w0--b1 edges share h and cancel, so the entry (b1, w0) is zero
+CANCELLING_PARALLEL_EDGES = (
+    TorusGraph(
+        ("w0", "w1"),
+        ("b0", "b1"),
+        (
+            Edge("w0", "b0", (0, 0)),
+            Edge("w1", "b1", (1, 0)),
+            Edge("w0", "b1", (0, 1)),
+            Edge("w0", "b1", (0, 1)),
+            Edge("w1", "b0", (1, 1)),
+        ),
+        (),
+    ),
+    {0: F(1), 1: F(2), 2: F(3, 4), 3: F(-3, 4), 4: F(5)},
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(weighted_torus_graphs())
+@example(CANCELLING_PARALLEL_EDGES)
 def test_determinant_matches_brute_force_random_graphs(graph_and_weights):
     g, weights = graph_and_weights
+    assert spectral_polynomial(g, weights).terms == brute_force_determinant(g, weights).terms
+
+
+def test_float_parallel_edges_drop_a_rounding_sized_sum():
+    """Float weights: the two w0--b1 edges at h (0, 1) sum to about 1e-12,
+    which the Laurent zero test drops beside the entry's 1.0 at h (0, 0),
+    so the matrix is that of the graph without the pair."""
+    c = CANCELLING_PARALLEL_EDGES[0]
+    base = (*c.edges[:2], Edge("w0", "b1", (0, 0)), c.edges[4])
+    g = TorusGraph(c.white_ids, c.black_ids, (*base, c.edges[2], c.edges[3]), ())
+    weights = {0: 1.0, 1: 2.0, 2: 1.0, 3: 5.0, 4: 0.75, 5: -0.75 + 1e-12}
+    h = TorusGraph(c.white_ids, c.black_ids, base, ())
+    kept = {ei: weights[ei] for ei in range(4)}
+    assert kasteleyn_rows(g, weights) == kasteleyn_rows(h, kept)
+    assert evaluate_matrix(g, weights, 2.0, 3.0) == evaluate_matrix(h, kept, 2.0, 3.0)
     assert spectral_polynomial(g, weights).terms == brute_force_determinant(g, weights).terms
 
 
@@ -264,21 +298,22 @@ def test_sheared_matching_box_matches_brute_force(graph_and_weights, s, on_lambd
     (i, j + s*i), on graphs without faces, which the zig-zag step never
     shears."""
     g, weights = graph_and_weights
-    det, scale = _integer_det(kasteleyn_matrix_poly(g, weights), (s, 0) if on_lambda else (0, s))
+    det, scale = _integer_det(kasteleyn_rows(g, weights), (s, 0) if on_lambda else (0, s))
     assert (det * F(1, scale)).terms == brute_force_determinant(g, weights).terms
 
 
 def _curve_fixture(name):
-    """(graph, white labels) of a named fixture."""
+    """(graph, white labels, black labels) of a named fixture; the grid
+    has no black labels."""
     if name == "grid-minus-edge":
-        return make_grid_minus_edge()
+        return (*make_grid_minus_edge(), None)
     if name == "spiral":
         c = make_spiral_fixture()[2]
     elif name == "qnet-4x4":
         c = make_qnet_fixture()[2]
     else:
         c = make_pentagram_fixture(*map(int, name.split("-")[1].split("/")))[3]
-    return c.graph, c.white_labels
+    return c.graph, c.white_labels, c.black_labels
 
 
 def _from_first(polygon):
@@ -292,24 +327,57 @@ def _from_first(polygon):
 def test_zigzag_polygon_is_the_newton_polygon(name):
     """Both lists run counterclockwise from the lexicographically smallest
     vertex, so equal offsets from it mean equal up to translation."""
-    g, white = _curve_fixture(name)
+    g, white, _ = _curve_fixture(name)
     poly = spectral_polynomial(g, kasteleyn_weights(g, white))
     assert _from_first(zigzag_polygon(g)) == _from_first(newton_polygon(poly))
 
 
-def test_pentagram_curve_interpolates_on_the_sheared_box(monkeypatch):
-    """Pentagram 24/3: 45 nodes on the sheared box against 125 on the
-    row/column box."""
-    g, white = _curve_fixture("pentagram-24/3")
-    weights = kasteleyn_weights(g, white)
+def _curve_weights(name, curve):
+    """(graph, weights) of a named fixture's white curve, or of its dual
+    curve on the color-swapped graph.  Q-net 6x6 takes seeded weights."""
+    if name == "qnet-6x6":
+        g = build_qnet_graph(6, 6)
+        g = _color_swapped(g) if curve == "dual" else g
+        rng = random.Random(name)
+        return g, {ei: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for ei in range(len(g.edges))}
+    g, white, black = _curve_fixture(name)
+    if curve == "dual":
+        g, white = _color_swapped(g), black
+    return g, kasteleyn_weights(g, white)
+
+
+# interpolation nodes per axis; the dual curve takes the white curve's box
+NODE_COUNTS = {
+    "pentagram-7/2": [4, 5],
+    "pentagram-9/2": [4, 6],
+    "pentagram-24/3": [5, 9],
+    "spiral": [4, 4],
+    "qnet-4x4": [5, 5],
+    "qnet-6x6": [7, 7],
+    "grid-minus-edge": [4, 5],
+}
+
+
+@pytest.mark.parametrize(
+    "name, curve",
+    [(name, curve) for name in NODE_COUNTS for curve in ("white", "dual") if (name, curve) != ("grid-minus-edge", "dual")],
+    ids=lambda v: v,
+)
+def test_pentagram_curve_interpolates_on_the_sheared_box(monkeypatch, name, curve):
+    """The node counts are pinned, so that no change grows a box.
+    Pentagram 24/3: 5 x 9 nodes on the sheared box against 5 x 25 on the
+    unsheared one."""
+    g, weights = _curve_weights(name, curve)
     sizes = []
     nodes = spectral._nodes
     monkeypatch.setattr(spectral, "_nodes", lambda n: sizes.append(n) or nodes(n))
-    curve = spectral_polynomial(g, weights)
-    assert _zigzag_shear(g) == (0, -8) and sizes == [5, 9]
-    sizes.clear()
-    det, scale = _integer_det(kasteleyn_matrix_poly(g, weights))
-    assert sizes == [5, 25] and (det * F(1, scale)).terms == curve.terms
+    poly = spectral_polynomial(g, weights)
+    assert sizes == NODE_COUNTS[name]
+    if name == "pentagram-24/3":
+        assert _zigzag_shear(g) == (0, -8)
+        sizes.clear()
+        det, scale = _integer_det(kasteleyn_rows(g, weights), (0, 0))
+        assert sizes == [5, 25] and (det * F(1, scale)).terms == poly.terms
 
 
 @pytest.mark.parametrize("name", ["pentagram-7/2", "pentagram-9/4", "spiral", "qnet-4x4"])
