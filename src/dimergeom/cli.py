@@ -350,10 +350,12 @@ def _cmd_render(args) -> int:
         if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) in (2, 3) for e in entries):
             raise InputError("points must be a list of [x, y] or [x, y, z] entries")
         pts = []
-        for entry in entries:
+        for n, entry in enumerate(entries):
             vals = [parse_scalar(x) for x in entry]
             if len(vals) == 2:
                 vals.append(parse_scalar("1"))
+            if not any(vals):
+                raise InputError(f"points entry {n}: all coordinates vanish: {entry!r}")
             pts.append(HomogeneousElement(tuple(vals), POINT))
         svg = render_points(pts, spec)
     else:

@@ -298,6 +298,8 @@ def _parse_label(entry, kind, d, scalar):
         vals.append(parse_scalar("1", scalar))
     if len(vals) != d + 1:
         raise InputError(f"{kind} {entry['id']}: {len(entry['coords'])} coordinates in dimension {d}")
+    if not any(vals):
+        raise InputError(f"{kind} {entry['id']}: all coordinates vanish: {entry['coords']!r}")
     return HomogeneousElement(tuple(vals), kind)
 
 

@@ -36,11 +36,11 @@ Moves read edges by their slots and change a batch in place:
 basis cycles are rewritten once per run of moves, and a single move call
 is a batch of one.  Slots that differ from edge positions live only
 inside a batch; closing it numbers the edges by position again.  A
-dynamics step (``step_on_config``) is a batch of urban renewals at the
-given faces, a batch removing the forced vertices -- every pre-step
-vertex the renewals left at degree two -- and a renaming back to
-template ids.  The pentagram, spiral and Q-net families supply only
-their renewal faces, spoke rename rules and template.
+dynamics step (``step_on_config``) is one batch: urban renewals at the
+given faces, then the removals of the forced vertices -- every pre-step
+vertex the renewals left at degree two -- and, after it closes, a
+renaming back to template ids.  The pentagram, spiral and Q-net families
+supply only their renewal faces, spoke rename rules and template.
 """
 from __future__ import annotations
 
@@ -125,7 +125,10 @@ def script_from_json(data, scalar=RATIONAL) -> MoveScript:
                 raise InputError(f"script step {idx}: add2 label must be a list of coordinates, got {label!r}")
             if not (isinstance(part, list) and len(part) == 2 and all(type(x) is int for x in part)):
                 raise InputError(f"script step {idx}: add2 partition must be two integers, got {part!r}")
-            label = HomogeneousElement(tuple(parse_scalar(x, scalar) for x in label), HYPERPLANE)
+            coords = tuple(parse_scalar(x, scalar) for x in label)
+            if not any(coords):
+                raise InputError(f"script step {idx}: add2 label: all coordinates vanish: {label!r}")
+            label = HomogeneousElement(coords, HYPERPLANE)
             part = tuple(part)
         steps.append(MoveStep(op, target, label, part))
     return MoveScript(tuple(steps))
@@ -442,37 +445,41 @@ def apply_script(c: DoubleCircuitConfig, script: MoveScript, trace: list | None 
 def spoke_rename_map(before: DoubleCircuitConfig, mid: DoubleCircuitConfig, white_rule, black_rule) -> dict:
     """Template ids for the vertices created by a renewal phase.
 
-    In ``mid`` (after the urban renewals, before the removals) every new
-    vertex has exactly one neighbor from ``before``: its spoke target.
-    The rules map that old vertex's id to the new vertex's template id,
-    independent of face rotation conventions.
+    In ``mid``, a batch open after the urban renewals and before the
+    removals, every new vertex has exactly one neighbor from ``before``:
+    its spoke target.  The rules map that old vertex's id to the new
+    vertex's template id, independent of face rotation conventions.
     """
     old = set(before.graph.white_ids) | set(before.graph.black_ids)
     g = mid.graph
-    inc = g.incidence()
     vmap = {}
-    for ids, end, rule in ((g.white_ids, "b", white_rule), (g.black_ids, "w", black_rule)):
-        for v in set(ids) - old:
-            olds = {getattr(g.edge(ei), end) for ei in inc[v]} & old
+    for v, ix in g.incidence().items():
+        if v not in old:
+            white = g.is_white(v)
+            olds = {g.edge(ei).b if white else g.edge(ei).w for ei in ix} & old
             if len(olds) == 1:
-                vmap[v] = rule(*olds)
+                vmap[v] = (white_rule if white else black_rule)(*olds)
     return vmap
 
 
 def step_on_config(c: DoubleCircuitConfig, renew, white_rule, black_rule, template: TorusGraph) -> DoubleCircuitConfig:
-    """One dynamics step: urban renewal at the faces ``renew``, removal of
-    the forced vertices, then renaming to the template's vertex and face ids.
+    """One dynamics step, one batch: urban renewal at the faces ``renew``,
+    removal of the forced vertices, then renaming to the template's vertex
+    and face ids.
 
     The forced vertices are the pre-step vertices the renewals left at
     degree two, removed in ``c.graph.white_ids + c.graph.black_ids`` order.
-    New vertices are renamed by ``spoke_rename_map`` with the two rules.
+    New vertices are renamed by ``spoke_rename_map`` with the two rules,
+    read from the batch between the renewals and the removals.
     """
-    mid = apply_script(c, MoveScript(tuple(MoveStep("urban", f) for f in renew)))
-    vmap = spoke_rename_map(c, mid, white_rule, black_rule)
-    inc = mid.graph.incidence()
-    forced = [v for v in c.graph.white_ids + c.graph.black_ids if len(inc[v]) == 2]
-    stepped = apply_script(mid, MoveScript(tuple(MoveStep("remove2", v) for v in forced)))
-    return rename_faces_like(relabel(stepped, vmap), template)
+    batch = _opened(c)
+    for f in renew:
+        urban_renewal(batch, f)
+    vmap = spoke_rename_map(c, batch, white_rule, black_rule)
+    inc = batch.graph.incidence()
+    for v in [v for v in c.graph.white_ids + c.graph.black_ids if len(inc[v]) == 2]:
+        remove_degree2(batch, v)
+    return rename_faces_like(relabel(_closed(batch), vmap), template)
 
 
 def rename_faces_like(c: DoubleCircuitConfig, template: TorusGraph) -> DoubleCircuitConfig:

@@ -74,7 +74,10 @@ def scalar_str(x) -> str:
 def parse_scalar(s, kind: str = RATIONAL):
     """Inverse of :func:`scalar_str` for data of kind ``RATIONAL`` or
     ``FLOAT`` (a JSON number is read as rational to 12 denominator
-    digits).  Raises InputError for anything that is not a finite number."""
+    digits).  Raises InputError for anything that is not a finite number,
+    a JSON boolean included."""
+    if isinstance(s, bool):
+        raise InputError(f"bad scalar {s!r}: a boolean is not a number")
     try:
         x = Fraction(s)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

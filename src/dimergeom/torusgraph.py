@@ -18,10 +18,12 @@ of moves: edges are rewritten or deleted in their slots and new edges
 take the slots after the last one, and the faces and basis cycles are
 rewritten once per batch.  Slots that differ from positions exist only
 inside an open batch: ``close`` renumbers the surviving edges and faces
-in slot order.  The incidence and face indices are built on first use.
+in slot order.  The incidence index and the face-id lookup are built on
+first use; the faces through an edge are found by a scan of the faces.
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import eq
@@ -50,7 +52,7 @@ class TorusGraph:
 
     __slots__ = (
         "white_ids", "black_ids", "edges", "faces", "basis_cycles",
-        "_white", "_black", "_edges", "_faces", "_inc", "_on", "_face_of",
+        "_white", "_black", "_edges", "_faces", "_inc", "_face_of",
     )
 
     def __init__(self, white_ids, black_ids, edges, faces, basis_cycles=None):
@@ -58,7 +60,7 @@ class TorusGraph:
         self.edges, self.faces, self.basis_cycles = tuple(edges), tuple(faces), basis_cycles
         self._white, self._black = dict.fromkeys(self.white_ids), dict.fromkeys(self.black_ids)
         self._edges, self._faces = self.edges, self.faces  # what the slot API reads: slot = position
-        self._inc = self._on = self._face_of = None
+        self._inc = self._face_of = None
 
     def sizes(self) -> tuple:
         """(white, black, edge, face) counts."""
@@ -95,7 +97,7 @@ class TorusGraph:
 
     def incidence(self) -> dict:
         """vertex id -> tuple of incident edge slots, in slot order (read
-        only), built on first use."""
+        only; an open ``GraphEdit`` edits sorted lists), built on first use."""
         if self._inc is None:
             inc = defaultdict(list)
             for s, e in enumerate(self.edges):
@@ -106,28 +108,25 @@ class TorusGraph:
             self._inc = {v: tuple(ix) for v, ix in inc.items()}
         return self._inc
 
-    def _face_index(self) -> tuple:
-        """(edge slot -> face slots through it, face id -> first face slot),
-        built on first use."""
-        if self._on is None:
-            on, face_of = {}, {}
+    def _face_index(self) -> dict:
+        """face id -> first face slot, built on first use."""
+        if self._face_of is None:
+            face_of = {}
             for fs, f in enumerate(self.faces):
                 face_of.setdefault(f.id, fs)
-                for s in dict.fromkeys(f.edges):
-                    on[s] = on.get(s, ()) + (fs,)
-            self._on, self._face_of = on, face_of
-        return self._on, self._face_of
+            self._face_of = face_of
+        return self._face_of
 
     def face(self, face_id: str) -> Face | None:
         """The first face with this id."""
-        fs = self._face_index()[1].get(face_id)
+        fs = self._face_index().get(face_id)
         return None if fs is None else self._faces[fs]
 
     def faces_on(self, slots) -> list:
         """The distinct faces through any of the given edge slots, in face
         order."""
-        on = self._face_index()[0]
-        return [self._faces[fs] for fs in sorted({fs for s in slots for fs in on.get(s, ())})]
+        slots = set(slots)
+        return [f for f in self.faces if not slots.isdisjoint(f.edges)]
 
 
 def vertex_edges(g: TorusGraph) -> dict:
@@ -303,31 +302,33 @@ def validate_graph(g: TorusGraph) -> GraphReport:
 
 class GraphEdit(TorusGraph):
     """A graph open for a batch of moves: its containers copied once, edges
-    and faces held by slot in ``_edges`` and ``_faces``.
+    and faces held by slot in ``_edges`` and ``_faces``, each vertex's
+    incident slots in a sorted list.
 
-    ``replace`` applies one move to edges, incidence and vertex sets in
-    place, so the next move reads them as the one-by-one fold would, and
+    ``replace`` applies one move to edges, incidence lists and vertex sets
+    in place, so the next move reads them as the one-by-one fold would, and
     logs its paths.  ``substitute_edges`` rewrites each face through a
-    replaced edge, and the basis cycles, once along the logged paths.  It
-    runs at ``close``; before a move reads a face the batch changed (or
-    any faces around a vertex) or replaces an edge the batch made; where
-    the batch turns from insertions to deletions or back; after a deletion
-    of parallel edges; and after every move while the graph has a vertex
-    of degree below two or a basis cycle that backtracks.  One rewrite then
-    ends where the fold's rewrites end, start slot included: an insertion
-    cancels or re-starts a walk only on edges it made, which no later move
-    of its batch replaces, and deletions of adjacent slot pairs move a
-    walk's start as the fold does.  Parallel edges, degree-one vertices and
-    backtracking walks can make a rewrite cancel older edges instead.
+    replaced edge (found by a scan of the faces), and the basis cycles, once
+    along the logged paths.  It runs at ``close``; before a move reads a
+    face the batch changed (or any faces around a vertex) or replaces an
+    edge the batch made; where the batch turns from insertions to deletions
+    or back; after a deletion of parallel edges; and after every move while
+    the graph has a vertex of degree below two or a basis cycle that
+    backtracks.  One rewrite then ends where the fold's rewrites end, start
+    slot included: an insertion cancels or re-starts a walk only on edges it
+    made, which no later move of its batch replaces, and deletions of
+    adjacent slot pairs move a walk's start as the fold does.  Parallel
+    edges, degree-one vertices and backtracking walks can make a rewrite
+    cancel older edges instead.
     """
 
     __slots__ = ("_basis", "_next", "_paths", "_deleting", "_first_new", "_single")
 
     def __init__(self, g: TorusGraph):
-        on, face_of = g._face_index()
-        self._white, self._black, self._inc = dict(g._white), dict(g._black), dict(g.incidence())
+        self._white, self._black = dict(g._white), dict(g._black)
+        self._inc = {v: list(ix) for v, ix in g.incidence().items()}
         self._edges, self._faces = dict(enumerate(g.edges)), dict(enumerate(g.faces))
-        self._on, self._face_of = dict(on), dict(face_of)
+        self._face_of = dict(g._face_index())
         self._basis, self._next = list(g.basis_cycles or ()), (len(g.edges), len(g.faces))
         self._paths, self._first_new = {}, None
 
@@ -344,12 +345,8 @@ class GraphEdit(TorusGraph):
 
     def faces_on(self, slots) -> list:
         self.substitute_edges()
-        return TorusGraph.faces_on(self, slots)
-
-    def _link(self, fs: int, walk, add: bool) -> None:
-        on = self._on
-        for s in dict.fromkeys(walk):
-            on[s] = on.get(s, ()) + (fs,) if add else _without(on[s], fs)
+        slots = set(slots)
+        return [f for f in self._faces.values() if not slots.isdisjoint(f.edges)]
 
     def replace(self, edits: dict, new_edges, paths: dict, drop_white=(), drop_black=(), add_white=(),
                 add_black=(), drop_faces=(), add_faces=()) -> None:
@@ -370,30 +367,28 @@ class GraphEdit(TorusGraph):
         for s, e in (*edits.items(), *((first + j, e) for j, e in enumerate(new_edges))):
             old = edges.get(s)
             if old is not None:
-                for v in (old.w, old.b):
-                    inc[v] = _without(inc[v], s)
+                inc[old.w].remove(s)
+                inc[old.b].remove(s)
             if e is None:
                 gone.append((old.w, old.b))
                 del edges[s]
             else:
                 edges[s] = e
-                for v in (e.w, e.b):
-                    inc[v] = tuple(sorted((*inc.get(v, ()), s)))
+                insort(inc.setdefault(e.w, []), s)
+                insort(inc.setdefault(e.b, []), s)
         for ids, drop, add in ((self._white, drop_white, add_white), (self._black, drop_black, add_black)):
             for v in drop:
                 ids.pop(v, None)
                 inc.pop(v, None)
             for v in add:
                 ids[v] = None
-                inc.setdefault(v, ())
+                inc.setdefault(v, [])
         faces, face_of, next_face = self._faces, self._face_of, self._next[1]
         for fid in drop_faces:
-            fs = face_of.pop(fid)
-            self._link(fs, faces.pop(fs).edges, False)
+            del faces[face_of.pop(fid)]
         for f in add_faces:
             faces[next_face] = f
             face_of.setdefault(f.id, next_face)
-            self._link(next_face, f.edges, True)
             next_face += 1
         self._next = (first + len(new_edges), next_face)
         self._paths.update(paths)
@@ -406,22 +401,15 @@ class GraphEdit(TorusGraph):
         empty is dropped."""
         if not self._paths:
             return
-        paths = self._paths
-        on, faces, face_of = self._on, self._faces, self._face_of
-        for fs in {fs for s in paths for fs in on.get(s, ())}:
-            f = faces[fs]
+        paths, faces, face_of = self._paths, self._faces, self._face_of
+        for fs, f in [(fs, f) for fs, f in faces.items() if not paths.keys().isdisjoint(f.edges)]:
             walk = _rewrite_walk(f.edges, paths)
-            self._link(fs, f.edges, False)
             if walk:
                 faces[fs] = Face(f.id, walk)
-                self._link(fs, walk, True)
             else:
                 del faces[fs]
                 if face_of.get(f.id) == fs:
                     del face_of[f.id]
-        for s in paths:
-            if s not in self._edges:
-                on.pop(s, None)
         self._basis = [_rewrite_walk(z, paths) for z in self._basis]
         self._paths, self._first_new = {}, None
 
@@ -438,11 +426,6 @@ class GraphEdit(TorusGraph):
 def _normal(walk) -> bool:
     """Whether a closed walk never backtracks, also across its end."""
     return walk[0] != walk[-1] and not any(map(eq, walk, walk[1:]))
-
-
-def _without(items: tuple, x) -> tuple:
-    i = items.index(x)
-    return items[:i] + items[i + 1 :]
 
 
 def _rewrite_walk(walk, paths: dict) -> tuple:

@@ -388,6 +388,46 @@ def test_malformed_script_exits_two_with_one_line(pentagon_file, tmp_path, capsy
     assert not out.exists()
 
 
+def _exit_and_error(argv, capsys):
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scalar", ["rational", "float"])
+def test_boolean_coordinates_exit_two_naming_the_value(pentagon_file, tmp_path, capsys, scalar):
+    # a JSON true is not the number 1: not as a label coordinate, not in
+    # an add2 label
+    data = json.loads(pentagon_file.read_text())
+    data["scalar"] = scalar
+    data["white"][1]["coords"][0] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{**_ADD2, "label": [True, "2", "3"]}]))
+    for argv in (["validate", str(bad)], ["run", str(pentagon_file), "--script", str(script)]):
+        assert _exit_and_error(argv, capsys) == (2, "error: bad scalar True: a boolean is not a number\n")
+
+
+def test_all_zero_labels_exit_two_naming_the_entry(pentagon_file, tmp_path, capsys):
+    data = json.loads(pentagon_file.read_text())
+    data["black"][2]["coords"] = ["0", "0", "0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in (["validate", str(bad)], ["run", str(bad), "--builtin", "pentagram"]):
+        assert _exit_and_error(argv, capsys) == (2, "error: hyperplane q2: all coordinates vanish: ['0', '0', '0']\n")
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"op": "urban", "target": "d0"}, {**_ADD2, "label": ["0", "0", "0"]}]))
+    err = "error: script step 1: add2 label: all coordinates vanish: ['0', '0', '0']\n"
+    assert _exit_and_error(["run", str(pentagon_file), "--script", str(script)], capsys) == (2, err)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [[1, 2], [0, 0, 0]]}))
+    svg = tmp_path / "points.svg"
+    err = "error: points entry 1: all coordinates vanish: [0, 0, 0]\n"
+    assert _exit_and_error(["render", str(points), "--out", str(svg)], capsys) == (2, err)
+    assert not svg.exists()
+
+
 def test_spectral_on_float_data(tmp_path, capsys):
     """A float copy of the Q-net fixture gives float coefficients with the
     exact support and Newton polygon, each within 1e-12 relative."""

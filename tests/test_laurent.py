@@ -79,6 +79,7 @@ def test_json_round_trip():
         ({"terms": [[0, 0, "1"]]}, "term 0: expected an object"),
         ({"terms": {"dl": 0}}, "polynomial: expected an object with a terms list"),
         ([], "polynomial: expected an object with a terms list"),
+        ({"terms": [{"dl": 0, "dm": 0, "coeff": True}]}, "bad scalar True: a boolean is not a number"),
     ],
 )
 def test_json_rejects_malformed_terms(data, message):

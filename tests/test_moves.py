@@ -55,6 +55,7 @@ from dimergeom.spiral import spiral_step_on_config
 from dimergeom.torusgraph import (
     Edge,
     Face,
+    GraphEdit,
     TorusGraph,
     canonical_basis_cycles,
     check_walk,
@@ -362,7 +363,7 @@ def _apply(c, op, target, partition):
 
 def _graph_state(g):
     """A deep copy of the graph's fields and its indices."""
-    g.incidence(), g.faces_on(())  # build the lazy indices first
+    g.incidence(), g.face("")  # build the lazy indices first
     return copy.deepcopy([getattr(g, name) for name in TorusGraph.__slots__])
 
 
@@ -613,6 +614,35 @@ def test_a_closed_batch_numbers_its_edges_by_position(name, renew):
     assert _numbered_by_position(g) and validate_graph(g).ok
     cut = delete_edge(c.graph, 0, "merged")
     assert _numbered_by_position(cut) and len(cut.edges) == len(c.graph.edges) - 1
+
+
+@pytest.mark.parametrize(
+    "start, step",
+    [
+        (lambda: make_pentagram_fixture(16, 3)[3], lambda c: pentagram_step_on_config(c, 3)),
+        (lambda: make_spiral_fixture()[2], lambda c: spiral_step_on_config(c, SPIRAL_K, SPIRAL_N, SPIRAL_BASE)),
+        (lambda: make_qnet_fixture()[2], lambda c: qnet_step_on_config(c, 4, 4, 1)),
+    ],
+    ids=["pentagram-16/3", "spiral", "qnet-4x4"],
+)
+def test_a_dynamics_step_is_one_batch(monkeypatch, start, step):
+    # the renewals and the forced removals of a step edit one open graph
+    c = start()
+    calls = {"open": 0, "close": 0}
+    init, close = GraphEdit.__init__, GraphEdit.close
+
+    def counted_init(self, g):
+        calls["open"] += 1
+        init(self, g)
+
+    def counted_close(self):
+        calls["close"] += 1
+        return close(self)
+
+    monkeypatch.setattr(GraphEdit, "__init__", counted_init)
+    monkeypatch.setattr(GraphEdit, "close", counted_close)
+    step(c)
+    assert calls == {"open": 1, "close": 1}
 
 
 def test_renewals_at_corner_sharing_faces_equal_the_fold():
