@@ -19,7 +19,6 @@ from .config import (
     save_config,
 )
 from .geometry import (
-    Conic,
     HomogeneousElement,
     Subspace,
     affine_point,
@@ -56,7 +55,6 @@ from .torusgraph import TorusGraph, dimension_report, validate_graph
 
 __all__ = [
     "CohomologyClass",
-    "Conic",
     "DoubleCircuitConfig",
     "HomogeneousElement",
     "LaurentPoly2",

@@ -351,7 +351,10 @@ def _cmd_render(args) -> int:
             raise InputError("points must be a list of [x, y] or [x, y, z] entries")
         pts = []
         for n, entry in enumerate(entries):
-            vals = [parse_scalar(x) for x in entry]
+            try:
+                vals = [parse_scalar(x) for x in entry]
+            except InputError as exc:
+                raise InputError(f"points entry {n}: {exc}") from None
             if len(vals) == 2:
                 vals.append(parse_scalar("1"))
             if not any(vals):

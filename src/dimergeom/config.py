@@ -36,7 +36,7 @@ from .geometry import (
     multi_ratio,
 )
 from .laurent import _ipow
-from .scalars import FLOAT, RATIONAL, is_float, parse_ints, parse_scalar, scalar_str
+from .scalars import FLOAT, RATIONAL, parse_ints, parse_scalar, scalar_str
 from .torusgraph import (
     Edge,
     Face,
@@ -194,7 +194,7 @@ def cohomology_class(c: DoubleCircuitConfig, z1=None, z2=None) -> CohomologyClas
 def scalar_kind(c: DoubleCircuitConfig) -> str:
     """FLOAT when any label has a float coordinate, else RATIONAL."""
     labels = (*c.white_labels.values(), *c.black_labels.values())
-    return FLOAT if any(is_float(e.coords) for e in labels) else RATIONAL
+    return FLOAT if any(e.ints is None for e in labels) else RATIONAL
 
 
 def config_to_dict(c: DoubleCircuitConfig) -> dict:
@@ -293,7 +293,10 @@ def _edge(i: int, e: dict) -> Edge:
 def _parse_label(entry, kind, d, scalar):
     """d + 1 homogeneous coordinates, or d affine ones for a point (lifted
     with a trailing 1)."""
-    vals = [parse_scalar(x, scalar) for x in entry["coords"]]
+    try:
+        vals = [parse_scalar(x, scalar) for x in entry["coords"]]
+    except InputError as exc:
+        raise InputError(f"{kind} {entry['id']}: {exc}") from None
     if kind == POINT and len(vals) == d:
         vals.append(parse_scalar("1", scalar))
     if len(vals) != d + 1:
@@ -356,8 +359,5 @@ def load_config(path) -> DoubleCircuitConfig:
 
 
 def labels_projectively_equal(c1: DoubleCircuitConfig, c2: DoubleCircuitConfig) -> bool:
-    if set(c1.white_labels) != set(c2.white_labels) or set(c1.black_labels) != set(c2.black_labels):
-        return False
-    return all(c1.white_labels[v] == c2.white_labels[v] for v in c1.white_labels) and all(
-        c1.black_labels[v] == c2.black_labels[v] for v in c1.black_labels
-    )
+    # dict equality: the same vertex ids, and labels equal up to scale
+    return c1.white_labels == c2.white_labels and c1.black_labels == c2.black_labels

@@ -103,9 +103,7 @@ def _separable_point(x, y) -> HomogeneousElement:
 
 def _collineate(p: HomogeneousElement) -> HomogeneousElement:
     s = sum(w * c for w, c in zip(QNET_AXIS, p.coords))
-    coords = list(p.coords)
-    coords[3] = coords[3] + s
-    return HomogeneousElement(tuple(coords), POINT)
+    return HomogeneousElement((*p.coords[:3], p.coords[3] + s), POINT)
 
 
 def make_qnet_windows(span_i=range(-3, 8), span_j=range(-3, 8)):

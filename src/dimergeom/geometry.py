@@ -8,7 +8,7 @@ proper subset is independent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import frexp, gcd, lcm, ldexp
 
@@ -33,13 +33,20 @@ HYPERPLANE = "hyperplane"
 
 @dataclass(frozen=True)
 class HomogeneousElement:
-    """A point or hyperplane of P^d, scale-equivalent coordinate tuple."""
+    """A point or hyperplane of P^d, scale-equivalent coordinate tuple.
+
+    ``ints``, set once at construction, is ``linalg.int_row(coords)`` for
+    exact coordinates, which exact geometry reads in their place, and
+    ``None`` for float ones: it is also the exact-or-float flag."""
 
     coords: tuple
     kind: str
+    ints: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.coords or all(c == 0 for c in self.coords):
+        ints = None if is_float(self.coords) else tuple(linalg.int_row(self.coords))
+        object.__setattr__(self, "ints", ints)
+        if not any(self.coords if ints is None else ints):
             raise ZeroVector(f"all coordinates vanish: {self.coords}")
 
     @property
@@ -49,14 +56,14 @@ class HomogeneousElement:
     def __eq__(self, other):
         if not isinstance(other, HomogeneousElement):
             return NotImplemented
-        return self.kind == other.kind and proj_equal_coords(self.coords, other.coords)
+        return proj_equal(self, other)
 
     def __hash__(self):
         # exact: the canonical representative; float equality is
         # tolerance-based, so float coordinates are not hashed
-        if is_float(self.coords):
+        if self.ints is None:
             return hash((self.kind, self.dim))
-        return hash((self.kind, normalize(self).coords))
+        return hash((self.kind, _primitive(self.ints)))
 
     def __repr__(self):
         inner = ":".join(str(c) for c in self.coords)
@@ -85,13 +92,7 @@ def normalize(e: HomogeneousElement) -> HomogeneousElement:
 
 def normalize_coords(coords: tuple) -> tuple:
     if not is_float(coords):
-        ints = linalg.int_row(coords)
-        g = gcd(*ints)
-        if g == 0:
-            raise ZeroVector("all coordinates vanish")
-        if next(v for v in ints if v) < 0:
-            g = -g
-        return tuple(Fraction(v // g) for v in ints)
+        return tuple(map(Fraction, _primitive(linalg.int_row(coords))))
     scale = max(abs(c) for c in coords)
     if scale == 0:
         raise ZeroVector("all coordinates vanish")
@@ -105,26 +106,34 @@ def normalize_coords(coords: tuple) -> tuple:
     return tuple(out)
 
 
+def _primitive(ints) -> tuple:
+    """An int row divided by its content, positive at its first nonzero
+    entry: the canonical representative of a nonzero exact element."""
+    g = gcd(*ints)
+    if g == 0:
+        raise ZeroVector("all coordinates vanish")
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
 def proj_equal_coords(a: tuple, b: tuple) -> bool:
-    if len(a) != len(b):
-        return False
-    if is_float(a) != is_float(b):
-        return False  # an exact element never equals a float one
-    if not is_float(a):
-        # a ~ b iff a_i b_k == b_i a_k for every i, at a k with a_k != 0
-        ia, ib = linalg.int_row(a), linalg.int_row(b)
-        k = next((i for i, v in enumerate(ia) if v), None)
-        if k is None or not any(ib):
-            raise ZeroVector("all coordinates vanish")
-        ak, bk = ia[k], ib[k]
-        return all(x * bk == y * ak for x, y in zip(ia, ib))
-    na, nb = normalize_coords(a), normalize_coords(b)
-    scale = max(max(abs(x) for x in na), max(abs(x) for x in nb))
-    return all(is_zero(x - y, scale=scale) for x, y in zip(na, nb))
+    return len(a) == len(b) and proj_equal(HomogeneousElement(a, POINT), HomogeneousElement(b, POINT))
 
 
 def proj_equal(a: HomogeneousElement, b: HomogeneousElement) -> bool:
-    return a.kind == b.kind and proj_equal_coords(a.coords, b.coords)
+    if a.kind != b.kind or len(a.coords) != len(b.coords):
+        return False
+    if (a.ints is None) != (b.ints is None):
+        return False  # an exact element never equals a float one
+    if a.ints is not None:
+        # a ~ b iff a_i b_k == b_i a_k for every i, at a k with a_k != 0
+        k = next(i for i, v in enumerate(a.ints) if v)
+        ak, bk = a.ints[k], b.ints[k]
+        return all(x * bk == y * ak for x, y in zip(a.ints, b.ints))
+    na, nb = normalize_coords(a.coords), normalize_coords(b.coords)
+    scale = max(max(abs(x) for x in na), max(abs(x) for x in nb))
+    return all(is_zero(x - y, scale=scale) for x, y in zip(na, nb))
 
 
 def pairing(h: HomogeneousElement, p: HomogeneousElement):
@@ -135,21 +144,15 @@ def pairing(h: HomogeneousElement, p: HomogeneousElement):
         h, p = p, h
     if h.dim != p.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {h.dim} vs {p.dim}")
-    if is_float(h.coords) or is_float(p.coords):
+    if h.ints is None or p.ints is None:
         return sum(a * b for a, b in zip(h.coords, p.coords))
-    # exact: the dot product of the integer-scaled coordinates, divided once
+    # exact: the dot product of the integer rows, divided once
     den = lcm(*(c.denominator for c in h.coords)) * lcm(*(c.denominator for c in p.coords))
-    return Fraction(_dot(linalg.int_row(h.coords), linalg.int_row(p.coords)), den)
+    return Fraction(_dot(h.ints, p.ints), den)
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def tested_pairing(h: HomogeneousElement, p: HomogeneousElement):
-    """(pairing(h, p), whether it vanishes)."""
-    v = pairing(h, p)
-    return v, _vanishes(v, h.coords, p.coords)
 
 
 def _vanishes(v, u, w) -> bool:
@@ -161,7 +164,7 @@ def _vanishes(v, u, w) -> bool:
 
 
 def incident(h: HomogeneousElement, p: HomogeneousElement) -> bool:
-    return tested_pairing(h, p)[1]
+    return _vanishes(pairing(h, p), h.coords, p.coords)
 
 
 def _same_kind_dim(elems):
@@ -173,20 +176,21 @@ def _same_kind_dim(elems):
         raise DimensionMismatch("mixed ambient dimensions")
 
 
-def _kernel(rows):
-    """Right kernel basis: primitive int vectors for an exact matrix, the
-    float kernel otherwise."""
-    return linalg.nullspace(rows) if any(map(is_float, rows)) else linalg.int_nullspace(rows)
+def _kernel(rows, exact):
+    """Right kernel basis: primitive int vectors for an int matrix (exact
+    data, already scaled to ints), the float kernel otherwise."""
+    return linalg._int_nullspace(rows) if exact else linalg.nullspace(rows)
 
 
-def _relation(rows):
-    """The relation c (sum c_i * rows[i] = 0) of a circuit: a primitive int
-    vector for exact rows, the float kernel vector otherwise.
+def _relation(cols, exact):
+    """The relation c (sum c_i * rows[i] = 0) of a circuit, given the
+    columns of its rows: a primitive int vector for int columns, the float
+    kernel vector otherwise.
 
     Raises KernelNotOneDimensional, naming the relation-space dimension or
     the vanishing coefficient, unless the rows form a circuit (rank m-1
     with a nowhere-zero one-dimensional left kernel)."""
-    ker = _kernel([list(col) for col in zip(*rows)])
+    ker = _kernel(cols, exact)
     if len(ker) != 1:
         raise KernelNotOneDimensional(f"relation space has dimension {len(ker)}, need 1")
     c = ker[0]
@@ -204,10 +208,10 @@ def circuit_coefficients(rows):
     Raises KernelNotOneDimensional, naming the relation-space dimension or
     the vanishing coefficient, unless the rows form a circuit.
     """
-    c = _relation(rows)
-    if isinstance(c[-1], float):
-        return c
-    return [Fraction(x, c[-1]) for x in c]
+    exact = not any(map(is_float, rows))
+    # exact: each column scaled to ints, never a row, whose scale c carries
+    c = _relation([linalg.int_row(col) if exact else col for col in zip(*rows)], exact)
+    return [Fraction(x, c[-1]) for x in c] if exact else c
 
 
 def is_circuit(elems) -> bool:
@@ -222,8 +226,10 @@ def is_circuit(elems) -> bool:
         raise TooManyElements(f"{m} elements cannot form a circuit in P^{d}")
     # for m = d+2 the dependency is automatic; the nowhere-zero kernel test
     # is exactly "every (m-1)-subset independent"
+    # scaling a row keeps the relation's support, so the int rows serve
+    exact = all(e.ints is not None for e in elems)
     try:
-        _relation([e.coords for e in elems])
+        _relation(list(zip(*(e.ints if exact else e.coords for e in elems))), exact)
     except KernelNotOneDimensional:
         return False
     return True
@@ -244,9 +250,9 @@ class Subspace:
         return len(self.basis)
 
 
-def _echelon(rows):
+def _echelon(rows, exact):
     """The basis a Subspace stores for the row space of rows."""
-    reduced, _ = linalg.rref(rows) if any(map(is_float, rows)) else linalg.int_rref(rows)
+    reduced, _ = linalg.int_rref(rows) if exact else linalg.rref(rows)
     return tuple(tuple(r) for r in reduced)
 
 
@@ -257,50 +263,58 @@ def _binary_unit(rows):
 
 
 def _generators(gens):
-    """(coordinate rows, kind, d) of a Subspace or a nonempty element list."""
+    """(coordinate rows, their int rows or None for float data, kind, d) of
+    a Subspace or a nonempty element list."""
     if isinstance(gens, Subspace):
-        return list(gens.basis), gens.kind, gens.ambient
+        rows = list(gens.basis)
+        return rows, None if any(map(is_float, rows)) else rows, gens.kind, gens.ambient
     if not gens:
         raise TooFew("span of nothing")
     _same_kind_dim(gens)
-    return [e.coords for e in gens], gens[0].kind, gens[0].dim
+    ints = [e.ints for e in gens]
+    return [e.coords for e in gens], None if None in ints else ints, gens[0].kind, gens[0].dim
 
 
 def span(elems) -> Subspace:
-    rows, kind, d = _generators(list(elems))
-    return Subspace(_echelon(rows), kind, d)
+    rows, ints, kind, d = _generators(list(elems))
+    return Subspace(_echelon(rows if ints is None else ints, ints is not None), kind, d)
 
 
 def meet(gens1, gens2) -> Subspace:
     """Intersection of the spans of two generator lists (elements, or
     Subspaces whose basis rows are the generators).
 
-    One elimination of the matrix whose columns are both lists (exact rows
-    scaled to ints): each kernel vector (a, b) gives the element
-    sum a_i g1_i = -sum b_j g2_j of the intersection, and their echelon
-    basis spans it."""
-    rows1, kind, d = _generators(gens1)
-    rows2, kind2, d2 = _generators(gens2)
+    One elimination of the matrix whose columns are both lists (exact
+    generators by their integer rows): each kernel vector (a, b) gives the
+    element sum a_i g1_i = -sum b_j g2_j of the intersection, and their
+    echelon basis spans it.  A one-dimensional exact kernel gives one
+    element, whose echelon form is its primitive form: no second
+    elimination."""
+    rows1, ints1, kind, d = _generators(gens1)
+    rows2, ints2, kind2, d2 = _generators(gens2)
     if kind != kind2:
         raise KindMismatch("meet of different kinds")
     if d != d2:
         raise DimensionMismatch("meet in different ambient spaces")
-    floats = any(map(is_float, rows1)) or any(map(is_float, rows2))
-    if floats:
+    exact = ints1 is not None and ints2 is not None
+    if exact:
+        rows1, rows2 = ints1, ints2
+    else:
         # each generator on the scale 1, so that the zero tests no longer
         # depend on the generators' sizes
         rows1, rows2 = _binary_unit(rows1), _binary_unit(rows2)
-    else:
-        rows1, rows2 = [linalg.int_row(r) for r in rows1], [linalg.int_row(r) for r in rows2]
-    ker = _kernel([list(col) for col in zip(*rows1, *rows2)])
+    ker = _kernel(list(zip(*rows1, *rows2)), exact)
     elems = [[_dot(v, col) for col in zip(*rows1)] for v in ker]
-    if floats:
+    if not exact:
         # an element that vanishes at the scale of the terms of its relation
         # is rounding left by cancelling generators: drop it
         gens = rows1 + rows2
         scales = [max(abs(c * x) for c, row in zip(v, gens) for x in row) for v in ker]
         elems = [e for e, t in zip(elems, scales) if not all(is_zero(x / t) for x in e)]
-    basis = _echelon(elems)
+    if exact and len(elems) == 1:
+        basis = (_primitive(elems[0]),) if any(elems[0]) else ()
+    else:
+        basis = _echelon(elems, exact)
     if not basis:
         raise EmptyMeet("subspaces intersect trivially")
     return Subspace(basis, kind, d)
@@ -309,7 +323,12 @@ def meet(gens1, gens2) -> Subspace:
 def subspace_element(s: Subspace) -> HomogeneousElement:
     if s.rank != 1:
         raise DegenerateIntersection(f"expected a rank-1 subspace, got rank {s.rank}")
-    return HomogeneousElement(normalize_coords(s.basis[0]), s.kind)
+    return _element(s.basis[0], not is_float(s.basis[0]), s.kind)
+
+
+def _element(row, exact, kind) -> HomogeneousElement:
+    """The canonical element of a basis or kernel row (int for exact data)."""
+    return HomogeneousElement(tuple(map(Fraction, _primitive(row))) if exact else normalize_coords(tuple(row)), kind)
 
 
 def incident_element(elems) -> HomogeneousElement:
@@ -317,19 +336,19 @@ def incident_element(elems) -> HomogeneousElement:
     hyperplane through d points of P^d, or the common point of d
     hyperplanes (unique when they are independent)."""
     _same_kind_dim(elems)
-    ker = _kernel([e.coords for e in elems])
+    exact = all(e.ints is not None for e in elems)
+    ker = _kernel([e.ints if exact else e.coords for e in elems], exact)
     if elems[0].kind == POINT:
         kind, what = HYPERPLANE, "points do not span a unique hyperplane"
     else:
         kind, what = POINT, "hyperplanes do not meet in a unique point"
     if len(ker) != 1:
         raise DegenerateIntersection(what)
-    return HomogeneousElement(normalize_coords(tuple(ker[0])), kind)
+    return _element(ker[0], exact, kind)
 
 
 def join_points(points_) -> HomogeneousElement:
     """Hyperplane spanned by d points of P^d (unique when independent)."""
-    _same_kind_dim(points_)
     if points_[0].kind != POINT:
         raise KindMismatch("join_points takes points")
     return incident_element(points_)
@@ -337,7 +356,6 @@ def join_points(points_) -> HomogeneousElement:
 
 def meet_hyperplanes(hyps) -> HomogeneousElement:
     """Common point of d hyperplanes of P^d (unique when independent)."""
-    _same_kind_dim(hyps)
     if hyps[0].kind != HYPERPLANE:
         raise KindMismatch("meet_hyperplanes takes hyperplanes")
     return incident_element(hyps)
@@ -358,8 +376,8 @@ def _ratio_terms(cycle):
     pts, hyps = cycle[0::2], cycle[1::2]
     if any(p.kind != POINT for p in pts) or any(h.kind != HYPERPLANE for h in hyps):
         raise KindMismatch("cycle must alternate point, hyperplane, ...")
-    exact = not any(is_float(e.coords) for e in cycle)
-    rows = [linalg.int_row(e.coords) if exact else e.coords for e in cycle]
+    exact = all(e.ints is not None for e in cycle)
+    rows = [e.ints if exact else e.coords for e in cycle]
     n = len(pts)
     terms = [1, 1]
     for i in range(n):
@@ -393,30 +411,6 @@ def face_coherent(cycle) -> bool:
     return is_zero(r - 1, scale=abs(r))
 
 
-@dataclass(frozen=True)
-class Conic:
-    """Plane conic given by a symmetric 3x3 matrix M: P on it iff P^T M P = 0."""
-
-    matrix: tuple  # 3 rows of 3 scalars
-
-    def value(self, p: HomogeneousElement):
-        v = p.coords
-        return sum(self.matrix[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
-
-    def contains(self, p: HomogeneousElement) -> bool:
-        scale = max(abs(x) for row in self.matrix for x in row) * max(abs(c) for c in p.coords) ** 2
-        return is_zero(self.value(p), scale=scale)
-
-    def bilinear(self, p, q):
-        return sum(self.matrix[i][j] * p.coords[i] * q.coords[j] for i in range(3) for j in range(3))
-
-
-def conic_point(t) -> HomogeneousElement:
-    """Point (t : t^2 : 1) on yz = x^2."""
-    t = to_scalar(t)
-    return point(t, t * t, 1)
-
-
 def circumscribed_pair(params):
     """Polygon P circumscribed about yz = x^2 with tangency polygon Q.
 
@@ -431,5 +425,5 @@ def circumscribed_pair(params):
         raise DuplicateParameter("tangency parameters must be pairwise distinct")
     n = len(ts)
     P = [point((ts[i - 1] + ts[i]) / 2, ts[i - 1] * ts[i], 1) for i in range(n)]
-    Q = [conic_point(t) for t in ts]
+    Q = [point(t, t * t, 1) for t in ts]
     return P, Q

@@ -213,9 +213,12 @@ def int_nullspace(rows):
     """Kernel basis of an exact matrix on ints: one primitive vector per
     free column, positive there, each a positive multiple of the
     :func:`nullspace` vector of that column.  No Fraction is built."""
-    if not rows:
-        return []
-    return [v for _, v in _int_kernel(*_exact_echelon(rows), len(rows[0]))]
+    return _int_nullspace([int_row(r) for r in rows])
+
+
+def _int_nullspace(m):
+    """int_nullspace of an int matrix, unscaled (the list m is overwritten)."""
+    return [v for _, v in _int_kernel(*_int_echelon(m), len(m[0]))] if m else []
 
 
 def int_rref(rows):

@@ -125,7 +125,10 @@ def script_from_json(data, scalar=RATIONAL) -> MoveScript:
                 raise InputError(f"script step {idx}: add2 label must be a list of coordinates, got {label!r}")
             if not (isinstance(part, list) and len(part) == 2 and all(type(x) is int for x in part)):
                 raise InputError(f"script step {idx}: add2 partition must be two integers, got {part!r}")
-            coords = tuple(parse_scalar(x, scalar) for x in label)
+            try:
+                coords = tuple(parse_scalar(x, scalar) for x in label)
+            except InputError as exc:
+                raise InputError(f"script step {idx}: add2 label: {exc}") from None
             if not any(coords):
                 raise InputError(f"script step {idx}: add2 label: all coordinates vanish: {label!r}")
             label = HomogeneousElement(coords, HYPERPLANE)

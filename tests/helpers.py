@@ -1,13 +1,14 @@
 """Helpers that only the tests use: gauge changes of a configuration,
 class comparison, conic tangency, incidence checks of the pentagram,
 Q-net and spiral dynamics, and the non-periodic Q-net window fixture."""
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 from dimergeom import linalg
 from dimergeom.config import CohomologyClass, DoubleCircuitConfig
 from dimergeom.errors import SizeMismatch
 from dimergeom.fixtures import _collineate, _separable_point
-from dimergeom.geometry import POINT, Conic, HomogeneousElement, incident, line_through, meet_hyperplanes
+from dimergeom.geometry import POINT, HomogeneousElement, incident, line_through, meet_hyperplanes
 from dimergeom.pentagram import Polygon
 from dimergeom.qnet import QNetWindow
 from dimergeom.scalars import is_float, is_zero
@@ -44,6 +45,24 @@ def coboundary_shifted(c: DoubleCircuitConfig, potentials: dict) -> DoubleCircui
         edges.append(Edge(e.w, e.b, (e.h[0] + pw[0] - pb[0], e.h[1] + pw[1] - pb[1])))
     graph = TorusGraph(g.white_ids, g.black_ids, tuple(edges), g.faces, g.basis_cycles)
     return DoubleCircuitConfig(graph, c.d, c.white_labels, c.black_labels)
+
+
+@dataclass(frozen=True)
+class Conic:
+    """Plane conic given by a symmetric 3x3 matrix M: P on it iff P^T M P = 0."""
+
+    matrix: tuple  # 3 rows of 3 scalars
+
+    def value(self, p: HomogeneousElement):
+        v = p.coords
+        return sum(self.matrix[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
+
+    def contains(self, p: HomogeneousElement) -> bool:
+        scale = max(abs(x) for row in self.matrix for x in row) * max(abs(c) for c in p.coords) ** 2
+        return is_zero(self.value(p), scale=scale)
+
+    def bilinear(self, p, q):
+        return sum(self.matrix[i][j] * p.coords[i] * q.coords[j] for i in range(3) for j in range(3))
 
 
 def standard_conic() -> Conic:

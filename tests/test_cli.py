@@ -405,8 +405,36 @@ def test_boolean_coordinates_exit_two_naming_the_value(pentagon_file, tmp_path, 
     bad.write_text(json.dumps(data))
     script = tmp_path / "script.json"
     script.write_text(json.dumps([{**_ADD2, "label": [True, "2", "3"]}]))
-    for argv in (["validate", str(bad)], ["run", str(pentagon_file), "--script", str(script)]):
-        assert _exit_and_error(argv, capsys) == (2, "error: bad scalar True: a boolean is not a number\n")
+    reason = "bad scalar True: a boolean is not a number"
+    for argv, place in (
+        (["validate", str(bad)], "point P1"),
+        (["run", str(pentagon_file), "--script", str(script)], "script step 0: add2 label"),
+    ):
+        assert _exit_and_error(argv, capsys) == (2, f"error: {place}: {reason}\n")
+
+
+def test_malformed_label_scalar_names_the_vertex(pentagon_file, tmp_path, capsys):
+    data = json.loads(pentagon_file.read_text())
+    data["black"][3]["coords"][1] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert _exit_and_error(["validate", str(bad)], capsys) == (2, "error: hyperplane q3: bad scalar 'x'\n")
+
+
+def test_malformed_add2_scalar_names_the_script_step(pentagon_file, tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"op": "urban", "target": "d0"}, {**_ADD2, "label": ["1", "x", "3"]}]))
+    err = "error: script step 1: add2 label: bad scalar 'x'\n"
+    assert _exit_and_error(["run", str(pentagon_file), "--script", str(script)], capsys) == (2, err)
+
+
+def test_malformed_points_scalar_names_the_entry(tmp_path, capsys):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [[1, 2], [3, "x"]]}))
+    svg = tmp_path / "points.svg"
+    err = "error: points entry 1: bad scalar 'x'\n"
+    assert _exit_and_error(["render", str(points), "--out", str(svg)], capsys) == (2, err)
+    assert not svg.exists()
 
 
 def test_all_zero_labels_exit_two_naming_the_entry(pentagon_file, tmp_path, capsys):

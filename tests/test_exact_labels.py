@@ -1,0 +1,153 @@
+"""Exact labels carry their integer row.
+
+A ``HomogeneousElement`` computes ``ints`` once, when it is built, and
+exact geometry reads it in place of rescaling the coordinates on every
+call; a meet whose exact kernel is one-dimensional takes the primitive
+form of its one element in place of a second elimination.  These
+properties check both shortcuts against the paths they replace."""
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dimergeom import geometry as g
+from dimergeom import linalg
+from dimergeom.errors import EmptyMeet
+from dimergeom.fixtures import make_pentagram_fixture
+from dimergeom.pentagram import pentagram_step_on_config
+
+SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def exact_coords(draw, n):
+    """n exact coordinates, not all zero: ints, Fractions or a mix."""
+    coords = draw(st.lists(SCALARS, min_size=n, max_size=n).filter(any))
+    return tuple(coords)
+
+
+@st.composite
+def generator_lists(draw, d, kind):
+    """A list of 1..d+1 exact elements of P^d, sometimes with a rescaled
+    copy of one of them, so that the generators are dependent."""
+    elems = [g.HomogeneousElement(draw(exact_coords(d + 1)), kind) for _ in range(draw(st.integers(1, d + 1)))]
+    if draw(st.booleans()):
+        e = draw(st.sampled_from(elems))
+        scale = draw(st.sampled_from([1, -1, 2, Fraction(-3, 5)]))
+        elems.append(g.HomogeneousElement(tuple(scale * c for c in e.coords), kind))
+    return elems
+
+
+@st.composite
+def generator_pairs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from([g.POINT, g.HYPERPLANE]))
+    return draw(generator_lists(d, kind)), draw(generator_lists(d, kind))
+
+
+def full_path_meet(gens1, gens2):
+    """The meet with both eliminations: the int kernel of the columns of
+    both lists, then the echelon basis of every kernel element."""
+    rows1, rows2 = [list(e.ints) for e in gens1], [list(e.ints) for e in gens2]
+    ker = linalg.int_nullspace([list(col) for col in zip(*rows1, *rows2)])
+    elems = [[sum(a * x for a, x in zip(v, col)) for col in zip(*rows1)] for v in ker]
+    basis = g._echelon(elems, True)
+    if not basis:
+        raise EmptyMeet("subspaces intersect trivially")
+    return g.Subspace(basis, gens1[0].kind, gens1[0].dim)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except EmptyMeet as exc:
+        return None, (type(exc), str(exc))
+
+
+def _pts(*rows):
+    return [g.point(*r) for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_pairs())
+# dependent generators: the one kernel vector cancels p against 2p, so the
+# only element is zero and the meet is empty
+@example((_pts((1, 2, 3), (2, 4, 6)), _pts((1, 0, 0), (0, 1, 0))))
+@example((_pts((0, 0, 1), (1, 0, 1)), _pts((1, 1, 1), (1, -1, 1))))  # two lines: a point
+def test_meet_equals_the_two_elimination_path(pair):
+    gens1, gens2 = pair
+    assert _outcome(g.meet, gens1, gens2) == _outcome(full_path_meet, gens1, gens2)
+
+
+def test_dependent_generators_with_a_zero_kernel_element_raise_empty_meet():
+    gens1, gens2 = _pts((1, 2, 3), (2, 4, 6)), _pts((1, 0, 0), (0, 1, 0))
+    ker = linalg.int_nullspace([list(col) for col in zip(*(e.ints for e in gens1 + gens2))])
+    assert len(ker) == 1
+    assert _outcome(g.meet, gens1, gens2)[1] == (EmptyMeet, "subspaces intersect trivially")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(exact_coords), st.sampled_from([g.POINT, g.HYPERPLANE]))
+def test_ints_is_the_integer_row_of_exact_coordinates(coords, kind):
+    e = g.HomogeneousElement(coords, kind)
+    assert e.ints == tuple(linalg.int_row(coords))
+    assert all(type(x) is int for x in e.ints)
+    assert g.HomogeneousElement(tuple(map(Fraction, coords)), kind).ints == e.ints
+
+
+@given(st.lists(st.floats(-4, 4), min_size=1, max_size=4).filter(any))
+def test_float_coordinates_carry_no_integer_row(coords):
+    # a float coordinate makes the element float data, beside exact ones too
+    assert g.HomogeneousElement(tuple(coords), g.POINT).ints is None
+    assert g.HomogeneousElement((*coords, Fraction(1, 3)), g.POINT).ints is None
+
+
+def test_ints_is_no_field_of_the_constructor_repr_or_comparison():
+    e = g.point(Fraction(1, 2), 3, 1)
+    assert e.ints == (1, 6, 2)
+    assert repr(e) == "(1/2:3:1)"
+    assert e == g.HomogeneousElement((Fraction(1), Fraction(6), Fraction(2)), g.POINT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 4).flatmap(exact_coords),
+    st.sampled_from([1, -1, 3, Fraction(-2, 7), Fraction(5, 3)]),
+    st.sampled_from([g.POINT, g.HYPERPLANE]),
+)
+def test_equality_and_hash_agree_with_coordinate_equality(coords, scale, kind):
+    a = g.HomogeneousElement(coords, kind)
+    scaled = tuple(scale * c for c in coords)
+    other = tuple(reversed(coords))
+    for b_coords in (scaled, other):
+        b = g.HomogeneousElement(b_coords, kind)
+        same = g.proj_equal_coords(coords, b_coords)
+        assert (a == b) == same and g.proj_equal(a, b) == same
+        if same:
+            assert hash(a) == hash(b)
+    assert hash(a) == hash(g.HomogeneousElement(scaled, kind))
+
+
+def test_a_pentagram_step_scales_each_label_once(monkeypatch):
+    """Each label built in a step computes its integer row once, and no
+    geometry call rescales a label again."""
+    _, _, _, c = make_pentagram_fixture(16, 3)
+    counts = {"int_row": 0, "built": 0}
+    int_row, post_init = linalg.int_row, g.HomogeneousElement.__post_init__
+
+    def counted_int_row(row):
+        counts["int_row"] += 1
+        return int_row(row)
+
+    def counted_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(linalg, "int_row", counted_int_row)
+    monkeypatch.setattr(g.HomogeneousElement, "__post_init__", counted_post_init)
+    pentagram_step_on_config(c, 3)
+    assert counts["built"] > 0
+    assert counts["int_row"] <= counts["built"]
