@@ -235,8 +235,9 @@ def config_from_dict(data: dict) -> DoubleCircuitConfig:
     kind.  Raises InputError for an unknown kind and for any structural
     defect (wrong JSON types, a float or string where an integer belongs,
     missing keys, h vectors not of two entries, edge refs out of range in
-    faces or basis cycles, face_ids not strings or not matching faces,
-    label lengths not matching the dimension, malformed scalars)."""
+    faces or basis cycles, vertex ids or face_ids not strings, face_ids
+    not matching faces, label lengths not matching the dimension,
+    malformed scalars)."""
     if not isinstance(data, dict):
         raise InputError("configuration must be a JSON object")
     scalar = data.get("scalar", RATIONAL)
@@ -256,6 +257,10 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
         raise InputError(f"dimension: expected an integer, got {d!r}")
     white_ids = tuple(w["id"] for w in data["white"])
     black_ids = tuple(b["id"] for b in data["black"])
+    for side, ids in (("white", white_ids), ("black", black_ids)):
+        bad = next((i for i, v in enumerate(ids) if not isinstance(v, str)), None)
+        if bad is not None:
+            raise InputError(f"{side} entry {bad}: id must be a string, got {ids[bad]!r}")
     edges = tuple(_edge(i, e) for i, e in enumerate(data["edges"]))
     faces_json = data.get("faces", [])
     face_ids = data.get("face_ids") or [f"f{i}" for i in range(len(faces_json))]

@@ -284,12 +284,12 @@ def meet(gens1, gens2) -> Subspace:
     """Intersection of the spans of two generator lists (elements, or
     Subspaces whose basis rows are the generators).
 
-    One elimination of the matrix whose columns are both lists (exact
-    generators by their integer rows): each kernel vector (a, b) gives the
-    element sum a_i g1_i = -sum b_j g2_j of the intersection, and their
-    echelon basis spans it.  A one-dimensional exact kernel gives one
-    element, whose echelon form is its primitive form: no second
-    elimination."""
+    The kernel of the matrix whose columns are both lists (exact generators
+    by their integer rows; minors give an exact kernel of corank one in at
+    most 4 columns, one elimination any other): each kernel vector (a, b)
+    gives the element sum a_i g1_i = -sum b_j g2_j of the intersection, and
+    their echelon basis spans it.  A one-dimensional exact kernel gives one
+    element, whose echelon form is its primitive form: no echelon pass."""
     rows1, ints1, kind, d = _generators(gens1)
     rows2, ints2, kind2, d2 = _generators(gens2)
     if kind != kind2:

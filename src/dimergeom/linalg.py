@@ -9,8 +9,10 @@ built only at the readout, when a pivot row is divided by its pivot, so an
 exact matrix, int data included, gets Fraction results equal to those of
 Gauss-Jordan elimination over Fractions.  :func:`int_nullspace` and
 :func:`int_rref` read the same elimination as primitive int vectors and
-build no Fraction.  The determinant takes exact matrices only: Bareiss
-elimination on the same integer rows.
+build no Fraction; a corank-one kernel in at most 4 columns (the joins,
+meets and circuit tests of P^2 and P^3) is read from signed maximal minors
+instead, as the same vector.  The determinant takes exact matrices only:
+Bareiss elimination on the same integer rows.
 
 A matrix with a float entry takes partial pivoting with every zero
 decision made by :func:`scalars.is_zero` relative to the largest entry of
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .scalars import is_float, is_zero
 
@@ -212,13 +215,44 @@ def nullspace(rows):
 def int_nullspace(rows):
     """Kernel basis of an exact matrix on ints: one primitive vector per
     free column, positive there, each a positive multiple of the
-    :func:`nullspace` vector of that column.  No Fraction is built."""
+    :func:`nullspace` vector of that column.  No Fraction is built; a
+    corank-one kernel in at most 4 columns comes from minors, every other
+    one from the elimination."""
     return _int_nullspace([int_row(r) for r in rows])
 
 
 def _int_nullspace(m):
-    """int_nullspace of an int matrix, unscaled (the list m is overwritten)."""
-    return [v for _, v in _int_kernel(*_int_echelon(m), len(m[0]))] if m else []
+    """int_nullspace of an int matrix, unscaled (the list m may be
+    overwritten).  With n <= 4 columns, nonzero minors v of the first n - 1
+    rows span their kernel: the kernel is v, primitive and positive at its
+    last nonzero entry (the free column), or none if a later row misses v."""
+    n = len(m[0]) if m else 0
+    v = _minors(m[: n - 1]) if 2 <= n <= 4 and len(m) >= n - 1 else [0]
+    if not any(v):
+        return [v for _, v in _int_kernel(*_int_echelon(m), n)] if m else []
+    if any(sum(map(mul, row, v)) for row in m[n - 1 :]):
+        return []
+    g = gcd(*v) if next(x for x in reversed(v) if x) > 0 else -gcd(*v)
+    return [[x // g for x in v]]
+
+
+def _minors(rows):
+    """(-1)^i det(rows without column i) for k = 1, 2, 3 rows of length k + 1."""
+    a = rows[0]
+    if len(rows) == 1:
+        return [a[1], -a[0]]
+    b = rows[1]
+    if len(rows) == 2:
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    c = rows[2]
+    p01, p02, p03 = a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0], a[0] * b[3] - a[3] * b[0]
+    p12, p13, p23 = a[1] * b[2] - a[2] * b[1], a[1] * b[3] - a[3] * b[1], a[2] * b[3] - a[3] * b[2]
+    return [
+        c[1] * p23 - c[2] * p13 + c[3] * p12,
+        c[2] * p03 - c[0] * p23 - c[3] * p02,
+        c[0] * p13 - c[1] * p03 + c[3] * p01,
+        c[1] * p02 - c[0] * p12 - c[2] * p01,
+    ]
 
 
 def int_rref(rows):

@@ -456,6 +456,26 @@ def test_all_zero_labels_exit_two_naming_the_entry(pentagon_file, tmp_path, caps
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("side", ["white", "black"])
+@pytest.mark.parametrize("value", [True, 5, None, 1.5])
+def test_non_string_vertex_ids_exit_two_naming_the_entry(pentagon_file, tmp_path, capsys, side, value):
+    # an id that is no string is malformed input, not an invalid graph, and
+    # never reaches the renderer's sort of the vertex ids
+    data = json.loads(pentagon_file.read_text())
+    data[side][0]["id"] = value
+    bad, svg = tmp_path / "bad.json", tmp_path / "bad.svg"
+    bad.write_text(json.dumps(data))
+    err = f"error: {side} entry 0: id must be a string, got {value!r}\n"
+    for argv in (
+        ["validate", str(bad)],
+        ["render", str(bad), "--out", str(svg)],
+        ["spectral", str(bad)],
+        ["run", str(bad), "--builtin", "pentagram"],
+    ):
+        assert _exit_and_error(argv, capsys) == (2, err)
+    assert not svg.exists()
+
+
 def test_spectral_on_float_data(tmp_path, capsys):
     """A float copy of the Q-net fixture gives float coefficients with the
     exact support and Newton polygon, each within 1e-12 relative."""

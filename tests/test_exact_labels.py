@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from dimergeom import geometry as g
 from dimergeom import linalg
+from dimergeom.config import check_F, check_V
 from dimergeom.errors import EmptyMeet
-from dimergeom.fixtures import make_pentagram_fixture
+from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
 from dimergeom.pentagram import pentagram_step_on_config
+from dimergeom.qnet import _config_white_parity, qnet_step_on_config
 
 SCALARS = st.one_of(
     st.integers(-4, 4),
@@ -151,3 +153,24 @@ def test_a_pentagram_step_scales_each_label_once(monkeypatch):
     pentagram_step_on_config(c, 3)
     assert counts["built"] > 0
     assert counts["int_row"] <= counts["built"]
+
+
+def test_joins_meets_and_circuit_tests_skip_the_elimination(monkeypatch):
+    """Every kernel of a pentagram step, of its (V) and (F) checks and of a
+    Q-net step has corank one in at most 4 columns: the minors read it, and
+    the elimination never runs."""
+    _, _, _, c = make_pentagram_fixture(16, 3)
+    _, _, cq = make_qnet_fixture()
+    counts = {"echelon": 0}
+    echelon = linalg._int_echelon
+
+    def counted_echelon(m):
+        counts["echelon"] += 1
+        return echelon(m)
+
+    monkeypatch.setattr(linalg, "_int_echelon", counted_echelon)
+    stepped = pentagram_step_on_config(c, 3)
+    assert check_V(stepped).ok and check_F(stepped).ok
+    assert counts["echelon"] == 0
+    qnet_step_on_config(cq, 4, 4, 1 - _config_white_parity(cq))
+    assert counts["echelon"] == 0

@@ -175,6 +175,45 @@ def test_int_matrix_gives_fraction_kernel():
     assert all(type(x) is F for v in kernel for x in v)
 
 
+BIG = 2**70
+
+
+@st.composite
+def int_matrices(draw):
+    """0-6 rows by 1-5 columns of ints up to 2^70, with a zero row, a
+    repeated row, a scaled row or a sum of two rows now and then, so that
+    corank-one kernels with dependent rows are common."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-BIG, BIG))
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        how = draw(st.sampled_from(["drawn", "zero", "repeat", "scale", "sum"]))
+        a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        k = draw(st.sampled_from([-3, -1, 2, BIG]))
+        m[i] = {
+            "drawn": m[i],
+            "zero": [0] * ncols,
+            "repeat": list(m[a]),
+            "scale": [k * x for x in m[a]],
+            "sum": [x + k * y for x, y in zip(m[a], m[b])],
+        }[how]
+    return m, ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_matrices())
+# the first n - 1 rows are dependent, yet the corank is one: the elimination
+@example(([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3))
+# overdetermined and of full rank: no kernel
+@example(([[1, 2], [3, 4], [5, 6]], 2))
+# the minors of the first three rows are missed by the last row only
+@example(([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [2, 0, 0, 0], [0, 0, 0, 1]], 4))
+def test_int_nullspace_equals_the_elimination_readout(case):
+    m, ncols = case
+    expected = [v for _, v in linalg._int_kernel(*linalg._int_echelon([list(r) for r in m]), ncols)] if m else []
+    assert linalg._int_nullspace([list(r) for r in m]) == expected
+
+
 def test_int_system_gives_fraction_solution():
     status, x, ker = linalg.solve([[2, 1], [1, 3]], [1, 0])
     assert status == "unique" and x == [F(3, 5), F(-1, 5)] and ker == []
