@@ -7,91 +7,37 @@ the rationals, applies the dimer local moves with their geometric label
 updates, runs pentagram / spiral / Q-net dynamics both by direct formula
 and by move scripts, and computes Kasteleyn weights, spectral curves,
 cohomology classes, and black-data reconstruction.
+
+The names below are loaded from their submodule on first use (PEP 562),
+so importing the package, or one submodule, compiles only what it needs.
 """
 
-from .config import (
-    CohomologyClass,
-    DoubleCircuitConfig,
-    check_F,
-    check_V,
-    cohomology_class,
-    load_config,
-    save_config,
-)
-from .geometry import (
-    HomogeneousElement,
-    Subspace,
-    affine_point,
-    circumscribed_pair,
-    face_coherent,
-    hyperplane,
-    is_circuit,
-    meet,
-    multi_ratio,
-    normalize,
-    pairing,
-    point,
-    span,
-)
-from .laurent import LaurentPoly2, newton_polygon, poly_from_json, poly_to_json
-from .moves import (
-    MoveScript,
-    MoveStep,
-    add_degree2,
-    apply_script,
-    remove_degree2,
-    script_to_json,
-    urban_renewal,
-)
-from .spectral import (
-    kasteleyn_weights,
-    kernel_at,
-    on_curve,
-    reconstruct_black,
-    spectral_polynomial,
-    spectral_polynomial_dual,
-)
-from .torusgraph import TorusGraph, dimension_report, validate_graph
+from importlib import import_module
 
-__all__ = [
-    "CohomologyClass",
-    "DoubleCircuitConfig",
-    "HomogeneousElement",
-    "LaurentPoly2",
-    "MoveScript",
-    "MoveStep",
-    "Subspace",
-    "TorusGraph",
-    "add_degree2",
-    "affine_point",
-    "apply_script",
-    "check_F",
-    "check_V",
-    "circumscribed_pair",
-    "cohomology_class",
-    "dimension_report",
-    "face_coherent",
-    "hyperplane",
-    "is_circuit",
-    "kasteleyn_weights",
-    "kernel_at",
-    "load_config",
-    "meet",
-    "multi_ratio",
-    "newton_polygon",
-    "normalize",
-    "on_curve",
-    "pairing",
-    "point",
-    "poly_from_json",
-    "poly_to_json",
-    "reconstruct_black",
-    "remove_degree2",
-    "save_config",
-    "script_to_json",
-    "span",
-    "spectral_polynomial",
-    "spectral_polynomial_dual",
-    "urban_renewal",
-    "validate_graph",
-]
+_SUBMODULE = {
+    name: module
+    for module, names in (
+        ("config", "CohomologyClass DoubleCircuitConfig check_F check_V cohomology_class load_config save_config"),
+        (
+            "geometry",
+            "HomogeneousElement Subspace affine_point circumscribed_pair face_coherent hyperplane is_circuit meet"
+            " multi_ratio normalize pairing point span",
+        ),
+        ("laurent", "LaurentPoly2 newton_polygon poly_from_json poly_to_json"),
+        ("moves", "MoveScript MoveStep add_degree2 apply_script remove_degree2 script_to_json urban_renewal"),
+        (
+            "spectral",
+            "kasteleyn_weights kernel_at on_curve reconstruct_black spectral_polynomial spectral_polynomial_dual",
+        ),
+        ("torusgraph", "TorusGraph dimension_report validate_graph"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)

@@ -24,20 +24,7 @@ from .config import (
 )
 from .errors import GeometryError, InputError
 from .geometry import POINT, HomogeneousElement
-from .laurent import newton_polygon, poly_to_json
-from .moves import apply_script, load_script
-from .render import RenderSpec, render_config
 from .scalars import parse_scalar
-from .spectral import (
-    EmptyKernel,
-    fiber_polynomial,
-    kasteleyn_weights,
-    on_curve,
-    reconstruct_black,
-    spectral_polynomial,
-    spectral_polynomial_dual,
-    spectral_polynomial_white,
-)
 from .torusgraph import dimension_report, validate_graph
 
 
@@ -141,6 +128,8 @@ def _cmd_run(args) -> int:
         raise InputError(f"--k must be positive, got {args.k}")
     trace: list = []
     if args.script:
+        from .moves import apply_script, load_script
+
         script = load_script(args.script, scalar_kind(c))
         for idx, s in enumerate(script.steps):
             if s.label is not None and len(s.label.coords) != c.d + 1:
@@ -246,6 +235,9 @@ def _load_valid(path):
 
 
 def _cmd_spectral(args) -> int:
+    from .laurent import newton_polygon, poly_to_json
+    from .spectral import spectral_polynomial_white
+
     c = _load_valid(args.config)
     poly = spectral_polynomial_white(c)
     data = poly_to_json(poly)
@@ -259,6 +251,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .spectral import EmptyKernel, reconstruct_black
+
     c = _load_valid(args.white_config)
     kind = scalar_kind(c)
     lam, mu = parse_scalar(args.lam, kind), parse_scalar(args.mu, kind)
@@ -282,6 +276,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # imported before the probe's numpy: compiling spectral with numpy loaded raises the peak memory
+    from .spectral import spectral_polynomial_dual, spectral_polynomial_white
+
     if args.name == "birationality-probe" and args.samples < 1:
         raise InputError(f"--samples must be positive, got {args.samples}")
     c = _load_valid(args.config)
@@ -301,6 +298,8 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
     import random
 
     import numpy as np
+
+    from .spectral import fiber_polynomial, kasteleyn_weights, on_curve, reconstruct_black, spectral_polynomial
 
     weights = kasteleyn_weights(c.graph, c.white_labels)
     poly = spectral_polynomial(c.graph, weights)
@@ -333,6 +332,8 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import RenderSpec, render_config, render_points
+
     spec = RenderSpec(
         xmin=args.box[0],
         xmax=args.box[1],
@@ -344,8 +345,6 @@ def _cmd_render(args) -> int:
     data = read_json(args.config)
     if isinstance(data, dict) and "points" in data:
         # bare polygon file: {"points": [[x, y] or [x, y, z], ...]}
-        from .render import render_points
-
         entries = data["points"]
         if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) in (2, 3) for e in entries):
             raise InputError("points must be a list of [x, y] or [x, y, z] entries")

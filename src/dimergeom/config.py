@@ -35,8 +35,7 @@ from .geometry import (
     is_circuit,
     multi_ratio,
 )
-from .laurent import _ipow
-from .scalars import FLOAT, RATIONAL, parse_ints, parse_scalar, scalar_str
+from .scalars import FLOAT, RATIONAL, _ipow, parse_ints, parse_scalar, scalar_str
 from .torusgraph import (
     Edge,
     Face,
@@ -270,8 +269,11 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
         raise InputError("face_ids must be strings")
     faces = _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids)
     basis = None
-    if "basis_cycles" in data and data["basis_cycles"]:
-        basis = tuple(parse_ints(data["basis_cycles"][z], f"basis_cycles {z}") for z in ("z1", "z2"))
+    cycles = data.get("basis_cycles")
+    if cycles:
+        if not (isinstance(cycles, dict) and all(isinstance(cycles.get(z), list) for z in ("z1", "z2"))):
+            raise InputError("basis_cycles: expected an object with z1 and z2 edge lists")
+        basis = tuple(parse_ints(cycles[z], f"basis_cycles {z}") for z in ("z1", "z2"))
         if not all(0 <= ei < len(edges) for walk in basis for ei in walk):
             raise InputError(f"basis_cycles: edge index out of range 0..{len(edges) - 1}")
     graph = TorusGraph(white_ids, black_ids, edges, faces, basis)
@@ -298,6 +300,8 @@ def _edge(i: int, e: dict) -> Edge:
 def _parse_label(entry, kind, d, scalar):
     """d + 1 homogeneous coordinates, or d affine ones for a point (lifted
     with a trailing 1)."""
+    if not isinstance(entry["coords"], list):
+        raise InputError(f"{kind} {entry['id']}: coords must be a list, got {entry['coords']!r}")
     try:
         vals = [parse_scalar(x, scalar) for x in entry["coords"]]
     except InputError as exc:

@@ -19,10 +19,6 @@ from fractions import Fraction as F
 
 from .errors import BadParameters, GeometryError
 from .geometry import POINT, HomogeneousElement, affine_point, circumscribed_pair, point
-from .pentagram import Polygon, build_pentagram_config, build_pentagram_graph, lines_from_vertices
-from .qnet import QNetWindow, build_qnet_config, build_qnet_graph, plane_of_quad
-from .spectral import fiber_polynomial, kasteleyn_weights, rational_roots, reconstruct_black, spectral_polynomial
-from .spiral import LineSeed, SpiralSeed, build_spiral_graph, sample_spiral_seed
 from .torusgraph import TorusGraph, delete_edge
 
 
@@ -41,6 +37,8 @@ def default_pentagram_params(n: int, seed: int = 0):
 
 def make_pentagram_fixture(n: int, k: int, params=None, seed: int = 0):
     """(P, Q, q, config): conic-inscribed pair plus the labeled template."""
+    from .pentagram import Polygon, build_pentagram_config, build_pentagram_graph, lines_from_vertices
+
     build_pentagram_graph(n, k)  # checks (n, k) before any geometry
     if params is None:
         params = default_pentagram_params(n, seed)
@@ -65,13 +63,19 @@ SPIRAL_CLASS_POINT = (F(1, 5), F(2))
 SPIRAL_EXTRA_POINTS = ((F(128, 135), F(-3, 4)), (F(24, 5), F(1, 2)))
 
 
-def make_spiral_white_seed() -> SpiralSeed:
+def make_spiral_white_seed():
+    """The frozen spiral's point seed (a spiral.SpiralSeed)."""
+    from .spiral import sample_spiral_seed
+
     free = [affine_point(*xy) for xy in SPIRAL_FREE]
     return sample_spiral_seed(SPIRAL_K, SPIRAL_N, SPIRAL_BASE, free, [SPIRAL_T0])
 
 
 def make_spiral_fixture():
     """(point seed, line seed, config) for the coherent spiral pair."""
+    from .spectral import reconstruct_black
+    from .spiral import LineSeed, build_spiral_graph
+
     sP = make_spiral_white_seed()
     g = build_spiral_graph(SPIRAL_K, SPIRAL_N, SPIRAL_BASE)
     N = SPIRAL_N + 1
@@ -109,6 +113,8 @@ def _collineate(p: HomogeneousElement) -> HomogeneousElement:
 def make_qnet_windows(span_i=range(-3, 8), span_j=range(-3, 8)):
     """(f, g) point windows forming an exact F-transform pair: a periodic
     net on the quadric z = xy and its central-collineation image."""
+    from .qnet import QNetWindow
+
     f = QNetWindow(
         {
             (i, j): _separable_point(QNET_XS[i % QNET_A], QNET_YS[j % QNET_B])
@@ -123,6 +129,8 @@ def make_qnet_windows(span_i=range(-3, 8), span_j=range(-3, 8)):
 
 def make_qnet_fixture():
     """(f window, G window, config) for the coherent torus quotient."""
+    from .qnet import QNetWindow, build_qnet_config, plane_of_quad
+
     a, b = QNET_A, QNET_B
     f, g_mate = make_qnet_windows(range(-1, a + 1), range(-1, b + 1))
     f_one = QNetWindow(
@@ -156,6 +164,8 @@ GRID_WHITE = {
 
 def make_grid_minus_edge():
     """(graph, white labels): torus grid minus the W0x0--B1x0 edge."""
+    from .qnet import build_qnet_graph
+
     g0 = build_qnet_graph(GRID_A, GRID_B, 0)
     ei = next(i for i, e in enumerate(g0.edges) if e.w == "W0x0" and e.b == "B1x0")
     g = delete_edge(g0, ei, "hole")
@@ -166,6 +176,8 @@ def make_grid_minus_edge():
 def grid_minus_edge_curve_point(g: TorusGraph, white: dict):
     """Deterministic rational point on the grid fixture's curve: the first
     non-unit rational root of the lambda = 1 fiber."""
+    from .spectral import fiber_polynomial, kasteleyn_weights, rational_roots, spectral_polynomial
+
     kw = kasteleyn_weights(g, white)
     poly = spectral_polynomial(g, kw)
     for mu in rational_roots(fiber_polynomial(poly, "lam", F(1))):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, ZeroPolynomial
-from .scalars import is_float, is_zero, parse_ints, parse_scalar, scalar_str
+from .scalars import _ipow, is_float, is_zero, parse_ints, parse_scalar, scalar_str
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,6 @@ class LaurentPoly2:
             coeff = scalar_str(c)
             bits.append(coeff + ("*" + "*".join(mono) if mono else ""))
         return " + ".join(bits)
-
-
-def _ipow(x, n: int):
-    """x**n for any integer n; an int or Fraction x gives an exact result."""
-    if n >= 0:
-        return x**n
-    return (1 if isinstance(x, float) else Fraction(1)) / x ** (-n)
 
 
 def _scale(d: dict) -> float:

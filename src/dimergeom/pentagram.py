@@ -22,7 +22,6 @@ from functools import cache
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, DegenerateIntersection, SizeMismatch
 from .geometry import incident_element, line_through, meet_hyperplanes
-from .moves import step_on_config
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
 
@@ -190,6 +189,8 @@ def pentagram_step_on_config(c: DoubleCircuitConfig, k: int) -> DoubleCircuitCon
     the advanced line q'_{i-k-1}.  The renaming reads only the template's
     faces, so it gets the tile graph without basis cycles.
     """
+    from .moves import step_on_config
+
     n = len(c.graph.white_ids)
     _check_template(n, k)
     return step_on_config(

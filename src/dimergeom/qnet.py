@@ -36,7 +36,6 @@ from .geometry import (
     proj_equal,
     subspace_element,
 )
-from .moves import step_on_config
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
 
@@ -265,6 +264,8 @@ def qnet_step_on_config(c: DoubleCircuitConfig, a: int, b: int, base_parity: int
     base_parity == 1 - white parity realizes the plain Laplace transforms,
     the other parity the transposed ones.  The renaming reads only the
     template's faces, so it gets the tile graph without basis cycles."""
+    from .moves import step_on_config
+
     return step_on_config(
         c,
         [f"F{i}x{j}" for i in range(a) for j in range(b) if (i + j) % 2 == base_parity],

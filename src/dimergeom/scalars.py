@@ -61,6 +61,13 @@ def is_zero(x, scale=1) -> bool:
     return x == 0
 
 
+def _ipow(x, n: int):
+    """x**n for any integer n; an int or Fraction x gives an exact result."""
+    if n >= 0:
+        return x**n
+    return (1 if isinstance(x, float) else Fraction(1)) / x ** (-n)
+
+
 def scalar_str(x) -> str:
     """Serialize a scalar: ``p/q`` (q > 0, reduced) or ``p``; floats use
     the shortest round-trip decimal."""

@@ -42,8 +42,8 @@ from .errors import (
     UnequalColorCounts,
 )
 from .geometry import HYPERPLANE, HomogeneousElement, circuit_coefficients, normalize_coords
-from .laurent import LaurentPoly2, _ipow
-from .scalars import is_float, is_zero
+from .laurent import LaurentPoly2
+from .scalars import _ipow, is_float, is_zero
 from .torusgraph import Edge, Face, TorusGraph, vertex_edges
 
 

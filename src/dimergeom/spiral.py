@@ -18,7 +18,6 @@ from . import linalg
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, SeedInvalid, SizeMismatch
 from .geometry import HomogeneousElement, incident_element, line_through, meet_hyperplanes
-from .moves import step_on_config
 from .pentagram import build_tile_graph
 from .torusgraph import TorusGraph, with_basis_cycles
 
@@ -188,6 +187,8 @@ def spiral_step_on_config(c: DoubleCircuitConfig, k: int, n: int, i: int) -> Dou
     build_spiral_config of the seeds shifted by one.  The renaming reads
     only the template's faces, so it gets the tile graph without basis
     cycles."""
+    from .moves import step_on_config
+
     N = n + 1
     return step_on_config(
         c,

@@ -1,7 +1,10 @@
+import ast
 import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -421,6 +424,30 @@ def test_malformed_label_scalar_names_the_vertex(pentagon_file, tmp_path, capsys
     assert _exit_and_error(["validate", str(bad)], capsys) == (2, "error: hyperplane q3: bad scalar 'x'\n")
 
 
+@pytest.mark.parametrize("cmd", ["validate", "spectral"])
+@pytest.mark.parametrize("side, vertex", [("white", "point P0"), ("black", "hyperplane q0")])
+@pytest.mark.parametrize("coords", ["601", 7, {"x": "1"}])
+def test_coords_that_are_no_list_exit_two_naming_the_vertex(pentagon_file, tmp_path, capsys, cmd, side, vertex, coords):
+    # a string of d + 1 digits is not read one character at a time
+    data = json.loads(pentagon_file.read_text())
+    data[side][0]["coords"] = coords
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    err = f"error: {vertex}: coords must be a list, got {coords!r}\n"
+    assert _exit_and_error([cmd, str(bad)], capsys) == (2, err)
+
+
+@pytest.mark.parametrize("cmd", ["validate", "spectral"])
+@pytest.mark.parametrize("value", [[1, 2], "z", {"z1": [0]}, {"z1": 3, "z2": [0]}])
+def test_malformed_basis_cycles_exit_two_naming_the_field(pentagon_file, tmp_path, capsys, cmd, value):
+    data = json.loads(pentagon_file.read_text())
+    data["basis_cycles"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    err = "error: basis_cycles: expected an object with z1 and z2 edge lists\n"
+    assert _exit_and_error([cmd, str(bad)], capsys) == (2, err)
+
+
 def test_malformed_add2_scalar_names_the_script_step(pentagon_file, tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps([{"op": "urban", "target": "d0"}, {**_ADD2, "label": ["1", "x", "3"]}]))
@@ -667,3 +694,43 @@ def test_reconstruct_any_rational_point_exits_cleanly(lam, mu):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(HEPTAGRAM, fh)
         assert _run_quietly(["reconstruct", path, f"--lam={lam}", f"--mu={mu}"]) in (0, 1, 2)
+
+
+# runs cli.main in a fresh interpreter, then prints the modules it loaded
+_LOADED_MODULES = (
+    "import sys\n"
+    "from dimergeom import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(sorted(m for m in sys.modules if m.startswith('dimergeom') or m == 'numpy'))\n"
+    "sys.exit(code)\n"
+)
+_NOT_FOR_VALIDATE = ("moves", "spectral", "laurent", "render", "fixtures", "pentagram", "qnet", "spiral", "numpy")
+_NOT_FOR_QNET = ("moves", "spectral", "pentagram", "spiral", "render")
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["validate", "FILE"], _NOT_FOR_VALIDATE),
+        (["validate", "BROKEN"], _NOT_FOR_VALIDATE),
+        (["render", "FILE", "--out", "SVG"], ("moves", "spectral", "laurent")),
+        (["make-pentagram", "--n", "7", "--out", "OUT"], ("moves", "spectral", "qnet", "spiral", "render")),
+        (["make-qnet", "--out", "OUT"], _NOT_FOR_QNET),
+        (["make-grid-minus-edge", "--out", "OUT"], _NOT_FOR_QNET),
+    ],
+    ids=["validate", "malformed", "render", "make-pentagram", "make-qnet", "make-grid-minus-edge"],
+)
+def test_each_command_imports_only_what_it_runs(pentagon_file, tmp_path, argv, unused):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{'this is not json")
+    paths = {"FILE": pentagon_file, "BROKEN": broken, "SVG": tmp_path / "out.svg", "OUT": tmp_path / "out.json"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *(str(paths.get(a, a)) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == (2 if "BROKEN" in argv else 0), proc.stderr
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert "dimergeom.cli" in loaded
+    assert [m for m in unused if m in loaded or f"dimergeom.{m}" in loaded] == []
