@@ -13,8 +13,10 @@ import json
 import sys
 
 from .config import (
+    DoubleCircuitConfig,
     check_F,
     check_V,
+    check_labels,
     config_from_dict,
     labels_projectively_equal,
     load_config,
@@ -23,8 +25,8 @@ from .config import (
     scalar_kind,
 )
 from .errors import GeometryError, InputError
-from .geometry import POINT, HomogeneousElement
-from .scalars import parse_scalar
+from .geometry import HomogeneousElement
+from .scalars import parse_coords, parse_scalar
 from .torusgraph import dimension_report, validate_graph
 
 
@@ -42,8 +44,7 @@ def main(argv=None) -> int:
     p.add_argument("--script", help="move script JSON file")
     p.add_argument("--builtin", choices=["pentagram", "spiral", "qnet"])
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--k", type=int, default=2, help="diagonal parameter (pentagram/spiral)")
-    p.add_argument("--base", type=int, default=None, help="spiral seed base index")
+    p.add_argument("--k", type=int, help="diagonal parameter (pentagram/spiral), checked against the file's")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out")
 
@@ -124,7 +125,7 @@ def _cmd_run(args) -> int:
     c = _load_valid(args.config)
     if bool(args.script) == bool(args.builtin):
         raise InputError("pass exactly one of --script or --builtin")
-    if args.builtin in ("pentagram", "spiral") and args.k < 1:
+    if args.builtin in ("pentagram", "spiral") and args.k is not None and args.k < 1:
         raise InputError(f"--k must be positive, got {args.k}")
     trace: list = []
     if args.script:
@@ -135,13 +136,26 @@ def _cmd_run(args) -> int:
             if s.label is not None and len(s.label.coords) != c.d + 1:
                 n = len(s.label.coords)
                 raise InputError(f"script step {idx}: add2 label has {n} coordinates, need d + 1 = {c.d + 1}")
-        cur = c
-        for step in range(args.steps):
-            cur = apply_script(cur, script, trace)
-            if args.verify:
-                _verify_step(cur, step, trace)
+        step, formula = (lambda prev: apply_script(prev, script, trace)), None
     else:
-        cur = _run_builtin(c, args, trace)
+        step, formula = _builtin_family(c, args)
+    cur = c
+    for i in range(args.steps):
+        prev = cur
+        cur = step(prev)
+        if args.builtin:
+            trace.append(f"{args.builtin} step {i + 1} done")
+        if args.verify:
+            rep = validate_graph(cur.graph)
+            v, f = check_V(cur), check_F(cur)
+            trace.append(f"verify step {i + 1}: graph={rep.ok} V={v.ok} F={f.ok}")
+            if not (rep.ok and v.ok and f.ok):
+                raise GeometryError(f"verification failed after step {i + 1}")
+        if args.verify and formula:
+            ok = labels_projectively_equal(cur, formula(prev))
+            trace.append(f"verify step {i + 1}: formulas={'match' if ok else 'MISMATCH'}")
+            if not ok:
+                raise GeometryError(f"step {i + 1} disagrees with the direct-formula dynamics")
     for line in trace:
         print(line)
     if args.out:
@@ -150,77 +164,49 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _run_builtin(c, args, trace):
-    step, formula = _builtin_family(c, args)
-    cur = c
-    for i in range(args.steps):
-        prev = cur
-        cur = step(prev, i)
-        trace.append(f"{args.builtin} step {i + 1} done")
-        if args.verify:
-            _verify_step(cur, i, trace)
-            ok = labels_projectively_equal(cur, formula(prev, i))
-            trace.append(f"verify step {i + 1}: formulas={'match' if ok else 'MISMATCH'}")
-            if not ok:
-                raise GeometryError(f"step {i + 1} disagrees with the direct-formula dynamics")
-    return cur
-
-
 def _builtin_family(c, args):
-    """(move step, direct-formula step) of the builtin family; both map
-    (config, step number) to the next config.  Shapes come from c."""
+    """(move step, direct-formula step) of the builtin family; both map a
+    config to the next.  Shapes come from c; --k is only checked."""
     if not c.graph.white_ids:
         raise GeometryError(f"no white vertices: nothing for the {args.builtin} dynamics to step")
+    check_labels(c)
+    if args.builtin == "qnet":
+        from . import qnet as qn
+
+        a, b = qn.period(c)
+
+        def one_period_and_ring(w):
+            ext = qn.periodic_extension(w, a, b, 1)
+            return qn.QNetWindow({(i, j): v for (i, j), v in ext.values.items() if -1 <= i <= a and -1 <= j <= b})
+
+        def formula(prev):
+            f = qn.laplace(one_period_and_ring(qn.config_point_window(prev)))
+            G = qn.dual_laplace(one_period_and_ring(qn.config_plane_window(prev)))
+            return qn.build_qnet_config(f, G, a, b)
+
+        return (lambda prev: qn.qnet_step_on_config(prev, a, b, 1 - qn._config_white_parity(prev))), formula
+
+    from . import pentagram as pg
+
+    k = pg.k_from_config(c)
+    if args.k not in (None, k):
+        raise GeometryError(f"--k {args.k} does not match the configuration's k = {k}")
     if args.builtin == "pentagram":
-        from . import pentagram as pg
 
-        k = args.k
-
-        def formula(prev, _i):
+        def formula(prev):
             P, q = pg.polygon_from_config(prev), pg.lines_from_config(prev)
             return pg.build_pentagram_config(pg.pentagram_map(P, k), pg.dual_pentagram_map(q, k), k)
 
-        return (lambda prev, _i: pg.pentagram_step_on_config(prev, k)), formula
+        return (lambda prev: pg.pentagram_step_on_config(prev, k)), formula
 
-    if args.builtin == "spiral":
-        from . import spiral as sp
-        from .fixtures import SPIRAL_BASE
+    from . import spiral as sp
 
-        base = args.base if args.base is not None else SPIRAL_BASE
-        k, N = args.k, len(c.graph.white_ids)
-        n = N - 1
+    def formula(prev):
+        sP, sq = sp.seeds_from_config(prev)
+        return sp.build_spiral_config(sp.spiral_extend(sP, 1), sp.line_seed_extend(sq, 1))
 
-        def formula(prev, step):
-            i = base + step
-            sP = sp.SpiralSeed(k, n, i, tuple(prev.white_labels[f"P{(i + m) % N}"] for m in range(N)))
-            sq = sp.LineSeed(k, n, i - 1, tuple(prev.black_labels[f"q{(i - 1 + m) % N}"] for m in range(N)))
-            return sp.build_spiral_config(sp.spiral_extend(sP, 1), sp.line_seed_extend(sq, 1))
-
-        return (lambda prev, step: sp.spiral_step_on_config(prev, k, n, base + step)), formula
-
-    from . import qnet as qn
-
-    sites = qn.config_point_window(c).sites() + qn.config_plane_window(c).sites()
-    a, b = max(i for i, _ in sites) + 1, max(j for _, j in sites) + 1
-
-    def one_period_and_ring(w):
-        ext = qn.periodic_extension(w, a, b, 1)
-        return qn.QNetWindow({(i, j): v for (i, j), v in ext.values.items() if -1 <= i <= a and -1 <= j <= b})
-
-    def formula(prev, _i):
-        f = qn.laplace(one_period_and_ring(qn.config_point_window(prev)))
-        G = qn.dual_laplace(one_period_and_ring(qn.config_plane_window(prev)))
-        return qn.build_qnet_config(f, G, a, b)
-
-    return (lambda prev, _i: qn.qnet_step_on_config(prev, a, b, 1 - qn._config_white_parity(prev))), formula
-
-
-def _verify_step(cur, step, trace):
-    rep = validate_graph(cur.graph)
-    v, f = check_V(cur), check_F(cur)
-    trace.append(f"verify step {step + 1}: graph={rep.ok} V={v.ok} F={f.ok}")
-    if not (rep.ok and v.ok and f.ok):
-        raise GeometryError(f"verification failed after step {step + 1}")
+    n = len(c.graph.white_ids) - 1
+    return (lambda prev: sp.spiral_step_on_config(prev, k, n, sp.seeds_from_config(prev)[0].base)), formula
 
 
 def _load_valid(path):
@@ -334,31 +320,14 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
 def _cmd_render(args) -> int:
     from .render import RenderSpec, render_config, render_points
 
-    spec = RenderSpec(
-        xmin=args.box[0],
-        xmax=args.box[1],
-        ymin=args.box[2],
-        ymax=args.box[3],
-        width=args.width,
-        labels=not args.no_labels,
-    )
+    spec = RenderSpec(*args.box, width=args.width, labels=not args.no_labels)
     data = read_json(args.config)
     if isinstance(data, dict) and "points" in data:
         # bare polygon file: {"points": [[x, y] or [x, y, z], ...]}
         entries = data["points"]
         if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) in (2, 3) for e in entries):
             raise InputError("points must be a list of [x, y] or [x, y, z] entries")
-        pts = []
-        for n, entry in enumerate(entries):
-            try:
-                vals = [parse_scalar(x) for x in entry]
-            except InputError as exc:
-                raise InputError(f"points entry {n}: {exc}") from None
-            if len(vals) == 2:
-                vals.append(parse_scalar("1"))
-            if not any(vals):
-                raise InputError(f"points entry {n}: all coordinates vanish: {entry!r}")
-            pts.append(HomogeneousElement(tuple(vals), POINT))
+        pts = [parse_coords(e, f"points entry {n}", d=2, affine=True) for n, e in enumerate(entries)]
         svg = render_points(pts, spec)
     else:
         svg = render_config(config_from_dict(data), spec, project=args.project)
@@ -381,8 +350,6 @@ def _cmd_make(args) -> int:
     elif args.cmd == "make-qnet":
         _, _, c = fixtures.make_qnet_fixture()
     else:
-        from .config import DoubleCircuitConfig
-
         g, white = fixtures.make_grid_minus_edge()
         c = DoubleCircuitConfig(g, 2, white, {})
     save_config(c, args.out)

@@ -35,7 +35,7 @@ from .geometry import (
     is_circuit,
     multi_ratio,
 )
-from .scalars import FLOAT, RATIONAL, _ipow, parse_ints, parse_scalar, scalar_str
+from .scalars import FLOAT, RATIONAL, _ipow, parse_coords, parse_ints, scalar_str
 from .torusgraph import (
     Edge,
     Face,
@@ -81,7 +81,7 @@ class ConditionReport:
 
 def check_V(c: DoubleCircuitConfig) -> ConditionReport:
     """Circuit condition at every vertex."""
-    _check_label_dims(c)
+    check_labels(c)
     g = c.graph
     inc = vertex_edges(g)
     failures, messages = [], []
@@ -123,7 +123,7 @@ def check_F(c: DoubleCircuitConfig) -> ConditionReport:
     faces coherent but one is impossible, so a single failure signals a
     data or orientation bug rather than genuine incoherence.
     """
-    _check_label_dims(c)
+    check_labels(c)
     failures, messages = [], []
     for face in c.graph.faces:
         cyc = walk_label_cycle(c, face.edges)
@@ -142,7 +142,8 @@ def check_F(c: DoubleCircuitConfig) -> ConditionReport:
     )
 
 
-def _check_label_dims(c: DoubleCircuitConfig) -> None:
+def check_labels(c: DoubleCircuitConfig) -> None:
+    """DimensionMismatch at the first vertex without a label of its kind in dimension d."""
     for v in c.graph.white_ids:
         lbl = c.white_labels.get(v)
         if lbl is None or lbl.kind != POINT or lbl.dim != c.d:
@@ -254,19 +255,15 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     d = data["dimension"]
     if type(d) is not int:
         raise InputError(f"dimension: expected an integer, got {d!r}")
-    white_ids = tuple(w["id"] for w in data["white"])
-    black_ids = tuple(b["id"] for b in data["black"])
-    for side, ids in (("white", white_ids), ("black", black_ids)):
-        bad = next((i for i, v in enumerate(ids) if not isinstance(v, str)), None)
-        if bad is not None:
-            raise InputError(f"{side} entry {bad}: id must be a string, got {ids[bad]!r}")
-    edges = tuple(_edge(i, e) for i, e in enumerate(data["edges"]))
-    faces_json = data.get("faces", [])
+    white_ids, white_labels = _vertices(data, "white", POINT, d, scalar)
+    black_ids, black_labels = _vertices(data, "black", HYPERPLANE, d, scalar)
+    edges = tuple(_edge(i, e) for i, e in enumerate(_listed(data["edges"], "edges")))
+    faces_json = _listed(data.get("faces", []), "faces")
     face_ids = data.get("face_ids") or [f"f{i}" for i in range(len(faces_json))]
+    if not (isinstance(face_ids, list) and all(isinstance(fid, str) for fid in face_ids)):
+        raise InputError("face_ids must be a list of strings")
     if len(face_ids) != len(faces_json):
         raise InputError(f"{len(face_ids)} face_ids for {len(faces_json)} faces")
-    if not all(isinstance(fid, str) for fid in face_ids):
-        raise InputError("face_ids must be strings")
     faces = _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids)
     basis = None
     cycles = data.get("basis_cycles")
@@ -277,42 +274,40 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
         if not all(0 <= ei < len(edges) for walk in basis for ei in walk):
             raise InputError(f"basis_cycles: edge index out of range 0..{len(edges) - 1}")
     graph = TorusGraph(white_ids, black_ids, edges, faces, basis)
-    white_labels = {
-        w["id"]: _parse_label(w, POINT, d, scalar)
-        for w in data["white"]
-        if "coords" in w and w["coords"] is not None
-    }
-    black_labels = {
-        b["id"]: _parse_label(b, HYPERPLANE, d, scalar)
-        for b in data["black"]
-        if "coords" in b and b["coords"] is not None
-    }
     return DoubleCircuitConfig(graph, d, white_labels, black_labels)
 
 
+def _listed(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{field}: expected a list, not {type(value).__name__}")
+    return value
+
+
+def _vertices(data: dict, side: str, kind: str, d: int, scalar: str):
+    """(ids, labels) of the white or black entries: objects with a string
+    id, and coords when labelled (d + 1 homogeneous ones, or d affine ones
+    for a point)."""
+    entries = _listed(data[side], side)
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and "id" in entry):
+            raise InputError(f"{side} entry {i}: expected an object with an id, got {entry!r}")
+        if not isinstance(entry["id"], str):
+            raise InputError(f"{side} entry {i}: id must be a string, got {entry['id']!r}")
+    labels = {
+        e["id"]: HomogeneousElement(parse_coords(e["coords"], f"{kind} {e['id']}", scalar, d, kind == POINT), kind)
+        for e in entries
+        if e.get("coords") is not None
+    }
+    return tuple(e["id"] for e in entries), labels
+
+
 def _edge(i: int, e: dict) -> Edge:
+    if not (isinstance(e, dict) and {"w", "b", "h"} <= e.keys()):
+        raise InputError(f"edge {i}: expected an object with w, b and h, got {e!r}")
     h = parse_ints(e["h"], f"edge {i} h")
     if len(h) != 2:
         raise InputError(f"edge {i} h: expected two integers, got {list(h)!r}")
     return Edge(e["w"], e["b"], h)
-
-
-def _parse_label(entry, kind, d, scalar):
-    """d + 1 homogeneous coordinates, or d affine ones for a point (lifted
-    with a trailing 1)."""
-    if not isinstance(entry["coords"], list):
-        raise InputError(f"{kind} {entry['id']}: coords must be a list, got {entry['coords']!r}")
-    try:
-        vals = [parse_scalar(x, scalar) for x in entry["coords"]]
-    except InputError as exc:
-        raise InputError(f"{kind} {entry['id']}: {exc}") from None
-    if kind == POINT and len(vals) == d:
-        vals.append(parse_scalar("1", scalar))
-    if len(vals) != d + 1:
-        raise InputError(f"{kind} {entry['id']}: {len(entry['coords'])} coordinates in dimension {d}")
-    if not any(vals):
-        raise InputError(f"{kind} {entry['id']}: all coordinates vanish: {entry['coords']!r}")
-    return HomogeneousElement(tuple(vals), kind)
 
 
 def _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids):
@@ -323,8 +318,10 @@ def _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids):
     used = {}
     faces = []
     for fid, entry in zip(face_ids, faces_json):
+        if not (isinstance(entry, list) and any(all(isinstance(x, t) for x in entry) for t in (str, dict))):
+            raise InputError(f"face {fid}: expected a list of vertex ids or of edge refs, got {entry!r}")
         if entry and isinstance(entry[0], dict):
-            refs = parse_ints([x["e"] for x in entry], f"face {fid} edge refs")
+            refs = parse_ints([x.get("e") for x in entry], f"face {fid} edge refs")
             if not all(0 <= ei < len(edges) for ei in refs):
                 raise InputError(f"face {fid}: edge ref out of range 0..{len(edges) - 1} in {list(refs)}")
             faces.append(Face(fid, refs))

@@ -74,7 +74,7 @@ def make_spiral_white_seed():
 def make_spiral_fixture():
     """(point seed, line seed, config) for the coherent spiral pair."""
     from .spectral import reconstruct_black
-    from .spiral import LineSeed, build_spiral_graph
+    from .spiral import build_spiral_graph, seeds_from_config
 
     sP = make_spiral_white_seed()
     g = build_spiral_graph(SPIRAL_K, SPIRAL_N, SPIRAL_BASE)
@@ -84,14 +84,7 @@ def make_spiral_fixture():
     res = reconstruct_black(g, 2, white, lam, mu)
     if res.status != "unique":
         raise GeometryError(f"frozen spiral fixture failed to reconstruct: {res.status}")
-    c = res.config
-    sq = LineSeed(
-        SPIRAL_K,
-        SPIRAL_N,
-        SPIRAL_BASE - 1,
-        tuple(c.black_labels[f"q{(SPIRAL_BASE - 1 + m) % N}"] for m in range(N)),
-    )
-    return sP, sq, c
+    return (*seeds_from_config(res.config), res.config)
 
 
 # qnet fixture: periodic sequences on the quadric plus a central collineation

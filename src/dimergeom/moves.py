@@ -70,7 +70,7 @@ from .geometry import (
     proj_equal,
     subspace_element,
 )
-from .scalars import RATIONAL, parse_scalar, scalar_str
+from .scalars import RATIONAL, parse_coords, scalar_str
 from .torusgraph import Edge, Face, GraphEdit, TorusGraph, face_key
 
 
@@ -85,9 +85,6 @@ class MoveStep:
 @dataclass(frozen=True)
 class MoveScript:
     steps: tuple
-
-    def __len__(self):
-        return len(self.steps)
 
 
 def script_to_json(s: MoveScript) -> list:
@@ -125,13 +122,7 @@ def script_from_json(data, scalar=RATIONAL) -> MoveScript:
                 raise InputError(f"script step {idx}: add2 label must be a list of coordinates, got {label!r}")
             if not (isinstance(part, list) and len(part) == 2 and all(type(x) is int for x in part)):
                 raise InputError(f"script step {idx}: add2 partition must be two integers, got {part!r}")
-            try:
-                coords = tuple(parse_scalar(x, scalar) for x in label)
-            except InputError as exc:
-                raise InputError(f"script step {idx}: add2 label: {exc}") from None
-            if not any(coords):
-                raise InputError(f"script step {idx}: add2 label: all coordinates vanish: {label!r}")
-            label = HomogeneousElement(coords, HYPERPLANE)
+            label = HomogeneousElement(parse_coords(label, f"script step {idx}: add2 label", scalar), HYPERPLANE)
             part = tuple(part)
         steps.append(MoveStep(op, target, label, part))
     return MoveScript(tuple(steps))

@@ -202,6 +202,20 @@ def pentagram_step_on_config(c: DoubleCircuitConfig, k: int) -> DoubleCircuitCon
     )
 
 
+def k_from_config(c: DoubleCircuitConfig) -> int:
+    """The diagonal parameter of a pentagram or spiral configuration, read
+    from any diagonal tile: d{j} has the whites P_j and P_{j+k}."""
+    g, n = c.graph, len(c.graph.white_ids)
+    if set(g.white_ids) != {f"P{i}" for i in range(n)} or set(g.black_ids) != {f"q{i}" for i in range(n)}:
+        raise BadParameters(f"vertex ids are not P0..P{n - 1} and q0..q{n - 1}: not a pentagram or spiral")
+    tile = next((f for f in g.faces if f.id.startswith("d")), None)
+    whites = {int(g.edges[ei].w[1:]) for ei in tile.edges} if tile else set()
+    j = next((j for j in whites if tile.id == f"d{j}"), None)
+    if len(whites) != 2 or j is None:
+        raise BadParameters("no diagonal tile d{j} on the whites P_j and P_{j+k}: not a pentagram or spiral")
+    return ((whites - {j}).pop() - j) % n
+
+
 def polygon_from_config(c: DoubleCircuitConfig) -> Polygon:
     n = len(c.graph.white_ids)
     return Polygon(tuple(c.white_labels[f"P{i}"] for i in range(n)))

@@ -303,6 +303,12 @@ def config_plane_window(c: DoubleCircuitConfig) -> QNetWindow:
     return _config_window(c.graph.black_ids, c.black_labels)
 
 
+def period(c: DoubleCircuitConfig) -> tuple:
+    """The torus period (a, b) of a Q-net configuration, read from its site ids."""
+    sites = config_point_window(c).sites() + config_plane_window(c).sites()
+    return max(i for i, _ in sites) + 1, max(j for _, j in sites) + 1
+
+
 def periodic_extension(w: QNetWindow, a: int, b: int, pad: int = 2) -> QNetWindow:
     """Extend a one-period window periodically by pad periods in each
     direction, for computing transforms of torus label data."""

@@ -82,8 +82,9 @@ def render_config(c: DoubleCircuitConfig, spec: RenderSpec = RenderSpec(), proje
 
 
 def render_points(points, spec: RenderSpec = RenderSpec()) -> str:
-    """SVG for a bare list of planar points (polygon files)."""
-    whites = {f"v{i}": p.coords for i, p in enumerate(points)}
+    """SVG for a bare list of planar points (polygon files), given as
+    homogeneous coordinate tuples (x, y, z)."""
+    whites = {f"v{i}": p for i, p in enumerate(points)}
     return _render(whites, {}, spec)
 
 

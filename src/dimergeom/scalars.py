@@ -95,6 +95,26 @@ def parse_scalar(s, kind: str = RATIONAL):
     return x.limit_denominator(10**12) if isinstance(s, float) else x
 
 
+def parse_coords(values: list, place: str, kind: str = RATIONAL, d=None, affine=False) -> tuple:
+    """The scalars of a JSON coordinate list.  With d given there must be
+    d + 1 of them, or d when ``affine`` (lifted with a trailing 1).  An
+    InputError names the place for a value that is no list, a bad scalar,
+    a wrong count or a list of zeros."""
+    if not isinstance(values, list):
+        raise InputError(f"{place}: coords must be a list, got {values!r}")
+    try:
+        vals = [parse_scalar(x, kind) for x in values]
+    except InputError as exc:
+        raise InputError(f"{place}: {exc}") from None
+    if affine and len(vals) == d:
+        vals.append(parse_scalar("1", kind))
+    if d is not None and len(vals) != d + 1:
+        raise InputError(f"{place}: {len(values)} coordinates in dimension {d}")
+    if not any(vals):
+        raise InputError(f"{place}: all coordinates vanish: {values!r}")
+    return tuple(vals)
+
+
 def parse_ints(values, what: str) -> tuple:
     """The values, when each is a JSON integer (not a bool, a float or a
     string); otherwise an InputError naming the field."""

@@ -18,7 +18,7 @@ from . import linalg
 from .config import DoubleCircuitConfig
 from .errors import BadParameters, SeedInvalid, SizeMismatch
 from .geometry import HomogeneousElement, incident_element, line_through, meet_hyperplanes
-from .pentagram import build_tile_graph
+from .pentagram import build_tile_graph, k_from_config
 from .torusgraph import TorusGraph, with_basis_cycles
 
 
@@ -61,17 +61,13 @@ class LineSeed:
         return self.lines[j - self.base]
 
 
-def _collinear(a, b, c) -> bool:
-    return linalg.rank([list(a.coords), list(b.coords), list(c.coords)]) <= 2
-
-
 def _seed_conditions(window, k: int):
     """The point-seed conditions on a window of n+1 elements, in order: the
     three window slots of each and whether the elements there are
     dependent (collinear points, or concurrent lines)."""
     n = len(window) - 1
     slots = [(l, n - k + 1 + l, n - k + l) for l in range(k)] + [(0, k, n)]
-    return [(t, _collinear(*(window[m] for m in t))) for t in slots]
+    return [(t, linalg.rank([list(window[m].coords) for m in t]) <= 2) for t in slots]
 
 
 def validate_spiral_seed(s: SpiralSeed):
@@ -179,6 +175,19 @@ def build_spiral_config(sP: SpiralSeed, sq: LineSeed) -> DoubleCircuitConfig:
     white = {f"P{(i + m) % N}": sP.points[m] for m in range(N)}
     black = {f"q{(i - 1 + m) % N}": sq.lines[m] for m in range(N)}
     return DoubleCircuitConfig(g, 2, white, black)
+
+
+def seeds_from_config(c: DoubleCircuitConfig):
+    """(point seed, line seed) of a spiral configuration, the inverse of
+    build_spiral_config: k from a diagonal tile, and the window base i
+    from the hexagons h{j}, j = i-k-1, ..., i-1 (mod n+1)."""
+    k, N = k_from_config(c), len(c.graph.white_ids)
+    hexagons = {f.id for f in c.graph.faces if f.id.startswith("h")}
+    i = next((i for i in range(N) if hexagons == {f"h{j}" for j in removed_js(k, N - 1, i)}), None)
+    if i is None:
+        raise BadParameters(f"hexagons {sorted(hexagons)} are not the k + 1 = {k + 1} slots of a spiral window")
+    sP = SpiralSeed(k, N - 1, i, tuple(c.white_labels[f"P{(i + m) % N}"] for m in range(N)))
+    return sP, LineSeed(k, N - 1, i - 1, tuple(c.black_labels[f"q{(i - 1 + m) % N}"] for m in range(N)))
 
 
 def spiral_step_on_config(c: DoubleCircuitConfig, k: int, n: int, i: int) -> DoubleCircuitConfig:

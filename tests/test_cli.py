@@ -323,6 +323,69 @@ def test_run_builtin_spiral_honours_k(tmp_path):
     assert main(["run", str(path), "--builtin", "spiral", "--k", "3", "--verify"]) == 1
 
 
+def test_chained_spiral_runs_read_the_window_from_the_file(tmp_path):
+    s0, s1, s2, direct = (tmp_path / f"{n}.json" for n in ("s0", "s1", "s2", "direct"))
+    assert main(["make-spiral", "--out", str(s0)]) == 0
+    assert main(["run", str(s0), "--builtin", "spiral", "--out", str(s1)]) == 0
+    assert main(["run", str(s1), "--builtin", "spiral", "--out", str(s2)]) == 0
+    assert main(["run", str(s0), "--builtin", "spiral", "--steps", "2", "--out", str(direct)]) == 0
+    assert s2.read_bytes() == direct.read_bytes()
+
+
+def test_run_builtin_pentagram_reads_k_from_the_file(tmp_path, capsys):
+    path = tmp_path / "p83.json"
+    assert main(["make-pentagram", "--n", "8", "--k", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--builtin", "pentagram", "--verify"]) == 0
+    assert "verify step 1: formulas=match" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("make, builtin", [(["make-pentagram", "--n", "7"], "pentagram"), (["make-spiral"], "spiral")])
+def test_a_k_mismatch_exits_one_before_any_move(tmp_path, capsys, monkeypatch, make, builtin):
+    from dimergeom import moves
+
+    def no_moves(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    path, out = tmp_path / "start.json", tmp_path / "out.json"
+    assert main([*make, "--out", str(path)]) == 0
+    monkeypatch.setattr(moves, "step_on_config", no_moves)
+    capsys.readouterr()
+    assert main(["run", str(path), "--builtin", builtin, "--k", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "domain error: --k 3 does not match the configuration's k = 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "make, mutate, builtin",
+    [
+        (["make-pentagram", "--n", "7"], None, "spiral"),
+        (["make-spiral"], None, "pentagram"),
+        (["make-qnet"], None, "pentagram"),
+        (["make-qnet"], None, "spiral"),
+        (["make-pentagram", "--n", "7"], ("P3", "Px"), "pentagram"),
+        (["make-spiral"], ("q3", "qx"), "spiral"),
+        (["make-pentagram", "--n", "7"], ('"id": "q2", "coords"', '"id": "q2", "none"'), "pentagram"),
+        (["make-spiral"], ('"id": "P0", "coords"', '"id": "P0", "none"'), "spiral"),
+    ],
+    ids=["pentagram-as-spiral", "spiral-as-pentagram", "qnet-as-pentagram", "qnet-as-spiral",
+         "id-Px", "id-qx", "unlabelled-q2", "unlabelled-P0"],
+)
+def test_files_of_another_shape_exit_one_with_one_line(tmp_path, capsys, make, mutate, builtin):
+    # mutate is a text replacement in the written file: an id renamed, or a
+    # vertex's coords key renamed away so that it carries no label
+    path = tmp_path / "start.json"
+    assert main([*make, "--out", str(path)]) == 0
+    if mutate:
+        text = json.dumps(json.loads(path.read_text()))
+        assert mutate[0] in text
+        path.write_text(text.replace(mutate[0], mutate[1]))
+    capsys.readouterr()
+    assert main(["run", str(path), "--builtin", builtin, "--verify"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -595,6 +658,26 @@ def test_mutated_script_leaf_exits_cleanly(path, value):
 
 
 @pytest.mark.parametrize(
+    "path, value, err",
+    [
+        (("white", 0), ["P0"], "white entry 0: expected an object with an id, got ['P0']"),
+        (("white",), {"id": "P0"}, "white: expected a list, not dict"),
+        (("faces", 0), {"e": 1}, "face d0: expected a list of vertex ids or of edge refs, got {'e': 1}"),
+        (("edges", 0), "P0q0", "edge 0: expected an object with w, b and h, got 'P0q0'"),
+        (("face_ids",), "d0d1", "face_ids must be a list of strings"),
+        (("faces", 0), "P0q0P2q4", "face d0: expected a list of vertex ids or of edge refs, got 'P0q0P2q4'"),
+    ],
+    ids=["white-entry-list", "white-object", "face-object", "edge-string", "face-ids-string", "face-string"],
+)
+def test_malformed_structures_exit_two_naming_the_field(tmp_path, capsys, path, value, err):
+    bad = tmp_path / "heptagram.json"
+    bad.write_text(json.dumps(_mutated(HEPTAGRAM, path, value)))
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
     "path, value, field",
     [
         (("edges", 0, "h"), [0.5, 0], "edge 0 h"),
@@ -717,13 +800,17 @@ _NOT_FOR_QNET = ("moves", "spectral", "pentagram", "spiral", "render")
         (["make-pentagram", "--n", "7", "--out", "OUT"], ("moves", "spectral", "qnet", "spiral", "render")),
         (["make-qnet", "--out", "OUT"], _NOT_FOR_QNET),
         (["make-grid-minus-edge", "--out", "OUT"], _NOT_FOR_QNET),
+        (["run", "SPIRAL", "--builtin", "spiral", "--verify", "--out", "OUT"], ("fixtures", "spectral")),
     ],
-    ids=["validate", "malformed", "render", "make-pentagram", "make-qnet", "make-grid-minus-edge"],
+    ids=["validate", "malformed", "render", "make-pentagram", "make-qnet", "make-grid-minus-edge", "run-spiral"],
 )
 def test_each_command_imports_only_what_it_runs(pentagon_file, tmp_path, argv, unused):
     broken = tmp_path / "broken.json"
     broken.write_text("{'this is not json")
     paths = {"FILE": pentagon_file, "BROKEN": broken, "SVG": tmp_path / "out.svg", "OUT": tmp_path / "out.json"}
+    if "SPIRAL" in argv:
+        paths["SPIRAL"] = tmp_path / "spiral.json"
+        assert main(["make-spiral", "--out", str(paths["SPIRAL"])]) == 0
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
