@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
 from .config import (
     DoubleCircuitConfig,
     check_F,
     check_V,
-    check_labels,
     config_from_dict,
     labels_projectively_equal,
     load_config,
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     p.add_argument("--script", help="move script JSON file")
     p.add_argument("--builtin", choices=["pentagram", "spiral", "qnet"])
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--k", type=int, help="diagonal parameter (pentagram/spiral), checked against the file's")
+    p.add_argument("--k", type=int, help="diagonal parameter (pentagram/spiral only), checked against the file's")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out")
 
@@ -125,7 +125,9 @@ def _cmd_run(args) -> int:
     c = _load_valid(args.config)
     if bool(args.script) == bool(args.builtin):
         raise InputError("pass exactly one of --script or --builtin")
-    if args.builtin in ("pentagram", "spiral") and args.k is not None and args.k < 1:
+    if args.k is not None and args.builtin not in ("pentagram", "spiral"):
+        raise InputError("--k applies to --builtin pentagram and spiral only")
+    if args.k is not None and args.k < 1:
         raise InputError(f"--k must be positive, got {args.k}")
     trace: list = []
     if args.script:
@@ -138,7 +140,10 @@ def _cmd_run(args) -> int:
                 raise InputError(f"script step {idx}: add2 label has {n} coordinates, need d + 1 = {c.d + 1}")
         step, formula = (lambda prev: apply_script(prev, script, trace)), None
     else:
-        step, formula = _builtin_family(c, args)
+        family = import_module(f".{args.builtin}", __package__)
+        if args.k is not None and args.k != (k := family.k_from_config(c)):
+            raise GeometryError(f"--k {args.k} does not match the configuration's k = {k}")
+        step, formula = family.step, family.formula
     cur = c
     for i in range(args.steps):
         prev = cur
@@ -162,51 +167,6 @@ def _cmd_run(args) -> int:
         save_config(cur, args.out)
         print(f"wrote {args.out}")
     return 0
-
-
-def _builtin_family(c, args):
-    """(move step, direct-formula step) of the builtin family; both map a
-    config to the next.  Shapes come from c; --k is only checked."""
-    if not c.graph.white_ids:
-        raise GeometryError(f"no white vertices: nothing for the {args.builtin} dynamics to step")
-    check_labels(c)
-    if args.builtin == "qnet":
-        from . import qnet as qn
-
-        a, b = qn.period(c)
-
-        def one_period_and_ring(w):
-            ext = qn.periodic_extension(w, a, b, 1)
-            return qn.QNetWindow({(i, j): v for (i, j), v in ext.values.items() if -1 <= i <= a and -1 <= j <= b})
-
-        def formula(prev):
-            f = qn.laplace(one_period_and_ring(qn.config_point_window(prev)))
-            G = qn.dual_laplace(one_period_and_ring(qn.config_plane_window(prev)))
-            return qn.build_qnet_config(f, G, a, b)
-
-        return (lambda prev: qn.qnet_step_on_config(prev, a, b, 1 - qn._config_white_parity(prev))), formula
-
-    from . import pentagram as pg
-
-    k = pg.k_from_config(c)
-    if args.k not in (None, k):
-        raise GeometryError(f"--k {args.k} does not match the configuration's k = {k}")
-    if args.builtin == "pentagram":
-
-        def formula(prev):
-            P, q = pg.polygon_from_config(prev), pg.lines_from_config(prev)
-            return pg.build_pentagram_config(pg.pentagram_map(P, k), pg.dual_pentagram_map(q, k), k)
-
-        return (lambda prev: pg.pentagram_step_on_config(prev, k)), formula
-
-    from . import spiral as sp
-
-    def formula(prev):
-        sP, sq = sp.seeds_from_config(prev)
-        return sp.build_spiral_config(sp.spiral_extend(sP, 1), sp.line_seed_extend(sq, 1))
-
-    n = len(c.graph.white_ids) - 1
-    return (lambda prev: sp.spiral_step_on_config(prev, k, n, sp.seeds_from_config(prev)[0].base)), formula
 
 
 def _load_valid(path):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .config import DoubleCircuitConfig
+from .config import DoubleCircuitConfig, check_labels
 from .errors import BadParameters, DegenerateIntersection, SizeMismatch
 from .geometry import incident_element, line_through, meet_hyperplanes
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
@@ -224,3 +224,24 @@ def polygon_from_config(c: DoubleCircuitConfig) -> Polygon:
 def lines_from_config(c: DoubleCircuitConfig) -> LineList:
     n = len(c.graph.black_ids)
     return LineList(tuple(c.black_labels[f"q{i}"] for i in range(n)))
+
+
+def _k(c: DoubleCircuitConfig) -> int:
+    """k of a labelled pentagram configuration; a spiral's hexagons are
+    refused, since a step renews every diagonal tile d0..d{n-1}."""
+    check_labels(c)
+    if hexagons := sorted(f.id for f in c.graph.faces if f.id.startswith("h")):
+        raise BadParameters(f"hexagon faces {hexagons}: a spiral, not a pentagram")
+    return k_from_config(c)
+
+
+def step(c: DoubleCircuitConfig) -> DoubleCircuitConfig:
+    """One T_k step by moves (pentagram_step_on_config), k read from c."""
+    return pentagram_step_on_config(c, _k(c))
+
+
+def formula(c: DoubleCircuitConfig) -> DoubleCircuitConfig:
+    """One T_k step by the direct formulas on c's points and lines, k read from c."""
+    k = _k(c)
+    P, q = pentagram_map(polygon_from_config(c), k), dual_pentagram_map(lines_from_config(c), k)
+    return build_pentagram_config(P, q, k)

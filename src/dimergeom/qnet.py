@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .config import DoubleCircuitConfig
+from .config import DoubleCircuitConfig, check_labels
 from .errors import (
     BadParameters,
     CoincidentLines,
@@ -304,8 +304,11 @@ def config_plane_window(c: DoubleCircuitConfig) -> QNetWindow:
 
 
 def period(c: DoubleCircuitConfig) -> tuple:
-    """The torus period (a, b) of a Q-net configuration, read from its site ids."""
+    """The torus period (a, b) of a labelled Q-net configuration, read from its site ids."""
+    check_labels(c)
     sites = config_point_window(c).sites() + config_plane_window(c).sites()
+    if not sites:
+        raise NotQNet("no vertices: not a Q-net")
     return max(i for i, _ in sites) + 1, max(j for _, j in sites) + 1
 
 
@@ -318,3 +321,21 @@ def periodic_extension(w: QNetWindow, a: int, b: int, pad: int = 2) -> QNetWindo
             for t in range(-pad, pad + 1):
                 out[(i + s * a, j + t * b)] = v
     return QNetWindow(out)
+
+
+def step(c: DoubleCircuitConfig) -> DoubleCircuitConfig:
+    """One plain Laplace step by moves (qnet_step_on_config), the period read from c."""
+    a, b = period(c)
+    return qnet_step_on_config(c, a, b, 1 - _config_white_parity(c))
+
+
+def formula(c: DoubleCircuitConfig) -> DoubleCircuitConfig:
+    """The plain Laplace transforms (laplace, dual_laplace) of c's point and
+    plane windows, each extended by one ring around one period."""
+    a, b = period(c)
+
+    def ring(w):
+        ext = periodic_extension(w, a, b, 1)
+        return QNetWindow({(i, j): v for (i, j), v in ext.values.items() if -1 <= i <= a and -1 <= j <= b})
+
+    return build_qnet_config(laplace(ring(config_point_window(c))), dual_laplace(ring(config_plane_window(c))), a, b)

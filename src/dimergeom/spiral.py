@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .config import DoubleCircuitConfig
+from .config import DoubleCircuitConfig, check_labels
 from .errors import BadParameters, SeedInvalid, SizeMismatch
 from .geometry import HomogeneousElement, incident_element, line_through, meet_hyperplanes
 from .pentagram import build_tile_graph, k_from_config
@@ -178,9 +178,10 @@ def build_spiral_config(sP: SpiralSeed, sq: LineSeed) -> DoubleCircuitConfig:
 
 
 def seeds_from_config(c: DoubleCircuitConfig):
-    """(point seed, line seed) of a spiral configuration, the inverse of
+    """(point seed, line seed) of a labelled spiral configuration, the inverse of
     build_spiral_config: k from a diagonal tile, and the window base i
     from the hexagons h{j}, j = i-k-1, ..., i-1 (mod n+1)."""
+    check_labels(c)
     k, N = k_from_config(c), len(c.graph.white_ids)
     hexagons = {f.id for f in c.graph.faces if f.id.startswith("h")}
     i = next((i for i in range(N) if hexagons == {f"h{j}" for j in removed_js(k, N - 1, i)}), None)
@@ -206,3 +207,15 @@ def spiral_step_on_config(c: DoubleCircuitConfig, k: int, n: int, i: int) -> Dou
         lambda pid: f"q{(int(pid[1:]) - k - 1) % N}",
         build_tile_graph(N, k, removed_js(k, n, i + 1)),
     )
+
+
+def step(c: DoubleCircuitConfig) -> DoubleCircuitConfig:
+    """One spiral step by moves (spiral_step_on_config), its shape read from c."""
+    sP, _ = seeds_from_config(c)
+    return spiral_step_on_config(c, sP.k, sP.n, sP.base)
+
+
+def formula(c: DoubleCircuitConfig) -> DoubleCircuitConfig:
+    """The configuration of c's seeds shifted by one by the direct recursions."""
+    sP, sq = seeds_from_config(c)
+    return build_spiral_config(spiral_extend(sP, 1), line_seed_extend(sq, 1))

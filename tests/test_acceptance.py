@@ -13,8 +13,8 @@ from dimergeom.config import (
     cohomology_class,
     labels_projectively_equal,
 )
+from dimergeom import qnet, spiral
 from dimergeom.fixtures import (
-    SPIRAL_BASE,
     SPIRAL_CLASS_POINT,
     SPIRAL_K,
     SPIRAL_N,
@@ -32,14 +32,12 @@ from dimergeom.pentagram import (
     pentagram_step_on_config,
 )
 from dimergeom.qnet import (
-    _config_white_parity,
     config_plane_window,
     config_point_window,
     dual_laplace,
     is_qnet,
     laplace,
     periodic_extension,
-    qnet_step_on_config,
 )
 from dimergeom.spectral import (
     kasteleyn_weights,
@@ -52,7 +50,6 @@ from dimergeom.spiral import (
     build_spiral_config,
     line_seed_extend,
     spiral_extend,
-    spiral_step_on_config,
 )
 from dimergeom.geometry import proj_equal
 from dimergeom.errors import DegenerateIntersection
@@ -158,15 +155,15 @@ def test_acceptance_3_move_formula_cross_validation():
     # spiral
     sP, sq, cs = make_spiral_fixture()
     cur = cs
-    for step in range(2):
-        cur = spiral_step_on_config(cur, SPIRAL_K, SPIRAL_N, SPIRAL_BASE + step)
+    for _ in range(2):
+        cur = spiral.step(cur)
         sP, sq = spiral_extend(sP, 1), line_seed_extend(sq, 1)
         assert labels_projectively_equal(cur, build_spiral_config(sP, sq))
     # qnet (plain Laplace parity)
     _, _, cq = make_qnet_fixture()
     fwin = periodic_extension(config_point_window(cq), 4, 4, 1)
     Gwin = periodic_extension(config_plane_window(cq), 4, 4, 1)
-    nxt = qnet_step_on_config(cq, 4, 4, 1 - _config_white_parity(cq))
+    nxt = qnet.step(cq)
     fl, Gl = laplace(fwin), dual_laplace(Gwin)
     w1, p1 = config_point_window(nxt), config_plane_window(nxt)
     assert all(proj_equal(w1[s], fl[s]) for s in w1.sites())

@@ -386,6 +386,45 @@ def test_files_of_another_shape_exit_one_with_one_line(tmp_path, capsys, make, m
     assert err.startswith("domain error: ") and err.count("\n") == 1
 
 
+def test_a_spiral_file_under_pentagram_is_named_a_spiral(tmp_path, capsys):
+    path = tmp_path / "spiral.json"
+    assert main(["make-spiral", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--builtin", "pentagram", "--verify"]) == 1
+    assert capsys.readouterr().err == "domain error: hexagon faces ['h0', 'h4', 'h5']: a spiral, not a pentagram\n"
+
+
+@pytest.mark.parametrize("builtin, family", [("pentagram", "pentagram"), ("spiral", "spiral"), ("qnet", "Q-net")])
+def test_the_empty_configuration_exits_one_under_each_family(tmp_path, capsys, builtin, family):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"dimension": 2, "white": [], "black": [], "edges": [], "faces": [], "face_ids": []}))
+    assert main(["validate", str(empty)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(empty), "--builtin", builtin, "--verify"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert family in err
+
+
+@pytest.mark.parametrize("make, how", [("make-qnet", ["--builtin", "qnet"]), ("make-pentagram", ["--script", "SCRIPT"])])
+def test_k_exits_two_where_there_is_no_diagonal_parameter(tmp_path, capsys, monkeypatch, make, how):
+    from dimergeom import moves
+
+    def no_moves(*args, **kwargs):
+        raise AssertionError("a move ran")
+
+    path, script, out = tmp_path / "start.json", tmp_path / "script.json", tmp_path / "out.json"
+    script.write_text(json.dumps([{"op": "urban", "target": "d0"}]))
+    assert main([make, "--out", str(path)]) == 0
+    monkeypatch.setattr(moves, "step_on_config", no_moves)
+    monkeypatch.setattr(moves, "apply_script", no_moves)
+    capsys.readouterr()
+    argv = ["run", str(path), *(str(script) if a == "SCRIPT" else a for a in how), "--k", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --k applies to --builtin pentagram and spiral only\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -801,16 +840,17 @@ _NOT_FOR_QNET = ("moves", "spectral", "pentagram", "spiral", "render")
         (["make-qnet", "--out", "OUT"], _NOT_FOR_QNET),
         (["make-grid-minus-edge", "--out", "OUT"], _NOT_FOR_QNET),
         (["run", "SPIRAL", "--builtin", "spiral", "--verify", "--out", "OUT"], ("fixtures", "spectral")),
+        (["run", "QNET", "--builtin", "qnet", "--verify"], ("pentagram", "spiral", "spectral", "fixtures")),
     ],
-    ids=["validate", "malformed", "render", "make-pentagram", "make-qnet", "make-grid-minus-edge", "run-spiral"],
+    ids=["validate", "malformed", "render", "make-pentagram", "make-qnet", "make-grid-minus-edge", "run-spiral", "run-qnet"],
 )
 def test_each_command_imports_only_what_it_runs(pentagon_file, tmp_path, argv, unused):
     broken = tmp_path / "broken.json"
     broken.write_text("{'this is not json")
     paths = {"FILE": pentagon_file, "BROKEN": broken, "SVG": tmp_path / "out.svg", "OUT": tmp_path / "out.json"}
-    if "SPIRAL" in argv:
-        paths["SPIRAL"] = tmp_path / "spiral.json"
-        assert main(["make-spiral", "--out", str(paths["SPIRAL"])]) == 0
+    for name in {"SPIRAL", "QNET"}.intersection(argv):
+        paths[name] = tmp_path / f"{name.lower()}.json"
+        assert main([f"make-{name.lower()}", "--out", str(paths[name])]) == 0
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(

@@ -11,12 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimergeom import geometry as g
-from dimergeom import linalg
+from dimergeom import linalg, qnet
 from dimergeom.config import check_F, check_V
 from dimergeom.errors import EmptyMeet
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
 from dimergeom.pentagram import pentagram_step_on_config
-from dimergeom.qnet import _config_white_parity, qnet_step_on_config
 
 SCALARS = st.one_of(
     st.integers(-4, 4),
@@ -172,5 +171,5 @@ def test_joins_meets_and_circuit_tests_skip_the_elimination(monkeypatch):
     stepped = pentagram_step_on_config(c, 3)
     assert check_V(stepped).ok and check_F(stepped).ok
     assert counts["echelon"] == 0
-    qnet_step_on_config(cq, 4, 4, 1 - _config_white_parity(cq))
+    qnet.step(cq)
     assert counts["echelon"] == 0

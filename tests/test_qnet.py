@@ -34,7 +34,7 @@ from dimergeom.qnet import (
     qstar_points,
     _config_white_parity,
 )
-from dimergeom import torusgraph
+from dimergeom import qnet, torusgraph
 from dimergeom.torusgraph import validate_graph
 from helpers import class_equal, is_f_transform, make_window_fixture
 
@@ -219,8 +219,7 @@ def test_four_alternating_steps_on_torus():
     cls = cohomology_class(c)
     cur = c
     for _ in range(4):
-        parity = 1 - _config_white_parity(cur)
-        cur = qnet_step_on_config(cur, QNET_A, QNET_B, parity)
+        cur = qnet.step(cur)
         assert check_V(cur).ok and check_F(cur).ok
         assert class_equal(cohomology_class(cur), cls)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimergeom import linalg, spectral
+from dimergeom import linalg, pentagram, qnet, spectral, spiral
 from dimergeom.config import (
     cohomology_class,
     config_from_dict,
@@ -16,8 +16,6 @@ from dimergeom.config import (
 )
 from dimergeom.errors import EmptyKernel, KernelNotOneDimensional, UnequalColorCounts
 from dimergeom.fixtures import (
-    QNET_A,
-    QNET_B,
     SPIRAL_BASE,
     SPIRAL_CLASS_POINT,
     SPIRAL_EXTRA_POINTS,
@@ -33,8 +31,7 @@ from dimergeom.fixtures import (
 from dimergeom.geometry import hyperplane, point, proj_equal
 from dimergeom.laurent import LaurentPoly2, newton_polygon
 from dimergeom.moves import urban_renewal
-from dimergeom.pentagram import pentagram_step_on_config
-from dimergeom.qnet import _config_white_parity, build_qnet_graph, qnet_step_on_config
+from dimergeom.qnet import build_qnet_graph
 from dimergeom.spectral import (
     _color_swapped,
     _integer_det,
@@ -51,7 +48,7 @@ from dimergeom.spectral import (
     spectral_polynomial_white,
     zigzag_polygon,
 )
-from dimergeom.spiral import build_spiral_graph, spiral_step_on_config
+from dimergeom.spiral import build_spiral_graph
 from dimergeom.torusgraph import Edge, TorusGraph, validate_graph
 from helpers import class_equal, coboundary_shifted, rescaled_config
 
@@ -423,20 +420,12 @@ def test_float_data_gives_float_curve_close_to_exact():
 @pytest.mark.parametrize(
     "start, step, count",
     [
-        (lambda: make_pentagram_fixture(9, 2)[3], lambda c, _: urban_renewal(c, "d0"), 1),
-        (lambda: make_pentagram_fixture(7, 2)[3], lambda c, _: pentagram_step_on_config(c, 2), 2),
-        (lambda: make_pentagram_fixture(8, 3)[3], lambda c, _: pentagram_step_on_config(c, 3), 2),
-        (lambda: make_pentagram_fixture(9, 2)[3], lambda c, _: pentagram_step_on_config(c, 2), 2),
-        (
-            lambda: make_spiral_fixture()[2],
-            lambda c, i: spiral_step_on_config(c, SPIRAL_K, SPIRAL_N, SPIRAL_BASE + i),
-            4,
-        ),
-        (
-            lambda: make_qnet_fixture()[2],
-            lambda c, _: qnet_step_on_config(c, QNET_A, QNET_B, 1 - _config_white_parity(c)),
-            1,
-        ),
+        (lambda: make_pentagram_fixture(9, 2)[3], lambda c: urban_renewal(c, "d0"), 1),
+        (lambda: make_pentagram_fixture(7, 2)[3], pentagram.step, 2),
+        (lambda: make_pentagram_fixture(8, 3)[3], pentagram.step, 2),
+        (lambda: make_pentagram_fixture(9, 2)[3], pentagram.step, 2),
+        (lambda: make_spiral_fixture()[2], spiral.step, 4),
+        (lambda: make_qnet_fixture()[2], qnet.step, 1),
     ],
     ids=["urban-d0-9/2", "pentagram-7/2", "pentagram-8/3", "pentagram-9/2", "spiral", "qnet-4x4"],
 )
@@ -446,7 +435,7 @@ def test_dynamics_conserve_the_spectral_curve(start, step, count):
     cur = start()
     curve = spectral_polynomial_white(cur).normalized().terms
     for i in range(count):
-        cur = step(cur, i)
+        cur = step(cur)
         assert spectral_polynomial_white(cur).normalized().terms == curve, f"after step {i + 1}"
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dimergeom import linalg
+from dimergeom import linalg, spiral
 from dimergeom.config import (
     check_F,
     check_V,
@@ -190,8 +190,8 @@ def test_step_script_matches_seed_shift():
     sP, sq, c = make_spiral_fixture()
     cls = cohomology_class(c)
     cur, cp, cq = c, sP, sq
-    for step in range(3):
-        cur = spiral_step_on_config(cur, SPIRAL_K, SPIRAL_N, SPIRAL_BASE + step)
+    for _ in range(3):
+        cur = spiral.step(cur)
         cp, cq = spiral_extend(cp, 1), line_seed_extend(cq, 1)
         exp = build_spiral_config(cp, cq)
         assert labels_projectively_equal(cur, exp)
