@@ -37,7 +37,9 @@ class HomogeneousElement:
 
     ``ints``, set once at construction, is ``linalg.int_row(coords)`` for
     exact coordinates, which exact geometry reads in their place, and
-    ``None`` for float ones: it is also the exact-or-float flag."""
+    ``None`` for float ones: it is also the exact-or-float flag.  An exact
+    join or meet is built by ``_element`` from its primitive int row, which
+    is its ``ints`` (its coordinates are those ints as Fractions)."""
 
     coords: tuple
     kind: str
@@ -115,10 +117,6 @@ def _primitive(ints) -> tuple:
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)
-
-
-def proj_equal_coords(a: tuple, b: tuple) -> bool:
-    return len(a) == len(b) and proj_equal(HomogeneousElement(a, POINT), HomogeneousElement(b, POINT))
 
 
 def proj_equal(a: HomogeneousElement, b: HomogeneousElement) -> bool:
@@ -323,12 +321,18 @@ def meet(gens1, gens2) -> Subspace:
 def subspace_element(s: Subspace) -> HomogeneousElement:
     if s.rank != 1:
         raise DegenerateIntersection(f"expected a rank-1 subspace, got rank {s.rank}")
-    return _element(s.basis[0], not is_float(s.basis[0]), s.kind)
+    row = s.basis[0]  # exact: primitive ints, positive at the pivot
+    return HomogeneousElement(normalize_coords(row), s.kind) if is_float(row) else _element(row, s.kind)
 
 
-def _element(row, exact, kind) -> HomogeneousElement:
-    """The canonical element of a basis or kernel row (int for exact data)."""
-    return HomogeneousElement(tuple(map(Fraction, _primitive(row))) if exact else normalize_coords(tuple(row)), kind)
+def _element(prim: tuple, kind) -> HomogeneousElement:
+    """The exact element of a primitive int row, positive at its first
+    nonzero entry: prim is its ``ints``, so ``__post_init__`` is skipped."""
+    e = object.__new__(HomogeneousElement)
+    object.__setattr__(e, "coords", tuple(map(Fraction, prim)))
+    object.__setattr__(e, "kind", kind)
+    object.__setattr__(e, "ints", prim)
+    return e
 
 
 def incident_element(elems) -> HomogeneousElement:
@@ -344,7 +348,7 @@ def incident_element(elems) -> HomogeneousElement:
         kind, what = POINT, "hyperplanes do not meet in a unique point"
     if len(ker) != 1:
         raise DegenerateIntersection(what)
-    return _element(ker[0], exact, kind)
+    return _element(_primitive(ker[0]), kind) if exact else HomogeneousElement(normalize_coords(tuple(ker[0])), kind)
 
 
 def join_points(points_) -> HomogeneousElement:

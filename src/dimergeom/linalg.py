@@ -155,8 +155,6 @@ def _float_rref(rows):
 
 def rref(rows):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    if not rows:
-        return [], []
     if _has_float(rows):
         return _float_rref(rows)
     m, pivots = _exact_echelon(rows)
@@ -258,8 +256,6 @@ def _minors(rows):
 def int_rref(rows):
     """(rows, pivot columns) of an exact matrix: its reduced row echelon
     form with each row scaled to primitive ints, positive at its pivot."""
-    if not rows:
-        return [], []
     m, pivots = _exact_echelon(rows)
     out = []
     for row, c in zip(m, pivots):

@@ -83,24 +83,37 @@ def _interior_sites(w: QNetWindow):
 
 def is_qnet(w: QNetWindow):
     """Failing opposite-parity sites (neighbors not coplanar/concurrent)."""
+    return _net_failures(w, _interior_sites(w))
+
+
+def _net_failures(w: QNetWindow, sites):
     bad = []
-    for ci, cj in _interior_sites(w):
+    for ci, cj in sites:
         quad = [w[ci - 1, cj], w[ci, cj - 1], w[ci + 1, cj], w[ci, cj + 1]]
         if linalg.rank([list(p.coords) for p in quad]) > 3:
             bad.append((ci, cj))
     return bad
 
 
+def _side_rank(side) -> int:
+    """Rank of the span of two points or planes: of two exact ones, 1 iff
+    they are equal."""
+    if side[0].ints is None:
+        return linalg.rank([p.coords for p in side])
+    return 1 if proj_equal(*side) else 2
+
+
 def _laplace_sites(w: QNetWindow, pairing: str):
-    bad = is_qnet(w)
+    sites = _interior_sites(w)
+    bad = _net_failures(w, sites)
     if bad:
         raise (NotQNet if w.kind == POINT else NotQStarNet)(f"net condition fails at {bad}")
     out = {}
-    for ci, cj in _interior_sites(w):
+    for ci, cj in sites:
         W, S = w[ci - 1, cj], w[ci, cj - 1]
         E, N = w[ci + 1, cj], w[ci, cj + 1]
         side1, side2 = ([W, S], [E, N]) if pairing == "ws-en" else ([W, N], [E, S])
-        r1, r2 = (linalg.rank([p.coords for p in side]) for side in (side1, side2))
+        r1, r2 = _side_rank(side1), _side_rank(side2)
         if r1 != 2 or r2 != 2:
             raise CoincidentLines(f"site ({ci},{cj}): degenerate side points (side spans of rank {r1} and {r2})")
         m = meet(side1, side2)

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: gauge changes of a configuration,
-class comparison, conic tangency, incidence checks of the pentagram,
-Q-net and spiral dynamics, and the non-periodic Q-net window fixture."""
+class comparison, coordinate equality, conic tangency, incidence checks
+of the pentagram, Q-net and spiral dynamics, and the non-periodic Q-net
+window fixture."""
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ from dimergeom import linalg
 from dimergeom.config import CohomologyClass, DoubleCircuitConfig
 from dimergeom.errors import SizeMismatch
 from dimergeom.fixtures import _collineate, _separable_point
-from dimergeom.geometry import POINT, HomogeneousElement, incident, line_through, meet_hyperplanes
+from dimergeom.geometry import POINT, HomogeneousElement, incident, line_through, meet_hyperplanes, proj_equal
 from dimergeom.pentagram import Polygon
 from dimergeom.qnet import QNetWindow
 from dimergeom.scalars import is_float, is_zero
@@ -45,6 +46,10 @@ def coboundary_shifted(c: DoubleCircuitConfig, potentials: dict) -> DoubleCircui
         edges.append(Edge(e.w, e.b, (e.h[0] + pw[0] - pb[0], e.h[1] + pw[1] - pb[1])))
     graph = TorusGraph(g.white_ids, g.black_ids, tuple(edges), g.faces, g.basis_cycles)
     return DoubleCircuitConfig(graph, c.d, c.white_labels, c.black_labels)
+
+
+def proj_equal_coords(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and proj_equal(HomogeneousElement(a, POINT), HomogeneousElement(b, POINT))
 
 
 @dataclass(frozen=True)

@@ -2,20 +2,24 @@
 
 A ``HomogeneousElement`` computes ``ints`` once, when it is built, and
 exact geometry reads it in place of rescaling the coordinates on every
-call; a meet whose exact kernel is one-dimensional takes the primitive
-form of its one element in place of a second elimination.  These
-properties check both shortcuts against the paths they replace."""
+call; a label that exact geometry computes is built from its primitive
+int row and computes nothing; a meet whose exact kernel is
+one-dimensional takes the primitive form of its one element in place of
+a second elimination.  These properties check the shortcuts against the
+paths they replace."""
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimergeom import geometry as g
-from dimergeom import linalg, qnet
+from dimergeom import linalg, pentagram, qnet, spiral
 from dimergeom.config import check_F, check_V
 from dimergeom.errors import EmptyMeet
-from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
+from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture, make_spiral_fixture
 from dimergeom.pentagram import pentagram_step_on_config
+from helpers import proj_equal_coords
 
 SCALARS = st.one_of(
     st.integers(-4, 4),
@@ -125,33 +129,36 @@ def test_equality_and_hash_agree_with_coordinate_equality(coords, scale, kind):
     other = tuple(reversed(coords))
     for b_coords in (scaled, other):
         b = g.HomogeneousElement(b_coords, kind)
-        same = g.proj_equal_coords(coords, b_coords)
+        same = proj_equal_coords(coords, b_coords)
         assert (a == b) == same and g.proj_equal(a, b) == same
         if same:
             assert hash(a) == hash(b)
     assert hash(a) == hash(g.HomogeneousElement(scaled, kind))
 
 
+def _counting(monkeypatch, name):
+    """Patch linalg.<name> with a wrapper that counts its calls."""
+    counts = {name: 0}
+    inner = getattr(linalg, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return counts
+
+
 def test_a_pentagram_step_scales_each_label_once(monkeypatch):
-    """Each label built in a step computes its integer row once, and no
-    geometry call rescales a label again."""
+    """Each label a step or its formula builds is made from its primitive
+    int row, which is its integer row already: no label, new or old, is
+    rescaled, not even once at construction."""
     _, _, _, c = make_pentagram_fixture(16, 3)
-    counts = {"int_row": 0, "built": 0}
-    int_row, post_init = linalg.int_row, g.HomogeneousElement.__post_init__
-
-    def counted_int_row(row):
-        counts["int_row"] += 1
-        return int_row(row)
-
-    def counted_post_init(self):
-        counts["built"] += 1
-        post_init(self)
-
-    monkeypatch.setattr(linalg, "int_row", counted_int_row)
-    monkeypatch.setattr(g.HomogeneousElement, "__post_init__", counted_post_init)
+    counts = _counting(monkeypatch, "int_row")
     pentagram_step_on_config(c, 3)
-    assert counts["built"] > 0
-    assert counts["int_row"] <= counts["built"]
+    assert counts["int_row"] == 0
+    pentagram.formula(c)
+    assert counts["int_row"] == 0
 
 
 def test_joins_meets_and_circuit_tests_skip_the_elimination(monkeypatch):
@@ -160,16 +167,62 @@ def test_joins_meets_and_circuit_tests_skip_the_elimination(monkeypatch):
     the elimination never runs."""
     _, _, _, c = make_pentagram_fixture(16, 3)
     _, _, cq = make_qnet_fixture()
-    counts = {"echelon": 0}
-    echelon = linalg._int_echelon
-
-    def counted_echelon(m):
-        counts["echelon"] += 1
-        return echelon(m)
-
-    monkeypatch.setattr(linalg, "_int_echelon", counted_echelon)
+    counts = _counting(monkeypatch, "_int_echelon")
     stepped = pentagram_step_on_config(c, 3)
     assert check_V(stepped).ok and check_F(stepped).ok
-    assert counts["echelon"] == 0
+    assert counts["_int_echelon"] == 0
     qnet.step(cq)
-    assert counts["echelon"] == 0
+    assert counts["_int_echelon"] == 0
+
+
+def test_the_side_tests_of_a_laplace_site_read_equality(monkeypatch):
+    """qnet.formula on the 4x4 fixture runs the Laplace transform at 16
+    sites: one coplanarity test each still eliminates, but the two side
+    tests of a site compare two exact labels instead (48 eliminations
+    before)."""
+    _, _, cq = make_qnet_fixture()
+    ranks = _counting(monkeypatch, "rank")
+    echelons = _counting(monkeypatch, "_int_echelon")
+    qnet.formula(cq)
+    assert ranks["rank"] == echelons["_int_echelon"] == 16
+
+
+def _labels(c):
+    return (*c.white_labels.values(), *c.black_labels.values())
+
+
+FAMILIES = {
+    "pentagram": (
+        pentagram,
+        st.builds(
+            lambda nk, seed: make_pentagram_fixture(*nk, seed=seed)[3],
+            st.sampled_from([(7, 2), (8, 3), (9, 2), (9, 4)]),
+            st.integers(0, 20),
+        ),
+    ),
+    "spiral": (spiral, st.builds(lambda: make_spiral_fixture()[2])),
+    "qnet": (qnet, st.builds(lambda: make_qnet_fixture()[2])),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(sorted(FAMILIES)).flatmap(
+        lambda name: st.tuples(
+            st.just(name), FAMILIES[name][1], st.lists(st.sampled_from(["step", "formula"]), min_size=1, max_size=3)
+        )
+    )
+)
+def test_every_computed_label_is_its_primitive_int_row(case):
+    """Through chained steps and formulas of each family, every label's
+    integer row is the int_row of its coordinates, and every label that
+    was not read in is primitive and positive at its first nonzero entry."""
+    name, start, calls = case
+    given_labels = {id(e) for e in _labels(start)}  # start stays alive, so its ids stay unique
+    c = start
+    for call in calls:
+        c = getattr(FAMILIES[name][0], call)(c)
+        for e in _labels(c):
+            assert e.ints == tuple(linalg.int_row(e.coords)), (call, e)
+            if id(e) not in given_labels:
+                assert gcd(*e.ints) == 1 and next(v for v in e.ints if v) > 0, (call, e)

@@ -1,10 +1,13 @@
 """The family interface: `step(c)` and `formula(c)` of the pentagram,
 spiral and Q-net modules read the family's shape from c, and agree with the
 positional steps given that shape by hand and with the direct formulas."""
+import json
+
 import pytest
 
 from dimergeom import pentagram, qnet, spiral
-from dimergeom.config import config_to_dict
+from dimergeom.cli import main
+from dimergeom.config import config_from_dict, config_to_dict, save_config
 from dimergeom.fixtures import (
     QNET_A,
     QNET_B,
@@ -15,10 +18,26 @@ from dimergeom.fixtures import (
     make_qnet_fixture,
     make_spiral_fixture,
 )
-from dimergeom.geometry import proj_equal
+from dimergeom.geometry import HomogeneousElement, hyperplane, point, proj_equal
 from dimergeom.pentagram import build_pentagram_config, dual_pentagram_map, pentagram_map
-from dimergeom.qnet import QNetWindow, config_plane_window, config_point_window, dual_laplace, laplace, periodic_extension
-from dimergeom.spiral import build_spiral_config, line_seed_extend, spiral_extend
+from dimergeom.qnet import (
+    QNetWindow,
+    config_plane_window,
+    config_point_window,
+    dual_laplace,
+    is_qnet,
+    laplace,
+    periodic_extension,
+)
+from dimergeom.spiral import (
+    SpiralSeed,
+    build_spiral_config,
+    line_seed_extend,
+    seeds_from_config,
+    spiral_extend,
+    validate_line_seed,
+    validate_spiral_seed,
+)
 
 # family -> (module, start, the positional step of step number i with the shape passed by hand)
 BY_HAND = {
@@ -72,3 +91,54 @@ def test_qnet_formula_is_the_laplace_transform_of_the_periodic_data():
         for ours, direct in ((config_point_window(c), f), (config_plane_window(c), G)):
             assert ours.sites() == direct.sites(), f"step {step + 1}"
             assert all(proj_equal(ours[s], direct[s]) for s in direct.sites()), f"step {step + 1}"
+
+
+# ------------------------------------------------------------ float twins
+
+
+def _float_twin(c):
+    """c written with "scalar": "float": every label read as floats."""
+    data = config_to_dict(c)
+    data["scalar"] = "float"
+    return config_from_dict(data)
+
+
+def _floated(e):
+    return HomogeneousElement(tuple(map(float, e.coords)), e.kind)
+
+
+def test_the_float_rank_tests_give_the_exact_verdicts():
+    _, _, c = make_qnet_fixture()
+    twin = _float_twin(c)
+    for window in (config_point_window, config_plane_window):
+        exact = periodic_extension(window(c), QNET_A, QNET_B, 1)
+        assert is_qnet(exact) == is_qnet(periodic_extension(window(twin), QNET_A, QNET_B, 1)) == []
+    planes = periodic_extension(config_plane_window(c), QNET_A, QNET_B, 1)
+    broken = QNetWindow({**planes.values, (1, 2): hyperplane(5, 7, 11, 1)})
+    assert is_qnet(broken) == is_qnet(QNetWindow({s: _floated(v) for s, v in broken.values.items()})) != []
+
+    _, _, cs = make_spiral_fixture()
+    (sP, sq), (fP, fq) = seeds_from_config(cs), seeds_from_config(_float_twin(cs))
+    assert validate_spiral_seed(sP) == validate_spiral_seed(fP) == []
+    assert validate_line_seed(sq) == validate_line_seed(fq) == []
+    moved = (point(1, 3, 1), *sP.points[1:])
+    assert validate_spiral_seed(SpiralSeed(sP.k, sP.n, sP.base, moved)) == validate_spiral_seed(
+        SpiralSeed(sP.k, sP.n, sP.base, tuple(map(_floated, moved)))
+    ) != []
+
+
+@pytest.mark.parametrize(
+    "builtin, start",
+    [
+        ("qnet", lambda: make_qnet_fixture()[2]),
+        ("spiral", lambda: make_spiral_fixture()[2]),
+        ("pentagram", lambda: make_pentagram_fixture(9, 2)[3]),
+    ],
+)
+def test_float_files_run_verified_with_matching_formulas(tmp_path, capsys, builtin, start):
+    path = tmp_path / "float.json"
+    save_config(_float_twin(start()), path)
+    assert json.loads(path.read_text())["scalar"] == "float"
+    assert main(["run", str(path), "--builtin", builtin, "--verify", "--steps", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "verify step 1: formulas=match" in out and "verify step 2: formulas=match" in out

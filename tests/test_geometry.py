@@ -22,7 +22,7 @@ from dimergeom.errors import (
     ZeroVector,
 )
 from dimergeom.scalars import is_zero
-from helpers import line_discriminant, standard_conic
+from helpers import line_discriminant, proj_equal_coords, standard_conic
 
 
 def pt(*c):
@@ -585,8 +585,8 @@ def test_multi_ratio_equals_the_fraction_reference(cycle):
 def test_projective_equality_equals_the_fraction_reference(pair, scale):
     a, b = pair
     coords_b = b.coords if scale is None else tuple(scale * c for c in a.coords)
-    assert g.proj_equal_coords(a.coords, coords_b) == ref_proj_equal_coords(a.coords, coords_b)
-    assert g.proj_equal_coords(a.coords, coords_b[:-1]) is False
+    assert proj_equal_coords(a.coords, coords_b) == ref_proj_equal_coords(a.coords, coords_b)
+    assert proj_equal_coords(a.coords, coords_b[:-1]) is False
     assert (a == g.HomogeneousElement(coords_b, g.POINT)) == ref_proj_equal_coords(a.coords, coords_b)
 
 
