@@ -222,7 +222,6 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # imported before the probe's numpy: compiling spectral with numpy loaded raises the peak memory
     from .spectral import spectral_polynomial_dual, spectral_polynomial_white
 
     if args.name == "birationality-probe" and args.samples < 1:
@@ -243,9 +242,14 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
     """Sample float curve points and count reconstruction outcomes."""
     import random
 
-    import numpy as np
-
-    from .spectral import fiber_polynomial, kasteleyn_weights, on_curve, reconstruct_black, spectral_polynomial
+    from .spectral import (
+        fiber_polynomial,
+        kasteleyn_weights,
+        on_curve,
+        real_roots,
+        reconstruct_black,
+        spectral_polynomial,
+    )
 
     weights = kasteleyn_weights(c.graph, c.white_labels)
     poly = spectral_polynomial(c.graph, weights)
@@ -259,13 +263,10 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
         coeffs = fiber_polynomial(poly, "lam", lam)
         if not coeffs:
             break
-        lo = min(coeffs)
-        arr = [coeffs.get(k, 0.0) for k in range(max(coeffs), lo - 1, -1)]
-        roots = np.roots(arr)
-        real = [r.real for r in roots if abs(r.imag) < 1e-9 and abs(r.real) > 1e-9]
+        real = [r for r in real_roots(coeffs) if abs(r) > 1e-9]
         if not real:
             continue
-        mu = float(rng.choice(real))
+        mu = rng.choice(real)
         if not on_curve(poly, lam, mu):
             continue
         try:

@@ -21,6 +21,7 @@ the input matrix; its results are floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, islice
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -221,17 +222,25 @@ def int_nullspace(rows):
 
 def _int_nullspace(m):
     """int_nullspace of an int matrix, unscaled (the list m may be
-    overwritten).  With n <= 4 columns, nonzero minors v of the first n - 1
-    rows span their kernel: the kernel is v, primitive and positive at its
-    last nonzero entry (the free column), or none if a later row misses v."""
+    overwritten).  With n <= 4 columns, nonzero minors v of n - 1 rows (the
+    first ones, else the next choice whose minors are nonzero) span their
+    kernel: the kernel is v, primitive and positive at its last nonzero
+    entry (the free column), or none if another row misses v."""
     n = len(m[0]) if m else 0
-    v = _minors(m[: n - 1]) if 2 <= n <= 4 and len(m) >= n - 1 else [0]
-    if not any(v):
-        return [v for _, v in _int_kernel(*_int_echelon(m), n)] if m else []
-    if any(sum(map(mul, row, v)) for row in m[n - 1 :]):
-        return []
-    g = gcd(*v) if next(x for x in reversed(v) if x) > 0 else -gcd(*v)
-    return [[x // g for x in v]]
+    if 2 <= n <= 4 and len(m) >= n - 1:
+        v, rest = _minors(m[: n - 1]), m[n - 1 :]
+        if not any(v):
+            for rows in islice(combinations(range(len(m)), n - 1), 1, None):
+                v = _minors([m[i] for i in rows])
+                if any(v):
+                    rest = [row for i, row in enumerate(m) if i not in rows]
+                    break
+        if any(v):
+            if any(sum(map(mul, row, v)) for row in rest):
+                return []
+            g = gcd(*v) if next(x for x in reversed(v) if x) > 0 else -gcd(*v)
+            return [[x // g for x in v]]
+    return [v for _, v in _int_kernel(*_int_echelon(m), n)] if m else []
 
 
 def _minors(rows):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DoubleCircuitConfig
 from .errors import InputError, UnsupportedDimension
@@ -20,11 +20,16 @@ class RenderSpec:
     ymax: float = 10.0
     width: int = 640
     labels: bool = True
+    height: int = field(init=False)  # in pixels, at the scale of the width
 
     def __post_init__(self):
         box = (self.xmin, self.xmax, self.ymin, self.ymax)
         if not (all(map(math.isfinite, box)) and self.xmin < self.xmax and self.ymin < self.ymax and self.width > 0):
             raise InputError("render box must be finite with positive size")
+        height = (self.ymax - self.ymin) * (self.width / (self.xmax - self.xmin))
+        if not (math.isfinite(height) and round(height) > 0):
+            raise InputError(f"render box gives a pixel height of {height:g}; need a finite height of at least 1")
+        object.__setattr__(self, "height", round(height))
 
 
 def _fmt(x: float) -> str:
@@ -90,7 +95,7 @@ def render_points(points, spec: RenderSpec = RenderSpec()) -> str:
 
 def _render(whites: dict, blacks: dict, spec: RenderSpec) -> str:
     sx = spec.width / (spec.xmax - spec.xmin)
-    height = int(round((spec.ymax - spec.ymin) * sx))
+    height = spec.height
 
     def to_px(p):
         return (p[0] - spec.xmin) * sx, (spec.ymax - p[1]) * sx

@@ -177,10 +177,10 @@ def _integer_det(rows, shear):
     rows (kasteleyn_rows) is D, a LaurentPoly2 with int coefficients.
 
     Scaling each row by the lcm of its denominators makes the entries
-    integer polynomials.  After dividing out its lowest monomial, the
-    determinant is fixed by its values on a grid of integer nodes as large
-    as a box that holds its support, and every Newton divided difference of
-    an integer polynomial at integer nodes is an integer.
+    integer polynomials.  The determinant is fixed by its values on a grid
+    of integer nodes as large as a box that holds its support, and every
+    Newton divided difference of an integer polynomial at integer nodes is
+    an integer.
 
     Every term of the determinant is a product of one term per row and
     per column, so its exponent is the sum over a perfect matching of the
@@ -191,30 +191,32 @@ def _integer_det(rows, shear):
     matchings, four assignment problems (_matching_box), and the exponents
     are mapped back at the end.  The box holds the support for every
     choice of coefficients; the shear only makes it smaller.  Without a
-    perfect matching the determinant is zero; the 0 x 0 one is one."""
+    perfect matching the determinant is zero; the 0 x 0 one is one.
+
+    Each row and each column is divided by a monomial, the dual potentials
+    of the least assignments, so that every exponent is nonnegative and the
+    least matching sum is zero: a term on a perfect matching is then at most
+    the box size, however far a coboundary change of h moves the rows and
+    columns."""
     a, b = shear
     k = len(rows)
-    ints = []  # per row: [(column, i, j, int coeff)] with i, j >= 0
-    shift_l = shift_m = 0
-    scale = 1
-    for row in rows:
-        terms = [(col, i + a * j, j + b * i, Fraction(c)) for col, i, j, c in row]
-        if not terms:
-            return LaurentPoly2.zero(), 1
-        lo_i = min(t[1] for t in terms)
-        lo_j = min(t[2] for t in terms)
-        den = lcm(*(t[3].denominator for t in terms))
-        shift_l, shift_m, scale = shift_l + lo_i, shift_m + lo_j, scale * den
-        ints.append([(col, i - lo_i, j - lo_j, int(c * den)) for col, i, j, c in terms])
-    box = _matching_box(ints)
+    sheared = [[(col, i + a * j, j + b * i, Fraction(c)) for col, i, j, c in row] for row in rows]
+    box = _matching_box(sheared)
     if box is None:
         return LaurentPoly2.zero(), 1
-    (lo_l, hi_l), (lo_m, hi_m) = box
-    nodes_l, nodes_m = _nodes(hi_l - lo_l + 1), _nodes(hi_m - lo_m + 1)
+    (width_l, row_l, col_l), (width_m, row_m, col_m) = box
+    ints = []  # per row: [(column, i, j, int coeff)] with i, j >= 0
+    scale = 1
+    for row, pl, pm in zip(sheared, row_l, row_m):
+        den = lcm(*(t[3].denominator for t in row))
+        scale *= den
+        ints.append([(col, i - pl - col_l[col], j - pm - col_m[col], int(c * den)) for col, i, j, c in row])
+    shift_l, shift_m = sum(row_l) + sum(col_l), sum(row_m) + sum(col_m)
+    nodes_l, nodes_m = _nodes(width_l + 1), _nodes(width_m + 1)
     # powers up to the box top and the highest term, which lies above the
     # box when it is on no perfect matching
-    top_l = max([hi_l, *(t[1] for row in ints for t in row)])
-    top_m = max([hi_m, *(t[2] for row in ints for t in row)])
+    top_l = max([width_l, *(t[1] for row in ints for t in row)])
+    top_m = max([width_m, *(t[2] for row in ints for t in row)])
     mu_powers = [[y**e for e in range(top_m + 1)] for y in nodes_m]
     values = []
     for x in nodes_l:
@@ -227,20 +229,22 @@ def _integer_det(rows, shear):
             for r, row in zip(mat, at_x):
                 for col, j, c in row:
                     r[col] += c * yp[j]
-            line.append(linalg.bareiss_det(mat) // (xp[lo_l] * yp[lo_m]))
+            line.append(linalg.bareiss_det(mat))
         values.append(_interpolate(nodes_m, line))
     out: dict = {}
     for j in range(len(nodes_m)):
         for i, c in enumerate(_interpolate(nodes_l, [v[j] for v in values])):
-            p, q = i + lo_l + shift_l, j + lo_m + shift_m
+            p, q = i + shift_l, j + shift_m
             out[(p - a * q, q - b * p)] = c  # unsheared
     return LaurentPoly2.from_dict(out), scale
 
 
 def _matching_box(rows):
-    """Per exponent axis of (column, i, j, ...) terms, the least and the
-    greatest sum over the perfect matchings of one term per row and
-    column; None when there is no perfect matching."""
+    """Per exponent axis of (column, i, j, ...) terms, (width, row
+    potentials, column potentials): the greatest minus the least sum over
+    the perfect matchings of one term per row and column, and potentials
+    whose sum at a row and a column is at most each of its terms and whose
+    total is that least sum.  None when there is no perfect matching."""
     box = []
     for axis in (1, 2):
         least, negated_most = [{} for _ in rows], [{} for _ in rows]  # per row: column -> cost
@@ -252,17 +256,20 @@ def _matching_box(rows):
         lo = _min_assignment(least)
         if lo is None:
             return None
-        box.append((lo, -_min_assignment(negated_most)))
+        least_sum, row_potentials, col_potentials = lo
+        box.append((-_min_assignment(negated_most)[0] - least_sum, row_potentials, col_potentials))
     return box
 
 
 def _min_assignment(costs):
-    """The least sum of costs[r][c] over the bijections r -> c of rows to
-    columns that use only given entries (costs: one dict column -> int per
-    row), or None when there is none.  The Hungarian method: each row joins
-    the matching along a shortest augmenting path under dual potentials,
-    O(k^3); when no free column is reachable the rows so far have no
-    matching, so neither have all rows."""
+    """(s, u, v): the least sum s of costs[r][c] over the bijections
+    r -> c of rows to columns that use only given entries (costs: one dict
+    column -> int per row), and dual potentials with u[r] + v[c] at most
+    each given costs[r][c] and sum(u) + sum(v) == s; None when there is no
+    bijection.  The Hungarian method: each row joins the matching along a
+    shortest augmenting path under the potentials, O(k^3); when no free
+    column is reachable the rows so far have no matching, so neither have
+    all rows."""
     k = len(costs)
     inf = float("inf")
     u, v = [0] * (k + 1), [0] * (k + 1)
@@ -295,7 +302,7 @@ def _min_assignment(costs):
             prev = way[col]
             owner[col] = owner[prev]
             col = prev
-    return -v[0]
+    return -v[0], u[1:], v[1:]
 
 
 def _nodes(n: int) -> list:
@@ -506,6 +513,73 @@ def rational_roots(coeffs: dict):
                 if _horner_zero(ipoly, deg, cand):
                     roots.add(cand)
     return sorted(roots)
+
+
+def real_roots(coeffs: dict) -> list:
+    """Ascending float roots of sum_k coeffs[k] x^k (k may be negative;
+    exact or float coefficients) at which it changes sign, so a root of
+    even multiplicity is not found.  The lowest power of x is divided out,
+    so 0 is not a root.
+
+    The real roots of the derivative, found recursively, cut the line into
+    intervals on which the polynomial is monotone; a sign change inside
+    one is bisected down to adjacent doubles."""
+    exact = {k: Fraction(v) for k, v in coeffs.items() if v}
+    if not exact:
+        return []
+    top = max(map(abs, exact.values()))  # scaled to at most one: no overflow
+    poly = [float(exact.get(k, 0) / top) for k in range(min(exact), max(exact) + 1)]
+    while not poly[-1]:  # below the float range
+        poly.pop()
+    while not poly[0]:
+        poly.pop(0)
+    return _sign_changes(poly)
+
+
+def _sign_changes(p: list) -> list:
+    """real_roots of the float polynomial p, constant first, p[-1] != 0.
+    Past the Cauchy bound 1 + max |p[k] / p[n]| p has the sign of its
+    leading term; at a turn, a value within the rounding error counts as
+    zero, so a root of even multiplicity shows no sign change."""
+    n = len(p) - 1
+    if n < 1:
+        return []
+    turns = _sign_changes([k * a for k, a in enumerate(p)][1:])
+    bound = min(2 * (1 + max(map(abs, p[:-1])) / abs(p[-1])), 2.0**1022)
+    lead = 1 if p[-1] > 0 else -1
+    roots = []
+    lo, s_lo = -bound, lead * (-1) ** n
+    for x, s in [*((x, _sign_at(p, x, sure=True)) for x in turns), (bound, lead)]:
+        if s and s != s_lo:  # the bisection across a zero at a turn lands on it
+            roots.append(_bisect(p, lo, x, s_lo))
+        if s:
+            lo, s_lo = x, s
+    return roots
+
+
+def _bisect(p: list, lo: float, hi: float, s_lo: int) -> float:
+    """Where p changes sign between lo, of sign s_lo, and hi: adjacent
+    doubles, or a zero of p."""
+    while lo < (mid := (lo + hi) / 2) < hi and (s := _sign_at(p, mid)):
+        lo, hi = (mid, hi) if s == s_lo else (lo, mid)
+    return mid
+
+
+def _sign_at(p: list, x: float, sure: bool = False) -> int:
+    """The sign of p(x) by Horner's rule; with sure, 0 when |p(x)| is
+    within its rounding error bound 2n u sum |p[k] x^k|.  For |x| > 1 it is
+    read from x^n p(1/x), so nothing overflows."""
+    if abs(x) <= 1:
+        coeffs, y, sign = reversed(p), x, 1
+    else:
+        coeffs, y, sign = p, 1 / x, -1 if x < 0 and len(p) % 2 == 0 else 1
+    acc = err = 0.0
+    for a in coeffs:
+        acc = acc * y + a
+        err = err * abs(y) + abs(a)
+    if sure and abs(acc) <= 2 * len(p) * 2.0**-53 * err:
+        return 0
+    return sign if acc > 0 else -sign if acc < 0 else 0
 
 
 def _horner_zero(ipoly: dict, deg: int, x: Fraction) -> bool:

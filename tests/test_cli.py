@@ -767,14 +767,17 @@ def test_input_errors_are_value_errors():
         ["make-pentagram", "--params", "1/0", "--out", "SVG"],
         ["experiment", "birationality-probe", "FILE", "--samples", "0"],
         ["experiment", "birationality-probe", "FILE", "--samples", "-1"],
+        ["render", "FILE", "--out", "SVG", "--box", "0", "1e-320", "0", "1"],  # an infinite pixel height
+        ["render", "FILE", "--out", "SVG", "--box", "0", "1", "0", "1e-300"],  # a pixel height of 0
     ],
 )
 def test_bad_values_exit_two(pentagon_file, tmp_path, capsys, argv):
-    svg = str(tmp_path / "out.svg")
+    svg = tmp_path / "out.svg"
     capsys.readouterr()
-    assert main([str(pentagon_file) if a == "FILE" else svg if a == "SVG" else a for a in argv]) == 2
+    assert main([str(pentagon_file) if a == "FILE" else str(svg) if a == "SVG" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize("n, k", [(5, 5), (5, 0), (7, 14), (7, 1)])
@@ -841,8 +844,12 @@ _NOT_FOR_QNET = ("moves", "spectral", "pentagram", "spiral", "render")
         (["make-grid-minus-edge", "--out", "OUT"], _NOT_FOR_QNET),
         (["run", "SPIRAL", "--builtin", "spiral", "--verify", "--out", "OUT"], ("fixtures", "spectral")),
         (["run", "QNET", "--builtin", "qnet", "--verify"], ("pentagram", "spiral", "spectral", "fixtures")),
+        (["experiment", "birationality-probe", "FILE", "--samples", "2"], ("numpy", "moves", "render", "fixtures")),
     ],
-    ids=["validate", "malformed", "render", "make-pentagram", "make-qnet", "make-grid-minus-edge", "run-spiral", "run-qnet"],
+    ids=[
+        "validate", "malformed", "render", "make-pentagram", "make-qnet", "make-grid-minus-edge", "run-spiral",
+        "run-qnet", "birationality-probe",
+    ],
 )
 def test_each_command_imports_only_what_it_runs(pentagon_file, tmp_path, argv, unused):
     broken = tmp_path / "broken.json"

@@ -162,16 +162,21 @@ def test_a_pentagram_step_scales_each_label_once(monkeypatch):
 
 
 def test_joins_meets_and_circuit_tests_skip_the_elimination(monkeypatch):
-    """Every kernel of a pentagram step, of its (V) and (F) checks and of a
-    Q-net step has corank one in at most 4 columns: the minors read it, and
-    the elimination never runs."""
+    """Every kernel of a pentagram step, of its (V) and (F) checks, of a
+    Q-net step and of a spiral step has corank one in at most 4 columns:
+    the minors read it, and the elimination never runs.  The spiral step
+    meets a line with a point whose column matrix has two proportional
+    first rows, so its minors come from another choice of rows."""
     _, _, _, c = make_pentagram_fixture(16, 3)
     _, _, cq = make_qnet_fixture()
+    _, _, cs = make_spiral_fixture()
     counts = _counting(monkeypatch, "_int_echelon")
     stepped = pentagram_step_on_config(c, 3)
     assert check_V(stepped).ok and check_F(stepped).ok
     assert counts["_int_echelon"] == 0
     qnet.step(cq)
+    assert counts["_int_echelon"] == 0
+    spiral.step(cs)
     assert counts["_int_echelon"] == 0
 
 

@@ -202,8 +202,13 @@ def int_matrices(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(int_matrices())
-# the first n - 1 rows are dependent, yet the corank is one: the elimination
+# the first n - 1 rows are dependent, yet the corank is one: another choice of rows
 @example(([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3))
+# the same in the frozen spiral's F meet, and with a last row that misses the kernel
+@example(([[0, 7, 7], [0, 2, 2], [1, 1, -1]], 3))
+@example(([[0, 7, 7], [0, 2, 2], [1, 1, -1], [1, 0, 0]], 3))
+# every choice of two rows is dependent: the corank is two, the elimination
+@example(([[1, 2, 3], [2, 4, 6], [-1, -2, -3]], 3))
 # overdetermined and of full rank: no kernel
 @example(([[1, 2], [3, 4], [5, 6]], 2))
 # the minors of the first three rows are missed by the last row only

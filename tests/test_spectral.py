@@ -1,10 +1,11 @@
 import functools
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimergeom import linalg, pentagram, qnet, spectral, spiral
@@ -42,6 +43,7 @@ from dimergeom.spectral import (
     kernel_at,
     on_curve,
     rational_roots,
+    real_roots,
     reconstruct_black,
     spectral_polynomial,
     spectral_polynomial_dual,
@@ -212,6 +214,25 @@ def test_curve_gauge_invariances():
     shifted = coboundary_shifted(c, pots)
     kw3 = kasteleyn_weights(shifted.graph, shifted.white_labels)
     assert spectral_polynomial(shifted.graph, kw3).normalized().terms == base.terms
+
+
+@pytest.mark.parametrize(
+    "potentials, shift",
+    [
+        ({"P0": (10**6, 0)}, (10**6, 0)),
+        ({"q0": (-(10**6), 3 * 10**6), "P2": (5, -(10**6))}, (10**6 + 5, -4 * 10**6)),
+    ],
+    ids=["white", "white-and-black"],
+)
+def test_a_far_coboundary_change_only_shifts_the_curve(potentials, shift):
+    """h'(e) = h(e) + phi(w) - phi(b) multiplies the determinant by the
+    monomial of sum phi(w) - sum phi(b): every perfect matching meets each
+    vertex once.  The rows and columns are divided by their monomials
+    first, so the exponents' size does not enter the cost."""
+    _, _, _, c = make_pentagram_fixture(5, 2)
+    shifted = coboundary_shifted(c, potentials)
+    assert validate_graph(shifted.graph).ok
+    assert spectral_polynomial_white(shifted) == spectral_polynomial_white(c).shift(*shift)
 
 
 _WEIGHT = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(lambda x: x != 0)
@@ -582,6 +603,63 @@ def test_rational_roots_finder():
     assert set(roots) == {F(2, 3), F(-5), F(1)}
 
 
+def _expanded(roots):
+    """Coefficients, constant first, of prod (x - r) over the roots."""
+    poly = [F(1)]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([F(0)] + poly, poly + [F(0)])]
+    return poly
+
+
+def _condition(poly, r):
+    """sum |a_k r^k| / |r p'(r)|: the relative change of the simple root r
+    per unit relative change of the coefficients a_k of p."""
+    size = sum(abs(a * r**k) for k, a in enumerate(poly))
+    return size / abs(r * sum(k * a * r ** (k - 1) for k, a in enumerate(poly) if k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(st.fractions(-50, 50, max_denominator=10).filter(bool), min_size=1, max_size=8, unique=True),
+    no_real_root_factor=st.booleans(),
+    as_float=st.booleans(),
+    shift=st.integers(-6, 6),
+)
+def test_real_roots_finds_the_simple_real_roots(roots, no_real_root_factor, as_float, shift):
+    """A float root is off by about the coefficient rounding times its
+    condition number, so ill-conditioned clusters such as 43, 44, ..., 50
+    (condition 9e11; 2e-5 off in floats) are left out."""
+    poly = _expanded(roots)
+    if no_real_root_factor:  # times x^2 + x + 1
+        poly = [a + b + c for a, b, c in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+    assume(max(_condition(poly, r) for r in roots) < 1e5)
+    coeffs = {k + shift: float(a) if as_float else a for k, a in enumerate(poly)}
+    got = real_roots(coeffs)
+    assert len(got) == len(roots)
+    for x, r in zip(got, sorted(roots)):
+        assert abs(x - r) <= 1e-9 * abs(r), (x, r)
+
+
+@pytest.mark.parametrize(
+    "coeffs, want",
+    [
+        ({0: 1, 2: 1}, []),  # x^2 + 1
+        ({3: F(5, 2)}, []),
+        ({}, []),
+        ({0: 1, 1: -2, 2: 1}, []),  # (x - 1)^2: even multiplicity
+        ({0: -3, 1: 7, 2: -5, 3: 1}, [3]),  # (x - 1)^2 (x - 3)
+        ({-3: 2.0, -2: -1.0}, [2]),  # negative exponents
+        ({0: 1e-300, 1: -1.0, 2: 1e-300}, [1e-300, 1e300]),  # wide dynamic range
+        ({0: -1, 7: F(1, 10**300)}, [10 ** (300 / 7)]),
+        ({0: 10**400, 1: 10**400, 2: -2 * 10**400}, [-0.5, 1]),  # beyond the float range, exact
+    ],
+)
+def test_real_roots_cases(coeffs, want):
+    got = real_roots(coeffs)
+    assert all(math.isfinite(x) for x in got)
+    assert len(got) == len(want) and all(abs(x - r) <= 1e-9 * abs(r) for x, r in zip(got, want)), got
+
+
 def test_dual_curve_experiment_pentagon():
     _, _, _, c = make_pentagram_fixture(5, 2)
     pw = spectral_polynomial_white(c).normalized()
@@ -607,8 +685,6 @@ def test_injectivity_probe_float_pentagram():
     # two distinct sampled curve points give non-projectively-equal black
     # data (float backend; the fixture curve has one low-height rational
     # point, so the second point comes from numerical fiber roots)
-    import numpy as np
-
     _, _, _, c = make_pentagram_fixture(5, 2)
     kw = kasteleyn_weights(c.graph, c.white_labels)
     poly = spectral_polynomial(c.graph, kw)
@@ -618,9 +694,7 @@ def test_injectivity_probe_float_pentagram():
         coeffs = {}
         for (i, j), cf in poly.terms:
             coeffs[j] = coeffs.get(j, 0.0) + float(cf) * lam**i
-        lo = min(coeffs)
-        arr = [coeffs.get(k, 0.0) for k in range(max(coeffs), lo - 1, -1)]
-        real = [r.real for r in np.roots(arr) if abs(r.imag) < 1e-9 and abs(r.real) > 1e-9]
+        real = [r for r in real_roots(coeffs) if abs(r) > 1e-9]
         assert real, lam
         res = reconstruct_black(c.graph, 2, wl, lam, min(real))
         assert res.status == "unique"
