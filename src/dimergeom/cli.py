@@ -260,7 +260,7 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
     while sum(outcomes.values()) < samples and tried < samples * 40:
         tried += 1
         lam = rng.uniform(0.2, 3.0) * rng.choice([1, -1])
-        coeffs = fiber_polynomial(poly, "lam", lam)
+        coeffs = fiber_polynomial(poly, lam)
         if not coeffs:
             break
         real = [r for r in real_roots(coeffs) if abs(r) > 1e-9]

@@ -5,13 +5,16 @@
   in pairs and the line list degenerates);
 * spiral: white seed with frozen parameters whose spectral curve carries
   exact rational points; black data comes from reconstruction at the
-  frozen curve point;
+  stored class point;
 * qnet: a periodically repeating net on the quadric z = xy paired with
   its image under a central collineation (every mixed quadrilateral then
   contains the center and is coplanar), planes from the mate's squares;
 * grid_minus_edge: square-grid torus minus one edge with the forced
   collinearity at the degree-three black vertex; reconstruction at any
   curve point is underdetermined there.
+
+The spiral and grid fixtures store verified rational points of their
+curves as frozen data; no point is searched for at run time.
 """
 from __future__ import annotations
 
@@ -54,8 +57,9 @@ def make_pentagram_fixture(n: int, k: int, params=None, seed: int = 0):
     return P, Q, q, build_pentagram_config(P, q, k)
 
 
-# frozen spiral seed: free points, interpolation parameter, and the curve
-# points found by exact fiber search (all verified at build time)
+# frozen spiral seed: free points, interpolation parameter, and stored
+# rational points of its curve (the class point is checked by the
+# reconstruction below, and every point by the tests)
 SPIRAL_K, SPIRAL_N, SPIRAL_BASE = 2, 5, 1
 SPIRAL_FREE = ((0, 0), (5, -2), (7, 2), (3, -1))
 SPIRAL_T0 = F(2)
@@ -141,8 +145,10 @@ def make_qnet_fixture():
 
 
 # grid minus one edge: frozen white data (the degree-3 black vertex B1x0
-# sees the collinear triple W2x0, W1x1, W1x3)
+# sees the collinear triple W2x0, W1x1, W1x3) and a stored rational point
+# of its curve
 GRID_A = GRID_B = 4
+GRID_CURVE_POINT = (F(1), F(-2312629, 110955))
 GRID_WHITE = {
     "W0x0": (3, 4),
     "W0x2": (-8, -1),
@@ -167,13 +173,9 @@ def make_grid_minus_edge():
 
 
 def grid_minus_edge_curve_point(g: TorusGraph, white: dict):
-    """Deterministic rational point on the grid fixture's curve: the first
-    non-unit rational root of the lambda = 1 fiber."""
-    from .spectral import fiber_polynomial, kasteleyn_weights, rational_roots, spectral_polynomial
+    """GRID_CURVE_POINT, checked exactly on the spectral curve of (g, white)."""
+    from .spectral import kasteleyn_weights, on_curve, spectral_polynomial
 
-    kw = kasteleyn_weights(g, white)
-    poly = spectral_polynomial(g, kw)
-    for mu in rational_roots(fiber_polynomial(poly, "lam", F(1))):
-        if mu not in (0, 1):
-            return (F(1), mu)
-    raise GeometryError("frozen grid fixture lost its curve point")
+    if not on_curve(spectral_polynomial(g, kasteleyn_weights(g, white)), *GRID_CURVE_POINT):
+        raise GeometryError("frozen grid fixture lost its curve point")
+    return GRID_CURVE_POINT

@@ -156,9 +156,7 @@ def newton_polygon(p: LaurentPoly2):
 
     lower = half(pts)
     upper = half(list(reversed(pts)))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2 and len(pts) >= 2:  # collinear support
-        hull = [pts[0], pts[-1]]
+    hull = lower[:-1] + upper[:-1]  # each chain keeps its two distinct ends
     start = hull.index(min(hull))
     return hull[start:] + hull[:start]
 

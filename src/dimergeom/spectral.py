@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, gcd, lcm
+from math import atan2, gcd, inf, lcm, ldexp, log2
 
 from . import linalg
 from .config import DoubleCircuitConfig, check_F, check_V
@@ -42,7 +42,7 @@ from .errors import (
     UnequalColorCounts,
 )
 from .geometry import HYPERPLANE, HomogeneousElement, circuit_coefficients, normalize_coords
-from .laurent import LaurentPoly2
+from .laurent import LaurentPoly2, _cross
 from .scalars import _ipow, is_float, is_zero
 from .torusgraph import Edge, Face, TorusGraph, vertex_edges
 
@@ -465,54 +465,15 @@ def reconstruct_black(
     return ReconstructionResult("unique", cfg, trace)
 
 
-# ------------------------------------------------- rational points (search)
+# ------------------------------------------------------------- real fibers
 
 
-def fiber_polynomial(p: LaurentPoly2, axis: str, value):
-    """Coefficients (exponent -> coeff) of p with one variable fixed."""
+def fiber_polynomial(p: LaurentPoly2, lam):
+    """Coefficients (mu exponent -> coeff) of p at the given lambda."""
     out: dict = {}
     for (i, j), c in p.terms:
-        if axis == "lam":
-            k, v = j, c * _ipow(value, i)
-        else:
-            k, v = i, c * _ipow(value, j)
-        out[k] = out.get(k, 0) + v
+        out[j] = out.get(j, 0) + c * _ipow(lam, i)
     return {k: v for k, v in out.items() if v != 0}
-
-
-def rational_roots(coeffs: dict):
-    """Exact nonzero rational roots of sum_k coeffs[k] x^k (k may be
-    negative).  Rational root theorem with the classical (p - q) | P(1)
-    and (p + q) | P(-1) filters."""
-    nonzero = [k for k, v in coeffs.items() if v != 0]
-    if not nonzero:
-        return []
-    low, deg = min(nonzero), max(nonzero) - min(nonzero)
-    if deg == 0:
-        return []
-    # primitive integer coefficients, constant term first
-    prim = normalize_coords(tuple(Fraction(coeffs.get(low + k, 0)) for k in range(deg + 1)))
-    ipoly = {k: int(v) for k, v in enumerate(prim) if v != 0}
-    a0, an = ipoly[0], ipoly[deg]
-    p1 = sum(ipoly.values())
-    pm1 = sum(v if k % 2 == 0 else -v for k, v in ipoly.items())
-    roots = set()
-    for p in _divisors(abs(a0)):
-        for q in _divisors(abs(an)):
-            if gcd(p, q) != 1:
-                continue
-            for s in (1, -1):
-                sp = s * p
-                if p1 != 0 and (sp - q) != 0 and p1 % (sp - q) != 0:
-                    continue
-                if pm1 != 0 and (sp + q) != 0 and pm1 % (sp + q) != 0:
-                    continue
-                cand = Fraction(sp, q)
-                if cand in roots:
-                    continue
-                if _horner_zero(ipoly, deg, cand):
-                    roots.add(cand)
-    return sorted(roots)
 
 
 def real_roots(coeffs: dict) -> list:
@@ -521,19 +482,60 @@ def real_roots(coeffs: dict) -> list:
     even multiplicity is not found.  The lowest power of x is divided out,
     so 0 is not a root.
 
+    The coefficients are divided by the largest one, so nothing overflows.
+    When that drops another one below the float range, the roots are
+    sought one cluster at a time (_root_bands): in y = x / 2^s, s the
+    rounded log2 size of the cluster's roots, the cluster's own terms are
+    the largest, and a power of two scales exactly.  A root that is no
+    double after scaling back is dropped.
+
     The real roots of the derivative, found recursively, cut the line into
     intervals on which the polynomial is monotone; a sign change inside
     one is bisected down to adjacent doubles."""
     exact = {k: Fraction(v) for k, v in coeffs.items() if v}
     if not exact:
         return []
-    top = max(map(abs, exact.values()))  # scaled to at most one: no overflow
-    poly = [float(exact.get(k, 0) / top) for k in range(min(exact), max(exact) + 1)]
-    while not poly[-1]:  # below the float range
-        poly.pop()
-    while not poly[0]:
-        poly.pop(0)
-    return _sign_changes(poly)
+    low = min(exact)
+    poly = _unit_scaled(exact, 0)
+    if all(abs(poly[k - low]) >= 2.0**-1022 for k in exact):  # normal doubles, no precision lost
+        return _sign_changes(poly)
+    roots = []
+    for t, lo, hi in _root_bands(exact):
+        s = round(t)
+        poly = _unit_scaled(exact, s)
+        while not poly[-1]:  # below the float range
+            poly.pop()
+        while not poly[0]:
+            poly.pop(0)
+        lo, hi = max(lo, -1074), min(hi, 1024)  # and a double: 2^-1074 <= |x| < 2^1024
+        roots += [ldexp(y, s) for y in _sign_changes(poly) if lo <= log2(abs(y)) + s < hi]
+    return sorted(roots)
+
+
+def _unit_scaled(exact: dict, s: int) -> list:
+    """Float coefficients, lowest power first, of p(2^s y) divided by its
+    largest coefficient, so at most one."""
+    scaled = {k: v * Fraction(2) ** (s * k) for k, v in exact.items()}
+    top = max(map(abs, scaled.values()))
+    return [float(scaled.get(k, 0) / top) for k in range(min(scaled), max(scaled) + 1)]
+
+
+def _root_bands(exact: dict) -> list:
+    """(t, lo, hi) per edge of the upper hull of the points (k, log2
+    |exact[k]|), each log read to within one from the bit lengths.  An
+    edge from k1 to k2 with slope -t holds k2 - k1 roots of size about
+    2^t (a tropical root of p), where its two end terms outweigh all
+    others; its band lo <= log2 |x| < hi reaches halfway to the
+    neighbouring edges' t, so each root is kept in one band."""
+    hull: list = []
+    for k in sorted(exact):
+        q = (k, exact[k].numerator.bit_length() - exact[k].denominator.bit_length())
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], q) >= 0:
+            hull.pop()
+        hull.append(q)
+    ts = [(e1 - e2) / (k2 - k1) for (k1, e1), (k2, e2) in zip(hull, hull[1:])]
+    cuts = [-inf, *((a + b) / 2 for a, b in zip(ts, ts[1:])), inf]
+    return list(zip(ts, cuts, cuts[1:]))
 
 
 def _sign_changes(p: list) -> list:
@@ -580,24 +582,3 @@ def _sign_at(p: list, x: float, sure: bool = False) -> int:
     if sure and abs(acc) <= 2 * len(p) * 2.0**-53 * err:
         return 0
     return sign if acc > 0 else -sign if acc < 0 else 0
-
-
-def _horner_zero(ipoly: dict, deg: int, x: Fraction) -> bool:
-    acc = Fraction(0)
-    for k in range(deg, -1, -1):
-        acc = acc * x + ipoly.get(k, 0)
-    return acc == 0
-
-
-def _divisors(n: int):
-    if n == 0:
-        return []
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)

@@ -130,9 +130,9 @@ class TorusGraph:
 
 
 def vertex_edges(g: TorusGraph) -> dict:
-    """vertex id -> list of incident edge indices, in stored edge order,
-    read from the incidence index."""
-    return {v: list(ix) for v, ix in g.incidence().items()}
+    """vertex id -> tuple of incident edge slots, in slot order: the
+    graph's own incidence index, so read only."""
+    return g.incidence()
 
 
 def face_vertex_sequence(g: TorusGraph, face: Face) -> list:

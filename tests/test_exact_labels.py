@@ -10,6 +10,7 @@ paths they replace."""
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -231,3 +232,28 @@ def test_every_computed_label_is_its_primitive_int_row(case):
             assert e.ints == tuple(linalg.int_row(e.coords)), (call, e)
             if id(e) not in given_labels:
                 assert gcd(*e.ints) == 1 and next(v for v in e.ints if v) > 0, (call, e)
+
+
+# family -> (start, number of labels its first 10 steps compute)
+TEN_STEPS = {
+    "pentagram": (lambda: make_pentagram_fixture(7, 2)[3], 140),
+    "spiral": (lambda: make_spiral_fixture()[2], 20),
+    "qnet": (lambda: make_qnet_fixture()[2], 160),
+}
+
+
+@pytest.mark.parametrize("name", TEN_STEPS)
+def test_ten_steps_keep_every_computed_label_primitive(name):
+    """Over 10 steps, every label a step computes (one it does not carry
+    over from its input) is primitive and positive at its first nonzero
+    entry, so label heights grow only as the map makes them grow."""
+    start, computed = TEN_STEPS[name]
+    c, seen = start(), 0
+    for i in range(10):
+        carried = {id(e) for e in _labels(c)}  # the output is built while c is alive
+        c = FAMILIES[name][0].step(c)
+        for e in _labels(c):
+            if id(e) not in carried:
+                seen += 1
+                assert gcd(*e.ints) == 1 and next(v for v in e.ints if v) > 0, (i, e)
+    assert seen == computed

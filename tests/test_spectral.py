@@ -15,7 +15,7 @@ from dimergeom.config import (
     config_to_dict,
     labels_projectively_equal,
 )
-from dimergeom.errors import EmptyKernel, KernelNotOneDimensional, UnequalColorCounts
+from dimergeom.errors import EmptyKernel, GeometryError, KernelNotOneDimensional, UnequalColorCounts
 from dimergeom.fixtures import (
     SPIRAL_BASE,
     SPIRAL_CLASS_POINT,
@@ -29,7 +29,7 @@ from dimergeom.fixtures import (
     make_spiral_fixture,
     make_spiral_white_seed,
 )
-from dimergeom.geometry import hyperplane, point, proj_equal
+from dimergeom.geometry import affine_point, hyperplane, point, proj_equal
 from dimergeom.laurent import LaurentPoly2, newton_polygon
 from dimergeom.moves import urban_renewal
 from dimergeom.qnet import build_qnet_graph
@@ -42,7 +42,6 @@ from dimergeom.spectral import (
     kasteleyn_weights,
     kernel_at,
     on_curve,
-    rational_roots,
     real_roots,
     reconstruct_black,
     spectral_polynomial,
@@ -565,9 +564,17 @@ def test_reconstruct_spiral_round_trip_and_order():
 def test_reconstruct_grid_minus_edge_nonunique():
     g, white = make_grid_minus_edge()
     lam, mu = grid_minus_edge_curve_point(g, white)
+    assert (lam, mu) == (F(1), F(-2312629, 110955))
     res = reconstruct_black(g, 2, white, lam, mu)
     assert res.status == "nonunique"
     assert "B1x0" in res.detail
+
+
+def test_grid_curve_point_is_checked_against_the_white_data():
+    g, white = make_grid_minus_edge()
+    white["W2x2"] = affine_point(9, -2)  # was (9, -3)
+    with pytest.raises(GeometryError, match="lost its curve point"):
+        grid_minus_edge_curve_point(g, white)
 
 
 def test_injectivity_probe_exact_spiral():
@@ -594,13 +601,6 @@ def test_extra_spiral_points_on_curve():
     poly = spectral_polynomial(g, kasteleyn_weights(g, white))
     for lam, mu in (SPIRAL_CLASS_POINT,) + SPIRAL_EXTRA_POINTS:
         assert on_curve(poly, lam, mu)
-
-
-def test_rational_roots_finder():
-    # 3(x - 2/3)(x + 5)(x - 1) = 3x^3 + 10x^2 - 23x + 10
-    coeffs = {3: F(3), 2: F(10), 1: F(-23), 0: F(10)}
-    roots = rational_roots(coeffs)
-    assert set(roots) == {F(2, 3), F(-5), F(1)}
 
 
 def _expanded(roots):
@@ -652,6 +652,12 @@ def test_real_roots_finds_the_simple_real_roots(roots, no_real_root_factor, as_f
         ({0: 1e-300, 1: -1.0, 2: 1e-300}, [1e-300, 1e300]),  # wide dynamic range
         ({0: -1, 7: F(1, 10**300)}, [10 ** (300 / 7)]),
         ({0: 10**400, 1: 10**400, 2: -2 * 10**400}, [-0.5, 1]),  # beyond the float range, exact
+        # coefficients no one divisor brings into the float range: x is scaled too
+        ({0: 10**400, 1: -1, 5: 3}, [-1e80 / 3**0.2]),
+        ({0: -1, 1: 1, 5: 10**400}, [1e-80]),
+        ({0: 1, 3: 10**400, 5: 1}, [-(10.0**-133) / 10 ** (1 / 3)]),  # the largest term is a middle one
+        # (x^3 - 2^-2400)(x - 2^800): two root clusters that no one scaling holds
+        ({0: F(1, 2**1600), 1: F(-1, 2**2400), 3: -(2**800), 4: 1}, [2.0**-800, 2.0**800]),
     ],
 )
 def test_real_roots_cases(coeffs, want):
