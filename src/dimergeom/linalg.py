@@ -12,7 +12,9 @@ Gauss-Jordan elimination over Fractions.  :func:`int_nullspace` and
 build no Fraction; a corank-one kernel in at most 4 columns (the joins,
 meets and circuit tests of P^2 and P^3) is read from signed maximal minors
 instead, as the same vector.  The determinant takes exact matrices only:
-Bareiss elimination on the same integer rows.
+Bareiss elimination on the same integer rows, the one fraction-free
+elimination (bareiss_eliminate) that the spectral determinant also runs
+with only some rows as pivot rows.
 
 A matrix with a float entry takes partial pivoting with every zero
 decision made by :func:`scalars.is_zero` relative to the largest entry of
@@ -82,23 +84,41 @@ def _exact_echelon(rows):
     return _int_echelon([int_row(r) for r in rows])
 
 
-def bareiss_det(mat) -> int:
-    """Determinant of a square int matrix (rows are overwritten) by
-    fraction-free Gaussian elimination (Bareiss 1968).
+def bareiss_eliminate(mat, m: int):
+    """Fraction-free Gaussian elimination (Bareiss 1968) of an int matrix
+    with k >= m columns (rows are overwritten) and its first m rows as the
+    only pivot rows; every later row is reduced.  Returns (sign, last,
+    rest), or None when the pivot rows are linearly dependent.
+
+    When no pivot row from p on has an entry in column p, the first later
+    column where one has is swapped into column p.  sign is (-1)^(row and
+    column swaps) and last is the last pivot.  rest holds each later row,
+    reduced, in the last k - m columns: by Sylvester's identity, the
+    matrix of the pivot rows and any k - m combinations of the later rows
+    has determinant sign * det(the same combinations of rest) /
+    last^(k - m - 1), an exact division.  With m = k that is sign * last
+    (bareiss_det).
 
     A row whose entry in the pivot column is zero is left untouched and
     keeps the divisor of the step that last updated it: its later update
     (row * pivot - entry * pivot row) / divisor, and the rescaling
-    row * last pivot / divisor when it becomes the pivot row, are exact by
-    Sylvester's identity.  Sparse rows, such as Kasteleyn rows, skip most
-    steps."""
-    k = len(mat)
-    div = [1] * k
+    row * last pivot / divisor when it becomes the pivot row or is read
+    out, are exact by Sylvester's identity.  Sparse rows, such as
+    Kasteleyn rows, skip most steps."""
+    n = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    div = [1] * n
     sign, last = 1, 1
-    for p in range(k):
-        r = next((r for r in range(p, k) if mat[r][p]), None)
+    for p in range(m):
+        r = next((r for r in range(p, m) if mat[r][p]), None)
         if r is None:
-            return 0
+            found = next(((r, c) for c in range(p + 1, ncols) for r in range(p, m) if mat[r][c]), None)
+            if found is None:
+                return None
+            r, c = found
+            for row in mat[p:]:
+                row[p], row[c] = row[c], row[p]
+            sign = -sign
         if r != p:
             mat[p], mat[r] = mat[r], mat[p]
             div[p], div[r] = div[r], div[p]
@@ -107,7 +127,7 @@ def bareiss_det(mat) -> int:
         if div[p] != last:
             top[p:] = [x * last // div[p] for x in top[p:]]
         piv = top[p]
-        for i in range(p + 1, k):
+        for i in range(p + 1, n):
             row = mat[i]
             a = row[p]
             if a:
@@ -115,7 +135,16 @@ def bareiss_det(mat) -> int:
                 row[p + 1 :] = [(x * piv - a * y) // d for x, y in zip(row[p + 1 :], top[p + 1 :])]
                 div[i] = piv
         last = piv
-    return sign * last
+    rest = [mat[i][m:] if div[i] == last else [x * last // div[i] for x in mat[i][m:]] for i in range(m, n)]
+    return sign, last, rest
+
+
+def bareiss_det(mat) -> int:
+    """Determinant of a square int matrix (rows are overwritten): the
+    elimination with every row a pivot row, sign * last, or 0 when the
+    rows are dependent."""
+    reduced = bareiss_eliminate(mat, len(mat))
+    return 0 if reduced is None else reduced[0] * reduced[1]
 
 
 # ------------------------------------------------------------ float matrices

@@ -11,9 +11,11 @@ convention.  The matrix is built once, as sparse term rows
 (kasteleyn_rows), which the determinant and evaluate_matrix both read.
 
 The determinant is interpolated from its values at small integer points
-(see _integer_det).  Every step is exact, so the result needs no
-certificate; float weights take the same path through their exact
-Fraction values.
+(see _integer_det).  At each mu node one fraction-free elimination
+reduces the rows free of lambda, and each lambda node then reads the
+determinant from the small Schur block of the remaining rows (Sylvester's
+identity).  Every step is exact, so the result needs no certificate;
+float weights take the same path through their exact Fraction values.
 
 The interpolation box must hold the support of the determinant.  Every
 term of det K is the h-sum of a perfect matching, so the support lies in
@@ -197,7 +199,20 @@ def _integer_det(rows, shear):
     of the least assignments, so that every exponent is nonnegative and the
     least matching sum is zero: a term on a perfect matching is then at most
     the box size, however far a coboundary change of h moves the rows and
-    columns."""
+    columns.
+
+    The values come one mu node at a time.  Row r is then lambda^e_r times
+    a polynomial in lambda; after the potentials most rows are free of
+    lambda (degree 0), and the few lambda-rows R have low degree.  One
+    elimination per mu node (linalg.bareiss_eliminate) takes the
+    lambda-free rows as its only pivot rows and reduces each coefficient
+    row of each lambda-row.  The reduced rows are linear in the row, so at
+    a lambda node x the reduced lambda-rows are S(x) = sum_i x^i (reduced
+    coefficient rows), and Sylvester's identity gives
+    det K(x, y) = +-x^(sum e_r) det S(x) / last^(|R| - 1), an exact
+    division, with last the last pivot: an |R| x |R| determinant per node
+    in place of a k x k one.  When the lambda-free rows are dependent at
+    y, every value on the mu line is zero."""
     a, b = shear
     k = len(rows)
     sheared = [[(col, i + a * j, j + b * i, Fraction(c)) for col, i, j, c in row] for row in rows]
@@ -213,27 +228,48 @@ def _integer_det(rows, shear):
         ints.append([(col, i - pl - col_l[col], j - pm - col_m[col], int(c * den)) for col, i, j, c in row])
     shift_l, shift_m = sum(row_l) + sum(col_l), sum(row_m) + sum(col_m)
     nodes_l, nodes_m = _nodes(width_l + 1), _nodes(width_m + 1)
-    # powers up to the box top and the highest term, which lies above the
-    # box when it is on no perfect matching
-    top_l = max([width_l, *(t[1] for row in ints for t in row)])
-    top_m = max([width_m, *(t[2] for row in ints for t in row)])
-    mu_powers = [[y**e for e in range(top_m + 1)] for y in nodes_m]
+    # row r is lambda^low[r] times a polynomial of degree degree[r] in
+    # lambda; the lambda-free rows (degree 0) are the pivot rows and come
+    # first, then the lambda-rows, each as its coefficient rows, low first
+    low = [min(t[1] for t in row) for row in ints]
+    degree = [max(t[1] for t in row) - e for row, e in zip(ints, low)]
+    free = [r for r in range(k) if not degree[r]]
+    lam_rows = [r for r in range(k) if degree[r]]
+    first, n = {}, 0  # row r -> the eliminated row of its lambda^low[r] coefficients
+    for r in free + lam_rows:
+        first[r], n = n, n + degree[r] + 1
+    terms = [(first[r] + i - low[r], col, j, c) for r, row in enumerate(ints) for col, i, j, c in row]
+    spans = [(first[r] - len(free), first[r] - len(free) + degree[r] + 1) for r in lam_rows]
+    order_sign = (-1) ** sum(f > r for r in lam_rows for f in free)
+    lam_scale = [order_sign * x ** sum(low) for x in nodes_l]
+    # mu powers up to the box top and the highest term, which lies above
+    # the box when it is on no perfect matching
+    top_m = max([width_m, *(t[2] for t in terms)])
     values = []
-    for x in nodes_l:
-        xp = [x**e for e in range(top_l + 1)]
-        # the terms with lambda = x, as (column, mu exponent, int coeff)
-        at_x = [[(col, j, c * xp[i]) for col, i, j, c in row] for row in ints]
+    for y in nodes_m:
+        yp = [y**e for e in range(top_m + 1)]
+        mat = [[0] * k for _ in range(n)]
+        for at, col, j, c in terms:
+            mat[at][col] += c * yp[j]
+        reduced = linalg.bareiss_eliminate(mat, len(free))
+        if reduced is None:  # the lambda-free rows are dependent at mu = y
+            values.append([0] * len(nodes_l))
+            continue
+        sign, last, rest = reduced
+        last_power = last ** len(lam_rows)
         line = []
-        for yp in mu_powers:
-            mat = [[0] * k for _ in range(k)]
-            for r, row in zip(mat, at_x):
-                for col, j, c in row:
-                    r[col] += c * yp[j]
-            line.append(linalg.bareiss_det(mat))
-        values.append(_interpolate(nodes_m, line))
+        for x, x_scale in zip(nodes_l, lam_scale):
+            schur = []  # per lambda-row, its reduced row at lambda = x, by Horner
+            for lo, hi in spans:
+                acc = rest[hi - 1]
+                for coeffs in reversed(rest[lo : hi - 1]):
+                    acc = [u * x + v for u, v in zip(acc, coeffs)]
+                schur.append(acc)
+            line.append(x_scale * sign * linalg.bareiss_det(schur) * last // last_power)
+        values.append(_interpolate(nodes_l, line))
     out: dict = {}
-    for j in range(len(nodes_m)):
-        for i, c in enumerate(_interpolate(nodes_l, [v[j] for v in values])):
+    for i in range(len(nodes_l)):
+        for j, c in enumerate(_interpolate(nodes_m, [v[i] for v in values])):
             p, q = i + shift_l, j + shift_m
             out[(p - a * q, q - b * p)] = c  # unsheared
     return LaurentPoly2.from_dict(out), scale
@@ -271,7 +307,6 @@ def _min_assignment(costs):
     column is reachable the rows so far have no matching, so neither have
     all rows."""
     k = len(costs)
-    inf = float("inf")
     u, v = [0] * (k + 1), [0] * (k + 1)
     owner = [0] * (k + 1)  # column c + 1 -> its row r + 1; index 0 is the root of the search
     for r in range(1, k + 1):

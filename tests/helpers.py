@@ -1,15 +1,17 @@
 """Helpers that only the tests use: gauge changes of a configuration,
 class comparison, coordinate equality, conic tangency, incidence checks
-of the pentagram, Q-net and spiral dynamics, and the non-periodic Q-net
-window fixture."""
+of the pentagram, Q-net and spiral dynamics, the non-periodic Q-net
+window fixture, and the per-node reference of the spectral determinant."""
 from dataclasses import dataclass
 from fractions import Fraction as F
+from math import lcm
 
-from dimergeom import linalg
+from dimergeom import linalg, spectral
 from dimergeom.config import CohomologyClass, DoubleCircuitConfig
 from dimergeom.errors import SizeMismatch
 from dimergeom.fixtures import _collineate, _separable_point
 from dimergeom.geometry import POINT, HomogeneousElement, incident, line_through, meet_hyperplanes, proj_equal
+from dimergeom.laurent import LaurentPoly2
 from dimergeom.pentagram import Polygon
 from dimergeom.qnet import QNetWindow
 from dimergeom.scalars import is_float, is_zero
@@ -150,3 +152,40 @@ def make_window_fixture(half: int = 7):
     )
     g = QNetWindow({k: _collineate(v) for k, v in f.values.items()})
     return f, g
+
+
+def per_node_integer_det(rows, shear):
+    """spectral._integer_det with one full k x k Bareiss determinant at
+    every node of the box: the reference for its one elimination per mu
+    node.  Same box, potentials and interpolation, so the same (D, s)."""
+    a, b = shear
+    k = len(rows)
+    sheared = [[(col, i + a * j, j + b * i, F(c)) for col, i, j, c in row] for row in rows]
+    box = spectral._matching_box(sheared)
+    if box is None:
+        return LaurentPoly2.zero(), 1
+    (width_l, row_l, col_l), (width_m, row_m, col_m) = box
+    ints = []
+    scale = 1
+    for row, pl, pm in zip(sheared, row_l, row_m):
+        den = lcm(*(t[3].denominator for t in row))
+        scale *= den
+        ints.append([(col, i - pl - col_l[col], j - pm - col_m[col], int(c * den)) for col, i, j, c in row])
+    shift_l, shift_m = sum(row_l) + sum(col_l), sum(row_m) + sum(col_m)
+    nodes_l, nodes_m = spectral._nodes(width_l + 1), spectral._nodes(width_m + 1)
+    values = []
+    for x in nodes_l:
+        line = []
+        for y in nodes_m:
+            mat = [[0] * k for _ in range(k)]
+            for r, row in zip(mat, ints):
+                for col, i, j, c in row:
+                    r[col] += c * x**i * y**j
+            line.append(linalg.bareiss_det(mat))
+        values.append(spectral._interpolate(nodes_m, line))
+    out = {}
+    for j in range(len(nodes_m)):
+        for i, c in enumerate(spectral._interpolate(nodes_l, [v[j] for v in values])):
+            p, q = i + shift_l, j + shift_m
+            out[(p - a * q, q - b * p)] = c
+    return LaurentPoly2.from_dict(out), scale

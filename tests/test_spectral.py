@@ -51,7 +51,7 @@ from dimergeom.spectral import (
 )
 from dimergeom.spiral import build_spiral_graph
 from dimergeom.torusgraph import Edge, TorusGraph, validate_graph
-from helpers import class_equal, coboundary_shifted, rescaled_config
+from helpers import class_equal, coboundary_shifted, per_node_integer_det, rescaled_config
 
 
 def brute_force_determinant(g, weights):
@@ -420,6 +420,85 @@ def test_large_determinant_at_random_points(name):
     for _ in range(3):
         lam, mu = (F(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 20)) for _ in range(2))
         assert poly.evaluate(lam, mu) == linalg.det(evaluate_matrix(g, weights, lam, mu))
+
+
+# b0 and b1 are the lambda-free rows (1, mu, 0) and (mu, 1, 0), dependent
+# at the first two mu nodes 1 and -1; det K = (1 - mu^2)(1 + lambda)
+DEPENDENT_PIVOT_ROWS = (
+    TorusGraph(
+        ("w0", "w1", "w2"),
+        ("b0", "b1", "b2"),
+        (
+            Edge("w0", "b0", (0, 0)),
+            Edge("w1", "b0", (0, 1)),
+            Edge("w0", "b1", (0, 1)),
+            Edge("w1", "b1", (0, 0)),
+            Edge("w2", "b2", (0, 0)),
+            Edge("w2", "b2", (1, 0)),
+        ),
+        (),
+    ),
+    {ei: F(1) for ei in range(6)},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_torus_graphs(), st.integers(-3, 3), st.booleans())
+@example(DEPENDENT_PIVOT_ROWS, 0, False)
+@example(NO_PERFECT_MATCHING, 1, True)
+def test_one_elimination_per_mu_node_matches_the_per_node_determinant(graph_and_weights, s, on_lambda):
+    """The Schur determinants of one elimination per mu node give the
+    same (D, s) as a full Bareiss determinant at every node, at forced
+    shears (i + s*j, j) and (i, j + s*i)."""
+    g, weights = graph_and_weights
+    rows, shear = kasteleyn_rows(g, weights), (s, 0) if on_lambda else (0, s)
+    assert _integer_det(rows, shear) == per_node_integer_det(rows, shear)
+
+
+# every fixture curve, white and dual; the grid has no black labels
+CURVES = [(name, curve) for name in NODE_COUNTS for curve in ("white", "dual") if (name, curve) != ("grid-minus-edge", "dual")]
+
+
+@pytest.mark.parametrize("name, curve", CURVES, ids=lambda v: v)
+def test_fixture_curves_match_the_per_node_determinant(name, curve):
+    g, weights = _curve_weights(name, curve)
+    rows, shear = kasteleyn_rows(g, weights), _zigzag_shear(g)
+    assert _integer_det(rows, shear) == per_node_integer_det(rows, shear)
+
+
+def _recording(monkeypatch, calls):
+    """Record (columns, pivot rows, dependent) of every elimination."""
+    eliminate = linalg.bareiss_eliminate
+
+    def recorded(mat, m):
+        reduced = eliminate(mat, m)
+        calls.append((len(mat[0]) if mat else 0, m, reduced is None))
+        return reduced
+
+    monkeypatch.setattr(linalg, "bareiss_eliminate", recorded)
+
+
+def test_dependent_pivot_rows_give_a_zero_mu_line(monkeypatch):
+    g, weights = DEPENDENT_PIVOT_ROWS
+    calls = []
+    _recording(monkeypatch, calls)
+    det, scale = _integer_det(kasteleyn_rows(g, weights), (0, 0))
+    assert [dependent for cols, m, dependent in calls if cols == 3] == [True, True, False]
+    assert (det * F(1, scale)).terms == brute_force_determinant(g, weights).terms
+
+
+@pytest.mark.parametrize("name, lam_nodes, mu_nodes, lam_rows", [("pentagram-24/3", 5, 9, 4), ("qnet-6x6", 7, 7, 6)])
+def test_one_elimination_of_the_kasteleyn_matrix_per_mu_node(monkeypatch, name, lam_nodes, mu_nodes, lam_rows):
+    """The k-column matrix is eliminated once per mu node (the per-node
+    path took 45 and 49 full determinants), and every other determinant
+    is a |R| x |R| Schur block of the lambda-rows R, one per node."""
+    g, weights = _curve_weights(name, "white")
+    k = len(g.black_ids)
+    calls = []
+    _recording(monkeypatch, calls)
+    spectral_polynomial(g, weights)
+    assert [(cols, m) for cols, m, _ in calls if cols == k] == [(k, k - lam_rows)] * mu_nodes
+    assert [(cols, m) for cols, m, _ in calls if cols != k] == [(lam_rows, lam_rows)] * (lam_nodes * mu_nodes)
 
 
 def test_float_data_gives_float_curve_close_to_exact():
