@@ -144,6 +144,9 @@ def _cmd_run(args) -> int:
         if args.k is not None and args.k != (k := family.k_from_config(c)):
             raise GeometryError(f"--k {args.k} does not match the configuration's k = {k}")
         step, formula = family.step, family.formula
+    # a bad input fails here, named, and not as a failure of step 1
+    if args.verify and (bad := _first_violation(c)):
+        raise GeometryError(f"input fails verification: {bad}")
     cur = c
     for i in range(args.steps):
         prev = cur
@@ -151,11 +154,9 @@ def _cmd_run(args) -> int:
         if args.builtin:
             trace.append(f"{args.builtin} step {i + 1} done")
         if args.verify:
-            rep = validate_graph(cur.graph)
-            v, f = check_V(cur), check_F(cur)
-            trace.append(f"verify step {i + 1}: graph={rep.ok} V={v.ok} F={f.ok}")
-            if not (rep.ok and v.ok and f.ok):
-                raise GeometryError(f"verification failed after step {i + 1}")
+            if bad := _first_violation(cur):
+                raise GeometryError(f"verification failed after step {i + 1}: {bad}")
+            trace.append(f"verify step {i + 1}: graph=True V=True F=True")
         if args.verify and formula:
             ok = labels_projectively_equal(cur, formula(prev))
             trace.append(f"verify step {i + 1}: formulas={'match' if ok else 'MISMATCH'}")
@@ -167,6 +168,15 @@ def _cmd_run(args) -> int:
         save_config(cur, args.out)
         print(f"wrote {args.out}")
     return 0
+
+
+def _first_violation(c):
+    """The first violation that validate_graph, check_V or check_F finds
+    in c, or None when c passes all three."""
+    rep = validate_graph(c.graph)
+    if not rep.ok:
+        return rep.violations[0]
+    return next((m for r in (check_V(c), check_F(c)) for m in r.messages), None)
 
 
 def _load_valid(path):

@@ -8,11 +8,15 @@ with P_i adjacent to q_i, q_{i-1}, q_{i-k}, q_{i-k-1} (mod n).  Faces:
 * ``s{i}``: P_{i+1}, q_i, P_i, q_{i-k}  (side tiles).
 
 ``build_tile_graph`` builds it with some edges q_j P_{j+k} removed; the
-spiral templates are built that way.
+spiral templates are built that way, and ``tile_step`` is the one move
+step of both families.
 
 The h data comes from the square-lattice cover: whites at even lattice
 positions parametrized by (s, t) with index ks + t, deck basis
-gamma_1 = (0, n), gamma_2 = (1, -k).
+gamma_1 = (0, n), gamma_2 = (1, -k).  In that basis the edge P_i q_{i+delta}
+has h = ((i + delta) // n, -1 if delta < -1 else 0): one gamma_1 back when
+the index i + delta wraps below 0, and one gamma_2 back for the far
+neighbours delta = -k, -k-1.
 """
 from __future__ import annotations
 
@@ -27,24 +31,16 @@ from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
 @dataclass(frozen=True)
 class Polygon:
-    vertices: tuple  # points of P^2, cyclic
+    """A cyclic polygon of P^2: its vertices are points, or lines for a
+    polygon of the dual plane (the lines q_i of a pentagram configuration)."""
+
+    vertices: tuple  # points or lines of P^2, cyclic
 
     def __len__(self):
         return len(self.vertices)
 
     def __getitem__(self, i):
         return self.vertices[i % len(self.vertices)]
-
-
-@dataclass(frozen=True)
-class LineList:
-    lines: tuple  # hyperplanes of P^2, cyclic
-
-    def __len__(self):
-        return len(self.lines)
-
-    def __getitem__(self, i):
-        return self.lines[i % len(self.lines)]
 
 
 def _check_k(n: int, k: int) -> None:
@@ -73,47 +69,24 @@ def pentagram_map(P: Polygon, k: int) -> Polygon:
     return Polygon(_pentagram_step(P, k, k, 1, "vertex"))
 
 
-def dual_pentagram_map(q: LineList, k: int) -> LineList:
+def dual_pentagram_map(q: Polygon, k: int) -> Polygon:
     """q'_i = <q_i ^ q_{i+1}, q_{i+k} ^ q_{i+k+1}>."""
-    return LineList(_pentagram_step(q, k, 1, k, "line"))
+    return Polygon(_pentagram_step(q, k, 1, k, "line"))
 
 
-def vertices_from_lines(q: LineList, k: int) -> Polygon:
+def vertices_from_lines(q: Polygon, k: int) -> Polygon:
     """Q_i = q_i ^ q_{i-k}."""
     n = len(q)
     return Polygon(tuple(meet_hyperplanes([q[i], q[i - k]]) for i in range(n)))
 
 
-def lines_from_vertices(Q: Polygon, k: int) -> LineList:
+def lines_from_vertices(Q: Polygon, k: int) -> Polygon:
     """q_i = Q_i Q_{i+k} (inverse of vertices_from_lines for generic data)."""
     n = len(Q)
-    return LineList(tuple(line_through(Q[i], Q[i + k]) for i in range(n)))
+    return Polygon(tuple(line_through(Q[i], Q[i + k]) for i in range(n)))
 
 
 # ------------------------------------------------------------ the template
-
-
-def _neighbor_st(i: int, delta: int, k: int):
-    """(s, t) position of the black neighbor q_{i+delta} of white P_i at (0, i)."""
-    if delta == 0:
-        return (0, i + 1)
-    if delta == -1:
-        return (0, i)
-    if delta == -k:
-        return (-1, i + 1)
-    if delta == -k - 1:
-        return (-1, i)
-    raise AssertionError(delta)
-
-
-def _edge_h(i: int, delta: int, k: int, n: int):
-    s, t = _neighbor_st(i, delta, k)
-    j = (i + delta) % n
-    off_s, off_t = s, t - (j + 1)
-    b = off_s
-    a, rem = divmod(off_t + b * k, n)
-    assert rem == 0
-    return (a, b)
 
 
 def _check_template(n: int, k: int) -> None:
@@ -146,7 +119,7 @@ def build_tile_graph(n: int, k: int, removed) -> TorusGraph:
             if delta == -k and j in removed:
                 continue
             eidx[(i, delta)] = len(edges)
-            edges.append(Edge(f"P{i}", f"q{j}", _edge_h(i, delta, k, n)))
+            edges.append(Edge(f"P{i}", f"q{j}", ((i + delta) // n, -1 if delta < -1 else 0)))
     faces = []
     for i in range(n):
         if i not in removed:
@@ -168,7 +141,7 @@ def build_tile_graph(n: int, k: int, removed) -> TorusGraph:
     )
 
 
-def build_pentagram_config(P: Polygon, q: LineList, k: int) -> DoubleCircuitConfig:
+def build_pentagram_config(P: Polygon, q: Polygon, k: int) -> DoubleCircuitConfig:
     if len(P) != len(q):
         raise SizeMismatch("polygon and line list sizes differ")
     n = len(P)
@@ -178,11 +151,12 @@ def build_pentagram_config(P: Polygon, q: LineList, k: int) -> DoubleCircuitConf
     return DoubleCircuitConfig(g, 2, white, black)
 
 
-def pentagram_step_on_config(c: DoubleCircuitConfig, k: int) -> DoubleCircuitConfig:
-    """One T_k step by moves: urban renewal at every diagonal tile, the
-    forced removals of the old vertices, and renaming back to template ids,
-    so labels compare slot-by-slot with the direct-formula dynamics and the
-    step can be iterated.
+def tile_step(c: DoubleCircuitConfig, k: int, N: int, renew, removed) -> DoubleCircuitConfig:
+    """One step by moves on the tiling of N index slots: urban renewal at
+    the diagonal tiles d{j} for j in ``renew``, the forced removals of the
+    old vertices, and renaming back to the ids of the template
+    ``build_tile_graph(N, k, removed)``, so labels compare slot by slot
+    with the direct-formula dynamics and the step can be iterated.
 
     A new white spoke-adjacent to the old black q_j carries the advanced
     point P'_j; a new black spoke-adjacent to the old white P_i carries
@@ -191,15 +165,20 @@ def pentagram_step_on_config(c: DoubleCircuitConfig, k: int) -> DoubleCircuitCon
     """
     from .moves import step_on_config
 
-    n = len(c.graph.white_ids)
-    _check_template(n, k)
     return step_on_config(
         c,
-        [f"d{i}" for i in range(n)],
+        [f"d{j}" for j in renew],
         lambda qid: f"P{int(qid[1:])}",
-        lambda pid: f"q{(int(pid[1:]) - k - 1) % n}",
-        build_tile_graph(n, k, ()),
+        lambda pid: f"q{(int(pid[1:]) - k - 1) % N}",
+        build_tile_graph(N, k, removed),
     )
+
+
+def pentagram_step_on_config(c: DoubleCircuitConfig, k: int) -> DoubleCircuitConfig:
+    """One T_k step by moves: the tile step renewing every diagonal tile."""
+    n = len(c.graph.white_ids)
+    _check_template(n, k)
+    return tile_step(c, k, n, range(n), ())
 
 
 def k_from_config(c: DoubleCircuitConfig) -> int:
@@ -221,9 +200,9 @@ def polygon_from_config(c: DoubleCircuitConfig) -> Polygon:
     return Polygon(tuple(c.white_labels[f"P{i}"] for i in range(n)))
 
 
-def lines_from_config(c: DoubleCircuitConfig) -> LineList:
+def lines_from_config(c: DoubleCircuitConfig) -> Polygon:
     n = len(c.graph.black_ids)
-    return LineList(tuple(c.black_labels[f"q{i}"] for i in range(n)))
+    return Polygon(tuple(c.black_labels[f"q{i}"] for i in range(n)))
 
 
 def _k(c: DoubleCircuitConfig) -> int:

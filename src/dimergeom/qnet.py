@@ -66,17 +66,20 @@ class QNetWindow:
         return sorted(self.values)
 
 
+_NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1))  # W, S, E, N
+
+
+def _quad(w: QNetWindow, site) -> list:
+    """The window at the four lattice neighbors W, S, E, N of a site."""
+    return [w[site[0] + di, site[1] + dj] for di, dj in _NEIGHBORS]
+
+
 def _interior_sites(w: QNetWindow):
     """Opposite-parity sites whose four neighbors all lie in the window."""
     out = []
     for i, j in w.sites():
         for ci, cj in ((i + 1, j), (i, j + 1)):
-            if (
-                (ci - 1, cj) in w
-                and (ci + 1, cj) in w
-                and (ci, cj - 1) in w
-                and (ci, cj + 1) in w
-            ):
+            if all((ci + di, cj + dj) in w for di, dj in _NEIGHBORS):
                 out.append((ci, cj))
     return sorted(set(out))
 
@@ -89,8 +92,7 @@ def is_qnet(w: QNetWindow):
 def _net_failures(w: QNetWindow, sites):
     bad = []
     for ci, cj in sites:
-        quad = [w[ci - 1, cj], w[ci, cj - 1], w[ci + 1, cj], w[ci, cj + 1]]
-        if linalg.rank([list(p.coords) for p in quad]) > 3:
+        if linalg.rank([list(p.coords) for p in _quad(w, (ci, cj))]) > 3:
             bad.append((ci, cj))
     return bad
 
@@ -110,8 +112,7 @@ def _laplace_sites(w: QNetWindow, pairing: str):
         raise (NotQNet if w.kind == POINT else NotQStarNet)(f"net condition fails at {bad}")
     out = {}
     for ci, cj in sites:
-        W, S = w[ci - 1, cj], w[ci, cj - 1]
-        E, N = w[ci + 1, cj], w[ci, cj + 1]
+        W, S, E, N = _quad(w, (ci, cj))
         side1, side2 = ([W, S], [E, N]) if pairing == "ws-en" else ([W, N], [E, S])
         r1, r2 = _side_rank(side1), _side_rank(side2)
         if r1 != 2 or r2 != 2:
@@ -158,9 +159,8 @@ def qstar_points(G: QNetWindow) -> QNetWindow:
         raise BadParameters("qstar_points acts on plane windows")
     out = {}
     for ci, cj in _interior_sites(G):
-        quad = [G[ci - 1, cj], G[ci, cj - 1], G[ci + 1, cj], G[ci, cj + 1]]
         try:
-            out[(ci, cj)] = meet_hyperplanes(quad)
+            out[(ci, cj)] = meet_hyperplanes(_quad(G, (ci, cj)))
         except DegenerateIntersection as exc:
             raise NotQStarNet(f"site ({ci},{cj}): planes do not meet in one point") from exc
     if not out:
@@ -170,10 +170,8 @@ def qstar_points(G: QNetWindow) -> QNetWindow:
 
 def plane_of_quad(g: QNetWindow, base) -> HomogeneousElement:
     """Plane spanned by g at the four neighbors of an opposite-parity site."""
-    ci, cj = base
-    quad = [g[ci - 1, cj], g[ci, cj - 1], g[ci + 1, cj], g[ci, cj + 1]]
     try:
-        return join_points(quad)
+        return join_points(_quad(g, base))
     except DegenerateIntersection as exc:
         raise NotQNet(f"site {base}: neighbor points do not span a plane") from exc
 
@@ -203,28 +201,15 @@ def build_qnet_tile_graph(a: int, b: int, white_parity: int) -> TorusGraph:
                 continue
             for drn, (di, dj) in (("E", (1, 0)), ("N", (0, 1)), ("W", (-1, 0)), ("S", (0, -1))):
                 ni, nj = i + di, j + dj
-                fi, fj = ni % a, nj % b
-                h = ((ni - fi) // a, (nj - fj) // b)
                 eidx[(i, j, drn)] = len(edges)
-                edges.append(Edge(_site_id("W", i, j), _site_id("B", fi, fj), h))
+                edges.append(Edge(_site_id("W", i, j), _site_id("B", ni % a, nj % b), (ni // a, nj // b)))
     faces = []
     for i in range(a):
         for j in range(b):
+            # the face with lower-left corner (i, j), from its two white corners u, v
             i1, j1 = (i + 1) % a, (j + 1) % b
-            if (i + j) % 2 == white_parity:
-                es = (
-                    eidx[(i, j, "E")],
-                    eidx[(i1, j1, "S")],
-                    eidx[(i1, j1, "W")],
-                    eidx[(i, j, "N")],
-                )
-            else:
-                es = (
-                    eidx[(i1, j, "N")],
-                    eidx[(i, j1, "E")],
-                    eidx[(i, j1, "S")],
-                    eidx[(i1, j, "W")],
-                )
+            u, v, dirs = ((i, j), (i1, j1), "ESWN") if (i + j) % 2 == white_parity else ((i1, j), (i, j1), "NESW")
+            es = (eidx[(*u, dirs[0])], eidx[(*v, dirs[1])], eidx[(*v, dirs[2])], eidx[(*u, dirs[3])])
             faces.append(Face(f"F{i}x{j}", es))
     whites = tuple(
         _site_id("W", i, j) for i in range(a) for j in range(b) if (i + j) % 2 == white_parity

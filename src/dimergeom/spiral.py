@@ -4,7 +4,10 @@ recursions, and the torus-graph realization.
 A point seed is a window of n+1 points [P_i, ..., P_{i+n}] with the
 collinearity conditions: P_{i+l}, P_{i+n-k+1+l}, P_{i+n-k+l} collinear
 for 0 <= l <= k-1, and P_i, P_{i+k}, P_{i+n} collinear.  A line seed is
-the window [q_j, ..., q_{j+n}] with the dual concurrency conditions.
+the window [q_j, ..., q_{j+n}] with the dual concurrency conditions.  One
+type, ``SpiralSeed`` (also named ``LineSeed``), holds either window; the
+line validator and recursions are the point ones on the reversed window,
+read in the dual plane.
 
 The graph is the pentagram template on n+1 index slots with the edges
 q_j P_{j+k} removed for the k+1 values j = i-k-1, ..., i-1 (mod n+1);
@@ -16,55 +19,45 @@ from dataclasses import dataclass
 
 from . import linalg
 from .config import DoubleCircuitConfig, check_labels
-from .errors import BadParameters, SeedInvalid, SizeMismatch
-from .geometry import HomogeneousElement, incident_element, line_through, meet_hyperplanes
-from .pentagram import build_tile_graph, k_from_config
+from .errors import BadParameters, KindMismatch, SeedInvalid, SizeMismatch
+from .geometry import HYPERPLANE, POINT, HomogeneousElement, incident_element, line_through, meet_hyperplanes
+from .pentagram import build_tile_graph, k_from_config, tile_step
 from .torusgraph import TorusGraph, with_basis_cycles
 
 
 @dataclass(frozen=True)
 class SpiralSeed:
+    """A seed window of n+1 consecutive elements of a spiral: the points
+    [P_base, ..., P_{base+n}] of a point seed, or the lines
+    [q_base, ..., q_{base+n}] of a line seed."""
+
     k: int
     n: int
-    base: int  # absolute index of the first point
-    points: tuple  # n+1 points [P_base, ..., P_{base+n}]
+    base: int  # absolute index of the first element
+    points: tuple  # the n+1 points, or lines, of the window
 
     def __post_init__(self):
         if not (self.k >= 2 and self.n > self.k + 2):
             raise BadParameters(f"need k >= 2 and n > k+2, got k={self.k}, n={self.n}")
         if len(self.points) != self.n + 1:
-            raise BadParameters(f"seed window must hold n+1 = {self.n + 1} points")
+            raise BadParameters(f"seed window must hold n+1 = {self.n + 1} elements")
 
     def point(self, j: int):
-        """Point with absolute index j (must lie in the window)."""
+        """Element with absolute index j (must lie in the window)."""
         if not self.base <= j <= self.base + self.n:
             raise IndexError(f"index {j} outside window [{self.base}, {self.base + self.n}]")
         return self.points[j - self.base]
 
 
-@dataclass(frozen=True)
-class LineSeed:
-    k: int
-    n: int
-    base: int
-    lines: tuple  # n+1 lines [q_base, ..., q_{base+n}]
-
-    def __post_init__(self):
-        if not (self.k >= 2 and self.n > self.k + 2):
-            raise BadParameters(f"need k >= 2 and n > k+2, got k={self.k}, n={self.n}")
-        if len(self.lines) != self.n + 1:
-            raise BadParameters(f"seed window must hold n+1 = {self.n + 1} lines")
-
-    def line(self, j: int):
-        if not self.base <= j <= self.base + self.n:
-            raise IndexError(f"index {j} outside window [{self.base}, {self.base + self.n}]")
-        return self.lines[j - self.base]
+LineSeed = SpiralSeed  # a line seed is a SpiralSeed holding lines
 
 
-def _seed_conditions(window, k: int):
-    """The point-seed conditions on a window of n+1 elements, in order: the
-    three window slots of each and whether the elements there are
-    dependent (collinear points, or concurrent lines)."""
+def _seed_conditions(window, k: int, kind: str):
+    """The point-seed conditions on a window of n+1 elements of the given
+    kind, in order: the three window slots of each and whether the
+    elements there are dependent (collinear points, or concurrent lines)."""
+    if any(e.kind != kind for e in window):
+        raise KindMismatch(f"a {kind} seed needs a window of {kind}s")
     n = len(window) - 1
     slots = [(l, n - k + 1 + l, n - k + l) for l in range(k)] + [(0, k, n)]
     return [(t, linalg.rank([list(window[m].coords) for m in t]) <= 2) for t in slots]
@@ -74,16 +67,16 @@ def validate_spiral_seed(s: SpiralSeed):
     """List of failing seed conditions (empty means valid)."""
     return [
         f"P_{s.base + a}, P_{s.base + b}, P_{s.base + c} not collinear"
-        for (a, b, c), ok in _seed_conditions(s.points, s.k)
+        for (a, b, c), ok in _seed_conditions(s.points, s.k, POINT)
         if not ok
     ]
 
 
-def validate_line_seed(s: LineSeed):
+def validate_line_seed(s: SpiralSeed):
     """The point-seed conditions on the reversed window, which is the line
     window read in the dual plane.  Reversal takes slot m to n - m and
     point condition l < k to line condition k - 1 - l."""
-    conds = _seed_conditions(s.lines[::-1], s.k)
+    conds = _seed_conditions(s.points[::-1], s.k, HYPERPLANE)
     return [
         ", ".join(f"q_{s.base + s.n - m}" for m in sorted(t, reverse=True)) + " not concurrent"
         for t, ok in conds[s.k - 1 :: -1] + conds[s.k :]
@@ -91,8 +84,7 @@ def validate_line_seed(s: LineSeed):
     ]
 
 
-def _require_valid(seed):
-    bad = validate_spiral_seed(seed) if isinstance(seed, SpiralSeed) else validate_line_seed(seed)
+def _require_valid(bad):
     if bad:
         raise SeedInvalid("; ".join(bad))
 
@@ -112,16 +104,16 @@ def spiral_extend(s: SpiralSeed, steps: int) -> SpiralSeed:
     """Shift the window by the signed number of steps using
     P_{i+n+1} = P_{i+1} P_{i+k+1} ^ P_{i+n} P_{i+k}  (forward) and
     P_{i-1} = P_{i+n-k-1} P_{i+n-k} ^ P_{i+n-1} P_{i+k-1}  (backward)."""
-    _require_valid(s)
+    _require_valid(validate_spiral_seed(s))
     return SpiralSeed(s.k, s.n, s.base + steps, _extend(s.points, s.k, steps))
 
 
-def line_seed_extend(s: LineSeed, steps: int) -> LineSeed:
+def line_seed_extend(s: SpiralSeed, steps: int) -> SpiralSeed:
     """The point recursions on the reversed window, run the other way:
     q_{j+n+1} = <q_{j+1} ^ q_{j+n-k+1}, q_{j+k+1} ^ q_{j+k}>  (forward),
     q_{j-1} = <q_j ^ q_{j+n-k}, q_{j+n-1} ^ q_{j+n-k-1}>  (backward)."""
-    _require_valid(s)
-    return LineSeed(s.k, s.n, s.base + steps, _extend(s.lines[::-1], s.k, -steps)[::-1])
+    _require_valid(validate_line_seed(s))
+    return SpiralSeed(s.k, s.n, s.base + steps, _extend(s.points[::-1], s.k, -steps)[::-1])
 
 
 def sample_spiral_seed(k: int, n: int, base: int, free_points, params) -> SpiralSeed:
@@ -145,7 +137,7 @@ def sample_spiral_seed(k: int, n: int, base: int, free_points, params) -> Spiral
     )
     pts.append(last)
     seed = SpiralSeed(k, n, base, tuple(pts))
-    _require_valid(seed)
+    _require_valid(validate_spiral_seed(seed))
     return seed
 
 
@@ -162,7 +154,7 @@ def build_spiral_graph(k: int, n: int, i: int) -> TorusGraph:
     return with_basis_cycles(build_tile_graph(n + 1, k, removed_js(k, n, i)))
 
 
-def build_spiral_config(sP: SpiralSeed, sq: LineSeed) -> DoubleCircuitConfig:
+def build_spiral_config(sP: SpiralSeed, sq: SpiralSeed) -> DoubleCircuitConfig:
     """Labels from matched seeds: the point window based at i and the line
     window based at i-1."""
     if (sP.k, sP.n) != (sq.k, sq.n):
@@ -173,7 +165,7 @@ def build_spiral_config(sP: SpiralSeed, sq: LineSeed) -> DoubleCircuitConfig:
     N = n + 1
     g = build_spiral_graph(k, n, i)
     white = {f"P{(i + m) % N}": sP.points[m] for m in range(N)}
-    black = {f"q{(i - 1 + m) % N}": sq.lines[m] for m in range(N)}
+    black = {f"q{(i - 1 + m) % N}": sq.points[m] for m in range(N)}
     return DoubleCircuitConfig(g, 2, white, black)
 
 
@@ -188,25 +180,13 @@ def seeds_from_config(c: DoubleCircuitConfig):
     if i is None:
         raise BadParameters(f"hexagons {sorted(hexagons)} are not the k + 1 = {k + 1} slots of a spiral window")
     sP = SpiralSeed(k, N - 1, i, tuple(c.white_labels[f"P{(i + m) % N}"] for m in range(N)))
-    return sP, LineSeed(k, N - 1, i - 1, tuple(c.black_labels[f"q{(i - 1 + m) % N}"] for m in range(N)))
+    return sP, SpiralSeed(k, N - 1, i - 1, tuple(c.black_labels[f"q{(i - 1 + m) % N}"] for m in range(N)))
 
 
 def spiral_step_on_config(c: DoubleCircuitConfig, k: int, n: int, i: int) -> DoubleCircuitConfig:
-    """One urban renewal at the tile P_i q_i P_{i+k} q_{i-1}, the two forced
-    removals, and renaming so the result is slot-comparable to
-    build_spiral_config of the seeds shifted by one.  The renaming reads
-    only the template's faces, so it gets the tile graph without basis
-    cycles."""
-    from .moves import step_on_config
-
-    N = n + 1
-    return step_on_config(
-        c,
-        [f"d{i % N}"],
-        lambda qid: f"P{int(qid[1:])}",
-        lambda pid: f"q{(int(pid[1:]) - k - 1) % N}",
-        build_tile_graph(N, k, removed_js(k, n, i + 1)),
-    )
+    """The tile step at the one tile d{i} = P_i q_i P_{i+k} q_{i-1},
+    slot-comparable to build_spiral_config of the seeds shifted by one."""
+    return tile_step(c, k, n + 1, [i % (n + 1)], removed_js(k, n, i + 1))
 
 
 def step(c: DoubleCircuitConfig) -> DoubleCircuitConfig:

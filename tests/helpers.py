@@ -119,7 +119,7 @@ def inscribed_points(sq: LineSeed):
     """Q_j = q_j ^ q_{j-k} for all j available in the window, as a dict."""
     out = {}
     for j in range(sq.base + sq.k, sq.base + sq.n + 1):
-        out[j] = meet_hyperplanes([sq.line(j), sq.line(j - sq.k)])
+        out[j] = meet_hyperplanes([sq.point(j), sq.point(j - sq.k)])
     return out
 
 

@@ -69,6 +69,7 @@ def test_validate_exit_two_on_malformed_json(tmp_path, capsys):
         (("face_ids",), ["d0"]),
         (("dimension",), 3),
         (("face_ids", 0), {}),
+        (("scalar",), "complex"),
     ],
 )
 def test_malformed_config_exits_two_with_one_line(pentagon_file, tmp_path, capsys, keys, value):
@@ -431,6 +432,7 @@ def test_k_exits_two_where_there_is_no_diagonal_parameter(tmp_path, capsys, monk
         ["reconstruct", "FILE", "--lam=0", "--mu=-1"],
         ["reconstruct", "FILE", "--lam=-1", "--mu=0"],
         ["run", "FILE", "--builtin", "pentagram", "--steps", "-1"],
+        ["run", "FILE", "--builtin", "pentagram", "--script", "FILE"],
     ],
 )
 def test_bad_arguments_exit_two_with_one_line(pentagon_file, capsys, argv):
@@ -449,6 +451,62 @@ def test_duplicate_face_ids_are_invalid(pentagon_file, tmp_path, capsys, cmd):
     capsys.readouterr()
     assert main([cmd, str(bad)]) == 1
     assert "duplicate face ids" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("side, violation", [("white", "duplicate vertex ids"), ("black", "ids in both colors: ['P0']")])
+def test_a_vertex_id_given_twice_is_invalid(pentagon_file, tmp_path, capsys, side, violation):
+    data = json.loads(pentagon_file.read_text())
+    data[side].append(dict(data["white"][0]))  # a second entry with the id P0
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 1
+    assert f"  - {violation}\n" in capsys.readouterr().out
+
+
+def test_a_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"dimension": 2, "white": [{"id": "\u00e9"}]}'.encode("latin-1"))
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("how", [["--builtin", "pentagram"], ["--script", "SCRIPT"]])
+def test_verify_names_the_first_violation_of_a_bad_input(tmp_path, capsys, how):
+    # P0's first coordinate moved by 1: the input already fails (F) at d0,
+    # d5 and s6, so the failure is the input's, not step 1's
+    path, script, out = tmp_path / "p.json", tmp_path / "script.json", tmp_path / "o.json"
+    assert main(["make-pentagram", "--n", "7", "--k", "2", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["white"][0]["coords"][0] = str(F(data["white"][0]["coords"][0]) + 1)
+    path.write_text(json.dumps(data))
+    script.write_text(json.dumps(README_SCRIPT))
+    capsys.readouterr()
+    assert main(["run", str(path), *(str(script) if a == "SCRIPT" else a for a in how), "--verify", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "domain error: input fails verification: face d0: multi-ratio != 1 (is 329/307)\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_verify_names_the_first_violation_after_a_step(pentagon_file, tmp_path, capsys, monkeypatch):
+    from dimergeom import pentagram
+
+    def bad_step(c):
+        # a step that moves P0's first coordinate by 1 breaks (F)
+        c = pentagram.pentagram_step_on_config(c, 2)
+        p0 = c.white_labels["P0"]
+        moved = HomogeneousElement((p0.coords[0] + 1, *p0.coords[1:]), POINT)
+        return type(c)(c.graph, c.d, {**c.white_labels, "P0": moved}, c.black_labels)
+
+    monkeypatch.setattr(pentagram, "step", bad_step)
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    assert main(["run", str(pentagon_file), "--builtin", "pentagram", "--verify", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "domain error: verification failed after step 1: face d3: multi-ratio != 1 (is 391/386)\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_run_validates_the_graph(pentagon_file, tmp_path, capsys):

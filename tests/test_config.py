@@ -21,7 +21,7 @@ from dimergeom.config import (
 from dimergeom.errors import BadBasis, DegreeExceedsBound, VanishingPairing
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture, make_spiral_fixture
 from dimergeom.geometry import HYPERPLANE, POINT, HomogeneousElement, affine_point, hyperplane, point
-from dimergeom.torusgraph import Edge, TorusGraph, find_walk, validate_graph
+from dimergeom.torusgraph import Edge, Face, TorusGraph, find_walk, validate_graph
 from helpers import class_equal, coboundary_shifted, rescaled_config
 
 
@@ -282,3 +282,33 @@ def test_check_F_failure_names_the_multi_ratio(pentagon):
     rep = check_F(DoubleCircuitConfig(c.graph, c.d, wl, c.black_labels))
     assert "face d0: multi-ratio != 1 (is -89/884)" in rep.messages
     assert check_F(c).messages == []
+
+
+def _hexagonal_torus():
+    """One white, one black and three parallel edges: the honeycomb torus
+    with its one hexagonal face, each edge once in each direction."""
+    edges = (Edge("w", "b", (0, 0)), Edge("w", "b", (1, 0)), Edge("w", "b", (0, 1)))
+    g = TorusGraph(("w",), ("b",), edges, (Face("f", (0, 1, 2, 0, 1, 2)),))
+    return DoubleCircuitConfig(g, 2, {"w": point(1, 2, 3)}, {"b": hyperplane(1, 0, -1)})
+
+
+def test_parallel_edges_save_faces_as_edge_refs():
+    c = _hexagonal_torus()
+    assert validate_graph(c.graph).ok
+    text = json.dumps(config_to_dict(c), indent=1)
+    assert json.loads(text)["faces"] == [[{"e": ei} for ei in (0, 1, 2, 0, 1, 2)]]
+    back = config_from_dict(json.loads(text))
+    assert back.graph.faces == c.graph.faces
+    assert json.dumps(config_to_dict(back), indent=1) == text
+
+
+def test_a_face_listed_from_a_black_vertex_reads_as_from_its_white_successor(pentagon):
+    _, _, _, c = pentagon
+    data = config_to_dict(c)
+    face = data["faces"][0]
+    assert face[0] in c.graph.white_ids
+    data["faces"][0] = face[1:] + face[:1]  # now starts at a black vertex
+    g = config_from_dict(data).graph
+    d0 = c.graph.faces[0].edges
+    assert g.faces[0].edges == d0[2:] + d0[:2] and g.faces[1:] == c.graph.faces[1:]
+    assert validate_graph(g).ok

@@ -11,7 +11,6 @@ from dimergeom.errors import BadParameters, DegenerateIntersection, GeometryErro
 from dimergeom.fixtures import make_pentagram_fixture
 from dimergeom.geometry import HYPERPLANE, affine_point, hyperplane, join_points, meet_hyperplanes, point, proj_equal
 from dimergeom.pentagram import (
-    LineList,
     Polygon,
     build_pentagram_config,
     dual_pentagram_map,
@@ -97,7 +96,7 @@ def test_dual_map_compatibility():
 
 def test_dual_map_repeated_lines_degenerate():
     l = lines_from_vertices(Polygon(tuple(affine_point(i, i * i) for i in range(5))), 2)
-    bad = LineList((l[0],) * 5)
+    bad = Polygon((l[0],) * 5)
     with pytest.raises(DegenerateIntersection):
         dual_pentagram_map(bad, 2)
 
@@ -282,7 +281,7 @@ def ref_dual_pentagram_map(q, k):
             out.append(join_points([x, y]))
         except DegenerateIntersection as exc:
             raise DegenerateIntersection(f"line {i}: {exc}") from exc
-    return LineList(tuple(out))
+    return Polygon(tuple(out))
 
 
 def _outcome(fn, *args):
@@ -304,17 +303,17 @@ def line_lists(draw):
             continue
         coords = [draw(st.integers(-4, 4)) for _ in range(3)]
         lines.append(hyperplane(*(coords if any(coords) else [0, 0, 1])))
-    return LineList(tuple(lines)), draw(st.integers(2, n - 2))
+    return Polygon(tuple(lines)), draw(st.integers(2, n - 2))
 
 
 @settings(max_examples=80, deadline=None)
 @given(line_lists())
-@example((LineList((hyperplane(1, 0, 1),) * 5), 2))  # every meet degenerate
+@example((Polygon((hyperplane(1, 0, 1),) * 5), 2))  # every meet degenerate
 def test_dual_map_equals_the_reference(case):
     q, k = case
     new, new_err = _outcome(dual_pentagram_map, q, k)
     ref, ref_err = _outcome(ref_dual_pentagram_map, q, k)
     assert new_err == ref_err
     if ref_err is None:
-        assert [line.coords for line in new.lines] == [line.coords for line in ref.lines]
-        assert all(line.kind == HYPERPLANE for line in new.lines)
+        assert [line.coords for line in new.vertices] == [line.coords for line in ref.vertices]
+        assert all(line.kind == HYPERPLANE for line in new.vertices)

@@ -12,7 +12,7 @@ from dimergeom.config import (
     cohomology_class,
     labels_projectively_equal,
 )
-from dimergeom.errors import BadParameters, GeometryError, SeedInvalid
+from dimergeom.errors import BadParameters, GeometryError, KindMismatch, SeedInvalid
 from dimergeom.fixtures import (
     SPIRAL_BASE,
     SPIRAL_CLASS_POINT,
@@ -96,6 +96,15 @@ def test_invalid_seed_rejected():
         spiral_extend(seed, 1)
 
 
+def test_extend_refuses_a_window_of_the_other_kind():
+    # one seed type holds points or lines, so each extend checks the kind
+    sP, sq, _ = make_spiral_fixture()
+    with pytest.raises(KindMismatch):
+        spiral_extend(sq, 1)
+    with pytest.raises(KindMismatch):
+        line_seed_extend(sP, 1)
+
+
 def test_seed_shape_bounds():
     with pytest.raises(BadParameters):
         SpiralSeed(2, 4, 0, tuple(affine_point(i, i) for i in range(5)))
@@ -157,7 +166,7 @@ def test_check_F_iff_inscriptions():
     for m in range(-1, 5):
         ext = line_seed_extend(sq, m)
         for j in range(ext.base, ext.base + n + 1):
-            lines[j] = ext.line(j)
+            lines[j] = ext.point(j)
     checked = 0
     for j in range(i, i + 2 * n - k + 1):
         Qj = meet_hyperplanes([lines[j], lines[j - k]])
@@ -256,7 +265,7 @@ def _ref_collinear(a, b, c):
 
 
 def ref_validate_line_seed(s):
-    q = s.lines
+    q = s.points
     n, k = s.n, s.k
     bad = []
     for l in range(k):
@@ -273,7 +282,7 @@ def ref_line_seed_extend(s, steps):
         raise SeedInvalid("; ".join(bad))
     cur = s
     for _ in range(abs(steps)):
-        q, n, k = cur.lines, cur.n, cur.k
+        q, n, k = cur.points, cur.n, cur.k
         if steps > 0:
             new = join_points([meet_hyperplanes([q[1], q[n - k + 1]]), meet_hyperplanes([q[k + 1], q[k]])])
             cur = LineSeed(k, n, cur.base + 1, tuple(q[1:]) + (new,))
@@ -318,7 +327,7 @@ def test_line_window_equals_the_reference(sq, steps):
     ref, ref_err = _outcome(ref_line_seed_extend, sq, steps)
     assert new_err == ref_err
     if ref_err is None:
-        assert new.base == ref.base and [q.coords for q in new.lines] == [q.coords for q in ref.lines]
+        assert new.base == ref.base and [q.coords for q in new.points] == [q.coords for q in ref.points]
 
 
 def test_line_window_messages_keep_their_order():
