@@ -11,10 +11,11 @@ Gauss-Jordan elimination over Fractions.  :func:`int_nullspace` and
 :func:`int_rref` read the same elimination as primitive int vectors and
 build no Fraction; a corank-one kernel in at most 4 columns (the joins,
 meets and circuit tests of P^2 and P^3) is read from signed maximal minors
-instead, as the same vector.  The determinant takes exact matrices only:
-Bareiss elimination on the same integer rows, the one fraction-free
-elimination (bareiss_eliminate) that the spectral determinant also runs
-with only some rows as pivot rows.
+instead, as the same vector.  An exact rank is the column count minus the
+dimension of that kernel readout, so it too comes from minors there.  The
+determinant takes exact matrices only: Bareiss elimination on the same
+integer rows, the one fraction-free elimination (bareiss_eliminate) that
+the spectral determinant also runs with only some rows as pivot rows.
 
 A matrix with a float entry takes partial pivoting with every zero
 decision made by :func:`scalars.is_zero` relative to the largest entry of
@@ -192,9 +193,15 @@ def rref(rows):
 
 
 def rank(rows) -> int:
+    """Rank of a matrix.  An exact one's is its column count minus the
+    dimension of the kernel that :func:`int_nullspace` reads, so a matrix
+    of n <= 4 columns and rank n - 1 or n gets it from minors, without an
+    elimination.  Its callers are the coplanarity tests of ``qnet`` (four
+    elements of P^3) and the collinearity tests of ``spiral`` (three
+    elements of P^2), and for float labels the side tests of ``qnet``."""
     if _has_float(rows):
         return len(rref(rows)[1])
-    return len(_exact_echelon(rows)[1])
+    return len(rows[0]) - len(int_nullspace(rows)) if rows else 0
 
 
 def _kernel(reduced, pivots, ncols, one):

@@ -479,7 +479,7 @@ def step_on_config(c: DoubleCircuitConfig, renew, white_rule, black_rule, templa
 def rename_faces_like(c: DoubleCircuitConfig, template: TorusGraph) -> DoubleCircuitConfig:
     """Give c's faces the ids of the template faces with the same vertex
     cycles (up to rotation/reflection).  Requires a bijection."""
-    key_to_id = {face_key(template, f): f.id for f in template.faces}
+    key_to_id = template.face_ids_by_key()
     if len(key_to_id) != len(template.faces):
         raise MoveError("template faces are not distinguishable by vertex cycles")
     new_faces = []

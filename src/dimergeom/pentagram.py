@@ -49,16 +49,22 @@ def _check_k(n: int, k: int) -> None:
 
 
 def _pentagram_step(x, k: int, s: int, t: int, what: str) -> tuple:
-    """x'_i = (x_i . x_{i+s}) . (x_{i+t} . x_{i+t+s}), where . is the
-    incident element of two elements: the map on points for (s, t) = (k, 1),
-    and the same statement read in the dual plane, the map on lines, for
-    (s, t) = (1, k)."""
-    _check_k(len(x), k)
-    out = []
-    for i in range(len(x)):
+    """x'_i = d_i . d_{i+t} with the diagonals d_i = x_i . x_{i+s}, where .
+    is the incident element of two elements: the map on points for
+    (s, t) = (k, 1), and the same statement read in the dual plane, the map
+    on lines, for (s, t) = (1, k).  Each diagonal is made once, when x'_i
+    first needs it, so a failure names the index it named when each x'_i
+    made its own two."""
+    n = len(x)
+    _check_k(n, k)
+    d, out = [None] * n, []
+    for i in range(n):
+        pair = (i, (i + t) % n)
         try:
-            u, v = incident_element([x[i], x[i + s]]), incident_element([x[i + t], x[i + t + s]])
-            out.append(incident_element([u, v]))
+            for j in pair:
+                if d[j] is None:
+                    d[j] = incident_element([x[j], x[j + s]])
+            out.append(incident_element([d[j] for j in pair]))
         except DegenerateIntersection as exc:
             raise DegenerateIntersection(f"{what} {i}: {exc}") from exc
     return tuple(out)
@@ -106,10 +112,15 @@ def build_pentagram_graph(n: int, k: int) -> TorusGraph:
 
 def build_tile_graph(n: int, k: int, removed) -> TorusGraph:
     """The template on n index slots with the edges q_j P_{j+k} removed for
-    the slots j in ``removed``, without basis cycles.  Each removal merges
-    the tiles d{j} and s{j+k} into the hexagon h{j}: P_j, q_j, P_{j+k+1},
-    q_{j+k}, P_{j+k}, q_{j-1}."""
-    removed = set(removed)
+    the slots j in ``removed`` (any iterable), without basis cycles, built
+    once per shape and process.  Each removal merges the tiles d{j} and
+    s{j+k} into the hexagon h{j}: P_j, q_j, P_{j+k+1}, q_{j+k}, P_{j+k},
+    q_{j-1}."""
+    return _tile_graph(n, k, frozenset(removed))
+
+
+@cache
+def _tile_graph(n: int, k: int, removed: frozenset) -> TorusGraph:
     deltas = (0, -1, -k, -k - 1)
     edges = []
     eidx = {}

@@ -16,6 +16,7 @@ depending on which half of the tiles is renewed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import linalg
 from .config import DoubleCircuitConfig, check_labels
@@ -190,7 +191,13 @@ def build_qnet_graph(a: int, b: int, white_parity: int = 0) -> TorusGraph:
 
 
 def build_qnet_tile_graph(a: int, b: int, white_parity: int) -> TorusGraph:
-    """The square-grid torus without basis cycles."""
+    """The square-grid torus without basis cycles, built once per shape and
+    process."""
+    return _qnet_tile_graph(a, b, white_parity)
+
+
+@cache
+def _qnet_tile_graph(a: int, b: int, white_parity: int) -> TorusGraph:
     if a < 4 or b < 4 or a % 2 or b % 2:
         raise BadParameters("fundamental domain needs even a, b >= 4")
     edges = []

@@ -18,8 +18,9 @@ of moves: edges are rewritten or deleted in their slots and new edges
 take the slots after the last one, and the faces and basis cycles are
 rewritten once per batch.  Slots that differ from positions exist only
 inside an open batch: ``close`` renumbers the surviving edges and faces
-in slot order.  The incidence index and the face-id lookup are built on
-first use; the faces through an edge are found by a scan of the faces.
+in slot order.  The incidence index, the face-id lookup and the face-key
+index are built on first use; the faces through an edge are found by a
+scan of the faces.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ class TorusGraph:
 
     __slots__ = (
         "white_ids", "black_ids", "edges", "faces", "basis_cycles",
-        "_white", "_black", "_edges", "_faces", "_inc", "_face_of",
+        "_white", "_black", "_edges", "_faces", "_inc", "_face_of", "_face_by_key",
     )
 
     def __init__(self, white_ids, black_ids, edges, faces, basis_cycles=None):
@@ -60,7 +61,7 @@ class TorusGraph:
         self.edges, self.faces, self.basis_cycles = tuple(edges), tuple(faces), basis_cycles
         self._white, self._black = dict.fromkeys(self.white_ids), dict.fromkeys(self.black_ids)
         self._edges, self._faces = self.edges, self.faces  # what the slot API reads: slot = position
-        self._inc = self._face_of = None
+        self._inc = self._face_of = self._face_by_key = None
 
     def sizes(self) -> tuple:
         """(white, black, edge, face) counts."""
@@ -116,6 +117,14 @@ class TorusGraph:
                 face_of.setdefault(f.id, fs)
             self._face_of = face_of
         return self._face_of
+
+    def face_ids_by_key(self) -> dict:
+        """``face_key`` -> face id (of the last face with that key), built
+        on first use: the index ``moves.rename_faces_like`` matches a
+        stepped graph's faces against when this graph is their template."""
+        if self._face_by_key is None:
+            self._face_by_key = {face_key(self, f): f.id for f in self.faces}
+        return self._face_by_key
 
     def face(self, face_id: str) -> Face | None:
         """The first face with this id."""

@@ -137,16 +137,16 @@ def test_equality_and_hash_agree_with_coordinate_equality(coords, scale, kind):
     assert hash(a) == hash(g.HomogeneousElement(scaled, kind))
 
 
-def _counting(monkeypatch, name):
-    """Patch linalg.<name> with a wrapper that counts its calls."""
+def _counting(monkeypatch, name, module=linalg):
+    """Patch module.<name> with a wrapper that counts its calls."""
     counts = {name: 0}
-    inner = getattr(linalg, name)
+    inner = getattr(module, name)
 
     def counted(*args):
         counts[name] += 1
         return inner(*args)
 
-    monkeypatch.setattr(linalg, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -183,14 +183,36 @@ def test_joins_meets_and_circuit_tests_skip_the_elimination(monkeypatch):
 
 def test_the_side_tests_of_a_laplace_site_read_equality(monkeypatch):
     """qnet.formula on the 4x4 fixture runs the Laplace transform at 16
-    sites: one coplanarity test each still eliminates, but the two side
-    tests of a site compare two exact labels instead (48 eliminations
-    before)."""
+    sites: the coplanarity test of each is a rank read from minors, and the
+    two side tests of a site compare two exact labels, so no site
+    eliminates (16 eliminations before ranks came from minors, 48 before
+    the side tests read equality)."""
     _, _, cq = make_qnet_fixture()
     ranks = _counting(monkeypatch, "rank")
     echelons = _counting(monkeypatch, "_int_echelon")
     qnet.formula(cq)
-    assert ranks["rank"] == echelons["_int_echelon"] == 16
+    assert ranks["rank"] == 16 and echelons["_int_echelon"] == 0
+
+
+def test_the_seed_conditions_of_a_spiral_formula_read_minors(monkeypatch):
+    """spiral.formula on the frozen spiral tests the three seed conditions
+    of its point and of its line window by rank, each read from minors:
+    6 ranks and no elimination (6 eliminations before)."""
+    _, _, cs = make_spiral_fixture()
+    ranks = _counting(monkeypatch, "rank")
+    echelons = _counting(monkeypatch, "_int_echelon")
+    spiral.formula(cs)
+    assert ranks["rank"] == 6 and echelons["_int_echelon"] == 0
+
+
+def test_a_pentagram_formula_joins_each_diagonal_once(monkeypatch):
+    """pentagram.formula on 16/3 makes n diagonals and n new vertices for
+    the points, and as many for the lines: 4n = 64 incident elements
+    (6n = 96 when each vertex made its own two diagonals)."""
+    _, _, _, c = make_pentagram_fixture(16, 3)
+    counts = _counting(monkeypatch, "incident_element", pentagram)
+    pentagram.formula(c)
+    assert counts["incident_element"] == 64
 
 
 def _labels(c):

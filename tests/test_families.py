@@ -7,7 +7,7 @@ import pytest
 
 from dimergeom import pentagram, qnet, spiral
 from dimergeom.cli import main
-from dimergeom.config import config_from_dict, config_to_dict, save_config
+from dimergeom.config import config_from_dict, config_to_dict, labels_projectively_equal, save_config
 from dimergeom.fixtures import (
     QNET_A,
     QNET_B,
@@ -142,3 +142,79 @@ def test_float_files_run_verified_with_matching_formulas(tmp_path, capsys, built
     assert main(["run", str(path), "--builtin", builtin, "--verify", "--steps", "2"]) == 0
     out = capsys.readouterr().out
     assert "verify step 1: formulas=match" in out and "verify step 2: formulas=match" in out
+
+
+# ------------------------------------------------------- shared templates
+
+# each cached template builder, as (name, builder, fresh build, one shape)
+BUILDERS = [
+    ("pentagram", pentagram.build_pentagram_graph, pentagram.build_pentagram_graph.__wrapped__, (8, 3)),
+    ("tile", pentagram.build_tile_graph, lambda n, k, r: pentagram._tile_graph.__wrapped__(n, k, frozenset(r)),
+     (6, 2, [3, 1, 2])),
+    ("qnet tile", qnet.build_qnet_tile_graph, qnet._qnet_tile_graph.__wrapped__, (6, 4, 0)),
+]
+
+
+def _same_graph(g, fresh) -> bool:
+    """Equal graphs with equal lazy indices: incidence, face ids and face keys."""
+    return (
+        g == fresh
+        and g.incidence() == fresh.incidence()
+        and all(g.face(f.id) == f for f in fresh.faces)
+        and g.face_ids_by_key() == fresh.face_ids_by_key()
+    )
+
+
+@pytest.mark.parametrize("name, builder, fresh, shape", BUILDERS, ids=[b[0] for b in BUILDERS])
+def test_a_template_is_built_once_per_shape(name, builder, fresh, shape):
+    g = builder(*shape)
+    assert builder(*shape) is g and _same_graph(g, fresh(*shape))
+
+
+def test_a_tile_template_is_one_object_whatever_holds_its_removed_slots():
+    graphs = [pentagram.build_tile_graph(6, 2, r) for r in ([3, 1, 2], (1, 2, 3), range(1, 4), {2, 3, 1})]
+    assert all(g is graphs[0] for g in graphs)
+    assert pentagram.build_tile_graph(6, 2, [1, 2]) is not graphs[0]
+
+
+def test_a_qnet_tile_template_is_one_cache_entry_however_its_parity_is_passed():
+    g = qnet.build_qnet_tile_graph(4, 8, 0)
+    before = qnet._qnet_tile_graph.cache_info()
+    assert qnet.build_qnet_tile_graph(4, 8, white_parity=0) is g
+    assert qnet.build_qnet_tile_graph(a=4, b=8, white_parity=0) is g
+    after = qnet._qnet_tile_graph.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 2)
+
+
+def _templates(name, c):
+    """The cached templates a step and a formula of c read, with their fresh builds."""
+    if name == "qnet":
+        a, b = qnet.period(c)
+        p = qnet._config_white_parity(c)
+        return [(qnet.build_qnet_tile_graph(a, b, 1 - p), qnet._qnet_tile_graph.__wrapped__(a, b, 1 - p))]
+    n = len(c.graph.white_ids)
+    if name == "pentagram":
+        k = pentagram.k_from_config(c)
+        return [(pentagram.build_pentagram_graph(n, k), pentagram.build_pentagram_graph.__wrapped__(n, k)),
+                (pentagram.build_tile_graph(n, k, ()), pentagram._tile_graph.__wrapped__(n, k, frozenset()))]
+    sP, _ = seeds_from_config(c)
+    removed = frozenset(spiral.removed_js(sP.k, sP.n, sP.base))
+    return [(pentagram.build_tile_graph(n, sP.k, removed), pentagram._tile_graph.__wrapped__(n, sP.k, removed))]
+
+
+@pytest.mark.parametrize("name", ["pentagram", "spiral", "qnet"])
+def test_a_step_chain_leaves_the_shared_templates_as_built(name):
+    """Three steps and formulas of a family read the cached templates of
+    its shapes: one pentagram shape, a spiral window base per step, and
+    both white parities of the Q-net.  None of them is edited."""
+    family = {"pentagram": pentagram, "spiral": spiral, "qnet": qnet}[name]
+    c = {"pentagram": lambda: make_pentagram_fixture(8, 3)[3], "spiral": lambda: make_spiral_fixture()[2],
+         "qnet": lambda: make_qnet_fixture()[2]}[name]()
+    chain = [c]
+    for _ in range(3):
+        c, expected = family.step(c), family.formula(c)
+        assert labels_projectively_equal(c, expected)
+        chain.append(c)
+    for c in chain:
+        for g, fresh in _templates(name, c):
+            assert _same_graph(g, fresh)

@@ -219,6 +219,78 @@ def test_int_nullspace_equals_the_elimination_readout(case):
     assert linalg._int_nullspace([list(r) for r in m]) == expected
 
 
+@st.composite
+def rank_matrices(draw):
+    """0-6 rows by 1-6 columns of ints and Fractions, each row after the
+    first drawn, zero, or a multiple or a sum of earlier rows, so that
+    dependent leading rows and ranks below n - 1 are common."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    m = [[draw(ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        how = draw(st.sampled_from(["drawn", "zero", "scale", "sum"]))
+        a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        k = draw(st.sampled_from([-1, 2, F(-3, 5)]))
+        m[i] = {
+            "drawn": m[i],
+            "zero": [0] * ncols,
+            "scale": [k * x for x in m[a]],
+            "sum": [x + k * y for x, y in zip(m[a], m[b])],
+        }[how]
+    return m
+
+
+# the kernel readout of a rank: n - 1 rows of nonzero first minors, another
+# choice of rows, or the elimination (fewer than n - 1 rows, rank below
+# n - 1, more than 4 columns, or a single column)
+RANK_BRANCHES = [
+    ([[1, 2, 3], [0, 1, 1]], "first minors"),
+    ([[1, 2, 3], [0, 1, 1], [1, 3, 4]], "first minors"),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, F(1, 2)]], "first minors"),
+    ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], "other rows"),
+    ([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], "other rows"),
+    ([[1, 2, 3, 4]], "elimination"),
+    ([[1, 2, 3], [2, 4, 6], [-1, -2, -3]], "elimination"),
+    ([[0, 0], [0, 0], [0, 0]], "elimination"),
+    ([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]], "elimination"),
+    ([[F(1, 3)], [2]], "elimination"),
+]
+
+
+def _rank_branch(monkeypatch, m) -> tuple:
+    """(rank, branch) of linalg.rank on m, the branch read from the calls
+    of _minors and _int_echelon it makes."""
+    calls = {"_minors": 0, "_int_echelon": 0}
+    for name in calls:
+        inner = getattr(linalg, name)
+
+        def counted(rows, name=name, inner=inner):
+            calls[name] += 1
+            return inner(rows)
+
+        monkeypatch.setattr(linalg, name, counted)
+    r = linalg.rank(m)
+    if calls["_int_echelon"]:
+        return r, "elimination"
+    return r, "first minors" if calls["_minors"] == 1 else "other rows"
+
+
+@pytest.mark.parametrize("m, branch", RANK_BRANCHES)
+def test_each_branch_of_an_exact_rank_equals_gauss_jordan(monkeypatch, m, branch):
+    assert _rank_branch(monkeypatch, m) == (len(ref_rref(m)[1]), branch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_matrices())
+@example([])
+@example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+def test_exact_rank_equals_fraction_gauss_jordan(m):
+    """linalg.rank, the column count minus the kernel dimension that
+    _int_nullspace reads, is the number of pivots of the Fraction
+    Gauss-Jordan reference."""
+    r = linalg.rank(m)
+    assert r == len(ref_rref(m)[1]) and type(r) is int
+
+
 def test_int_system_gives_fraction_solution():
     status, x, ker = linalg.solve([[2, 1], [1, 3]], [1, 0])
     assert status == "unique" and x == [F(3, 5), F(-1, 5)] and ker == []
@@ -247,6 +319,21 @@ def test_float_matrix_keeps_its_values():
     )
     assert linalg.solve(SINGULAR, [1.0, 2.0, 0.0]) == ("inconsistent", None, [])
     assert linalg.solve([[0.1, 0.2], [0.3, 0.4]], [1.0, 1.0]) == ("unique", [-10.000000000000004, 10.000000000000002], [])
+
+
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        (SINGULAR, 2),
+        ([[1e-12, 0.0], [0.0, 1e-12]], 2),
+        ([[1.0, 2.0], [2.0, 4.0]], 1),
+        ([[1.0, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 2]], 3),
+        ([[0.0, 0.0, 0.0]], 0),
+    ],
+)
+def test_float_rank_is_the_pivot_count(m, expected):
+    """A matrix with a float entry keeps its partial-pivoting rank."""
+    assert linalg.rank(m) == expected == len(linalg.rref(m)[1])
 
 
 def test_float_rref_clears_pivot_columns_at_any_scale():

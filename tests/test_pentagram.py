@@ -58,6 +58,43 @@ def test_degenerate_intersection_reported():
         pentagram_map(P, 2)
 
 
+def _points(*xy):
+    return Polygon(tuple(affine_point(x, y) for x, y in xy))
+
+
+def _lines(*abc):
+    return Polygon(tuple(hyperplane(*c) for c in abc))
+
+
+@pytest.mark.parametrize(
+    "map_, polygon, message",
+    [
+        # the polygon above: its first diagonal P0 P2 joins two equal points
+        (pentagram_map, _points((0, 0), (1, 0), (0, 0), (1, 0), (2, 2)),
+         "vertex 0: points do not span a unique hyperplane"),
+        # P3 = P5: the diagonal P3 P5 is first needed by vertex 2
+        (pentagram_map, _points((0, 0), (4, 0), (6, 3), (3, 7), (-1, 5), (3, 7), (-3, 2)),
+         "vertex 2: points do not span a unique hyperplane"),
+        # P2, ..., P5 collinear: the diagonals P2 P4 and P3 P5 coincide
+        (pentagram_map, _points((0, 0), (4, 0), (1, 1), (2, 2), (3, 3), (4, 4), (-3, 2)),
+         "vertex 2: hyperplanes do not meet in a unique point"),
+        # repeated lines q0 = q1
+        (dual_pentagram_map, _lines((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+         "line 0: hyperplanes do not meet in a unique point"),
+        # q3 = q4: the vertex q3 ^ q4 is first needed by line 1, as q_{1+k} ^ q_{1+k+1}
+        (dual_pentagram_map, _lines((1, 0, 0), (0, 1, 0), (1, 2, 3), (2, -1, 1), (2, -1, 1), (1, 1, 1), (3, 1, 2)),
+         "line 1: hyperplanes do not meet in a unique point"),
+    ],
+)
+def test_a_degenerate_map_names_its_first_failing_index(map_, polygon, message):
+    """Each diagonal is made once and shared by the two vertices that read
+    it, yet the message names the index the map fails at when every vertex
+    makes its own two diagonals in order."""
+    with pytest.raises(DegenerateIntersection) as info:
+        map_(polygon, 2)
+    assert str(info.value) == message
+
+
 def test_is_inscribed_size_mismatch():
     P = Polygon(tuple(affine_point(i, i * i) for i in range(5)))
     Q = Polygon(tuple(affine_point(i, i) for i in range(6)))
