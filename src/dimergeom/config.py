@@ -259,7 +259,9 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     black_ids, black_labels = _vertices(data, "black", HYPERPLANE, d, scalar)
     edges = tuple(_edge(i, e) for i, e in enumerate(_listed(data["edges"], "edges")))
     faces_json = _listed(data.get("faces", []), "faces")
-    face_ids = data.get("face_ids") or [f"f{i}" for i in range(len(faces_json))]
+    face_ids = data.get("face_ids")
+    if face_ids is None:
+        face_ids = [f"f{i}" for i in range(len(faces_json))]
     if not (isinstance(face_ids, list) and all(isinstance(fid, str) for fid in face_ids)):
         raise InputError("face_ids must be a list of strings")
     if len(face_ids) != len(faces_json):
@@ -267,7 +269,7 @@ def _config_from_dict(data: dict, scalar: str) -> DoubleCircuitConfig:
     faces = _faces_from_json(white_ids, black_ids, edges, faces_json, face_ids)
     basis = None
     cycles = data.get("basis_cycles")
-    if cycles:
+    if cycles is not None:
         if not (isinstance(cycles, dict) and all(isinstance(cycles.get(z), list) for z in ("z1", "z2"))):
             raise InputError("basis_cycles: expected an object with z1 and z2 edge lists")
         basis = tuple(parse_ints(cycles[z], f"basis_cycles {z}") for z in ("z1", "z2"))

@@ -31,16 +31,16 @@ empty paths and rewrites the second neighbor's edges onto the first;
 addition moves the twin's arc to the twin, reached from v through the new
 vertex.  Walks stay closed with their h-sums, so basis cycles survive.
 
-Moves read edges by their slots and change a batch in place:
-``apply_script`` runs its moves on one copy of the graph, whose faces and
-basis cycles are rewritten once per run of moves, and a single move call
-is a batch of one.  Slots that differ from edge positions live only
-inside a batch; closing it numbers the edges by position again.  A
-dynamics step (``step_on_config``) is one batch: urban renewals at the
-given faces, then the removals of the forced vertices -- every pre-step
-vertex the renewals left at degree two -- and, after it closes, a
-renaming back to template ids.  The pentagram, spiral and Q-net families
-supply only their renewal faces, spoke rename rules and template.
+Moves read edges by their slots and change a batch in place; a single
+move call is a batch of one, and slots that differ from edge positions
+live only inside a batch.  The open graph rewrites its faces and basis
+cycles along the moves' paths before a face read that needs it, before a
+move replaces an edge on a logged path, and at its close; ``apply_script``
+also rewrites after each of its moves, so a script is its moves folded.
+A dynamics step (``step_on_config``) is one batch, rewritten at its first
+forced removal and at its close: urban renewals at the given faces, the
+removals of every pre-step vertex they left at degree two, and a renaming
+to template ids.  A family supplies its faces, rename rules and template.
 """
 from __future__ import annotations
 
@@ -410,8 +410,8 @@ def _check_degrees(c: DoubleCircuitConfig) -> None:
 
 
 def apply_script(c: DoubleCircuitConfig, script: MoveScript, trace: list | None = None) -> DoubleCircuitConfig:
-    """Left-to-right application as one batch, equal to the moves folded
-    one call at a time; the first failing step aborts with its index."""
+    """The moves applied left to right in one batch, rewritten after each
+    so it equals their fold; the first failing step aborts with its index."""
     if not script.steps:
         return c
     batch = _opened(c)
@@ -430,6 +430,7 @@ def apply_script(c: DoubleCircuitConfig, script: MoveScript, trace: list | None 
                 raise MoveError(f"unknown op {step.op!r}")
         except MoveError as exc:
             raise ScriptError(idx, exc) from exc
+        batch.graph.substitute_edges()
         if trace is not None:
             w, b, e, f = batch.graph.sizes()
             trace.append(f"step {idx}: {step.op} {step.target} -> v={w}+{b} e={e} f={f}")

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import atan2, gcd, inf, lcm, ldexp, log2
 
 from . import linalg
-from .config import DoubleCircuitConfig, check_F, check_V
+from .config import DoubleCircuitConfig, check_F, check_labels, check_V
 from .errors import (
     DimensionMismatch,
     EmptyKernel,
@@ -370,7 +370,8 @@ def spectral_polynomial_dual(c: DoubleCircuitConfig) -> LaurentPoly2:
     vertices among the black hyperplane labels (as dual-space points),
     exponents taken with the black-to-white orientation (-h).  Used only
     for the dual-curve experiment; no relation to the white curve is
-    asserted."""
+    asserted.  A missing label is named as ``validate`` names it."""
+    check_labels(c)
     swapped = _color_swapped(c.graph)
     return spectral_polynomial(swapped, kasteleyn_weights(swapped, c.black_labels))
 

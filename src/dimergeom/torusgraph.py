@@ -16,9 +16,9 @@ by their index in ``faces``; walks are lists of these edge slots.  Moves
 edit a ``GraphEdit``, a copy of a graph's containers made once per batch
 of moves: edges are rewritten or deleted in their slots and new edges
 take the slots after the last one, and the faces and basis cycles are
-rewritten once per batch.  Slots that differ from positions exist only
-inside an open batch: ``close`` renumbers the surviving edges and faces
-in slot order.  The incidence index, the face-id lookup and the face-key
+rewritten along the moves' paths when a read or a move needs it.  Slots
+that differ from positions exist only inside an open batch: ``close``
+renumbers the surviving edges and faces in slot order.  The incidence index, the face-id lookup and the face-key
 index are built on first use; the faces through an edge are found by a
 scan of the faces.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 from bisect import insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from operator import eq
 
 from .errors import BadWalk, UnequalColorCounts
 
@@ -315,23 +314,16 @@ class GraphEdit(TorusGraph):
     incident slots in a sorted list.
 
     ``replace`` applies one move to edges, incidence lists and vertex sets
-    in place, so the next move reads them as the one-by-one fold would, and
-    logs its paths.  ``substitute_edges`` rewrites each face through a
-    replaced edge (found by a scan of the faces), and the basis cycles, once
-    along the logged paths.  It runs at ``close``; before a move reads a
-    face the batch changed (or any faces around a vertex) or replaces an
-    edge the batch made; where the batch turns from insertions to deletions
-    or back; after a deletion of parallel edges; and after every move while
-    the graph has a vertex of degree below two or a basis cycle that
-    backtracks.  One rewrite then ends where the fold's rewrites end, start
-    slot included: an insertion cancels or re-starts a walk only on edges it
-    made, which no later move of its batch replaces, and deletions of
-    adjacent slot pairs move a walk's start as the fold does.  Parallel
-    edges, degree-one vertices and backtracking walks can make a rewrite
-    cancel older edges instead.
+    in place, as the fold would, and logs its paths.  ``substitute_edges``
+    rewrites the faces through replaced edges (found by a scan of the
+    faces), and the basis cycles, along the logged paths: before a face
+    read that needs it, before a move replaces an edge that a logged path
+    passes through, and at ``close``.  A deferred rewrite gives each walk
+    the fold's cyclic word but may start it elsewhere, so
+    ``moves.apply_script`` rewrites after each of its moves.
     """
 
-    __slots__ = ("_basis", "_next", "_paths", "_deleting", "_first_new", "_single")
+    __slots__ = ("_basis", "_next", "_paths", "_through")
 
     def __init__(self, g: TorusGraph):
         self._white, self._black = dict(g._white), dict(g._black)
@@ -339,7 +331,7 @@ class GraphEdit(TorusGraph):
         self._edges, self._faces = dict(enumerate(g.edges)), dict(enumerate(g.faces))
         self._face_of = dict(g._face_index())
         self._basis, self._next = list(g.basis_cycles or ()), (len(g.edges), len(g.faces))
-        self._paths, self._first_new = {}, None
+        self._paths, self._through = {}, set()
 
     @property
     def next_slot(self) -> int:
@@ -365,21 +357,15 @@ class GraphEdit(TorusGraph):
         from its white end to its black end, keeping its endpoints and
         signed h-sum; every deleted edge needs one.  ``add_faces`` (walks
         in slots) are appended after the faces ``drop_faces`` are removed."""
-        deleting = not any(paths.values())
-        if self._paths and (deleting != self._deleting or any(s >= self._first_new for s in paths)):
+        if not self._through.isdisjoint(paths):
             self.substitute_edges()
-        if self._first_new is None:
-            self._first_new = self._next[0]
-            self._single = min(map(len, self._inc.values()), default=2) < 2 or not all(map(_normal, self._basis))
-        self._deleting = deleting
-        inc, edges, first, gone = self._inc, self._edges, self._next[0], []
+        inc, edges, first = self._inc, self._edges, self._next[0]
         for s, e in (*edits.items(), *((first + j, e) for j, e in enumerate(new_edges))):
             old = edges.get(s)
             if old is not None:
                 inc[old.w].remove(s)
                 inc[old.b].remove(s)
             if e is None:
-                gone.append((old.w, old.b))
                 del edges[s]
             else:
                 edges[s] = e
@@ -401,8 +387,7 @@ class GraphEdit(TorusGraph):
             next_face += 1
         self._next = (first + len(new_edges), next_face)
         self._paths.update(paths)
-        if self._single or (deleting and len(set(gone)) < len(gone)):
-            self.substitute_edges()
+        self._through.update(s for path in paths.values() for s in path)
 
     def substitute_edges(self) -> None:
         """Rewrite every face through an edge replaced since the last
@@ -420,7 +405,7 @@ class GraphEdit(TorusGraph):
                 if face_of.get(f.id) == fs:
                     del face_of[f.id]
         self._basis = [_rewrite_walk(z, paths) for z in self._basis]
-        self._paths, self._first_new = {}, None
+        self._paths, self._through = {}, set()
 
     def close(self) -> TorusGraph:
         """The edited graph, its surviving edges and faces numbered in slot
@@ -430,11 +415,6 @@ class GraphEdit(TorusGraph):
         faces = (Face(f.id, tuple(map(position, f.edges))) for f in self._faces.values())
         basis = tuple(tuple(map(position, z)) for z in self._basis) or None
         return TorusGraph(self._white, self._black, self._edges.values(), faces, basis)
-
-
-def _normal(walk) -> bool:
-    """Whether a closed walk never backtracks, also across its end."""
-    return walk[0] != walk[-1] and not any(map(eq, walk, walk[1:]))
 
 
 def _rewrite_walk(walk, paths: dict) -> tuple:

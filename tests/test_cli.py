@@ -211,6 +211,27 @@ def test_experiment_dual_curve(pentagon_file, capsys):
     assert "report:" in capsys.readouterr().out
 
 
+def test_dual_curve_of_a_float_copy_is_equal(tmp_path, capsys):
+    # the two float curves differ in their last bits; the verdict reads
+    # each coefficient pair with the float zero test, as the exact file is read
+    verdicts = []
+    for scalar in ("rational", "float"):
+        path = tmp_path / f"{scalar}.json"
+        path.write_text(json.dumps({**HEPTAGRAM, "scalar": scalar}))
+        assert main(["experiment", "dual-curve", str(path)]) == 0
+        verdicts.append(capsys.readouterr().out.splitlines()[-1])
+    assert verdicts == ["report: the two normalized polynomials are equal after normalization"] * 2
+
+
+def test_dual_curve_names_a_missing_black_label_as_validate_does(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    assert main(["make-grid-minus-edge", "--out", str(grid)]) == 0
+    capsys.readouterr()
+    err = "domain error: black vertex B0x1: missing or invalid hyperplane label\n"
+    assert _exit_and_error(["experiment", "dual-curve", str(grid)], capsys) == (1, err)
+    assert _exit_and_error(["validate", str(grid)], capsys)[1] == err
+
+
 def test_experiment_birationality_probe(pentagon_file, capsys):
     assert main(["experiment", "birationality-probe", str(pentagon_file), "--samples", "5", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -598,7 +619,7 @@ def test_coords_that_are_no_list_exit_two_naming_the_vertex(pentagon_file, tmp_p
 
 
 @pytest.mark.parametrize("cmd", ["validate", "spectral"])
-@pytest.mark.parametrize("value", [[1, 2], "z", {"z1": [0]}, {"z1": 3, "z2": [0]}])
+@pytest.mark.parametrize("value", [[1, 2], "z", {"z1": [0]}, {"z1": 3, "z2": [0]}, [], 0, "", {}])
 def test_malformed_basis_cycles_exit_two_naming_the_field(pentagon_file, tmp_path, capsys, cmd, value):
     data = json.loads(pentagon_file.read_text())
     data["basis_cycles"] = value
@@ -763,8 +784,9 @@ def test_mutated_script_leaf_exits_cleanly(path, value):
         (("edges", 0), "P0q0", "edge 0: expected an object with w, b and h, got 'P0q0'"),
         (("face_ids",), "d0d1", "face_ids must be a list of strings"),
         (("faces", 0), "P0q0P2q4", "face d0: expected a list of vertex ids or of edge refs, got 'P0q0P2q4'"),
+        (("face_ids",), [], "0 face_ids for 14 faces"),
     ],
-    ids=["white-entry-list", "white-object", "face-object", "edge-string", "face-ids-string", "face-string"],
+    ids=["white-entry-list", "white-object", "face-object", "edge-string", "face-ids-string", "face-string", "face-ids-empty"],
 )
 def test_malformed_structures_exit_two_naming_the_field(tmp_path, capsys, path, value, err):
     bad = tmp_path / "heptagram.json"

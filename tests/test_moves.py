@@ -37,6 +37,7 @@ from dimergeom.fixtures import (
 )
 from dimergeom.geometry import hyperplane, incident, line_through, meet_hyperplanes, point, proj_equal
 from dimergeom.moves import (
+    _closed,
     _opened,
     forced_split_label,
     MoveScript,
@@ -626,10 +627,11 @@ def test_a_closed_batch_numbers_its_edges_by_position(name, renew):
     ids=["pentagram-16/3", "spiral", "qnet-4x4"],
 )
 def test_a_dynamics_step_is_one_batch(monkeypatch, start, step):
-    # the renewals and the forced removals of a step edit one open graph
+    # the renewals and the forced removals of a step edit one open graph,
+    # which rewrites its walks at the first forced removal and at its close
     c = start()
-    calls = {"open": 0, "close": 0}
-    init, close = GraphEdit.__init__, GraphEdit.close
+    calls = {"open": 0, "close": 0, "rewrite": 0}
+    init, close, substitute = GraphEdit.__init__, GraphEdit.close, GraphEdit.substitute_edges
 
     def counted_init(self, g):
         calls["open"] += 1
@@ -639,10 +641,45 @@ def test_a_dynamics_step_is_one_batch(monkeypatch, start, step):
         calls["close"] += 1
         return close(self)
 
+    def counted_substitute(self):
+        calls["rewrite"] += bool(self._paths)
+        substitute(self)
+
     monkeypatch.setattr(GraphEdit, "__init__", counted_init)
     monkeypatch.setattr(GraphEdit, "close", counted_close)
+    monkeypatch.setattr(GraphEdit, "substitute_edges", counted_substitute)
     step(c)
-    assert calls == {"open": 1, "close": 1}
+    assert calls == {"open": 1, "close": 1, "rewrite": 2}
+
+
+@pytest.mark.parametrize(
+    "moves",
+    [
+        # the removal deletes the edges of the split's path through q1
+        [("add2", "q1", (0, 2)), ("remove2", "q1~", None)],
+        # the second renewal replaces edges on the first one's paths
+        [("urban", "d0", None), ("urban", "d0:inner", None)],
+    ],
+)
+def test_a_batch_rewrites_before_a_move_replaces_an_edge_on_a_logged_path(monkeypatch, moves):
+    # moves on one open batch, with no rewrite between them as a script
+    # makes, end as the fold does
+    c = _start("pentagram-7/2")[0]
+    steps = _steps(c, moves)
+    folded = _folded(c, steps)[0]
+    rewrites = []
+    substitute = GraphEdit.substitute_edges
+
+    def counted_substitute(self):
+        rewrites.append(bool(self._paths))
+        substitute(self)
+
+    monkeypatch.setattr(GraphEdit, "substitute_edges", counted_substitute)
+    batch = _opened(c)
+    for step in steps:
+        _single_move(batch, step)
+    assert config_to_dict(_closed(batch)) == folded
+    assert rewrites.count(True) == 2
 
 
 def test_renewals_at_corner_sharing_faces_equal_the_fold():
