@@ -26,7 +26,7 @@ from .config import (
 )
 from .errors import GeometryError, InputError
 from .geometry import HomogeneousElement
-from .scalars import is_zero, parse_coords, parse_scalar
+from .scalars import float_coords, is_zero, parse_coords, parse_scalar
 from .torusgraph import dimension_report, validate_graph
 
 
@@ -269,7 +269,7 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
     rng = random.Random(seed)
     outcomes: dict = {}
     tried = 0
-    float_white = {k: HomogeneousElement(tuple(map(float, v.coords)), v.kind) for k, v in c.white_labels.items()}
+    float_white = {k: HomogeneousElement(float_coords(v.coords), v.kind) for k, v in c.white_labels.items()}
     while sum(outcomes.values()) < samples and tried < samples * 40:
         tried += 1
         lam = rng.uniform(0.2, 3.0) * rng.choice([1, -1])

@@ -23,24 +23,25 @@ Homology bookkeeping keeps every face h-sum at (0, 0):
   (0, 0).  This is the simplest gauge satisfying all five new faces;
   any other valid choice differs by a coboundary.
 
-Every move is one ``GraphEdit.replace`` naming, for each edge it
-replaces, the walk standing in for it: urban renewal makes each boundary
-edge of the renewed face the path spoke, inner edge, spoke and replaces
-the face by the inner quadrilateral; removal makes the two edges at v
-empty paths and rewrites the second neighbor's edges onto the first;
-addition moves the twin's arc to the twin, reached from v through the new
-vertex.  Walks stay closed with their h-sums, so basis cycles survive.
+Every move is one ``GraphEdit.replace``: the edges it rewrites and adds,
+and a walk standing in for each edge it replaces, which it deletes unless
+it rewrites it.  Urban renewal replaces the boundary of the renewed face
+by paths spoke, inner edge, spoke and the face by the inner quadrilateral;
+removal deletes the two edges at v and moves the second neighbor's other
+edges to the first; addition moves the twin's arc to the twin, reached
+from v through the new vertex.  Walks stay closed with their h-sums, so basis cycles survive.
 
-Moves read edges by their slots and change a batch in place; a single
-move call is a batch of one, and slots that differ from edge positions
-live only inside a batch.  The open graph rewrites its faces and basis
-cycles along the moves' paths before a face read that needs it, before a
-move replaces an edge on a logged path, and at its close; ``apply_script``
-also rewrites after each of its moves, so a script is its moves folded.
-A dynamics step (``step_on_config``) is one batch, rewritten at its first
-forced removal and at its close: urban renewals at the given faces, the
-removals of every pre-step vertex they left at degree two, and a renaming
-to template ids.  A family supplies its faces, rename rules and template.
+A batch holds edges by slot, faces by id, and vertices as long as an edge
+names them; it refuses repeated face ids, and closed it keeps the labels
+of its vertices.  A single move call is a batch of one.  The open graph
+rewrites its faces and basis cycles along the moves' paths before a face
+read that needs it, before a move replaces an edge on a logged path, and
+at its close; ``apply_script`` also rewrites after each of its moves, so
+a script is its moves folded.  A dynamics step (``step_on_config``) is one
+batch, rewritten at its first forced removal and at its close: urban
+renewals at the given faces, the removals of every pre-step vertex they
+left at degree two, and a renaming to template ids.  A family supplies
+its faces, rename rules and template.
 """
 from __future__ import annotations
 
@@ -150,7 +151,10 @@ def _opened(c: DoubleCircuitConfig) -> DoubleCircuitConfig:
 
 
 def _closed(batch: DoubleCircuitConfig) -> DoubleCircuitConfig:
-    return DoubleCircuitConfig(batch.graph.close(), batch.d, batch.white_labels, batch.black_labels)
+    """The closed batch, with the labels of the vertices its graph has."""
+    g = batch.graph.close()
+    kept = [{v: x for v, x in labels.items() if g.has_vertex(v)} for labels in (batch.white_labels, batch.black_labels)]
+    return DoubleCircuitConfig(g, batch.d, *kept)
 
 
 def _move(edit):
@@ -193,18 +197,12 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
     # shift for u2's surviving edges: merged vertex keeps u1's frame, so
     # u2's old fundamental-domain lift sits at h(e1) - h(e2) from it
     shift = _h_sub(e1.h, e2.h)
-    edits = {}
-    if u1 != u2:
-        for ei in inc[u2]:
-            e = g.edge(ei)
-            edits[ei] = Edge(e.w, u1, _h_add(e.h, shift)) if v_white else Edge(u1, e.b, _h_add(e.h, shift))
-    edits[i1] = edits[i2] = None
-    merged = {u2} - {u1}
-    drop_white, drop_black = ({v}, merged) if v_white else (merged, {v})
-    g.replace(edits, (), {i1: (), i2: ()}, drop_white=drop_white, drop_black=drop_black)
-    for labels, dropped in ((c.white_labels, drop_white), (c.black_labels, drop_black)):
-        for x in dropped:
-            labels.pop(x, None)
+    rewrites = {}
+    for ei in inc[u2] if u1 != u2 else ():
+        e = g.edge(ei)
+        if ei != i2:
+            rewrites[ei] = Edge(e.w, u1, _h_add(e.h, shift)) if v_white else Edge(u1, e.b, _h_add(e.h, shift))
+    g.replace(rewrites, (), {i1: (), i2: ()})
     return c
 
 
@@ -239,16 +237,14 @@ def _split_arcs(g: TorusGraph, v: str, partition: tuple):
 
 
 @_move
-def add_degree2(
-    c: DoubleCircuitConfig, v: str, partition: tuple, new_label: HomogeneousElement, ids: tuple | None = None
-) -> DoubleCircuitConfig:
+def add_degree2(c: DoubleCircuitConfig, v: str, partition: tuple, new_label: HomogeneousElement) -> DoubleCircuitConfig:
     """Split v in two along the given arc partition of its rotation and
     join the copies through a new degree-two vertex labeled new_label.
 
     partition = (i, j) splits the rotation list rot (anchored at the
     lowest incident edge index) into arcs rot[i:j] (kept by v) and the
-    complement (moved to the twin).  Without ``ids`` the twin and the new
-    vertex are named by the first free id in v', v'', ... and v~, v~~, ...
+    complement (moved to the twin).  The twin and the new vertex are named
+    by the first free id in v', v'', ... and v~, v~~, ...
     """
     g = c.graph
     v_white = g.is_white(v)
@@ -262,13 +258,7 @@ def add_degree2(
 
     _, arc_b = _split_arcs(g, v, partition)
 
-    if ids:
-        twin, mid = ids
-        for x in ids:
-            if g.has_vertex(x):
-                raise MoveError(f"id {x!r} already in use")
-    else:
-        twin, mid = _free_id(g, v + "'"), _free_id(g, v + "~")
+    twin, mid = _free_id(g, v + "'"), _free_id(g, v + "~")
 
     # each edge of the twin's arc moves to the twin and is reached from v
     # through the new vertex; corners inside one arc cancel
@@ -281,8 +271,7 @@ def add_degree2(
         new_edges = (Edge(mid, v, (0, 0)), Edge(mid, twin, (0, 0)))
         edits = {ei: Edge(g.edge(ei).w, twin, g.edge(ei).h) for ei in arc_b}
         paths = {ei: (ei, tm, vm) for ei in arc_b}
-    add_white, add_black = ((twin,), (mid,)) if v_white else ((mid,), (twin,))
-    g.replace(edits, new_edges, paths, add_white=add_white, add_black=add_black)
+    g.replace(edits, new_edges, paths)
     (c.white_labels if v_white else c.black_labels)[twin] = own_label
     (c.black_labels if v_white else c.white_labels)[mid] = new_label
     return c
@@ -386,10 +375,7 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
     n = g.next_slot
     paths = {i0: (n, n + 4, n + 1), i1: (n + 2, n + 5, n + 1), i2: (n + 2, n + 6, n + 3), i3: (n, n + 7, n + 3)}
     inner = Face(f"{face_id}:inner", (n + 5, n + 6, n + 7, n + 4))
-    g.replace(
-        dict.fromkeys(paths), new_edges, paths, add_white=(vE, vF), add_black=(vg, vh),
-        drop_faces=(face_id,), add_faces=(inner,),
-    )
+    g.replace({}, new_edges, paths, drop_faces=(face_id,), add_faces=(inner,))
     wl[vE], wl[vF] = lab_E, lab_F
     bl[vg], bl[vh] = lab_g, lab_h
     _check_degrees(c)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .config import DoubleCircuitConfig
 from .errors import InputError, UnsupportedDimension
-from .scalars import is_zero
+from .scalars import float_coords, is_zero
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def _fmt(x: float) -> str:
 
 
 def _affine(coords):
-    x, y, z = (float(c) for c in coords)
+    x, y, z = float_coords(coords)
     if is_zero(z, scale=max(abs(x), abs(y), 1.0)):
         return None  # at infinity
     return x / z, y / z
@@ -109,7 +109,7 @@ def _render(whites: dict, blacks: dict, spec: RenderSpec) -> str:
     )
     ET.SubElement(svg, "rect", x="0", y="0", width=str(spec.width), height=str(height), fill="white")
     for name in sorted(blacks):
-        a, b, cc = (float(x) for x in blacks[name])
+        a, b, cc = float_coords(blacks[name])
         seg = _clip_line(a, b, cc, spec)
         if seg is None:
             continue

@@ -14,6 +14,7 @@ point of numerical policy.  Configuration files name their kind in the
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -61,6 +62,18 @@ def is_zero(x, scale=1) -> bool:
     return x == 0
 
 
+def float_coords(coords) -> tuple:
+    """A label's coordinates as floats, as ``float`` gives them unless they
+    are exact and the largest lies outside the normal double range: then
+    all are first divided exactly by one power of two."""
+    big = max(map(abs, coords))
+    if is_float(coords) or sys.float_info.min <= big <= sys.float_info.max:
+        return tuple(map(float, coords))
+    big = Fraction(big)
+    scale = Fraction(2) ** (big.denominator.bit_length() - big.numerator.bit_length())
+    return tuple(float(x * scale) for x in coords)
+
+
 def _ipow(x, n: int):
     """x**n for any integer n; an int or Fraction x gives an exact result."""
     if n >= 0:
@@ -82,16 +95,16 @@ def parse_scalar(s, kind: str = RATIONAL):
     """Inverse of :func:`scalar_str` for data of kind ``RATIONAL`` or
     ``FLOAT`` (a JSON number is read as rational to 12 denominator
     digits).  Raises InputError for anything that is not a finite number,
-    a JSON boolean included."""
+    a JSON boolean included, or for FLOAT data past the float range."""
     if isinstance(s, bool):
         raise InputError(f"bad scalar {s!r}: a boolean is not a number")
     try:
         x = Fraction(s)
+        if kind == FLOAT:
+            v = float(x)
+            return -v if v == 0 and str(s).lstrip().startswith("-") else v  # keep "-0.0"
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad scalar {s!r}") from exc
-    if kind == FLOAT:
-        v = float(x)
-        return -v if v == 0 and str(s).lstrip().startswith("-") else v  # keep "-0.0"
     return x.limit_denominator(10**12) if isinstance(s, float) else x
 
 

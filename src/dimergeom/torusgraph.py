@@ -11,16 +11,16 @@ white-to-black on even slots and black-to-white on odd slots, starting
 white-to-black.  That resolves parallel edges unambiguously (vertex-id
 sequences cannot).
 
-A graph numbers its edges by their position in ``edges`` and its faces
-by their index in ``faces``; walks are lists of these edge slots.  Moves
-edit a ``GraphEdit``, a copy of a graph's containers made once per batch
-of moves: edges are rewritten or deleted in their slots and new edges
-take the slots after the last one, and the faces and basis cycles are
-rewritten along the moves' paths when a read or a move needs it.  Slots
-that differ from positions exist only inside an open batch: ``close``
-renumbers the surviving edges and faces in slot order.  The incidence index, the face-id lookup and the face-key
-index are built on first use; the faces through an edge are found by a
-scan of the faces.
+A graph numbers its edges by their position in ``edges``; walks are
+lists of these edge slots.  Moves edit a ``GraphEdit``, a copy of a
+graph's containers made once per batch of moves: edges are rewritten or
+deleted in their slots and new edges take the slots after the last one,
+faces are held by id, and the faces and basis cycles are rewritten along
+the moves' paths when a read or a move needs it.  Slots that differ from
+positions exist only inside an open batch: ``close`` renumbers the
+surviving edges in slot order.  The incidence and face-key indices are
+built on first use; the faces through an edge are found by a scan of the
+faces.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from bisect import insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .errors import BadWalk, UnequalColorCounts
+from .errors import BadWalk, MoveError, UnequalColorCounts
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class TorusGraph:
 
     __slots__ = (
         "white_ids", "black_ids", "edges", "faces", "basis_cycles",
-        "_white", "_black", "_edges", "_faces", "_inc", "_face_of", "_face_by_key",
+        "_white", "_black", "_edges", "_faces", "_inc", "_face_by_key",
     )
 
     def __init__(self, white_ids, black_ids, edges, faces, basis_cycles=None):
@@ -60,7 +60,7 @@ class TorusGraph:
         self.edges, self.faces, self.basis_cycles = tuple(edges), tuple(faces), basis_cycles
         self._white, self._black = dict.fromkeys(self.white_ids), dict.fromkeys(self.black_ids)
         self._edges, self._faces = self.edges, self.faces  # what the slot API reads: slot = position
-        self._inc = self._face_of = self._face_by_key = None
+        self._inc = self._face_by_key = None
 
     def sizes(self) -> tuple:
         """(white, black, edge, face) counts."""
@@ -108,15 +108,6 @@ class TorusGraph:
             self._inc = {v: tuple(ix) for v, ix in inc.items()}
         return self._inc
 
-    def _face_index(self) -> dict:
-        """face id -> first face slot, built on first use."""
-        if self._face_of is None:
-            face_of = {}
-            for fs, f in enumerate(self.faces):
-                face_of.setdefault(f.id, fs)
-            self._face_of = face_of
-        return self._face_of
-
     def face_ids_by_key(self) -> dict:
         """``face_key`` -> face id (of the last face with that key), built
         on first use: the index ``moves.rename_faces_like`` matches a
@@ -127,8 +118,7 @@ class TorusGraph:
 
     def face(self, face_id: str) -> Face | None:
         """The first face with this id."""
-        fs = self._face_index().get(face_id)
-        return None if fs is None else self._faces[fs]
+        return next((f for f in self.faces if f.id == face_id), None)
 
     def faces_on(self, slots) -> list:
         """The distinct faces through any of the given edge slots, in face
@@ -310,8 +300,9 @@ def validate_graph(g: TorusGraph) -> GraphReport:
 
 class GraphEdit(TorusGraph):
     """A graph open for a batch of moves: its containers copied once, edges
-    and faces held by slot in ``_edges`` and ``_faces``, each vertex's
-    incident slots in a sorted list.
+    held by slot in ``_edges`` and faces by id in ``_faces``, each vertex's
+    incident slots in a sorted list.  A graph whose face ids repeat raises
+    MoveError.
 
     ``replace`` applies one move to edges, incidence lists and vertex sets
     in place, as the fold would, and logs its paths.  ``substitute_edges``
@@ -328,64 +319,65 @@ class GraphEdit(TorusGraph):
     def __init__(self, g: TorusGraph):
         self._white, self._black = dict(g._white), dict(g._black)
         self._inc = {v: list(ix) for v, ix in g.incidence().items()}
-        self._edges, self._faces = dict(enumerate(g.edges)), dict(enumerate(g.faces))
-        self._face_of = dict(g._face_index())
-        self._basis, self._next = list(g.basis_cycles or ()), (len(g.edges), len(g.faces))
+        self._edges, self._faces = dict(enumerate(g.edges)), {f.id: f for f in g.faces}
+        if len(self._faces) != len(g.faces):
+            raise MoveError("duplicate face ids")
+        self._basis, self._next = list(g.basis_cycles or ()), len(g.edges)
         self._paths, self._through = {}, set()
 
     @property
     def next_slot(self) -> int:
-        return self._next[0]
+        return self._next
 
     def face(self, face_id: str) -> Face | None:
-        f = TorusGraph.face(self, face_id)
-        if f is None or self._paths.keys().isdisjoint(f.edges):
-            return f
-        self.substitute_edges()
-        return TorusGraph.face(self, face_id)
+        f = self._faces.get(face_id)
+        if f is not None and not self._paths.keys().isdisjoint(f.edges):
+            self.substitute_edges()
+            f = self._faces.get(face_id)
+        return f
 
     def faces_on(self, slots) -> list:
         self.substitute_edges()
         slots = set(slots)
         return [f for f in self._faces.values() if not slots.isdisjoint(f.edges)]
 
-    def replace(self, edits: dict, new_edges, paths: dict, drop_white=(), drop_black=(), add_white=(),
-                add_black=(), drop_faces=(), add_faces=()) -> None:
-        """One move.  ``edits`` maps an edge slot to its rewritten ``Edge``,
-        or to None to delete it; new edge j gets slot ``next_slot + j``.
-        ``paths`` maps an edge slot to the walk of slots standing in for it,
-        from its white end to its black end, keeping its endpoints and
-        signed h-sum; every deleted edge needs one.  ``add_faces`` (walks
-        in slots) are appended after the faces ``drop_faces`` are removed."""
+    def replace(self, rewrites: dict, new_edges, paths: dict, drop_faces=(), add_faces=()) -> None:
+        """One move.  ``rewrites`` maps an edge slot to its rewritten
+        ``Edge``; new edge j gets slot ``next_slot + j``.  ``paths`` maps an
+        edge slot to the walk of slots standing in for it, from its white
+        end to its black end, keeping its endpoints and signed h-sum; a
+        slot with a path and no rewrite is deleted.  A vertex joins its
+        colour's ids with the first edge that names it and leaves with its
+        last edge.  ``add_faces`` (walks in slots) are appended after the
+        faces ``drop_faces`` are removed; an id still in use raises
+        MoveError."""
         if not self._through.isdisjoint(paths):
             self.substitute_edges()
-        inc, edges, first = self._inc, self._edges, self._next[0]
-        for s, e in (*edits.items(), *((first + j, e) for j, e in enumerate(new_edges))):
-            old = edges.get(s)
-            if old is not None:
-                inc[old.w].remove(s)
-                inc[old.b].remove(s)
-            if e is None:
-                del edges[s]
-            else:
-                edges[s] = e
-                insort(inc.setdefault(e.w, []), s)
-                insort(inc.setdefault(e.b, []), s)
-        for ids, drop, add in ((self._white, drop_white, add_white), (self._black, drop_black, add_black)):
-            for v in drop:
-                ids.pop(v, None)
-                inc.pop(v, None)
-            for v in add:
-                ids[v] = None
-                inc.setdefault(v, [])
-        faces, face_of, next_face = self._faces, self._face_of, self._next[1]
-        for fid in drop_faces:
-            del faces[face_of.pop(fid)]
+        faces = self._faces
         for f in add_faces:
-            faces[next_face] = f
-            face_of.setdefault(f.id, next_face)
-            next_face += 1
-        self._next = (first + len(new_edges), next_face)
+            if f.id in faces and f.id not in drop_faces:
+                raise MoveError(f"face id {f.id!r} already in use")
+        inc, edges, first, ends = self._inc, self._edges, self._next, set()
+        for s in paths.keys() | rewrites.keys():
+            old = edges[s] if s in rewrites else edges.pop(s)
+            inc[old.w].remove(s)
+            inc[old.b].remove(s)
+            ends.update((old.w, old.b))
+        for s, e in (*rewrites.items(), *enumerate(new_edges, first)):
+            edges[s] = e
+            for v, ids in ((e.w, self._white), (e.b, self._black)):
+                if v not in ids:
+                    ids[v], inc[v] = None, []
+                insort(inc[v], s)
+        for v in ends:
+            if not inc[v]:
+                del inc[v]
+                (self._white if v in self._white else self._black).pop(v)
+        for fid in drop_faces:
+            del faces[fid]
+        for f in add_faces:
+            faces[f.id] = f
+        self._next = first + len(new_edges)
         self._paths.update(paths)
         self._through.update(s for path in paths.values() for s in path)
 
@@ -395,21 +387,19 @@ class GraphEdit(TorusGraph):
         empty is dropped."""
         if not self._paths:
             return
-        paths, faces, face_of = self._paths, self._faces, self._face_of
-        for fs, f in [(fs, f) for fs, f in faces.items() if not paths.keys().isdisjoint(f.edges)]:
+        paths, faces = self._paths, self._faces
+        for f in [f for f in faces.values() if not paths.keys().isdisjoint(f.edges)]:
             walk = _rewrite_walk(f.edges, paths)
             if walk:
-                faces[fs] = Face(f.id, walk)
+                faces[f.id] = Face(f.id, walk)
             else:
-                del faces[fs]
-                if face_of.get(f.id) == fs:
-                    del face_of[f.id]
+                del faces[f.id]
         self._basis = [_rewrite_walk(z, paths) for z in self._basis]
         self._paths, self._through = {}, set()
 
     def close(self) -> TorusGraph:
-        """The edited graph, its surviving edges and faces numbered in slot
-        order; the edit is spent."""
+        """The edited graph, its surviving edges numbered in slot order; the
+        edit is spent."""
         self.substitute_edges()
         position = {s: i for i, s in enumerate(self._edges)}.__getitem__
         faces = (Face(f.id, tuple(map(position, f.edges))) for f in self._faces.values())
@@ -442,8 +432,9 @@ def _rewrite_walk(walk, paths: dict) -> tuple:
 
 
 def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
-    """Remove one edge and merge its two (distinct) faces: the edge is
-    replaced by the rest of its first face, which rewrites to nothing."""
+    """Remove one edge and merge its two (distinct) faces, both dropped
+    for the merged one: the edge is replaced by the rest of its first
+    face."""
     hosts = g.faces_on((ei,))
     if len(hosts) != 2:
         raise BadWalk(f"edge {ei} lies on {len(hosts)} distinct faces, need 2")
@@ -453,7 +444,7 @@ def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
     paths = {ei: rest if p % 2 else rest[::-1]}
     merged = Face(merged_face_id, _rewrite_walk(hosts[1].edges, paths))
     edit = GraphEdit(g)
-    edit.replace({ei: None}, (), paths, drop_faces=(hosts[1].id,), add_faces=(merged,))
+    edit.replace({}, (), paths, drop_faces=(hosts[0].id, hosts[1].id), add_faces=(merged,))
     return edit.close()
 
 

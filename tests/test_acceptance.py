@@ -88,9 +88,9 @@ def test_acceptance_1_move_preservation():
         deg = sum(1 for e in c1.graph.edges if v in (e.w, e.b))
         cut = rng.randrange(1, deg)
         label = forced_split_label(c1, v, (0, cut))
-        c2 = add_degree2(c1, v, (0, cut), label, ids=("tw", "md"))
+        c2 = add_degree2(c1, v, (0, cut), label)
         assert check_V(c2).ok and check_F(c2).ok, (n, k, trial, "add")
-        c3 = remove_degree2(c2, "md")
+        c3 = remove_degree2(c2, f"{v}~")
         assert check_V(c3).ok and check_F(c3).ok, (n, k, trial, "remove")
         count += 1
     _, _, cq = make_qnet_fixture()
@@ -98,9 +98,9 @@ def test_acceptance_1_move_preservation():
     assert check_V(q1).ok and check_F(q1).ok
     mid = next(v for v in q1.graph.white_ids if v.endswith(":E"))
     lbl = forced_split_label(q1, mid, (0, 1))
-    q2 = add_degree2(q1, mid, (0, 1), lbl, ids=("tw", "md"))
+    q2 = add_degree2(q1, mid, (0, 1), lbl)
     assert check_V(q2).ok and check_F(q2).ok
-    q3 = remove_degree2(q2, "md")
+    q3 = remove_degree2(q2, f"{mid}~")
     assert check_V(q3).ok and check_F(q3).ok
     _report(1, time.time() - t0, 30, f"{count} pentagram fixtures + qnet fixture, all moves preserve (V), (F)")
 

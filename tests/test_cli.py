@@ -21,7 +21,7 @@ from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
 from dimergeom.geometry import POINT, HomogeneousElement, point
 from dimergeom.moves import script_from_json
 from dimergeom.qnet import QNetWindow, build_qnet_config, plane_of_quad
-from dimergeom.scalars import parse_scalar
+from dimergeom.scalars import float_coords, parse_scalar
 from dimergeom.torusgraph import canonical_basis_cycles
 
 
@@ -159,6 +159,21 @@ def test_run_script_file(pentagon_file, tmp_path):
     assert len(after.graph.white_ids) == 7
 
 
+def test_a_move_cannot_add_a_face_under_an_id_in_use(tmp_path, capsys):
+    # renewing d0 adds the face d0:inner; a file that already has a face
+    # of that id is valid, and the script fails before it writes anything
+    p, dup, script, out = (tmp_path / name for name in ("p.json", "dup.json", "s.json", "o.json"))
+    assert main(["make-pentagram", "--n", "7", "--k", "2", "--out", str(p)]) == 0
+    data = json.loads(p.read_text())
+    data["face_ids"] = ["d0:inner" if f == "d1" else f for f in data["face_ids"]]
+    dup.write_text(json.dumps(data))
+    script.write_text(json.dumps([{"op": "urban", "target": "d0"}]))
+    assert main(["validate", str(dup)]) == 0
+    err = "domain error: script step 0 failed: face id 'd0:inner' already in use\n"
+    assert _exit_and_error(["run", str(dup), "--script", str(script), "--out", str(out)], capsys) == (1, err)
+    assert not out.exists()
+
+
 def test_run_script_bad_target_fails(pentagon_file, tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps([{"op": "urban", "target": "zzz"}]))
@@ -253,8 +268,31 @@ def test_render_d3_needs_projection(tmp_path, capsys):
     assert main(["make-qnet", "--out", str(qf)]) == 0
     capsys.readouterr()
     assert main(["render", str(qf), "--out", str(tmp_path / "q.svg")]) == 1
-    assert "UnsupportedDimension" in capsys.readouterr().err or True
+    assert capsys.readouterr().err == "domain error: cannot render d=3 without a projection\n"
     assert main(["render", str(qf), "--out", str(tmp_path / "q.svg"), "--project"]) == 0
+
+
+def test_render_and_probe_labels_past_the_float_range(tmp_path, capsys):
+    # 30 pentagram steps give coordinates of some 400 digits; both commands
+    # read them as floats after an exact power-of-two scaling
+    p, p30, svg = tmp_path / "p.json", tmp_path / "p30.json", tmp_path / "p30.svg"
+    assert main(["make-pentagram", "--n", "7", "--k", "2", "--out", str(p)]) == 0
+    assert main(["run", str(p), "--builtin", "pentagram", "--steps", "30", "--out", str(p30)]) == 0
+    big = max(abs(x) for e in load_config(p30).white_labels.values() for x in e.coords)
+    assert big > sys.float_info.max
+    capsys.readouterr()
+    assert main(["render", str(p30), "--out", str(svg)]) == 0
+    assert main(["experiment", "birationality-probe", str(p30), "--samples", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert "report: sampled outcomes over 2 curve points" in out and err == ""
+    assert svg.read_text().count("<line") == 7
+
+
+def test_float_coords_convert_labels_in_range_as_float_does():
+    for coords in ((F(1, 3), F(-7), F(10**300)), (0.5, -2.0, 1e300), (F(1, 10**320), F(0), F(1))):
+        assert float_coords(coords) == tuple(map(float, coords))
+    assert float_coords((F(3) * 2**2000, F(-1) * 2**1999, F(0))) == (1.5, -0.25, 0.0)
+    assert float_coords((F(1, 2**1200), F(3, 2**1201), F(0))) == (1.0, 1.5, 0.0)
 
 
 def test_render_draws_the_labelled_vertices_only(tmp_path):
@@ -595,6 +633,21 @@ def test_boolean_coordinates_exit_two_naming_the_value(pentagon_file, tmp_path, 
         (["run", str(pentagon_file), "--script", str(script)], "script step 0: add2 label"),
     ):
         assert _exit_and_error(argv, capsys) == (2, f"error: {place}: {reason}\n")
+
+
+def test_float_values_past_the_float_range_exit_two_naming_the_value(pentagon_file, tmp_path, capsys):
+    data = json.loads(pentagon_file.read_text())
+    data["scalar"] = "float"
+    floats = tmp_path / "float.json"
+    floats.write_text(json.dumps(data))
+    script, out = tmp_path / "script.json", tmp_path / "o.json"
+    script.write_text(json.dumps([{**_ADD2, "label": ["1e400", "2", "3"]}]))
+    for argv, place in (
+        (["reconstruct", str(floats), "--lam=1e400", "--mu=1"], ""),
+        (["run", str(floats), "--script", str(script), "--out", str(out)], "script step 0: add2 label: "),
+    ):
+        assert _exit_and_error(argv, capsys) == (2, f"error: {place}bad scalar '1e400'\n")
+    assert not out.exists()
 
 
 def test_malformed_label_scalar_names_the_vertex(pentagon_file, tmp_path, capsys):

@@ -79,12 +79,12 @@ def euler(g):
 def test_add_then_remove_round_trip(pentagon):
     c = pentagon
     lbl = forced_split_label(c, "P0", (0, 2))
-    c2 = add_degree2(c, "P0", (0, 2), lbl, ids=("P0b", "mid"))
+    c2 = add_degree2(c, "P0", (0, 2), lbl)
     rep = validate_graph(c2.graph)
     assert rep.ok
     assert check_V(c2).ok and check_F(c2).ok
     assert euler(c2.graph) == euler(c.graph)
-    c3 = remove_degree2(c2, "mid")
+    c3 = remove_degree2(c2, "P0~")
     assert validate_graph(c3.graph).ok
     assert len(c3.graph.edges) == len(c.graph.edges)
     assert check_V(c3).ok and check_F(c3).ok
@@ -96,7 +96,7 @@ def test_add_degree2_black_vertex(pentagon):
     c = pentagon
     pt = forced_split_label(c, "q1", (1, 3))
     assert abs(sum(a * b for a, b in zip(pt.coords, c.black_labels["q1"].coords))) != 0
-    c2 = add_degree2(c, "q1", (1, 3), pt, ids=("q1b", "m1"))
+    c2 = add_degree2(c, "q1", (1, 3), pt)
     assert validate_graph(c2.graph).ok
     assert check_V(c2).ok and check_F(c2).ok
 
@@ -104,7 +104,7 @@ def test_add_degree2_black_vertex(pentagon):
 def test_add_degree2_generic_label_breaks_V_but_not_F(pentagon):
     # coherence survives any admissible label (telescoping identity); the
     # circuit condition pins the label itself
-    c2 = add_degree2(pentagon, "q1", (1, 3), point(5, 7, 1), ids=("q1b", "m1"))
+    c2 = add_degree2(pentagon, "q1", (1, 3), point(5, 7, 1))
     assert check_F(c2).ok
     assert not check_V(c2).ok
 
@@ -115,12 +115,12 @@ def test_remove_degree2_wrong_degree(pentagon):
 
 
 def test_remove_degree2_label_mismatch(pentagon):
-    c = add_degree2(pentagon, "P0", (0, 2), hyperplane(3, 1, 1), ids=("P0b", "mid"))
+    c = add_degree2(pentagon, "P0", (0, 2), hyperplane(3, 1, 1))
     wl = dict(c.white_labels)
-    wl["P0b"] = point(9, 9, 1)
+    wl["P0'"] = point(9, 9, 1)
     broken = DoubleCircuitConfig(c.graph, c.d, wl, c.black_labels)
     with pytest.raises(LabelMismatch):
-        remove_degree2(broken, "mid")
+        remove_degree2(broken, "P0~")
 
 
 def test_add_degree2_incident_label(pentagon):
@@ -190,11 +190,11 @@ def test_urban_renewal_not_quadrilateral():
 def test_urban_renewal_degenerate_corner():
     # a corner of degree 2 has no other neighbors: the meet is undefined
     c = make_pentagram_fixture(5, 2)[3]
-    c1 = add_degree2(c, "q0", (1, 3), point(5, 7, 1), ids=("q0b", "mW"))
-    # mW is a degree-2 white vertex; find a quadrilateral face through it
+    c1 = add_degree2(c, "q0", (1, 3), point(5, 7, 1))
+    # q0~ is a degree-2 white vertex; find a quadrilateral face through it
     g = c1.graph
     target = next(
-        (f.id for f in g.faces if len(f.edges) == 4 and any(g.edges[e].w == "mW" for e in f.edges)),
+        (f.id for f in g.faces if len(f.edges) == 4 and any(g.edges[e].w == "q0~" for e in f.edges)),
         None,
     )
     if target is not None:
@@ -244,9 +244,9 @@ def test_class_invariant_under_each_move(pentagon):
     cls = cohomology_class(c)
     c1 = urban_renewal(c, "d2")
     assert class_equal(cohomology_class(c1), cls)
-    c2 = add_degree2(c1, "P1", (0, 2), hyperplane(4, 1, 2), ids=("tw", "md"))
+    c2 = add_degree2(c1, "P1", (0, 2), hyperplane(4, 1, 2))
     assert class_equal(cohomology_class(c2), cls)
-    c3 = remove_degree2(c2, "md")
+    c3 = remove_degree2(c2, "P1~")
     assert class_equal(cohomology_class(c3), cls)
 
 
@@ -680,6 +680,20 @@ def test_a_batch_rewrites_before_a_move_replaces_an_edge_on_a_logged_path(monkey
         _single_move(batch, step)
     assert config_to_dict(_closed(batch)) == folded
     assert rewrites.count(True) == 2
+
+
+def test_a_batch_does_not_open_on_repeated_face_ids():
+    # the batch keys its faces by id, so a graph that validate reports
+    # with repeated face ids is refused before any move
+    c = _start("pentagram-7/2")[0]
+    g = c.graph
+    faces = (Face(g.faces[1].id, g.faces[0].edges), *g.faces[1:])
+    twice = TorusGraph(g.white_ids, g.black_ids, g.edges, faces, g.basis_cycles)
+    assert validate_graph(twice).violations == ["duplicate face ids"]
+    with pytest.raises(MoveError, match="^duplicate face ids$"):
+        GraphEdit(twice)
+    with pytest.raises(MoveError, match="^duplicate face ids$"):
+        urban_renewal(DoubleCircuitConfig(twice, c.d, c.white_labels, c.black_labels), faces[2].id)
 
 
 def test_renewals_at_corner_sharing_faces_equal_the_fold():
