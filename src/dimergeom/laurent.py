@@ -41,6 +41,8 @@ class LaurentPoly2:
         return not self.terms
 
     def __add__(self, other):
+        if not self.terms:
+            return other
         d = self.as_dict()
         for k, v in other.terms:
             d[k] = d.get(k, 0) + v

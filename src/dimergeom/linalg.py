@@ -12,7 +12,8 @@ Gauss-Jordan elimination over Fractions.  :func:`int_nullspace` and
 build no Fraction; a corank-one kernel in at most 4 columns (the joins,
 meets and circuit tests of P^2 and P^3) is read from signed maximal minors
 instead, as the same vector.  An exact rank is the column count minus the
-dimension of that kernel readout, so it too comes from minors there.  The
+dimension of that kernel readout, so it too comes from minors there, and
+an exact :func:`solve` reads x and the kernel off the augmented one.  The
 determinant takes exact matrices only: Bareiss elimination on the same
 integer rows, the one fraction-free elimination (bareiss_eliminate) that
 the spectral determinant also runs with only some rows as pivot rows.
@@ -35,10 +36,6 @@ _ZERO = Fraction(0)
 
 def _has_float(rows) -> bool:
     return any(is_float(row) for row in rows)
-
-
-def _unit(rows):
-    return 1.0 if _has_float(rows) else Fraction(1)
 
 
 def int_row(row) -> list:
@@ -315,22 +312,27 @@ def solve(rows, rhs):
     Returns (status, x, kernel) where status is "unique", "underdetermined"
     or "inconsistent"; x is a particular solution when one exists and kernel
     is a basis of the homogeneous solutions.  One elimination of the
-    augmented matrix gives both.
+    augmented matrix gives both: for exact data its int kernel, where the
+    vector v of the rhs column gives x = -v[:ncols] / v[ncols].
     """
     if not rows:
         return "underdetermined", None, []
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
+    exact = not _has_float(aug)
+    reduced, pivots = _exact_echelon(aug) if exact else rref(aug)
     if ncols in pivots:
         return "inconsistent", None, []
-    x = [0 * _unit(aug)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][ncols]
-    ker = _kernel(reduced, pivots, ncols, _unit(rows))
-    if ker:
-        return "underdetermined", x, ker
-    return "unique", x, []
+    if exact:
+        *ker, (_, v) = _int_kernel(reduced, pivots, ncols + 1)
+        x = [Fraction(-a, v[ncols]) if a else _ZERO for a in v[:ncols]]
+        ker = [[Fraction(a, v[fc]) if a else _ZERO for a in v[:ncols]] for fc, v in ker]
+    else:
+        x = [0.0] * ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = reduced[r][ncols]
+        ker = _kernel(reduced, pivots, ncols, 1.0 if _has_float(rows) else Fraction(1))
+    return ("underdetermined", x, ker) if ker else ("unique", x, [])
 
 
 def det(rows):

@@ -8,7 +8,8 @@ kappa(e) * lambda^h1(e) * mu^h2(e); the spectral polynomial is its exact
 determinant.  The cohomology class of a coherent configuration (see
 config.cohomology_class) satisfies det K(lambda, mu) = 0 under this
 convention.  The matrix is built once, as sparse term rows
-(kasteleyn_rows), which the determinant and evaluate_matrix both read.
+(kasteleyn_rows), which the determinant and the kernel both read; on exact
+data the reconstruction runs on int rows, with Fractions only in its results.
 
 The determinant is interpolated from its values at small integer points
 (see _integer_det).  At each mu node one fraction-free elimination
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import atan2, gcd, inf, lcm, ldexp, log2
 
 from . import linalg
@@ -43,7 +45,7 @@ from .errors import (
     KernelNotOneDimensional,
     UnequalColorCounts,
 )
-from .geometry import HYPERPLANE, HomogeneousElement, circuit_coefficients, normalize_coords
+from .geometry import HYPERPLANE, HomogeneousElement, _relation, normalize_coords
 from .laurent import LaurentPoly2, _cross
 from .scalars import _ipow, is_float, is_zero
 from .torusgraph import Edge, Face, TorusGraph, vertex_edges
@@ -60,17 +62,24 @@ def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
         if len(edge_ids) < 2:
             raise KernelNotOneDimensional(f"black vertex {b} has degree {len(edge_ids)}")
         try:
-            rows = [list(white_labels[g.edges[ei].w].coords) for ei in edge_ids]
+            labels = [white_labels[g.edges[ei].w] for ei in edge_ids]
         except KeyError as exc:
             raise DimensionMismatch(f"black vertex {b}: neighbor {exc.args[0]} has no label") from None
+        exact = all(e.ints is not None for e in labels)
         try:
-            c = circuit_coefficients(rows)
+            c = _relation(list(zip(*(e.ints if exact else e.coords for e in labels))), exact)
         except KernelNotOneDimensional as exc:
             raise KernelNotOneDimensional(f"black vertex {b}: {exc}") from exc
-        c0 = c[0]
+        if exact:  # the relation of the int rows, times each row's scale, is the labels' one
+            c = [x * _label_scale(e) for x, e in zip(c, labels)]
         for ei, x in zip(edge_ids, c):
-            weights[ei] = x / c0
+            weights[ei] = Fraction(x, c[0]) if exact else x / c[0]
     return weights
+
+
+def _label_scale(e: HomogeneousElement) -> int:
+    """The s with e.ints == s * e.coords, for an exact label."""
+    return lcm(*(x.denominator for x in e.coords))
 
 
 def kasteleyn_rows(g: TorusGraph, weights: dict) -> list:
@@ -393,7 +402,10 @@ def on_curve(p: LaurentPoly2, lam, mu) -> bool:
 
 
 def evaluate_matrix(g: TorusGraph, weights: dict, lam, mu):
-    """The Kasteleyn matrix evaluated at (lam, mu)."""
+    """The Kasteleyn matrix evaluated at (lam, mu); for exact data, the
+    rows of _int_rows divided by their scales."""
+    if not is_float([lam, mu, *weights.values()]):
+        return [[Fraction(x, s) for x in row] for row, s in _int_rows(g, weights, lam, mu)]
     m = [[Fraction(0)] * len(g.white_ids) for _ in g.black_ids]
     for r, row in zip(m, kasteleyn_rows(g, weights)):
         for col, i, j, c in row:
@@ -401,10 +413,31 @@ def evaluate_matrix(g: TorusGraph, weights: dict, lam, mu):
     return m
 
 
+def _int_rows(g: TorusGraph, weights: dict, lam, mu):
+    """Yields (int row, s) per black vertex: s times the Kasteleyn row at
+    the exact point (lam, mu), s the lcm of its terms' denominators."""
+    rows = kasteleyn_rows(g, weights)
+    mono = _monomials(lam, mu, (t[1:3] for row in rows for t in row))
+    for row in rows:
+        terms = [(col, c.numerator * mono[i, j][0], c.denominator * mono[i, j][1]) for col, i, j, c in row]
+        s = lcm(*(q for _, _, q in terms))
+        r = [0] * len(g.white_ids)
+        for col, p, q in terms:
+            r[col] += p * (s // q)
+        yield r, s
+
+
+def _monomials(lam, mu, exponents) -> dict:
+    """(i, j) -> the exact lam^i mu^j as an int pair (numerator, denominator)."""
+    return {(i, j): (_ipow(lam, i) * _ipow(mu, j)).as_integer_ratio() for i, j in set(exponents)}
+
+
 def kernel_at(g: TorusGraph, weights: dict, lam, mu):
     """Kernel basis of the evaluated Kasteleyn matrix, indexed like
-    g.white_ids.  Raises EmptyKernel when the point is off the curve."""
-    m = evaluate_matrix(g, weights, lam, mu)
+    g.white_ids.  Raises EmptyKernel when the point is off the curve.
+    Exact data is eliminated as _int_rows, whose row scales keep the kernel."""
+    exact = not is_float([lam, mu, *weights.values()])
+    m = [r for r, _ in _int_rows(g, weights, lam, mu)] if exact else evaluate_matrix(g, weights, lam, mu)
     basis = linalg.nullspace(m)
     if not basis:
         raise EmptyKernel("Kasteleyn matrix is invertible at this point")
@@ -446,12 +479,16 @@ def reconstruct_black(
     scale = max(abs(x) for x in fvec)
     if any(is_zero(x, scale=scale) for x in fvec):
         raise KernelDegenerate("kernel vector has a zero entry")
-    f_w = {w: fvec[j] for j, w in enumerate(g.white_ids)}
 
     inc = vertex_edges(g)
-    rhs_of_edge = {}
-    for ei, e in enumerate(g.edges):
-        rhs_of_edge[ei] = f_w[e.w] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1])
+    exact = not is_float(fvec)  # only exact weights, labels and (lam, mu) give an exact kernel
+    if exact:  # int equations: f times a positive scale, each one times its label's scale and rhs denominator
+        f_w = {w: x * _label_scale(white_labels[w]) for w, x in zip(g.white_ids, linalg.int_row(fvec))}
+        mono = _monomials(lam, mu, (e.h for e in g.edges))
+        eqs = [([x * mono[e.h][1] for x in white_labels[e.w].ints], f_w[e.w] * mono[e.h][0]) for e in g.edges]
+    else:
+        f_w = dict(zip(g.white_ids, fvec))
+        eqs = [(list(white_labels[e.w].coords), f_w[e.w] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1])) for e in g.edges]
 
     known: dict = {}
     trace: list = []
@@ -459,8 +496,8 @@ def reconstruct_black(
     while pending:
         progress = False
         for b in sorted(pending):
-            rows = [list(white_labels[g.edges[ei].w].coords) for ei in inc[b]]
-            rhs = [rhs_of_edge[ei] for ei in inc[b]]
+            rows = [eqs[ei][0] for ei in inc[b]]
+            rhs = [eqs[ei][1] for ei in inc[b]]
             used_span = False
             if len(inc[b]) < d + 2:
                 # an underdetermined vertex picks up span constraints from
@@ -470,9 +507,9 @@ def reconstruct_black(
                     other_blacks = [g.edges[ej].b for ej in inc[w] if ej != ei]
                     if all(ob in known for ob in other_blacks) and other_blacks:
                         lspan = [list(known[ob]) for ob in other_blacks]
-                        for x in linalg.nullspace(lspan):
+                        for x in (linalg.int_nullspace if exact else linalg.nullspace)(lspan):
                             rows.append(list(x))
-                            rhs.append(Fraction(0))
+                            rhs.append(0)
                             used_span = True
             status, sol, kerb = linalg.solve(rows, rhs)
             if status == "inconsistent":
@@ -608,13 +645,12 @@ def _sign_at(p: list, x: float, sure: bool = False) -> int:
     within its rounding error bound 2n u sum |p[k] x^k|.  For |x| > 1 it is
     read from x^n p(1/x), so nothing overflows."""
     if abs(x) <= 1:
-        coeffs, y, sign = reversed(p), x, 1
+        coeffs, y, sign = p[::-1], x, 1
     else:
         coeffs, y, sign = p, 1 / x, -1 if x < 0 and len(p) % 2 == 0 else 1
-    acc = err = 0.0
+    acc = 0.0
     for a in coeffs:
         acc = acc * y + a
-        err = err * abs(y) + abs(a)
-    if sure and abs(acc) <= 2 * len(p) * 2.0**-53 * err:
+    if sure and abs(acc) <= 2 * len(p) * 2.0**-53 * reduce(lambda err, a: err * abs(y) + abs(a), coeffs, 0.0):
         return 0
     return sign if acc > 0 else -sign if acc < 0 else 0

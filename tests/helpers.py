@@ -1,22 +1,33 @@
 """Helpers that only the tests use: gauge changes of a configuration,
 class comparison, coordinate equality, conic tangency, incidence checks
 of the pentagram, Q-net and spiral dynamics, the non-periodic Q-net
-window fixture, and the per-node reference of the spectral determinant."""
+window fixture, the per-node reference of the spectral determinant, and
+the Fraction reference of the black-data reconstruction."""
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import lcm
 
 from dimergeom import linalg, spectral
-from dimergeom.config import CohomologyClass, DoubleCircuitConfig
-from dimergeom.errors import SizeMismatch
+from dimergeom.config import CohomologyClass, DoubleCircuitConfig, check_F, check_V
+from dimergeom.errors import DimensionMismatch, EmptyKernel, KernelDegenerate, KernelNotOneDimensional, SizeMismatch
 from dimergeom.fixtures import _collineate, _separable_point
-from dimergeom.geometry import POINT, HomogeneousElement, incident, line_through, meet_hyperplanes, proj_equal
+from dimergeom.geometry import (
+    HYPERPLANE,
+    POINT,
+    HomogeneousElement,
+    circuit_coefficients,
+    incident,
+    line_through,
+    meet_hyperplanes,
+    normalize_coords,
+    proj_equal,
+)
 from dimergeom.laurent import LaurentPoly2
 from dimergeom.pentagram import Polygon
 from dimergeom.qnet import QNetWindow
-from dimergeom.scalars import is_float, is_zero
+from dimergeom.scalars import _ipow, is_float, is_zero
 from dimergeom.spiral import LineSeed
-from dimergeom.torusgraph import Edge, TorusGraph
+from dimergeom.torusgraph import Edge, TorusGraph, vertex_edges
 
 
 def class_equal(c1: CohomologyClass, c2: CohomologyClass) -> bool:
@@ -189,3 +200,109 @@ def per_node_integer_det(rows, shear):
             p, q = i + shift_l, j + shift_m
             out[(p - a * q, q - b * p)] = c
     return LaurentPoly2.from_dict(out), scale
+
+
+# ------------------------------------------- Fraction reference of reconstruction
+
+
+def reference_weights(g, white_labels):
+    """spectral.kasteleyn_weights by circuit_coefficients on the label
+    coordinates: the reference for its relation of the int rows."""
+    inc = vertex_edges(g)
+    weights = {}
+    for b in g.black_ids:
+        edge_ids = inc.get(b, [])
+        if len(edge_ids) < 2:
+            raise KernelNotOneDimensional(f"black vertex {b} has degree {len(edge_ids)}")
+        try:
+            rows = [list(white_labels[g.edges[ei].w].coords) for ei in edge_ids]
+        except KeyError as exc:
+            raise DimensionMismatch(f"black vertex {b}: neighbor {exc.args[0]} has no label") from None
+        try:
+            c = circuit_coefficients(rows)
+        except KernelNotOneDimensional as exc:
+            raise KernelNotOneDimensional(f"black vertex {b}: {exc}") from exc
+        for ei, x in zip(edge_ids, c):
+            weights[ei] = x / c[0]
+    return weights
+
+
+def reference_kernel(g, weights, lam, mu):
+    """spectral.kernel_at by the nullspace of the Fraction matrix, summed
+    entry by entry: the reference for its int rows."""
+    m = [[F(0)] * len(g.white_ids) for _ in g.black_ids]
+    for r, row in zip(m, spectral.kasteleyn_rows(g, weights)):
+        for col, i, j, c in row:
+            r[col] = r[col] + c * _ipow(lam, i) * _ipow(mu, j)
+    basis = linalg.nullspace(m)
+    if not basis:
+        raise EmptyKernel("Kasteleyn matrix is invertible at this point")
+    return basis
+
+
+def reference_solve(rows, rhs):
+    """linalg.solve read off the Fraction RREF of the augmented matrix."""
+    if not rows:
+        return "underdetermined", None, []
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    reduced, pivots = linalg.rref(aug)
+    if ncols in pivots:
+        return "inconsistent", None, []
+    one = 1.0 if any(map(is_float, aug)) else F(1)
+    x = [0 * one] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced[r][ncols]
+    ker = linalg._kernel(reduced, pivots, ncols, 1.0 if any(map(is_float, rows)) else F(1))
+    return ("underdetermined", x, ker) if ker else ("unique", x, [])
+
+
+def reference_reconstruct(g, d, white_labels, lam, mu):
+    """spectral.reconstruct_black on Fractions: the reference weights and
+    kernel, the per-edge Fraction right-hand sides, the Fraction span
+    constraints and reference_solve."""
+    basis = reference_kernel(g, reference_weights(g, white_labels), lam, mu)
+    if len(basis) != 1:
+        raise KernelDegenerate(f"kernel dimension {len(basis)} != 1")
+    fvec = basis[0]
+    scale = max(abs(x) for x in fvec)
+    if any(is_zero(x, scale=scale) for x in fvec):
+        raise KernelDegenerate("kernel vector has a zero entry")
+    f_w = {w: fvec[j] for j, w in enumerate(g.white_ids)}
+    inc = vertex_edges(g)
+    rhs_of_edge = {ei: f_w[e.w] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1]) for ei, e in enumerate(g.edges)}
+    known, trace, pending = {}, [], set(g.black_ids)
+    while pending:
+        progress = False
+        for b in sorted(pending):
+            rows = [list(white_labels[g.edges[ei].w].coords) for ei in inc[b]]
+            rhs = [rhs_of_edge[ei] for ei in inc[b]]
+            used_span = False
+            if len(inc[b]) < d + 2:
+                for ei in inc[b]:
+                    w = g.edges[ei].w
+                    other_blacks = [g.edges[ej].b for ej in inc[w] if ej != ei]
+                    if all(ob in known for ob in other_blacks) and other_blacks:
+                        for x in linalg.nullspace([list(known[ob]) for ob in other_blacks]):
+                            rows.append(list(x))
+                            rhs.append(F(0))
+                            used_span = True
+            status, sol, _ = reference_solve(rows, rhs)
+            if status == "inconsistent":
+                detail = f"black vertex {b}: inconsistent system"
+                return spectral.ReconstructionResult("nosolution", None, trace, detail)
+            if status == "unique":
+                known[b] = tuple(sol)
+                pending.discard(b)
+                trace.append(f"{b}: solved" + (" (with circuit constraints)" if used_span else ""))
+                progress = True
+        if not progress:
+            detail = f"underdetermined at {sorted(pending)}; no further circuit constraints"
+            return spectral.ReconstructionResult("nonunique", None, trace, detail)
+    black = {b: HomogeneousElement(normalize_coords(tuple(v)), HYPERPLANE) for b, v in known.items()}
+    cfg = DoubleCircuitConfig(g, d, dict(white_labels), black)
+    if not check_V(cfg).ok:
+        return spectral.ReconstructionResult("nosolution", None, trace, "result fails the circuit condition")
+    if not check_F(cfg).ok:
+        return spectral.ReconstructionResult("nosolution", None, trace, "result fails coherence")
+    return spectral.ReconstructionResult("unique", cfg, trace)

@@ -188,18 +188,23 @@ def test_urban_renewal_not_quadrilateral():
 
 
 def test_urban_renewal_degenerate_corner():
-    # a corner of degree 2 has no other neighbors: the meet is undefined
+    # a corner of degree 2 has no other neighbors: the meet is undefined.
+    # A split adds two edges to each face through its new vertex, so that
+    # vertex lies on a quadrilateral only when the split opens a bigon:
+    # edge 0 of the 5/2 fixture is doubled, the copy bounding a new face
+    # "bigon" with it, and its black end q0 is split between the two
     c = make_pentagram_fixture(5, 2)[3]
-    c1 = add_degree2(c, "q0", (1, 3), point(5, 7, 1))
-    # q0~ is a degree-2 white vertex; find a quadrilateral face through it
-    g = c1.graph
-    target = next(
-        (f.id for f in g.faces if len(f.edges) == 4 and any(g.edges[e].w == "q0~" for e in f.edges)),
-        None,
-    )
-    if target is not None:
-        with pytest.raises(DegenerateMeet):
-            urban_renewal(c1, target)
+    g, n = c.graph, len(c.graph.edges)
+    doubled = next(f for f in g.faces if 0 in f.edges)
+    faces = [Face(f.id, tuple(n if f is doubled and s == 0 else s for s in f.edges)) for f in g.faces]
+    g = TorusGraph(g.white_ids, g.black_ids, (*g.edges, g.edges[0]), (*faces, Face("bigon", (0, n))))
+    assert validate_graph(g).ok and g.edges[0].b == "q0"
+    c1 = add_degree2(DoubleCircuitConfig(g, c.d, c.white_labels, c.black_labels), "q0", (0, 1), point(5, 7, 1))
+    bigon = c1.graph.face("bigon")
+    assert len(bigon.edges) == 4 and "q0~" in {c1.graph.edges[e].w for e in bigon.edges}
+    assert len(c1.graph.incidence()["q0~"]) == 2
+    with pytest.raises(DegenerateMeet, match=r"^corner B of bigon has degree 2; meet undefined$"):
+        urban_renewal(c1, "bigon")
 
 
 def _with_c_neighbours(c, face_id, coords):
@@ -364,7 +369,7 @@ def _apply(c, op, target, partition):
 
 def _graph_state(g):
     """A deep copy of the graph's fields and its indices."""
-    g.incidence(), g.face("")  # build the lazy indices first
+    g.incidence(), g.face_ids_by_key()  # build the lazy indices first, so the copy holds them
     return copy.deepcopy([getattr(g, name) for name in TorusGraph.__slots__])
 
 

@@ -17,6 +17,7 @@ from dimergeom.config import (
 )
 from dimergeom.errors import EmptyKernel, GeometryError, KernelNotOneDimensional, UnequalColorCounts
 from dimergeom.fixtures import (
+    GRID_CURVE_POINT,
     SPIRAL_BASE,
     SPIRAL_CLASS_POINT,
     SPIRAL_EXTRA_POINTS,
@@ -51,7 +52,15 @@ from dimergeom.spectral import (
 )
 from dimergeom.spiral import build_spiral_graph
 from dimergeom.torusgraph import Edge, TorusGraph, validate_graph
-from helpers import class_equal, coboundary_shifted, per_node_integer_det, rescaled_config
+from helpers import (
+    class_equal,
+    coboundary_shifted,
+    per_node_integer_det,
+    reference_kernel,
+    reference_reconstruct,
+    reference_weights,
+    rescaled_config,
+)
 
 
 def brute_force_determinant(g, weights):
@@ -680,6 +689,88 @@ def test_extra_spiral_points_on_curve():
     poly = spectral_polynomial(g, kasteleyn_weights(g, white))
     for lam, mu in (SPIRAL_CLASS_POINT,) + SPIRAL_EXTRA_POINTS:
         assert on_curve(poly, lam, mu)
+
+
+@functools.cache
+def _reconstruction_case(name, n=None, k=None, seed=None):
+    """(graph, d, white labels, lam, mu): a fixture at its class point,
+    the grid at its stored point, a seeded pentagram or the 7/2 pentagram
+    after 10 steps at its class point."""
+    if name == "grid":
+        g, white = make_grid_minus_edge()
+        return g, 2, white, *GRID_CURVE_POINT
+    if name == "pentagram":
+        c = make_pentagram_fixture(n, k, seed=seed)[3]
+    elif name == "7/2 after 10 steps":
+        c = make_pentagram_fixture(7, 2)[3]
+        for _ in range(10):
+            c = pentagram.step(c)
+    elif name == "spiral":
+        c = make_spiral_fixture()[2]
+    else:
+        c = make_qnet_fixture()[2]
+    return c.graph, c.d, c.white_labels, *cohomology_class(c)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the GeometryError it raises."""
+    try:
+        return f(*args)
+    except GeometryError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _typed(x):
+    """Nested lists and dicts of scalars with each scalar's type, so that
+    1 == F(1) == 1.0 do not compare equal."""
+    if isinstance(x, dict):
+        return {k: _typed(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_typed(v) for v in x]
+    return type(x).__name__, x
+
+
+def _result(res):
+    if isinstance(res, spectral.ReconstructionResult):
+        return res.status, res.trace, res.detail, res.config and config_to_dict(res.config)
+    return res
+
+
+# the fixtures at their class points (pentagrams as make_pentagram_fixture
+# draws them in test_membership_every_coherent_fixture) and the grid
+_FIXTURE_CASES = [
+    ("pentagram", 5, 2, 0), ("pentagram", 6, 2, 4), ("pentagram", 7, 3, 5), ("spiral",), ("qnet",), ("grid",)
+]
+_PENTAGRAMS = st.integers(5, 16).flatmap(
+    lambda n: st.tuples(
+        st.just("pentagram"), st.just(n), st.integers(2, n - 2).filter(lambda k: 2 * k != n), st.integers(0, 20)
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.one_of(st.sampled_from(_FIXTURE_CASES), _PENTAGRAMS, st.just(("7/2 after 10 steps",))),
+    as_float=st.sampled_from(["", "labels", "point", "labels and point"]),
+)
+@example(case=("grid",), as_float="")
+@example(case=("7/2 after 10 steps",), as_float="")
+def test_reconstruction_equals_the_fraction_reference(case, as_float):
+    # the int path (relation of the int rows, int Kasteleyn rows, int
+    # equations) gives what the Fraction path gave, exactly; float labels
+    # or a float point take the Fraction path's own code, bit for bit
+    g, d, white, lam, mu = _reconstruction_case(*case)
+    if "labels" in as_float:
+        white = {w: point(*map(float, e.coords)) for w, e in white.items()}
+    if "point" in as_float:
+        lam, mu = float(lam), float(mu)
+    weights = _outcome(kasteleyn_weights, g, white)
+    assert _typed(weights) == _typed(_outcome(reference_weights, g, white))
+    if isinstance(weights, dict):
+        kernel = _outcome(kernel_at, g, weights, lam, mu)
+        assert _typed(kernel) == _typed(_outcome(reference_kernel, g, weights, lam, mu))
+        got = _result(_outcome(reconstruct_black, g, d, white, lam, mu))
+        assert got == _result(_outcome(reference_reconstruct, g, d, white, lam, mu))
 
 
 def _expanded(roots):
