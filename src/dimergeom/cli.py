@@ -26,7 +26,7 @@ from .config import (
 )
 from .errors import GeometryError, InputError
 from .geometry import HomogeneousElement
-from .scalars import float_coords, is_zero, parse_coords, parse_scalar
+from .scalars import float_coords, float_scale, is_zero, parse_coords, parse_scalar
 from .torusgraph import dimension_report, validate_graph
 
 
@@ -158,10 +158,9 @@ def _cmd_run(args) -> int:
                 raise GeometryError(f"verification failed after step {i + 1}: {bad}")
             trace.append(f"verify step {i + 1}: graph=True V=True F=True")
         if args.verify and formula:
-            ok = labels_projectively_equal(cur, formula(prev))
-            trace.append(f"verify step {i + 1}: formulas={'match' if ok else 'MISMATCH'}")
-            if not ok:
+            if not labels_projectively_equal(cur, formula(prev)):
                 raise GeometryError(f"step {i + 1} disagrees with the direct-formula dynamics")
+            trace.append(f"verify step {i + 1}: formulas=match")
     for line in trace:
         print(line)
     if args.out:
@@ -255,17 +254,13 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
     """Sample float curve points and count reconstruction outcomes."""
     import random
 
-    from .spectral import (
-        fiber_polynomial,
-        kasteleyn_weights,
-        on_curve,
-        real_roots,
-        reconstruct_black,
-        spectral_polynomial,
-    )
+    from .spectral import fiber_polynomial, on_curve, real_roots, reconstruct_black, spectral_polynomial_white
 
-    weights = kasteleyn_weights(c.graph, c.white_labels)
-    poly = spectral_polynomial(c.graph, weights)
+    poly = spectral_polynomial_white(c)
+    # rescaling a white label multiplies the curve by a constant: one past
+    # the float range is divided exactly by a power of two
+    if (scale := float_scale([x for _, x in poly.terms])) != 1:
+        poly = poly * scale
     rng = random.Random(seed)
     outcomes: dict = {}
     tried = 0

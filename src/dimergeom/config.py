@@ -23,14 +23,13 @@ from .errors import (
     DegreeExceedsBound,
     DimensionMismatch,
     InputError,
-    KernelNotOneDimensional,
     VanishingPairing,
 )
 from .geometry import (
     HYPERPLANE,
     POINT,
     HomogeneousElement,
-    circuit_coefficients,
+    circuit_failure,
     face_coherent,
     is_circuit,
     multi_ratio,
@@ -92,21 +91,10 @@ def check_V(c: DoubleCircuitConfig) -> ConditionReport:
         edges = [g.edges[ei] for ei in inc[v]]
         labels = [c.black_labels[e.b] if v == e.w else c.white_labels[e.w] for e in edges]
         if len(labels) < 2 or not is_circuit(labels):
+            reason = f"degree {len(labels)}" if len(labels) < 2 else circuit_failure(labels)
             failures.append(v)
-            messages.append(f"vertex {v}: neighbor labels do not form a circuit ({_not_circuit_reason(labels)})")
+            messages.append(f"vertex {v}: neighbor labels do not form a circuit ({reason})")
     return ConditionReport(ok=not failures, failures=failures, messages=messages)
-
-
-def _not_circuit_reason(labels) -> str:
-    """Why labels that fail is_circuit are no circuit: too few of them, or
-    the relation space that circuit_coefficients rejects."""
-    if len(labels) < 2:
-        return f"degree {len(labels)}"
-    try:
-        circuit_coefficients([list(e.coords) for e in labels])
-    except KernelNotOneDimensional as exc:
-        return str(exc)
-    raise AssertionError("is_circuit and circuit_coefficients disagree")
 
 
 def walk_label_cycle(c: DoubleCircuitConfig, walk) -> list:
@@ -159,20 +147,16 @@ def walk_period(c: DoubleCircuitConfig, walk):
     return multi_ratio(walk_label_cycle(c, walk))
 
 
-def cohomology_class(c: DoubleCircuitConfig, z1=None, z2=None) -> CohomologyClass:
+def cohomology_class(c: DoubleCircuitConfig) -> CohomologyClass:
     """Class (lambda, mu) of the pairing cocycle in the basis dual to the
     standard homology basis implied by the h data.
 
-    z1, z2 are closed alternating walks (edge-index sequences) whose
-    signed h-sums form a Z-basis of Z^2; the graph's shipped basis cycles
-    are used when omitted.  Coherence makes the result independent of the
-    walk choice within fixed homology classes.
+    It is read along the graph's basis cycles, or its canonical ones when
+    it carries none: closed alternating walks whose signed h-sums must
+    form a Z-basis of Z^2 (BadBasis otherwise).  Coherence makes the
+    result independent of the walk choice within fixed homology classes.
     """
-    if z1 is None or z2 is None:
-        if c.graph.basis_cycles is None:
-            z1, z2 = canonical_basis_cycles(c.graph)
-        else:
-            z1, z2 = c.graph.basis_cycles
+    z1, z2 = c.graph.basis_cycles or canonical_basis_cycles(c.graph)
     a1, b1 = walk_h_sum(c.graph, z1)
     a2, b2 = walk_h_sum(c.graph, z2)
     det = a1 * b2 - b1 * a2

@@ -215,6 +215,12 @@ def circuit_coefficients(rows):
 def is_circuit(elems) -> bool:
     """True iff the elements are dependent but every proper subset is
     independent.  Repeats are allowed: two coincident points form a circuit."""
+    return circuit_failure(elems) is None
+
+
+def circuit_failure(elems) -> str | None:
+    """Why the elements are no circuit, naming the relation-space dimension
+    or the vanishing coefficient; None when they form one."""
     m = len(elems)
     if m < 2:
         raise TooFew("a circuit needs at least 2 elements")
@@ -228,9 +234,9 @@ def is_circuit(elems) -> bool:
     exact = all(e.ints is not None for e in elems)
     try:
         _relation(list(zip(*(e.ints if exact else e.coords for e in elems))), exact)
-    except KernelNotOneDimensional:
-        return False
-    return True
+    except KernelNotOneDimensional as exc:
+        return str(exc)
+    return None
 
 
 @dataclass(frozen=True)

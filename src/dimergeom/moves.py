@@ -209,7 +209,7 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
 # ------------------------------------------------------ degree-two addition
 
 
-def _rotation_at(g: TorusGraph, v: str):
+def _rotation_at(g: GraphEdit, v: str):
     """Cyclic order of v's incident edge slots, from the corners at v of
     the faces through them."""
     succ = {}
@@ -226,7 +226,7 @@ def _rotation_at(g: TorusGraph, v: str):
     return rot
 
 
-def _split_arcs(g: TorusGraph, v: str, partition: tuple):
+def _split_arcs(g: GraphEdit, v: str, partition: tuple):
     """The arc rot[i:j] of v's rotation for partition = (i, j), and its
     complement; both must be nonempty."""
     rot = _rotation_at(g, v)
@@ -290,9 +290,9 @@ def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> Homo
 
     After the split, each copy of v sees one arc plus the new vertex, so
     the new label must lie in both arc spans; for degree d+2 vertices the
-    meet is a single projective element.
+    meet is a single projective element.  c's graph is read as a batch.
     """
-    g = c.graph
+    g = GraphEdit(c.graph)
     v_white = g.is_white(v)
     labels = c.black_labels if v_white else c.white_labels
     arcs = [[labels[g.edge(ei).b if v_white else g.edge(ei).w] for ei in arc] for arc in _split_arcs(g, v, partition)]

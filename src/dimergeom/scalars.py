@@ -62,15 +62,21 @@ def is_zero(x, scale=1) -> bool:
     return x == 0
 
 
-def float_coords(coords) -> tuple:
-    """A label's coordinates as floats, as ``float`` gives them unless they
-    are exact and the largest lies outside the normal double range: then
-    all are first divided exactly by one power of two."""
-    big = max(map(abs, coords))
-    if is_float(coords) or sys.float_info.min <= big <= sys.float_info.max:
-        return tuple(map(float, coords))
+def float_scale(values):
+    """1 unless the values are exact and the largest of them lies outside
+    the normal double range: then the power of two that brings it between
+    1/2 and 2, by which all of them are multiplied exactly before a float
+    reads them."""
+    big = max(map(abs, values), default=1)
+    if is_float(values) or sys.float_info.min <= big <= sys.float_info.max:
+        return 1
     big = Fraction(big)
-    scale = Fraction(2) ** (big.denominator.bit_length() - big.numerator.bit_length())
+    return Fraction(2) ** (big.denominator.bit_length() - big.numerator.bit_length())
+
+
+def float_coords(coords) -> tuple:
+    """A label's coordinates as floats, first scaled by ``float_scale``."""
+    scale = float_scale(coords)
     return tuple(float(x * scale) for x in coords)
 
 

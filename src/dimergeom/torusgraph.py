@@ -12,15 +12,15 @@ white-to-black.  That resolves parallel edges unambiguously (vertex-id
 sequences cannot).
 
 A graph numbers its edges by their position in ``edges``; walks are
-lists of these edge slots.  Moves edit a ``GraphEdit``, a copy of a
-graph's containers made once per batch of moves: edges are rewritten or
-deleted in their slots and new edges take the slots after the last one,
-faces are held by id, and the faces and basis cycles are rewritten along
-the moves' paths when a read or a move needs it.  Slots that differ from
-positions exist only inside an open batch: ``close`` renumbers the
-surviving edges in slot order.  The incidence and face-key indices are
-built on first use; the faces through an edge are found by a scan of the
-faces.
+lists of these edge slots, and a closed graph is read by position.  Moves
+edit a ``GraphEdit``, a copy of a graph's containers made once per batch
+of moves, which alone has the slot API (``edge``, ``face``, ``faces_on``,
+``next_slot``): edges are rewritten or deleted in their slots and new
+edges take the slots after the last one, faces are held by id, and the
+faces and basis cycles are rewritten along the moves' paths when a read
+or a move needs it.  ``close`` renumbers the surviving edges in slot
+order.  The incidence and face-key indices are built on first use; the
+faces through an edge are found by a scan of the faces.
 """
 from __future__ import annotations
 
@@ -46,25 +46,22 @@ class Face:
 
 class TorusGraph:
     """Immutable torus graph: ``TorusGraph(white_ids, black_ids, edges,
-    faces, basis_cycles=None)``, basis cycles a pair of walks.  The slot
-    API (``edge``, ``incidence``, ``face``, ``faces_on``, ``next_slot``) is
-    what moves read, here and on an open ``GraphEdit``."""
+    faces, basis_cycles=None)``, basis cycles a pair of walks, edges and
+    faces read by position; moves read it through a ``GraphEdit``."""
 
     __slots__ = (
-        "white_ids", "black_ids", "edges", "faces", "basis_cycles",
-        "_white", "_black", "_edges", "_faces", "_inc", "_face_by_key",
+        "white_ids", "black_ids", "edges", "faces", "basis_cycles", "_white", "_black", "_inc", "_face_by_key",
     )
 
     def __init__(self, white_ids, black_ids, edges, faces, basis_cycles=None):
         self.white_ids, self.black_ids = tuple(white_ids), tuple(black_ids)
         self.edges, self.faces, self.basis_cycles = tuple(edges), tuple(faces), basis_cycles
         self._white, self._black = dict.fromkeys(self.white_ids), dict.fromkeys(self.black_ids)
-        self._edges, self._faces = self.edges, self.faces  # what the slot API reads: slot = position
         self._inc = self._face_by_key = None
 
     def sizes(self) -> tuple:
         """(white, black, edge, face) counts."""
-        return len(self._white), len(self._black), len(self._edges), len(self._faces)
+        return len(self._white), len(self._black), len(self.edges), len(self.faces)
 
     def _key(self) -> tuple:
         return self.white_ids, self.black_ids, self.edges, self.faces, self.basis_cycles
@@ -78,16 +75,6 @@ class TorusGraph:
     def __repr__(self):
         fields = zip(("white_ids", "black_ids", "edges", "faces", "basis_cycles"), self._key())
         return f"TorusGraph({', '.join(f'{k}={v!r}' for k, v in fields)})"
-
-    # --------------------------------------------------------- the slot API
-
-    @property
-    def next_slot(self) -> int:
-        """The slot a move gives its first new edge."""
-        return len(self.edges)
-
-    def edge(self, slot: int) -> Edge:
-        return self._edges[slot]
 
     def is_white(self, v: str) -> bool:
         return v in self._white
@@ -115,16 +102,6 @@ class TorusGraph:
         if self._face_by_key is None:
             self._face_by_key = {face_key(self, f): f.id for f in self.faces}
         return self._face_by_key
-
-    def face(self, face_id: str) -> Face | None:
-        """The first face with this id."""
-        return next((f for f in self.faces if f.id == face_id), None)
-
-    def faces_on(self, slots) -> list:
-        """The distinct faces through any of the given edge slots, in face
-        order."""
-        slots = set(slots)
-        return [f for f in self.faces if not slots.isdisjoint(f.edges)]
 
 
 def vertex_edges(g: TorusGraph) -> dict:
@@ -302,7 +279,8 @@ class GraphEdit(TorusGraph):
     """A graph open for a batch of moves: its containers copied once, edges
     held by slot in ``_edges`` and faces by id in ``_faces``, each vertex's
     incident slots in a sorted list.  A graph whose face ids repeat raises
-    MoveError.
+    MoveError.  What moves read of it is the slot API: ``edge``, ``face``,
+    ``faces_on`` and ``next_slot``, with the ``incidence`` index.
 
     ``replace`` applies one move to edges, incidence lists and vertex sets
     in place, as the fold would, and logs its paths.  ``substitute_edges``
@@ -314,7 +292,7 @@ class GraphEdit(TorusGraph):
     ``moves.apply_script`` rewrites after each of its moves.
     """
 
-    __slots__ = ("_basis", "_next", "_paths", "_through")
+    __slots__ = ("_edges", "_faces", "_basis", "_next", "_paths", "_through")
 
     def __init__(self, g: TorusGraph):
         self._white, self._black = dict(g._white), dict(g._black)
@@ -325,11 +303,20 @@ class GraphEdit(TorusGraph):
         self._basis, self._next = list(g.basis_cycles or ()), len(g.edges)
         self._paths, self._through = {}, set()
 
+    def sizes(self) -> tuple:
+        return len(self._white), len(self._black), len(self._edges), len(self._faces)
+
     @property
     def next_slot(self) -> int:
+        """The slot a move gives its first new edge."""
         return self._next
 
+    def edge(self, slot: int) -> Edge:
+        return self._edges[slot]
+
     def face(self, face_id: str) -> Face | None:
+        """The face with this id, rewritten first when a logged path
+        touches it."""
         f = self._faces.get(face_id)
         if f is not None and not self._paths.keys().isdisjoint(f.edges):
             self.substitute_edges()
@@ -337,6 +324,8 @@ class GraphEdit(TorusGraph):
         return f
 
     def faces_on(self, slots) -> list:
+        """The distinct faces through any of the given edge slots, in face
+        order, after a rewrite."""
         self.substitute_edges()
         slots = set(slots)
         return [f for f in self._faces.values() if not slots.isdisjoint(f.edges)]
@@ -435,7 +424,8 @@ def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
     """Remove one edge and merge its two (distinct) faces, both dropped
     for the merged one: the edge is replaced by the rest of its first
     face."""
-    hosts = g.faces_on((ei,))
+    edit = GraphEdit(g)
+    hosts = edit.faces_on((ei,))
     if len(hosts) != 2:
         raise BadWalk(f"edge {ei} lies on {len(hosts)} distinct faces, need 2")
     a = hosts[0].edges
@@ -443,7 +433,6 @@ def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
     rest = a[p + 1 :] + a[:p]  # from the far end of slot p back to its near end
     paths = {ei: rest if p % 2 else rest[::-1]}
     merged = Face(merged_face_id, _rewrite_walk(hosts[1].edges, paths))
-    edit = GraphEdit(g)
     edit.replace({}, (), paths, drop_faces=(hosts[0].id, hosts[1].id), add_faces=(merged,))
     return edit.close()
 

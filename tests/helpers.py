@@ -36,6 +36,14 @@ def class_equal(c1: CohomologyClass, c2: CohomologyClass) -> bool:
     return is_zero(c1.lam - c2.lam, scale=s1) and is_zero(c1.mu - c2.mu, scale=s2)
 
 
+def with_walks(c: DoubleCircuitConfig, z1, z2) -> DoubleCircuitConfig:
+    """c on its graph carrying the basis cycles (z1, z2), along which
+    ``cohomology_class`` reads the class."""
+    g = c.graph
+    graph = TorusGraph(g.white_ids, g.black_ids, g.edges, g.faces, (z1, z2))
+    return DoubleCircuitConfig(graph, c.d, c.white_labels, c.black_labels)
+
+
 def rescaled_config(c: DoubleCircuitConfig, factors: dict) -> DoubleCircuitConfig:
     """New config with some labels multiplied by nonzero scalars (gauge test)."""
     wl = dict(c.white_labels)

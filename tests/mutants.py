@@ -1,0 +1,165 @@
+"""Known mutants: one-place edits of the package, each of which a named
+selection of tests must fail.
+
+Run from anywhere as ``python tests/mutants.py``; it exits 0 when every
+mutant is killed and 1 when one survives or its old text is not found
+exactly once.  pytest does not collect this file.
+
+Each edit is applied to a fresh copy of ``src/``, ``tests/`` and
+``pyproject.toml`` in a temporary directory, and the selection runs
+there: ``pyproject.toml`` puts ``src`` on pytest's path, so a run from the
+checkout would test the unmutated package.  A no-op edit runs first and
+must survive, so a selection that fails without any edit cannot pass for
+a kill.  A change that claims "a mutant fails this test" adds its row.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file in src/dimergeom, exact old text, new text, pytest selection)
+MUTANTS = [
+    (
+        "urban renewal: the i3 path reversed",
+        "moves.py",
+        "i3: (n, n + 7, n + 3)}",
+        "i3: (n + 3, n + 7, n)}",
+        ["tests/test_moves.py"],
+    ),
+    (
+        "urban renewal: the spoke exponent hd negated, its assert removed",
+        "moves.py",
+        '_h_sub(eB_d.h, eB_c.h)\n    assert _h_add(hd, hA) == eA_d.h, "face h-sum was nonzero"\n',
+        "_h_sub(eB_c.h, eB_d.h)\n",
+        ["tests/test_moves.py", "tests/test_spectral.py"],
+    ),
+    (
+        "urban renewal: one coordinate of label E negated",
+        "moves.py",
+        "wl[vE], wl[vF] = lab_E, lab_F",
+        "wl[vE], wl[vF] = HomogeneousElement((-lab_E.coords[0], *lab_E.coords[1:]), lab_E.kind), lab_F",
+        ["tests/test_moves.py"],
+    ),
+    (
+        "add_degree2: the white path (tm, vm, e)",
+        "moves.py",
+        "paths = {ei: (vm, tm, ei) for ei in arc_b}",
+        "paths = {ei: (tm, vm, ei) for ei in arc_b}",
+        ["tests/test_moves.py"],
+    ),
+    (
+        "_rewrite_walk: no black-to-white rotation",
+        "torusgraph.py",
+        "    if out and out[0] & 1:\n        out = out[-1:] + out[:-1]\n",
+        "",
+        ["tests/test_moves.py::test_step_chains_match_pinned_outputs"],
+    ),
+    (
+        "bareiss_eliminate: a row divided by the last pivot",
+        "linalg.py",
+        "d = div[i]",
+        "d = last",
+        ["tests/test_spectral.py"],
+    ),
+    (
+        "det: over the denominators of all rows but the first",
+        "linalg.py",
+        "for x in row)) for row in rows)",
+        "for x in row)) for row in rows[1:])",
+        ["tests/test_linalg.py::test_exact_results_equal_fraction_gauss_jordan"],
+    ),
+    (
+        "build_tile_graph: tuple(removed) as the cache key",
+        "pentagram.py",
+        "_tile_graph(n, k, frozenset(removed))",
+        "_tile_graph(n, k, tuple(removed))",
+        ["tests/test_families.py"],
+    ),
+    (
+        "GraphEdit.replace: no rewrite before replacing an edge on a logged path",
+        "torusgraph.py",
+        "        if not self._through.isdisjoint(paths):\n            self.substitute_edges()\n",
+        "",
+        ["tests/test_moves.py"],
+    ),
+    (
+        "apply_script: no rewrite after each move",
+        "moves.py",
+        "        batch.graph.substitute_edges()\n",
+        "",
+        ["tests/test_moves.py"],
+    ),
+    (
+        "_monomials: lambda and mu swapped",
+        "spectral.py",
+        "(_ipow(lam, i) * _ipow(mu, j)).as_integer_ratio()",
+        "(_ipow(mu, i) * _ipow(lam, j)).as_integer_ratio()",
+        ["tests/test_spectral.py"],
+    ),
+    (
+        "GraphEdit.next_slot: the count of live edges, not the next free slot",
+        "torusgraph.py",
+        "        return self._next\n",
+        "        return len(self._edges)\n",
+        ["tests/test_moves.py::test_step_chains_match_pinned_outputs"],
+    ),
+    (
+        "cohomology_class: the canonical walks in place of the graph's basis cycles",
+        "config.py",
+        "c.graph.basis_cycles or canonical_basis_cycles(c.graph)",
+        "canonical_basis_cycles(c.graph)",
+        ["tests/test_config.py", "tests/test_cli.py"],
+    ),
+    (
+        "circuit_failure: every failure read as a relation space of dimension 2",
+        "geometry.py",
+        "        return str(exc)\n    return None",
+        '        return "relation space has dimension 2, need 1"\n    return None',
+        ["tests/test_config.py"],
+    ),
+]
+NO_OP = ("no-op", "moves.py", "def _h_add(a, b):", "def _h_add(a, b):", ["tests/test_moves.py", "tests/test_config.py"])
+
+
+def survives(name, file, old, new, selection) -> bool:
+    """Whether the selection passes on a copy with the edit applied; exits
+    when the old text is not found exactly once."""
+    with tempfile.TemporaryDirectory(prefix="dimergeom-mutant-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        path = Path(tmp, "src", "dimergeom", file)
+        text = path.read_text()
+        if text.count(old) != 1:
+            sys.exit(f"{name}: old text found {text.count(old)} times in {file}, need once")
+        path.write_text(text.replace(old, new))
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src")), "PYTHONDONTWRITEBYTECODE": "1"}
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+        return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True).returncode == 0
+
+
+def main() -> int:
+    start = time.perf_counter()
+    if not survives(*NO_OP):
+        print(f"the no-op edit fails {' '.join(NO_OP[4])}: the selection fails without any mutant")
+        return 1
+    alive = []
+    for row in MUTANTS:
+        t = time.perf_counter()
+        ok = survives(*row)
+        print(f"{'SURVIVED' if ok else 'killed  '} {time.perf_counter() - t:5.1f} s  {row[0]}")
+        if ok:
+            alive.append(row[0])
+    print(f"{len(MUTANTS) - len(alive)} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

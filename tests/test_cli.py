@@ -23,6 +23,7 @@ from dimergeom.moves import script_from_json
 from dimergeom.qnet import QNetWindow, build_qnet_config, plane_of_quad
 from dimergeom.scalars import float_coords, parse_scalar
 from dimergeom.torusgraph import canonical_basis_cycles
+from helpers import with_walks
 
 
 @pytest.fixture()
@@ -140,7 +141,7 @@ def test_run_builtin_keeps_basis_cycles(tmp_path, monkeypatch, make, builtin, st
     assert main(["run", str(start), "--builtin", builtin, "--steps", str(steps), "--out", str(out)]) == 0
     assert "basis_cycles" in json.loads(out.read_text())
     c = load_config(out)
-    expected = cohomology_class(c, *canonical_basis_cycles(c.graph))
+    expected = cohomology_class(with_walks(c, *canonical_basis_cycles(c.graph)))
     assert expected == cohomology_class(load_config(start))
 
     def no_walks(*args, **kwargs):
@@ -286,6 +287,24 @@ def test_render_and_probe_labels_past_the_float_range(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "report: sampled outcomes over 2 curve points" in out and err == ""
     assert svg.read_text().count("<line") == 7
+
+
+def test_probe_reads_a_label_rescaled_past_the_float_range(tmp_path, capsys):
+    # P0 times 10^400 is the same point of P^2, and the gauge change scales
+    # the curve past the float range: the probe divides it back exactly
+    p, big = tmp_path / "p.json", tmp_path / "big.json"
+    assert main(["make-pentagram", "--n", "7", "--k", "2", "--out", str(p)]) == 0
+    data = json.loads(p.read_text())
+    p0 = next(w for w in data["white"] if w["id"] == "P0")
+    p0["coords"] = [str(F(x) * 10**400) for x in p0["coords"]]
+    big.write_text(json.dumps(data))
+    reports = []
+    for path in (p, big):
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["experiment", "birationality-probe", str(path), "--samples", "3"]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1] == ("report: sampled outcomes over 3 curve points: {'unique': 3}\n", "")
 
 
 def test_float_coords_convert_labels_in_range_as_float_does():

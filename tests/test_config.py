@@ -22,7 +22,7 @@ from dimergeom.errors import BadBasis, DegreeExceedsBound, VanishingPairing
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture, make_spiral_fixture
 from dimergeom.geometry import HYPERPLANE, POINT, HomogeneousElement, affine_point, hyperplane, point
 from dimergeom.torusgraph import Edge, Face, TorusGraph, find_walk, validate_graph
-from helpers import class_equal, coboundary_shifted, rescaled_config
+from helpers import class_equal, coboundary_shifted, rescaled_config, with_walks
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +143,8 @@ def test_class_independent_of_walk_representatives(pentagon):
     for r in range(1, 4):
         rooted = TorusGraph(g.white_ids[r:] + g.white_ids[:r], g.black_ids, g.edges, g.faces)
         z1, z2 = find_walk(rooted, (1, 0)), find_walk(rooted, (0, 1))
-        assert g.edge(z1[0]).w == g.white_ids[r]
-        assert class_equal(cohomology_class(c, z1, z2), cls)
+        assert g.edges[z1[0]].w == g.white_ids[r]
+        assert class_equal(cohomology_class(with_walks(c, z1, z2)), cls)
 
 
 def test_class_from_non_unit_basis(pentagon):
@@ -153,7 +153,7 @@ def test_class_from_non_unit_basis(pentagon):
     cls = cohomology_class(c)
     z1 = find_walk(c.graph, (1, 1))
     z2 = find_walk(c.graph, (0, 1))
-    assert class_equal(cohomology_class(c, z1, z2), cls)
+    assert class_equal(cohomology_class(with_walks(c, z1, z2)), cls)
 
 
 def test_bad_basis_rejected(pentagon):
@@ -161,7 +161,7 @@ def test_bad_basis_rejected(pentagon):
     z1 = find_walk(c.graph, (2, 0))
     z2 = find_walk(c.graph, (0, 1))
     with pytest.raises(BadBasis):
-        cohomology_class(c, z1, z2)
+        cohomology_class(with_walks(c, z1, z2))
 
 
 def test_class_invariant_under_coboundary(pentagon):
@@ -273,6 +273,34 @@ def test_check_V_failure_names_the_relation_space():
     labels = {f"w{i}": affine_point(i, 2 * i) for i in range(4)}
     rep = check_V(DoubleCircuitConfig(g, 2, labels, {"b": hyperplane(1, 1, 1)}))
     assert "vertex b: neighbor labels do not form a circuit (relation space has dimension 2, need 1)" in rep.messages
+
+
+def _two_stars(points, lift):
+    """Whites w0.. at the affine points, coordinates lifted by ``lift`` (F
+    or float), each joined to b0 and b1, which share one line of P^2: the
+    whites pass (V), and b0 and b1 fail it alike, for the same reason."""
+    whites, blacks = tuple(f"w{i}" for i in range(len(points))), ("b0", "b1")
+    g = TorusGraph(whites, blacks, tuple(Edge(w, b, (0, 0)) for b in blacks for w in whites), ())
+    wl = {w: HomogeneousElement((lift(x), lift(y), lift(1)), POINT) for w, (x, y) in zip(whites, points)}
+    line = HomogeneousElement((lift(1), lift(1), lift(1)), HYPERPLANE)
+    return DoubleCircuitConfig(g, 2, wl, dict.fromkeys(blacks, line))
+
+
+@pytest.mark.parametrize("lift", [F, float], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "points, reason",
+    [
+        ([(0, 0)], "degree 1"),
+        ([(i, 2 * i) for i in range(4)], "relation space has dimension 2, need 1"),
+        ([(0, 0), (1, 1), (2, 2), (0, 1)], "relation coefficient 3 vanishes (not a circuit)"),
+    ],
+    ids=["degree", "dimension", "coefficient"],
+)
+def test_check_V_names_each_failure_reason(points, reason, lift):
+    # the lines validate prints, for exact labels and their float twins
+    rep = check_V(_two_stars(points, lift))
+    assert rep.failures == ["b0", "b1"]
+    assert rep.messages == [f"vertex {b}: neighbor labels do not form a circuit ({reason})" for b in ("b0", "b1")]
 
 
 def test_check_F_failure_names_the_multi_ratio(pentagon):

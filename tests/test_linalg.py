@@ -147,6 +147,7 @@ def check_matrix(m, xs, consistent):
 @example([[1, 2], [3, 4]], [1, 1, 0, 0, 0, 0, 0], True)  # unique
 @example([[1, 2, 3], [2, 4, 6]], [1, 1, 1, 0, 0, 0, 0], True)  # underdetermined
 @example([[1, 2], [2, 4]], [1, 3, 0, 0, 0, 0, 0], False)  # inconsistent
+@example([[F(1, 2), 1], [F(1, 3), 4]], [1, 1, 0, 0, 0, 0, 0], True)  # a denominator in the first row
 def test_exact_results_equal_fraction_gauss_jordan(m, xs, consistent):
     check_matrix(m, xs, consistent)
 

@@ -64,7 +64,7 @@ from dimergeom.torusgraph import (
     validate_graph,
     vertex_edges,
 )
-from helpers import class_equal, rescaled_config
+from helpers import class_equal, rescaled_config, with_walks
 
 
 @pytest.fixture()
@@ -200,7 +200,7 @@ def test_urban_renewal_degenerate_corner():
     g = TorusGraph(g.white_ids, g.black_ids, (*g.edges, g.edges[0]), (*faces, Face("bigon", (0, n))))
     assert validate_graph(g).ok and g.edges[0].b == "q0"
     c1 = add_degree2(DoubleCircuitConfig(g, c.d, c.white_labels, c.black_labels), "q0", (0, 1), point(5, 7, 1))
-    bigon = c1.graph.face("bigon")
+    bigon = next(f for f in c1.graph.faces if f.id == "bigon")
     assert len(bigon.edges) == 4 and "q0~" in {c1.graph.edges[e].w for e in bigon.edges}
     assert len(c1.graph.incidence()["q0~"]) == 2
     with pytest.raises(DegenerateMeet, match=r"^corner B of bigon has degree 2; meet undefined$"):
@@ -211,9 +211,9 @@ def _with_c_neighbours(c, face_id, coords):
     """c with the white neighbours of the face's corner c, other than A and
     B, relabelled by coords in turn; (config, A, B)."""
     g = c.graph
-    i0, i1 = g.face(face_id).edges[:2]
-    A, cb, B = g.edge(i0).w, g.edge(i0).b, g.edge(i1).w
-    others = [g.edge(ei).w for ei in g.incidence()[cb] if ei not in (i0, i1)]
+    i0, i1 = next(f for f in g.faces if f.id == face_id).edges[:2]
+    A, cb, B = g.edges[i0].w, g.edges[i0].b, g.edges[i1].w
+    others = [g.edges[ei].w for ei in g.incidence()[cb] if ei not in (i0, i1)]
     wl = dict(c.white_labels)
     for v, xs in zip(others, coords):
         wl[v] = point(*xs)
@@ -402,7 +402,7 @@ def test_random_move_sequences_keep_conditions_class_and_curve(name, data):
         assert g.basis_cycles is not None
         assert validate_graph(g).ok, (op, target, validate_graph(g))
         assert check_V(c).ok and check_F(c).ok, (op, target)
-        assert cohomology_class(c) == cohomology_class(c, *canonical_basis_cycles(g)) == cls, (op, target)
+        assert cohomology_class(c) == cohomology_class(with_walks(c, *canonical_basis_cycles(g))) == cls, (op, target)
         assert spectral_polynomial_white(c).normalized().terms == curve, (op, target)
     assume(steps)
     assert config_to_dict(apply_script(start, MoveScript(tuple(steps)))) == config_to_dict(c)
@@ -547,7 +547,7 @@ def test_a_face_through_a_degree_one_vertex_is_rewritten_move_by_move():
     # its first rewrite cancels that edge across the end
     c = _start("qnet-4x4")[0]
     g = c.graph
-    f = g.face("F0x0")
+    f = next(f for f in g.faces if f.id == "F0x0")
     new = len(g.edges)
     faces = tuple(Face(f.id, (new,) + f.edges[1:] + f.edges[:1] + (new,)) if h is f else h for h in g.faces)
     u_edge = Edge("U", g.edges[f.edges[0]].b, (0, 0))
@@ -587,17 +587,14 @@ def test_two_removals_rewrite_one_edge_at_both_ends():
         remove_degree2(batch, step.target)
     g = batch.graph
     kept = {s for ix in g.incidence().values() for s in ix}
-    both = [s for s in kept if mid.graph.edge(s).w != g.edge(s).w and mid.graph.edge(s).b != g.edge(s).b]
+    both = [s for s in kept if mid.graph.edges[s].w != g.edge(s).w and mid.graph.edges[s].b != g.edge(s).b]
     assert both
 
 
 def _numbered_by_position(g) -> bool:
-    """Whether a closed graph's edge and face slots are their positions."""
-    return (
-        [g.edge(i) for i in range(len(g.edges))] == list(g.edges)
-        and g.next_slot == len(g.edges)
-        and g.faces_on(range(len(g.edges))) == list(g.faces)
-    )
+    """Whether the slots a closed graph's faces name are exactly its edge
+    positions."""
+    return {s for f in g.faces for s in f.edges} == set(range(len(g.edges)))
 
 
 @pytest.mark.parametrize(
@@ -705,8 +702,8 @@ def test_renewals_at_corner_sharing_faces_equal_the_fold():
     # renewed faces of a step share corners but no edge
     for name, faces in (("pentagram-7/2", ["d0", "d1", "d4"]), ("qnet-4x4", ["F0x1", "F1x0", "F1x2", "F2x1"])):
         c = _start(name)[0]
-        walks = [set(c.graph.face(f).edges) for f in faces]
-        corners = [{v for s in w for v in (c.graph.edge(s).w, c.graph.edge(s).b)} for w in walks]
+        walks = [set(f.edges) for f in c.graph.faces if f.id in faces]
+        corners = [{v for s in w for v in (c.graph.edges[s].w, c.graph.edges[s].b)} for w in walks]
         assert all(not walks[i] & walks[j] for i, j in combinations(range(len(faces)), 2))
         assert any(corners[i] & corners[j] for i, j in combinations(range(len(faces)), 2))
         steps = [MoveStep("urban", f) for f in faces]
