@@ -27,7 +27,7 @@ from .config import (
 from .errors import GeometryError, InputError
 from .geometry import HomogeneousElement
 from .scalars import float_coords, float_scale, is_zero, parse_coords, parse_scalar
-from .torusgraph import dimension_report, validate_graph
+from .torusgraph import Event, dimension_report, validate_graph
 
 
 def main(argv=None) -> int:
@@ -129,7 +129,7 @@ def _cmd_run(args) -> int:
         raise InputError("--k applies to --builtin pentagram and spiral only")
     if args.k is not None and args.k < 1:
         raise InputError(f"--k must be positive, got {args.k}")
-    trace: list = []
+    events: list = []
     if args.script:
         from .moves import apply_script, load_script
 
@@ -138,7 +138,7 @@ def _cmd_run(args) -> int:
             if s.label is not None and len(s.label.coords) != c.d + 1:
                 n = len(s.label.coords)
                 raise InputError(f"script step {idx}: add2 label has {n} coordinates, need d + 1 = {c.d + 1}")
-        step, formula = (lambda prev: apply_script(prev, script, trace)), None
+        step, formula = (lambda prev: apply_script(prev, script, events)), None
     else:
         family = import_module(f".{args.builtin}", __package__)
         if args.k is not None and args.k != (k := family.k_from_config(c)):
@@ -152,21 +152,32 @@ def _cmd_run(args) -> int:
         prev = cur
         cur = step(prev)
         if args.builtin:
-            trace.append(f"{args.builtin} step {i + 1} done")
+            events.append(Event("step", args.builtin, i + 1, outcome="done"))
         if args.verify:
             if bad := _first_violation(cur):
                 raise GeometryError(f"verification failed after step {i + 1}: {bad}")
-            trace.append(f"verify step {i + 1}: graph=True V=True F=True")
+            events.append(Event("verify", step=i + 1, outcome="graph=True V=True F=True"))
         if args.verify and formula:
             if not labels_projectively_equal(cur, formula(prev)):
                 raise GeometryError(f"step {i + 1} disagrees with the direct-formula dynamics")
-            trace.append(f"verify step {i + 1}: formulas=match")
-    for line in trace:
-        print(line)
+            events.append(Event("verify", step=i + 1, outcome="formulas=match"))
+    for ev in events:
+        print(_line(ev))
     if args.out:
         save_config(cur, args.out)
         print(f"wrote {args.out}")
     return 0
+
+
+def _line(ev: Event) -> str:
+    """The line that ``run`` or ``reconstruct`` prints for one event."""
+    if ev.sizes:  # a script move
+        return "step {}: {} {} -> v={}+{} e={} f={}".format(ev.step, ev.op, ev.target, *ev.sizes)
+    if ev.op == "solve":
+        return f"  {ev.target}: {ev.outcome}"
+    if ev.op == "verify":
+        return f"verify step {ev.step}: {ev.outcome}"
+    return f"{ev.target} step {ev.step} {ev.outcome}"  # a dynamics step
 
 
 def _first_violation(c):
@@ -218,8 +229,8 @@ def _cmd_reconstruct(args) -> int:
     except EmptyKernel:
         print("diagnosis: EmptyKernel (point is not on the spectral curve)")
         return 1
-    for line in res.trace:
-        print(" ", line)
+    for ev in res.events:
+        print(_line(ev))
     names = {"unique": "Unique", "nonunique": "NonUnique", "nosolution": "NoSolution"}
     print(f"outcome: {names[res.status]}" + (f" ({res.detail})" if res.detail else ""))
     if res.status == "unique":

@@ -72,7 +72,7 @@ from .geometry import (
     subspace_element,
 )
 from .scalars import RATIONAL, parse_coords, scalar_str
-from .torusgraph import Edge, Face, GraphEdit, TorusGraph, face_key
+from .torusgraph import Edge, Event, Face, GraphEdit, TorusGraph, face_key
 
 
 @dataclass(frozen=True)
@@ -395,9 +395,10 @@ def _check_degrees(c: DoubleCircuitConfig) -> None:
 # ------------------------------------------------------------------ scripts
 
 
-def apply_script(c: DoubleCircuitConfig, script: MoveScript, trace: list | None = None) -> DoubleCircuitConfig:
+def apply_script(c: DoubleCircuitConfig, script: MoveScript, events: list | None = None) -> DoubleCircuitConfig:
     """The moves applied left to right in one batch, rewritten after each
-    so it equals their fold; the first failing step aborts with its index."""
+    so it equals their fold; the first failing step aborts with its index.
+    ``events`` gets ``Event(op, target, index, sizes after it)`` per move."""
     if not script.steps:
         return c
     batch = _opened(c)
@@ -417,9 +418,8 @@ def apply_script(c: DoubleCircuitConfig, script: MoveScript, trace: list | None 
         except MoveError as exc:
             raise ScriptError(idx, exc) from exc
         batch.graph.substitute_edges()
-        if trace is not None:
-            w, b, e, f = batch.graph.sizes()
-            trace.append(f"step {idx}: {step.op} {step.target} -> v={w}+{b} e={e} f={f}")
+        if events is not None:
+            events.append(Event(step.op, step.target, idx, batch.graph.sizes()))
     return _closed(batch)
 
 

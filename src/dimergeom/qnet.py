@@ -85,11 +85,6 @@ def _interior_sites(w: QNetWindow):
     return sorted(set(out))
 
 
-def is_qnet(w: QNetWindow):
-    """Failing opposite-parity sites (neighbors not coplanar/concurrent)."""
-    return _net_failures(w, _interior_sites(w))
-
-
 def _net_failures(w: QNetWindow, sites):
     bad = []
     for ci, cj in sites:

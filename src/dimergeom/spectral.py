@@ -48,7 +48,7 @@ from .errors import (
 from .geometry import HYPERPLANE, HomogeneousElement, _relation, normalize_coords
 from .laurent import LaurentPoly2, _cross
 from .scalars import _ipow, is_float, is_zero
-from .torusgraph import Edge, Face, TorusGraph, vertex_edges
+from .torusgraph import Edge, Event, Face, TorusGraph, vertex_edges
 
 
 def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
@@ -89,9 +89,9 @@ def kasteleyn_rows(g: TorusGraph, weights: dict) -> list:
     edges with equal h are summed and a zero sum is dropped by the one
     Laurent zero test (for float data, relative to the entry's largest
     term)."""
-    k = len(g.black_ids)
-    if k != len(g.white_ids):
-        raise UnequalColorCounts(f"{len(g.white_ids)} white vs {k} black")
+    n_white, k, _, _ = g.sizes()
+    if n_white != k:
+        raise UnequalColorCounts(f"{n_white} white vs {k} black")
     widx = {w: j for j, w in enumerate(g.white_ids)}
     bidx = {b: i for i, b in enumerate(g.black_ids)}
     entries = [{} for _ in range(k)]  # per row: column -> LaurentPoly2 entry
@@ -449,9 +449,11 @@ def kernel_at(g: TorusGraph, weights: dict, lam, mu):
 
 @dataclass
 class ReconstructionResult:
+    """``events`` holds one ``Event("solve", b, outcome=...)`` per black
+    vertex, in the order solved; ``detail`` says why one is not unique."""
     status: str  # "unique" | "nonunique" | "nosolution"
     config: DoubleCircuitConfig | None
-    trace: list
+    events: list
     detail: str = ""
 
 
@@ -491,14 +493,11 @@ def reconstruct_black(
         eqs = [(list(white_labels[e.w].coords), f_w[e.w] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1])) for e in g.edges]
 
     known: dict = {}
-    trace: list = []
-    pending = set(g.black_ids)
-    while pending:
-        progress = False
-        for b in sorted(pending):
+    events: list = []
+    while pending := sorted(set(g.black_ids) - known.keys()):
+        for b in pending:
             rows = [eqs[ei][0] for ei in inc[b]]
             rhs = [eqs[ei][1] for ei in inc[b]]
-            used_span = False
             if len(inc[b]) < d + 2:
                 # an underdetermined vertex picks up span constraints from
                 # white-vertex circuits whose other hyperplanes are known
@@ -510,21 +509,19 @@ def reconstruct_black(
                         for x in (linalg.int_nullspace if exact else linalg.nullspace)(lspan):
                             rows.append(list(x))
                             rhs.append(0)
-                            used_span = True
             status, sol, kerb = linalg.solve(rows, rhs)
             if status == "inconsistent":
-                return ReconstructionResult("nosolution", None, trace, f"black vertex {b}: inconsistent system")
+                return ReconstructionResult("nosolution", None, events, f"black vertex {b}: inconsistent system")
             if status == "unique":
                 known[b] = tuple(sol)
-                pending.discard(b)
-                trace.append(f"{b}: solved" + (" (with circuit constraints)" if used_span else ""))
-                progress = True
-        if not progress:
+                spans = len(rows) > len(inc[b])  # span constraints were added
+                events.append(Event("solve", b, outcome="solved (with circuit constraints)" if spans else "solved"))
+        if known.keys().isdisjoint(pending):
             return ReconstructionResult(
                 "nonunique",
                 None,
-                trace,
-                f"underdetermined at {sorted(pending)}; no further circuit constraints",
+                events,
+                f"underdetermined at {pending}; no further circuit constraints",
             )
 
     black_labels = {
@@ -532,10 +529,10 @@ def reconstruct_black(
     }
     cfg = DoubleCircuitConfig(g, d, dict(white_labels), black_labels)
     if not check_V(cfg).ok:
-        return ReconstructionResult("nosolution", None, trace, "result fails the circuit condition")
+        return ReconstructionResult("nosolution", None, events, "result fails the circuit condition")
     if not check_F(cfg).ok:
-        return ReconstructionResult("nosolution", None, trace, "result fails coherence")
-    return ReconstructionResult("unique", cfg, trace)
+        return ReconstructionResult("nosolution", None, events, "result fails coherence")
+    return ReconstructionResult("unique", cfg, events)
 
 
 # ------------------------------------------------------------- real fibers

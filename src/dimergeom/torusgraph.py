@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadWalk, MoveError, UnequalColorCounts
 
@@ -42,6 +43,16 @@ class Edge:
 class Face:
     id: str
     edges: tuple  # edge slots, alternating traversal starting white->black
+
+
+class Event(NamedTuple):
+    """One line of a run's progress: ``op`` is a script move's op (with
+    ``sizes`` after it), or "step", "verify" or "solve"."""
+    op: str
+    target: str = ""
+    step: int | None = None
+    sizes: tuple | None = None
+    outcome: str = ""
 
 
 class TorusGraph:
@@ -60,8 +71,8 @@ class TorusGraph:
         self._inc = self._face_by_key = None
 
     def sizes(self) -> tuple:
-        """(white, black, edge, face) counts."""
-        return len(self._white), len(self._black), len(self.edges), len(self.faces)
+        """(white, black, edge, face) counts; a repeated id counts twice."""
+        return len(self.white_ids), len(self.black_ids), len(self.edges), len(self.faces)
 
     def _key(self) -> tuple:
         return self.white_ids, self.black_ids, self.edges, self.faces, self.basis_cycles
@@ -201,17 +212,16 @@ def _z_lattice_rank(gens) -> int:
 
 @dataclass
 class GraphReport:
+    """``validate_graph``'s violations and the graph's ``sizes()``; ``str``
+    adds the Euler number."""
     ok: bool
     violations: list
-    n_white: int
-    n_black: int
-    n_edges: int
-    n_faces: int
-    euler: int
+    sizes: tuple  # (white, black, edge, face) counts
 
     def __str__(self):
         head = "valid" if self.ok else "INVALID"
-        counts = f"white={self.n_white} black={self.n_black} edges={self.n_edges} faces={self.n_faces} euler={self.euler}"
+        w, b, e, f = self.sizes
+        counts = f"white={w} black={b} edges={e} faces={f} euler={w + b - e + f}"
         return "\n".join([f"{head}: {counts}"] + [f"  - {v}" for v in self.violations])
 
 
@@ -263,16 +273,7 @@ def validate_graph(g: TorusGraph) -> GraphReport:
             if det not in (1, -1):
                 violations.append(f"basis cycles: period matrix {[(a1, b1), (a2, b2)]} has determinant {det}")
 
-    euler = len(g.white_ids) + len(g.black_ids) - len(g.edges) + len(g.faces)
-    return GraphReport(
-        ok=not violations,
-        violations=violations,
-        n_white=len(g.white_ids),
-        n_black=len(g.black_ids),
-        n_edges=len(g.edges),
-        n_faces=len(g.faces),
-        euler=euler,
-    )
+    return GraphReport(not violations, violations, g.sizes())
 
 
 class GraphEdit(TorusGraph):
@@ -439,13 +440,9 @@ def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
 
 def dimension_report(g: TorusGraph, d: int) -> dict:
     """Equation/parameter counts for the black-data recovery problem."""
-    k = len(g.white_ids)
-    if k != len(g.black_ids):
-        raise UnequalColorCounts(f"{k} white vs {len(g.black_ids)} black")
-    return dimension_report_from_counts(k, len(g.edges), len(g.faces), d)
-
-
-def dimension_report_from_counts(k: int, e: int, f: int, d: int) -> dict:
+    k, b, e, f = g.sizes()
+    if k != b:
+        raise UnequalColorCounts(f"{k} white vs {b} black")
     euler = 2 * k - e + f
     return {
         "equations": k * (d + 2) - e + f - 1,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from math import lcm
 
-from dimergeom import linalg, spectral
+from dimergeom import linalg, qnet, spectral
 from dimergeom.config import CohomologyClass, DoubleCircuitConfig, check_F, check_V
 from dimergeom.errors import DimensionMismatch, EmptyKernel, KernelDegenerate, KernelNotOneDimensional, SizeMismatch
 from dimergeom.fixtures import _collineate, _separable_point
@@ -27,7 +27,7 @@ from dimergeom.pentagram import Polygon
 from dimergeom.qnet import QNetWindow
 from dimergeom.scalars import _ipow, is_float, is_zero
 from dimergeom.spiral import LineSeed
-from dimergeom.torusgraph import Edge, TorusGraph, vertex_edges
+from dimergeom.torusgraph import Edge, Event, TorusGraph, vertex_edges
 
 
 def class_equal(c1: CohomologyClass, c2: CohomologyClass) -> bool:
@@ -111,6 +111,12 @@ def is_inscribed(Q: Polygon, P: Polygon) -> bool:
     if len(Q) != len(P):
         raise SizeMismatch(f"polygon sizes differ: {len(Q)} vs {len(P)}")
     return all(incident(line_through(P[i], P[i + 1]), Q[i]) for i in range(len(P)))
+
+
+def is_qnet(w: QNetWindow) -> list:
+    """The interior sites of w whose four neighbours are not coplanar (or,
+    for planes, not concurrent); empty for a Q-net."""
+    return qnet._net_failures(w, qnet._interior_sites(w))
 
 
 def is_f_transform(f: QNetWindow, g: QNetWindow) -> bool:
@@ -279,7 +285,7 @@ def reference_reconstruct(g, d, white_labels, lam, mu):
     f_w = {w: fvec[j] for j, w in enumerate(g.white_ids)}
     inc = vertex_edges(g)
     rhs_of_edge = {ei: f_w[e.w] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1]) for ei, e in enumerate(g.edges)}
-    known, trace, pending = {}, [], set(g.black_ids)
+    known, events, pending = {}, [], set(g.black_ids)
     while pending:
         progress = False
         for b in sorted(pending):
@@ -298,19 +304,20 @@ def reference_reconstruct(g, d, white_labels, lam, mu):
             status, sol, _ = reference_solve(rows, rhs)
             if status == "inconsistent":
                 detail = f"black vertex {b}: inconsistent system"
-                return spectral.ReconstructionResult("nosolution", None, trace, detail)
+                return spectral.ReconstructionResult("nosolution", None, events, detail)
             if status == "unique":
                 known[b] = tuple(sol)
                 pending.discard(b)
-                trace.append(f"{b}: solved" + (" (with circuit constraints)" if used_span else ""))
+                outcome = "solved (with circuit constraints)" if used_span else "solved"
+                events.append(Event("solve", b, outcome=outcome))
                 progress = True
         if not progress:
             detail = f"underdetermined at {sorted(pending)}; no further circuit constraints"
-            return spectral.ReconstructionResult("nonunique", None, trace, detail)
+            return spectral.ReconstructionResult("nonunique", None, events, detail)
     black = {b: HomogeneousElement(normalize_coords(tuple(v)), HYPERPLANE) for b, v in known.items()}
     cfg = DoubleCircuitConfig(g, d, dict(white_labels), black)
     if not check_V(cfg).ok:
-        return spectral.ReconstructionResult("nosolution", None, trace, "result fails the circuit condition")
+        return spectral.ReconstructionResult("nosolution", None, events, "result fails the circuit condition")
     if not check_F(cfg).ok:
-        return spectral.ReconstructionResult("nosolution", None, trace, "result fails coherence")
-    return spectral.ReconstructionResult("unique", cfg, trace)
+        return spectral.ReconstructionResult("nosolution", None, events, "result fails coherence")
+    return spectral.ReconstructionResult("unique", cfg, events)

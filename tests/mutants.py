@@ -124,6 +124,34 @@ MUTANTS = [
         '        return "relation space has dimension 2, need 1"\n    return None',
         ["tests/test_config.py"],
     ),
+    (
+        "GraphEdit.faces_on: the faces in reverse order",
+        "torusgraph.py",
+        "for f in self._faces.values() if not slots.isdisjoint(f.edges)]",
+        "for f in reversed(self._faces.values()) if not slots.isdisjoint(f.edges)]",
+        ["tests/test_golden.py::test_grid_minus_edge_file_is_pinned"],
+    ),
+    (
+        "apply_script: a move's event numbered from 1",
+        "moves.py",
+        "Event(step.op, step.target, idx, batch.graph.sizes())",
+        "Event(step.op, step.target, idx + 1, batch.graph.sizes())",
+        ["tests/test_events.py"],
+    ),
+    (
+        "reconstruct_black: the circuit-constraint outcome dropped",
+        "spectral.py",
+        'outcome="solved (with circuit constraints)" if spans else "solved"',
+        'outcome="solved"',
+        ["tests/test_events.py"],
+    ),
+    (
+        "TorusGraph.sizes: the id dicts counted, not the id tuples",
+        "torusgraph.py",
+        "return len(self.white_ids), len(self.black_ids), len(self.edges), len(self.faces)",
+        "return len(self._white), len(self._black), len(self.edges), len(self.faces)",
+        ["tests/test_golden.py::test_command_prints_its_golden_lines"],
+    ),
 ]
 NO_OP = ("no-op", "moves.py", "def _h_add(a, b):", "def _h_add(a, b):", ["tests/test_moves.py", "tests/test_config.py"])
 

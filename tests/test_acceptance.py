@@ -35,7 +35,6 @@ from dimergeom.qnet import (
     config_plane_window,
     config_point_window,
     dual_laplace,
-    is_qnet,
     laplace,
     periodic_extension,
 )
@@ -59,6 +58,7 @@ from helpers import (
     coboundary_shifted,
     is_f_transform,
     is_inscribed,
+    is_qnet,
     make_window_fixture,
     rescaled_config,
 )

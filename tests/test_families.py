@@ -25,7 +25,6 @@ from dimergeom.qnet import (
     config_plane_window,
     config_point_window,
     dual_laplace,
-    is_qnet,
     laplace,
     periodic_extension,
 )
@@ -38,6 +37,7 @@ from dimergeom.spiral import (
     validate_line_seed,
     validate_spiral_seed,
 )
+from helpers import is_qnet
 
 # family -> (module, start, the positional step of step number i with the shape passed by hand)
 BY_HAND = {

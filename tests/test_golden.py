@@ -1,0 +1,110 @@
+"""Golden outputs: the exact stdout and exit code of the commands whose
+lines report progress (`run`, `reconstruct`) and of `validate` on a file
+that repeats a white id, and the bytes of the `make-grid-minus-edge` file."""
+import hashlib
+import json
+
+import pytest
+
+from dimergeom.cli import main
+
+GRID_MU = "-2312629/110955"  # the grid fixture's curve point is (1, GRID_MU)
+README_SCRIPT = [
+    {"op": "urban", "target": "d0"},
+    {"op": "add2", "target": "q1", "label": ["1", "2", "3"], "partition": [0, 2]},
+    {"op": "remove2", "target": "q1~"},
+]
+
+
+def _make(tmp_path, capsys, *argv):
+    """The file one fixture command writes, its own output discarded."""
+    path = tmp_path / f"{argv[0]}{'-'.join(argv[1:])}.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+def _script(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(README_SCRIPT))
+    return ["run", str(_make(tmp_path, capsys, "make-pentagram", "--n", "5", "--k", "2")), "--script", str(script)]
+
+
+def _duplicate_white(tmp_path, capsys):
+    data = json.loads(_make(tmp_path, capsys, "make-pentagram", "--n", "7", "--k", "2").read_text())
+    data["white"].append(next(w for w in data["white"] if w["id"] == "P0"))
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps(data))
+    return ["validate", str(dup)]
+
+
+CASES = {
+    "run-script": (
+        _script,
+        0,
+        "step 0: urban d0 -> v=7+7 e=24 f=10\n"
+        "step 1: add2 q1 -> v=8+8 e=26 f=10\n"
+        "step 2: remove2 q1~ -> v=7+7 e=24 f=10\n",
+    ),
+    "run-qnet-verify": (
+        lambda tmp, cap: ["run", str(_make(tmp, cap, "make-qnet")), "--builtin", "qnet", "--verify", "--steps", "2"],
+        0,
+        "qnet step 1 done\n"
+        "verify step 1: graph=True V=True F=True\n"
+        "verify step 1: formulas=match\n"
+        "qnet step 2 done\n"
+        "verify step 2: graph=True V=True F=True\n"
+        "verify step 2: formulas=match\n",
+    ),
+    "run-spiral": (
+        lambda tmp, cap: ["run", str(_make(tmp, cap, "make-spiral")), "--builtin", "spiral", "--steps", "2"],
+        0,
+        "spiral step 1 done\nspiral step 2 done\n",
+    ),
+    "reconstruct-spiral": (
+        lambda tmp, cap: ["reconstruct", str(_make(tmp, cap, "make-spiral")), "--lam=1/5", "--mu=2"],
+        0,
+        "  q1: solved\n"
+        "  q2: solved\n"
+        "  q3: solved\n"
+        "  q5: solved (with circuit constraints)\n"
+        "  q0: solved (with circuit constraints)\n"
+        "  q4: solved (with circuit constraints)\n"
+        "outcome: Unique\n",
+    ),
+    "reconstruct-grid": (
+        lambda tmp, cap: ["reconstruct", str(_make(tmp, cap, "make-grid-minus-edge")), "--lam=1", f"--mu={GRID_MU}"],
+        1,
+        "  B0x1: solved\n"
+        "  B0x3: solved\n"
+        "  B1x2: solved\n"
+        "  B2x1: solved\n"
+        "  B2x3: solved\n"
+        "  B3x0: solved\n"
+        "  B3x2: solved\n"
+        "outcome: NonUnique (underdetermined at ['B1x0']; no further circuit constraints)\n",
+    ),
+    "validate-duplicate-white": (
+        _duplicate_white,
+        1,
+        "INVALID: white=8 black=7 edges=28 faces=14 euler=1\n  - duplicate vertex ids\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_command_prints_its_golden_lines(name, tmp_path, capsys):
+    argv, code, out = CASES[name]
+    argv = argv(tmp_path, capsys)
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
+
+
+def test_grid_minus_edge_file_is_pinned(tmp_path, capsys):
+    # the merged face of delete_edge starts where its first host face
+    # continues past the deleted edge
+    path = _make(tmp_path, capsys, "make-grid-minus-edge")
+    data = json.loads(path.read_text())
+    assert data["faces"][data["face_ids"].index("hole")][0] == "W1x3"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "38a96ef5c494a7a6ad5ccc2d977e2a2140e32a3752eb24a874ba47a3b7856de4"

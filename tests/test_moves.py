@@ -55,6 +55,7 @@ from dimergeom.spectral import spectral_polynomial_white
 from dimergeom.spiral import spiral_step_on_config
 from dimergeom.torusgraph import (
     Edge,
+    Event,
     Face,
     GraphEdit,
     TorusGraph,
@@ -421,31 +422,31 @@ def _single_move(c, step):
     return add_degree2(c, step.target, step.partition, step.label)
 
 
-def _trace_line(idx, step, c):
-    w, b, e, f = c.graph.sizes()
-    return f"step {idx}: {step.op} {step.target} -> v={w}+{b} e={e} f={f}"
+def _event(idx, step, c):
+    """The event a script records for its step idx, c the result."""
+    return Event(step.op, step.target, idx, c.graph.sizes())
 
 
 def _folded(start, steps):
     """(config_to_dict, or (index, cause type, message) of the first
-    failing step; the trace lines) of the steps folded one call at a time."""
-    c, trace = start, []
+    failing step; the events) of the steps folded one call at a time."""
+    c, events = start, []
     for idx, step in enumerate(steps):
         try:
             c = _single_move(c, step)
         except MoveError as exc:
-            return (idx, type(exc), str(exc)), trace
-        trace.append(_trace_line(idx, step, c))
-    return config_to_dict(c), trace
+            return (idx, type(exc), str(exc)), events
+        events.append(_event(idx, step, c))
+    return config_to_dict(c), events
 
 
 def _scripted(start, steps):
     """The same pair from one apply_script call."""
-    trace = []
+    events = []
     try:
-        return config_to_dict(apply_script(start, MoveScript(tuple(steps)), trace)), trace
+        return config_to_dict(apply_script(start, MoveScript(tuple(steps)), events)), events
     except ScriptError as err:
-        return (err.step_index, type(err.__cause__), str(err.__cause__)), trace
+        return (err.step_index, type(err.__cause__), str(err.__cause__)), events
 
 
 @settings(max_examples=100, deadline=None)
@@ -559,7 +560,7 @@ def test_a_face_through_a_degree_one_vertex_is_rewritten_move_by_move():
 def test_removing_a_vertex_on_parallel_edges_empties_its_face_at_once():
     # V is joined to a new black B by two parallel edges that bound the face
     # G; B hangs off P0 by the edge y.  Removing V empties G, which the
-    # trace counts at once, as the fold does
+    # script's events count at once, as the fold does
     c = _start("pentagram-7/2")[0]
     g = c.graph
     f = g.faces[0]

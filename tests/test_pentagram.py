@@ -141,7 +141,7 @@ def test_dual_map_repeated_lines_degenerate():
 def test_build_config_counts_and_conditions():
     P, Q, q, c = make_pentagram_fixture(5, 2)
     rep = validate_graph(c.graph)
-    assert rep.ok and (rep.n_white, rep.n_edges, rep.n_faces) == (5, 20, 10)
+    assert rep.ok and rep.sizes == (5, 5, 20, 10)
     assert check_V(c).ok  # automatic in the plane
     assert check_F(c).ok
 

@@ -25,7 +25,6 @@ from dimergeom.qnet import (
     config_point_window,
     dual_laplace,
     dual_laplace_transposed,
-    is_qnet,
     laplace,
     laplace_transposed,
     periodic_extension,
@@ -36,7 +35,7 @@ from dimergeom.qnet import (
 )
 from dimergeom import qnet, torusgraph
 from dimergeom.torusgraph import validate_graph
-from helpers import class_equal, is_f_transform, make_window_fixture
+from helpers import class_equal, is_f_transform, is_qnet, make_window_fixture
 
 
 def linear_net(span=range(-3, 5)):

@@ -643,10 +643,8 @@ def test_reconstruct_spiral_round_trip_and_order():
     assert labels_projectively_equal(res.config, c)
     # the paper's documented resolution order: degree-4 lines first, then
     # the degree-3 ones via circuit constraints
-    direct = [t.split(":")[0] for t in res.trace if "circuit" not in t]
-    propagated = [t.split(":")[0] for t in res.trace if "circuit" in t]
-    assert direct == ["q1", "q2", "q3"]
-    assert propagated == ["q5", "q0", "q4"]
+    assert [(ev.op, ev.target) for ev in res.events] == [("solve", q) for q in ("q1", "q2", "q3", "q5", "q0", "q4")]
+    assert [ev.outcome for ev in res.events] == ["solved"] * 3 + ["solved (with circuit constraints)"] * 3
 
 
 def test_reconstruct_grid_minus_edge_nonunique():
@@ -732,7 +730,7 @@ def _typed(x):
 
 def _result(res):
     if isinstance(res, spectral.ReconstructionResult):
-        return res.status, res.trace, res.detail, res.config and config_to_dict(res.config)
+        return res.status, res.events, res.detail, res.config and config_to_dict(res.config)
     return res
 
 

@@ -11,7 +11,6 @@ from dimergeom.torusgraph import (
     TorusGraph,
     delete_edge,
     dimension_report,
-    dimension_report_from_counts,
     face_vertex_sequence,
     find_walk,
     validate_graph,
@@ -23,8 +22,8 @@ def test_pentagram_graph_counts():
     g = build_pentagram_graph(5, 2)
     rep = validate_graph(g)
     assert rep.ok, rep
-    assert (rep.n_white, rep.n_black, rep.n_edges, rep.n_faces) == (5, 5, 20, 10)
-    assert rep.euler == 0
+    assert rep.sizes == (5, 5, 20, 10)
+    assert str(rep) == "valid: white=5 black=5 edges=20 faces=10 euler=0"
 
 
 def test_face_h_sum_violation_reported():
@@ -40,7 +39,7 @@ def test_face_h_sum_violation_reported():
 def test_empty_graph_valid():
     rep = validate_graph(TorusGraph((), (), (), ()))
     assert rep.ok
-    assert (rep.n_white, rep.n_edges, rep.n_faces) == (0, 0, 0)
+    assert rep.sizes == (0, 0, 0, 0)
 
 
 def test_face_traversal_violations_detected():
@@ -67,8 +66,11 @@ def test_dimension_report_torus_always_dim_one():
 
 
 def test_dimension_report_genus_two_counts():
-    # genus-2 metadata: euler = -2, so 1 - chi = 3
-    rep = dimension_report_from_counts(k=6, e=16, f=2, d=2)
+    # genus-2 counts: k = 6, e = 16, f = 2 give euler = -2, so 1 - chi = 3
+    edges = [Edge(f"w{i % 6}", f"b{i % 6}", (0, 0)) for i in range(16)]
+    g = TorusGraph([f"w{i}" for i in range(6)], [f"b{i}" for i in range(6)], edges, (Face("f0", ()), Face("f1", ())))
+    assert g.sizes() == (6, 6, 16, 2)
+    rep = dimension_report(g, 2)
     assert rep["euler"] == -2
     assert rep["expected_dim"] == 3
 
@@ -120,8 +122,8 @@ def test_delete_edge_merges_faces():
     g2 = delete_edge(g, 0, "merged")
     rep = validate_graph(g2)
     assert rep.ok
-    assert rep.n_edges == len(g.edges) - 1
-    assert rep.n_faces == len(g.faces) - 1
+    n_white, n_black, n_edges, n_faces = g.sizes()
+    assert rep.sizes == (n_white, n_black, n_edges - 1, n_faces - 1)
     merged = next(f for f in g2.faces if f.id == "merged")
     assert len(merged.edges) == 6
     # a basis cycle through the deleted edge detours around its first face
@@ -133,7 +135,7 @@ def test_spiral_graph_structure():
     g = build_spiral_graph(2, 5, 1)
     rep = validate_graph(g)
     assert rep.ok
-    assert (rep.n_edges, rep.n_faces) == (21, 9)
+    assert rep.sizes[2:] == (21, 9)
     hexes = [f for f in g.faces if len(f.edges) == 6]
     assert len(hexes) == 3
     # the paper's hexagon vertex pattern
