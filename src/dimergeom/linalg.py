@@ -16,7 +16,8 @@ dimension of that kernel readout, so it too comes from minors there, and
 an exact :func:`solve` reads x and the kernel off the augmented one.  The
 determinant takes exact matrices only: Bareiss elimination on the same
 integer rows, the one fraction-free elimination (bareiss_eliminate) that
-the spectral determinant also runs with only some rows as pivot rows.
+the spectral determinant also runs with only some rows as pivot rows, and
+then continues into the Schur block of the rest from its last pivot.
 
 A matrix with a float entry takes partial pivoting with every zero
 decision made by :func:`scalars.is_zero` relative to the largest entry of
@@ -82,11 +83,17 @@ def _exact_echelon(rows):
     return _int_echelon([int_row(r) for r in rows])
 
 
-def bareiss_eliminate(mat, m: int):
+def bareiss_eliminate(mat, m: int, last: int = 1):
     """Fraction-free Gaussian elimination (Bareiss 1968) of an int matrix
     with k >= m columns (rows are overwritten) and its first m rows as the
     only pivot rows; every later row is reduced.  Returns (sign, last,
     rest), or None when the pivot rows are linearly dependent.
+
+    The rows are at the level ``last``: the previous pivot of an
+    elimination that they continue, so every step divides by it where a
+    fresh elimination (last = 1, bareiss_det) divides by nothing.  The
+    spectral determinant continues its first elimination into the Schur
+    block of the rows it reduced, at that elimination's last pivot.
 
     When no pivot row from p on has an entry in column p, the first later
     column where one has is swapped into column p.  sign is (-1)^(row and
@@ -95,7 +102,8 @@ def bareiss_eliminate(mat, m: int):
     matrix of the pivot rows and any k - m combinations of the later rows
     has determinant sign * det(the same combinations of rest) /
     last^(k - m - 1), an exact division.  With m = k that is sign * last
-    (bareiss_det).
+    (bareiss_det), and a continuation at level L of an m x m block of
+    reduced rows gives sign * last = det(block) / L^(m - 1).
 
     A row whose entry in the pivot column is zero is left untouched and
     keeps the divisor of the step that last updated it: its later update
@@ -105,8 +113,8 @@ def bareiss_eliminate(mat, m: int):
     Kasteleyn rows, skip most steps."""
     n = len(mat)
     ncols = len(mat[0]) if mat else 0
-    div = [1] * n
-    sign, last = 1, 1
+    div = [last] * n
+    sign = 1
     for p in range(m):
         r = next((r for r in range(p, m) if mat[r][p]), None)
         if r is None:
@@ -311,28 +319,41 @@ def solve(rows, rhs):
 
     Returns (status, x, kernel) where status is "unique", "underdetermined"
     or "inconsistent"; x is a particular solution when one exists and kernel
-    is a basis of the homogeneous solutions.  One elimination of the
-    augmented matrix gives both: for exact data its int kernel, where the
-    vector v of the rhs column gives x = -v[:ncols] / v[ncols].
+    is a basis of the homogeneous solutions.  One kernel of the augmented
+    matrix gives both.  For exact data it is :func:`int_nullspace`, so a
+    system in at most 3 unknowns with a corank-one augmented matrix is read
+    from minors: its vectors come in free-column order, each positive at its
+    free column, its last nonzero entry.  When the rhs column is free its
+    vector is the last one and gives x = -v[:ncols] / v[ncols]; when it is
+    a pivot column every vector is 0 there and the system is inconsistent.
     """
     if not rows:
         return "underdetermined", None, []
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    exact = not _has_float(aug)
-    reduced, pivots = _exact_echelon(aug) if exact else rref(aug)
-    if ncols in pivots:
-        return "inconsistent", None, []
-    if exact:
-        *ker, (_, v) = _int_kernel(reduced, pivots, ncols + 1)
-        x = [Fraction(-a, v[ncols]) if a else _ZERO for a in v[:ncols]]
-        ker = [[Fraction(a, v[fc]) if a else _ZERO for a in v[:ncols]] for fc, v in ker]
-    else:
+    if _has_float(aug):
+        reduced, pivots = rref(aug)
+        if ncols in pivots:
+            return "inconsistent", None, []
         x = [0.0] * ncols
         for r, pc in enumerate(pivots):
             x[pc] = reduced[r][ncols]
         ker = _kernel(reduced, pivots, ncols, 1.0 if _has_float(rows) else Fraction(1))
+    else:
+        ker = int_nullspace(aug)
+        if not ker or not ker[-1][ncols]:
+            return "inconsistent", None, []
+        *ker, v = ker
+        x = [Fraction(-a, v[ncols]) if a else _ZERO for a in v[:ncols]]
+        ker = [_unit_at_free(w[:ncols]) for w in ker]
     return ("underdetermined", x, ker) if ker else ("unique", x, [])
+
+
+def _unit_at_free(v):
+    """An int kernel vector divided by its last nonzero entry, its free
+    column: the Fraction vector that is one there."""
+    d = next(x for x in reversed(v) if x)
+    return [Fraction(a, d) if a else _ZERO for a in v]
 
 
 def det(rows):

@@ -13,21 +13,22 @@ data the reconstruction runs on int rows, with Fractions only in its results.
 
 The determinant is interpolated from its values at small integer points
 (see _integer_det).  At each mu node one fraction-free elimination
-reduces the rows free of lambda, and each lambda node then reads the
-determinant from the small Schur block of the remaining rows (Sylvester's
-identity).  Every step is exact, so the result needs no certificate;
-float weights take the same path through their exact Fraction values.
+reduces the rows free of lambda, and each lambda node then continues that
+elimination into the small Schur block of the remaining rows, whose last
+pivot gives the determinant (Sylvester's identity).  Every step is exact, so
+the result needs no certificate; float weights take the same path through
+their exact Fraction values.
 
 The interpolation box must hold the support of the determinant.  Every
 term of det K is the h-sum of a perfect matching, so the support lies in
 the matching polygon (Kenyon-Okounkov-Sheffield).  The one box is the
 least and greatest sheared exponent sum over the perfect matchings, four
-assignment problems whose optima hold for every choice of weights.  On a
-minimal graph the sides of the matching polygon are the homology classes
-of the zig-zag paths (Goncharov-Kenyon), read off the faces in O(E)
-(zigzag_polygon); they only pick the elementary shear of the exponents
-whose box is smallest, so the result does not depend on the prediction
-being right.
+assignment problems, each solved from a greedy matching, whose optima
+hold for every choice of weights.  On a minimal graph the sides of the
+matching polygon are the homology classes of the zig-zag paths
+(Goncharov-Kenyon), read off the faces in O(E) (zigzag_polygon); they
+only pick the elementary shear of the exponents whose box is smallest, so
+the result does not depend on the prediction being right.
 """
 from __future__ import annotations
 
@@ -38,17 +39,11 @@ from math import atan2, gcd, inf, lcm, ldexp, log2
 
 from . import linalg
 from .config import DoubleCircuitConfig, check_F, check_labels, check_V
-from .errors import (
-    DimensionMismatch,
-    EmptyKernel,
-    KernelDegenerate,
-    KernelNotOneDimensional,
-    UnequalColorCounts,
-)
+from .errors import DimensionMismatch, EmptyKernel, KernelDegenerate, KernelNotOneDimensional
 from .geometry import HYPERPLANE, HomogeneousElement, _relation, normalize_coords
 from .laurent import LaurentPoly2, _cross
 from .scalars import _ipow, is_float, is_zero
-from .torusgraph import Edge, Event, Face, TorusGraph, vertex_edges
+from .torusgraph import Edge, Event, Face, TorusGraph, balanced_count, vertex_edges
 
 
 def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
@@ -89,9 +84,7 @@ def kasteleyn_rows(g: TorusGraph, weights: dict) -> list:
     edges with equal h are summed and a zero sum is dropped by the one
     Laurent zero test (for float data, relative to the entry's largest
     term)."""
-    n_white, k, _, _ = g.sizes()
-    if n_white != k:
-        raise UnequalColorCounts(f"{n_white} white vs {k} black")
+    k = balanced_count(g)
     widx = {w: j for j, w in enumerate(g.white_ids)}
     bidx = {b: i for i, b in enumerate(g.black_ids)}
     entries = [{} for _ in range(k)]  # per row: column -> LaurentPoly2 entry
@@ -219,9 +212,13 @@ def _integer_det(rows, shear):
     a lambda node x the reduced lambda-rows are S(x) = sum_i x^i (reduced
     coefficient rows), and Sylvester's identity gives
     det K(x, y) = +-x^(sum e_r) det S(x) / last^(|R| - 1), an exact
-    division, with last the last pivot: an |R| x |R| determinant per node
-    in place of a k x k one.  When the lambda-free rows are dependent at
-    y, every value on the mu line is zero."""
+    division, with last the last pivot.  S(x) is at the level of last, so
+    the elimination continues into it from there (bareiss_eliminate with
+    that level): its last pivot is det S(x) / last^(|R| - 1) itself, every
+    intermediate value is a minor of the matrix at the node, and each node
+    costs an |R| x |R| elimination in place of a k x k one.  When the
+    lambda-free rows are dependent at y, every value on the mu line is
+    zero."""
     a, b = shear
     k = len(rows)
     sheared = [[(col, i + a * j, j + b * i, Fraction(c)) for col, i, j, c in row] for row in rows]
@@ -265,7 +262,6 @@ def _integer_det(rows, shear):
             values.append([0] * len(nodes_l))
             continue
         sign, last, rest = reduced
-        last_power = last ** len(lam_rows)
         line = []
         for x, x_scale in zip(nodes_l, lam_scale):
             schur = []  # per lambda-row, its reduced row at lambda = x, by Horner
@@ -274,7 +270,8 @@ def _integer_det(rows, shear):
                 for coeffs in reversed(rest[lo : hi - 1]):
                     acc = [u * x + v for u, v in zip(acc, coeffs)]
                 schur.append(acc)
-            line.append(x_scale * sign * linalg.bareiss_det(schur) * last // last_power)
+            block = linalg.bareiss_eliminate(schur, len(schur), last)
+            line.append(0 if block is None else x_scale * sign * block[0] * block[1])
         values.append(_interpolate(nodes_l, line))
     out: dict = {}
     for i in range(len(nodes_l)):
@@ -311,14 +308,33 @@ def _min_assignment(costs):
     r -> c of rows to columns that use only given entries (costs: one dict
     column -> int per row), and dual potentials with u[r] + v[c] at most
     each given costs[r][c] and sum(u) + sum(v) == s; None when there is no
-    bijection.  The Hungarian method: each row joins the matching along a
-    shortest augmenting path under the potentials, O(k^3); when no free
+    bijection.
+
+    The Hungarian method from a greedy start (Jonker-Volgenant): v starts
+    at the column minima and u at the row minima of the reduced costs, and
+    a row takes the first of its least-reduced-cost columns that is still
+    free.  Each row left over joins the matching along a shortest
+    augmenting path under the potentials, O(k^2) per row; when no free
     column is reachable the rows so far have no matching, so neither have
-    all rows."""
+    all rows.  Matched entries stay tight, so s is sum(u) + sum(v)."""
     k = len(costs)
-    u, v = [0] * (k + 1), [0] * (k + 1)
-    owner = [0] * (k + 1)  # column c + 1 -> its row r + 1; index 0 is the root of the search
-    for r in range(1, k + 1):
+    v = [0] + [inf] * k
+    for row in costs:
+        for c, x in row.items():
+            if x < v[c + 1]:
+                v[c + 1] = x
+    if inf in v or not all(costs):  # a column or row with no entry
+        return None
+    u, owner = [0] * (k + 1), [0] * (k + 1)  # column c + 1 -> its row r + 1; index 0 is the root of the search
+    left = []
+    for r, row in enumerate(costs, 1):
+        u[r] = least = min(x - v[c + 1] for c, x in row.items())
+        c = next((c for c, x in row.items() if x - v[c + 1] == least and not owner[c + 1]), None)
+        if c is None:
+            left.append(r)
+        else:
+            owner[c + 1] = r
+    for r in left:
         owner[0], col = r, 0
         slack, way, used = [inf] * (k + 1), [0] * (k + 1), [False] * (k + 1)
         while owner[col]:
@@ -346,7 +362,7 @@ def _min_assignment(costs):
             prev = way[col]
             owner[col] = owner[prev]
             col = prev
-    return -v[0], u[1:], v[1:]
+    return sum(u) + sum(v) - v[0], u[1:], v[1:]
 
 
 def _nodes(n: int) -> list:
@@ -395,10 +411,16 @@ def _color_swapped(g: TorusGraph) -> TorusGraph:
 
 
 def on_curve(p: LaurentPoly2, lam, mu) -> bool:
-    """Zero test of p at (lam, mu): exact for exact data; a float value is
-    tested at the scale of the largest monomial."""
-    val = p.evaluate(lam, mu)
-    return is_zero(val, scale=p.max_term_magnitude(lam, mu) if isinstance(val, float) else 1)
+    """Zero test of p at (lam, mu).  Exact data is summed on ints, each
+    term's numerator over one common denominator (as _int_rows sums a
+    Kasteleyn row), so no Fraction is built; a float value is tested at
+    the scale of the largest monomial."""
+    if is_float([lam, mu, *(c for _, c in p.terms)]):
+        return is_zero(p.evaluate(lam, mu), scale=p.max_term_magnitude(lam, mu))
+    mono = _monomials(lam, mu, (e for e, _ in p.terms))
+    terms = [(c.numerator * mono[e][0], c.denominator * mono[e][1]) for e, c in p.terms]
+    s = lcm(*(q for _, q in terms))
+    return not sum(n * (s // q) for n, q in terms)
 
 
 def evaluate_matrix(g: TorusGraph, weights: dict, lam, mu):

@@ -438,11 +438,19 @@ def delete_edge(g: TorusGraph, ei: int, merged_face_id: str) -> TorusGraph:
     return edit.close()
 
 
-def dimension_report(g: TorusGraph, d: int) -> dict:
-    """Equation/parameter counts for the black-data recovery problem."""
-    k, b, e, f = g.sizes()
+def balanced_count(g: TorusGraph) -> int:
+    """k, the number of white and of black vertices; UnequalColorCounts
+    when the two differ."""
+    k, b, _, _ = g.sizes()
     if k != b:
         raise UnequalColorCounts(f"{k} white vs {b} black")
+    return k
+
+
+def dimension_report(g: TorusGraph, d: int) -> dict:
+    """Equation/parameter counts for the black-data recovery problem."""
+    k = balanced_count(g)
+    _, _, e, f = g.sizes()
     euler = 2 * k - e + f
     return {
         "equations": k * (d + 2) - e + f - 1,

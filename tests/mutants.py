@@ -152,6 +152,34 @@ MUTANTS = [
         "return len(self._white), len(self._black), len(self.edges), len(self.faces)",
         ["tests/test_golden.py::test_command_prints_its_golden_lines"],
     ),
+    (
+        "_integer_det: the Schur block eliminated from level 1, not the last pivot",
+        "spectral.py",
+        "linalg.bareiss_eliminate(schur, len(schur), last)",
+        "linalg.bareiss_eliminate(schur, len(schur))",
+        ["tests/test_spectral.py::test_fixture_curves_match_the_per_node_determinant"],
+    ),
+    (
+        "_min_assignment: the greedy start takes a free column whatever its reduced cost",
+        "spectral.py",
+        "x - v[c + 1] == least and not owner[c + 1]",
+        "x - v[c + 1] >= least and not owner[c + 1]",
+        ["tests/test_spectral.py::test_min_assignment_equals_brute_force"],
+    ),
+    (
+        "solve: the first kernel vector read as the rhs one",
+        "linalg.py",
+        "*ker, v = ker",
+        "v, *ker = ker",
+        ["tests/test_linalg.py::test_small_systems_equal_fraction_gauss_jordan"],
+    ),
+    (
+        "on_curve: the terms summed without the common-denominator factor",
+        "spectral.py",
+        "sum(n * (s // q) for n, q in terms)",
+        "sum(n for n, q in terms)",
+        ["tests/test_spectral.py::test_exact_on_curve_equals_the_fraction_value"],
+    ),
 ]
 NO_OP = ("no-op", "moves.py", "def _h_add(a, b):", "def _h_add(a, b):", ["tests/test_moves.py", "tests/test_config.py"])
 

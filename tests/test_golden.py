@@ -1,13 +1,17 @@
 """Golden outputs: the exact stdout and exit code of the commands whose
 lines report progress (`run`, `reconstruct`) and of `validate` on a file
-that repeats a white id, and the bytes of the `make-grid-minus-edge` file."""
+that repeats a white id, the bytes of the `make-grid-minus-edge` file, and
+the stdout and `--out` file of `spectral` on four fixture files (the
+golden files in `tests/golden/`)."""
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from dimergeom.cli import main
 
+GOLDEN = Path(__file__).parent / "golden"
 GRID_MU = "-2312629/110955"  # the grid fixture's curve point is (1, GRID_MU)
 README_SCRIPT = [
     {"op": "urban", "target": "d0"},
@@ -108,3 +112,19 @@ def test_grid_minus_edge_file_is_pinned(tmp_path, capsys):
     assert data["faces"][data["face_ids"].index("hole")][0] == "W1x3"
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "38a96ef5c494a7a6ad5ccc2d977e2a2140e32a3752eb24a874ba47a3b7856de4"
+
+
+SPECTRAL_FILES = {
+    "spiral": ["make-spiral"],
+    "qnet": ["make-qnet"],
+    "pentagram-7-2": ["make-pentagram", "--n", "7", "--k", "2"],
+    "grid-minus-edge": ["make-grid-minus-edge"],
+}
+
+
+@pytest.mark.parametrize("name", SPECTRAL_FILES)
+def test_spectral_prints_and_writes_its_golden_curve(name, tmp_path, capsys):
+    out = tmp_path / "curve.json"
+    assert main(["spectral", str(_make(tmp_path, capsys, *SPECTRAL_FILES[name])), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"spectral-{name}.txt").read_text()
+    assert out.read_bytes() == (GOLDEN / f"spectral-{name}.json").read_bytes()

@@ -161,6 +161,27 @@ def test_examples_cover_every_solve_status():
     assert statuses == {"unique", "underdetermined", "inconsistent"}
 
 
+# systems in at most 3 unknowns: the augmented kernel of a corank-one one
+# comes from minors, every other one from the elimination
+SMALL_SYSTEMS = [
+    ([[2]], [3], "unique"),
+    ([[1, 2, 3], [0, 1, 4], [5, 6, 0]], [1, 2, 3], "unique"),
+    ([[1, 2], [2, 4], [1, 3]], [3, 6, 4], "unique"),  # the first two rows are dependent
+    ([[F(1, 2), 1], [F(1, 3), 4]], [F(2, 3), 5], "unique"),
+    ([[1, 2, 3]], [6], "underdetermined"),
+    ([[1, 1, 0], [0, 0, 1], [1, 1, 1]], [2, 1, 3], "underdetermined"),
+    ([[1, 2], [2, 4]], [3, 6], "underdetermined"),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], [1, 1, 3], "inconsistent"),  # the rhs column is a pivot; kernel (0, 0, 1, 0)
+    ([[1, 2], [2, 4]], [1, 3], "inconsistent"),
+    ([[1, 0], [0, 1], [1, 1]], [1, 1, 3], "inconsistent"),  # the augmented matrix has no kernel
+]
+
+
+@pytest.mark.parametrize("rows, rhs, status", SMALL_SYSTEMS)
+def test_small_systems_equal_fraction_gauss_jordan(rows, rhs, status):
+    assert check_matrix(rows, rhs, False) == status
+
+
 # ------------------------------------------------------------ int input
 
 

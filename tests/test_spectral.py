@@ -186,7 +186,7 @@ def test_no_dimer_cover_gives_zero():
 
 def test_unequal_color_counts():
     g = TorusGraph(("w1", "w2"), ("b",), (Edge("w1", "b", (0, 0)),), ())
-    with pytest.raises(UnequalColorCounts):
+    with pytest.raises(UnequalColorCounts, match="^2 white vs 1 black$"):
         spectral_polynomial(g, {0: F(1)})
 
 
@@ -326,6 +326,36 @@ def test_sheared_matching_box_matches_brute_force(graph_and_weights, s, on_lambd
     g, weights = graph_and_weights
     det, scale = _integer_det(kasteleyn_rows(g, weights), (s, 0) if on_lambda else (0, s))
     assert (det * F(1, scale)).terms == brute_force_determinant(g, weights).terms
+
+
+@st.composite
+def sparse_cost_tables(draw):
+    """k <= 6 rows of column -> int cost dicts, each entry given or not."""
+    k = draw(st.integers(0, 6))
+    keep = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    return [{c: draw(st.integers(-9, 9)) for c in range(k) if keep[r * k + c]} for r in range(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_cost_tables())
+@example([{0: 0, 1: 0}, {0: 0, 1: 9}])  # row 1's least column is taken, so it augments
+@example([{0: 1}, {0: 2}, {1: 0, 2: 0}])  # every row and column has an entry, yet no matching
+@example([{0: 1}, {0: 3}])  # a column without entries
+@example([{}, {0: 1, 1: 1}])  # a row without entries
+def test_min_assignment_equals_brute_force(costs):
+    """The greedy-started assignment is the least sum over the
+    permutations that use only given entries, None exactly when there is
+    none, and its potentials are a certificate."""
+    k = len(costs)
+    sums = [sum(costs[r][c] for r, c in enumerate(p)) for p in permutations(range(k)) if all(c in costs[r] for r, c in enumerate(p))]
+    got = spectral._min_assignment(costs)
+    if not sums:
+        assert got is None
+        return
+    s, u, v = got
+    assert s == min(sums)
+    assert all(u[r] + v[c] <= x for r, row in enumerate(costs) for c, x in row.items())
+    assert sum(u) + sum(v) == s
 
 
 def _curve_fixture(name):
@@ -479,8 +509,8 @@ def _recording(monkeypatch, calls):
     """Record (columns, pivot rows, dependent) of every elimination."""
     eliminate = linalg.bareiss_eliminate
 
-    def recorded(mat, m):
-        reduced = eliminate(mat, m)
+    def recorded(mat, m, *level):
+        reduced = eliminate(mat, m, *level)
         calls.append((len(mat[0]) if mat else 0, m, reduced is None))
         return reduced
 
@@ -687,6 +717,22 @@ def test_extra_spiral_points_on_curve():
     poly = spectral_polynomial(g, kasteleyn_weights(g, white))
     for lam, mu in (SPIRAL_CLASS_POINT,) + SPIRAL_EXTRA_POINTS:
         assert on_curve(poly, lam, mu)
+
+
+def test_exact_on_curve_equals_the_fraction_value():
+    """The int test of on_curve against Fraction evaluation, at the
+    fixtures' stored curve points and at seeded random rationals."""
+    spiral_poly = spectral_polynomial_white(make_spiral_fixture()[2])
+    grid, white = make_grid_minus_edge()
+    grid_poly = spectral_polynomial(grid, kasteleyn_weights(grid, white))
+    rng = random.Random(7)
+    cases = [(spiral_poly, pt) for pt in (SPIRAL_CLASS_POINT, *SPIRAL_EXTRA_POINTS)] + [(grid_poly, GRID_CURVE_POINT)]
+    for poly in (spiral_poly, grid_poly):
+        cases += [(poly, (F(rng.randint(-50, 50) or 1, rng.randint(1, 30)), F(rng.randint(-50, 50) or 1, rng.randint(1, 30)))) for _ in range(20)]
+        cases += [(poly, (1, 1)), (poly, (F(-2), 3))]
+    assert all(on_curve(p, *pt) for p, pt in cases[:4])
+    for p, (lam, mu) in cases:
+        assert on_curve(p, lam, mu) == (p.evaluate(lam, mu) == 0)
 
 
 @functools.cache

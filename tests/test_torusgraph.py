@@ -78,7 +78,7 @@ def test_dimension_report_genus_two_counts():
 def test_dimension_report_unequal_counts():
     g = build_pentagram_graph(5, 2)
     unequal = TorusGraph(g.white_ids + ("extra",), g.black_ids, g.edges, g.faces)
-    with pytest.raises(UnequalColorCounts):
+    with pytest.raises(UnequalColorCounts, match="^6 white vs 5 black$"):
         dimension_report(unequal, 2)
 
 
