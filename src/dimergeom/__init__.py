@@ -20,8 +20,8 @@ _SUBMODULE = {
         ("config", "CohomologyClass DoubleCircuitConfig check_F check_V cohomology_class load_config save_config"),
         (
             "geometry",
-            "HomogeneousElement Subspace affine_point circumscribed_pair face_coherent hyperplane is_circuit meet"
-            " multi_ratio normalize pairing point span",
+            "HomogeneousElement affine_point circumscribed_pair face_coherent hyperplane is_circuit meet multi_ratio"
+            " pairing point",
         ),
         ("laurent", "LaurentPoly2 newton_polygon poly_from_json poly_to_json"),
         ("moves", "MoveScript MoveStep add_degree2 apply_script remove_degree2 script_to_json urban_renewal"),

@@ -1,5 +1,5 @@
-"""Exact projective linear algebra: points, hyperplanes, subspaces,
-circuits, the multi-ratio, and the conic used to build dual polygons.
+"""Exact projective linear algebra: points, hyperplanes, their joins and
+meets, circuits, the multi-ratio, and the conic used to build dual polygons.
 
 Points and hyperplanes of P^d are nonzero coordinate (d+1)-tuples up to
 scale.  Hyperplanes are covectors; ``pairing`` is the natural contraction.
@@ -83,13 +83,6 @@ def hyperplane(*coords) -> HomogeneousElement:
 def affine_point(*coords) -> HomogeneousElement:
     """Lift affine coordinates with a trailing homogeneous 1."""
     return point(*coords, 1)
-
-
-def normalize(e: HomogeneousElement) -> HomogeneousElement:
-    """Canonical representative: integer-primitive coordinates with positive
-    leading nonzero entry (exact coordinates) or unit Euclidean norm with
-    positive leading entry (float coordinates).  Idempotent."""
-    return HomogeneousElement(normalize_coords(e.coords), e.kind)
 
 
 def normalize_coords(coords: tuple) -> tuple:
@@ -239,27 +232,6 @@ def circuit_failure(elems) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Row space of a generator matrix, stored as its reduced row echelon
-    basis; exact rows are scaled to primitive ints, positive at the pivot
-    (the RREF rows up to a positive factor), float rows are the RREF."""
-
-    basis: tuple  # tuple of coordinate tuples
-    kind: str
-    ambient: int  # d, so coordinate length is d+1
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-
-def _echelon(rows, exact):
-    """The basis a Subspace stores for the row space of rows."""
-    reduced, _ = linalg.int_rref(rows) if exact else linalg.rref(rows)
-    return tuple(tuple(r) for r in reduced)
-
-
 def _binary_unit(rows):
     """Each row over the power of two just above its largest entry: exact
     for floats, since only the exponents change."""
@@ -268,10 +240,7 @@ def _binary_unit(rows):
 
 def _generators(gens):
     """(coordinate rows, their int rows or None for float data, kind, d) of
-    a Subspace or a nonempty element list."""
-    if isinstance(gens, Subspace):
-        rows = list(gens.basis)
-        return rows, None if any(map(is_float, rows)) else rows, gens.kind, gens.ambient
+    a nonempty element list."""
     if not gens:
         raise TooFew("span of nothing")
     _same_kind_dim(gens)
@@ -279,21 +248,19 @@ def _generators(gens):
     return [e.coords for e in gens], None if None in ints else ints, gens[0].kind, gens[0].dim
 
 
-def span(elems) -> Subspace:
-    rows, ints, kind, d = _generators(list(elems))
-    return Subspace(_echelon(rows if ints is None else ints, ints is not None), kind, d)
-
-
-def meet(gens1, gens2) -> Subspace:
-    """Intersection of the spans of two generator lists (elements, or
-    Subspaces whose basis rows are the generators).
+def meet(gens1, gens2) -> HomogeneousElement:
+    """The element spanning the intersection of the spans of two nonempty
+    element lists.
 
     The kernel of the matrix whose columns are both lists (exact generators
     by their integer rows; minors give an exact kernel of corank one in at
     most 4 columns, one elimination any other): each kernel vector (a, b)
     gives the element sum a_i g1_i = -sum b_j g2_j of the intersection, and
-    their echelon basis spans it.  A one-dimensional exact kernel gives one
-    element, whose echelon form is its primitive form: no echelon pass."""
+    their echelon basis spans it.  A one-dimensional exact kernel gives the
+    element directly: no echelon pass.
+
+    Raises EmptyMeet if the spans meet trivially and DegenerateIntersection,
+    naming the rank, if they meet in more than one element."""
     rows1, ints1, kind, d = _generators(gens1)
     rows2, ints2, kind2, d2 = _generators(gens2)
     if kind != kind2:
@@ -316,19 +283,15 @@ def meet(gens1, gens2) -> Subspace:
         scales = [max(abs(c * x) for c, row in zip(v, gens) for x in row) for v in ker]
         elems = [e for e, t in zip(elems, scales) if not all(is_zero(x / t) for x in e)]
     if exact and len(elems) == 1:
-        basis = (_primitive(elems[0]),) if any(elems[0]) else ()
+        basis = elems if any(elems[0]) else []
     else:
-        basis = _echelon(elems, exact)
+        basis = (linalg.int_rref if exact else linalg.rref)(elems)[0]
     if not basis:
         raise EmptyMeet("subspaces intersect trivially")
-    return Subspace(basis, kind, d)
-
-
-def subspace_element(s: Subspace) -> HomogeneousElement:
-    if s.rank != 1:
-        raise DegenerateIntersection(f"expected a rank-1 subspace, got rank {s.rank}")
-    row = s.basis[0]  # exact: primitive ints, positive at the pivot
-    return HomogeneousElement(normalize_coords(row), s.kind) if is_float(row) else _element(row, s.kind)
+    if len(basis) > 1:
+        raise DegenerateIntersection(f"meet has rank {len(basis)}")
+    row = tuple(basis[0])
+    return _element(_primitive(row), kind) if exact else HomogeneousElement(normalize_coords(row), kind)
 
 
 def _element(prim: tuple, kind) -> HomogeneousElement:

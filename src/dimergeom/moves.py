@@ -51,6 +51,7 @@ from functools import wraps
 from .config import DoubleCircuitConfig, read_json
 from .errors import (
     BadPartition,
+    DegenerateIntersection,
     DegenerateMeet,
     DegreeOverflow,
     EmptyMeet,
@@ -69,7 +70,6 @@ from .geometry import (
     incident,
     meet,
     proj_equal,
-    subspace_element,
 )
 from .scalars import RATIONAL, parse_coords, scalar_str
 from .torusgraph import Edge, Event, Face, GraphEdit, TorusGraph, face_key
@@ -297,12 +297,11 @@ def forced_split_label(c: DoubleCircuitConfig, v: str, partition: tuple) -> Homo
     labels = c.black_labels if v_white else c.white_labels
     arcs = [[labels[g.edge(ei).b if v_white else g.edge(ei).w] for ei in arc] for arc in _split_arcs(g, v, partition)]
     try:
-        m = meet(*arcs)
+        return meet(*arcs)
     except EmptyMeet as exc:
         raise DegenerateMeet(f"arc spans of {v} do not meet") from exc
-    if m.rank != 1:
-        raise DegenerateMeet(f"arc spans of {v} meet in rank {m.rank}; label not determined")
-    return subspace_element(m)
+    except DegenerateIntersection as exc:
+        raise DegenerateMeet(f"arc spans of {v}: {exc}; label not determined") from exc
 
 
 # ------------------------------------------------------------ urban renewal
@@ -340,12 +339,11 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
 
     def _meet_or_die(gens1, gens2, what):
         try:
-            m = meet(gens1, gens2)
+            return meet(gens1, gens2)
         except EmptyMeet as exc:
             raise DegenerateMeet(f"{what} of {face_id}: empty meet") from exc
-        if m.rank != 1:
-            raise DegenerateMeet(f"{what} of {face_id}: meet has rank {m.rank}")
-        return subspace_element(m)
+        except DegenerateIntersection as exc:
+            raise DegenerateMeet(f"{what} of {face_id}: {exc}") from exc
 
     lab_E = _meet_or_die(ab, [wl[g.edge(ei).w] for ei in others["c"]], "E")
     lab_F = _meet_or_die(ab, [wl[g.edge(ei).w] for ei in others["d"]], "F")

@@ -35,7 +35,6 @@ from .geometry import (
     meet,
     meet_hyperplanes,
     proj_equal,
-    subspace_element,
 )
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
@@ -113,10 +112,10 @@ def _laplace_sites(w: QNetWindow, pairing: str):
         r1, r2 = _side_rank(side1), _side_rank(side2)
         if r1 != 2 or r2 != 2:
             raise CoincidentLines(f"site ({ci},{cj}): degenerate side points (side spans of rank {r1} and {r2})")
-        m = meet(side1, side2)
-        if m.rank != 1:
-            raise CoincidentLines(f"site ({ci},{cj}): the two lines coincide (meet has rank {m.rank})")
-        out[(ci, cj)] = subspace_element(m)
+        try:
+            out[(ci, cj)] = meet(side1, side2)
+        except DegenerateIntersection as exc:
+            raise CoincidentLines(f"site ({ci},{cj}): the two lines coincide ({exc})") from exc
     if not out:
         raise BadParameters("window too small: no interior sites")
     return QNetWindow(out)

@@ -180,6 +180,13 @@ MUTANTS = [
         "sum(n for n, q in terms)",
         ["tests/test_spectral.py::test_exact_on_curve_equals_the_fraction_value"],
     ),
+    (
+        "meet: a meet of rank 2 or more read as its first element",
+        "geometry.py",
+        '    if len(basis) > 1:\n        raise DegenerateIntersection(f"meet has rank {len(basis)}")\n',
+        "",
+        ["tests/test_moves.py::test_urban_renewal_names_the_meet_rank", "tests/test_qnet.py"],
+    ),
 ]
 NO_OP = ("no-op", "moves.py", "def _h_add(a, b):", "def _h_add(a, b):", ["tests/test_moves.py", "tests/test_config.py"])
 

@@ -56,20 +56,25 @@ def generator_pairs(draw):
 
 def full_path_meet(gens1, gens2):
     """The meet with both eliminations: the int kernel of the columns of
-    both lists, then the echelon basis of every kernel element."""
+    both lists, then the echelon basis of every kernel element, whose one
+    row is the element."""
     rows1, rows2 = [list(e.ints) for e in gens1], [list(e.ints) for e in gens2]
     ker = linalg.int_nullspace([list(col) for col in zip(*rows1, *rows2)])
     elems = [[sum(a * x for a, x in zip(v, col)) for col in zip(*rows1)] for v in ker]
-    basis = g._echelon(elems, True)
+    basis = linalg.int_rref(elems)[0]
     if not basis:
         raise EmptyMeet("subspaces intersect trivially")
-    return g.Subspace(basis, gens1[0].kind, gens1[0].dim)
+    if len(basis) > 1:
+        raise DegenerateIntersection(f"meet has rank {len(basis)}")
+    return g.HomogeneousElement(tuple(map(Fraction, basis[0])), gens1[0].kind)
 
 
 def _outcome(fn, *args):
+    """(coordinates, kind, int row) of the element, or the error raised."""
     try:
-        return fn(*args), None
-    except EmptyMeet as exc:
+        e = fn(*args)
+        return (e.coords, e.kind, e.ints), None
+    except (EmptyMeet, DegenerateIntersection) as exc:
         return None, (type(exc), str(exc))
 
 
@@ -83,6 +88,8 @@ def _pts(*rows):
 # only element is zero and the meet is empty
 @example((_pts((1, 2, 3), (2, 4, 6)), _pts((1, 0, 0), (0, 1, 0))))
 @example((_pts((0, 0, 1), (1, 0, 1)), _pts((1, 1, 1), (1, -1, 1))))  # two lines: a point
+# two planes of P^3: a line, rank 2
+@example((_pts((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), _pts((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))))
 def test_meet_equals_the_two_elimination_path(pair):
     gens1, gens2 = pair
     assert _outcome(g.meet, gens1, gens2) == _outcome(full_path_meet, gens1, gens2)

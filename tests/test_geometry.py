@@ -37,11 +37,11 @@ def hp(*c):
 
 
 def test_normalize_gcd_scaling():
-    assert g.normalize(pt(2, 0, 4)).coords == (Fraction(1), Fraction(0), Fraction(2))
+    assert g.normalize_coords(pt(2, 0, 4).coords) == (Fraction(1), Fraction(0), Fraction(2))
 
 
 def test_normalize_sign_convention():
-    assert g.normalize(pt(0, -3, 0)).coords == (Fraction(0), Fraction(1), Fraction(0))
+    assert g.normalize_coords(pt(0, -3, 0).coords) == (Fraction(0), Fraction(1), Fraction(0))
 
 
 def test_normalize_zero_vector():
@@ -50,14 +50,14 @@ def test_normalize_zero_vector():
 
 
 def test_normalize_idempotent():
-    e = pt(Fraction(2, 3), 5, -7)
-    assert g.normalize(g.normalize(e)) == g.normalize(e)
+    coords = pt(Fraction(2, 3), 5, -7).coords
+    assert g.normalize_coords(g.normalize_coords(coords)) == g.normalize_coords(coords)
 
 
 def test_normalize_float_backend():
-    e = g.normalize(pt(0.0, -3.0, 4.0))
-    assert abs(sum(c * c for c in e.coords) - 1.0) < 1e-12
-    assert e.coords[1] > 0
+    coords = g.normalize_coords(pt(0.0, -3.0, 4.0).coords)
+    assert abs(sum(c * c for c in coords) - 1.0) < 1e-12
+    assert coords[1] > 0
 
 
 def test_tiny_float_vectors_are_points():
@@ -73,7 +73,7 @@ def test_tiny_float_points_join_and_meet():
     s = 1e-10
     a, b, c, d = pt(s, 0.0, 0.0), pt(0.0, s, 0.0), pt(s, s, 0.0), pt(0.0, 0.0, s)
     assert g.join_points([a, b]) == hp(0.0, 0.0, 1.0)
-    assert g.subspace_element(g.meet([a, b], [c, d])) == pt(1.0, 1.0, 0.0)
+    assert g.meet([a, b], [c, d]) == pt(1.0, 1.0, 0.0)
     assert g.meet_hyperplanes([g.line_through(a, b), g.line_through(c, d)]) == pt(1.0, 1.0, 0.0)
     assert linalg.rank([[s, 0.0], [0.0, s]]) == 2
 
@@ -84,12 +84,10 @@ def test_float_meet_is_scale_free():
     so the same points give the same meet at any scale."""
     for s in (1.0, 1e8):
         gens = [pt(0.0, 0.0, 6 * s), pt(0.0, 0.0, 3 * s), pt(3 * s, 0.0, 3 * s), pt(3 * s, 0.0, 0.0)]
-        m = g.meet(gens, [pt(s, 0.0, 0.0)])
-        assert m.rank == 1 and g.subspace_element(m) == pt(1.0, 0.0, 0.0)
+        assert g.meet(gens, [pt(s, 0.0, 0.0)]) == pt(1.0, 0.0, 0.0)
     with pytest.raises(EmptyMeet):
         g.meet([pt(1e-10, 0.0, 0.0)], [pt(0.0, 0.0, 1.0)])
-    m = g.meet([pt(1e-10, 1e-10, 0.0)], [pt(1.0, 0.0, 0.0), pt(0.0, 1.0, 0.0)])
-    assert g.subspace_element(m) == pt(1.0, 1.0, 0.0)
+    assert g.meet([pt(1e-10, 1e-10, 0.0)], [pt(1.0, 0.0, 0.0), pt(0.0, 1.0, 0.0)]) == pt(1.0, 1.0, 0.0)
 
 
 def test_float_hash_agrees_with_equality():
@@ -163,58 +161,41 @@ def test_circuit_invariant_under_permutation_and_rescaling():
         assert g.is_circuit(scaled)
 
 
-# ---------------------------------------------------------------- span/meet
+# ---------------------------------------------------------------- meet
 
 
 def test_meet_of_two_lines():
-    s1 = g.span([pt(0, 0, 1), pt(1, 0, 1)])
-    s2 = g.span([pt(1, 1, 1), pt(1, -1, 1)])
-    x = g.subspace_element(g.meet(s1, s2))
+    x = g.meet([pt(0, 0, 1), pt(1, 0, 1)], [pt(1, 1, 1), pt(1, -1, 1)])
     assert x == pt(1, 0, 1)
-
-
-def test_meet_idempotent():
-    s = g.span([pt(1, 2, 3), pt(0, 1, 1)])
-    assert g.meet(s, s) == s
 
 
 def test_meet_parallel_lines_at_infinity():
     # y = 0 and y = 1 meet at the infinite point of the x direction
-    s1 = g.span([pt(0, 0, 1), pt(1, 0, 1)])
-    s2 = g.span([pt(0, 1, 1), pt(1, 1, 1)])
-    x = g.subspace_element(g.meet(s1, s2))
+    x = g.meet([pt(0, 0, 1), pt(1, 0, 1)], [pt(0, 1, 1), pt(1, 1, 1)])
     assert x == pt(1, 0, 0)
 
 
 def test_meet_empty_raises():
     # two skew lines in P^3
-    s1 = g.span([pt(1, 0, 0, 0), pt(0, 1, 0, 0)])
-    s2 = g.span([pt(0, 0, 1, 0), pt(0, 0, 0, 1)])
-    with pytest.raises(EmptyMeet):
-        g.meet(s1, s2)
+    with pytest.raises(EmptyMeet, match=r"^subspaces intersect trivially$"):
+        g.meet([pt(1, 0, 0, 0), pt(0, 1, 0, 0)], [pt(0, 0, 1, 0), pt(0, 0, 0, 1)])
 
 
 def test_coplanar_lines_in_p3_meet_in_a_point():
-    s1 = g.span([pt(0, 0, 0, 1), pt(1, 0, 0, 1)])
-    s2 = g.span([pt(0, 1, 0, 1), pt(1, -1, 0, 1)])
-    assert g.meet(s1, s2).rank == 1
+    x = g.meet([pt(0, 0, 0, 1), pt(1, 0, 0, 1)], [pt(0, 1, 0, 1), pt(1, -1, 0, 1)])
+    assert x.coords == (1, 0, 0, 2) and x.kind == g.POINT
 
 
-def test_modular_rank_identity():
-    rng = random.Random(1)
-    for _ in range(30):
-        pts1 = [pt(*[rng.randint(-4, 4) for _ in range(4)]) for _ in range(rng.randint(1, 3))]
-        pts2 = [pt(*[rng.randint(-4, 4) for _ in range(4)]) for _ in range(rng.randint(1, 3))]
-        try:
-            s1, s2 = g.span(pts1), g.span(pts2)
-        except ZeroVector:
-            continue
-        union_rank = g.span(pts1 + pts2).rank
-        try:
-            meet_rank = g.meet(s1, s2).rank
-        except EmptyMeet:
-            meet_rank = 0
-        assert meet_rank + union_rank == s1.rank + s2.rank
+def test_meet_rejects_malformed_generator_lists():
+    line = [pt(0, 0, 1), pt(1, 0, 1)]
+    cases = [
+        ([], line, TooFew, "span of nothing"),
+        ([pt(0, 0, 1), hp(1, 0, 1)], line, KindMismatch, "mixed points and hyperplanes"),
+        ([hp(0, 0, 1), hp(1, 0, 1)], line, KindMismatch, "meet of different kinds"),
+        ([pt(0, 0, 0, 1), pt(1, 0, 0, 1)], line, DimensionMismatch, "meet in different ambient spaces"),
+    ]
+    for gens1, gens2, err, message in cases:
+        assert outcome(g.meet, gens1, gens2)[1] == (err, message)
 
 
 # ---------------------------------------------------------------- multi-ratio
@@ -448,11 +429,6 @@ def outcome(fn, *args):
         return None, (type(exc), str(exc))
 
 
-def rref_rows(basis):
-    """A Subspace basis divided through by its pivots: the RREF."""
-    return [[Fraction(x) / next(v for v in row if v) for x in row] for row in basis]
-
-
 # ------------------------------------------------- inputs for the properties
 
 COORD = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
@@ -486,30 +462,44 @@ def generator_pairs(draw):
     return draw(elements(d, kind)), draw(elements(d, kind))
 
 
+def ref_meet_rank(gens1, gens2, ref, ref_err):
+    """The rank of the reference meet, which meets two whole spaces in
+    nothing (neither span has an annihilator, and the kernel of no rows is
+    empty): the rank of such a meet is d + 1."""
+    d = gens1[0].dim
+    if ref_err is not None and ref_err[0] is EmptyMeet:
+        if all(len(ref_span(gens)) == d + 1 for gens in (gens1, gens2)):
+            return d + 1
+        return 0
+    return len(ref)
+
+
+def check_meet_outcome(gens1, gens2, new, new_err, rank, same_row):
+    """The meet's outcome for a reference meet of the given rank: rank 0
+    raises EmptyMeet, rank 1 gives an element of the generators' kind whose
+    coordinates same_row accepts, and rank r >= 2 raises
+    DegenerateIntersection naming r."""
+    if rank == 0:
+        assert new_err == (EmptyMeet, "subspaces intersect trivially")
+    elif rank == 1:
+        assert new_err is None and new.kind == gens1[0].kind and same_row(new.coords)
+    else:
+        assert new_err == (DegenerateIntersection, f"meet has rank {rank}")
+
+
 def check_meet(gens1, gens2):
-    """meet of the generator lists equals the reference meet of their spans
-    in RREF basis, rank, kind and raised error; returns the meet rank."""
+    """meet of the generator lists equals the reference meet of their spans:
+    EmptyMeet for rank 0, the normalized reference element for rank 1 and
+    DegenerateIntersection naming the rank for a larger one; returns the
+    reference rank."""
     new, new_err = outcome(g.meet, gens1, gens2)
     ref, ref_err = outcome(lambda: ref_meet(ref_span(gens1), ref_span(gens2)))
-    d = gens1[0].dim
-    if ref_err is None or ref_err[0] is EmptyMeet:
-        spans = ref_span(gens1), ref_span(gens2)
-        if all(len(s) == d + 1 for s in spans):
-            # the reference meets two whole spaces in nothing: neither span
-            # has an annihilator, and the kernel of no rows is empty
-            assert ref_err[0] is EmptyMeet and new.rank == d + 1
-            return new.rank
-    assert (new_err is None) == (ref_err is None)
-    if ref_err is not None:
-        assert new_err[0] is ref_err[0] and new_err[1] == ref_err[1]
+    if ref_err is not None and ref_err[0] is not EmptyMeet:
+        assert new_err == ref_err
         return 0
-    assert rref_rows(new.basis) == ref and new.rank == len(ref)
-    assert new.kind == gens1[0].kind and new.ambient == gens1[0].dim
-    assert g.meet(g.span(gens1), g.span(gens2)) == new
-    if new.rank == 1:
-        element = g.subspace_element(new)
-        assert element.coords == ref_normalize_coords(tuple(ref[0])) and element.kind == new.kind
-    return new.rank
+    rank = ref_meet_rank(gens1, gens2, ref, ref_err)
+    check_meet_outcome(gens1, gens2, new, new_err, rank, lambda row: row == ref_normalize_coords(tuple(ref[0])))
+    return rank
 
 
 # skew lines in P^3; lines of P^2 meeting in a point, one given by three
@@ -529,6 +519,8 @@ def _pts(lists):
 @example(_pts(P3))
 @example(_pts(P2))
 @example(_pts(PLANE))
+@example([_pts(P2)[0], _pts(P2)[0]])  # a line met with itself
+@example([_pts(P2)[0][:1], _pts(P2)[0][:1]])  # a point met with itself
 def test_meet_equals_the_fraction_reference(pair):
     check_meet(*pair)
 
@@ -649,17 +641,12 @@ def test_float_meet_equals_the_reference(pair, scale):
     gens1, gens2 = floated(pair[0], scale), floated(pair[1], 1.0)
     new, new_err = outcome(g.meet, gens1, gens2)
     ref, ref_err = outcome(ref_float_meet, gens1, gens2)
-    d = gens1[0].dim
-    if ref_err is not None and ref_err[0] is EmptyMeet and new_err is None:
-        # two whole spaces: the reference has no annihilator to intersect
-        assert all(linalg.rank([list(e.coords) for e in gens]) == d + 1 for gens in (gens1, gens2))
-        assert new.rank == d + 1
-        return
-    assert (new_err is None) == (ref_err is None)
-    if ref_err is not None:
-        assert new_err == ref_err
-        return
-    assert new.rank == len(ref) and new.kind == gens1[0].kind and new.ambient == d
-    for row, ref_row in zip(new.basis, ref):
-        assert all(type(x) is float for x in row)
-        assert all(is_zero(x - y, scale=max(abs(x), abs(y))) for x, y in zip(row, ref_row))
+    rank = ref_meet_rank(gens1, gens2, ref, ref_err)
+
+    def same_row(row):
+        ref_row = g.normalize_coords(tuple(ref[0]))
+        return all(type(x) is float for x in row) and all(
+            is_zero(x - y, scale=max(abs(x), abs(y))) for x, y in zip(row, ref_row)
+        )
+
+    check_meet_outcome(gens1, gens2, new, new_err, rank, same_row)

@@ -39,6 +39,7 @@ from dimergeom.geometry import hyperplane, incident, line_through, meet_hyperpla
 from dimergeom.moves import (
     _closed,
     _opened,
+    _rotation_at,
     forced_split_label,
     MoveScript,
     MoveStep,
@@ -232,6 +233,29 @@ def test_urban_renewal_names_the_meet_rank(pentagon):
     c, _, _ = _with_c_neighbours(pentagon, "d0", on_ab)
     with pytest.raises(DegenerateMeet, match=r"^E of d0: meet has rank 2$"):
         urban_renewal(c, "d0")
+
+
+def _with_p0_neighbours(c, coords):
+    """c with the black neighbours of P0, in rotation order, relabelled by
+    the lines coords in turn."""
+    g = GraphEdit(c.graph)
+    bl = dict(c.black_labels)
+    for ei, xs in zip(_rotation_at(g, "P0"), coords):
+        bl[g.edge(ei).b] = hyperplane(*xs)
+    return DoubleCircuitConfig(c.graph, c.d, c.white_labels, bl)
+
+
+def test_forced_split_label_names_a_degenerate_meet(pentagon):
+    # three neighbour lines through (0:0:1) and the first off it: split off
+    # alone, the first misses the pencil of the other three; four lines
+    # through (0:0:1): both arcs span that pencil, a meet of rank 2
+    c = _with_p0_neighbours(pentagon, [(1, 1, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    with pytest.raises(DegenerateMeet, match=r"^arc spans of P0 do not meet$"):
+        forced_split_label(c, "P0", (0, 1))
+    assert forced_split_label(c, "P0", (1, 2)) == hyperplane(1, 0, 0)
+    c = _with_p0_neighbours(pentagon, [(1, -1, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    with pytest.raises(DegenerateMeet, match=r"^arc spans of P0: meet has rank 2; label not determined$"):
+        forced_split_label(c, "P0", (0, 2))
 
 
 def test_moves_commute_with_rescaling(pentagon):
