@@ -285,7 +285,7 @@ def meet(gens1, gens2) -> HomogeneousElement:
     if exact and len(elems) == 1:
         basis = elems if any(elems[0]) else []
     else:
-        basis = (linalg.int_rref if exact else linalg.rref)(elems)[0]
+        basis = (linalg._int_echelon if exact else linalg.rref)(elems)[0]
     if not basis:
         raise EmptyMeet("subspaces intersect trivially")
     if len(basis) > 1:

@@ -7,13 +7,13 @@ columns and the reduced row echelon form, and the rows are then reduced
 fraction-free, each updated row divided by its content.  Fractions are
 built only at the readout, when a pivot row is divided by its pivot, so an
 exact matrix, int data included, gets Fraction results equal to those of
-Gauss-Jordan elimination over Fractions.  :func:`int_nullspace` and
-:func:`int_rref` read the same elimination as primitive int vectors and
-build no Fraction; a corank-one kernel in at most 4 columns (the joins,
-meets and circuit tests of P^2 and P^3) is read from signed maximal minors
-instead, as the same vector.  An exact rank is the column count minus the
-dimension of that kernel readout, so it too comes from minors there, and
-an exact :func:`solve` reads x and the kernel off the augmented one.  The
+Gauss-Jordan elimination over Fractions.  :func:`int_nullspace` reads
+the same elimination as primitive int vectors and builds no Fraction; a
+corank-one kernel in at most 4 columns (the joins, meets and circuit tests
+of P^2 and P^3) is read from signed maximal minors instead, as the same
+vector.  An exact rank is the column count minus the dimension of that
+kernel readout, so it too comes from minors there, and an exact
+:func:`solve` reads x and the kernel off the augmented one.  The
 determinant takes exact matrices only: Bareiss elimination on the same
 integer rows, the one fraction-free elimination (bareiss_eliminate) that
 the spectral determinant also runs with only some rows as pivot rows, and
@@ -91,7 +91,7 @@ def bareiss_eliminate(mat, m: int, last: int = 1):
 
     The rows are at the level ``last``: the previous pivot of an
     elimination that they continue, so every step divides by it where a
-    fresh elimination (last = 1, bareiss_det) divides by nothing.  The
+    fresh elimination (last = 1, :func:`det`) divides by nothing.  The
     spectral determinant continues its first elimination into the Schur
     block of the rows it reduced, at that elimination's last pivot.
 
@@ -102,7 +102,7 @@ def bareiss_eliminate(mat, m: int, last: int = 1):
     matrix of the pivot rows and any k - m combinations of the later rows
     has determinant sign * det(the same combinations of rest) /
     last^(k - m - 1), an exact division.  With m = k that is sign * last
-    (bareiss_det), and a continuation at level L of an m x m block of
+    (:func:`det`), and a continuation at level L of an m x m block of
     reduced rows gives sign * last = det(block) / L^(m - 1).
 
     A row whose entry in the pivot column is zero is left untouched and
@@ -143,14 +143,6 @@ def bareiss_eliminate(mat, m: int, last: int = 1):
         last = piv
     rest = [mat[i][m:] if div[i] == last else [x * last // div[i] for x in mat[i][m:]] for i in range(m, n)]
     return sign, last, rest
-
-
-def bareiss_det(mat) -> int:
-    """Determinant of a square int matrix (rows are overwritten): the
-    elimination with every row a pivot row, sign * last, or 0 when the
-    rows are dependent."""
-    reduced = bareiss_eliminate(mat, len(mat))
-    return 0 if reduced is None else reduced[0] * reduced[1]
 
 
 # ------------------------------------------------------------ float matrices
@@ -223,10 +215,10 @@ def _kernel(reduced, pivots, ncols, one):
 
 def _int_kernel(m, pivots, ncols):
     """Kernel basis read off the integer echelon rows of an exact matrix,
-    as (free column, int vector) pairs: the RREF entry in row r and free
+    one int vector per free column: the RREF entry in row r and free
     column c is m[r][c] / m[r][pivot], so the vector of c is the RREF one
-    times the lcm of the pivots it divides by, divided by its content.
-    Every vector is primitive and positive at its free column."""
+    times the lcm of the pivots it divides by, over its content: primitive,
+    and positive at c, its last nonzero entry."""
     basis = []
     for fc in sorted(set(range(ncols)).difference(pivots)):
         used = [(row, pc) for row, pc in zip(m, pivots) if row[fc]]
@@ -236,7 +228,7 @@ def _int_kernel(m, pivots, ncols):
         for row, pc in used:
             v[pc] = -row[fc] * den // row[pc]
         g = gcd(*v)
-        basis.append((fc, [x // g for x in v] if g > 1 else v))
+        basis.append([x // g for x in v] if g > 1 else v)
     return basis
 
 
@@ -246,10 +238,7 @@ def nullspace(rows):
         return []
     if _has_float(rows):
         return _kernel(*_float_rref(rows), len(rows[0]), 1.0)
-    return [
-        [Fraction(x, v[fc]) if x else _ZERO for x in v]
-        for fc, v in _int_kernel(*_exact_echelon(rows), len(rows[0]))
-    ]
+    return [_unit_at_free(v) for v in _int_kernel(*_exact_echelon(rows), len(rows[0]))]
 
 
 def int_nullspace(rows):
@@ -281,7 +270,7 @@ def _int_nullspace(m):
                 return []
             g = gcd(*v) if next(x for x in reversed(v) if x) > 0 else -gcd(*v)
             return [[x // g for x in v]]
-    return [v for _, v in _int_kernel(*_int_echelon(m), n)] if m else []
+    return _int_kernel(*_int_echelon(m), n) if m else []
 
 
 def _minors(rows):
@@ -301,17 +290,6 @@ def _minors(rows):
         c[0] * p13 - c[1] * p03 + c[3] * p01,
         c[1] * p02 - c[0] * p12 - c[2] * p01,
     ]
-
-
-def int_rref(rows):
-    """(rows, pivot columns) of an exact matrix: its reduced row echelon
-    form with each row scaled to primitive ints, positive at its pivot."""
-    m, pivots = _exact_echelon(rows)
-    out = []
-    for row, c in zip(m, pivots):
-        g = gcd(*row) if row[c] > 0 else -gcd(*row)
-        out.append([x // g for x in row])
-    return out, pivots
 
 
 def solve(rows, rhs):
@@ -357,9 +335,10 @@ def _unit_at_free(v):
 
 
 def det(rows):
-    """Determinant of an exact matrix: the Bareiss determinant of the
-    integer rows divided by the product of the row multipliers."""
+    """Determinant of an exact matrix: sign * last of the Bareiss elimination
+    of its integer rows (0 if they are dependent) over the row multipliers."""
     if _has_float(rows):
         raise TypeError("det takes exact matrices only")
     mults = prod(lcm(*(x.denominator for x in row)) for row in rows)
-    return Fraction(bareiss_det([int_row(r) for r in rows]), mults)
+    reduced = bareiss_eliminate([int_row(r) for r in rows], len(rows))
+    return Fraction(0 if reduced is None else reduced[0] * reduced[1], mults)

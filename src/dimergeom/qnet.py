@@ -100,7 +100,9 @@ def _side_rank(side) -> int:
     return 1 if proj_equal(*side) else 2
 
 
-def _laplace_sites(w: QNetWindow, pairing: str):
+def _laplace_sites(w: QNetWindow, pairing: str, kind: str, wrong_kind: str):
+    if w.kind != kind:
+        raise BadParameters(wrong_kind)
     sites = _interior_sites(w)
     bad = _net_failures(w, sites)
     if bad:
@@ -123,29 +125,21 @@ def _laplace_sites(w: QNetWindow, pairing: str):
 
 def laplace(w: QNetWindow) -> QNetWindow:
     """Point Laplace transform; output parity is the opposite of the input."""
-    if w.kind != POINT:
-        raise BadParameters("laplace acts on point windows; use dual_laplace for planes")
-    return _laplace_sites(w, "ws-en")
+    return _laplace_sites(w, "ws-en", POINT, "laplace acts on point windows; use dual_laplace for planes")
 
 
 def laplace_transposed(w: QNetWindow) -> QNetWindow:
-    if w.kind != POINT:
-        raise BadParameters("laplace_transposed acts on point windows")
-    return _laplace_sites(w, "wn-es")
+    return _laplace_sites(w, "wn-es", POINT, "laplace_transposed acts on point windows")
 
 
 def dual_laplace(G: QNetWindow) -> QNetWindow:
     """Plane Laplace transform G' = <G_W ^ G_N, G_E ^ G_S>, computed in the
     dual space (covector spans)."""
-    if G.kind != HYPERPLANE:
-        raise BadParameters("dual_laplace acts on plane windows")
-    return _laplace_sites(G, "wn-es")
+    return _laplace_sites(G, "wn-es", HYPERPLANE, "dual_laplace acts on plane windows")
 
 
 def dual_laplace_transposed(G: QNetWindow) -> QNetWindow:
-    if G.kind != HYPERPLANE:
-        raise BadParameters("dual_laplace_transposed acts on plane windows")
-    return _laplace_sites(G, "ws-en")
+    return _laplace_sites(G, "ws-en", HYPERPLANE, "dual_laplace_transposed acts on plane windows")
 
 
 def qstar_points(G: QNetWindow) -> QNetWindow:

@@ -393,9 +393,9 @@ def spectral_polynomial_white(c: DoubleCircuitConfig) -> LaurentPoly2:
 def spectral_polynomial_dual(c: DoubleCircuitConfig) -> LaurentPoly2:
     """Same computation with colors swapped: circuit relations at white
     vertices among the black hyperplane labels (as dual-space points),
-    exponents taken with the black-to-white orientation (-h).  Used only
-    for the dual-curve experiment; no relation to the white curve is
-    asserted.  A missing label is named as ``validate`` names it."""
+    exponents taken with the black-to-white orientation (-h).  Normalized,
+    it is the white curve under (lam, mu) -> (1/lam, 1/mu), normalized, on
+    each input tested.  A missing label is named as ``validate`` names it."""
     check_labels(c)
     swapped = _color_swapped(c.graph)
     return spectral_polynomial(swapped, kasteleyn_weights(swapped, c.black_labels))

@@ -80,9 +80,6 @@ class TorusGraph:
     def __eq__(self, other):
         return self._key() == other._key() if isinstance(other, TorusGraph) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         fields = zip(("white_ids", "black_ids", "edges", "faces", "basis_cycles"), self._key())
         return f"TorusGraph({', '.join(f'{k}={v!r}' for k, v in fields)})"
@@ -173,11 +170,12 @@ def check_walk(g: TorusGraph, walk) -> None:
         raise BadWalk(msg)
 
 
-def cycle_space_h_lattice(g: TorusGraph):
-    """Generators of the lattice of signed h-sums over closed walks.
+def _lattice_rank(g: TorusGraph) -> int:
+    """Rank over Z of the lattice of signed h-sums over closed walks.
 
     Spanning-tree construction: each vertex gets a Z^2 potential from a BFS
-    tree; every non-tree edge contributes (h(e) - phi(b) + phi(w)).
+    tree; every non-tree edge between reached vertices contributes
+    h(e) - phi(b) + phi(w), and the rank is 2 iff two of these are independent.
     """
     inc = vertex_edges(g)
     phi: dict = {}
@@ -198,16 +196,10 @@ def cycle_space_h_lattice(g: TorusGraph):
                     queue.append(other)
     gens = ((e.h[0] - phi[e.b][0] + phi[e.w][0], e.h[1] - phi[e.b][1] + phi[e.w][1]) for e in g.edges
             if e.w in phi and e.b in phi)
-    return [gen for gen in dict.fromkeys(gens) if gen != (0, 0)]
-
-
-def _z_lattice_rank(gens) -> int:
-    """Rank over Z of a list of integer pairs."""
-    vecs = [v for v in gens if v != (0, 0)]
-    if not vecs:
+    a = next((v for v in gens if v != (0, 0)), None)
+    if a is None:
         return 0
-    a = vecs[0]
-    return 2 if any(a[0] * v[1] - a[1] * v[0] for v in vecs) else 1
+    return 2 if any(a[0] * v[1] - a[1] * v[0] for v in gens) else 1
 
 
 @dataclass
@@ -260,7 +252,7 @@ def validate_graph(g: TorusGraph) -> GraphReport:
             violations.append(f"face {f.id}: h-sum {hs} != (0, 0)")
 
     if g.edges:
-        lat_rank = _z_lattice_rank(cycle_space_h_lattice(g))
+        lat_rank = _lattice_rank(g)
         if lat_rank != 2:
             violations.append(f"period lattice rank {lat_rank} != 2")
 

@@ -206,7 +206,7 @@ def per_node_integer_det(rows, shear):
             for r, row in zip(mat, ints):
                 for col, i, j, c in row:
                     r[col] += c * x**i * y**j
-            line.append(linalg.bareiss_det(mat))
+            line.append(int(linalg.det(mat)))
         values.append(spectral._interpolate(nodes_m, line))
     out = {}
     for j in range(len(nodes_m)):

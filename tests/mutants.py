@@ -187,6 +187,29 @@ MUTANTS = [
         "",
         ["tests/test_moves.py::test_urban_renewal_names_the_meet_rank", "tests/test_qnet.py"],
     ),
+    (
+        "run --verify: the direct-formula check removed",
+        "cli.py",
+        "            if not labels_projectively_equal(cur, formula(prev)):\n"
+        '                raise GeometryError(f"step {i + 1} disagrees with the direct-formula dynamics")\n',
+        "",
+        ["tests/test_cli.py::test_run_verify_names_the_step_that_disagrees_with_the_formula"],
+    ),
+    (
+        "remove_degree2: the degree bound named as d+3",
+        "moves.py",
+        "exceeds degree d+2 = {c.d + 2}",
+        "exceeds degree d+2 = {c.d + 3}",
+        ["tests/test_moves.py::test_remove_degree2_refuses_a_merge_above_degree_d_plus_2"],
+    ),
+    (
+        "GraphEdit.face: no rewrite before a read",
+        "torusgraph.py",
+        "        if f is not None and not self._paths.keys().isdisjoint(f.edges):\n"
+        "            self.substitute_edges()\n            f = self._faces.get(face_id)\n",
+        "",
+        ["tests/test_moves.py::test_a_face_read_in_a_batch_is_rewritten_first"],
+    ),
 ]
 NO_OP = ("no-op", "moves.py", "def _h_add(a, b):", "def _h_add(a, b):", ["tests/test_moves.py", "tests/test_config.py"])
 

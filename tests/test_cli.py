@@ -13,9 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimergeom import cli, torusgraph
+from dimergeom import cli, pentagram, torusgraph
 from dimergeom.cli import main
-from dimergeom.config import cohomology_class, config_from_dict, config_to_dict, load_config, save_config
+from dimergeom.config import (
+    DoubleCircuitConfig,
+    cohomology_class,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+    save_config,
+)
 from dimergeom.errors import GeometryError, InputError
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
 from dimergeom.geometry import POINT, HomogeneousElement, point
@@ -123,6 +130,42 @@ def test_run_builtin_pentagram_with_verify(pentagon_file, tmp_path, capsys):
     )
     assert code == 0
     assert main(["validate", str(out)]) == 0
+
+
+def test_run_verify_names_the_step_that_disagrees_with_the_formula(pentagon_file, monkeypatch, capsys):
+    # the direct formula moves one white label: the moves' step 1 disagrees
+    formula = pentagram.formula
+
+    def moved_label(c):
+        out = formula(c)
+        v, x = next(iter(out.white_labels.items()))
+        moved = point(x.coords[0] + x.coords[2], *x.coords[1:])
+        assert moved != x
+        return DoubleCircuitConfig(out.graph, out.d, {**out.white_labels, v: moved}, out.black_labels)
+
+    monkeypatch.setattr(pentagram, "formula", moved_label)
+    argv = ["run", str(pentagon_file), "--builtin", "pentagram", "--steps", "2", "--verify"]
+    err = "domain error: step 1 disagrees with the direct-formula dynamics\n"
+    assert _exit_and_error(argv, capsys) == (1, err)
+
+
+def test_validate_reports_edges_between_unknown_vertices(tmp_path, capsys):
+    # the period lattice is read over the edges between vertices the
+    # spanning tree reached; edge 1 joins two unknown ones
+    path = tmp_path / "unknown.json"
+    edges = [{"w": "W", "b": "B", "h": [0, 0]}, {"w": "X", "b": "Y", "h": [1, 0]}]
+    data = {"dimension": 2, "white": [{"id": "W"}], "black": [{"id": "B"}], "edges": edges, "faces": []}
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "INVALID: white=1 black=1 edges=2 faces=0 euler=0\n"
+        "  - edge 1: unknown white vertex 'X'\n"
+        "  - edge 1: unknown black vertex 'Y'\n"
+        "  - edge 0 lies on 0 face slots, expected 2\n"
+        "  - edge 1 lies on 0 face slots, expected 2\n"
+        "  - period lattice rank 0 != 2\n"
+    )
 
 
 @pytest.mark.parametrize(

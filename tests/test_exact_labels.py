@@ -57,11 +57,11 @@ def generator_pairs(draw):
 def full_path_meet(gens1, gens2):
     """The meet with both eliminations: the int kernel of the columns of
     both lists, then the echelon basis of every kernel element, whose one
-    row is the element."""
+    row, as primitive ints, is the element."""
     rows1, rows2 = [list(e.ints) for e in gens1], [list(e.ints) for e in gens2]
     ker = linalg.int_nullspace([list(col) for col in zip(*rows1, *rows2)])
     elems = [[sum(a * x for a, x in zip(v, col)) for col in zip(*rows1)] for v in ker]
-    basis = linalg.int_rref(elems)[0]
+    basis = [linalg.int_row(row) for row in linalg.rref(elems)[0]]
     if not basis:
         raise EmptyMeet("subspaces intersect trivially")
     if len(basis) > 1:

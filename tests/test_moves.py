@@ -24,6 +24,7 @@ from dimergeom.errors import (
     IncidentLabel,
     LabelMismatch,
     MoveError,
+    NotQuadrilateral,
     ScriptError,
     WrongDegree,
 )
@@ -46,6 +47,7 @@ from dimergeom.moves import (
     add_degree2,
     apply_script,
     remove_degree2,
+    rename_faces_like,
     script_from_json,
     script_to_json,
     urban_renewal,
@@ -63,6 +65,7 @@ from dimergeom.torusgraph import (
     canonical_basis_cycles,
     check_walk,
     delete_edge,
+    face_key,
     validate_graph,
     vertex_edges,
 )
@@ -123,6 +126,60 @@ def test_remove_degree2_label_mismatch(pentagon):
     broken = DoubleCircuitConfig(c.graph, c.d, wl, c.black_labels)
     with pytest.raises(LabelMismatch):
         remove_degree2(broken, "P0~")
+
+
+def test_remove_degree2_refuses_a_merge_above_degree_d_plus_2(pentagon):
+    # P0 and its twin P0' keep 3 edges each; with d = 1 the merge would
+    # give degree 4 > d + 2
+    c = add_degree2(pentagon, "P0", (0, 2), forced_split_label(pentagon, "P0", (0, 2)))
+    low = DoubleCircuitConfig(c.graph, 1, c.white_labels, c.black_labels)
+    with pytest.raises(DegreeOverflow) as err:
+        remove_degree2(low, "P0~")
+    assert str(err.value) == "merging P0 and P0' exceeds degree d+2 = 3"
+
+
+def test_remove_degree2_refuses_parallel_edges_of_different_h():
+    # W's two edges both end at B; removing W would drop the cycle of h (1, 0)
+    g = TorusGraph(("W",), ("B",), (Edge("W", "B", (0, 0)), Edge("W", "B", (1, 0))), ())
+    c = DoubleCircuitConfig(g, 2, {"W": point(1, 2, 3)}, {"B": hyperplane(1, 1, 1)})
+    with pytest.raises(MoveError) as err:
+        remove_degree2(c, "W")
+    assert type(err.value) is MoveError
+    assert str(err.value) == "parallel edges at W have different h; removal would change homology"
+
+
+def test_a_face_read_in_a_batch_is_rewritten_first(pentagon):
+    # renewing d0 replaces edges of s0 by paths; the renewal of s0 in the
+    # same batch reads its rewritten walk, a hexagon
+    batch = _opened(pentagon)
+    urban_renewal(batch, "d0")
+    with pytest.raises(NotQuadrilateral) as err:
+        urban_renewal(batch, "s0")
+    assert str(err.value) == "face s0 has 6 boundary edges"
+    script = MoveScript((MoveStep("urban", "d0"), MoveStep("urban", "s0")))
+    with pytest.raises(ScriptError) as err:
+        apply_script(pentagon, script)
+    assert str(err.value) == "script step 1 failed: face s0 has 6 boundary edges"
+
+
+def test_rename_faces_like_refuses_an_ambiguous_match(pentagon):
+    # a second face on the first one's walk, in the template or in c, and
+    # a template without the first face
+    g = pentagon.graph
+    first = g.faces[0]
+
+    def with_faces(faces):
+        return TorusGraph(g.white_ids, g.black_ids, g.edges, faces, g.basis_cycles)
+
+    twice = with_faces((*g.faces, Face("twin", first.edges)))
+    with pytest.raises(MoveError, match="^template faces are not distinguishable by vertex cycles$"):
+        rename_faces_like(pentagon, twice)
+    with pytest.raises(MoveError) as err:
+        rename_faces_like(pentagon, with_faces(g.faces[1:]))
+    assert str(err.value) == f"face {first.id} has no template counterpart: {face_key(g, first)}"
+    doubled = DoubleCircuitConfig(twice, pentagon.d, pentagon.white_labels, pentagon.black_labels)
+    with pytest.raises(MoveError, match="^face matching is not a bijection$"):
+        rename_faces_like(doubled, g)
 
 
 def test_add_degree2_incident_label(pentagon):

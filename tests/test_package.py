@@ -1,4 +1,6 @@
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +25,19 @@ def test_star_import_binds_every_export():
     ns: dict = {}
     exec("from dimergeom import *", ns)
     assert sorted(set(ns) - {"__builtins__"}) == dimergeom.__all__
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # a deleted helper leaves no import behind; __init__ imports to export
+    for path in sorted(Path(dimergeom.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used - {"annotations"} == set(), path.name

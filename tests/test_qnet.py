@@ -94,6 +94,22 @@ def test_not_qnet_rejected():
         laplace(w)
 
 
+@pytest.mark.parametrize(
+    "transform, planes, message",
+    [
+        (laplace, True, "laplace acts on point windows; use dual_laplace for planes"),
+        (laplace_transposed, True, "laplace_transposed acts on point windows"),
+        (dual_laplace, False, "dual_laplace acts on plane windows"),
+        (dual_laplace_transposed, False, "dual_laplace_transposed acts on plane windows"),
+    ],
+)
+def test_laplace_transforms_refuse_the_other_kind(transform, planes, message):
+    f, G, _ = make_qnet_fixture()
+    with pytest.raises(BadParameters) as err:
+        transform(G if planes else f)
+    assert str(err.value) == message
+
+
 def test_mixed_parity_window_rejected():
     with pytest.raises(BadParameters):
         QNetWindow({(0, 0): point(1, 1, 1, 1), (1, 0): point(1, 2, 3, 1)})

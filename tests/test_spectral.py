@@ -888,6 +888,29 @@ def test_dual_curve_experiment_pentagon():
     assert pw.terms == pb.terms
 
 
+DUAL_CURVE_INPUTS = {
+    "spiral": lambda: make_spiral_fixture()[2],
+    "pentagram 5/2": lambda: make_pentagram_fixture(5, 2)[3],
+    "pentagram 7/2": lambda: make_pentagram_fixture(7, 2)[3],
+    "pentagram 8/3": lambda: make_pentagram_fixture(8, 3)[3],
+    "qnet": lambda: make_qnet_fixture()[2],
+    "spiral, one step": lambda: spiral.step(make_spiral_fixture()[2]),
+    "pentagram 7/2, one step": lambda: pentagram.step(make_pentagram_fixture(7, 2)[3]),
+    "qnet, one step": lambda: qnet.step(make_qnet_fixture()[2]),
+}
+
+
+@pytest.mark.parametrize("name", DUAL_CURVE_INPUTS)
+def test_dual_curve_is_the_white_curve_with_exponents_negated(name):
+    # the black data give the white curve under (lam, mu) -> (1/lam, 1/mu);
+    # plain equality fails on the spiral only, whose curve is not symmetric
+    c = DUAL_CURVE_INPUTS[name]()
+    white, dual = spectral_polynomial_white(c), spectral_polynomial_dual(c).normalized()
+    negated = LaurentPoly2.from_dict({(-i, -j): v for (i, j), v in white.terms})
+    assert dual == negated.normalized()
+    assert (dual == white.normalized()) == (not name.startswith("spiral"))
+
+
 # --------------------------------------------------------------- float path
 
 
