@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadBasis,
@@ -46,25 +46,19 @@ from .torusgraph import (
 )
 
 
-@dataclass(frozen=True)
-class DoubleCircuitConfig:
+class DoubleCircuitConfig(NamedTuple):
     graph: TorusGraph
     d: int
     white_labels: dict  # white id -> point
     black_labels: dict  # black id -> hyperplane
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(NamedTuple):
     lam: object
     mu: object
 
-    def __iter__(self):
-        return iter((self.lam, self.mu))
 
-
-@dataclass
-class ConditionReport:
+class ConditionReport(NamedTuple):
     ok: bool
     failures: list  # vertex ids or face ids
     messages: list

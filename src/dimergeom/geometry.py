@@ -8,7 +8,6 @@ proper subset is independent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import frexp, gcd, lcm, ldexp
 
@@ -25,14 +24,14 @@ from .errors import (
     VanishingPairing,
     ZeroVector,
 )
+from .record import Record, setfield
 from .scalars import is_float, is_zero, to_scalar
 
 POINT = "point"
 HYPERPLANE = "hyperplane"
 
 
-@dataclass(frozen=True)
-class HomogeneousElement:
+class HomogeneousElement(Record):
     """A point or hyperplane of P^d, scale-equivalent coordinate tuple.
 
     ``ints``, set once at construction, is ``linalg.int_row(coords)`` for
@@ -41,15 +40,16 @@ class HomogeneousElement:
     join or meet is built by ``_element`` from its primitive int row, which
     is its ``ints`` (its coordinates are those ints as Fractions)."""
 
-    coords: tuple
-    kind: str
-    ints: tuple | None = field(init=False, repr=False, compare=False)
+    _fields = ("coords", "kind")
+    __slots__ = _fields + ("ints",)
 
-    def __post_init__(self):
-        ints = None if is_float(self.coords) else tuple(linalg.int_row(self.coords))
-        object.__setattr__(self, "ints", ints)
-        if not any(self.coords if ints is None else ints):
-            raise ZeroVector(f"all coordinates vanish: {self.coords}")
+    def __init__(self, coords: tuple, kind: str):
+        ints = None if is_float(coords) else tuple(linalg.int_row(coords))
+        if not any(coords if ints is None else ints):
+            raise ZeroVector(f"all coordinates vanish: {coords}")
+        setfield(self, "coords", coords)
+        setfield(self, "kind", kind)
+        setfield(self, "ints", ints)
 
     @property
     def dim(self) -> int:
@@ -296,11 +296,11 @@ def meet(gens1, gens2) -> HomogeneousElement:
 
 def _element(prim: tuple, kind) -> HomogeneousElement:
     """The exact element of a primitive int row, positive at its first
-    nonzero entry: prim is its ``ints``, so ``__post_init__`` is skipped."""
+    nonzero entry: prim is its ``ints``, so ``__init__`` is skipped."""
     e = object.__new__(HomogeneousElement)
-    object.__setattr__(e, "coords", tuple(map(Fraction, prim)))
-    object.__setattr__(e, "kind", kind)
-    object.__setattr__(e, "ints", prim)
+    setfield(e, "coords", tuple(map(Fraction, prim)))
+    setfield(e, "kind", kind)
+    setfield(e, "ints", prim)
     return e
 
 

@@ -3,16 +3,18 @@ plus the Newton polygon.  Terms live in a dict (i, j) -> coefficient; no
 zero coefficients are stored."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, ZeroPolynomial
+from .record import Record, setfield
 from .scalars import _ipow, is_float, is_zero, parse_ints, parse_scalar, scalar_str
 
 
-@dataclass(frozen=True)
-class LaurentPoly2:
-    terms: tuple  # sorted tuple of ((i, j), coeff)
+class LaurentPoly2(Record):
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple):  # sorted tuple of ((i, j), coeff)
+        setfield(self, "terms", terms)
 
     @staticmethod
     def from_dict(d: dict) -> "LaurentPoly2":

@@ -45,8 +45,8 @@ its faces, rename rules and template.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
+from typing import NamedTuple
 
 from .config import DoubleCircuitConfig, read_json
 from .errors import (
@@ -75,16 +75,14 @@ from .scalars import RATIONAL, parse_coords, scalar_str
 from .torusgraph import Edge, Event, Face, GraphEdit, TorusGraph, face_key
 
 
-@dataclass(frozen=True)
-class MoveStep:
+class MoveStep(NamedTuple):
     op: str  # "urban" | "remove2" | "add2"
     target: str  # face id (urban) or vertex id
     label: HomogeneousElement | None = None  # add2 retypes it by the target's colour
     partition: tuple | None = None
 
 
-@dataclass(frozen=True)
-class MoveScript:
+class MoveScript(NamedTuple):
     steps: tuple
 
 

@@ -20,21 +20,23 @@ neighbours delta = -k, -k-1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .config import DoubleCircuitConfig, check_labels
 from .errors import BadParameters, DegenerateIntersection, SizeMismatch
 from .geometry import incident_element, line_through, meet_hyperplanes
+from .record import Record, setfield
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Record):
     """A cyclic polygon of P^2: its vertices are points, or lines for a
     polygon of the dual plane (the lines q_i of a pentagram configuration)."""
 
-    vertices: tuple  # points or lines of P^2, cyclic
+    __slots__ = _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple):  # points or lines of P^2, cyclic
+        setfield(self, "vertices", vertices)
 
     def __len__(self):
         return len(self.vertices)

@@ -15,7 +15,6 @@ depending on which half of the tiles is renewed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from . import linalg
@@ -36,17 +35,17 @@ from .geometry import (
     meet_hyperplanes,
     proj_equal,
 )
+from .record import Record, setfield
 from .torusgraph import Edge, Face, TorusGraph, with_basis_cycles
 
 
-@dataclass(frozen=True)
-class QNetWindow:
-    values: dict  # (i, j) -> point or hyperplane of P^3, keys of one parity
+class QNetWindow(Record):
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        parities = {(i + j) % 2 for i, j in self.values}
-        if len(parities) > 1:
+    def __init__(self, values: dict):  # (i, j) -> point or hyperplane of P^3, keys of one parity
+        if len({(i + j) % 2 for i, j in values}) > 1:
             raise BadParameters("window keys must share one parity class")
+        setfield(self, "values", values)
 
     @property
     def parity(self) -> int:

@@ -5,31 +5,25 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 
 from .config import DoubleCircuitConfig
 from .errors import InputError, UnsupportedDimension
+from .record import Record, setfield
 from .scalars import float_coords, is_zero
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    xmin: float = -10.0
-    xmax: float = 10.0
-    ymin: float = -10.0
-    ymax: float = 10.0
-    width: int = 640
-    labels: bool = True
-    height: int = field(init=False)  # in pixels, at the scale of the width
+class RenderSpec(Record):
+    _fields = ("xmin", "xmax", "ymin", "ymax", "width", "labels")
+    __slots__ = _fields + ("height",)  # the height in pixels, at the scale of the width
 
-    def __post_init__(self):
-        box = (self.xmin, self.xmax, self.ymin, self.ymax)
-        if not (all(map(math.isfinite, box)) and self.xmin < self.xmax and self.ymin < self.ymax and self.width > 0):
+    def __init__(self, xmin=-10.0, xmax=10.0, ymin=-10.0, ymax=10.0, width=640, labels=True):
+        if not (all(map(math.isfinite, (xmin, xmax, ymin, ymax))) and xmin < xmax and ymin < ymax and width > 0):
             raise InputError("render box must be finite with positive size")
-        height = (self.ymax - self.ymin) * (self.width / (self.xmax - self.xmin))
+        height = (ymax - ymin) * (width / (xmax - xmin))
         if not (math.isfinite(height) and round(height) > 0):
             raise InputError(f"render box gives a pixel height of {height:g}; need a finite height of at least 1")
-        object.__setattr__(self, "height", round(height))
+        for name, value in zip(self.__slots__, (xmin, xmax, ymin, ymax, width, labels, round(height))):
+            setfield(self, name, value)
 
 
 def _fmt(x: float) -> str:

@@ -32,10 +32,10 @@ the result does not depend on the prediction being right.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import atan2, gcd, inf, lcm, ldexp, log2
+from typing import NamedTuple
 
 from . import linalg
 from .config import DoubleCircuitConfig, check_F, check_labels, check_V
@@ -469,8 +469,7 @@ def kernel_at(g: TorusGraph, weights: dict, lam, mu):
 # ------------------------------------------------------------ reconstruction
 
 
-@dataclass
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     """``events`` holds one ``Event("solve", b, outcome=...)`` per black
     vertex, in the order solved; ``detail`` says why one is not unique."""
     status: str  # "unique" | "nonunique" | "nosolution"

@@ -15,32 +15,30 @@ each removal merges a d-tile with an s-tile into a hexagon.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .config import DoubleCircuitConfig, check_labels
 from .errors import BadParameters, KindMismatch, SeedInvalid, SizeMismatch
 from .geometry import HYPERPLANE, POINT, HomogeneousElement, incident_element, line_through, meet_hyperplanes
 from .pentagram import build_tile_graph, k_from_config, tile_step
+from .record import Record, setfield
 from .torusgraph import TorusGraph, with_basis_cycles
 
 
-@dataclass(frozen=True)
-class SpiralSeed:
+class SpiralSeed(Record):
     """A seed window of n+1 consecutive elements of a spiral: the points
     [P_base, ..., P_{base+n}] of a point seed, or the lines
-    [q_base, ..., q_{base+n}] of a line seed."""
+    [q_base, ..., q_{base+n}] of a line seed.  ``base`` is the absolute
+    index of the first element."""
 
-    k: int
-    n: int
-    base: int  # absolute index of the first element
-    points: tuple  # the n+1 points, or lines, of the window
+    __slots__ = _fields = ("k", "n", "base", "points")
 
-    def __post_init__(self):
-        if not (self.k >= 2 and self.n > self.k + 2):
-            raise BadParameters(f"need k >= 2 and n > k+2, got k={self.k}, n={self.n}")
-        if len(self.points) != self.n + 1:
-            raise BadParameters(f"seed window must hold n+1 = {self.n + 1} elements")
+    def __init__(self, k: int, n: int, base: int, points: tuple):
+        if not (k >= 2 and n > k + 2):
+            raise BadParameters(f"need k >= 2 and n > k+2, got k={k}, n={n}")
+        if len(points) != n + 1:
+            raise BadParameters(f"seed window must hold n+1 = {n + 1} elements")
+        for name, value in zip(self._fields, (k, n, base, points)):
+            setfield(self, name, value)
 
     def point(self, j: int):
         """Element with absolute index j (must lie in the window)."""

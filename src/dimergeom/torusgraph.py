@@ -26,23 +26,27 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BadWalk, MoveError, UnequalColorCounts
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class Edge:
-    w: str
-    b: str
-    h: tuple  # (int, int)
+class Edge(Record):
+    __slots__ = _fields = ("w", "b", "h")
+
+    def __init__(self, w: str, b: str, h: tuple):  # h: (int, int)
+        setfield(self, "w", w)
+        setfield(self, "b", b)
+        setfield(self, "h", h)
 
 
-@dataclass(frozen=True)
-class Face:
-    id: str
-    edges: tuple  # edge slots, alternating traversal starting white->black
+class Face(Record):
+    __slots__ = _fields = ("id", "edges")
+
+    def __init__(self, id: str, edges: tuple):  # edge slots, alternating traversal starting white->black
+        setfield(self, "id", id)
+        setfield(self, "edges", edges)
 
 
 class Event(NamedTuple):
@@ -202,8 +206,7 @@ def _lattice_rank(g: TorusGraph) -> int:
     return 2 if any(a[0] * v[1] - a[1] * v[0] for v in gens) else 1
 
 
-@dataclass
-class GraphReport:
+class GraphReport(NamedTuple):
     """``validate_graph``'s violations and the graph's ``sizes()``; ``str``
     adds the Euler number."""
     ok: bool

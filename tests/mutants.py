@@ -210,6 +210,21 @@ MUTANTS = [
         "",
         ["tests/test_moves.py::test_a_face_read_in_a_batch_is_rewritten_first"],
     ),
+    (
+        "Record.__eq__: the last field ignored",
+        "record.py",
+        "return self._values() == other._values()",
+        "return self._values()[:-1] == other._values()[:-1]",
+        ["tests/test_records.py"],
+    ),
+    (
+        "Record: the assignment guard dropped",
+        "record.py",
+        '    def __setattr__(self, name, value=None):\n        raise AttributeError(f"cannot assign to field {name!r}")\n'
+        "\n    __delattr__ = __setattr__\n",
+        "",
+        ["tests/test_records.py"],
+    ),
 ]
 NO_OP = ("no-op", "moves.py", "def _h_add(a, b):", "def _h_add(a, b):", ["tests/test_moves.py", "tests/test_config.py"])
 

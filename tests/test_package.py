@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +42,16 @@ def test_every_imported_name_is_used_in_its_module():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported - used - {"annotations"} == set(), path.name
+
+
+def test_no_module_imports_dataclasses_or_the_inspect_stack():
+    # each would add milliseconds to every command's start-up
+    src = Path(dimergeom.__file__).parent.parent
+    code = (
+        f"import os, sys; sys.path.insert(0, {str(src)!r}); import dimergeom.cli\n"
+        f"for name in sorted(os.listdir({str(src / 'dimergeom')!r})):\n"
+        "    if name.endswith('.py'): __import__('dimergeom.' + name[:-3])\n"
+        "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
