@@ -27,7 +27,7 @@ _SUBMODULE = {
         ("moves", "MoveScript MoveStep add_degree2 apply_script remove_degree2 script_to_json urban_renewal"),
         (
             "spectral",
-            "kasteleyn_weights kernel_at on_curve reconstruct_black spectral_polynomial spectral_polynomial_dual",
+            "BlackFibre kasteleyn_weights kernel_at on_curve reconstruct_black spectral_polynomial spectral_polynomial_dual",
         ),
         ("torusgraph", "TorusGraph dimension_report validate_graph"),
     )

@@ -265,7 +265,7 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
     """Sample float curve points and count reconstruction outcomes."""
     import random
 
-    from .spectral import fiber_polynomial, on_curve, real_roots, reconstruct_black, spectral_polynomial_white
+    from .spectral import BlackFibre, fiber_polynomial, on_curve, real_roots, spectral_polynomial_white
 
     poly = spectral_polynomial_white(c)
     # rescaling a white label multiplies the curve by a constant: one past
@@ -276,6 +276,7 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
     outcomes: dict = {}
     tried = 0
     float_white = {k: HomogeneousElement(float_coords(v.coords), v.kind) for k, v in c.white_labels.items()}
+    fibre = None  # built at the first point reached; a GeometryError in it is counted at every one
     while sum(outcomes.values()) < samples and tried < samples * 40:
         tried += 1
         lam = rng.uniform(0.2, 3.0) * rng.choice([1, -1])
@@ -289,7 +290,8 @@ def _birationality_probe(c, samples: int, seed: int) -> int:
         if not on_curve(poly, lam, mu):
             continue
         try:
-            res = reconstruct_black(c.graph, c.d, float_white, lam, mu)
+            fibre = fibre or BlackFibre(c.graph, c.d, float_white)
+            res = fibre.at(lam, mu)
             outcomes[res.status] = outcomes.get(res.status, 0) + 1
         except GeometryError as exc:
             outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1

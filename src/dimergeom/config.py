@@ -74,11 +74,20 @@ class ConditionReport(NamedTuple):
 
 def check_V(c: DoubleCircuitConfig) -> ConditionReport:
     """Circuit condition at every vertex."""
+    failures, messages = _circuit_failures(c, [*c.graph.white_ids, *c.graph.black_ids])
+    return ConditionReport(ok=not failures, failures=failures, messages=messages)
+
+
+def _circuit_failures(c: DoubleCircuitConfig, vertices) -> tuple:
+    """(failing vertices, messages) of the circuit condition at the given
+    vertices, in order, after check_labels; DegreeExceedsBound at the
+    first vertex of degree above d + 2.  spectral.BlackFibre reads the
+    white vertices alone: its weights are the relations at the black ones."""
     check_labels(c)
     g = c.graph
     inc = vertex_edges(g)
     failures, messages = [], []
-    for v in list(g.white_ids) + list(g.black_ids):
+    for v in vertices:
         deg = len(inc[v])
         if deg > c.d + 2:
             raise DegreeExceedsBound(f"vertex {v} has degree {deg} > d+2 = {c.d + 2}")
@@ -88,7 +97,7 @@ def check_V(c: DoubleCircuitConfig) -> ConditionReport:
             reason = f"degree {len(labels)}" if len(labels) < 2 else circuit_failure(labels)
             failures.append(v)
             messages.append(f"vertex {v}: neighbor labels do not form a circuit ({reason})")
-    return ConditionReport(ok=not failures, failures=failures, messages=messages)
+    return failures, messages
 
 
 def walk_label_cycle(c: DoubleCircuitConfig, walk) -> list:

@@ -10,6 +10,10 @@ config.cohomology_class) satisfies det K(lambda, mu) = 0 under this
 convention.  The matrix is built once, as sparse term rows
 (kasteleyn_rows), which the determinant and the kernel both read; on exact
 data the reconstruction runs on int rows, with Fractions only in its results.
+A BlackFibre reads its white data once (weights, term rows, label rows) and
+each curve point only what depends on it: the rows there, kernel, solves,
+and (V) at the white vertices, since the weights' relations are (V) at the
+black ones, then (F).
 
 The determinant is interpolated from its values at small integer points
 (see _integer_det).  At each mu node one fraction-free elimination
@@ -38,7 +42,7 @@ from math import atan2, gcd, inf, lcm, ldexp, log2
 from typing import NamedTuple
 
 from . import linalg
-from .config import DoubleCircuitConfig, check_F, check_labels, check_V
+from .config import DoubleCircuitConfig, _circuit_failures, check_F, check_labels
 from .errors import DimensionMismatch, EmptyKernel, KernelDegenerate, KernelNotOneDimensional
 from .geometry import HYPERPLANE, HomogeneousElement, _relation, normalize_coords
 from .laurent import LaurentPoly2, _cross
@@ -412,7 +416,7 @@ def _color_swapped(g: TorusGraph) -> TorusGraph:
 
 def on_curve(p: LaurentPoly2, lam, mu) -> bool:
     """Zero test of p at (lam, mu).  Exact data is summed on ints, each
-    term's numerator over one common denominator (as _int_rows sums a
+    term's numerator over one common denominator (as _evaluated sums a
     Kasteleyn row), so no Fraction is built; a float value is tested at
     the scale of the largest monomial."""
     if is_float([lam, mu, *(c for _, c in p.terms)]):
@@ -424,29 +428,36 @@ def on_curve(p: LaurentPoly2, lam, mu) -> bool:
 
 
 def evaluate_matrix(g: TorusGraph, weights: dict, lam, mu):
-    """The Kasteleyn matrix evaluated at (lam, mu); for exact data, the
-    rows of _int_rows divided by their scales."""
-    if not is_float([lam, mu, *weights.values()]):
-        return [[Fraction(x, s) for x in row] for row, s in _int_rows(g, weights, lam, mu)]
-    m = [[Fraction(0)] * len(g.white_ids) for _ in g.black_ids]
-    for r, row in zip(m, kasteleyn_rows(g, weights)):
-        for col, i, j, c in row:
-            r[col] = r[col] + c * _ipow(lam, i) * _ipow(mu, j)
-    return m
+    """The Kasteleyn matrix evaluated at (lam, mu) (_evaluated); for exact
+    data, its int rows divided by their scales."""
+    m, scales = _evaluated(kasteleyn_rows(g, weights), len(g.white_ids), lam, mu, is_float(weights.values()))
+    return m if scales is None else [[Fraction(x, s) for x in row] for row, s in zip(m, scales)]
 
 
-def _int_rows(g: TorusGraph, weights: dict, lam, mu):
-    """Yields (int row, s) per black vertex: s times the Kasteleyn row at
-    the exact point (lam, mu), s the lcm of its terms' denominators."""
-    rows = kasteleyn_rows(g, weights)
+def _evaluated(rows, width: int, lam, mu, float_weights: bool):
+    """(matrix, scales): the term rows (kasteleyn_rows) of the weights at
+    (lam, mu), the one evaluation behind evaluate_matrix, kernel_at and
+    BlackFibre.at.  Exact weights and point give int rows, each s times
+    the row at the point for its s in scales, the lcm of its terms'
+    denominators (so the kernel is the matrix's); float data give float
+    rows summed from 0.0 term by term, and scales None."""
+    if float_weights or is_float([lam, mu]):
+        m = [[0.0] * width for _ in rows]
+        for r, row in zip(m, rows):
+            for col, i, j, c in row:
+                r[col] += c * _ipow(lam, i) * _ipow(mu, j)
+        return m, None
     mono = _monomials(lam, mu, (t[1:3] for row in rows for t in row))
+    m, scales = [], []
     for row in rows:
         terms = [(col, c.numerator * mono[i, j][0], c.denominator * mono[i, j][1]) for col, i, j, c in row]
         s = lcm(*(q for _, _, q in terms))
-        r = [0] * len(g.white_ids)
+        r = [0] * width
         for col, p, q in terms:
             r[col] += p * (s // q)
-        yield r, s
+        m.append(r)
+        scales.append(s)
+    return m, scales
 
 
 def _monomials(lam, mu, exponents) -> dict:
@@ -457,9 +468,11 @@ def _monomials(lam, mu, exponents) -> dict:
 def kernel_at(g: TorusGraph, weights: dict, lam, mu):
     """Kernel basis of the evaluated Kasteleyn matrix, indexed like
     g.white_ids.  Raises EmptyKernel when the point is off the curve.
-    Exact data is eliminated as _int_rows, whose row scales keep the kernel."""
-    exact = not is_float([lam, mu, *weights.values()])
-    m = [r for r, _ in _int_rows(g, weights, lam, mu)] if exact else evaluate_matrix(g, weights, lam, mu)
+    Exact data is eliminated as int rows, whose row scales keep the kernel."""
+    return _kernel(_evaluated(kasteleyn_rows(g, weights), len(g.white_ids), lam, mu, is_float(weights.values()))[0])
+
+
+def _kernel(m):
     basis = linalg.nullspace(m)
     if not basis:
         raise EmptyKernel("Kasteleyn matrix is invertible at this point")
@@ -478,82 +491,93 @@ class ReconstructionResult(NamedTuple):
     detail: str = ""
 
 
-def reconstruct_black(
-    g: TorusGraph,
-    d: int,
-    white_labels: dict,
-    lam,
-    mu,
-) -> ReconstructionResult:
-    """Recover hyperplane labels from white data and a spectral-curve point.
+def reconstruct_black(g: TorusGraph, d: int, white_labels: dict, lam, mu) -> ReconstructionResult:
+    """Recover hyperplane labels from white data and a spectral-curve
+    point: BlackFibre(g, d, white_labels).at(lam, mu)."""
+    return BlackFibre(g, d, white_labels).at(lam, mu)
 
-    Per black vertex v the edge equations <l(v), A(w)> = f(v)^{-1} f(w)
-    lambda^h1 mu^h2 are solved, with f on whites the kernel vector and f on
-    blacks identically one on the fundamental domain.
-    Underdetermined vertices wait for span constraints from white-vertex
-    circuits whose other hyperplanes are known; no progress means
-    "nonunique", an inconsistent system "nosolution", and so does a
-    result that fails (V) or (F).
-    """
-    basis = kernel_at(g, kasteleyn_weights(g, white_labels), lam, mu)
-    if len(basis) != 1:
-        raise KernelDegenerate(f"kernel dimension {len(basis)} != 1")
-    fvec = basis[0]
-    scale = max(abs(x) for x in fvec)
-    if any(is_zero(x, scale=scale) for x in fvec):
-        raise KernelDegenerate("kernel vector has a zero entry")
 
-    inc = vertex_edges(g)
-    exact = not is_float(fvec)  # only exact weights, labels and (lam, mu) give an exact kernel
-    if exact:  # int equations: f times a positive scale, each one times its label's scale and rhs denominator
-        f_w = {w: x * _label_scale(white_labels[w]) for w, x in zip(g.white_ids, linalg.int_row(fvec))}
-        mono = _monomials(lam, mu, (e.h for e in g.edges))
-        eqs = [([x * mono[e.h][1] for x in white_labels[e.w].ints], f_w[e.w] * mono[e.h][0]) for e in g.edges]
-    else:
-        f_w = dict(zip(g.white_ids, fvec))
-        eqs = [(list(white_labels[e.w].coords), f_w[e.w] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1])) for e in g.edges]
+class BlackFibre:
+    """The black data over fixed white data, one curve point at a time.
 
-    known: dict = {}
-    events: list = []
-    while pending := sorted(set(g.black_ids) - known.keys()):
-        for b in pending:
-            rows = [eqs[ei][0] for ei in inc[b]]
-            rhs = [eqs[ei][1] for ei in inc[b]]
-            if len(inc[b]) < d + 2:
-                # an underdetermined vertex picks up span constraints from
-                # white-vertex circuits whose other hyperplanes are known
-                for ei in inc[b]:
-                    w = g.edges[ei].w
-                    other_blacks = [g.edges[ej].b for ej in inc[w] if ej != ei]
-                    if all(ob in known for ob in other_blacks) and other_blacks:
-                        lspan = [list(known[ob]) for ob in other_blacks]
-                        for x in (linalg.int_nullspace if exact else linalg.nullspace)(lspan):
-                            rows.append(list(x))
-                            rhs.append(0)
-            status, sol, kerb = linalg.solve(rows, rhs)
-            if status == "inconsistent":
-                return ReconstructionResult("nosolution", None, events, f"black vertex {b}: inconsistent system")
-            if status == "unique":
-                known[b] = tuple(sol)
-                spans = len(rows) > len(inc[b])  # span constraints were added
-                events.append(Event("solve", b, outcome="solved (with circuit constraints)" if spans else "solved"))
-        if known.keys().isdisjoint(pending):
-            return ReconstructionResult(
-                "nonunique",
-                None,
-                events,
-                f"underdetermined at {pending}; no further circuit constraints",
-            )
+    Built once from the white labels: the Kasteleyn weights, whose
+    relation at each black vertex is the circuit test (V) makes there (so
+    it raises KernelNotOneDimensional unless every black vertex's white
+    labels form a circuit), the term rows, the incidence and each edge's
+    label row.  Each point (at) evaluates the rows there, reads the kernel
+    and solves; (V) at the white vertices and (F) check the result."""
 
-    black_labels = {
-        b: HomogeneousElement(normalize_coords(tuple(v)), HYPERPLANE) for b, v in known.items()
-    }
-    cfg = DoubleCircuitConfig(g, d, dict(white_labels), black_labels)
-    if not check_V(cfg).ok:
-        return ReconstructionResult("nosolution", None, events, "result fails the circuit condition")
-    if not check_F(cfg).ok:
-        return ReconstructionResult("nosolution", None, events, "result fails coherence")
-    return ReconstructionResult("unique", cfg, events)
+    def __init__(self, g: TorusGraph, d: int, white_labels: dict):
+        self.g, self.d, self.white_labels = g, d, white_labels
+        weights = kasteleyn_weights(g, white_labels)
+        self._rows, self._float = kasteleyn_rows(g, weights), is_float(weights.values())
+        self._inc = vertex_edges(g)
+        self._labels = [(e.w, e.h, white_labels[e.w]) for e in g.edges]
+
+    def at(self, lam, mu) -> ReconstructionResult:
+        """Per black vertex v the edge equations <l(v), A(w)> = f(v)^{-1}
+        f(w) lambda^h1 mu^h2 are solved, with f on whites the kernel vector
+        and f on blacks identically one on the fundamental domain.
+        Underdetermined vertices wait for span constraints from white-vertex
+        circuits whose other hyperplanes are known; no progress means
+        "nonunique", an inconsistent system "nosolution", and so does a
+        result that fails (V) or (F)."""
+        g, d, white_labels, inc = self.g, self.d, self.white_labels, self._inc
+        m, _ = _evaluated(self._rows, len(g.white_ids), lam, mu, self._float)
+        basis = _kernel(m)
+        if len(basis) != 1:
+            raise KernelDegenerate(f"kernel dimension {len(basis)} != 1")
+        fvec = basis[0]
+        scale = max(abs(x) for x in fvec)
+        if any(is_zero(x, scale=scale) for x in fvec):
+            raise KernelDegenerate("kernel vector has a zero entry")
+
+        exact = not is_float(fvec)  # only exact weights, labels and (lam, mu) give an exact kernel
+        if exact:  # int equations: f times a positive scale, each one times its label's scale and rhs denominator
+            f_w = {w: x * _label_scale(white_labels[w]) for w, x in zip(g.white_ids, linalg.int_row(fvec))}
+            mono = _monomials(lam, mu, (h for _, h, _ in self._labels))
+            eqs = [([x * mono[h][1] for x in a.ints], f_w[w] * mono[h][0]) for w, h, a in self._labels]
+        else:
+            f_w = dict(zip(g.white_ids, fvec))
+            eqs = [(a.coords, f_w[w] * _ipow(lam, h[0]) * _ipow(mu, h[1])) for w, h, a in self._labels]
+
+        known: dict = {}
+        events: list = []
+        while pending := sorted(set(g.black_ids) - known.keys()):
+            for b in pending:
+                rows = [eqs[ei][0] for ei in inc[b]]
+                rhs = [eqs[ei][1] for ei in inc[b]]
+                if len(inc[b]) < d + 2:
+                    # an underdetermined vertex picks up span constraints from
+                    # white-vertex circuits whose other hyperplanes are known
+                    for ei in inc[b]:
+                        w = g.edges[ei].w
+                        other_blacks = [g.edges[ej].b for ej in inc[w] if ej != ei]
+                        if all(ob in known for ob in other_blacks) and other_blacks:
+                            lspan = [list(known[ob]) for ob in other_blacks]
+                            for x in (linalg.int_nullspace if exact else linalg.nullspace)(lspan):
+                                rows.append(list(x))
+                                rhs.append(0)
+                status, sol, kerb = linalg.solve(rows, rhs)
+                if status == "inconsistent":
+                    return ReconstructionResult("nosolution", None, events, f"black vertex {b}: inconsistent system")
+                if status == "unique":
+                    known[b] = tuple(sol)
+                    spans = len(rows) > len(inc[b])  # span constraints were added
+                    events.append(Event("solve", b, outcome="solved (with circuit constraints)" if spans else "solved"))
+            if known.keys().isdisjoint(pending):
+                detail = f"underdetermined at {pending}; no further circuit constraints"
+                return ReconstructionResult("nonunique", None, events, detail)
+
+        black_labels = {
+            b: HomogeneousElement(normalize_coords(tuple(v)), HYPERPLANE) for b, v in known.items()
+        }
+        cfg = DoubleCircuitConfig(g, d, dict(white_labels), black_labels)
+        if _circuit_failures(cfg, g.white_ids)[0]:  # (V) at the black vertices built the weights
+            return ReconstructionResult("nosolution", None, events, "result fails the circuit condition")
+        if not check_F(cfg).ok:
+            return ReconstructionResult("nosolution", None, events, "result fails coherence")
+        return ReconstructionResult("unique", cfg, events)
 
 
 # ------------------------------------------------------------- real fibers
@@ -606,7 +630,7 @@ def real_roots(coeffs: dict) -> list:
 def _unit_scaled(exact: dict, s: int) -> list:
     """Float coefficients, lowest power first, of p(2^s y) divided by its
     largest coefficient, so at most one."""
-    scaled = {k: v * Fraction(2) ** (s * k) for k, v in exact.items()}
+    scaled = {k: v * Fraction(2) ** (s * k) for k, v in exact.items()} if s else exact
     top = max(map(abs, scaled.values()))
     return [float(scaled.get(k, 0) / top) for k in range(min(scaled), max(scaled) + 1)]
 
@@ -638,32 +662,35 @@ def _sign_changes(p: list) -> list:
     if n < 1:
         return []
     turns = _sign_changes([k * a for k, a in enumerate(p)][1:])
+    orders = (p[::-1], p)  # Horner's orders for |x| <= 1 and for x^n p(1/x)
     bound = min(2 * (1 + max(map(abs, p[:-1])) / abs(p[-1])), 2.0**1022)
     lead = 1 if p[-1] > 0 else -1
     roots = []
     lo, s_lo = -bound, lead * (-1) ** n
-    for x, s in [*((x, _sign_at(p, x, sure=True)) for x in turns), (bound, lead)]:
+    for x, s in [*((x, _sign_at(orders, x, sure=True)) for x in turns), (bound, lead)]:
         if s and s != s_lo:  # the bisection across a zero at a turn lands on it
-            roots.append(_bisect(p, lo, x, s_lo))
+            roots.append(_bisect(orders, lo, x, s_lo))
         if s:
             lo, s_lo = x, s
     return roots
 
 
-def _bisect(p: list, lo: float, hi: float, s_lo: int) -> float:
+def _bisect(orders: tuple, lo: float, hi: float, s_lo: int) -> float:
     """Where p changes sign between lo, of sign s_lo, and hi: adjacent
-    doubles, or a zero of p."""
-    while lo < (mid := (lo + hi) / 2) < hi and (s := _sign_at(p, mid)):
+    doubles, or a zero of p (orders as _sign_at reads them)."""
+    while lo < (mid := (lo + hi) / 2) < hi and (s := _sign_at(orders, mid)):
         lo, hi = (mid, hi) if s == s_lo else (lo, mid)
     return mid
 
 
-def _sign_at(p: list, x: float, sure: bool = False) -> int:
-    """The sign of p(x) by Horner's rule; with sure, 0 when |p(x)| is
-    within its rounding error bound 2n u sum |p[k] x^k|.  For |x| > 1 it is
-    read from x^n p(1/x), so nothing overflows."""
+def _sign_at(orders: tuple, x: float, sure: bool = False) -> int:
+    """The sign of p(x) by Horner's rule, orders = (p reversed, p); with
+    sure, 0 when |p(x)| is within its rounding error bound
+    2n u sum |p[k] x^k|.  For |x| > 1 it is read from x^n p(1/x), so
+    nothing overflows."""
+    reverse, p = orders
     if abs(x) <= 1:
-        coeffs, y, sign = p[::-1], x, 1
+        coeffs, y, sign = reverse, x, 1
     else:
         coeffs, y, sign = p, 1 / x, -1 if x < 0 and len(p) % 2 == 0 else 1
     acc = 0.0

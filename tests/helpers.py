@@ -1,11 +1,13 @@
 """Helpers that only the tests use: gauge changes of a configuration,
 class comparison, coordinate equality, conic tangency, incidence checks
 of the pentagram, Q-net and spiral dynamics, the non-periodic Q-net
-window fixture, the per-node reference of the spectral determinant, and
-the Fraction reference of the black-data reconstruction."""
+window fixture, the per-node reference of the spectral determinant, the
+Fraction reference of the black-data reconstruction and the reference of
+the real root finder."""
 from dataclasses import dataclass
 from fractions import Fraction as F
-from math import lcm
+from functools import reduce
+from math import lcm, ldexp, log2
 
 from dimergeom import linalg, qnet, spectral
 from dimergeom.config import CohomologyClass, DoubleCircuitConfig, check_F, check_V
@@ -321,3 +323,70 @@ def reference_reconstruct(g, d, white_labels, lam, mu):
     if not check_F(cfg).ok:
         return spectral.ReconstructionResult("nosolution", None, events, "result fails coherence")
     return spectral.ReconstructionResult("unique", cfg, events)
+
+
+def reference_real_roots(coeffs: dict) -> list:
+    """spectral.real_roots as it was before its sign tests kept both
+    coefficient orders: every _sign_at call reverses the list, and the
+    coefficients are rescaled exactly even by 2^0.  The root finder must
+    equal it bit for bit."""
+    exact = {k: F(v) for k, v in coeffs.items() if v}
+    if not exact:
+        return []
+    low = min(exact)
+    poly = _reference_unit_scaled(exact, 0)
+    if all(abs(poly[k - low]) >= 2.0**-1022 for k in exact):
+        return _reference_sign_changes(poly)
+    roots = []
+    for t, lo, hi in spectral._root_bands(exact):
+        s = round(t)
+        poly = _reference_unit_scaled(exact, s)
+        while not poly[-1]:
+            poly.pop()
+        while not poly[0]:
+            poly.pop(0)
+        lo, hi = max(lo, -1074), min(hi, 1024)
+        roots += [ldexp(y, s) for y in _reference_sign_changes(poly) if lo <= log2(abs(y)) + s < hi]
+    return sorted(roots)
+
+
+def _reference_unit_scaled(exact: dict, s: int) -> list:
+    scaled = {k: v * F(2) ** (s * k) for k, v in exact.items()}
+    top = max(map(abs, scaled.values()))
+    return [float(scaled.get(k, 0) / top) for k in range(min(scaled), max(scaled) + 1)]
+
+
+def _reference_sign_changes(p: list) -> list:
+    n = len(p) - 1
+    if n < 1:
+        return []
+    turns = _reference_sign_changes([k * a for k, a in enumerate(p)][1:])
+    bound = min(2 * (1 + max(map(abs, p[:-1])) / abs(p[-1])), 2.0**1022)
+    lead = 1 if p[-1] > 0 else -1
+    roots = []
+    lo, s_lo = -bound, lead * (-1) ** n
+    for x, s in [*((x, _reference_sign_at(p, x, sure=True)) for x in turns), (bound, lead)]:
+        if s and s != s_lo:
+            roots.append(_reference_bisect(p, lo, x, s_lo))
+        if s:
+            lo, s_lo = x, s
+    return roots
+
+
+def _reference_bisect(p: list, lo: float, hi: float, s_lo: int) -> float:
+    while lo < (mid := (lo + hi) / 2) < hi and (s := _reference_sign_at(p, mid)):
+        lo, hi = (mid, hi) if s == s_lo else (lo, mid)
+    return mid
+
+
+def _reference_sign_at(p: list, x: float, sure: bool = False) -> int:
+    if abs(x) <= 1:
+        coeffs, y, sign = p[::-1], x, 1
+    else:
+        coeffs, y, sign = p, 1 / x, -1 if x < 0 and len(p) % 2 == 0 else 1
+    acc = 0.0
+    for a in coeffs:
+        acc = acc * y + a
+    if sure and abs(acc) <= 2 * len(p) * 2.0**-53 * reduce(lambda err, a: err * abs(y) + abs(a), coeffs, 0.0):
+        return 0
+    return sign if acc > 0 else -sign if acc < 0 else 0

@@ -139,7 +139,7 @@ MUTANTS = [
         ["tests/test_events.py"],
     ),
     (
-        "reconstruct_black: the circuit-constraint outcome dropped",
+        "BlackFibre.at: the circuit-constraint outcome dropped",
         "spectral.py",
         'outcome="solved (with circuit constraints)" if spans else "solved"',
         'outcome="solved"',
@@ -224,6 +224,21 @@ MUTANTS = [
         "\n    __delattr__ = __setattr__\n",
         "",
         ["tests/test_records.py"],
+    ),
+    (
+        "BlackFibre.at: (V) at the white vertices dropped",
+        "spectral.py",
+        "        if _circuit_failures(cfg, g.white_ids)[0]:  # (V) at the black vertices built the weights\n"
+        '            return ReconstructionResult("nosolution", None, events, "result fails the circuit condition")\n',
+        "",
+        ["tests/test_spectral.py::test_a_float_point_can_fail_the_circuit_condition_at_a_white_vertex"],
+    ),
+    (
+        "BlackFibre.at: the rows evaluated at the first point read at every point",
+        "spectral.py",
+        "m, _ = _evaluated(self._rows, len(g.white_ids), lam, mu, self._float)",
+        'm, _ = self.__dict__.setdefault("_first", _evaluated(self._rows, len(g.white_ids), lam, mu, self._float))',
+        ["tests/test_spectral.py::test_one_fibre_equals_the_fraction_reference_at_every_point"],
     ),
 ]
 NO_OP = ("no-op", "moves.py", "def _h_add(a, b):", "def _h_add(a, b):", ["tests/test_moves.py", "tests/test_config.py"])

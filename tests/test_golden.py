@@ -1,8 +1,9 @@
 """Golden outputs: the exact stdout and exit code of the commands whose
 lines report progress (`run`, `reconstruct`) and of `validate` on a file
-that repeats a white id, the bytes of the `make-grid-minus-edge` file, and
+that repeats a white id, the bytes of the `make-grid-minus-edge` file,
 the stdout and `--out` file of `spectral` on four fixture files (the
-golden files in `tests/golden/`)."""
+golden files in `tests/golden/`), and the reports of `experiment
+birationality-probe` on the fixture files and the stepped 7/2 pentagram."""
 import hashlib
 import json
 from pathlib import Path
@@ -128,3 +129,46 @@ def test_spectral_prints_and_writes_its_golden_curve(name, tmp_path, capsys):
     assert main(["spectral", str(_make(tmp_path, capsys, *SPECTRAL_FILES[name])), "--out", str(out)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"spectral-{name}.txt").read_text()
     assert out.read_bytes() == (GOLDEN / f"spectral-{name}.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def probe_files(tmp_path_factory):
+    """name -> path of the files whose probe reports are pinned: the 7/2
+    pentagram (perfbench's `cli` input), the frozen spiral, grid and Q-net
+    fixtures, and the 7/2 file after 12, 15 and 30 pentagram steps."""
+    tmp = tmp_path_factory.mktemp("probe")
+    files = {}
+    for name, argv in {
+        "7/2": ["make-pentagram", "--n", "7", "--k", "2"],
+        "spiral": ["make-spiral"],
+        "grid-minus-edge": ["make-grid-minus-edge"],
+        "qnet": ["make-qnet"],
+        **{f"7/2 after {n}": ["run", str(tmp / "7-2.json"), "--builtin", "pentagram", "--steps", str(n)] for n in (12, 15, 30)},
+    }.items():
+        files[name] = tmp / f"{name.replace('/', '-').replace(' ', '-')}.json"
+        assert main([*argv, "--out", str(files[name])]) == 0
+    return files
+
+
+# (file, --samples, --seed, report after "sampled outcomes over ")
+PROBE_REPORTS = [
+    *(("7/2", 20, seed, "20 curve points: {'unique': 20}") for seed in (0, 1, 2, 601)),
+    ("7/2", 5, 0, "5 curve points: {'unique': 5}"),
+    *(("spiral", 20, seed, "20 curve points: {'unique': 20}") for seed in (0, 1, 2)),
+    *(("grid-minus-edge", 10, seed, "10 curve points: {'nonunique': 10}") for seed in (0, 1)),
+    ("qnet", 5, 0, "0 curve points: {}"),  # the curve is a square: every fiber root is double
+    # the README's reports on the stepped 7/2 file
+    ("7/2 after 12", 10, 0, "10 curve points: {'unique': 9, 'EmptyKernel': 1}"),
+    ("7/2 after 12", 10, 1, "10 curve points: {'unique': 6, 'EmptyKernel': 3, 'nosolution': 1}"),
+    ("7/2 after 12", 10, 2, "10 curve points: {'nosolution': 1, 'unique': 6, 'EmptyKernel': 3}"),
+    *(("7/2 after 15", 10, seed, "10 curve points: {'nonunique': 10}") for seed in (0, 1, 2)),
+    *(("7/2 after 30", 10, seed, "10 curve points: {'KernelNotOneDimensional': 10}") for seed in (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("name, samples, seed, report", PROBE_REPORTS)
+def test_birationality_probe_prints_its_golden_report(probe_files, name, samples, seed, report, capsys):
+    capsys.readouterr()
+    argv = ["experiment", "birationality-probe", str(probe_files[name]), "--samples", str(samples), "--seed", str(seed)]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (f"report: sampled outcomes over {report}\n", "")

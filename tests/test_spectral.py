@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from dimergeom import linalg, pentagram, qnet, spectral, spiral
 from dimergeom.config import (
+    DoubleCircuitConfig,
+    check_V,
     cohomology_class,
     config_from_dict,
     config_to_dict,
@@ -35,10 +37,12 @@ from dimergeom.laurent import LaurentPoly2, newton_polygon
 from dimergeom.moves import urban_renewal
 from dimergeom.qnet import build_qnet_graph
 from dimergeom.spectral import (
+    BlackFibre,
     _color_swapped,
     _integer_det,
     _zigzag_shear,
     evaluate_matrix,
+    fiber_polynomial,
     kasteleyn_rows,
     kasteleyn_weights,
     kernel_at,
@@ -51,12 +55,13 @@ from dimergeom.spectral import (
     zigzag_polygon,
 )
 from dimergeom.spiral import build_spiral_graph
-from dimergeom.torusgraph import Edge, TorusGraph, validate_graph
+from dimergeom.torusgraph import Edge, TorusGraph, validate_graph, vertex_edges
 from helpers import (
     class_equal,
     coboundary_shifted,
     per_node_integer_det,
     reference_kernel,
+    reference_real_roots,
     reference_reconstruct,
     reference_weights,
     rescaled_config,
@@ -817,6 +822,53 @@ def test_reconstruction_equals_the_fraction_reference(case, as_float):
         assert got == _result(_outcome(reference_reconstruct, g, d, white, lam, mu))
 
 
+@pytest.mark.parametrize("case", [*_FIXTURE_CASES, ("7/2 after 10 steps",)])
+@pytest.mark.parametrize("float_labels", [False, True])
+def test_one_fibre_equals_the_fraction_reference_at_every_point(case, float_labels):
+    # one BlackFibre read first off the curve, then at the case's own point
+    # (a class point, or the grid's stored one), the spiral's extra points,
+    # the own point as floats and float roots of three fibers: a fibre that
+    # kept the rows of an earlier point would read EmptyKernel at each one
+    g, d, white, lam, mu = _reconstruction_case(*case)
+    if float_labels:
+        white = {w: point(*map(float, e.coords)) for w, e in white.items()}
+    points = [(F(2), F(3)), (lam, mu), *(SPIRAL_EXTRA_POINTS if case == ("spiral",) else ()), (float(lam), float(mu))]
+    poly = spectral_polynomial(g, kasteleyn_weights(g, white))
+    points += [(x, y) for x in (0.7, -1.3, 2.1) for y in real_roots(fiber_polynomial(poly, x))[:2]]
+    fibre = BlackFibre(g, d, white)
+    got = [_result(_outcome(fibre.at, *at)) for at in points]
+    assert got == [_result(_outcome(reference_reconstruct, g, d, white, *at)) for at in points]
+    assert got[0][0] == "EmptyKernel" and "EmptyKernel" not in [r[0] for r in got[1:]]
+
+
+def test_a_float_point_can_fail_the_circuit_condition_at_a_white_vertex():
+    # a point that the probe draws on the 7/2 pentagram after 12 steps: the
+    # solved hyperplanes fail (V) at a white vertex; at the black vertices
+    # (V) holds by the relations behind the weights
+    c = make_pentagram_fixture(7, 2)[3]
+    for _ in range(12):
+        c = pentagram.step(c)
+    white = {w: point(*map(float, e.coords)) for w, e in c.white_labels.items()}
+    lam, mu = float.fromhex("0x1.02654d903b799p+0"), float.fromhex("0x1.fe8f80034a284p-1")
+    res = BlackFibre(c.graph, c.d, white).at(lam, mu)
+    assert (res.status, res.detail, len(res.events)) == ("nosolution", "result fails the circuit condition", 7)
+    assert reconstruct_black(c.graph, c.d, white, lam, mu) == res
+
+
+def test_white_labels_that_are_no_circuit_at_a_black_vertex_raise_as_check_V_reads_them():
+    c = make_pentagram_fixture(7, 2)[3]
+    g = c.graph
+    w0, w1 = (g.edges[ei].w for ei in vertex_edges(g)[g.black_ids[0]][:2])
+    white = {**c.white_labels, w1: c.white_labels[w0]}  # a repeated point among four in the plane
+    rep = check_V(DoubleCircuitConfig(g, c.d, white, c.black_labels))
+    b = next(v for v in g.black_ids if v in rep.failures)
+    reason = rep.messages[rep.failures.index(b)].removeprefix(f"vertex {b}: neighbor labels do not form a circuit (")
+    for build in (lambda: reconstruct_black(g, c.d, white, *cohomology_class(c)), lambda: BlackFibre(g, c.d, white)):
+        with pytest.raises(KernelNotOneDimensional) as exc:
+            build()
+        assert f"{exc.value})" == f"black vertex {b}: {reason}"
+
+
 def _expanded(roots):
     """Coefficients, constant first, of prod (x - r) over the roots."""
     poly = [F(1)]
@@ -878,6 +930,38 @@ def test_real_roots_cases(coeffs, want):
     got = real_roots(coeffs)
     assert all(math.isfinite(x) for x in got)
     assert len(got) == len(want) and all(abs(x - r) <= 1e-9 * abs(r) for x, r in zip(got, want)), got
+
+
+@functools.cache
+def _fiber_curves():
+    """The curves whose fibers the root finder is pinned on."""
+    g, _, white, _, _ = _reconstruction_case("7/2 after 10 steps")
+    configs = [make_pentagram_fixture(7, 2)[3], make_pentagram_fixture(9, 2)[3], make_spiral_fixture()[2]]
+    return [spectral_polynomial(g, kasteleyn_weights(g, white)), *map(spectral_polynomial_white, configs)]
+
+
+def _seeded_fibers(seed):
+    """Fibers of the curves at a float and at an exact lambda, and two
+    polynomials whose coefficients spread past the float range, so that
+    real_roots solves them one root band at a time."""
+    rng = random.Random(seed)
+    p = rng.choice(_fiber_curves())
+    yield fiber_polynomial(p, rng.uniform(0.2, 3.0) * rng.choice([1, -1]))
+    yield fiber_polynomial(p, F(rng.randint(-30, 30) or 1, rng.randint(1, 9)))
+    powers = sorted(rng.sample(range(-3, 10), rng.randint(2, 8)))
+    yield {k: rng.choice([-1, 1]) * rng.randint(1, 9) * F(10) ** rng.randint(-400, 400) for k in powers}
+    poly = [F(rng.choice([-1, 1]))]
+    for _ in range(rng.randint(1, 6)):  # times x - r, r = +-2^e
+        r = rng.choice([-1, 1]) * F(2) ** rng.randint(-900, 900)
+        poly = [a - r * b for a, b in zip([F(0)] + poly, poly + [F(0)])]
+    yield dict(enumerate(poly))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_real_roots_equals_its_reference_bit_for_bit(seed):
+    for coeffs in _seeded_fibers(seed):
+        assert [x.hex() for x in real_roots(coeffs)] == [x.hex() for x in reference_real_roots(coeffs)], coeffs
 
 
 def test_dual_curve_experiment_pentagon():
