@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import frexp, gcd, lcm, ldexp
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -34,14 +35,15 @@ HYPERPLANE = "hyperplane"
 class HomogeneousElement(Record):
     """A point or hyperplane of P^d, scale-equivalent coordinate tuple.
 
-    ``ints``, set once at construction, is ``linalg.int_row(coords)`` for
-    exact coordinates, which exact geometry reads in their place, and
-    ``None`` for float ones: it is also the exact-or-float flag.  An exact
-    join or meet is built by ``_element`` from its primitive int row, which
-    is its ``ints`` (its coordinates are those ints as Fractions)."""
+    Two slots are derived once, at construction.  ``ints`` is
+    ``linalg.int_row(coords)`` for exact coordinates, which exact geometry
+    reads in their place, and ``None`` for float ones: it is also the
+    exact-or-float flag.  ``dim`` is d, ``len(coords) - 1``.  An exact join
+    or meet is built by ``_element`` from its primitive int row, which is
+    its ``ints`` (its coordinates are those ints as Fractions)."""
 
     _fields = ("coords", "kind")
-    __slots__ = _fields + ("ints",)
+    __slots__ = _fields + ("ints", "dim")
 
     def __init__(self, coords: tuple, kind: str):
         ints = None if is_float(coords) else tuple(linalg.int_row(coords))
@@ -50,10 +52,7 @@ class HomogeneousElement(Record):
         setfield(self, "coords", coords)
         setfield(self, "kind", kind)
         setfield(self, "ints", ints)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
+        setfield(self, "dim", len(coords) - 1)
 
     def __eq__(self, other):
         if not isinstance(other, HomogeneousElement):
@@ -109,19 +108,19 @@ def _primitive(ints) -> tuple:
         raise ZeroVector("all coordinates vanish")
     if next(v for v in ints if v) < 0:
         g = -g
-    return tuple(v // g for v in ints)
+    return tuple([v // g for v in ints])
 
 
 def proj_equal(a: HomogeneousElement, b: HomogeneousElement) -> bool:
-    if a.kind != b.kind or len(a.coords) != len(b.coords):
+    if a.kind != b.kind or a.dim != b.dim:
         return False
-    if (a.ints is None) != (b.ints is None):
+    ai, bi = a.ints, b.ints
+    if (ai is None) != (bi is None):
         return False  # an exact element never equals a float one
-    if a.ints is not None:
+    if ai is not None:
         # a ~ b iff a_i b_k == b_i a_k for every i, at a k with a_k != 0
-        k = next(i for i, v in enumerate(a.ints) if v)
-        ak, bk = a.ints[k], b.ints[k]
-        return all(x * bk == y * ak for x, y in zip(a.ints, b.ints))
+        ak, bk = next((x, y) for x, y in zip(ai, bi) if x)
+        return all(x * bk == y * ak for x, y in zip(ai, bi))
     na, nb = normalize_coords(a.coords), normalize_coords(b.coords)
     scale = max(max(abs(x) for x in na), max(abs(x) for x in nb))
     return all(is_zero(x - y, scale=scale) for x, y in zip(na, nb))
@@ -136,14 +135,10 @@ def pairing(h: HomogeneousElement, p: HomogeneousElement):
     if h.dim != p.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {h.dim} vs {p.dim}")
     if h.ints is None or p.ints is None:
-        return sum(a * b for a, b in zip(h.coords, p.coords))
+        return sum(map(mul, h.coords, p.coords))
     # exact: the dot product of the integer rows, divided once
     den = lcm(*(c.denominator for c in h.coords)) * lcm(*(c.denominator for c in p.coords))
-    return Fraction(_dot(h.ints, p.ints), den)
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return Fraction(sum(map(mul, h.ints, p.ints)), den)
 
 
 def _vanishes(v, u, w) -> bool:
@@ -158,18 +153,31 @@ def incident(h: HomogeneousElement, p: HomogeneousElement) -> bool:
     return _vanishes(pairing(h, p), h.coords, p.coords)
 
 
-def _same_kind_dim(elems):
-    kinds = {e.kind for e in elems}
-    if len(kinds) > 1:
-        raise KindMismatch("mixed points and hyperplanes")
-    dims = {e.dim for e in elems}
-    if len(dims) > 1:
-        raise DimensionMismatch("mixed ambient dimensions")
+def _kind_dim(elems) -> tuple:
+    """(kind, d) of a nonempty list of elements of one kind in one P^d."""
+    if not elems:
+        raise TooFew("span of nothing")
+    kind, d = elems[0].kind, elems[0].dim
+    for e in elems:
+        if e.kind != kind or e.dim != d:
+            if any(x.kind != kind for x in elems):
+                raise KindMismatch("mixed points and hyperplanes")
+            raise DimensionMismatch("mixed ambient dimensions")
+    return kind, d
+
+
+def element_rows(elems) -> tuple:
+    """(rows, exact): the int rows (``ints``) of exact elements, which
+    exact geometry and linalg read in place of their coordinates, and True;
+    else the coordinates and False."""
+    rows = [e.ints for e in elems]
+    return (rows, True) if None not in rows else ([e.coords for e in elems], False)
 
 
 def _kernel(rows, exact):
-    """Right kernel basis: primitive int vectors for an int matrix (exact
-    data, already scaled to ints), the float kernel otherwise."""
+    """Right kernel basis: primitive int vectors, each positive at its
+    last nonzero entry, for an int matrix (exact data, already scaled to
+    ints), the float kernel otherwise."""
     return linalg._int_nullspace(rows) if exact else linalg.nullspace(rows)
 
 
@@ -185,7 +193,9 @@ def _relation(cols, exact):
     if len(ker) != 1:
         raise KernelNotOneDimensional(f"relation space has dimension {len(ker)}, need 1")
     c = ker[0]
-    scale = max(abs(x) for x in c)
+    if exact and all(c):
+        return c
+    scale = max(map(abs, c))
     for i, x in enumerate(c):
         if is_zero(x, scale=scale):
             raise KernelNotOneDimensional(f"relation coefficient {i} vanishes (not a circuit)")
@@ -217,16 +227,15 @@ def circuit_failure(elems) -> str | None:
     m = len(elems)
     if m < 2:
         raise TooFew("a circuit needs at least 2 elements")
-    _same_kind_dim(elems)
-    d = elems[0].dim
+    d = _kind_dim(elems)[1]
     if m > d + 2:
         raise TooManyElements(f"{m} elements cannot form a circuit in P^{d}")
     # for m = d+2 the dependency is automatic; the nowhere-zero kernel test
     # is exactly "every (m-1)-subset independent"
     # scaling a row keeps the relation's support, so the int rows serve
-    exact = all(e.ints is not None for e in elems)
+    rows, exact = element_rows(elems)
     try:
-        _relation(list(zip(*(e.ints if exact else e.coords for e in elems))), exact)
+        _relation(list(zip(*rows)), exact)
     except KernelNotOneDimensional as exc:
         return str(exc)
     return None
@@ -236,16 +245,6 @@ def _binary_unit(rows):
     """Each row over the power of two just above its largest entry: exact
     for floats, since only the exponents change."""
     return [[ldexp(x, -frexp(max(map(abs, r)))[1]) for x in r] for r in rows]
-
-
-def _generators(gens):
-    """(coordinate rows, their int rows or None for float data, kind, d) of
-    a nonempty element list."""
-    if not gens:
-        raise TooFew("span of nothing")
-    _same_kind_dim(gens)
-    ints = [e.ints for e in gens]
-    return [e.coords for e in gens], None if None in ints else ints, gens[0].kind, gens[0].dim
 
 
 def meet(gens1, gens2) -> HomogeneousElement:
@@ -261,31 +260,32 @@ def meet(gens1, gens2) -> HomogeneousElement:
 
     Raises EmptyMeet if the spans meet trivially and DegenerateIntersection,
     naming the rank, if they meet in more than one element."""
-    rows1, ints1, kind, d = _generators(gens1)
-    rows2, ints2, kind2, d2 = _generators(gens2)
+    kind, d = _kind_dim(gens1)
+    kind2, d2 = _kind_dim(gens2)
     if kind != kind2:
         raise KindMismatch("meet of different kinds")
     if d != d2:
         raise DimensionMismatch("meet in different ambient spaces")
-    exact = ints1 is not None and ints2 is not None
-    if exact:
-        rows1, rows2 = ints1, ints2
-    else:
+    (rows1, exact1), (rows2, exact2) = element_rows(gens1), element_rows(gens2)
+    exact = exact1 and exact2
+    if not exact:
         # each generator on the scale 1, so that the zero tests no longer
         # depend on the generators' sizes
-        rows1, rows2 = _binary_unit(rows1), _binary_unit(rows2)
+        rows1, rows2 = _binary_unit([e.coords for e in gens1]), _binary_unit([e.coords for e in gens2])
     ker = _kernel(list(zip(*rows1, *rows2)), exact)
-    elems = [[_dot(v, col) for col in zip(*rows1)] for v in ker]
-    if not exact:
+    cols1 = list(zip(*rows1))
+    elems = [[sum(map(mul, v, col)) for col in cols1] for v in ker]
+    if exact:
+        if len(elems) == 1 and any(elems[0]):
+            return _element(_primitive(elems[0]), kind)
+        basis = linalg._int_echelon(elems)[0]
+    else:
         # an element that vanishes at the scale of the terms of its relation
         # is rounding left by cancelling generators: drop it
         gens = rows1 + rows2
         scales = [max(abs(c * x) for c, row in zip(v, gens) for x in row) for v in ker]
         elems = [e for e, t in zip(elems, scales) if not all(is_zero(x / t) for x in e)]
-    if exact and len(elems) == 1:
-        basis = elems if any(elems[0]) else []
-    else:
-        basis = (linalg._int_echelon if exact else linalg.rref)(elems)[0]
+        basis = linalg.rref(elems)[0]
     if not basis:
         raise EmptyMeet("subspaces intersect trivially")
     if len(basis) > 1:
@@ -301,6 +301,7 @@ def _element(prim: tuple, kind) -> HomogeneousElement:
     setfield(e, "coords", tuple(map(Fraction, prim)))
     setfield(e, "kind", kind)
     setfield(e, "ints", prim)
+    setfield(e, "dim", len(prim) - 1)
     return e
 
 
@@ -308,28 +309,31 @@ def incident_element(elems) -> HomogeneousElement:
     """The element of the other kind incident to every given element: the
     hyperplane through d points of P^d, or the common point of d
     hyperplanes (unique when they are independent)."""
-    _same_kind_dim(elems)
-    exact = all(e.ints is not None for e in elems)
-    ker = _kernel([e.ints if exact else e.coords for e in elems], exact)
-    if elems[0].kind == POINT:
+    if _kind_dim(elems)[0] == POINT:
         kind, what = HYPERPLANE, "points do not span a unique hyperplane"
     else:
         kind, what = POINT, "hyperplanes do not meet in a unique point"
+    rows, exact = element_rows(elems)
+    ker = _kernel(rows, exact)
     if len(ker) != 1:
         raise DegenerateIntersection(what)
-    return _element(_primitive(ker[0]), kind) if exact else HomogeneousElement(normalize_coords(tuple(ker[0])), kind)
+    if not exact:
+        return HomogeneousElement(normalize_coords(tuple(ker[0])), kind)
+    # the kernel vector is primitive already: only its sign is canonical
+    v = ker[0]
+    return _element(tuple(v) if next(x for x in v if x) > 0 else tuple(-x for x in v), kind)
 
 
 def join_points(points_) -> HomogeneousElement:
     """Hyperplane spanned by d points of P^d (unique when independent)."""
-    if points_[0].kind != POINT:
+    if points_ and points_[0].kind != POINT:
         raise KindMismatch("join_points takes points")
     return incident_element(points_)
 
 
 def meet_hyperplanes(hyps) -> HomogeneousElement:
     """Common point of d hyperplanes of P^d (unique when independent)."""
-    if hyps[0].kind != HYPERPLANE:
+    if hyps and hyps[0].kind != HYPERPLANE:
         raise KindMismatch("meet_hyperplanes takes hyperplanes")
     return incident_element(hyps)
 
@@ -349,8 +353,7 @@ def _ratio_terms(cycle):
     pts, hyps = cycle[0::2], cycle[1::2]
     if any(p.kind != POINT for p in pts) or any(h.kind != HYPERPLANE for h in hyps):
         raise KindMismatch("cycle must alternate point, hyperplane, ...")
-    exact = all(e.ints is not None for e in cycle)
-    rows = [e.ints if exact else e.coords for e in cycle]
+    rows = element_rows(cycle)[0]
     n = len(pts)
     terms = [1, 1]
     for i in range(n):
@@ -358,7 +361,7 @@ def _ratio_terms(cycle):
             if hyps[i].dim != pts[j].dim:
                 raise DimensionMismatch(f"ambient dimensions differ: {hyps[i].dim} vs {pts[j].dim}")
             h, p = rows[2 * i + 1], rows[2 * j]
-            v = _dot(h, p)
+            v = sum(map(mul, h, p))
             if _vanishes(v, h, p):
                 raise VanishingPairing(f"point {j} lies on hyperplane {i}")
             terms[side] *= v

@@ -265,11 +265,15 @@ def _int_nullspace(m):
                 if any(v):
                     rest = [row for i, row in enumerate(m) if i not in rows]
                     break
-        if any(v):
-            if any(sum(map(mul, row, v)) for row in rest):
+            else:
+                return _int_kernel(*_int_echelon(m), n)
+        for row in rest:
+            if sum(map(mul, row, v)):
                 return []
-            g = gcd(*v) if next(x for x in reversed(v) if x) > 0 else -gcd(*v)
-            return [[x // g for x in v]]
+        g = gcd(*v)
+        if next(x for x in reversed(v) if x) < 0:
+            g = -g
+        return [[x // g for x in v]]
     return _int_kernel(*_int_echelon(m), n) if m else []
 
 

@@ -30,6 +30,7 @@ from .geometry import (
     HYPERPLANE,
     POINT,
     HomogeneousElement,
+    element_rows,
     join_points,
     meet,
     meet_hyperplanes,
@@ -86,7 +87,7 @@ def _interior_sites(w: QNetWindow):
 def _net_failures(w: QNetWindow, sites):
     bad = []
     for ci, cj in sites:
-        if linalg.rank([list(p.coords) for p in _quad(w, (ci, cj))]) > 3:
+        if linalg.rank(element_rows(_quad(w, (ci, cj)))[0]) > 3:
             bad.append((ci, cj))
     return bad
 

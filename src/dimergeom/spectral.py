@@ -44,7 +44,7 @@ from typing import NamedTuple
 from . import linalg
 from .config import DoubleCircuitConfig, _circuit_failures, check_F, check_labels
 from .errors import DimensionMismatch, EmptyKernel, KernelDegenerate, KernelNotOneDimensional
-from .geometry import HYPERPLANE, HomogeneousElement, _relation, normalize_coords
+from .geometry import HYPERPLANE, HomogeneousElement, _relation, element_rows, normalize_coords
 from .laurent import LaurentPoly2, _cross
 from .scalars import _ipow, is_float, is_zero
 from .torusgraph import Edge, Event, Face, TorusGraph, balanced_count, vertex_edges
@@ -64,9 +64,9 @@ def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
             labels = [white_labels[g.edges[ei].w] for ei in edge_ids]
         except KeyError as exc:
             raise DimensionMismatch(f"black vertex {b}: neighbor {exc.args[0]} has no label") from None
-        exact = all(e.ints is not None for e in labels)
+        rows, exact = element_rows(labels)
         try:
-            c = _relation(list(zip(*(e.ints if exact else e.coords for e in labels))), exact)
+            c = _relation(list(zip(*rows)), exact)
         except KernelNotOneDimensional as exc:
             raise KernelNotOneDimensional(f"black vertex {b}: {exc}") from exc
         if exact:  # the relation of the int rows, times each row's scale, is the labels' one

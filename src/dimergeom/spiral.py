@@ -18,7 +18,15 @@ from __future__ import annotations
 from . import linalg
 from .config import DoubleCircuitConfig, check_labels
 from .errors import BadParameters, KindMismatch, SeedInvalid, SizeMismatch
-from .geometry import HYPERPLANE, POINT, HomogeneousElement, incident_element, line_through, meet_hyperplanes
+from .geometry import (
+    HYPERPLANE,
+    POINT,
+    HomogeneousElement,
+    element_rows,
+    incident_element,
+    line_through,
+    meet_hyperplanes,
+)
 from .pentagram import build_tile_graph, k_from_config, tile_step
 from .record import Record, setfield
 from .torusgraph import TorusGraph, with_basis_cycles
@@ -58,7 +66,7 @@ def _seed_conditions(window, k: int, kind: str):
         raise KindMismatch(f"a {kind} seed needs a window of {kind}s")
     n = len(window) - 1
     slots = [(l, n - k + 1 + l, n - k + l) for l in range(k)] + [(0, k, n)]
-    return [(t, linalg.rank([list(window[m].coords) for m in t]) <= 2) for t in slots]
+    return [(t, linalg.rank(element_rows([window[m] for m in t])[0]) <= 2) for t in slots]
 
 
 def validate_spiral_seed(s: SpiralSeed):

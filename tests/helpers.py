@@ -1,9 +1,10 @@
 """Helpers that only the tests use: gauge changes of a configuration,
 class comparison, coordinate equality, conic tangency, incidence checks
 of the pentagram, Q-net and spiral dynamics, the non-periodic Q-net
-window fixture, the per-node reference of the spectral determinant, the
+window fixture, a seeded Q-net torus, the per-node reference of the spectral determinant, the
 Fraction reference of the black-data reconstruction and the reference of
 the real root finder."""
+import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import reduce
@@ -26,7 +27,7 @@ from dimergeom.geometry import (
 )
 from dimergeom.laurent import LaurentPoly2
 from dimergeom.pentagram import Polygon
-from dimergeom.qnet import QNetWindow
+from dimergeom.qnet import QNetWindow, build_qnet_config, plane_of_quad
 from dimergeom.scalars import _ipow, is_float, is_zero
 from dimergeom.spiral import LineSeed
 from dimergeom.torusgraph import Edge, Event, TorusGraph, vertex_edges
@@ -179,6 +180,36 @@ def make_window_fixture(half: int = 7):
     )
     g = QNetWindow({k: _collineate(v) for k, v in f.values.items()})
     return f, g
+
+
+def seeded_qnet_config(a: int, seed: int) -> DoubleCircuitConfig:
+    """Coherent a x a Q-net torus: seeded period-a rationals on the quadric
+    z = xy and a central collineation with a seeded axis, the planes from
+    the image's squares (the construction of the benchmark's Q-net draws)."""
+    rng = random.Random(seed)
+
+    def rationals():
+        out: list = []
+        while len(out) < a:
+            t = F(rng.randint(-40, 40), rng.randint(1, 9))
+            if t not in out:
+                out.append(t)
+        return out
+
+    xs, ys = rationals(), rationals()
+    axis = [F(rng.randint(1, 9), rng.randint(2, 9)) for _ in range(4)]
+
+    def collineate(p):
+        x, y, z, w = p.coords
+        return HomogeneousElement((x, y, z, w + sum(c * v for c, v in zip(axis, p.coords))), POINT)
+
+    ring = range(-1, a + 1)
+    f = QNetWindow({(i, j): _separable_point(xs[i % a], ys[j % a]) for i in ring for j in ring if (i + j) % 2 == 0})
+    mate = QNetWindow({s: collineate(v) for s, v in f.values.items()})
+    period = [(i, j) for i in range(a) for j in range(a)]
+    f_one = QNetWindow({s: f[s] for s in period if sum(s) % 2 == 0})
+    planes = QNetWindow({s: plane_of_quad(mate, s) for s in period if sum(s) % 2 == 1})
+    return build_qnet_config(f_one, planes, a, a)
 
 
 def per_node_integer_det(rows, shear):

@@ -240,6 +240,48 @@ MUTANTS = [
         'm, _ = self.__dict__.setdefault("_first", _evaluated(self._rows, len(g.white_ids), lam, mu, self._float))',
         ["tests/test_spectral.py::test_one_fibre_equals_the_fraction_reference_at_every_point"],
     ),
+    (
+        "_relation: an exact relation with a vanishing coefficient read as a circuit",
+        "geometry.py",
+        "if exact and all(c):",
+        "if exact and any(c):",
+        ["tests/test_geometry.py::test_circuit_coefficients_equal_the_fraction_reference"],
+    ),
+    (
+        "incident_element: the sign of the kernel vector not made positive at its first entry",
+        "geometry.py",
+        "_element(tuple(v) if next(x for x in v if x) > 0 else tuple(-x for x in v), kind)",
+        "_element(tuple(v), kind)",
+        ["tests/test_geometry.py::test_join_and_meet_hyperplanes_equal_the_fraction_reference"],
+    ),
+    (
+        "meet: the element of a one-vector kernel not made primitive",
+        "geometry.py",
+        "return _element(_primitive(elems[0]), kind)",
+        "return _element(tuple(elems[0]), kind)",
+        ["tests/test_geometry.py::test_meet_equals_the_fraction_reference"],
+    ),
+    (
+        "_element: the dim slot set to the coordinate count",
+        "geometry.py",
+        'setfield(e, "dim", len(prim) - 1)',
+        'setfield(e, "dim", len(prim))',
+        ["tests/test_geometry.py::test_dim_is_the_coordinate_count_less_one"],
+    ),
+    (
+        "_kind_dim: a list of mixed kinds in one P^d let through",
+        "geometry.py",
+        "if e.kind != kind or e.dim != d:",
+        "if e.dim != d:",
+        ["tests/test_geometry.py::test_meet_rejects_malformed_generator_lists"],
+    ),
+    (
+        "_kind_dim: no TooFew for an empty list",
+        "geometry.py",
+        '    if not elems:\n        raise TooFew("span of nothing")\n',
+        "",
+        ["tests/test_geometry.py::test_incident_elements_of_nothing_raise_too_few"],
+    ),
 ]
 NO_OP = ("no-op", "moves.py", "def _h_add(a, b):", "def _h_add(a, b):", ["tests/test_moves.py", "tests/test_config.py"])
 

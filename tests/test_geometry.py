@@ -21,6 +21,9 @@ from dimergeom.errors import (
     VanishingPairing,
     ZeroVector,
 )
+from dimergeom.fixtures import make_pentagram_fixture, make_qnet_windows
+from dimergeom.pentagram import dual_pentagram_map, pentagram_map
+from dimergeom.qnet import laplace
 from dimergeom.scalars import is_zero
 from helpers import line_discriminant, proj_equal_coords, standard_conic
 
@@ -196,6 +199,11 @@ def test_meet_rejects_malformed_generator_lists():
     ]
     for gens1, gens2, err, message in cases:
         assert outcome(g.meet, gens1, gens2)[1] == (err, message)
+
+
+def test_incident_elements_of_nothing_raise_too_few():
+    for fn in (g.incident_element, g.join_points, g.meet_hyperplanes):
+        assert outcome(fn, [])[1] == (TooFew, "span of nothing")
 
 
 # ---------------------------------------------------------------- multi-ratio
@@ -508,6 +516,13 @@ def check_meet(gens1, gens2):
 P3 = [[(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0), (0, 0, 0, 1)]]
 P2 = [[(0, 0, 1), (1, 0, 1)], [(1, 1, 1), (1, -1, 1), (2, 0, 2)]]
 PLANE = [[(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (0, 1, 0, 1), (1, 1, 0, 1), (0, 0, 0, 2)]]
+# the shapes of the meets of urban renewal: a line of P^2 (two points)
+# against a point on it, a line, and three points spanning the plane (a
+# meet of rank 2); a line against a plane in P^3
+LINE_POINT = [[(0, 0, 1), (2, 0, 1)], [(3, 0, 2)]]
+LINE_LINE = [[(0, 0, 1), (1, 0, 1)], [(1, 2, 1), (3, -1, 2)]]
+LINE_THREE = [[(0, 0, 1), (1, 0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+LINE_PLANE = [[(1, 0, 0, 1), (0, 1, 2, 1)], [(1, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 3)]]
 
 
 def _pts(lists):
@@ -521,12 +536,17 @@ def _pts(lists):
 @example(_pts(PLANE))
 @example([_pts(P2)[0], _pts(P2)[0]])  # a line met with itself
 @example([_pts(P2)[0][:1], _pts(P2)[0][:1]])  # a point met with itself
+@example(_pts(LINE_POINT))
+@example(_pts(LINE_LINE))
+@example(_pts(LINE_THREE))
+@example(_pts(LINE_PLANE))
 def test_meet_equals_the_fraction_reference(pair):
     check_meet(*pair)
 
 
 def test_meet_examples_cover_empty_point_and_line():
     assert [check_meet(*_pts(x)) for x in (P3, P2, PLANE)] == [0, 1, 2]
+    assert [check_meet(*_pts(x)) for x in (LINE_POINT, LINE_LINE, LINE_THREE, LINE_PLANE)] == [1, 1, 2, 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -650,3 +670,28 @@ def test_float_meet_equals_the_reference(pair, scale):
         )
 
     check_meet_outcome(gens1, gens2, new, new_err, rank, same_row)
+
+
+# ------------------------------------------------- the derived dim slot
+
+
+def _dims_agree(elems) -> bool:
+    return all(e.dim == len(e.coords) - 1 for e in elems)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_pairs(), st.sampled_from([None, 1.0, 1e-10]))
+def test_dim_is_the_coordinate_count_less_one(pair, scale):
+    gens1, gens2 = pair if scale is None else (floated(pair[0], scale), floated(pair[1], scale))
+    made = [g.HomogeneousElement(e.coords, e.kind) for e in gens1 + gens2]
+    results = (outcome(g.meet, gens1, gens2), outcome(g.incident_element, gens1), outcome(g.incident_element, gens2))
+    made += [new for new, _err in results if new is not None]
+    assert _dims_agree(made)
+
+
+def test_dynamics_outputs_carry_their_dim():
+    P, _Q, q, _c = make_pentagram_fixture(9, 2)
+    plane = [*pentagram_map(P, 2).vertices, *dual_pentagram_map(q, 2).vertices]
+    space = list(laplace(make_qnet_windows()[0]).values.values())
+    assert _dims_agree(plane + space)
+    assert {e.dim for e in plane} == {2} and {e.dim for e in space} == {3}
