@@ -35,23 +35,30 @@ HYPERPLANE = "hyperplane"
 class HomogeneousElement(Record):
     """A point or hyperplane of P^d, scale-equivalent coordinate tuple.
 
-    Two slots are derived once, at construction.  ``ints`` is
-    ``linalg.int_row(coords)`` for exact coordinates, which exact geometry
-    reads in their place, and ``None`` for float ones: it is also the
-    exact-or-float flag.  ``dim`` is d, ``len(coords) - 1``.  An exact join
-    or meet is built by ``_element`` from its primitive int row, which is
-    its ``ints`` (its coordinates are those ints as Fractions)."""
+    Three slots are derived once, at construction.  ``coords * scale`` is
+    the row geometry reads in their place (``element_rows``): ``scale`` is
+    the lcm of exact coordinates' denominators, that row their ``ints``
+    (``None`` marks float data), or the power of two (at most 2^1023, so it
+    stays finite) that brings the largest float coordinate into [1/2, 1).
+    ``dim`` is d.  An exact join or meet is built by ``_element`` from its
+    primitive int row, its ``ints`` (its coordinates those ints as
+    Fractions, its scale 1)."""
 
     _fields = ("coords", "kind")
-    __slots__ = _fields + ("ints", "dim")
+    __slots__ = _fields + ("ints", "scale", "dim")
 
     def __init__(self, coords: tuple, kind: str):
-        ints = None if is_float(coords) else tuple(linalg.int_row(coords))
+        if is_float(coords):
+            ints, scale = None, ldexp(1.0, min(-frexp(max(map(abs, coords)))[1], 1023))
+        else:
+            scale = lcm(*[x.denominator for x in coords])
+            ints = tuple([x.numerator * (scale // x.denominator) for x in coords])
         if not any(coords if ints is None else ints):
             raise ZeroVector(f"all coordinates vanish: {coords}")
         setfield(self, "coords", coords)
         setfield(self, "kind", kind)
         setfield(self, "ints", ints)
+        setfield(self, "scale", scale)
         setfield(self, "dim", len(coords) - 1)
 
     def __eq__(self, other):
@@ -126,31 +133,36 @@ def proj_equal(a: HomogeneousElement, b: HomogeneousElement) -> bool:
     return all(is_zero(x - y, scale=scale) for x, y in zip(na, nb))
 
 
-def pairing(h: HomogeneousElement, p: HomogeneousElement):
-    """Contraction sum(h_i * p_i) of a hyperplane with a point."""
+def _pair_rows(h: HomogeneousElement, p: HomogeneousElement) -> tuple:
+    """((hyperplane row, point row), exact) of a hyperplane and a point in either order."""
     if {h.kind, p.kind} != {POINT, HYPERPLANE}:
         raise KindMismatch("pairing needs one hyperplane and one point")
     if h.kind == POINT:
         h, p = p, h
     if h.dim != p.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {h.dim} vs {p.dim}")
-    if h.ints is None or p.ints is None:
-        return sum(map(mul, h.coords, p.coords))
-    # exact: the dot product of the integer rows, divided once
-    den = lcm(*(c.denominator for c in h.coords)) * lcm(*(c.denominator for c in p.coords))
-    return Fraction(sum(map(mul, h.ints, p.ints)), den)
+    return element_rows((h, p))
+
+
+def pairing(h: HomogeneousElement, p: HomogeneousElement):
+    """Contraction sum(h_i * p_i) of a hyperplane with a point: the dot
+    product of their rows, divided once by both scales."""
+    (u, w), exact = _pair_rows(h, p)
+    v = sum(map(mul, u, w))
+    return Fraction(v, h.scale * p.scale) if exact else v / (h.scale * p.scale)
 
 
 def _vanishes(v, u, w) -> bool:
-    """Whether the contraction v of the coordinate rows u and w is zero:
-    exactly, or for a float at the scale of the products u_i w_i."""
+    """Whether the contraction v of the rows u and w is zero: exactly, or
+    for a float at the scale of the products u_i w_i."""
     if isinstance(v, float):
         return is_zero(v, scale=max(abs(a * b) for a, b in zip(u, w)))
     return not v
 
 
 def incident(h: HomogeneousElement, p: HomogeneousElement) -> bool:
-    return _vanishes(pairing(h, p), h.coords, p.coords)
+    (u, w), _ = _pair_rows(h, p)
+    return _vanishes(sum(map(mul, u, w)), u, w)
 
 
 def _kind_dim(elems) -> tuple:
@@ -167,11 +179,12 @@ def _kind_dim(elems) -> tuple:
 
 
 def element_rows(elems) -> tuple:
-    """(rows, exact): the int rows (``ints``) of exact elements, which
-    exact geometry and linalg read in place of their coordinates, and True;
-    else the coordinates and False."""
+    """(rows, exact): each element's ``coords * scale``, which geometry and
+    linalg read in their place, and whether all are exact.  An exact row is
+    the element's ``ints``; a float one has its largest entry in [1/2, 1),
+    so no float zero test depends on the size of a representative."""
     rows = [e.ints for e in elems]
-    return (rows, True) if None not in rows else ([e.coords for e in elems], False)
+    return (rows, True) if None not in rows else ([[x * e.scale for x in e.coords] for e in elems], False)
 
 
 def _kernel(rows, exact):
@@ -241,21 +254,15 @@ def circuit_failure(elems) -> str | None:
     return None
 
 
-def _binary_unit(rows):
-    """Each row over the power of two just above its largest entry: exact
-    for floats, since only the exponents change."""
-    return [[ldexp(x, -frexp(max(map(abs, r)))[1]) for x in r] for r in rows]
-
-
 def meet(gens1, gens2) -> HomogeneousElement:
     """The element spanning the intersection of the spans of two nonempty
     element lists.
 
-    The kernel of the matrix whose columns are both lists (exact generators
-    by their integer rows; minors give an exact kernel of corank one in at
-    most 4 columns, one elimination any other): each kernel vector (a, b)
-    gives the element sum a_i g1_i = -sum b_j g2_j of the intersection, and
-    their echelon basis spans it.  A one-dimensional exact kernel gives the
+    The kernel of the matrix whose columns are the rows (``element_rows``)
+    of both lists (minors give an exact kernel of corank one in at most 4
+    columns, one elimination any other): each kernel vector (a, b) gives
+    the element sum a_i g1_i = -sum b_j g2_j of the intersection, and their
+    echelon basis spans it.  A one-dimensional exact kernel gives the
     element directly: no echelon pass.
 
     Raises EmptyMeet if the spans meet trivially and DegenerateIntersection,
@@ -266,14 +273,9 @@ def meet(gens1, gens2) -> HomogeneousElement:
         raise KindMismatch("meet of different kinds")
     if d != d2:
         raise DimensionMismatch("meet in different ambient spaces")
-    (rows1, exact1), (rows2, exact2) = element_rows(gens1), element_rows(gens2)
-    exact = exact1 and exact2
-    if not exact:
-        # each generator on the scale 1, so that the zero tests no longer
-        # depend on the generators' sizes
-        rows1, rows2 = _binary_unit([e.coords for e in gens1]), _binary_unit([e.coords for e in gens2])
-    ker = _kernel(list(zip(*rows1, *rows2)), exact)
-    cols1 = list(zip(*rows1))
+    rows, exact = element_rows([*gens1, *gens2])
+    ker = _kernel(list(zip(*rows)), exact)
+    cols1 = list(zip(*rows[: len(gens1)]))
     elems = [[sum(map(mul, v, col)) for col in cols1] for v in ker]
     if exact:
         if len(elems) == 1 and any(elems[0]):
@@ -282,8 +284,7 @@ def meet(gens1, gens2) -> HomogeneousElement:
     else:
         # an element that vanishes at the scale of the terms of its relation
         # is rounding left by cancelling generators: drop it
-        gens = rows1 + rows2
-        scales = [max(abs(c * x) for c, row in zip(v, gens) for x in row) for v in ker]
+        scales = [max(abs(c * x) for c, row in zip(v, rows) for x in row) for v in ker]
         elems = [e for e, t in zip(elems, scales) if not all(is_zero(x / t) for x in e)]
         basis = linalg.rref(elems)[0]
     if not basis:
@@ -301,6 +302,7 @@ def _element(prim: tuple, kind) -> HomogeneousElement:
     setfield(e, "coords", tuple(map(Fraction, prim)))
     setfield(e, "kind", kind)
     setfield(e, "ints", prim)
+    setfield(e, "scale", 1)
     setfield(e, "dim", len(prim) - 1)
     return e
 
@@ -345,9 +347,9 @@ def line_through(p: HomogeneousElement, q: HomogeneousElement) -> HomogeneousEle
 
 def _ratio_terms(cycle):
     """(prod l_i(A_i), prod l_i(A_{i+1})) of a checked alternating cycle.
-    Exact labels are paired on their integer-scaled coordinates: each
-    label's scale appears once in each product, so the two ints have the
-    multi-ratio as their quotient."""
+    Labels are paired on their rows (``element_rows``): each label's scale
+    appears once in each product, so the two have the multi-ratio as their
+    quotient."""
     if len(cycle) < 2 or len(cycle) % 2 != 0:
         raise TooFew("multi-ratio needs an even cycle of length >= 2")
     pts, hyps = cycle[0::2], cycle[1::2]

@@ -96,7 +96,7 @@ def _side_rank(side) -> int:
     """Rank of the span of two points or planes: of two exact ones, 1 iff
     they are equal."""
     if side[0].ints is None:
-        return linalg.rank([p.coords for p in side])
+        return linalg.rank(element_rows(side)[0])
     return 1 if proj_equal(*side) else 2
 
 

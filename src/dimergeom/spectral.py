@@ -69,16 +69,11 @@ def kasteleyn_weights(g: TorusGraph, white_labels: dict) -> dict:
             c = _relation(list(zip(*rows)), exact)
         except KernelNotOneDimensional as exc:
             raise KernelNotOneDimensional(f"black vertex {b}: {exc}") from exc
-        if exact:  # the relation of the int rows, times each row's scale, is the labels' one
-            c = [x * _label_scale(e) for x, e in zip(c, labels)]
+        # the relation of the rows, each times its scale, is the labels' one
+        c = [x * e.scale for x, e in zip(c, labels)]
         for ei, x in zip(edge_ids, c):
             weights[ei] = Fraction(x, c[0]) if exact else x / c[0]
     return weights
-
-
-def _label_scale(e: HomogeneousElement) -> int:
-    """The s with e.ints == s * e.coords, for an exact label."""
-    return lcm(*(x.denominator for x in e.coords))
 
 
 def kasteleyn_rows(g: TorusGraph, weights: dict) -> list:
@@ -534,7 +529,7 @@ class BlackFibre:
 
         exact = not is_float(fvec)  # only exact weights, labels and (lam, mu) give an exact kernel
         if exact:  # int equations: f times a positive scale, each one times its label's scale and rhs denominator
-            f_w = {w: x * _label_scale(white_labels[w]) for w, x in zip(g.white_ids, linalg.int_row(fvec))}
+            f_w = {w: x * white_labels[w].scale for w, x in zip(g.white_ids, linalg.int_row(fvec))}
             mono = _monomials(lam, mu, (h for _, h, _ in self._labels))
             eqs = [([x * mono[h][1] for x in a.ints], f_w[w] * mono[h][0]) for w, h, a in self._labels]
         else:

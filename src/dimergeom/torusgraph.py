@@ -462,6 +462,8 @@ def find_walk(g: TorusGraph, target: tuple):
     ``target`` translate.  Used by template builders to ship canonical
     basis cycles.
     """
+    if not g.white_ids:
+        raise BadWalk(f"no closed walk with h-sum {target}: the graph has no white vertex")
     inc = vertex_edges(g)
     root = g.white_ids[0]
     radius = len(g.white_ids) + len(g.black_ids) + abs(target[0]) + abs(target[1]) + 4

@@ -282,6 +282,27 @@ MUTANTS = [
         "",
         ["tests/test_geometry.py::test_incident_elements_of_nothing_raise_too_few"],
     ),
+    (
+        "element_rows: float rows read unscaled",
+        "geometry.py",
+        "([[x * e.scale for x in e.coords] for e in elems], False)",
+        "([list(e.coords) for e in elems], False)",
+        ["tests/test_cli.py::test_float_verdicts_do_not_depend_on_a_label_representative"],
+    ),
+    (
+        "incident: the coordinates' pairing tested in place of the rows' dot product",
+        "geometry.py",
+        "return _vanishes(sum(map(mul, u, w)), u, w)",
+        "return _vanishes(pairing(h, p), h.coords, p.coords)",
+        ["tests/test_geometry.py::test_float_zero_tests_do_not_depend_on_a_representative"],
+    ),
+    (
+        "pairing: the rows' dot product divided by one label's scale only",
+        "geometry.py",
+        "Fraction(v, h.scale * p.scale) if exact else v / (h.scale * p.scale)",
+        "Fraction(v, h.scale) if exact else v / h.scale",
+        ["tests/test_geometry.py::test_float_zero_tests_do_not_depend_on_a_representative"],
+    ),
 ]
 NO_OP = ("no-op", "moves.py", "def _h_add(a, b):", "def _h_add(a, b):", ["tests/test_moves.py", "tests/test_config.py"])
 

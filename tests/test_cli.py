@@ -28,7 +28,7 @@ from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture
 from dimergeom.geometry import POINT, HomogeneousElement, point
 from dimergeom.moves import script_from_json
 from dimergeom.qnet import QNetWindow, build_qnet_config, plane_of_quad
-from dimergeom.scalars import float_coords, parse_scalar
+from dimergeom.scalars import float_coords, is_zero, parse_scalar
 from dimergeom.torusgraph import canonical_basis_cycles
 from helpers import with_walks
 
@@ -819,6 +819,44 @@ def test_spectral_on_float_data(tmp_path, capsys):
     assert float_polygon == exact_polygon and set(approx) == set(exact)
     for key, want in exact.items():
         assert "/" not in approx[key] and abs(float(approx[key]) - want) <= 1e-12 * abs(want)
+
+
+# one white and one black label of each family, rescaled in its float copy
+RESCALED = {"pentagram": ("P0", "q0"), "qnet": ("W0x0", "B0x1")}
+
+
+def _float_copy(family, tmp_path, factor=None):
+    """The float copy of ``make-pentagram --n 5 --k 2`` or ``make-qnet``,
+    with the RESCALED labels multiplied by factor when one is given."""
+    c = make_pentagram_fixture(5, 2)[3] if family == "pentagram" else make_qnet_fixture()[2]
+    data = {**config_to_dict(c), "scalar": "float"}
+    for entry in data["white"] + data["black"]:
+        scale = factor if factor is not None and entry["id"] in RESCALED[family] else 1.0
+        entry["coords"] = [repr(float(F(x)) * scale) for x in entry["coords"]]
+    path = tmp_path / f"{family}-{factor}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("factor", [1e40, 1e-40])
+@pytest.mark.parametrize("family", ["pentagram", "qnet"])
+def test_float_verdicts_do_not_depend_on_a_label_representative(family, factor, tmp_path, capsys):
+    # a label times 1e40 or 1e-40 is the same point or hyperplane: every
+    # command reads the rescaled float copy as it reads the unscaled one
+    from dimergeom.spectral import spectral_polynomial_white
+
+    plain, scaled = _float_copy(family, tmp_path), _float_copy(family, tmp_path, factor)
+    outs = []
+    for path in (plain, scaled):
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 0
+        assert main(["experiment", "dual-curve", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        outs.append([line for line in lines if "-data curve: " not in line])
+        assert main(["run", str(path), "--builtin", family, "--steps", "2", "--verify"]) == 0
+    assert outs[0] == outs[1]
+    a, b = (spectral_polynomial_white(load_config(path)).normalized().as_dict() for path in (plain, scaled))
+    assert a.keys() == b.keys() and all(is_zero(a[k] - b[k], max(abs(a[k]), abs(b[k]))) for k in a)
 
 
 README_SCRIPT = [

@@ -23,7 +23,7 @@ from dimergeom.errors import (
 )
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_windows
 from dimergeom.pentagram import dual_pentagram_map, pentagram_map
-from dimergeom.qnet import laplace
+from dimergeom.qnet import _side_rank, laplace
 from dimergeom.scalars import is_zero
 from helpers import line_discriminant, proj_equal_coords, standard_conic
 
@@ -118,6 +118,20 @@ def test_pairing_basis():
 
 def test_pairing_argument_order_free():
     assert g.pairing(pt(0, 0, 1), hp(2, 2, -1)) == -1
+
+
+def test_float_zero_tests_do_not_depend_on_a_representative():
+    # (1, 2, 3, 1) times 1e-40 is off the plane x0 = 0, and times 1e40 it
+    # spans a line with (2, -1, 1/2, 1): the rows, of unit size, say so
+    assert not g.incident(g.hyperplane(1.0, 0.0, 0.0, 0.0), g.point(1e-40, 2e-40, 3e-40, 1e-40))
+    assert _side_rank([g.point(1e40, 2e40, 3e40, 1e40), g.point(2.0, -1.0, 0.5, 1.0)]) == 2
+    # a float pairing is still the contraction of the coordinates
+    pairs = [
+        (g.hyperplane(0.5, 3.0, -1.0), g.point(2.0, 1e-3, 4.0)),
+        (g.hyperplane(1e40, -7.0, 3.0), g.point(1e-40, 5.0, 2e-30)),
+    ]
+    for h, p in pairs:
+        assert g.pairing(h, p) == g.pairing(p, h) == sum(a * b for a, b in zip(h.coords, p.coords))
 
 
 # ---------------------------------------------------------------- circuits
@@ -672,26 +686,46 @@ def test_float_meet_equals_the_reference(pair, scale):
     check_meet_outcome(gens1, gens2, new, new_err, rank, same_row)
 
 
-# ------------------------------------------------- the derived dim slot
+# ------------------------------------------- the derived dim and scale slots
 
 
-def _dims_agree(elems) -> bool:
-    return all(e.dim == len(e.coords) - 1 for e in elems)
+def _slots_agree(elems) -> bool:
+    """dim is the coordinate count less one, and the row coords * scale is
+    ints for an exact element; for a float one its largest entry is in
+    [1/2, 1), unless the largest coordinate lies below 2^-1024 and the
+    scale is its bound 2^1023."""
+    for e in elems:
+        row = [x * e.scale for x in e.coords]
+        if e.ints is not None:
+            scaled = tuple(row) == e.ints
+        elif max(map(abs, e.coords)) < 2.0**-1024:
+            scaled = e.scale == 2.0**1023
+        else:
+            scaled = 0.5 <= max(map(abs, row)) < 1
+        if e.dim != len(e.coords) - 1 or not scaled:
+            return False
+    return True
 
 
 @settings(max_examples=60, deadline=None)
-@given(generator_pairs(), st.sampled_from([None, 1.0, 1e-10]))
+@given(generator_pairs(), st.sampled_from([None, 1.0, 1e-10, 2.0**-1024]))
 def test_dim_is_the_coordinate_count_less_one(pair, scale):
     gens1, gens2 = pair if scale is None else (floated(pair[0], scale), floated(pair[1], scale))
     made = [g.HomogeneousElement(e.coords, e.kind) for e in gens1 + gens2]
     results = (outcome(g.meet, gens1, gens2), outcome(g.incident_element, gens1), outcome(g.incident_element, gens2))
-    made += [new for new, _err in results if new is not None]
-    assert _dims_agree(made)
+    computed = [new for new, _err in results if new is not None]
+    assert _slots_agree(made + computed)
+    assert all(e.scale == 1 for e in computed if e.ints is not None)
 
 
 def test_dynamics_outputs_carry_their_dim():
     P, _Q, q, _c = make_pentagram_fixture(9, 2)
     plane = [*pentagram_map(P, 2).vertices, *dual_pentagram_map(q, 2).vertices]
     space = list(laplace(make_qnet_windows()[0]).values.values())
-    assert _dims_agree(plane + space)
+    assert _slots_agree(plane + space)
     assert {e.dim for e in plane} == {2} and {e.dim for e in space} == {3}
+    assert {e.scale for e in plane + space} == {1}
+    # float labels: a subnormal largest coordinate still gets a row of unit size
+    floats = [g.point(0.75, -3.0, 1e300), g.point(3 * 2.0**-1025, -(2.0**-1070), 0.0), g.point(2.2e-311, 0.0)]
+    assert _slots_agree(floats) and [e.scale for e in floats] == [2.0**-997, 2.0**1023, 2.0**1023]
+    assert _slots_agree([g.point(Fraction(1, 6), Fraction(3, 4), 2)])

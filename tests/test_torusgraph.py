@@ -1,5 +1,6 @@
 import pytest
 
+from dimergeom.config import DoubleCircuitConfig, cohomology_class
 from dimergeom.errors import BadWalk, UnequalColorCounts
 from dimergeom.fixtures import make_grid_minus_edge
 from dimergeom.pentagram import build_pentagram_graph
@@ -9,6 +10,7 @@ from dimergeom.torusgraph import (
     Edge,
     Face,
     TorusGraph,
+    canonical_basis_cycles,
     delete_edge,
     dimension_report,
     face_vertex_sequence,
@@ -115,6 +117,16 @@ def test_find_walk_unreachable_class():
     assert walk_h_sum(g, find_walk(g, (0, 1))) == (0, 1)
     with pytest.raises(BadWalk):
         find_walk(g, (1, 0))
+
+
+def test_a_graph_without_white_vertices_has_no_basis_cycles():
+    # the walk search starts at the first white vertex: none is a BadWalk
+    g = TorusGraph((), ("B",), (), ())
+    msg = r"no closed walk with h-sum \(1, 0\): the graph has no white vertex"
+    with pytest.raises(BadWalk, match=msg):
+        canonical_basis_cycles(g)
+    with pytest.raises(BadWalk, match=msg):
+        cohomology_class(DoubleCircuitConfig(g, 2, {}, {}))
 
 
 def test_delete_edge_merges_faces():
