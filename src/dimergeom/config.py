@@ -293,6 +293,9 @@ def _vertices(data: dict, side: str, kind: str, d: int, scalar: str):
 def _edge(i: int, e: dict) -> Edge:
     if not (isinstance(e, dict) and {"w", "b", "h"} <= e.keys()):
         raise InputError(f"edge {i}: expected an object with w, b and h, got {e!r}")
+    for end in ("w", "b"):
+        if not isinstance(e[end], str):
+            raise InputError(f"edge {i}: {end} must be a vertex id string, got {e[end]!r}")
     h = parse_ints(e["h"], f"edge {i} h")
     if len(h) != 2:
         raise InputError(f"edge {i} h: expected two integers, got {list(h)!r}")

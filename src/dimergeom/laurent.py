@@ -79,12 +79,6 @@ class LaurentPoly2(Record):
             acc = t if acc is None else acc + t
         return acc if acc is not None else Fraction(0)
 
-    def max_term_magnitude(self, lam, mu) -> float:
-        m = 0.0
-        for (i, j), c in self.terms:
-            m = max(m, abs(float(c) * float(_ipow(lam, i)) * float(_ipow(mu, j))))
-        return m if m > 0 else 1.0
-
     def support(self):
         return [k for k, _ in self.terms]
 
@@ -149,20 +143,21 @@ def newton_polygon(p: LaurentPoly2):
     pts = sorted(set(p.support()))
     if len(pts) == 1:
         return pts
-    # Andrew monotone chain
-    def half(points):
-        out = []
-        for q in points:
-            while len(out) >= 2 and _cross(out[-2], out[-1], q) <= 0:
-                out.pop()
-            out.append(q)
-        return out
-
-    lower = half(pts)
-    upper = half(list(reversed(pts)))
-    hull = lower[:-1] + upper[:-1]  # each chain keeps its two distinct ends
+    hull = half_hull(pts)[:-1] + half_hull(pts[::-1])[:-1]  # each chain keeps its two distinct ends
     start = hull.index(min(hull))
     return hull[start:] + hull[:start]
+
+
+def half_hull(points):
+    """Andrew's monotone chain over points sorted by x (then y): the hull
+    chain that turns counterclockwise, the lower one for ascending points
+    and the upper one for descending points."""
+    out = []
+    for q in points:
+        while len(out) >= 2 and _cross(out[-2], out[-1], q) <= 0:
+            out.pop()
+        out.append(q)
+    return out
 
 
 def _cross(o, a, b):

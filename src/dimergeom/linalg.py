@@ -7,21 +7,23 @@ columns and the reduced row echelon form, and the rows are then reduced
 fraction-free, each updated row divided by its content.  Fractions are
 built only at the readout, when a pivot row is divided by its pivot, so an
 exact matrix, int data included, gets Fraction results equal to those of
-Gauss-Jordan elimination over Fractions.  :func:`int_nullspace` reads
-the same elimination as primitive int vectors and builds no Fraction; a
-corank-one kernel in at most 4 columns (the joins, meets and circuit tests
-of P^2 and P^3) is read from signed maximal minors instead, as the same
-vector.  An exact rank is the column count minus the dimension of that
-kernel readout, so it too comes from minors there, and an exact
-:func:`solve` reads x and the kernel off the augmented one.  The
-determinant takes exact matrices only: Bareiss elimination on the same
-integer rows, the one fraction-free elimination (bareiss_eliminate) that
-the spectral determinant also runs with only some rows as pivot rows, and
-then continues into the Schur block of the rest from its last pivot.
+Gauss-Jordan elimination over Fractions.
 
 A matrix with a float entry takes partial pivoting with every zero
 decision made by :func:`scalars.is_zero` relative to the largest entry of
 the input matrix; its results are floats.
+
+Each kind has one kernel readout, a vector per free column in column
+order, behind :func:`nullspace`, :func:`rank` (the column count minus the
+kernel dimension) and :func:`solve` (x and the homogeneous solutions from
+the kernel of the augmented matrix).  An exact one is
+:func:`int_nullspace`: the elimination read as primitive int vectors, or
+for a corank-one kernel in at most 4 columns (the joins, meets and circuit
+tests of P^2 and P^3) signed maximal minors, the same vector; a float one
+is read off :func:`rref`.  The determinant takes exact matrices only: Bareiss elimination on the same
+integer rows, the one fraction-free elimination (bareiss_eliminate) that
+the spectral determinant also runs with only some rows as pivot rows, and
+then continues into the Schur block of the rest from its last pivot.
 """
 from __future__ import annotations
 
@@ -76,11 +78,6 @@ def _int_echelon(m):
         pivots.append(c)
         r += 1
     return m[:r], pivots
-
-
-def _exact_echelon(rows):
-    """_int_echelon of the integer-scaled rows of an exact matrix."""
-    return _int_echelon([int_row(r) for r in rows])
 
 
 def bareiss_eliminate(mat, m: int, last: int = 1):
@@ -185,28 +182,30 @@ def rref(rows):
     """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
     if _has_float(rows):
         return _float_rref(rows)
-    m, pivots = _exact_echelon(rows)
+    m, pivots = _int_echelon([int_row(r) for r in rows])
     return [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows) -> int:
-    """Rank of a matrix.  An exact one's is its column count minus the
-    dimension of the kernel that :func:`int_nullspace` reads, so a matrix
-    of n <= 4 columns and rank n - 1 or n gets it from minors, without an
-    elimination.  Its callers are the coplanarity tests of ``qnet`` (four
-    elements of P^3) and the collinearity tests of ``spiral`` (three
-    elements of P^2), and for float labels the side tests of ``qnet``."""
-    if _has_float(rows):
-        return len(rref(rows)[1])
-    return len(rows[0]) - len(int_nullspace(rows)) if rows else 0
+    """Rank of a matrix: its column count minus its kernel dimension, so an
+    exact matrix of n <= 4 columns and rank n - 1 or n gets it from minors,
+    without an elimination.  Its callers are the coplanarity tests of
+    ``qnet`` (four elements of P^3) and the collinearity tests of
+    ``spiral`` (three elements of P^2), and for float labels the side tests
+    of ``qnet``."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    return ncols - len(_kernel(*rref(rows), ncols) if _has_float(rows) else int_nullspace(rows))
 
 
-def _kernel(reduced, pivots, ncols, one):
-    """Kernel basis read off an RREF: one vector per free column < ncols."""
+def _kernel(reduced, pivots, ncols):
+    """Float kernel basis read off an RREF: one vector per free column
+    < ncols, one there."""
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [0 * one] * ncols
-        v[fc] = one
+        v = [0.0] * ncols
+        v[fc] = 1.0
         for r, pc in enumerate(pivots):
             v[pc] = -reduced[r][fc]
         basis.append(v)
@@ -233,12 +232,12 @@ def _int_kernel(m, pivots, ncols):
 
 
 def nullspace(rows):
-    """Basis of the right kernel {x : rows @ x = 0}, as a list of vectors."""
-    if not rows:
-        return []
-    if _has_float(rows):
-        return _kernel(*_float_rref(rows), len(rows[0]), 1.0)
-    return [_unit_at_free(v) for v in _int_kernel(*_exact_echelon(rows), len(rows[0]))]
+    """Basis of the right kernel {x : rows @ x = 0}, as a list of vectors,
+    each one at its free column: an exact one is int_nullspace's over that
+    entry."""
+    if rows and _has_float(rows):
+        return _kernel(*rref(rows), len(rows[0]))
+    return [_unit_at_free(v) for v in int_nullspace(rows)]
 
 
 def int_nullspace(rows):
@@ -301,34 +300,26 @@ def solve(rows, rhs):
 
     Returns (status, x, kernel) where status is "unique", "underdetermined"
     or "inconsistent"; x is a particular solution when one exists and kernel
-    is a basis of the homogeneous solutions.  One kernel of the augmented
-    matrix gives both.  For exact data it is :func:`int_nullspace`, so a
-    system in at most 3 unknowns with a corank-one augmented matrix is read
-    from minors: its vectors come in free-column order, each positive at its
-    free column, its last nonzero entry.  When the rhs column is free its
-    vector is the last one and gives x = -v[:ncols] / v[ncols]; when it is
-    a pivot column every vector is 0 there and the system is inconsistent.
+    is a basis of the homogeneous solutions.  Both are read off the kernel
+    of the augmented matrix, each vector one at its free column and in
+    free-column order: when the rhs column n is free its vector v is the
+    last one and x = -v[:n], the others' first n entries are the kernel;
+    when n is a pivot column the system is inconsistent (an exact kernel is
+    0 there, a float one is not read).
     """
     if not rows:
         return "underdetermined", None, []
-    ncols = len(rows[0])
+    n = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     if _has_float(aug):
         reduced, pivots = rref(aug)
-        if ncols in pivots:
-            return "inconsistent", None, []
-        x = [0.0] * ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = reduced[r][ncols]
-        ker = _kernel(reduced, pivots, ncols, 1.0 if _has_float(rows) else Fraction(1))
+        ker = [] if n in pivots else _kernel(reduced, pivots, n + 1)
     else:
-        ker = int_nullspace(aug)
-        if not ker or not ker[-1][ncols]:
-            return "inconsistent", None, []
-        *ker, v = ker
-        x = [Fraction(-a, v[ncols]) if a else _ZERO for a in v[:ncols]]
-        ker = [_unit_at_free(w[:ncols]) for w in ker]
-    return ("underdetermined", x, ker) if ker else ("unique", x, [])
+        ker = [_unit_at_free(w) for w in int_nullspace(aug)]
+    if not ker or not ker[-1][n]:
+        return "inconsistent", None, []
+    *ker, v = ker
+    return ("underdetermined" if ker else "unique"), [-a for a in v[:n]], [w[:n] for w in ker]
 
 
 def _unit_at_free(v):

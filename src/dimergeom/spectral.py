@@ -45,7 +45,7 @@ from . import linalg
 from .config import DoubleCircuitConfig, _circuit_failures, check_F, check_labels
 from .errors import DimensionMismatch, EmptyKernel, KernelDegenerate, KernelNotOneDimensional
 from .geometry import HYPERPLANE, HomogeneousElement, _relation, element_rows, normalize_coords
-from .laurent import LaurentPoly2, _cross
+from .laurent import LaurentPoly2, half_hull
 from .scalars import _ipow, is_float, is_zero
 from .torusgraph import Edge, Event, Face, TorusGraph, balanced_count, vertex_edges
 
@@ -410,16 +410,14 @@ def _color_swapped(g: TorusGraph) -> TorusGraph:
 
 
 def on_curve(p: LaurentPoly2, lam, mu) -> bool:
-    """Zero test of p at (lam, mu).  Exact data is summed on ints, each
-    term's numerator over one common denominator (as _evaluated sums a
-    Kasteleyn row), so no Fraction is built; a float value is tested at
-    the scale of the largest monomial."""
+    """Zero test of p at (lam, mu).  Exact data is one term row of
+    _evaluated, summed on ints, so no Fraction is built; float terms are
+    summed and the sum is tested relative to the largest term, so the test
+    holds at any scale of p."""
     if is_float([lam, mu, *(c for _, c in p.terms)]):
-        return is_zero(p.evaluate(lam, mu), scale=p.max_term_magnitude(lam, mu))
-    mono = _monomials(lam, mu, (e for e, _ in p.terms))
-    terms = [(c.numerator * mono[e][0], c.denominator * mono[e][1]) for e, c in p.terms]
-    s = lcm(*(q for _, q in terms))
-    return not sum(n * (s // q) for n, q in terms)
+        terms = [c * _ipow(lam, i) * _ipow(mu, j) for (i, j), c in p.terms]
+        return is_zero(sum(terms) / (max(map(abs, terms), default=0.0) or 1.0))
+    return not _evaluated([[(0, i, j, c) for (i, j), c in p.terms]], 1, lam, mu, False)[0][0][0]
 
 
 def evaluate_matrix(g: TorusGraph, weights: dict, lam, mu):
@@ -431,11 +429,11 @@ def evaluate_matrix(g: TorusGraph, weights: dict, lam, mu):
 
 def _evaluated(rows, width: int, lam, mu, float_weights: bool):
     """(matrix, scales): the term rows (kasteleyn_rows) of the weights at
-    (lam, mu), the one evaluation behind evaluate_matrix, kernel_at and
-    BlackFibre.at.  Exact weights and point give int rows, each s times
-    the row at the point for its s in scales, the lcm of its terms'
-    denominators (so the kernel is the matrix's); float data give float
-    rows summed from 0.0 term by term, and scales None."""
+    (lam, mu), the one evaluation behind evaluate_matrix, kernel_at,
+    BlackFibre.at and the exact on_curve.  Exact weights and point give
+    int rows, each s times the row at the point for its s in scales, the
+    lcm of its terms' denominators (so the kernel is the matrix's); float
+    data give float rows summed from 0.0 term by term, and scales None."""
     if float_weights or is_float([lam, mu]):
         m = [[0.0] * width for _ in rows]
         for r, row in zip(m, rows):
@@ -637,12 +635,8 @@ def _root_bands(exact: dict) -> list:
     2^t (a tropical root of p), where its two end terms outweigh all
     others; its band lo <= log2 |x| < hi reaches halfway to the
     neighbouring edges' t, so each root is kept in one band."""
-    hull: list = []
-    for k in sorted(exact):
-        q = (k, exact[k].numerator.bit_length() - exact[k].denominator.bit_length())
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], q) >= 0:
-            hull.pop()
-        hull.append(q)
+    pts = [(k, v.numerator.bit_length() - v.denominator.bit_length()) for k, v in sorted(exact.items())]
+    hull = half_hull(pts[::-1])[::-1]
     ts = [(e1 - e2) / (k2 - k1) for (k1, e1), (k2, e2) in zip(hull, hull[1:])]
     cuts = [-inf, *((a + b) / 2 for a, b in zip(ts, ts[1:])), inf]
     return list(zip(ts, cuts, cuts[1:]))

@@ -296,11 +296,17 @@ def reference_solve(rows, rhs):
     reduced, pivots = linalg.rref(aug)
     if ncols in pivots:
         return "inconsistent", None, []
-    one = 1.0 if any(map(is_float, aug)) else F(1)
-    x = [0 * one] * ncols
+    x = [0.0 if any(map(is_float, aug)) else F(0)] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
-    ker = linalg._kernel(reduced, pivots, ncols, 1.0 if any(map(is_float, rows)) else F(1))
+    one = 1.0 if any(map(is_float, rows)) else F(1)
+    ker = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0 * one] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        ker.append(v)
     return ("underdetermined", x, ker) if ker else ("unique", x, [])
 
 

@@ -174,11 +174,25 @@ MUTANTS = [
         ["tests/test_linalg.py::test_small_systems_equal_fraction_gauss_jordan"],
     ),
     (
-        "on_curve: the terms summed without the common-denominator factor",
+        "on_curve: the terms of a row summed without the common-denominator factor",
         "spectral.py",
-        "sum(n * (s // q) for n, q in terms)",
-        "sum(n for n, q in terms)",
+        "r[col] += p * (s // q)",
+        "r[col] += p",
         ["tests/test_spectral.py::test_exact_on_curve_equals_the_fraction_value"],
+    ),
+    (
+        "on_curve: a float sum tested without the division by the largest term",
+        "spectral.py",
+        "is_zero(sum(terms) / (max(map(abs, terms), default=0.0) or 1.0))",
+        "is_zero(sum(terms))",
+        ["tests/test_cli.py::test_a_float_curve_of_tiny_coefficients_is_tested_at_its_own_scale"],
+    ),
+    (
+        "solve: a float x read from the first vector of the augmented kernel",
+        "linalg.py",
+        "[-a for a in v[:n]]",
+        "[-a for a in ([*ker, v] if isinstance(v[n], float) else [v])[0][:n]]",
+        ["tests/test_linalg.py::test_float_solve_equals_the_reference"],
     ),
     (
         "meet: a meet of rank 2 or more read as its first element",

@@ -799,6 +799,21 @@ def test_non_string_vertex_ids_exit_two_naming_the_entry(pentagon_file, tmp_path
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("end", ["w", "b"])
+@pytest.mark.parametrize("value", [5, None, True, ["P0"]])
+def test_non_string_edge_endpoints_exit_two_naming_the_edge(pentagon_file, tmp_path, capsys, end, value):
+    # with edge-ref faces nothing else reads the endpoints before the graph
+    # checks, which took 5 for an unknown vertex and ["P0"] for a traceback
+    data = json.loads(pentagon_file.read_text())
+    data["faces"] = [[{"e": ei} for ei in f.edges] for f in load_config(pentagon_file).graph.faces]
+    data["edges"][0][end] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    err = f"error: edge 0: {end} must be a vertex id string, got {value!r}\n"
+    for argv in (["validate", str(bad)], ["spectral", str(bad)], ["run", str(bad), "--builtin", "pentagram"]):
+        assert _exit_and_error(argv, capsys) == (2, err)
+
+
 def test_spectral_on_float_data(tmp_path, capsys):
     """A float copy of the Q-net fixture gives float coefficients with the
     exact support and Newton polygon, each within 1e-12 relative."""
@@ -857,6 +872,18 @@ def test_float_verdicts_do_not_depend_on_a_label_representative(family, factor, 
     assert outs[0] == outs[1]
     a, b = (spectral_polynomial_white(load_config(path)).normalized().as_dict() for path in (plain, scaled))
     assert a.keys() == b.keys() and all(is_zero(a[k] - b[k], max(abs(a[k]), abs(b[k]))) for k in a)
+
+
+def test_a_float_curve_of_tiny_coefficients_is_tested_at_its_own_scale(tmp_path):
+    # P0 times 1e-40 makes every coefficient of the white curve about
+    # 1e-120: an absolute test below unit scale would put every point on it
+    from dimergeom.spectral import on_curve, spectral_polynomial_white
+
+    plain, tiny = (spectral_polynomial_white(load_config(_float_copy("pentagram", tmp_path, f))) for f in (None, 1e-40))
+    assert max(abs(c) for _, c in tiny.terms) < 1e-100
+    for poly in (plain, tiny):
+        assert on_curve(poly, -1.0, -1.0)
+        assert not on_curve(poly, 5.0, 7.0) and not on_curve(poly, 0.5, 0.25)
 
 
 README_SCRIPT = [

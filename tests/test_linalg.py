@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimergeom import linalg
+from helpers import reference_solve
 
 # ------------------------------------------------- the Fraction reference
 
@@ -310,6 +311,21 @@ def test_exact_rank_equals_fraction_gauss_jordan(m):
     assert r == len(ref_rref(m)[1]) and type(r) is int
 
 
+@settings(max_examples=300, deadline=None)
+@given(rank_matrices())
+# corank one in at most 4 columns: the kernel comes from minors
+@example([[1, 2, 3], [0, 1, 1]])
+@example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, F(1, 2)]])
+@example([[F(1, 3), 2]])
+def test_exact_nullspace_equals_the_elimination_readout(m):
+    """nullspace reads int_nullspace, minors included: each vector is the
+    elimination's int vector over its entry at the free column."""
+    ncols = len(m[0]) if m else 0
+    echelon = linalg._int_echelon([linalg.int_row(r) for r in m])
+    assert linalg.nullspace(m) == ([linalg._unit_at_free(v) for v in linalg._int_kernel(*echelon, ncols)] if m else [])
+
+
 def test_int_system_gives_fraction_solution():
     status, x, ker = linalg.solve([[2, 1], [1, 3]], [1, 0])
     assert status == "unique" and x == [F(3, 5), F(-1, 5)] and ker == []
@@ -338,6 +354,54 @@ def test_float_matrix_keeps_its_values():
     )
     assert linalg.solve(SINGULAR, [1.0, 2.0, 0.0]) == ("inconsistent", None, [])
     assert linalg.solve([[0.1, 0.2], [0.3, 0.4]], [1.0, 1.0]) == ("unique", [-10.000000000000004, 10.000000000000002], [])
+
+
+FLOAT_ENTRY = st.one_of(st.just(0.0), st.sampled_from([1.0, -2.0, 0.5]), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def float_systems(draw):
+    """(rows, rhs): 1-5 rows by 1-5 columns of floats, a row after the first
+    now and then a multiple or a sum of earlier ones, and an rhs that is
+    rows @ x for a drawn x (consistent) or drawn itself."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [[draw(FLOAT_ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        how = draw(st.sampled_from(["drawn", "scale", "sum"]))
+        if how != "drawn":
+            rows[i] = [x * 3.0 + (y if how == "sum" else 0.0) for x, y in zip(rows[a], rows[b])]
+    if draw(st.booleans()):
+        xs = [draw(FLOAT_ENTRY) for _ in range(ncols)]
+        return rows, [sum(a * x for a, x in zip(row, xs)) for row in rows]
+    return rows, [draw(FLOAT_ENTRY) for _ in range(nrows)]
+
+
+FLOAT_SYSTEMS = [
+    (SINGULAR, [1.0, 2.0, -1.0], "underdetermined"),
+    ([[0.1, 0.2], [0.3, 0.4]], [1.0, 1.0], "unique"),
+    (SINGULAR, [1.0, 2.0, 0.0], "inconsistent"),
+    ([[1.0, 2.0, 3.0]], [6.0], "underdetermined"),
+]
+
+
+@pytest.mark.parametrize("rows, rhs, status", FLOAT_SYSTEMS)
+def test_float_examples_cover_every_solve_status(rows, rhs, status):
+    assert linalg.solve(rows, rhs)[0] == status
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_systems())
+@example(FLOAT_SYSTEMS[0][:2])
+@example(FLOAT_SYSTEMS[1][:2])
+@example(FLOAT_SYSTEMS[2][:2])
+@example(FLOAT_SYSTEMS[3][:2])
+def test_float_solve_equals_the_reference(system):
+    """x = -v[:n] of the rhs column's kernel vector is the rhs column of
+    the RREF, and the other vectors are the kernel that the reference reads
+    off it in its own loop."""
+    rows, rhs = system
+    assert linalg.solve(rows, rhs) == reference_solve(rows, rhs)
 
 
 @pytest.mark.parametrize(
