@@ -215,18 +215,26 @@ def _qnet_tile_graph(a: int, b: int, white_parity: int) -> TorusGraph:
     return TorusGraph(whites, blacks, tuple(edges), tuple(faces))
 
 
-def _periodic_lookup(w: QNetWindow, a: int, b: int, i: int, j: int):
-    """Window value at (i, j) modulo the (a, b) lattice, validating that all
-    in-window representatives agree projectively."""
-    found = None
-    for (ki, kj), v in w.values.items():
-        if (ki - i) % a == 0 and (kj - j) % b == 0:
-            if found is None:
-                found = v
-            elif not proj_equal(found, v):
-                raise BadParameters(f"window is not ({a},{b})-periodic at ({ki},{kj})")
-    if found is None:
+def _residue_classes(w: QNetWindow, a: int, b: int) -> dict:
+    """(ki % a, kj % b) -> the window's ((ki, kj), value) pairs in that
+    class of the (a, b) lattice, in window order."""
+    classes = {}
+    for k, v in w.values.items():
+        classes.setdefault((k[0] % a, k[1] % b), []).append((k, v))
+    return classes
+
+
+def _periodic_value(classes: dict, a: int, b: int, i: int, j: int):
+    """Window value at the torus site (i, j), its first representative in
+    window order, validating that all its representatives agree
+    projectively."""
+    reps = classes.get((i, j))
+    if reps is None:
         raise BadParameters(f"window does not cover site ({i},{j}) mod ({a},{b})")
+    found = reps[0][1]
+    for (ki, kj), v in reps[1:]:
+        if not proj_equal(found, v):
+            raise BadParameters(f"window is not ({a},{b})-periodic at ({ki},{kj})")
     return found
 
 
@@ -238,14 +246,15 @@ def build_qnet_config(f: QNetWindow, G: QNetWindow, a: int, b: int) -> DoubleCir
     if f.parity == G.parity:
         raise BadParameters("point and plane windows must have opposite parities")
     g = build_qnet_graph(a, b, white_parity=f.parity)
+    points, planes = _residue_classes(f, a, b), _residue_classes(G, a, b)
     white = {}
     black = {}
     for i in range(a):
         for j in range(b):
             if (i + j) % 2 == f.parity:
-                white[_site_id("W", i, j)] = _periodic_lookup(f, a, b, i, j)
+                white[_site_id("W", i, j)] = _periodic_value(points, a, b, i, j)
             else:
-                black[_site_id("B", i, j)] = _periodic_lookup(G, a, b, i, j)
+                black[_site_id("B", i, j)] = _periodic_value(planes, a, b, i, j)
     return DoubleCircuitConfig(g, 3, white, black)
 
 

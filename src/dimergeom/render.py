@@ -17,8 +17,10 @@ class RenderSpec(Record):
     __slots__ = _fields + ("height",)  # the height in pixels, at the scale of the width
 
     def __init__(self, xmin=-10.0, xmax=10.0, ymin=-10.0, ymax=10.0, width=640, labels=True):
-        if not (all(map(math.isfinite, (xmin, xmax, ymin, ymax))) and xmin < xmax and ymin < ymax and width > 0):
+        if not (all(map(math.isfinite, (xmin, xmax, ymin, ymax))) and xmin < xmax and ymin < ymax):
             raise InputError("render box must be finite with positive size")
+        if not width > 0:
+            raise InputError(f"render width must be positive, got {width}")
         height = (ymax - ymin) * (width / (xmax - xmin))
         if not (math.isfinite(height) and round(height) > 0):
             raise InputError(f"render box gives a pixel height of {height:g}; need a finite height of at least 1")

@@ -62,17 +62,20 @@ class Event(NamedTuple):
 class TorusGraph:
     """Immutable torus graph: ``TorusGraph(white_ids, black_ids, edges,
     faces, basis_cycles=None)``, basis cycles a pair of walks, edges and
-    faces read by position; moves read it through a ``GraphEdit``."""
+    faces read by position; moves read it through a ``GraphEdit``.  Its
+    incidence and face-key indices and the cover walks ``find_walk`` has
+    found on it are built on first use."""
 
     __slots__ = (
         "white_ids", "black_ids", "edges", "faces", "basis_cycles", "_white", "_black", "_inc", "_face_by_key",
+        "_walks",
     )
 
     def __init__(self, white_ids, black_ids, edges, faces, basis_cycles=None):
         self.white_ids, self.black_ids = tuple(white_ids), tuple(black_ids)
         self.edges, self.faces, self.basis_cycles = tuple(edges), tuple(faces), basis_cycles
         self._white, self._black = dict.fromkeys(self.white_ids), dict.fromkeys(self.black_ids)
-        self._inc = self._face_by_key = None
+        self._inc = self._face_by_key = self._walks = None
 
     def sizes(self) -> tuple:
         """(white, black, edge, face) counts; a repeated id counts twice."""
@@ -460,10 +463,16 @@ def find_walk(g: TorusGraph, target: tuple):
 
     BFS in the universal cover from the first white vertex to its
     ``target`` translate.  Used by template builders to ship canonical
-    basis cycles.
+    basis cycles.  The graph keeps each walk found, by target, so a repeat
+    call searches nothing and returns a fresh copy; a failure is not kept.
     """
     if not g.white_ids:
         raise BadWalk(f"no closed walk with h-sum {target}: the graph has no white vertex")
+    key = (target[0], target[1])
+    if g._walks is None:
+        g._walks = {}
+    elif key in g._walks:
+        return list(g._walks[key])
     inc = vertex_edges(g)
     root = g.white_ids[0]
     radius = len(g.white_ids) + len(g.black_ids) + abs(target[0]) + abs(target[1]) + 4
@@ -496,6 +505,7 @@ def find_walk(g: TorusGraph, target: tuple):
         walk.append(ei)
     walk.reverse()
     check_walk(g, walk)
+    g._walks[key] = tuple(walk)
     return walk
 
 

@@ -55,6 +55,17 @@ MUTANTS = [
         ["tests/test_moves.py"],
     ),
     (
+        "find_walk: the walk memo keyed without the target",
+        "torusgraph.py",
+        "key = (target[0], target[1])",
+        "key = ()",
+        [
+            "tests/test_torusgraph.py::test_each_class_keeps_its_own_walk",
+            "tests/test_torusgraph.py::test_every_formula_graph_reads_the_walks_of_a_cold_search",
+            "tests/test_cli.py::test_run_spiral_verifies_every_shape_twice",
+        ],
+    ),
+    (
         "_rewrite_walk: no black-to-white rotation",
         "torusgraph.py",
         "    if out and out[0] & 1:\n        out = out[-1:] + out[:-1]\n",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimergeom import cli, pentagram, torusgraph
+from dimergeom import cli, pentagram, spiral, torusgraph
 from dimergeom.cli import main
 from dimergeom.config import (
     DoubleCircuitConfig,
@@ -194,6 +194,25 @@ def test_run_builtin_keeps_basis_cycles(tmp_path, monkeypatch, make, builtin, st
     assert cohomology_class(c) == expected
 
 
+def test_run_spiral_verifies_every_shape_twice(tmp_path, monkeypatch, capsys):
+    build, bases = spiral.build_spiral_graph, []
+
+    def recorded(k, n, i):
+        bases.append(i)
+        g = build(k, n, i)
+        cold = torusgraph.TorusGraph(g.white_ids, g.black_ids, g.edges, g.faces)
+        assert g.basis_cycles == canonical_basis_cycles(cold), i
+        return g
+
+    s0 = tmp_path / "s0.json"
+    assert main(["make-spiral", "--out", str(s0)]) == 0
+    monkeypatch.setattr(spiral, "build_spiral_graph", recorded)
+    assert main(["run", str(s0), "--builtin", "spiral", "--steps", "12", "--verify"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "formulas" in line] == [f"verify step {t}: formulas=match" for t in range(1, 13)]
+    assert sorted(i % 6 for i in bases) == sorted(2 * list(range(6))), bases
+
+
 def test_run_script_file(pentagon_file, tmp_path):
     script = tmp_path / "script.json"
     script.write_text(json.dumps([{"op": "urban", "target": "d0"}]))
@@ -314,6 +333,13 @@ def test_render_d3_needs_projection(tmp_path, capsys):
     assert main(["render", str(qf), "--out", str(tmp_path / "q.svg")]) == 1
     assert capsys.readouterr().err == "domain error: cannot render d=3 without a projection\n"
     assert main(["render", str(qf), "--out", str(tmp_path / "q.svg"), "--project"]) == 0
+
+
+@pytest.mark.parametrize("width", ["0", "-5"])
+def test_render_names_a_width_below_one(pentagon_file, tmp_path, capsys, width):
+    assert main(["render", str(pentagon_file), "--out", str(tmp_path / "p.svg"), "--width", width]) == 2
+    assert capsys.readouterr().err == f"error: render width must be positive, got {width}\n"
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_render_and_probe_labels_past_the_float_range(tmp_path, capsys):

@@ -15,7 +15,7 @@ from dimergeom.fixtures import (
     make_qnet_fixture,
     make_qnet_windows,
 )
-from dimergeom.geometry import HYPERPLANE, HomogeneousElement, point, proj_equal
+from dimergeom.geometry import HYPERPLANE, HomogeneousElement, hyperplane, point, proj_equal
 from dimergeom.qnet import (
     QNetWindow,
     build_qnet_config,
@@ -246,6 +246,44 @@ def test_periodicity_validation():
     bad = QNetWindow(vals)
     with pytest.raises(BadParameters):
         build_qnet_config(bad, G, QNET_A, QNET_B)
+
+
+def _extended_windows(drop=(), points=(), planes=()):
+    """The fixture's windows over three periods each way, without the sites
+    of ``drop`` (residues mod the period); each key of ``points`` and of
+    ``planes`` gets a label off the period."""
+    f, G, _ = make_qnet_fixture()
+    out = []
+    for w, keys, bad in ((f, points, point(1, 2, 3, 5)), (G, planes, hyperplane(1, 2, 3, 5))):
+        ext = periodic_extension(w, QNET_A, QNET_B, 1).values
+        vals = {k: v for k, v in ext.items() if (k[0] % QNET_A, k[1] % QNET_B) not in drop}
+        out.append(QNetWindow({**vals, **dict.fromkeys(keys, bad)}))
+    return out
+
+
+@pytest.mark.parametrize(
+    "windows, message",
+    [
+        # the first window entry off the first representative, in window order
+        (dict(points=[(2, 6), (-2, 6)], planes=[(7, 4)]), "window is not (4,4)-periodic at (-2,6)"),
+        (dict(points=[(-2, -2)]), "window is not (4,4)-periodic at (-2,2)"),
+        # the first failing site in row order, whichever window it reads
+        (dict(drop={(1, 1)}, planes=[(4, 1)]), "window is not (4,4)-periodic at (4,1)"),
+        (dict(drop={(1, 1)}, planes=[(5, 2)]), "window does not cover site (1,1) mod (4,4)"),
+    ],
+)
+def test_a_window_off_the_period_names_its_first_failure(windows, message):
+    with pytest.raises(BadParameters) as exc:
+        build_qnet_config(*_extended_windows(**windows), QNET_A, QNET_B)
+    assert str(exc.value) == message
+
+
+def test_a_site_reads_its_first_representative():
+    f, G = _extended_windows()
+    first = next(k for k in f.values if k[0] % QNET_A == 0 and k[1] % QNET_B == 0)
+    tripled = HomogeneousElement(tuple(3 * x for x in f[first].coords), f[first].kind)
+    c = build_qnet_config(QNetWindow({**f.values, first: tripled}), G, QNET_A, QNET_B)
+    assert c.white_labels["W0x0"].coords == tripled.coords != f[first].coords
 
 
 def test_graph_shape_bounds():

@@ -126,7 +126,7 @@ def test_a_cohomology_class_unpacks_to_lambda_and_mu():
     [
         (lambda: RenderSpec(xmin=1.0, xmax=0.0), InputError, "render box must be finite with positive size"),
         (lambda: RenderSpec(ymax=float("inf")), InputError, "render box must be finite with positive size"),
-        (lambda: RenderSpec(width=0), InputError, "render box must be finite with positive size"),
+        (lambda: RenderSpec(width=0), InputError, "render width must be positive, got 0"),
         (
             lambda: RenderSpec(ymin=0.0, ymax=1e-9),
             InputError,

@@ -1,5 +1,6 @@
 import pytest
 
+from dimergeom import torusgraph
 from dimergeom.config import DoubleCircuitConfig, cohomology_class
 from dimergeom.errors import BadWalk, UnequalColorCounts
 from dimergeom.fixtures import make_grid_minus_edge
@@ -117,6 +118,62 @@ def test_find_walk_unreachable_class():
     assert walk_h_sum(g, find_walk(g, (0, 1))) == (0, 1)
     with pytest.raises(BadWalk):
         find_walk(g, (1, 0))
+
+
+def test_a_graph_keeps_the_walks_it_has_found(monkeypatch):
+    g = build_pentagram_graph(7, 2)
+    cold = TorusGraph(g.white_ids, g.black_ids, g.edges, g.faces)
+    first = find_walk(cold, (2, -1))
+    kept = list(first)
+    assert walk_h_sum(cold, first) == (2, -1)
+
+    def no_search(*args):
+        raise AssertionError("find_walk searched the cover again")
+
+    monkeypatch.setattr(torusgraph, "vertex_edges", no_search)
+    again = find_walk(cold, [2, -1])
+    assert again == first and again is not first
+    again.append(0)
+    first.clear()
+    assert find_walk(cold, (2, -1)) == kept
+
+
+def test_each_class_keeps_its_own_walk():
+    g = build_qnet_graph(6, 4, 1)
+    cold = TorusGraph(g.white_ids, g.black_ids, g.edges, g.faces)
+    z1, z2 = find_walk(cold, (1, 0)), find_walk(cold, (0, 1))
+    assert (find_walk(cold, (1, 0)), find_walk(cold, (0, 1))) == (z1, z2)
+    assert (walk_h_sum(cold, z1), walk_h_sum(cold, z2)) == ((1, 0), (0, 1))
+    assert canonical_basis_cycles(cold) == (tuple(z1), tuple(z2)) == g.basis_cycles
+
+
+def test_a_failed_search_is_not_kept(monkeypatch):
+    g = TorusGraph(("W",), ("B",), (Edge("W", "B", (0, 0)), Edge("W", "B", (0, 1))), ())
+    searches = []
+    monkeypatch.setattr(torusgraph, "vertex_edges", lambda graph: searches.append(1) or graph.incidence())
+    for n in (1, 2):
+        with pytest.raises(BadWalk, match=r"no closed walk with h-sum \(1, 0\) found"):
+            find_walk(g, (1, 0))
+        assert len(searches) == n
+    assert walk_h_sum(g, find_walk(g, (0, 1))) == (0, 1)
+
+
+def _cold_basis_cycles(g):
+    cold = TorusGraph(g.white_ids, g.black_ids, g.edges, g.faces)
+    z1, z2 = canonical_basis_cycles(cold)
+    assert (walk_h_sum(cold, z1), walk_h_sum(cold, z2)) == ((1, 0), (0, 1))
+    return z1, z2
+
+
+def test_every_formula_graph_reads_the_walks_of_a_cold_search():
+    for _ in range(2):  # the second pass reads the walks the first one kept
+        for i in range(6):
+            g = build_spiral_graph(2, 5, i)
+            assert g.basis_cycles == _cold_basis_cycles(g), i
+        for a in (4, 6, 8):
+            for parity in (0, 1):
+                g = build_qnet_graph(a, a, parity)
+                assert g.basis_cycles == _cold_basis_cycles(g), (a, parity)
 
 
 def test_a_graph_without_white_vertices_has_no_basis_cycles():
