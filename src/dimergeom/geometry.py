@@ -215,19 +215,6 @@ def _relation(cols, exact):
     return c
 
 
-def circuit_coefficients(rows):
-    """c with sum(c_i * rows[i]) = 0, every c_i nonzero and the last one 1
-    (exact Fractions, or floats for float rows).
-
-    Raises KernelNotOneDimensional, naming the relation-space dimension or
-    the vanishing coefficient, unless the rows form a circuit.
-    """
-    exact = not any(map(is_float, rows))
-    # exact: each column scaled to ints, never a row, whose scale c carries
-    c = _relation([linalg.int_row(col) if exact else col for col in zip(*rows)], exact)
-    return [Fraction(x, c[-1]) for x in c] if exact else c
-
-
 def is_circuit(elems) -> bool:
     """True iff the elements are dependent but every proper subset is
     independent.  Repeats are allowed: two coincident points form a circuit."""

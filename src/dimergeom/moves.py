@@ -42,6 +42,17 @@ batch, rewritten at its first forced removal and at its close: urban
 renewals at the given faces, the removals of every pre-step vertex they
 left at degree two, and a renaming to template ids.  A family supplies
 its faces, rename rules and template.
+
+A step's edits depend on its graph's shape, not on its h, walks or
+labels, so the first step from a shape records a plan: its label program
+(each renewal's four meets and each removal's label check, by vertex
+id), its output ids, edges and faces, each output h as a signed sum of
+input h's, the h comparisons its moves made and the paths of its walk
+rewrites.  A later step from that shape whose h compares the same way
+replays the plan: it runs the label program alone and builds the output
+from the record, equal to what the moves give.  Plans live on the graph
+and are shared with the graphs stepped from it, so a chain records each
+of its shapes once.
 """
 from __future__ import annotations
 
@@ -72,7 +83,7 @@ from .geometry import (
     proj_equal,
 )
 from .scalars import RATIONAL, parse_coords, scalar_str
-from .torusgraph import Edge, Event, Face, GraphEdit, TorusGraph, face_key
+from .torusgraph import Edge, Event, Face, GraphEdit, TorusGraph, _rewrite_walk, face_key
 
 
 class MoveStep(NamedTuple):
@@ -183,9 +194,9 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
     e1, e2 = g.edge(i1), g.edge(i2)
     v_white = g.is_white(v)
     u1, u2 = (e1.b, e2.b) if v_white else (e1.w, e2.w)
-    labels = c.black_labels if v_white else c.white_labels
-    if not proj_equal(labels[u1], labels[u2]):
-        raise LabelMismatch(f"neighbors {u1}, {u2} of {v} carry different labels")
+    _check_merge(c.black_labels if v_white else c.white_labels, v, u1, u2)
+    if isinstance(g, _Recording):
+        g.program.append(((v_white, v, u1, u2), None))
 
     if u1 != u2 and len(inc[u1]) + len(inc[u2]) - 2 > c.d + 2:
         raise DegreeOverflow(f"merging {u1} and {u2} exceeds degree d+2 = {c.d + 2}")
@@ -202,6 +213,12 @@ def remove_degree2(c: DoubleCircuitConfig, v: str) -> DoubleCircuitConfig:
             rewrites[ei] = Edge(e.w, u1, _h_add(e.h, shift)) if v_white else Edge(u1, e.b, _h_add(e.h, shift))
     g.replace(rewrites, (), {i1: (), i2: ()})
     return c
+
+
+def _check_merge(labels, v: str, u1: str, u2: str) -> None:
+    """LabelMismatch unless v's neighbors u1, u2 carry the same label."""
+    if not proj_equal(labels[u1], labels[u2]):
+        raise LabelMismatch(f"neighbors {u1}, {u2} of {v} carry different labels")
 
 
 # ------------------------------------------------------ degree-two addition
@@ -332,21 +349,14 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
             raise DegenerateMeet(f"corner {corner} of {face_id} has degree 2; meet undefined")
 
     wl, bl = c.white_labels, c.black_labels
-    ab = [wl[A], wl[B]]
-    cd = [bl[cb], bl[db]]
-
-    def _meet_or_die(gens1, gens2, what):
-        try:
-            return meet(gens1, gens2)
-        except EmptyMeet as exc:
-            raise DegenerateMeet(f"{what} of {face_id}: empty meet") from exc
-        except DegenerateIntersection as exc:
-            raise DegenerateMeet(f"{what} of {face_id}: {exc}") from exc
-
-    lab_E = _meet_or_die(ab, [wl[g.edge(ei).w] for ei in others["c"]], "E")
-    lab_F = _meet_or_die(ab, [wl[g.edge(ei).w] for ei in others["d"]], "F")
-    lab_g = _meet_or_die(cd, [bl[g.edge(ei).b] for ei in others["A"]], "g")
-    lab_h = _meet_or_die(cd, [bl[g.edge(ei).b] for ei in others["B"]], "h")
+    names = (
+        face_id, A, B, cb, db,
+        [g.edge(ei).w for ei in others["c"]],
+        [g.edge(ei).w for ei in others["d"]],
+        [g.edge(ei).b for ei in others["A"]],
+        [g.edge(ei).b for ei in others["B"]],
+    )
+    lab_E, lab_F, lab_g, lab_h = _renewal_labels(wl, bl, *names)
 
     vE, vF, vg, vh = f"{face_id}:E", f"{face_id}:F", f"{face_id}:g", f"{face_id}:h"
     if any(map(g.has_vertex, (vE, vF, vg, vh))):
@@ -374,8 +384,33 @@ def urban_renewal(c: DoubleCircuitConfig, face_id: str) -> DoubleCircuitConfig:
     g.replace({}, new_edges, paths, drop_faces=(face_id,), add_faces=(inner,))
     wl[vE], wl[vF] = lab_E, lab_F
     bl[vg], bl[vh] = lab_g, lab_h
+    if isinstance(g, _Recording):
+        g.program.append((names, (vE, vF, vg, vh)))
     _check_degrees(c)
     return c
+
+
+def _renewal_labels(wl, bl, face_id, A, B, cb, db, cs, ds, as_, bs) -> tuple:
+    """The labels E, F, g, h of the renewal at ``face_id`` with white
+    corners A, B and black corners cb, db, from the labels of the corners
+    and of the corners' other neighbors cs, ds, as_, bs (by vertex id);
+    DegenerateMeet names the first meet that fails."""
+    ab, cd = [wl[A], wl[B]], [bl[cb], bl[db]]
+    return (
+        _meet_or_die(ab, [wl[v] for v in cs], "E", face_id),
+        _meet_or_die(ab, [wl[v] for v in ds], "F", face_id),
+        _meet_or_die(cd, [bl[v] for v in as_], "g", face_id),
+        _meet_or_die(cd, [bl[v] for v in bs], "h", face_id),
+    )
+
+
+def _meet_or_die(gens1, gens2, what: str, face_id: str) -> HomogeneousElement:
+    try:
+        return meet(gens1, gens2)
+    except EmptyMeet as exc:
+        raise DegenerateMeet(f"{what} of {face_id}: empty meet") from exc
+    except DegenerateIntersection as exc:
+        raise DegenerateMeet(f"{what} of {face_id}: {exc}") from exc
 
 
 def _check_degrees(c: DoubleCircuitConfig) -> None:
@@ -447,16 +482,231 @@ def step_on_config(c: DoubleCircuitConfig, renew, white_rule, black_rule, templa
     The forced vertices are the pre-step vertices the renewals left at
     degree two, removed in ``c.graph.white_ids + c.graph.black_ids`` order.
     New vertices are renamed by ``spoke_rename_map`` with the two rules,
-    read from the batch between the renewals and the removals.
+    read from the batch between the renewals and the removals.  The batch
+    records a plan in the store on c's graph, which the output's graph
+    shares, and a later step with the same key whose h passes the plan's
+    checks replays it.
     """
-    batch = _opened(c)
+    g = c.graph
+    if g._plans is None:
+        g._plans = {}
+    try:
+        key = _plan_key(c, renew, white_rule, black_rule, template)
+    except Exception:  # a rule that fails on an input id the moves may never give it: no plan
+        key = None
+    plan = g._plans.get(key)
+    if plan is not None and _holds(plan.checks, g.edges):
+        return _replayed(plan, c)
+    plan, wl, bl = _recorded(c, renew, white_rule, black_rule, template)
+    if key is not None:
+        g._plans[key] = plan
+    return DoubleCircuitConfig(_built(plan, g, plan.edges), c.d, wl, bl)
+
+
+# -------------------------------------------------------------- step plans
+
+
+def _plan_key(c: DoubleCircuitConfig, renew, white_rule, black_rule, template: TorusGraph) -> tuple:
+    """All that a step's edits read: the graph's ids, edge endpoints, faces
+    and number of basis cycles, d, the renewed faces, the template (by
+    identity, which its plan keeps alive) and the rules' values on the
+    input ids; not h, the basis-cycle walks or the labels."""
+    g = c.graph
+    ids = g.white_ids + g.black_ids
+    return (
+        g.white_ids, g.black_ids, tuple((e.w, e.b) for e in g.edges), tuple((f.id, f.edges) for f in g.faces),
+        len(g.basis_cycles or ()),
+        c.d, tuple(renew), id(template), tuple(map(white_rule, ids)), tuple(map(black_rule, ids)),
+    )
+
+
+class _Plan(NamedTuple):
+    """What a step's moves made of one key.  ``program`` is their label
+    work in move order: ((renewal args, new ids) of ``_renewal_labels``)
+    or ((neighbors' side is black, v, u1, u2) of ``_check_merge``, None).
+    The labels of the vertices in ``alive`` are kept and renamed by
+    ``vmap``.  The output has the ids, edges and faces recorded, each
+    edge's h given by its recipe (``_recipe``); its basis cycles are the
+    input's rewritten along each of ``rewrites`` and numbered by
+    ``position``.  ``checks`` are the h comparisons the moves made:
+    (component, (slot, coefficient) pairs of the difference, outcome)."""
+
+    template: TorusGraph
+    checks: tuple
+    program: tuple
+    alive: frozenset
+    vmap: dict
+    white_ids: tuple
+    black_ids: tuple
+    edges: tuple
+    recipes: tuple
+    faces: tuple
+    rewrites: tuple
+    position: dict
+
+
+class _Tracked:
+    """An h component in a recording step: its value, and the same value
+    as a signed sum of component ``comp`` of the input edges' h (slot ->
+    coefficient).  The moves add and subtract h's componentwise, and the
+    zero h; each comparison they make is logged."""
+
+    __slots__ = ("value", "comp", "terms", "log")
+
+    def __init__(self, value, comp, terms, log):
+        self.value, self.comp, self.terms, self.log = value, comp, terms, log
+
+    def _plus(self, other, sign):
+        if not isinstance(other, _Tracked):
+            return self if other == 0 else NotImplemented
+        terms = dict(self.terms)
+        for s, k in other.terms.items():
+            k = terms.pop(s, 0) + sign * k
+            if k:
+                terms[s] = k
+        return _Tracked(self.value + sign * other.value, self.comp, terms, self.log)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return _Tracked(-self.value, self.comp, {s: -k for s, k in self.terms.items()}, self.log)._plus(other, 1)
+
+    def __eq__(self, other):
+        diff = self._plus(other, -1)
+        if diff is NotImplemented:
+            return NotImplemented
+        self.log.append((self.comp, tuple(diff.terms.items()), diff.value == 0))
+        return diff.value == 0
+
+
+class _Recording(GraphEdit):
+    """The batch of a recording step: g opened with the given edges in
+    place of its own and without basis cycles, which ``_built`` carries.
+    It logs its moves' label program and the paths of each walk rewrite."""
+
+    __slots__ = ("program", "rewrites")
+
+    def __init__(self, g: TorusGraph, edges):
+        super().__init__(g)
+        self._edges, self._basis = dict(enumerate(edges)), []
+        self.program, self.rewrites = [], []
+
+    def substitute_edges(self) -> None:
+        if self._paths:
+            self.rewrites.append(self._paths)
+        super().substitute_edges()
+
+
+def _recorded(c: DoubleCircuitConfig, renew, white_rule, black_rule, template: TorusGraph) -> tuple:
+    """(plan, output white labels, output black labels) of the step from
+    c, from the moves run once on c's labels and on h's that carry their
+    input terms."""
+    g, log = c.graph, []
+    tracked = [
+        Edge(e.w, e.b, (_Tracked(e.h[0], 0, {s: 1}, log), _Tracked(e.h[1], 1, {s: 1}, log)))
+        for s, e in enumerate(g.edges)
+    ]
+    rec = _Recording(g, tracked)
+    batch = DoubleCircuitConfig(rec, c.d, dict(c.white_labels), dict(c.black_labels))
     for f in renew:
         urban_renewal(batch, f)
     vmap = spoke_rename_map(c, batch, white_rule, black_rule)
-    inc = batch.graph.incidence()
-    for v in [v for v in c.graph.white_ids + c.graph.black_ids if len(inc[v]) == 2]:
+    inc = rec.incidence()
+    for v in [v for v in g.white_ids + g.black_ids if len(inc[v]) == 2]:
         remove_degree2(batch, v)
-    return rename_faces_like(relabel(_closed(batch), vmap), template)
+    closed = _closed(batch)
+    out = rename_faces_like(relabel(closed, vmap), template).graph
+    recipes = tuple(map(_recipe, (e.h for e in out.edges)))
+    plan = _Plan(
+        template,
+        tuple(log),
+        tuple(rec.program),
+        frozenset(closed.graph.white_ids + closed.graph.black_ids),
+        vmap,
+        out.white_ids,
+        out.black_ids,
+        tuple(Edge(e.w, e.b, _h_of(g.edges, r)) for e, r in zip(out.edges, recipes)),
+        recipes,
+        out.faces,
+        tuple(rec.rewrites),
+        {s: i for i, s in enumerate(rec._edges)},  # close numbers the edges by slot
+    )
+    return plan, *_kept_labels(plan, batch.white_labels, batch.black_labels)
+
+
+def _recipe(h):
+    """An output h as None when it is zero, the input slot it copies, or
+    the (slot, coefficient) pairs of its signed sum of input h's."""
+    a, b = (x.terms if isinstance(x, _Tracked) else {} for x in h)
+    assert a == b, "a step's h arithmetic was not componentwise"
+    if not a:
+        return None
+    return next(iter(a)) if list(a.values()) == [1] else tuple(a.items())
+
+
+def _h_of(edges, recipe) -> tuple:
+    """The h an output edge's recipe gives on these input edges."""
+    if recipe is None:
+        return 0, 0
+    if type(recipe) is int:
+        return edges[recipe].h
+    x = y = 0
+    for s, k in recipe:
+        h = edges[s].h
+        x, y = x + k * h[0], y + k * h[1]
+    return x, y
+
+
+def _holds(checks, edges) -> bool:
+    """Whether every recorded h comparison comes out as recorded on these edges."""
+    for comp, terms, outcome in checks:
+        x = 0
+        for s, k in terms:
+            x += k * edges[s].h[comp]
+        if (x == 0) != outcome:
+            return False
+    return True
+
+
+def _kept_labels(plan: _Plan, wl: dict, bl: dict) -> tuple:
+    """The step's label dicts: the labels of the closed batch's vertices,
+    renamed, in the order the moves leave them."""
+    m, alive = plan.vmap.get, plan.alive
+    return tuple({m(v, v): x for v, x in labels.items() if v in alive} for labels in (wl, bl))
+
+
+def _replayed(plan: _Plan, c: DoubleCircuitConfig) -> DoubleCircuitConfig:
+    """The step from c by its plan: the label program on c's labels, with
+    the meets and checks of the moves, and the graph built from the record."""
+    wl, bl = dict(c.white_labels), dict(c.black_labels)
+    for args, new in plan.program:
+        if new is None:
+            _check_merge(bl if args[0] else wl, *args[1:])
+        else:
+            wl[new[0]], wl[new[1]], bl[new[2]], bl[new[3]] = _renewal_labels(wl, bl, *args)
+    g = c.graph
+    edges = [e if r is None else Edge(e.w, e.b, _h_of(g.edges, r)) for e, r in zip(plan.edges, plan.recipes)]
+    return DoubleCircuitConfig(_built(plan, g, edges), c.d, *_kept_labels(plan, wl, bl))
+
+
+def _built(plan: _Plan, g: TorusGraph, edges) -> TorusGraph:
+    """The output graph of the step from g: the recorded ids and faces, the
+    given edges, and g's basis cycles carried along the recorded rewrites;
+    it shares g's store of plans."""
+    basis = list(g.basis_cycles or ())
+    for paths in plan.rewrites:
+        basis = [_rewrite_walk(z, paths) for z in basis]
+    position = plan.position.__getitem__
+    basis = tuple(tuple(map(position, z)) for z in basis) or None
+    out = TorusGraph(plan.white_ids, plan.black_ids, edges, plan.faces, basis)
+    out._plans = g._plans
+    return out
 
 
 def rename_faces_like(c: DoubleCircuitConfig, template: TorusGraph) -> DoubleCircuitConfig:

@@ -63,19 +63,21 @@ class TorusGraph:
     """Immutable torus graph: ``TorusGraph(white_ids, black_ids, edges,
     faces, basis_cycles=None)``, basis cycles a pair of walks, edges and
     faces read by position; moves read it through a ``GraphEdit``.  Its
-    incidence and face-key indices and the cover walks ``find_walk`` has
-    found on it are built on first use."""
+    incidence and face-key indices, the cover walks ``find_walk`` has
+    found on it and the store of step plans ``moves.step_on_config`` has
+    recorded from it (shared with the graphs stepped from it) are built on
+    first use."""
 
     __slots__ = (
         "white_ids", "black_ids", "edges", "faces", "basis_cycles", "_white", "_black", "_inc", "_face_by_key",
-        "_walks",
+        "_walks", "_plans",
     )
 
     def __init__(self, white_ids, black_ids, edges, faces, basis_cycles=None):
         self.white_ids, self.black_ids = tuple(white_ids), tuple(black_ids)
         self.edges, self.faces, self.basis_cycles = tuple(edges), tuple(faces), basis_cycles
         self._white, self._black = dict.fromkeys(self.white_ids), dict.fromkeys(self.black_ids)
-        self._inc = self._face_by_key = self._walks = None
+        self._inc = self._face_by_key = self._walks = self._plans = None
 
     def sizes(self) -> tuple:
         """(white, black, edge, face) counts; a repeated id counts twice."""

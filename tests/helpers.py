@@ -2,8 +2,8 @@
 class comparison, coordinate equality, conic tangency, incidence checks
 of the pentagram, Q-net and spiral dynamics, the non-periodic Q-net
 window fixture, a seeded Q-net torus, the per-node reference of the spectral determinant, the
-Fraction reference of the black-data reconstruction and the reference of
-the real root finder."""
+circuit coefficients and the Fraction reference of the black-data
+reconstruction, and the reference of the real root finder."""
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -18,7 +18,7 @@ from dimergeom.geometry import (
     HYPERPLANE,
     POINT,
     HomogeneousElement,
-    circuit_coefficients,
+    _relation,
     incident,
     line_through,
     meet_hyperplanes,
@@ -250,6 +250,20 @@ def per_node_integer_det(rows, shear):
 
 
 # ------------------------------------------- Fraction reference of reconstruction
+
+
+def circuit_coefficients(rows):
+    """c with sum(c_i * rows[i]) = 0, every c_i nonzero and the last one 1
+    (exact Fractions, or floats for float rows), by geometry's relation of
+    a circuit.
+
+    Raises KernelNotOneDimensional, naming the relation-space dimension or
+    the vanishing coefficient, unless the rows form a circuit.
+    """
+    exact = not any(map(is_float, rows))
+    # exact: each column scaled to ints, never a row, whose scale c carries
+    c = _relation([linalg.int_row(col) if exact else col for col in zip(*rows)], exact)
+    return [F(x, c[-1]) for x in c] if exact else c
 
 
 def reference_weights(g, white_labels):

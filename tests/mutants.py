@@ -66,6 +66,27 @@ MUTANTS = [
         ],
     ),
     (
+        "step replay: the recorded h written in place of the recipes",
+        "moves.py",
+        "Edge(e.w, e.b, _h_of(g.edges, r)) for e, r in zip(plan.edges, plan.recipes)]",
+        "Edge(e.w, e.b, e.h) for e, r in zip(plan.edges, plan.recipes)]",
+        ["tests/test_moves.py::test_a_step_from_other_h_on_a_recorded_shape_equals_the_moves"],
+    ),
+    (
+        "step replay: the removals' label checks skipped",
+        "moves.py",
+        "            _check_merge(bl if args[0] else wl, *args[1:])\n",
+        "            pass\n",
+        ["tests/test_moves.py::test_a_replayed_step_raises_the_label_mismatch_of_the_moves"],
+    ),
+    (
+        "step plans: the key without d",
+        "moves.py",
+        "        c.d, tuple(renew), id(template),",
+        "        tuple(renew), id(template),",
+        ["tests/test_moves.py::test_a_step_in_a_smaller_dimension_raises_the_degree_overflow_of_the_moves"],
+    ),
+    (
         "_rewrite_walk: no black-to-white rotation",
         "torusgraph.py",
         "    if out and out[0] & 1:\n        out = out[-1:] + out[:-1]\n",

@@ -25,7 +25,7 @@ from dimergeom.fixtures import make_pentagram_fixture, make_qnet_windows
 from dimergeom.pentagram import dual_pentagram_map, pentagram_map
 from dimergeom.qnet import _side_rank, laplace
 from dimergeom.scalars import is_zero
-from helpers import line_discriminant, proj_equal_coords, standard_conic
+from helpers import circuit_coefficients, line_discriminant, proj_equal_coords, standard_conic
 
 
 def pt(*c):
@@ -624,7 +624,7 @@ def test_projective_equality_equals_the_fraction_reference(pair, scale):
 def test_circuit_coefficients_equal_the_fraction_reference(elems):
     rows = [list(e.coords) for e in elems]
     ref, ref_err = outcome(ref_circuit_coefficients, rows)
-    new, new_err = outcome(g.circuit_coefficients, rows)
+    new, new_err = outcome(circuit_coefficients, rows)
     assert new_err == ref_err
     if ref_err is None:
         assert new == ref and all(type(x) is Fraction for x in new)

@@ -15,6 +15,7 @@ from dimergeom.config import (
     check_F,
     check_V,
     cohomology_class,
+    config_from_dict,
     config_to_dict,
 )
 from dimergeom.errors import (
@@ -46,10 +47,12 @@ from dimergeom.moves import (
     MoveStep,
     add_degree2,
     apply_script,
+    relabel,
     remove_degree2,
     rename_faces_like,
     script_from_json,
     script_to_json,
+    step_on_config,
     urban_renewal,
 )
 from dimergeom.pentagram import build_pentagram_graph, pentagram_step_on_config
@@ -69,7 +72,7 @@ from dimergeom.torusgraph import (
     validate_graph,
     vertex_edges,
 )
-from helpers import class_equal, rescaled_config, seeded_qnet_config, with_walks
+from helpers import class_equal, coboundary_shifted, rescaled_config, seeded_qnet_config, with_walks
 
 
 @pytest.fixture()
@@ -701,19 +704,22 @@ def test_a_closed_batch_numbers_its_edges_by_position(name, renew):
     assert _numbered_by_position(cut) and len(cut.edges) == len(c.graph.edges) - 1
 
 
-@pytest.mark.parametrize(
-    "start, step",
-    [
-        (lambda: make_pentagram_fixture(16, 3)[3], lambda c: pentagram_step_on_config(c, 3)),
-        (lambda: make_spiral_fixture()[2], lambda c: spiral_step_on_config(c, SPIRAL_K, SPIRAL_N, SPIRAL_BASE)),
-        (lambda: make_qnet_fixture()[2], lambda c: qnet_step_on_config(c, 4, 4, 1)),
-    ],
-    ids=["pentagram-16/3", "spiral", "qnet-4x4"],
-)
-def test_a_dynamics_step_is_one_batch(monkeypatch, start, step):
-    # the renewals and the forced removals of a step edit one open graph,
-    # which rewrites its walks at the first forced removal and at its close
-    c = start()
+BATCH_STEPS = {
+    "pentagram-16/3": (lambda: make_pentagram_fixture(16, 3)[3], lambda c: pentagram_step_on_config(c, 3)),
+    "spiral": (lambda: make_spiral_fixture()[2], lambda c: spiral_step_on_config(c, SPIRAL_K, SPIRAL_N, SPIRAL_BASE)),
+    "qnet-4x4": (lambda: make_qnet_fixture()[2], lambda c: qnet_step_on_config(c, 4, 4, 1)),
+}
+
+
+def _cold(c):
+    """c on a copy of its graph, which has no plans recorded."""
+    g = c.graph
+    graph = TorusGraph(g.white_ids, g.black_ids, g.edges, g.faces, g.basis_cycles)
+    return DoubleCircuitConfig(graph, c.d, c.white_labels, c.black_labels)
+
+
+def _counted_batches(monkeypatch) -> dict:
+    """Counts of the batches opened and closed, and of their walk rewrites."""
     calls = {"open": 0, "close": 0, "rewrite": 0}
     init, close, substitute = GraphEdit.__init__, GraphEdit.close, GraphEdit.substitute_edges
 
@@ -732,8 +738,195 @@ def test_a_dynamics_step_is_one_batch(monkeypatch, start, step):
     monkeypatch.setattr(GraphEdit, "__init__", counted_init)
     monkeypatch.setattr(GraphEdit, "close", counted_close)
     monkeypatch.setattr(GraphEdit, "substitute_edges", counted_substitute)
+    return calls
+
+
+@pytest.mark.parametrize("name", BATCH_STEPS)
+def test_a_dynamics_step_is_one_batch(monkeypatch, name):
+    # a step that records its plan: the renewals and the forced removals
+    # edit one open graph, which rewrites its walks at the first forced
+    # removal and at its close
+    start, step = BATCH_STEPS[name]
+    c = _cold(start())
+    calls = _counted_batches(monkeypatch)
     step(c)
     assert calls == {"open": 1, "close": 1, "rewrite": 2}
+
+
+@pytest.mark.parametrize("name", BATCH_STEPS)
+def test_a_replayed_step_opens_no_batch(monkeypatch, name):
+    start, step = BATCH_STEPS[name]
+    c = _cold(start())
+    step(c)
+    calls = _counted_batches(monkeypatch)
+    step(c)
+    assert calls == {"open": 0, "close": 0, "rewrite": 0}
+
+
+# ------------------------------------------- a replayed step is the moves
+
+
+def _qnet_chain_step(a):
+    def step(c, _i):
+        i, j = c.graph.white_ids[0][1:].split("x")
+        return qnet_step_on_config(c, a, a, 1 - (int(i) + int(j)) % 2)
+
+    return step
+
+
+def _pentagram_chain(n, k):
+    return lambda: make_pentagram_fixture(n, k)[3], lambda c, _i: pentagram_step_on_config(c, k), 6
+
+
+# name -> (start, step(c, i), steps)
+PLAN_CHAINS = {
+    **{f"pentagram-{n}/{k}": _pentagram_chain(n, k) for n, k in ((5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (12, 5), (16, 3))},
+    "qnet-4x4": (lambda: make_qnet_fixture()[2], _qnet_chain_step(4), 6),
+    "qnet-6x6": (lambda: seeded_qnet_config(6, 5), _qnet_chain_step(6), 6),
+    "spiral": (
+        lambda: make_spiral_fixture()[2],
+        lambda c, i: spiral_step_on_config(c, SPIRAL_K, SPIRAL_N, SPIRAL_BASE + i),
+        26,
+    ),
+}
+
+
+def _float_twin(c):
+    return config_from_dict({**config_to_dict(c), "scalar": "float"})
+
+
+def _chain_states(c, step, steps, replay):
+    """(the bytes, graph and label-dict key orders of every state of the
+    chain from c, and the first error as (step, type, message) or None);
+    unless replay, the graph's store of plans is emptied before every step."""
+    states, error = [c], None
+    for i in range(steps):
+        if not replay:
+            c.graph._plans = None
+        try:
+            c = step(c, i)
+        except MoveError as exc:
+            error = (i, type(exc), str(exc))
+            break
+        states.append(c)
+    seen = [(json.dumps(config_to_dict(s)), s.graph, list(s.white_labels), list(s.black_labels)) for s in states]
+    return seen, error
+
+
+@pytest.mark.parametrize("scalar", ["exact", "float"])
+@pytest.mark.parametrize("name", PLAN_CHAINS)
+def test_a_chain_that_replays_its_plans_equals_the_moves(name, scalar):
+    start, step, steps = PLAN_CHAINS[name]
+    c = start() if scalar == "exact" else _float_twin(start())
+    replayed, moved = _cold(c), _cold(c)
+    assert _chain_states(replayed, step, steps, True) == _chain_states(moved, step, steps, False)
+    assert len(replayed.graph._plans) < steps  # the chain replayed a shape
+
+
+def _outcome(step, c):
+    """(type, message) of the error the step raises."""
+    with pytest.raises(MoveError) as err:
+        step(c)
+    return type(err.value), str(err.value)
+
+
+def test_a_replayed_step_raises_the_degenerate_meet_of_the_moves(monkeypatch):
+    # the seed-16 8/3 pentagram, on the graph of an 8/3 chain at seed 0
+    # that has recorded its shapes: its second step replays a plan
+    def step(c):
+        return pentagram_step_on_config(c, 3)
+
+    c = _cold(make_pentagram_fixture(8, 3)[3])
+    step(step(step(c)))
+    seed16 = make_pentagram_fixture(8, 3, seed=16)[3]
+    nxt = step(DoubleCircuitConfig(c.graph, c.d, seed16.white_labels, seed16.black_labels))
+    expected = (DegenerateMeet, "h of d2: meet has rank 2")
+    assert _outcome(step, _cold(nxt)) == expected
+    calls = _counted_batches(monkeypatch)
+    assert _outcome(step, nxt) == expected
+    assert calls["open"] == 0
+
+
+def _split_pentagram():
+    """(the 7/2 pentagram with q1 split by add2, a step that removes the
+    degree-two q1~ again and renames to the pentagram's faces)."""
+    c = make_pentagram_fixture(7, 2)[3]
+    split = add_degree2(c, "q1", (0, 2), forced_split_label(c, "q1", (0, 2)))
+    return _cold(split), lambda x: step_on_config(x, [], str, str, c.graph)
+
+
+def test_a_replayed_step_raises_the_label_mismatch_of_the_moves(monkeypatch):
+    c, step = _split_pentagram()
+    assert step(c).graph == make_pentagram_fixture(7, 2)[3].graph
+    bl = {**c.black_labels, "q1'": hyperplane(1, 2, 3)}
+    bad = DoubleCircuitConfig(c.graph, c.d, c.white_labels, bl)
+    expected = (LabelMismatch, "neighbors q1, q1' of q1~ carry different labels")
+    assert _outcome(step, _cold(bad)) == expected
+    calls = _counted_batches(monkeypatch)
+    assert _outcome(step, bad) == expected
+    assert calls["open"] == 0
+
+
+def test_a_step_in_a_smaller_dimension_raises_the_degree_overflow_of_the_moves():
+    c = _cold(make_pentagram_fixture(7, 2)[3])
+    pentagram_step_on_config(c, 2)
+    flat = c._replace(d=1)
+    expected = _outcome(lambda x: pentagram_step_on_config(x, 2), _cold(flat))
+    assert expected[0] is DegreeOverflow
+    assert _outcome(lambda x: pentagram_step_on_config(x, 2), flat) == expected
+
+
+def _relattice(c):
+    """c with every h read in another basis of Z^2: h -> (h0 + h1, h1)."""
+    g = c.graph
+    edges = [Edge(e.w, e.b, (e.h[0] + e.h[1], e.h[1])) for e in g.edges]
+    return DoubleCircuitConfig(TorusGraph(g.white_ids, g.black_ids, edges, g.faces, g.basis_cycles), c.d, c.white_labels, c.black_labels)
+
+
+SHIFTS = {
+    # a coboundary at one vertex, which the step may remove
+    "gauge": lambda c: coboundary_shifted(c, {c.graph.white_ids[-1]: (1, -2)}),
+    # output h that all differ from the recorded ones
+    "lattice": _relattice,
+}
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("name", BATCH_STEPS)
+def test_a_step_from_other_h_on_a_recorded_shape_equals_the_moves(monkeypatch, name, shift):
+    start, step = BATCH_STEPS[name]
+    c = _cold(start())
+    recorded = step(c)
+    shifted = SHIFTS[shift](c)
+    shifted.graph._plans = c.graph._plans
+    expected = step(_cold(shifted))
+    calls = _counted_batches(monkeypatch)
+    out = step(shifted)
+    assert calls["open"] == 0  # replayed
+    assert json.dumps(config_to_dict(out)) == json.dumps(config_to_dict(expected))
+    assert out.graph == expected.graph
+    assert shift == "gauge" or out.graph.edges != recorded.graph.edges
+
+
+def test_a_rule_that_fails_on_an_id_the_moves_never_give_it_leaves_the_step_to_them():
+    # the spiral step renews d1 alone and renames only the vertices it
+    # makes, so its rules never read P4: the step reaches the face match
+    odd = relabel(make_spiral_fixture()[2], {"P4": "Px"})
+    with pytest.raises(MoveError, match=r"face d2 has no template counterpart: \('P2', 'q1', 'Px', 'q2'\)"):
+        spiral_step_on_config(odd, SPIRAL_K, SPIRAL_N, SPIRAL_BASE)
+
+
+def test_an_input_that_breaks_a_recorded_h_comparison_is_stepped_by_the_moves():
+    # a face h-sum made nonzero: the plan's comparisons fail, and the step
+    # records again, raising what the moves raise
+    c = _cold(make_pentagram_fixture(7, 2)[3])
+    pentagram_step_on_config(c, 2)
+    g = c.graph
+    edges = (Edge(g.edges[0].w, g.edges[0].b, (g.edges[0].h[0] + 1, g.edges[0].h[1])), *g.edges[1:])
+    broken = DoubleCircuitConfig(TorusGraph(g.white_ids, g.black_ids, edges, g.faces, g.basis_cycles), c.d, c.white_labels, c.black_labels)
+    broken.graph._plans = g._plans
+    with pytest.raises(AssertionError, match="face h-sum was nonzero"):
+        pentagram_step_on_config(broken, 2)
 
 
 @pytest.mark.parametrize(

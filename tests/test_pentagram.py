@@ -292,6 +292,7 @@ def test_step_moves_edit_the_graph_locally(monkeypatch):
     for n in (16, 64):
         c = make_pentagram_fixture(n, 3)[3]
         c.graph.incidence()  # the cached template's index, built or not by earlier tests
+        c.graph._plans = None  # so the step records its plan, whatever earlier tests stepped
         calls.update(vertex_edges=0, graph=0, index=0)
         pentagram_step_on_config(c, 3)
         assert calls["vertex_edges"] == 0, n
