@@ -43,16 +43,14 @@ renewals at the given faces, the removals of every pre-step vertex they
 left at degree two, and a renaming to template ids.  A family supplies
 its faces, rename rules and template.
 
-A step's edits depend on its graph's shape, not on its h, walks or
-labels, so the first step from a shape records a plan: its label program
-(each renewal's four meets and each removal's label check, by vertex
-id), its output ids, edges and faces, each output h as a signed sum of
-input h's, the h comparisons its moves made and the paths of its walk
-rewrites.  A later step from that shape whose h compares the same way
-replays the plan: it runs the label program alone and builds the output
-from the record, equal to what the moves give.  Plans live on the graph
-and are shared with the graphs stepped from it, so a chain records each
-of its shapes once.
+A step's edits depend on its graph, not on its labels, so the first step
+from a graph object records a plan in a store on that graph: its label
+program (each renewal's four meets and each removal's label check, by
+vertex id) and its output ids, edges, faces and basis cycles.  A later
+step from the same graph object, with the same renewed faces, d, template
+and rule values, replays the plan: it runs the label program alone and
+builds a fresh output graph from the record, equal to what the moves
+give.  A chain's next state is a new graph, so a chain records each step.
 """
 from __future__ import annotations
 
@@ -83,7 +81,7 @@ from .geometry import (
     proj_equal,
 )
 from .scalars import RATIONAL, parse_coords, scalar_str
-from .torusgraph import Edge, Event, Face, GraphEdit, TorusGraph, _rewrite_walk, face_key
+from .torusgraph import Edge, Event, Face, GraphEdit, TorusGraph, face_key
 
 
 class MoveStep(NamedTuple):
@@ -482,10 +480,9 @@ def step_on_config(c: DoubleCircuitConfig, renew, white_rule, black_rule, templa
     The forced vertices are the pre-step vertices the renewals left at
     degree two, removed in ``c.graph.white_ids + c.graph.black_ids`` order.
     New vertices are renamed by ``spoke_rename_map`` with the two rules,
-    read from the batch between the renewals and the removals.  The batch
-    records a plan in the store on c's graph, which the output's graph
-    shares, and a later step with the same key whose h passes the plan's
-    checks replays it.
+    read from the batch between the renewals and the removals.  The step
+    records a plan in the store on c's graph, and a later step from that
+    graph object with the same key replays it (see ``_plan_key``).
     """
     g = c.graph
     if g._plans is None:
@@ -495,218 +492,82 @@ def step_on_config(c: DoubleCircuitConfig, renew, white_rule, black_rule, templa
     except Exception:  # a rule that fails on an input id the moves may never give it: no plan
         key = None
     plan = g._plans.get(key)
-    if plan is not None and _holds(plan.checks, g.edges):
+    if plan is not None:
         return _replayed(plan, c)
-    plan, wl, bl = _recorded(c, renew, white_rule, black_rule, template)
+    plan, out = _recorded(c, renew, white_rule, black_rule, template)
     if key is not None:
         g._plans[key] = plan
-    return DoubleCircuitConfig(_built(plan, g, plan.edges), c.d, wl, bl)
+    return out
 
 
 # -------------------------------------------------------------- step plans
 
 
 def _plan_key(c: DoubleCircuitConfig, renew, white_rule, black_rule, template: TorusGraph) -> tuple:
-    """All that a step's edits read: the graph's ids, edge endpoints, faces
-    and number of basis cycles, d, the renewed faces, the template (by
-    identity, which its plan keeps alive) and the rules' values on the
-    input ids; not h, the basis-cycle walks or the labels."""
-    g = c.graph
-    ids = g.white_ids + g.black_ids
+    """What a step from one graph can still vary on besides the labels:
+    the renewed faces, d, the template (by identity, which its plan keeps
+    alive) and the rules' values on the graph's ids."""
+    ids = c.graph.white_ids + c.graph.black_ids
     return (
-        g.white_ids, g.black_ids, tuple((e.w, e.b) for e in g.edges), tuple((f.id, f.edges) for f in g.faces),
-        len(g.basis_cycles or ()),
-        c.d, tuple(renew), id(template), tuple(map(white_rule, ids)), tuple(map(black_rule, ids)),
+        tuple(renew), c.d, id(template),
+        tuple(map(white_rule, ids)), tuple(map(black_rule, ids)),
     )
 
 
 class _Plan(NamedTuple):
-    """What a step's moves made of one key.  ``program`` is their label
-    work in move order: ((renewal args, new ids) of ``_renewal_labels``)
-    or ((neighbors' side is black, v, u1, u2) of ``_check_merge``, None).
-    The labels of the vertices in ``alive`` are kept and renamed by
-    ``vmap``.  The output has the ids, edges and faces recorded, each
-    edge's h given by its recipe (``_recipe``); its basis cycles are the
-    input's rewritten along each of ``rewrites`` and numbered by
-    ``position``.  ``checks`` are the h comparisons the moves made:
-    (component, (slot, coefficient) pairs of the difference, outcome)."""
+    """What a step's moves made from one graph.  ``program`` is their
+    label work in move order: ((renewal args, new ids) of
+    ``_renewal_labels``) or ((neighbors' side is black, v, u1, u2) of
+    ``_check_merge``, None).  The labels of the vertices in ``alive`` are
+    kept and renamed by ``vmap``; ``graph`` is the output graph's ids,
+    edges, faces and basis cycles."""
 
     template: TorusGraph
-    checks: tuple
     program: tuple
     alive: frozenset
     vmap: dict
-    white_ids: tuple
-    black_ids: tuple
-    edges: tuple
-    recipes: tuple
-    faces: tuple
-    rewrites: tuple
-    position: dict
-
-
-class _Tracked:
-    """An h component in a recording step: its value, and the same value
-    as a signed sum of component ``comp`` of the input edges' h (slot ->
-    coefficient).  The moves add and subtract h's componentwise, and the
-    zero h; each comparison they make is logged."""
-
-    __slots__ = ("value", "comp", "terms", "log")
-
-    def __init__(self, value, comp, terms, log):
-        self.value, self.comp, self.terms, self.log = value, comp, terms, log
-
-    def _plus(self, other, sign):
-        if not isinstance(other, _Tracked):
-            return self if other == 0 else NotImplemented
-        terms = dict(self.terms)
-        for s, k in other.terms.items():
-            k = terms.pop(s, 0) + sign * k
-            if k:
-                terms[s] = k
-        return _Tracked(self.value + sign * other.value, self.comp, terms, self.log)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return _Tracked(-self.value, self.comp, {s: -k for s, k in self.terms.items()}, self.log)._plus(other, 1)
-
-    def __eq__(self, other):
-        diff = self._plus(other, -1)
-        if diff is NotImplemented:
-            return NotImplemented
-        self.log.append((self.comp, tuple(diff.terms.items()), diff.value == 0))
-        return diff.value == 0
+    graph: tuple
 
 
 class _Recording(GraphEdit):
-    """The batch of a recording step: g opened with the given edges in
-    place of its own and without basis cycles, which ``_built`` carries.
-    It logs its moves' label program and the paths of each walk rewrite."""
+    """The batch of a recording step, which logs its moves' label program."""
 
-    __slots__ = ("program", "rewrites")
+    __slots__ = ("program",)
 
-    def __init__(self, g: TorusGraph, edges):
+    def __init__(self, g: TorusGraph):
         super().__init__(g)
-        self._edges, self._basis = dict(enumerate(edges)), []
-        self.program, self.rewrites = [], []
-
-    def substitute_edges(self) -> None:
-        if self._paths:
-            self.rewrites.append(self._paths)
-        super().substitute_edges()
+        self.program = []
 
 
 def _recorded(c: DoubleCircuitConfig, renew, white_rule, black_rule, template: TorusGraph) -> tuple:
-    """(plan, output white labels, output black labels) of the step from
-    c, from the moves run once on c's labels and on h's that carry their
-    input terms."""
-    g, log = c.graph, []
-    tracked = [
-        Edge(e.w, e.b, (_Tracked(e.h[0], 0, {s: 1}, log), _Tracked(e.h[1], 1, {s: 1}, log)))
-        for s, e in enumerate(g.edges)
-    ]
-    rec = _Recording(g, tracked)
+    """(plan, output) of the step from c, from the moves run once."""
+    rec = _Recording(c.graph)
     batch = DoubleCircuitConfig(rec, c.d, dict(c.white_labels), dict(c.black_labels))
     for f in renew:
         urban_renewal(batch, f)
     vmap = spoke_rename_map(c, batch, white_rule, black_rule)
     inc = rec.incidence()
-    for v in [v for v in g.white_ids + g.black_ids if len(inc[v]) == 2]:
+    for v in [v for v in c.graph.white_ids + c.graph.black_ids if len(inc[v]) == 2]:
         remove_degree2(batch, v)
     closed = _closed(batch)
-    out = rename_faces_like(relabel(closed, vmap), template).graph
-    recipes = tuple(map(_recipe, (e.h for e in out.edges)))
-    plan = _Plan(
-        template,
-        tuple(log),
-        tuple(rec.program),
-        frozenset(closed.graph.white_ids + closed.graph.black_ids),
-        vmap,
-        out.white_ids,
-        out.black_ids,
-        tuple(Edge(e.w, e.b, _h_of(g.edges, r)) for e, r in zip(out.edges, recipes)),
-        recipes,
-        out.faces,
-        tuple(rec.rewrites),
-        {s: i for i, s in enumerate(rec._edges)},  # close numbers the edges by slot
-    )
-    return plan, *_kept_labels(plan, batch.white_labels, batch.black_labels)
-
-
-def _recipe(h):
-    """An output h as None when it is zero, the input slot it copies, or
-    the (slot, coefficient) pairs of its signed sum of input h's."""
-    a, b = (x.terms if isinstance(x, _Tracked) else {} for x in h)
-    assert a == b, "a step's h arithmetic was not componentwise"
-    if not a:
-        return None
-    return next(iter(a)) if list(a.values()) == [1] else tuple(a.items())
-
-
-def _h_of(edges, recipe) -> tuple:
-    """The h an output edge's recipe gives on these input edges."""
-    if recipe is None:
-        return 0, 0
-    if type(recipe) is int:
-        return edges[recipe].h
-    x = y = 0
-    for s, k in recipe:
-        h = edges[s].h
-        x, y = x + k * h[0], y + k * h[1]
-    return x, y
-
-
-def _holds(checks, edges) -> bool:
-    """Whether every recorded h comparison comes out as recorded on these edges."""
-    for comp, terms, outcome in checks:
-        x = 0
-        for s, k in terms:
-            x += k * edges[s].h[comp]
-        if (x == 0) != outcome:
-            return False
-    return True
-
-
-def _kept_labels(plan: _Plan, wl: dict, bl: dict) -> tuple:
-    """The step's label dicts: the labels of the closed batch's vertices,
-    renamed, in the order the moves leave them."""
-    m, alive = plan.vmap.get, plan.alive
-    return tuple({m(v, v): x for v, x in labels.items() if v in alive} for labels in (wl, bl))
+    out = rename_faces_like(relabel(closed, vmap), template)
+    alive = frozenset(closed.graph.white_ids + closed.graph.black_ids)
+    return _Plan(template, tuple(rec.program), alive, vmap, out.graph._key()), out
 
 
 def _replayed(plan: _Plan, c: DoubleCircuitConfig) -> DoubleCircuitConfig:
     """The step from c by its plan: the label program on c's labels, with
-    the meets and checks of the moves, and the graph built from the record."""
+    the meets and checks of the moves, the labels kept and renamed in the
+    order the moves leave them, and a fresh graph built from the record."""
     wl, bl = dict(c.white_labels), dict(c.black_labels)
     for args, new in plan.program:
         if new is None:
             _check_merge(bl if args[0] else wl, *args[1:])
         else:
             wl[new[0]], wl[new[1]], bl[new[2]], bl[new[3]] = _renewal_labels(wl, bl, *args)
-    g = c.graph
-    edges = [e if r is None else Edge(e.w, e.b, _h_of(g.edges, r)) for e, r in zip(plan.edges, plan.recipes)]
-    return DoubleCircuitConfig(_built(plan, g, edges), c.d, *_kept_labels(plan, wl, bl))
-
-
-def _built(plan: _Plan, g: TorusGraph, edges) -> TorusGraph:
-    """The output graph of the step from g: the recorded ids and faces, the
-    given edges, and g's basis cycles carried along the recorded rewrites;
-    it shares g's store of plans."""
-    basis = list(g.basis_cycles or ())
-    for paths in plan.rewrites:
-        basis = [_rewrite_walk(z, paths) for z in basis]
-    position = plan.position.__getitem__
-    basis = tuple(tuple(map(position, z)) for z in basis) or None
-    out = TorusGraph(plan.white_ids, plan.black_ids, edges, plan.faces, basis)
-    out._plans = g._plans
-    return out
+    m, alive = plan.vmap.get, plan.alive
+    kept = ({m(v, v): x for v, x in labels.items() if v in alive} for labels in (wl, bl))
+    return DoubleCircuitConfig(TorusGraph(*plan.graph), c.d, *kept)
 
 
 def rename_faces_like(c: DoubleCircuitConfig, template: TorusGraph) -> DoubleCircuitConfig:

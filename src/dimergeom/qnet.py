@@ -314,7 +314,7 @@ def period(c: DoubleCircuitConfig) -> tuple:
     return max(i for i, _ in sites) + 1, max(j for _, j in sites) + 1
 
 
-def periodic_extension(w: QNetWindow, a: int, b: int, pad: int = 2) -> QNetWindow:
+def periodic_extension(w: QNetWindow, a: int, b: int, pad: int) -> QNetWindow:
     """Extend a one-period window periodically by pad periods in each
     direction, for computing transforms of torus label data."""
     out = {}

@@ -65,8 +65,8 @@ class TorusGraph:
     faces read by position; moves read it through a ``GraphEdit``.  Its
     incidence and face-key indices, the cover walks ``find_walk`` has
     found on it and the store of step plans ``moves.step_on_config`` has
-    recorded from it (shared with the graphs stepped from it) are built on
-    first use."""
+    recorded from it (not shared with the graphs stepped from it) are built
+    on first use."""
 
     __slots__ = (
         "white_ids", "black_ids", "edges", "faces", "basis_cycles", "_white", "_black", "_inc", "_face_by_key",

@@ -66,13 +66,6 @@ MUTANTS = [
         ],
     ),
     (
-        "step replay: the recorded h written in place of the recipes",
-        "moves.py",
-        "Edge(e.w, e.b, _h_of(g.edges, r)) for e, r in zip(plan.edges, plan.recipes)]",
-        "Edge(e.w, e.b, e.h) for e, r in zip(plan.edges, plan.recipes)]",
-        ["tests/test_moves.py::test_a_step_from_other_h_on_a_recorded_shape_equals_the_moves"],
-    ),
-    (
         "step replay: the removals' label checks skipped",
         "moves.py",
         "            _check_merge(bl if args[0] else wl, *args[1:])\n",
@@ -82,9 +75,23 @@ MUTANTS = [
     (
         "step plans: the key without d",
         "moves.py",
-        "        c.d, tuple(renew), id(template),",
+        "        tuple(renew), c.d, id(template),",
         "        tuple(renew), id(template),",
         ["tests/test_moves.py::test_a_step_in_a_smaller_dimension_raises_the_degree_overflow_of_the_moves"],
+    ),
+    (
+        "step plans: the key without the renewed faces",
+        "moves.py",
+        "        tuple(renew), c.d, id(template),",
+        "        c.d, id(template),",
+        ["tests/test_qnet.py::test_step_script_realizes_laplace_both_parities"],
+    ),
+    (
+        "step replay: every replay returns the graph object of the first",
+        "moves.py",
+        "DoubleCircuitConfig(TorusGraph(*plan.graph), c.d, *kept)",
+        'DoubleCircuitConfig(plan.vmap.setdefault("", TorusGraph(*plan.graph)), c.d, *kept)',
+        ["tests/test_moves.py::test_a_step_output_is_a_fresh_graph"],
     ),
     (
         "_rewrite_walk: no black-to-white rotation",
