@@ -41,11 +41,13 @@ class HomogeneousElement(Record):
     (``None`` marks float data), or the power of two (at most 2^1023, so it
     stays finite) that brings the largest float coordinate into [1/2, 1).
     ``dim`` is d.  An exact join or meet is built by ``_element`` from its
-    primitive int row, its ``ints`` (its coordinates those ints as
-    Fractions, its scale 1)."""
+    primitive int row, its ``ints``, with scale 1 and no coordinates: its
+    ``coords`` are derived from ``ints``, as Fractions, on first read and
+    then kept in the slot ``_coords``.  A label built from coordinates
+    (``__init__``, float data included) keeps the ones it was given."""
 
     _fields = ("coords", "kind")
-    __slots__ = _fields + ("ints", "scale", "dim")
+    __slots__ = ("_coords", "kind", "ints", "scale", "dim")
 
     def __init__(self, coords: tuple, kind: str):
         if is_float(coords):
@@ -55,11 +57,19 @@ class HomogeneousElement(Record):
             ints = tuple([x.numerator * (scale // x.denominator) for x in coords])
         if not any(coords if ints is None else ints):
             raise ZeroVector(f"all coordinates vanish: {coords}")
-        setfield(self, "coords", coords)
+        setfield(self, "_coords", coords)
         setfield(self, "kind", kind)
         setfield(self, "ints", ints)
         setfield(self, "scale", scale)
         setfield(self, "dim", len(coords) - 1)
+
+    @property
+    def coords(self) -> tuple:
+        try:
+            return self._coords
+        except AttributeError:  # a computed label's, unread so far
+            setfield(self, "_coords", tuple(map(Fraction, self.ints)))
+            return self._coords
 
     def __eq__(self, other):
         if not isinstance(other, HomogeneousElement):
@@ -125,6 +135,8 @@ def proj_equal(a: HomogeneousElement, b: HomogeneousElement) -> bool:
     if (ai is None) != (bi is None):
         return False  # an exact element never equals a float one
     if ai is not None:
+        if ai == bi:  # a computed label's row is canonical: equal ones are the common case
+            return True
         # a ~ b iff a_i b_k == b_i a_k for every i, at a k with a_k != 0
         ak, bk = next((x, y) for x, y in zip(ai, bi) if x)
         return all(x * bk == y * ak for x, y in zip(ai, bi))
@@ -261,9 +273,10 @@ def meet(gens1, gens2) -> HomogeneousElement:
     if d != d2:
         raise DimensionMismatch("meet in different ambient spaces")
     rows, exact = element_rows([*gens1, *gens2])
-    ker = _kernel(list(zip(*rows)), exact)
-    cols1 = list(zip(*rows[: len(gens1)]))
-    elems = [[sum(map(mul, v, col)) for col in cols1] for v in ker]
+    cols = list(zip(*rows))
+    ker = _kernel(cols, exact)
+    k = len(gens1)  # map stops each column at the first list's generators
+    elems = [[sum(map(mul, v[:k], col)) for col in cols] for v in ker]
     if exact:
         if len(elems) == 1 and any(elems[0]):
             return _element(_primitive(elems[0]), kind)
@@ -284,9 +297,9 @@ def meet(gens1, gens2) -> HomogeneousElement:
 
 def _element(prim: tuple, kind) -> HomogeneousElement:
     """The exact element of a primitive int row, positive at its first
-    nonzero entry: prim is its ``ints``, so ``__init__`` is skipped."""
+    nonzero entry: prim is its ``ints``, so ``__init__`` is skipped and
+    ``coords`` is built only when read."""
     e = object.__new__(HomogeneousElement)
-    setfield(e, "coords", tuple(map(Fraction, prim)))
     setfield(e, "kind", kind)
     setfield(e, "ints", prim)
     setfield(e, "scale", 1)

@@ -250,8 +250,8 @@ def int_nullspace(rows):
 
 
 def _int_nullspace(m):
-    """int_nullspace of an int matrix, unscaled (the list m may be
-    overwritten).  With n <= 4 columns, nonzero minors v of n - 1 rows (the
+    """int_nullspace of an int matrix, unscaled (the list m is left as
+    it is).  With n <= 4 columns, nonzero minors v of n - 1 rows (the
     first ones, else the next choice whose minors are nonzero) span their
     kernel: the kernel is v, primitive and positive at its last nonzero
     entry (the free column), or none if another row misses v."""
@@ -265,15 +265,15 @@ def _int_nullspace(m):
                     rest = [row for i, row in enumerate(m) if i not in rows]
                     break
             else:
-                return _int_kernel(*_int_echelon(m), n)
+                return _int_kernel(*_int_echelon(m[:]), n)
         for row in rest:
             if sum(map(mul, row, v)):
                 return []
         g = gcd(*v)
-        if next(x for x in reversed(v) if x) < 0:
+        if (v[-1] or v[-2] or v[-3] or v[0]) < 0:  # the sign at the last nonzero of 2 to 4 entries
             g = -g
-        return [[x // g for x in v]]
-    return _int_kernel(*_int_echelon(m), n) if m else []
+        return [v if g == 1 else [x // g for x in v]]
+    return _int_kernel(*_int_echelon(m[:]), n) if m else []
 
 
 def _minors(rows):

@@ -5,8 +5,9 @@ setfield = object.__setattr__  # how a record's ``__init__`` fills its slots
 
 class Record:
     """A subclass names its fields in ``_fields``, the arguments of its
-    ``__init__`` in order, and its slots in ``__slots__`` (the fields and
-    any slot derived from them).  Equality, hashing and copies read the
+    ``__init__`` in order, and its slots in ``__slots__`` (the fields, or
+    the slots behind fields read through a property, and any slot derived
+    from them).  Equality, hashing and copies read the
     fields, the repr every slot; assigning or deleting a slot raises
     AttributeError."""
 

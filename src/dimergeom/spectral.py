@@ -497,15 +497,26 @@ class BlackFibre:
     relation at each black vertex is the circuit test (V) makes there (so
     it raises KernelNotOneDimensional unless every black vertex's white
     labels form a circuit), the term rows, the incidence and each edge's
-    label row.  Each point (at) evaluates the rows there, reads the kernel
-    and solves; (V) at the white vertices and (F) check the result."""
+    label row (``element_rows``).  Each point (at) evaluates the rows
+    there, reads the kernel and solves; (V) at the white vertices and (F)
+    check the result.
+
+    The weights are the label rows' own: each Kasteleyn column is divided
+    by its label's scale and each row multiplied by the scale of the label
+    its weights are normalized at (exactly for float labels, whose scales
+    are powers of two).  So no representative scales a row or a column,
+    the kernel is f times the scales, and each equation reads its label's
+    row with its rhs times that scale."""
 
     def __init__(self, g: TorusGraph, d: int, white_labels: dict):
         self.g, self.d, self.white_labels = g, d, white_labels
+        self._inc = inc = vertex_edges(g)
+        scales = [white_labels[e.w].scale for e in g.edges]
         weights = kasteleyn_weights(g, white_labels)
+        weights = {ei: x * scales[inc[g.edges[ei].b][0]] / scales[ei] for ei, x in weights.items()}
         self._rows, self._float = kasteleyn_rows(g, weights), is_float(weights.values())
-        self._inc = vertex_edges(g)
-        self._labels = [(e.w, e.h, white_labels[e.w]) for e in g.edges]
+        rows = element_rows([white_labels[e.w] for e in g.edges])[0]
+        self._labels = [(e.w, e.h, row) for e, row in zip(g.edges, rows)]
 
     def at(self, lam, mu) -> ReconstructionResult:
         """Per black vertex v the edge equations <l(v), A(w)> = f(v)^{-1}
@@ -526,13 +537,13 @@ class BlackFibre:
             raise KernelDegenerate("kernel vector has a zero entry")
 
         exact = not is_float(fvec)  # only exact weights, labels and (lam, mu) give an exact kernel
-        if exact:  # int equations: f times a positive scale, each one times its label's scale and rhs denominator
-            f_w = {w: x * white_labels[w].scale for w, x in zip(g.white_ids, linalg.int_row(fvec))}
+        if exact:  # int equations: f times a positive scale, each one times its rhs denominator
+            f_w = dict(zip(g.white_ids, linalg.int_row(fvec)))
             mono = _monomials(lam, mu, (h for _, h, _ in self._labels))
-            eqs = [([x * mono[h][1] for x in a.ints], f_w[w] * mono[h][0]) for w, h, a in self._labels]
+            eqs = [([x * mono[h][1] for x in row], f_w[w] * mono[h][0]) for w, h, row in self._labels]
         else:
             f_w = dict(zip(g.white_ids, fvec))
-            eqs = [(a.coords, f_w[w] * _ipow(lam, h[0]) * _ipow(mu, h[1])) for w, h, a in self._labels]
+            eqs = [(row, f_w[w] * _ipow(lam, h[0]) * _ipow(mu, h[1])) for w, h, row in self._labels]
 
         known: dict = {}
         events: list = []

@@ -324,11 +324,24 @@ def reference_solve(rows, rhs):
     return ("underdetermined", x, ker) if ker else ("unique", x, [])
 
 
+def _label_row(e):
+    """A label's coordinates times its scale, as ints for an exact label."""
+    row = [x * e.scale for x in e.coords]
+    return row if is_float(row) else [int(x) for x in row]
+
+
 def reference_reconstruct(g, d, white_labels, lam, mu):
     """spectral.reconstruct_black on Fractions: the reference weights and
-    kernel, the per-edge Fraction right-hand sides, the Fraction span
-    constraints and reference_solve."""
-    basis = reference_kernel(g, reference_weights(g, white_labels), lam, mu)
+    kernel of the label rows, the per-edge Fraction right-hand sides, the
+    Fraction span constraints and reference_solve.  A label's row is its
+    coordinates times its scale: each weight is multiplied by the scale of
+    its black vertex's first label and divided by its own label's scale,
+    so the kernel is f times the scales, the right-hand sides' factor."""
+    inc = vertex_edges(g)
+    scales = [white_labels[e.w].scale for e in g.edges]
+    weights = reference_weights(g, white_labels)
+    weights = {ei: x * scales[inc[g.edges[ei].b][0]] / scales[ei] for ei, x in weights.items()}
+    basis = reference_kernel(g, weights, lam, mu)
     if len(basis) != 1:
         raise KernelDegenerate(f"kernel dimension {len(basis)} != 1")
     fvec = basis[0]
@@ -336,13 +349,12 @@ def reference_reconstruct(g, d, white_labels, lam, mu):
     if any(is_zero(x, scale=scale) for x in fvec):
         raise KernelDegenerate("kernel vector has a zero entry")
     f_w = {w: fvec[j] for j, w in enumerate(g.white_ids)}
-    inc = vertex_edges(g)
     rhs_of_edge = {ei: f_w[e.w] * _ipow(lam, e.h[0]) * _ipow(mu, e.h[1]) for ei, e in enumerate(g.edges)}
     known, events, pending = {}, [], set(g.black_ids)
     while pending:
         progress = False
         for b in sorted(pending):
-            rows = [list(white_labels[g.edges[ei].w].coords) for ei in inc[b]]
+            rows = [_label_row(white_labels[g.edges[ei].w]) for ei in inc[b]]
             rhs = [rhs_of_edge[ei] for ei in inc[b]]
             used_span = False
             if len(inc[b]) < d + 2:

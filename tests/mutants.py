@@ -294,6 +294,20 @@ MUTANTS = [
         ["tests/test_spectral.py::test_one_fibre_equals_the_fraction_reference_at_every_point"],
     ),
     (
+        "BlackFibre: the raw label coordinates read in place of the label rows",
+        "spectral.py",
+        "rows = element_rows([white_labels[e.w] for e in g.edges])[0]",
+        "rows = [white_labels[e.w].coords for e in g.edges]",
+        ["tests/test_cli.py::test_float_verdicts_do_not_depend_on_a_label_representative"],
+    ),
+    (
+        "BlackFibre: the weights left at the labels' coordinates, not rescaled to their rows",
+        "spectral.py",
+        "        weights = {ei: x * scales[inc[g.edges[ei].b][0]] / scales[ei] for ei, x in weights.items()}\n",
+        "",
+        ["tests/test_cli.py::test_float_verdicts_do_not_depend_on_a_label_representative"],
+    ),
+    (
         "_relation: an exact relation with a vanishing coefficient read as a circuit",
         "geometry.py",
         "if exact and all(c):",
@@ -320,6 +334,20 @@ MUTANTS = [
         'setfield(e, "dim", len(prim) - 1)',
         'setfield(e, "dim", len(prim))',
         ["tests/test_geometry.py::test_dim_is_the_coordinate_count_less_one"],
+    ),
+    (
+        "proj_equal: the early exit of equal rows compares their first entries only",
+        "geometry.py",
+        "        if ai == bi:",
+        "        if ai[0] == bi[0]:",
+        ["tests/test_exact_labels.py::test_proj_equal_agrees_with_cross_multiplication"],
+    ),
+    (
+        "HomogeneousElement.coords: a computed label's coordinates derived at half its row",
+        "geometry.py",
+        'setfield(self, "_coords", tuple(map(Fraction, self.ints)))',
+        'setfield(self, "_coords", tuple(Fraction(x, 2) for x in self.ints))',
+        ["tests/test_exact_labels.py::test_a_computed_label_derives_its_coordinates_from_its_row"],
     ),
     (
         "_kind_dim: a list of mixed kinds in one P^d let through",

@@ -883,11 +883,12 @@ def _float_copy(family, tmp_path, factor=None):
 @pytest.mark.parametrize("family", ["pentagram", "qnet"])
 def test_float_verdicts_do_not_depend_on_a_label_representative(family, factor, tmp_path, capsys):
     # a label times 1e40 or 1e-40 is the same point or hyperplane: every
-    # command reads the rescaled float copy as it reads the unscaled one
+    # command reads the rescaled float copy as it reads the unscaled one;
+    # (-1, -1) is the 5/2 pentagram's class point and off the Q-net's curve
     from dimergeom.spectral import spectral_polynomial_white
 
     plain, scaled = _float_copy(family, tmp_path), _float_copy(family, tmp_path, factor)
-    outs = []
+    outs, rebuilt = [], []
     for path in (plain, scaled):
         capsys.readouterr()
         assert main(["validate", str(path)]) == 0
@@ -895,7 +896,15 @@ def test_float_verdicts_do_not_depend_on_a_label_representative(family, factor, 
         lines = capsys.readouterr().out.splitlines()
         outs.append([line for line in lines if "-data curve: " not in line])
         assert main(["run", str(path), "--builtin", family, "--steps", "2", "--verify"]) == 0
+        capsys.readouterr()
+        rebuilt.append((main(["reconstruct", str(path), "--lam=-1", "--mu=-1"]), capsys.readouterr()))
     assert outs[0] == outs[1]
+    assert rebuilt[0] == rebuilt[1]
+    code, (out, _) = rebuilt[0]
+    if family == "pentagram":
+        assert code == 0 and out.endswith("outcome: Unique\n")
+    else:
+        assert code == 1 and "EmptyKernel" in out
     a, b = (spectral_polynomial_white(load_config(path)).normalized().as_dict() for path in (plain, scaled))
     assert a.keys() == b.keys() and all(is_zero(a[k] - b[k], max(abs(a[k]), abs(b[k]))) for k in a)
 

@@ -3,11 +3,16 @@
 A ``HomogeneousElement`` computes ``ints`` once, when it is built, and
 exact geometry reads it in place of rescaling the coordinates on every
 call; a label that exact geometry computes is built from its primitive
-int row and computes nothing; a meet whose exact kernel is
-one-dimensional takes the primitive form of its one element in place of
-a second elimination.  These properties check the shortcuts against the
-paths they replace."""
+int row and computes nothing, not even its coordinates until they are
+read; two labels with equal rows are equal without a cross-multiplication;
+a meet whose exact kernel is one-dimensional takes the primitive form of
+its one element in place of a second elimination.  These properties check
+the shortcuts against the paths they replace."""
+import copy
+import json
+import pickle
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -16,7 +21,7 @@ from hypothesis import strategies as st
 
 from dimergeom import geometry as g
 from dimergeom import linalg, pentagram, qnet, spiral
-from dimergeom.config import check_F, check_V
+from dimergeom.config import check_F, check_V, config_to_dict
 from dimergeom.errors import DegenerateIntersection, DegenerateMeet, EmptyMeet
 from dimergeom.fixtures import make_pentagram_fixture, make_qnet_fixture, make_spiral_fixture
 from dimergeom.pentagram import pentagram_step_on_config
@@ -303,3 +308,86 @@ def test_ten_steps_keep_every_computed_label_primitive(name):
                 seen += 1
                 assert gcd(*e.ints) == 1 and next(v for v in e.ints if v) > 0, (i, e)
     assert seen == computed
+
+
+@st.composite
+def computed_labels(draw):
+    """A label that exact geometry computes: the meet of two drawn
+    generator lists, or the incident element of d drawn elements of P^d."""
+    if draw(st.booleans()):
+        gens1, gens2 = draw(generator_pairs())
+        make = lambda: g.meet(gens1, gens2)  # noqa: E731
+    else:
+        d = draw(st.sampled_from([2, 3]))
+        kind = draw(st.sampled_from([g.POINT, g.HYPERPLANE]))
+        elems = [g.HomogeneousElement(draw(exact_coords(d + 1)), kind) for _ in range(d)]
+        make = lambda: g.incident_element(elems)  # noqa: E731
+    try:
+        return make()
+    except (EmptyMeet, DegenerateIntersection):
+        assume(False)
+
+
+def _eager(e):
+    """The label built from the coordinates a computed label derives."""
+    return g.HomogeneousElement(tuple(map(Fraction, e.ints)), e.kind)
+
+
+def _slots(e):
+    return e.coords, e.kind, e.ints, e.scale, e.dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(computed_labels())
+def test_a_computed_label_derives_its_coordinates_from_its_row(e):
+    assert e.coords == tuple(map(Fraction, e.ints))
+    assert all(type(x) is Fraction for x in e.coords) and e.scale == 1
+    assert e.coords is e.coords  # built once, then kept
+
+
+def test_a_computed_label_builds_no_fraction_until_its_coordinates_are_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(g, "Fraction", lambda x: built.append(x) or Fraction(x))
+    p = g.meet([g.point(1, 0, 0), g.point(0, 1, 0)], [g.point(1, 1, 1), g.point(1, 2, 3)])
+    line = g.join_points([g.point(1, 2, 3), g.point(4, 5, 7)])
+    assert built == [] and (p.ints, line.ints) == ((2, 1, 0), (1, -5, 3))
+    assert p.coords == (2, 1, 0) and built == [2, 1, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(computed_labels())
+def test_copies_pickles_and_files_of_a_computed_label_equal_an_eager_labels(e):
+    # each clone and file reads a fresh computed label, whose coordinates are unread
+    eager = _eager(e)
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert _slots(clone(g._element(e.ints, e.kind))) == _slots(clone(eager))
+    if e.dim == 2:  # the 5/2 pentagram's file with the label in place of its first one of that kind
+        c = make_pentagram_fixture(5, 2)[3]
+        field = "white_labels" if e.kind == g.POINT else "black_labels"
+        labels = getattr(c, field)
+        first = sorted(labels)[0]
+        files = [config_to_dict(c._replace(**{field: {**labels, first: x}})) for x in (g._element(e.ints, e.kind), eager)]
+        assert json.dumps(files[0]) == json.dumps(files[1])
+    assert (repr(e), hash(e), e) == (repr(eager), hash(eager), eager)
+
+
+def _cross_equal(a, b) -> bool:
+    """The reference: two nonzero coordinate vectors are one element iff
+    every 2x2 minor of the pair vanishes."""
+    return len(a) == len(b) and all(x * v == y * u for (x, y), (u, v) in combinations(zip(a, b), 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(computed_labels(), computed_labels(), st.sampled_from([1, 2, -1, -3, Fraction(1, 2), Fraction(-5, 7)]))
+# (2, 4, 6) against (1, 2, 3), and rows that agree in their first entries only
+@example(g._element((1, 2, 3), g.POINT), g._element((1, 2, 4), g.POINT), 2)
+@example(g._element((0, 1, 5), g.HYPERPLANE), g._element((0, 1, -5), g.HYPERPLANE), -1)
+def test_proj_equal_agrees_with_cross_multiplication(e, other, factor):
+    """On computed labels against themselves (equal rows), their multiples
+    built from coordinates ((2, 4, 6) against (1, 2, 3), negated rows),
+    computed copies and other computed labels."""
+    rescaled = g.HomogeneousElement(tuple(factor * x for x in e.ints), e.kind)
+    for b in (e, g._element(e.ints, e.kind), _eager(e), rescaled, other):
+        want = e.kind == b.kind and _cross_equal(e.coords, b.coords)
+        assert g.proj_equal(e, b) == want and g.proj_equal(b, e) == want, (e, b)
+
